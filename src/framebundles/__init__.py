@@ -44,7 +44,6 @@ from .gsets import (
     induced_orbit_map,
     is_free,
     is_orbit_bijection,
-    is_semitorsor,
     is_transitive,
     make_gset,
     orbits,

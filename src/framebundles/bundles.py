@@ -24,7 +24,6 @@ from . import config
 from .errors import ModeMismatch, NotFaithful, NotFree, TooSmall
 from .frames import (
     Frame,
-    Permutation,
     WreathElement,
     enumerate_frames,
     frame_divide,
@@ -32,7 +31,18 @@ from .frames import (
     frames_as_torsor,
     wreath_group,
 )
-from .groups import FiniteGroup, GroupHom, is_isomorphism, kernel
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    Permutation,
+    automorphisms,
+    is_isomorphism,
+    is_permutation,
+    kernel,
+    perm_compose,
+    perm_inverse,
+    validate_word,
+)
 from .gset_aut import aut_group_of_gset, cq, wreath_to_aut
 from .gsets import (
     EquivariantMap,
@@ -47,8 +57,6 @@ from .gsets import (
 
 MODE_GROUP = "group"
 MODE_GSPACE = "gspace"
-
-LoopWord = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -114,12 +122,7 @@ def components(b: FlatBundle) -> tuple[tuple[int, ...], ...]:
     size = b.fiber.size
     seen = [False] * size
     moves = [a.value for a in b.clutching]
-    inverses = []
-    for v in moves:
-        inv = [0] * size
-        for x, y in enumerate(v):
-            inv[y] = x
-        inverses.append(inv)
+    inverses = [perm_inverse(v) for v in moves]
     out = []
     for start in range(size):
         if seen[start]:
@@ -169,8 +172,6 @@ def is_trivializable(b: FlatBundle) -> bool:
 def _conjugators(b: FlatBundle) -> list[tuple[int, ...]]:
     """Fiber symmetries respecting the bundle mode, as value tables."""
     if b.mode == MODE_GROUP:
-        from .groups import automorphisms
-
         return [h.image for h in automorphisms(b.fiber_group)]
     _, auts = aut_group_of_gset(b.fiber)
     return [a.value for a in auts]
@@ -184,13 +185,10 @@ def bundle_isomorphic(b1: FlatBundle, b2: FlatBundle) -> bool:
         return False
     if b1.loops != b2.loops:
         return False
-    size = b1.fiber.size
     for c in _conjugators(b1):
-        c_inv = [0] * size
-        for x, y in enumerate(c):
-            c_inv[y] = x
+        c_inv = perm_inverse(c)
         if all(
-            tuple(c[a1.value[c_inv[p]]] for p in range(size)) == a2.value
+            perm_compose(c, perm_compose(a1.value, c_inv)) == a2.value
             for a1, a2 in zip(b1.clutching, b2.clutching)
         ):
             return True
@@ -279,21 +277,6 @@ def canonical_frame(b: FlatBundle) -> Frame:
     return enumerate_frames(b.fiber).frames[0]
 
 
-def validate_word(loops: int, word) -> LoopWord:
-    w = tuple(int(x) for x in word)
-    for letter in w:
-        if letter == 0 or abs(letter) > loops:
-            raise ValueError(f"letter {letter} outside +-1..+-{loops}")
-    return w
-
-
-def invert_table(value: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(value)
-    for x, y in enumerate(value):
-        out[y] = x
-    return tuple(out)
-
-
 def holonomy(b: FlatBundle, word) -> EquivariantMap:
     """Monodromy of a loop word: the first letter is applied first.
 
@@ -305,7 +288,7 @@ def holonomy(b: FlatBundle, word) -> EquivariantMap:
     for letter in w:
         value = b.clutching[abs(letter) - 1].value
         if letter < 0:
-            value = invert_table(value)
+            value = perm_inverse(value)
         table = [value[p] for p in table]
     return EquivariantMap(
         b.fiber, b.fiber, identity_hom(b.fiber.group), tuple(table)
@@ -347,14 +330,13 @@ def sn_labelling(n: int, action: Mapping[Permutation, tuple]) -> tuple[int, ...]
     identity = tuple(range(n))
     for s in perms:
         value = tuple(action[s])
-        if sorted(value) != list(range(n)):
+        if not is_permutation(value, n):
             raise ValueError(f"action of {s} is not a bijection of the n-set")
         if s != identity and value == identity:
             raise NotFaithful(f"permutation {s} acts trivially")
     for s in perms:
         for t in perms:
-            st = tuple(s[t[x]] for x in range(n))
-            if tuple(action[st]) != tuple(action[s][action[t][x]] for x in range(n)):
+            if tuple(action[perm_compose(s, t)]) != perm_compose(action[s], action[t]):
                 raise ValueError("action table is not a homomorphism")
 
     labelling = [-1] * n
@@ -366,10 +348,10 @@ def sn_labelling(n: int, action: Mapping[Permutation, tuple]) -> tuple[int, ...]
         if len(fixed) != 1:
             raise NotFaithful(f"stabilizer of {i} does not fix a unique point")
         labelling[fixed[0]] = i
-    if sorted(labelling) != list(range(n)):
+    if not is_permutation(labelling, n):
         raise NotFaithful("labelling is not a bijection")
     # equivariance: sigma . a_i = a_{sigma(i)}
-    inverse = invert_table(tuple(labelling))
+    inverse = perm_inverse(labelling)
     for s in perms:
         for i in range(n):
             if action[s][inverse[i]] != inverse[s[i]]:

@@ -25,6 +25,7 @@ from .bundles import (
     clutching_wreath,
     components,
     frame_bundle,
+    group_bundle_over_circle,
     holonomy,
     map_fiber_count,
     quotient_bundle,
@@ -33,19 +34,17 @@ from .bundles import (
     total_components,
 )
 from .errors import (
-    BoundExceeded,
     FrameBundlesError,
     ModeMismatch,
     NoQuotient,
     NotFaithful,
     NotFree,
-    SchemaError,
     TooSmall,
 )
+from .frames import enumerate_frames
 from .groups import aut_group, conjugacy_classes
 from .u1 import (
     division_form_check,
-    frame_holonomy,
     holonomy_u1,
     pushforward,
     transport,
@@ -78,10 +77,6 @@ def _perm_str(p) -> str:
     return "(" + ",".join(str(x) for x in p) + ")"
 
 
-def _tuple_str(t) -> str:
-    return "(" + ",".join(str(x) for x in t) + ")"
-
-
 def cmd_classify_circle(args) -> Report:
     G = specdoc.parse_group(specdoc.load_document(args.group))
     table, auts = aut_group(G)
@@ -89,8 +84,6 @@ def cmd_classify_circle(args) -> Report:
     rows = []
     for k, cls in enumerate(classes):
         rep_hom = auts[cls[0]]
-        from .bundles import group_bundle_over_circle
-
         bundle = group_bundle_over_circle(G, rep_hom)
         rows.append(
             {
@@ -125,7 +118,7 @@ def cmd_components(args) -> Report:
     report = Report("components")
     report.lines.append(f"components: {len(parts)}")
     for i, comp in enumerate(parts):
-        report.lines.append(f"component {i}: {_tuple_str(comp)}")
+        report.lines.append(f"component {i}: {_perm_str(comp)}")
     report.data = {"components": len(parts), "partition": [list(c) for c in parts]}
     return report
 
@@ -138,17 +131,15 @@ def cmd_frame_bundle(args) -> Report:
     wreaths = clutching_wreath(b, ref)
     lifted = frame_bundle(b)
     count = total_components(lifted)
-    from .frames import enumerate_frames
-
     fs = enumerate_frames(b.fiber)
     report = Report("frame-bundle")
     report.lines.append(f"fiber frames: {lifted.fiber.size}")
     for t in fs.frames:
-        report.lines.append(f"frame: {_tuple_str(t)}")
-    report.lines.append(f"reference frame: {_tuple_str(ref)}")
+        report.lines.append(f"frame: {_perm_str(t)}")
+    report.lines.append(f"reference frame: {_perm_str(ref)}")
     for i, w in enumerate(wreaths):
         report.lines.append(
-            f"clutching {i + 1}: g={_tuple_str(w.g_tuple)} sigma={_perm_str(w.sigma)}"
+            f"clutching {i + 1}: g={_perm_str(w.g_tuple)} sigma={_perm_str(w.sigma)}"
         )
     report.lines.append(f"frame bundle components: {count}")
     report.data = {
@@ -168,7 +159,7 @@ def cmd_holonomy(args) -> Report:
     h = holonomy(b, word)
     report = Report("holonomy")
     report.lines.append(f"word: {','.join(map(str, word)) if word else '(empty)'}")
-    report.lines.append(f"value: {_tuple_str(h.value)}")
+    report.lines.append(f"value: {_perm_str(h.value)}")
     identity = tuple(range(b.fiber.size))
     report.lines.append(f"is identity: {'yes' if h.value == identity else 'no'}")
     report.data = {
@@ -267,12 +258,12 @@ def _u1_element_lines(prefix: str, w) -> list[str]:
 def cmd_u1_holonomy(args) -> Report:
     b = specdoc.parse_u1_bundle(specdoc.load_document(args.spec))
     word = specdoc.parse_word(args.word, b.loops)
+    # the frame holonomy is the same wreath element (u1.frame_holonomy)
     h = holonomy_u1(b, word)
-    fh = frame_holonomy(b, word)
     report = Report("u1-holonomy")
     report.lines.append(f"word: {','.join(map(str, word)) if word else '(empty)'}")
     report.lines.extend(_u1_element_lines("holonomy", h))
-    report.lines.extend(_u1_element_lines("frame holonomy", fh))
+    report.lines.extend(_u1_element_lines("frame holonomy", h))
     report.data = {
         "word": list(word),
         "angles": [str(a) for a in h.angles],
@@ -408,19 +399,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (NoQuotient, NotFree, ModeMismatch, TooSmall, NotFaithful) as exc:
         print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FrameBundlesError as exc:
+    except (ValueError, FrameBundlesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(report.render(args.format))

@@ -21,11 +21,12 @@ from typing import Callable
 
 from . import config
 from .errors import NotFree, OrbitObstruction
-from .groups import FiniteGroup
+from .groups import FiniteGroup, Permutation, cayley_group, perm_compose, perm_inverse
 from .gsets import (
     EquivariantMap,
     GSet,
     OrbitPartition,
+    check_equivariant,
     division_table,
     identity_hom,
     is_free,
@@ -36,19 +37,6 @@ from .gsets import (
 )
 
 Frame = tuple[int, ...]
-Permutation = tuple[int, ...]
-
-
-def perm_inverse(sigma: Permutation) -> Permutation:
-    out = [0] * len(sigma)
-    for x, y in enumerate(sigma):
-        out[y] = x
-    return tuple(out)
-
-
-def perm_compose(s: Permutation, t: Permutation) -> Permutation:
-    """s after t, as image tables: (s t)(x) = s(t(x))."""
-    return tuple(s[t[x]] for x in range(len(t)))
 
 
 @dataclass(frozen=True)
@@ -66,6 +54,11 @@ class WreathElement:
     @property
     def n(self) -> int:
         return len(self.sigma)
+
+    def __hash__(self) -> int:
+        # equal elements have equal tuples; hashing the base group's table
+        # on every lookup would cost more than the wreath product itself
+        return hash((self.g_tuple, self.sigma))
 
     def __repr__(self) -> str:
         return f"WreathElement(g={self.g_tuple}, sigma={self.sigma})"
@@ -138,10 +131,7 @@ def associated_map(F: GSet, t: Frame) -> EquivariantMap:
 def associated_map_inverse(F: GSet, t: Frame) -> EquivariantMap:
     """The inverse of :func:`associated_map`, as a map F -> G x I_n."""
     phi = associated_map(F, t)
-    value = [0] * F.size
-    for p, f in enumerate(phi.value):
-        value[f] = p
-    return EquivariantMap(F, phi.source, identity_hom(F.group), tuple(value))
+    return EquivariantMap(F, phi.source, identity_hom(F.group), perm_inverse(phi.value))
 
 
 @dataclass
@@ -169,9 +159,9 @@ class FrameSpace:
 def enumerate_frames(F: GSet) -> FrameSpace:
     """Enumerate every basis tuple of a free group-set.
 
-    Frames are generated orbit-permutation by orbit-permutation (slot x draws
-    from orbit sigma(x)), which produces exactly the tuples passing the basis
-    criterion.
+    Frames are generated orbit-permutation by orbit-permutation (slot x
+    draws from orbit sigma(x)), which produces exactly the tuples passing the
+    basis criterion.
     """
     if not is_free(F):
         raise NotFree("frame spaces exist for free group-sets only")
@@ -208,15 +198,11 @@ def frame_divide(fs: FrameSpace, f2: Frame, f1: Frame) -> WreathElement:
     if f1 not in fs.index or f2 not in fs.index:
         raise ValueError("frames do not belong to this frame space")
     q = fs.partition.orbit_of
-    n = fs.n
-    q1 = [q[p] for p in f1]
-    q2 = [q[p] for p in f2]
-    inv_q2 = [0] * n
-    for x, k in enumerate(q2):
-        inv_q2[k] = x
-    sigma = tuple(inv_q2[q1[x]] for x in range(n))
+    q1 = tuple(q[p] for p in f1)
+    q2 = tuple(q[p] for p in f2)
+    sigma = perm_compose(perm_inverse(q2), q1)
     s_inv = perm_inverse(sigma)
-    g = tuple(fs.divide_points(f2[x], f1[s_inv[x]]) for x in range(n))
+    g = tuple(fs.divide_points(f2[x], f1[s_inv[x]]) for x in range(fs.n))
     return WreathElement(fs.base_gset.group, g, sigma)
 
 
@@ -263,10 +249,10 @@ class WreathGroup:
     base: FiniteGroup
     n: int
     elements: tuple[WreathElement, ...]
-    index: dict[tuple[tuple[int, ...], Permutation], int]
+    index: dict[WreathElement, int]
 
     def element_index(self, w: WreathElement) -> int:
-        return self.index[(w.g_tuple, w.sigma)]
+        return self.index[w]
 
 
 def wreath_group(G: FiniteGroup, n: int) -> WreathGroup:
@@ -279,17 +265,8 @@ def wreath_group(G: FiniteGroup, n: int) -> WreathGroup:
         for g in itertools.product(range(G.order), repeat=n)
         for s in itertools.permutations(range(n))
     )
-    index = {(w.g_tuple, w.sigma): i for i, w in enumerate(elements)}
-
-    def idx(w: WreathElement) -> int:
-        return index[(w.g_tuple, w.sigma)]
-
-    mul = tuple(
-        tuple(idx(wreath_mul(a, b)) for b in elements) for a in elements
-    )
-    identity = index[((G.identity,) * n, tuple(range(n)))]
-    inv = tuple(idx(wreath_inv(w)) for w in elements)
-    table = FiniteGroup(order, mul, identity, inv, f"{G.label}wr{n}")
+    table = cayley_group(elements, wreath_mul, f"{G.label}wr{n}")
+    index = {w: i for i, w in enumerate(elements)}
     return WreathGroup(table, G, n, elements, index)
 
 
@@ -382,15 +359,9 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
     witness = EquivariantMap(
         quotient, standard_semitorsor(G, n), identity_hom(G), value
     )
-    if not (witness.is_bijective() and _recheck(witness)):
+    if not (witness.is_bijective() and check_equivariant(witness)):
         raise AssertionError("reconstruction witness failed verification")
     return Reconstruction(quotient, tuple(class_of), witness)
-
-
-def _recheck(a: EquivariantMap) -> bool:
-    from .gsets import check_equivariant
-
-    return check_equivariant(a)
 
 
 @dataclass

@@ -3,6 +3,11 @@
 Elements are dense integer indices ``0 .. order-1``.  Element 0 is *not*
 required to be the identity; the identity index is stored explicitly so that
 product and subgroup constructions can keep their natural labelling.
+
+The module is also the permutation and Cayley-table kernel of the library:
+permutations are forward image tables, and :func:`cayley_group` tabulates
+any finite group given as a list of elements and a product, which is how
+Sym(n), Aut(G), Aut(F) and the wreath product are built.
 """
 
 from __future__ import annotations
@@ -13,6 +18,35 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import BoundExceeded
+
+# A permutation of 0 .. n-1 as its forward image table.
+Permutation = tuple[int, ...]
+
+
+def perm_inverse(sigma: Permutation) -> Permutation:
+    out = [0] * len(sigma)
+    for x, y in enumerate(sigma):
+        out[y] = x
+    return tuple(out)
+
+
+def perm_compose(s: Permutation, t: Permutation) -> Permutation:
+    """s after t, as image tables: (s t)(x) = s(t(x))."""
+    return tuple(s[y] for y in t)
+
+
+def is_permutation(p, n: int) -> bool:
+    """Whether ``p`` is the image table of a permutation of 0 .. n-1."""
+    return sorted(p) == list(range(n))
+
+
+def validate_word(loops: int, word) -> tuple[int, ...]:
+    """A loop word over a wedge of ``loops`` circles: letters +-1 .. +-loops."""
+    w = tuple(int(x) for x in word)
+    for letter in w:
+        if letter == 0 or abs(letter) > loops:
+            raise ValueError(f"letter {letter} outside +-1..+-{loops}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -88,6 +122,8 @@ class GroupHom:
     def validate(self) -> None:
         if len(self.image) != self.source.order:
             raise ValueError("image table has wrong length")
+        if any(not (0 <= b < self.target.order) for b in self.image):
+            raise ValueError("image table entry out of range")
         if self.image[self.source.identity] != self.target.identity:
             raise ValueError("homomorphism does not preserve the identity")
         smul, tmul, img = self.source.mul, self.target.mul, self.image
@@ -109,6 +145,21 @@ def group_hom(source: FiniteGroup, target: FiniteGroup, image) -> GroupHom:
 
 def identity_hom(G: FiniteGroup) -> GroupHom:
     return GroupHom(G, G, tuple(range(G.order)))
+
+
+def cayley_group(keys, product, label: str) -> FiniteGroup:
+    """The group whose element i is ``keys[i]``, multiplied by ``product``.
+
+    ``keys`` are hashable and closed under ``product(a, b)``, which returns
+    the key of the product.  The identity is the one row of the table that
+    fixes every element and each inverse is the one entry of its row equal
+    to the identity: in a group both are unique.
+    """
+    index = {k: i for i, k in enumerate(keys)}
+    mul = tuple(tuple(index[product(a, b)] for b in keys) for a in keys)
+    identity = mul.index(tuple(range(len(keys))))
+    inv = tuple(row.index(identity) for row in mul)
+    return FiniteGroup(len(keys), mul, identity, inv, label)
 
 
 def from_mul_table(mul, label: str = "G") -> FiniteGroup:
@@ -180,26 +231,9 @@ def make_symmetric(n: int) -> FiniteGroup:
         raise ValueError("symmetric group needs n >= 1")
     if n > config.MAX_SYMMETRIC_N:
         raise BoundExceeded(f"symmetric group bound is n <= {config.MAX_SYMMETRIC_N}")
-    order = math.factorial(n)
-    config.check_table_order(order, what="symmetric group")
+    config.check_table_order(math.factorial(n), what="symmetric group")
     perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    mul = tuple(
-        tuple(index[tuple(s[t[x]] for x in range(n))] for t in perms) for s in perms
-    )
-    identity = index[tuple(range(n))]
-    inv = []
-    for p in perms:
-        q = [0] * n
-        for x, y in enumerate(p):
-            q[y] = x
-        inv.append(index[tuple(q)])
-    return FiniteGroup(order, mul, identity, tuple(inv), f"S{n}")
-
-
-def symmetric_permutations(n: int) -> list[tuple[int, ...]]:
-    """The element list matching ``make_symmetric``'s indexing."""
-    return list(itertools.permutations(range(n)))
+    return cayley_group(perms, perm_compose, f"S{n}")
 
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -357,18 +391,6 @@ def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, tuple[GroupHom, ...]]:
     table realizes ``auts[i] . auts[j]`` (j applied first) at entry (i, j).
     """
     auts = automorphisms(G)
-    index = {h.image: i for i, h in enumerate(auts)}
-    n = len(auts)
-    config.check_table_order(n, what="automorphism group")
-    mul = tuple(
-        tuple(index[tuple(a.image[x] for x in b.image)] for b in auts) for a in auts
-    )
-    identity = index[tuple(range(G.order))]
-    inv = []
-    for h in auts:
-        q = [0] * G.order
-        for x, y in enumerate(h.image):
-            q[y] = x
-        inv.append(index[tuple(q)])
-    table = FiniteGroup(n, mul, identity, tuple(inv), f"Aut({G.label})")
+    config.check_table_order(len(auts), what="automorphism group")
+    table = cayley_group([h.image for h in auts], perm_compose, f"Aut({G.label})")
     return table, tuple(auts)

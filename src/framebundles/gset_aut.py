@@ -26,16 +26,20 @@ from . import config
 from .errors import NotFree
 from .frames import (
     Frame,
-    FrameSpace,
-    Permutation,
     WreathElement,
     associated_map,
     associated_map_inverse,
     enumerate_frames,
     is_basis,
+)
+from .groups import (
+    FiniteGroup,
+    Permutation,
+    cayley_group,
+    is_permutation,
+    perm_compose,
     perm_inverse,
 )
-from .groups import FiniteGroup
 from .gsets import (
     EquivariantMap,
     GSet,
@@ -46,21 +50,11 @@ from .gsets import (
     standard_semitorsor,
 )
 
-# An automorphism of a group-set is an id-equivariant bijective self-map.
-GSetAut = EquivariantMap
 
-
-def is_gset_aut(a: EquivariantMap) -> bool:
-    return (
-        a.source == a.target
-        and a.xi.image == tuple(range(a.source.group.order))
-        and a.is_bijective()
-    )
-
-
-def aut_group_of_gset(F: GSet) -> tuple[FiniteGroup, tuple[GSetAut, ...]]:
+def aut_group_of_gset(F: GSet) -> tuple[FiniteGroup, tuple[EquivariantMap, ...]]:
     """Enumerate Aut(F) and realize it as a Cayley-table group.
 
+    An automorphism of a group-set is an id-equivariant bijective self-map.
     Every automorphism carries the canonical (lexicographically smallest)
     frame to some other frame, and is determined by it, so the group is
     enumerated by composing associated maps through the canonical frame.
@@ -74,27 +68,17 @@ def aut_group_of_gset(F: GSet) -> tuple[FiniteGroup, tuple[GSetAut, ...]]:
     auts = []
     for t in fs.frames:
         phi_t = associated_map(F, t)
-        value = tuple(phi_t.value[canonical_inv.value[f]] for f in range(F.size))
+        value = perm_compose(phi_t.value, canonical_inv.value)
         auts.append(EquivariantMap(F, F, identity_hom(F.group), value))
     auts.sort(key=lambda a: a.value)
-    index = {a.value: i for i, a in enumerate(auts)}
-    order = len(auts)
-    config.check_table_order(order, what="group-set automorphism group")
-    mul = tuple(
-        tuple(index[tuple(a.value[x] for x in b.value)] for b in auts) for a in auts
+    config.check_table_order(len(auts), what="group-set automorphism group")
+    table = cayley_group(
+        [a.value for a in auts], perm_compose, f"Aut({F.group.label}-set)"
     )
-    identity = index[tuple(range(F.size))]
-    inv = []
-    for a in auts:
-        q = [0] * F.size
-        for x, y in enumerate(a.value):
-            q[y] = x
-        inv.append(index[tuple(q)])
-    table = FiniteGroup(order, mul, identity, tuple(inv), f"Aut({F.group.label}-set)")
     return table, tuple(auts)
 
 
-def cq(psi: GSetAut) -> Permutation:
+def cq(psi: EquivariantMap) -> Permutation:
     """The permutation of orbit indices induced by an automorphism.
 
     Satisfies q . psi = cq(psi) . q and is a homomorphism onto Sym(n).
@@ -103,7 +87,7 @@ def cq(psi: GSetAut) -> Permutation:
     return tuple(q.orbit_of[psi.value[rep]] for rep in q.representatives)
 
 
-def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> GSetAut:
+def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> EquivariantMap:
     """The automorphism h f[x] -> h f[sigma(x)] defined by a frame.
 
     For a fixed frame this is a homomorphism in sigma; when the frame is a
@@ -112,7 +96,7 @@ def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> GSetAut:
     if not is_basis(F, f):
         raise ValueError("section_from_frame needs a basis")
     n = len(f)
-    if len(sigma) != n or sorted(sigma) != list(range(n)):
+    if not is_permutation(sigma, n):
         raise ValueError("sigma is not a permutation of the slots")
     value = [0] * F.size
     for h in range(F.group.order):
@@ -122,7 +106,7 @@ def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> GSetAut:
     return EquivariantMap(F, F, identity_hom(F.group), tuple(value))
 
 
-def autq_component(psi: GSetAut, f: Frame) -> tuple[int, ...]:
+def autq_component(psi: EquivariantMap, f: Frame) -> tuple[int, ...]:
     """The group tuple identifying an orbit-preserving automorphism.
 
     Component x is the division f[x] / psi(f[x]), i.e. the *inverse* of the
@@ -136,7 +120,7 @@ def autq_component(psi: GSetAut, f: Frame) -> tuple[int, ...]:
     return tuple(divide(F, f[x], psi.value[f[x]]) for x in range(n))
 
 
-def autq_reconstruct(F: GSet, f: Frame, component: tuple[int, ...]) -> GSetAut:
+def autq_reconstruct(F: GSet, f: Frame, component: tuple[int, ...]) -> EquivariantMap:
     """Inverse of :func:`autq_component` for a fixed frame."""
     n = len(f)
     inv = F.group.inv
@@ -148,14 +132,18 @@ def autq_reconstruct(F: GSet, f: Frame, component: tuple[int, ...]) -> GSetAut:
     return EquivariantMap(F, F, identity_hom(F.group), tuple(value))
 
 
-def wreath_to_aut(w: WreathElement, n: int, G: FiniteGroup) -> GSetAut:
+def wreath_to_aut(w: WreathElement, n: int, G: FiniteGroup) -> EquivariantMap:
     """The isomorphism from the wreath product onto Aut(G x I_n).
 
     (h, x) maps to (h . g[s(x)]^-1, s(x)); right translation keeps the maps
     left-equivariant, and the whole assignment is a group homomorphism.
     """
-    if w.group != G or w.n != n:
+    if w.group != G or w.n != n or len(w.g_tuple) != n:
         raise ValueError("wreath element does not match the target semi-torsor")
+    if any(not (0 <= g < G.order) for g in w.g_tuple):
+        raise ValueError(f"group entries must lie in 0..{G.order - 1}")
+    if not is_permutation(w.sigma, n):
+        raise ValueError(f"perm is not a permutation of 0..{n - 1}")
     F = standard_semitorsor(G, n)
     mul, inv = G.mul, G.inv
     value = [0] * F.size
@@ -166,7 +154,7 @@ def wreath_to_aut(w: WreathElement, n: int, G: FiniteGroup) -> GSetAut:
     return EquivariantMap(F, F, identity_hom(G), tuple(value))
 
 
-def aut_to_wreath(psi: GSetAut) -> WreathElement:
+def aut_to_wreath(psi: EquivariantMap) -> WreathElement:
     """Recover the wreath element of an automorphism of a standard semi-torsor.
 
     The permutation is cq(psi); the group tuple comes from evaluating at the

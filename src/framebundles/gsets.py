@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoQuotient, NotFree
-from .groups import FiniteGroup, GroupHom, compose_hom, identity_hom
+from .groups import FiniteGroup, GroupHom, compose_hom, identity_hom, make_cyclic
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class GSet:
         G = self.group
         if len(self.act) != G.order or any(len(r) != self.size for r in self.act):
             raise ValueError("action table has wrong shape")
+        if any(not (0 <= p < self.size) for row in self.act for p in row):
+            raise ValueError("action table entry out of range")
         ide = self.act[G.identity]
         if any(ide[f] != f for f in range(self.size)):
             raise ValueError("identity does not act trivially")
@@ -52,7 +54,7 @@ class OrbitPartition:
     representatives: tuple[int, ...]
 
 
-def make_gset(group: FiniteGroup, act, label_check: bool = True) -> GSet:
+def make_gset(group: FiniteGroup, act) -> GSet:
     """Build and validate a group-set from an action table."""
     table = tuple(tuple(row) for row in act)
     size = len(table[0]) if table else 0
@@ -63,8 +65,6 @@ def make_gset(group: FiniteGroup, act, label_check: bool = True) -> GSet:
 
 def trivial_gset(n: int) -> GSet:
     """n points acted on by the one-element group (a plain finite set)."""
-    from .groups import make_cyclic
-
     return GSet(make_cyclic(1), n, (tuple(range(n)),))
 
 
@@ -103,11 +103,6 @@ def is_free(F: GSet) -> bool:
 def is_transitive(F: GSet) -> bool:
     """True when (g, f) -> (gf, f) is surjective: a single orbit."""
     return orbits(F).orbit_count == 1 and F.size > 0
-
-
-def is_semitorsor(F: GSet) -> bool:
-    """Free with discrete orbit space; for finite carriers this is freeness."""
-    return is_free(F)
 
 
 def standard_semitorsor(G: FiniteGroup, n: int) -> GSet:

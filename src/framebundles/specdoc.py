@@ -34,15 +34,33 @@ Permutations are 0-based forward image tables throughout.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
-from .bundles import FlatBundle, flat_bundle, group_bundle_over_circle
+from .bundles import FlatBundle, finite_winding_bundle, flat_bundle, group_bundle_over_circle
 from .errors import SchemaError
 from .frames import WreathElement
-from .groups import FiniteGroup, GroupHom, from_mul_table, make_cyclic, make_direct_product, make_symmetric
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    from_mul_table,
+    is_permutation,
+    make_cyclic,
+    make_direct_product,
+    make_symmetric,
+    validate_word,
+)
 from .gset_aut import wreath_to_aut
-from .gsets import EquivariantMap, GSet, identity_hom, make_gset, standard_semitorsor
+from .gsets import (
+    EquivariantMap,
+    GSet,
+    equivariant_map,
+    identity_hom,
+    make_gset,
+    standard_semitorsor,
+)
 from .u1 import Angle, FiberPoint, U1FlatBundle, U1Wreath
 
 
@@ -146,8 +164,6 @@ def _parse_clutching_gspace(entry: Any, fiber: GSet, where: str) -> EquivariantM
     else:
         raise SchemaError(f"{where}: unknown clutching form {key!r}")
     try:
-        from .gsets import equivariant_map
-
         return equivariant_map(fiber, fiber, identity_hom(fiber.group), table)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
@@ -159,8 +175,6 @@ def parse_bundle(obj: Any, where: str = "bundle") -> FlatBundle:
     kind = obj["kind"]
     if kind == "winding":
         _require_keys(obj, where, {"kind", "group", "k"})
-        from .bundles import finite_winding_bundle
-
         G = parse_group(obj["group"], f"{where}.group")
         k = _int(obj["k"], f"{where}.k")
         if k < 1:
@@ -224,7 +238,7 @@ def parse_u1_bundle(obj: Any, where: str = "u1") -> U1FlatBundle:
         if not isinstance(angles, list) or len(angles) != k:
             raise SchemaError(f"{where}.generators[{i}].angles: expected {k} entries")
         perm = tuple(_int_list(entry["perm"], f"{where}.generators[{i}].perm"))
-        if sorted(perm) != list(range(k)):
+        if not is_permutation(perm, k):
             raise SchemaError(f"{where}.generators[{i}].perm: not a permutation of 0..{k-1}")
         out.append(
             U1Wreath(
@@ -275,17 +289,14 @@ def parse_word(text: str, loops: int) -> tuple[int, ...]:
         letters = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise SchemaError(f"word: not an integer sequence: {text!r}") from exc
-    for letter in letters:
-        if letter == 0 or abs(letter) > loops:
-            raise SchemaError(f"word: letter {letter} outside +-1..+-{loops}")
-    return letters
+    try:
+        return validate_word(loops, letters)
+    except ValueError as exc:
+        raise SchemaError(f"word: {exc}") from exc
 
 
 def load_document(arg: str) -> Any:
     """Load a JSON document from inline text, a file path, or '-' for stdin."""
-    import sys
-    from pathlib import Path
-
     if arg.strip().startswith("{"):
         text = arg
     elif arg == "-":

@@ -23,18 +23,27 @@ from .frames import (
     wreath_identity,
     wreath_mul,
 )
-from .groups import FiniteGroup, make_cyclic, make_direct_product, make_symmetric
+from .groups import (
+    FiniteGroup,
+    make_cyclic,
+    make_direct_product,
+    make_symmetric,
+    perm_inverse,
+)
 from .gset_aut import aut_group_of_gset, aut_to_wreath, cq, ses_report, wreath_to_aut
 from .gsets import (
+    EquivariantMap,
     compose_equivariant,
     divide,
+    identity_hom,
     identity_map,
-    is_free,
     orbits,
     standard_semitorsor,
+    trivial_gset,
 )
 from .bundles import (
     finite_winding_bundle,
+    flat_bundle,
     quotient_bundle,
     sn_action_on_bundle,
     sn_labelling,
@@ -296,9 +305,7 @@ def suite_appendix_b(max_n: int = 4) -> SuiteReport:
         perms = list(itertools.permutations(range(n)))
         all_ok = True
         for tau in perms:
-            tau_inv = [0] * n
-            for x, y in enumerate(tau):
-                tau_inv[y] = x
+            tau_inv = perm_inverse(tau)
             action = {
                 s: tuple(tau[s[tau_inv[a]]] for a in range(n)) for s in perms
             }
@@ -307,9 +314,6 @@ def suite_appendix_b(max_n: int = 4) -> SuiteReport:
                 all_ok = False
         rep.add(f"S{n}", f"labelling recovers all {len(perms)} conjugators", all_ok)
         rep.bump("conjugators", len(perms))
-
-        from .bundles import flat_bundle
-        from .gsets import EquivariantMap, identity_hom, trivial_gset
 
         fiber = trivial_gset(n)
         ident = EquivariantMap(fiber, fiber, identity_hom(fiber.group), tuple(range(n)))

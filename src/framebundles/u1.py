@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import NoQuotient
-from .frames import Permutation, perm_compose, perm_inverse
+from .groups import Permutation, perm_compose, perm_inverse, validate_word
 
 
 @dataclass(frozen=True)
@@ -158,21 +158,13 @@ def u1_winding_bundle(k: int, angles: Optional[Sequence[Angle]] = None) -> U1Fla
     return U1FlatBundle(k, 1, (U1Wreath(tup, cycle),))
 
 
-def _validate_word(loops: int, word) -> tuple[int, ...]:
-    w = tuple(int(x) for x in word)
-    for letter in w:
-        if letter == 0 or abs(letter) > loops:
-            raise ValueError(f"letter {letter} outside +-1..+-{loops}")
-    return w
-
-
 def holonomy_u1(b: U1FlatBundle, word) -> U1Wreath:
     """Holonomy of a loop word; the first traversed letter acts first.
 
     The product is assembled right-to-left so that acting with the result on
     a point applies the letters in traversal order.
     """
-    w = _validate_word(b.loops, word)
+    w = validate_word(b.loops, word)
     out = u1_identity(b.k)
     for letter in w:
         gen = b.holonomy_gen[abs(letter) - 1]

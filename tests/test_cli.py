@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from framebundles.cli import main
 
 Z3_SPEC = '{"kind": "cyclic", "n": 3}'
@@ -245,3 +247,38 @@ def test_stdin_document(capsys, monkeypatch):
     code, out, _ = run(capsys, "classify-circle", "--group", "-")
     assert code == 0
     assert "automorphisms: 2" in out
+
+
+def _wreath_bundle(g, perm):
+    return {
+        "kind": "flat",
+        "mode": "gspace",
+        "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 2}, "n": 2},
+        "loops": 1,
+        "clutching": [{"wreath": {"g": g, "perm": perm}}],
+    }
+
+
+@pytest.mark.parametrize(
+    "bundle, message",
+    [
+        (_wreath_bundle([0, 0], [-1, 0]),
+         "bundle.clutching[0].wreath: perm is not a permutation of 0..1"),
+        (_wreath_bundle([-1, 0], [0, 1]),
+         "bundle.clutching[0].wreath: group entries must lie in 0..1"),
+        (_wreath_bundle([0], [1, 0]),
+         "bundle.clutching[0].wreath: wreath element does not match the target semi-torsor"),
+        ({"kind": "flat", "mode": "gspace",
+          "fiber": {"kind": "table", "group": {"kind": "cyclic", "n": 2}, "act": [[0, 1], [5, 0]]},
+          "loops": 1, "clutching": [{"table": [0, 1]}]},
+         "bundle.fiber.act: action table entry out of range"),
+        ({"kind": "flat", "mode": "group", "fiber": {"kind": "cyclic", "n": 3},
+          "loops": 1, "clutching": [{"aut": [0, 2, 7]}]},
+         "bundle.clutching[0].aut: image table entry out of range"),
+    ],
+    ids=["wreath-perm-negative", "wreath-g-negative", "wreath-g-short", "act-out-of-range",
+         "aut-out-of-range"],
+)
+def test_out_of_range_document_is_usage_error(capsys, bundle, message):
+    code, out, err = run(capsys, "components", json.dumps(bundle))
+    assert (code, out, err) == (2, "", f"error: {message}\n")

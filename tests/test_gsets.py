@@ -14,7 +14,6 @@ from framebundles import (
     induced_orbit_map,
     is_free,
     is_orbit_bijection,
-    is_semitorsor,
     is_transitive,
     make_cyclic,
     make_direct_product,
@@ -85,25 +84,14 @@ def test_orbit_indices_follow_smallest_representative():
 def test_free_transitive_semitorsor_flags():
     G = make_cyclic(4)
     torsor = left_translation_gset(G)
-    assert is_free(torsor) and is_transitive(torsor) and is_semitorsor(torsor)
+    assert is_free(torsor) and is_transitive(torsor)
 
     one_point = make_gset(make_cyclic(2), [[0], [0]])
     assert not is_free(one_point)
     assert is_transitive(one_point)
 
     F = standard_semitorsor(make_cyclic(3), 2)
-    assert is_free(F) and not is_transitive(F) and is_semitorsor(F)
-
-
-def test_semitorsor_iff_free_on_fixtures():
-    fixtures = [
-        trivial_gset(3),
-        standard_semitorsor(make_cyclic(2), 2),
-        make_gset(make_cyclic(2), [[0, 1], [0, 1]]),  # trivial action, not free
-        left_translation_gset(make_cyclic(5)),
-    ]
-    for F in fixtures:
-        assert is_semitorsor(F) == is_free(F)
+    assert is_free(F) and not is_transitive(F)
 
 
 def test_standard_semitorsor_shapes():
