@@ -9,7 +9,27 @@ torsor under the wreath product ``G wr I_n = G^n x| Sym(n)``, acting by
 
 with multiplication ``(g, s)(g', s') = (x -> g[x] g'[s^-1(x)], s s')``.  The
 ``s^-1`` in the action formula is the convention everything else here hinges
-on; it is computed from the stored forward image table, never stored.
+on; it is computed once per element from the stored forward image table.
+
+The materialized wreath product (:func:`wreath_group`) numbers the element
+``(g, s)`` as ``rank(g) * n! + rank(s)``, where ``rank(g)`` is the position of
+the tuple ``g`` in ``itertools.product(range(|G|), repeat=n)`` and ``rank(s)``
+that of ``s`` in ``itertools.permutations(range(n))``: the elements sorted by
+``(g, s)``.  Its Cayley table is assembled from three small tables, the
+pointwise product on ``G^n``, the slot shift ``g' -> g' o s^-1`` and
+``Sym(n)``, following the multiplication formula above.
+
+Two hot paths rest on one-line arguments:
+
+* :func:`frames_as_torsor` relabels the Cayley table.  With ``W_d . base =
+  f_i`` (``d`` from :func:`frame_divide`), the action law gives
+  ``w . f_i = w . (W_d . base) = (w W_d) . base``, which is the frame at
+  position ``pos[mul[w][d]]`` where ``pos[k]`` indexes ``W_k . base``.
+* :func:`check_equivalence` tabulates each generator ``w`` once, as the
+  permutations ``p1``, ``p2`` of frame indices with ``w . fs1[i] =
+  fs1[p1[i]]`` and likewise on ``fs2``.  Its test ``table[p1[i]] ==
+  p2[table[i]]`` is then the same comparison as ``table[index(w . fs1[i])]
+  == index(w . fs2[table[i]])``, made for every table, generator and frame.
 """
 
 from __future__ import annotations
@@ -17,11 +37,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from . import config
 from .errors import NotFree, OrbitObstruction
-from .groups import FiniteGroup, Permutation, cayley_group, perm_compose, perm_inverse
+from .groups import FiniteGroup, Permutation, perm_compose, perm_inverse, table_group
 from .gsets import (
     EquivariantMap,
     GSet,
@@ -55,6 +76,10 @@ class WreathElement:
     def n(self) -> int:
         return len(self.sigma)
 
+    @cached_property
+    def sigma_inv(self) -> Permutation:
+        return perm_inverse(self.sigma)
+
     def __hash__(self) -> int:
         # equal elements have equal tuples; hashing the base group's table
         # on every lookup would cost more than the wreath product itself
@@ -69,34 +94,34 @@ def wreath_identity(G: FiniteGroup, n: int) -> WreathElement:
 
 
 def _check_same_wreath(a: WreathElement, b: WreathElement) -> None:
-    if a.group != b.group or a.n != b.n:
+    if (a.group is not b.group and a.group != b.group) or a.n != b.n:
         raise ValueError("wreath elements live in different wreath products")
 
 
 def wreath_mul(a: WreathElement, b: WreathElement) -> WreathElement:
     """(g, s)(g', s') = (x -> g[x] g'[s^-1(x)], s s')."""
     _check_same_wreath(a, b)
-    s_inv = perm_inverse(a.sigma)
+    s_inv = a.sigma_inv
     mul = a.group.mul
     g = tuple(mul[a.g_tuple[x]][b.g_tuple[s_inv[x]]] for x in range(a.n))
     return WreathElement(a.group, g, perm_compose(a.sigma, b.sigma))
 
 
 def wreath_inv(a: WreathElement) -> WreathElement:
-    s_inv = perm_inverse(a.sigma)
     inv = a.group.inv
     # (g, s)^-1 = (x -> g[s(x)]^-1, s^-1)
     g = tuple(inv[a.g_tuple[a.sigma[x]]] for x in range(a.n))
-    return WreathElement(a.group, g, s_inv)
+    return WreathElement(a.group, g, a.sigma_inv)
 
 
 def wreath_act(F: GSet, w: WreathElement, t: Frame) -> Frame:
     """Apply (g, s) to a tuple of carrier points: slot x gets g[x] . t[s^-1(x)]."""
-    if len(t) != w.n:
+    s_inv = w.sigma_inv
+    if len(t) != len(s_inv):
         raise ValueError("tuple length does not match the wreath element")
-    s_inv = perm_inverse(w.sigma)
     act = F.act
-    return tuple(act[w.g_tuple[x]][t[s_inv[x]]] for x in range(w.n))
+    g = w.g_tuple
+    return tuple([act[g[x]][t[y]] for x, y in enumerate(s_inv)])
 
 
 def is_basis(F: GSet, t: Frame) -> bool:
@@ -251,31 +276,56 @@ class WreathGroup:
     elements: tuple[WreathElement, ...]
     index: dict[WreathElement, int]
 
-    def element_index(self, w: WreathElement) -> int:
-        return self.index[w]
-
 
 def wreath_group(G: FiniteGroup, n: int) -> WreathGroup:
-    """Materialize the wreath product, elements sorted by (g_tuple, sigma)."""
+    """Materialize the wreath product, elements sorted by (g_tuple, sigma).
+
+    Entry (i, j) of the Cayley table is the index of
+    ``wreath_mul(elements[i], elements[j])``; see the module docstring for
+    the element numbering and the three tables it is assembled from.
+    """
     order = G.order**n * math.factorial(n)
     config.check_enumeration(order, "wreath elements")
     config.check_table_order(order, what="wreath product")
-    elements = tuple(
-        WreathElement(G, g, s)
-        for g in itertools.product(range(G.order), repeat=n)
-        for s in itertools.permutations(range(n))
+    tuples = list(itertools.product(range(G.order), repeat=n))
+    perms = list(itertools.permutations(range(n)))
+    tuple_rank = {g: i for i, g in enumerate(tuples)}
+    perm_rank = {s: i for i, s in enumerate(perms)}
+    mul = G.mul
+    pointwise = [
+        [tuple_rank[tuple(mul[x][y] for x, y in zip(a, b))] for b in tuples]
+        for a in tuples
+    ]
+    shift = [
+        [tuple_rank[tuple(b[y] for y in perm_inverse(s))] for b in tuples]
+        for s in perms
+    ]
+    sym = [[perm_rank[perm_compose(s, t)] for t in perms] for s in perms]
+    # (a, s)(b, t) = (a . (b o s^-1), s t); entries index one shared tuple
+    # so the table holds no int object of its own
+    ids = tuple(range(order))
+    nf = len(perms)
+    table = tuple(
+        tuple([ids[row_a[k] * nf + u] for k in shift[s] for u in sym[s]])
+        for row_a in pointwise
+        for s in range(nf)
     )
-    table = cayley_group(elements, wreath_mul, f"{G.label}wr{n}")
+    elements = tuple(WreathElement(G, g, s) for g in tuples for s in perms)
     index = {w: i for i, w in enumerate(elements)}
-    return WreathGroup(table, G, n, elements, index)
+    return WreathGroup(table_group(table, f"{G.label}wr{n}"), G, n, elements, index)
 
 
 def frames_as_torsor(fs: FrameSpace, wg: WreathGroup) -> GSet:
-    """The frame space as a group-set of the materialized wreath product."""
+    """The frame space as a group-set of the materialized wreath product.
+
+    The action is free and transitive, so it is the Cayley table relabelled
+    (module docstring): ``act[w][i] = pos[mul[w][d_i]]``.
+    """
     F = fs.base_gset
-    act = tuple(
-        tuple(fs.index[wreath_act(F, w, t)] for t in fs.frames) for w in wg.elements
-    )
+    base = fs.frames[0]
+    pos = [fs.index[wreath_act(F, w, base)] for w in wg.elements]
+    div = [wg.index[frame_divide(fs, t, base)] for t in fs.frames]
+    act = tuple(tuple(pos[row[d]] for d in div) for row in wg.group.mul)
     return GSet(wg.group, len(fs.frames), act)
 
 
@@ -449,26 +499,28 @@ def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
 
     # torsor morphisms: each is w . base -> w . target_frame, one per target
     base = fs1.frames[0]
+    divisions = [frame_divide(fs1, t, base) for t in fs1.frames]
     torsor_tables: set[tuple[int, ...]] = set()
     for target in fs2.frames:
-        table = []
-        for t in fs1.frames:
-            w = frame_divide(fs1, t, base)
-            table.append(fs2.index[wreath_act(F2, w, target)])
-        torsor_tables.add(tuple(table))
+        torsor_tables.add(
+            tuple(fs2.index[wreath_act(F2, w, target)] for w in divisions)
+        )
 
     # each constructed table really is wreath-equivariant: checking the
-    # generators suffices, equivariance under products follows inductively
+    # generators suffices, equivariance under products follows inductively.
+    # Generator w moves frame i of fs1 to p1[i] and frame j of fs2 to p2[j].
     gens = _wreath_generators(F.group, fs1.n)
+    moves = [
+        (
+            [fs1.index[wreath_act(F, w, t)] for t in fs1.frames],
+            [fs2.index[wreath_act(F2, w, t)] for t in fs2.frames],
+        )
+        for w in gens
+    ]
     for table in torsor_tables:
-        for w in gens:
-            for i, t in enumerate(fs1.frames):
-                moved = fs1.index[wreath_act(F, w, t)]
-                expected = fs2.index[
-                    wreath_act(F2, w, fs2.frames[table[i]])
-                ]
-                if table[moved] != expected:
-                    raise AssertionError("torsor morphism failed equivariance")
+        for p1, p2 in moves:
+            if [table[m] for m in p1] != [p2[j] for j in table]:
+                raise AssertionError("torsor morphism failed equivariance")
 
     return EquivalenceReport(
         gset_hom_count=len(homs),

@@ -7,7 +7,9 @@ product and subgroup constructions can keep their natural labelling.
 The module is also the permutation and Cayley-table kernel of the library:
 permutations are forward image tables, and :func:`cayley_group` tabulates
 any finite group given as a list of elements and a product, which is how
-Sym(n), Aut(G), Aut(F) and the wreath product are built.
+Sym(n), Aut(G) and Aut(F) are built.  :func:`table_group` reads the identity
+and the inverses off a finished table; the wreath product, whose table is
+assembled from smaller ones, uses it directly.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def perm_inverse(sigma: Permutation) -> Permutation:
 
 def perm_compose(s: Permutation, t: Permutation) -> Permutation:
     """s after t, as image tables: (s t)(x) = s(t(x))."""
-    return tuple(s[y] for y in t)
+    return tuple([s[y] for y in t])
 
 
 def is_permutation(p, n: int) -> bool:
@@ -151,15 +153,23 @@ def cayley_group(keys, product, label: str) -> FiniteGroup:
     """The group whose element i is ``keys[i]``, multiplied by ``product``.
 
     ``keys`` are hashable and closed under ``product(a, b)``, which returns
-    the key of the product.  The identity is the one row of the table that
-    fixes every element and each inverse is the one entry of its row equal
-    to the identity: in a group both are unique.
+    the key of the product.
     """
     index = {k: i for i, k in enumerate(keys)}
     mul = tuple(tuple(index[product(a, b)] for b in keys) for a in keys)
-    identity = mul.index(tuple(range(len(keys))))
+    return table_group(mul, label)
+
+
+def table_group(mul: tuple[tuple[int, ...], ...], label: str) -> FiniteGroup:
+    """The group of a Cayley table known to be a group's (not validated).
+
+    The identity is the one row of the table that fixes every element and
+    each inverse is the one entry of its row equal to the identity: in a
+    group both are unique.
+    """
+    identity = mul.index(tuple(range(len(mul))))
     inv = tuple(row.index(identity) for row in mul)
-    return FiniteGroup(len(keys), mul, identity, inv, label)
+    return FiniteGroup(len(mul), mul, identity, inv, label)
 
 
 def from_mul_table(mul, label: str = "G") -> FiniteGroup:
@@ -173,6 +183,8 @@ def from_mul_table(mul, label: str = "G") -> FiniteGroup:
     if n == 0:
         raise ValueError("a group has at least one element")
     config.check_table_order(n)
+    if any(len(row) != n for row in table):
+        raise ValueError("multiplication table has wrong shape")
     identity = None
     for e in range(n):
         if all(table[e][a] == a and table[a][e] == a for a in range(n)):

@@ -8,6 +8,7 @@ smallest carrier representative, so quotient data is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NoQuotient, NotFree
 from .groups import FiniteGroup, GroupHom, compose_hom, identity_hom, make_cyclic
@@ -36,6 +37,34 @@ class GSet:
                 row_g, row_h, row_gh = self.act[g], self.act[h], self.act[gh]
                 if any(row_g[row_h[f]] != row_gh[f] for f in range(self.size)):
                     raise ValueError(f"action law fails for pair ({g},{h})")
+
+    @cached_property
+    def orbit_partition(self) -> OrbitPartition:
+        """The canonical orbit partition, computed once; read it via :func:`orbits`."""
+        orbit_of = [-1] * self.size
+        reps = []
+        for f in range(self.size):
+            if orbit_of[f] >= 0:
+                continue
+            k = len(reps)
+            reps.append(f)
+            stack = [f]
+            orbit_of[f] = k
+            while stack:
+                p = stack.pop()
+                for row in self.act:
+                    q = row[p]
+                    if orbit_of[q] < 0:
+                        orbit_of[q] = k
+                        stack.append(q)
+        return OrbitPartition(tuple(orbit_of), len(reps), tuple(reps))
+
+    @cached_property
+    def acts_freely(self) -> bool:
+        """Whether all stabilizers are trivial, computed once; read it via :func:`is_free`."""
+        return all(
+            len({row[f] for row in self.act}) == len(self.act) for f in range(self.size)
+        )
 
     def __repr__(self) -> str:
         return f"GSet({self.group.label} on {self.size} points)"
@@ -69,35 +98,12 @@ def trivial_gset(n: int) -> GSet:
 
 
 def orbits(F: GSet) -> OrbitPartition:
-    orbit_of = [-1] * F.size
-    reps = []
-    for f in range(F.size):
-        if orbit_of[f] >= 0:
-            continue
-        k = len(reps)
-        reps.append(f)
-        stack = [f]
-        orbit_of[f] = k
-        while stack:
-            p = stack.pop()
-            for g in range(F.group.order):
-                q = F.act[g][p]
-                if orbit_of[q] < 0:
-                    orbit_of[q] = k
-                    stack.append(q)
-    return OrbitPartition(tuple(orbit_of), len(reps), tuple(reps))
+    return F.orbit_partition
 
 
 def is_free(F: GSet) -> bool:
     """True when (g, f) -> (gf, f) is injective, i.e. all stabilizers are trivial."""
-    for f in range(F.size):
-        seen = set()
-        for g in range(F.group.order):
-            q = F.act[g][f]
-            if q in seen:
-                return False
-            seen.add(q)
-    return True
+    return F.acts_freely
 
 
 def is_transitive(F: GSet) -> bool:

@@ -89,6 +89,12 @@ def _int_list(obj: Any, where: str) -> list[int]:
     return [_int(x, where) for x in obj]
 
 
+def _int_rows(obj: Any, where: str) -> list[list[int]]:
+    if not isinstance(obj, list):
+        raise SchemaError(f"{where}: expected a list of integer lists")
+    return [_int_list(row, f"{where}[{i}]") for i, row in enumerate(obj)]
+
+
 def parse_group(obj: Any, where: str = "group") -> FiniteGroup:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"{where}: expected an object with a 'kind' field")
@@ -111,8 +117,9 @@ def parse_group(obj: Any, where: str = "group") -> FiniteGroup:
         return make_symmetric(_int(obj["n"], f"{where}.n"))
     if kind == "table":
         _require_keys(obj, where, {"kind", "mul"})
+        mul = _int_rows(obj["mul"], f"{where}.mul")
         try:
-            return from_mul_table(obj["mul"], label="G")
+            return from_mul_table(mul, label="G")
         except ValueError as exc:
             raise SchemaError(f"{where}.mul: {exc}") from exc
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
@@ -129,8 +136,9 @@ def parse_gset(obj: Any, where: str = "gset") -> GSet:
     if kind == "table":
         _require_keys(obj, where, {"kind", "group", "act"})
         G = parse_group(obj["group"], f"{where}.group")
+        act = _int_rows(obj["act"], f"{where}.act")
         try:
-            return make_gset(G, obj["act"])
+            return make_gset(G, act)
         except ValueError as exc:
             raise SchemaError(f"{where}.act: {exc}") from exc
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")

@@ -21,7 +21,6 @@ from .frames import (
     wreath_act,
     wreath_group,
     wreath_identity,
-    wreath_mul,
 )
 from .groups import (
     FiniteGroup,
@@ -217,17 +216,16 @@ def suite_wreath_iso(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
         tables = [a.value for a in images]
         index = {t: i for i, t in enumerate(tables)}
         rep.add(name, "injective", len(index) == len(wg.elements))
-        _, auts = aut_group_of_gset(standard_semitorsor(G, n))
+        # Aut(G x X) and its Cayley table are freed once this check is made
+        auts = aut_group_of_gset(standard_semitorsor(G, n))[1]
         rep.add(name, "surjective onto Aut(G x X)",
                 set(tables) == {a.value for a in auts})
+        del auts
         hom_ok = True
         pairs = 0
-        for i, a in enumerate(wg.elements):
-            va = tables[i]
-            for j, b in enumerate(wg.elements):
-                prod = wg.element_index(wreath_mul(a, b))
-                composed = tuple(va[x] for x in tables[j])
-                if composed != tables[prod]:
+        for va, row in zip(tables, wg.group.mul):
+            for tb, prod in zip(tables, row):
+                if tuple([va[x] for x in tb]) != tables[prod]:
                     hom_ok = False
                 pairs += 1
         rep.add(name, "homomorphism on all pairs", hom_ok)

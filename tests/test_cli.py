@@ -282,3 +282,23 @@ def _wreath_bundle(g, perm):
 def test_out_of_range_document_is_usage_error(capsys, bundle, message):
     code, out, err = run(capsys, "components", json.dumps(bundle))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify-circle", "--group", '{"kind": "table", "mul": [[0, 1], [1]]}'],
+         "group.mul: multiplication table has wrong shape"),
+        (["classify-circle", "--group", '{"kind": "table", "mul": [[0, true], [true, 0]]}'],
+         "group.mul[0]: expected an integer"),
+        (["components", json.dumps(
+            {"kind": "flat", "mode": "gspace",
+             "fiber": {"kind": "table", "group": {"kind": "cyclic", "n": 1}, "act": [["x"]]},
+             "loops": 1, "clutching": [{"table": [0]}]})],
+         "bundle.fiber.act[0]: expected an integer"),
+    ],
+    ids=["ragged-mul", "boolean-mul", "string-act"],
+)
+def test_malformed_table_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

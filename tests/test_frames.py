@@ -32,7 +32,9 @@ from framebundles import (
     wreath_inv,
     wreath_mul,
 )
-from framebundles.frames import WreathElement, gset_homs, perm_inverse
+import framebundles.frames as frames_module
+from framebundles.frames import WreathElement, frames_as_torsor, gset_homs, perm_inverse
+from framebundles.groups import cayley_group, make_symmetric
 from framebundles.gsets import semitorsor_point
 
 
@@ -229,6 +231,29 @@ def test_wreath_group_satisfies_axioms():
     wg = wreath_group(Z2, 2)
     wg.group.validate()
     assert wg.group.order == 8
+
+
+@pytest.mark.parametrize(
+    "G, n",
+    [
+        (make_cyclic(1), 3),
+        (Z2, 4),
+        (Z3, 2),
+        (make_cyclic(4), 2),
+        (make_direct_product(Z2, Z2), 2),
+        (make_symmetric(3), 2),
+    ],
+    ids=["Z1-3", "Z2-4", "Z3-2", "Z4-2", "Z2xZ2-2", "S3-2"],
+)
+def test_wreath_group_table_matches_wreath_mul(G, n):
+    # the assembled table against the one tabulated from wreath_mul itself
+    wg = wreath_group(G, n)
+    assert list(wg.elements) == sorted(wg.elements, key=lambda w: (w.g_tuple, w.sigma))
+    oracle = cayley_group(wg.elements, wreath_mul, f"{G.label}wr{n}")
+    assert wg.group.mul == oracle.mul
+    assert wg.group.identity == oracle.identity
+    assert wg.group.inv == oracle.inv
+    assert wg.group == oracle
 
 
 # ---------------------------------------------------------------- the action
@@ -483,6 +508,51 @@ def test_equivalence_different_orbit_counts_is_empty():
     r = check_equivalence(F1, F2)
     assert r.gset_hom_count == r.torsor_hom_count == 0
     assert r.bijective
+
+
+def _swapped_z2_gset():
+    # Z2 on 4 points with orbits {0, 3} and {1, 2}, so frames are not the identity's
+    return make_gset(Z2, [[0, 1, 2, 3], [3, 2, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        standard_semitorsor(make_cyclic(1), 3),
+        standard_semitorsor(Z2, 2),
+        standard_semitorsor(Z3, 2),
+        standard_semitorsor(make_symmetric(3), 1),
+        standard_semitorsor(make_direct_product(Z2, Z2), 2),
+        _swapped_z2_gset(),
+    ],
+    ids=["Z1-3", "Z2-2", "Z3-2", "S3-1", "Z2xZ2-2", "Z2-swapped"],
+)
+def test_frames_as_torsor_matches_direct_action(F):
+    fs = enumerate_frames(F)
+    wg = wreath_group(F.group, fs.n)
+    direct = tuple(
+        tuple(fs.index[wreath_act(F, w, t)] for t in fs.frames) for w in wg.elements
+    )
+    torsor = frames_as_torsor(fs, wg)
+    assert torsor.act == direct
+    torsor.validate()
+
+
+def test_equivalence_catches_a_wrong_division(monkeypatch):
+    F = standard_semitorsor(Z2, 2)
+    fs = enumerate_frames(F)
+    wrong_frame = fs.frames[1]
+    divide_frames = frame_divide
+
+    def wrong_divide(space, f2, f1):
+        # a genuine wreath element, but not the quotient, for one frame
+        if f2 == wrong_frame:
+            return wreath_identity(Z2, 2)
+        return divide_frames(space, f2, f1)
+
+    monkeypatch.setattr(frames_module, "frame_divide", wrong_divide)
+    with pytest.raises(AssertionError, match="equivariance"):
+        check_equivalence(F, F)
 
 
 def test_equivalence_rejects_different_groups():

@@ -22,7 +22,8 @@ from framebundles import (
     standard_semitorsor,
     trivial_gset,
 )
-from framebundles.gsets import division_table, semitorsor_coords, semitorsor_point
+from framebundles.gsets import GSet, division_table, semitorsor_coords, semitorsor_point
+from framebundles.suites import fixture_groups
 
 
 def left_translation_gset(G):
@@ -244,3 +245,33 @@ def test_semitorsor_coords_round_trip():
         for x in range(4):
             p = semitorsor_point(g, x, 4)
             assert semitorsor_coords(p, 4) == (g, x)
+
+
+def _cache_fixtures():
+    out = [trivial_gset(3)]
+    for G in fixture_groups(6):
+        out.append(left_translation_gset(G))
+        out.append(GSet(G, 2, tuple((0, 1) for _ in range(G.order))))
+        for n in (1, 2, 3):
+            out.append(standard_semitorsor(G, n))
+    # Z4 acting on two points through its quotient Z2: not free
+    out.append(make_gset(make_cyclic(4), [[0, 1], [1, 0], [0, 1], [1, 0]]))
+    return out
+
+
+def test_cached_orbits_and_freeness_match_fresh_computation():
+    for F in _cache_fixtures():
+        # oracle: every stabilizer is the identity alone
+        fresh_free = all(
+            sum(F.act[g][f] == f for g in range(F.group.order)) == 1
+            for f in range(F.size)
+        )
+        assert is_free(F) == fresh_free
+        assert is_free(F) == fresh_free  # second call reads the cache
+        q = orbits(F)
+        assert orbits(F) is q
+        classes = brute_orbits(F)
+        assert q.orbit_count == len(classes)
+        assert q.representatives == tuple(min(c) for c in classes)
+        for k, c in enumerate(classes):
+            assert all(q.orbit_of[f] == k for f in c)
