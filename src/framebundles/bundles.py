@@ -231,8 +231,8 @@ def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
         raise ValueError("winding number must be >= 1")
     cycle = tuple((i + 1) % k for i in range(k))
     w = WreathElement(G, (G.identity,) * k, cycle)
-    clutch = wreath_to_aut(w, k, G)
-    return flat_bundle(standard_semitorsor(G, k), (clutch,), mode=MODE_GSPACE)
+    F = standard_semitorsor(G, k)
+    return flat_bundle(F, (wreath_to_aut(w, k, G, F),), mode=MODE_GSPACE)
 
 
 def frame_bundle(b: FlatBundle) -> FlatBundle:

@@ -5,11 +5,12 @@ required to be the identity; the identity index is stored explicitly so that
 product and subgroup constructions can keep their natural labelling.
 
 The module is also the permutation and Cayley-table kernel of the library:
-permutations are forward image tables, and :func:`cayley_group` tabulates
-any finite group given as a list of elements and a product, which is how
-Sym(n), Aut(G) and Aut(F) are built.  :func:`table_group` reads the identity
-and the inverses off a finished table; the wreath product, whose table is
-assembled from smaller ones, uses it directly.
+permutations are forward image tables, and :func:`permutation_group`
+tabulates a group of permutations from their values on a *base*, a list of
+points on which no two of them agree, which is how Sym(n), Aut(G) and Aut(F)
+are built.  :func:`table_group` reads the identity and the inverses off a
+finished table; the wreath product, whose table is assembled from smaller
+ones, uses it directly.
 """
 
 from __future__ import annotations
@@ -86,7 +87,19 @@ class FiniteGroup:
         return n
 
     def validate(self) -> None:
-        """Exhaustively check the group axioms; raises ValueError on failure."""
+        """Exhaustively check the group axioms; raises ValueError on failure.
+
+        Associativity is Light's test: (xa)y = x(ay) for all x, y and every
+        ``a`` of a generating set, O(n^2 |gens|) where all triples cost n^3.
+        This suffices: the set S of the ``a`` passing it contains the
+        identity and is closed under products.  For a, b in S,
+
+            (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
+
+        using a in S (with y = b), b in S (with x = xa), a in S (with
+        y = by) and b in S (with x = a).  ``generating_set`` reaches every
+        element by products of generators, so S is the whole table.
+        """
         n = self.order
         mul = self.mul
         if len(mul) != n or any(len(row) != n for row in mul):
@@ -99,12 +112,14 @@ class FiniteGroup:
                 raise ValueError(f"identity axiom fails at element {a}")
             if mul[a][self.inv[a]] != e or mul[self.inv[a]][a] != e:
                 raise ValueError(f"inverse axiom fails at element {a}")
-        for a in range(n):
-            for b in range(n):
-                ab = mul[a][b]
-                for c in range(n):
-                    if mul[ab][c] != mul[a][mul[b][c]]:
-                        raise ValueError(f"associativity fails at ({a},{b},{c})")
+        for a in generating_set(self):
+            a_row = mul[a]
+            for x in range(n):
+                x_row = mul[x]
+                lhs, rhs = mul[x_row[a]], tuple([x_row[ay] for ay in a_row])
+                if lhs != rhs:
+                    y = next(y for y in range(n) if lhs[y] != rhs[y])
+                    raise ValueError(f"associativity fails at ({x},{a},{y})")
 
     def __repr__(self) -> str:  # keep large tables out of debug output
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -149,14 +164,23 @@ def identity_hom(G: FiniteGroup) -> GroupHom:
     return GroupHom(G, G, tuple(range(G.order)))
 
 
-def cayley_group(keys, product, label: str) -> FiniteGroup:
-    """The group whose element i is ``keys[i]``, multiplied by ``product``.
+def permutation_group(perms, base, label: str) -> FiniteGroup:
+    """The group whose element i is the permutation ``perms[i]``.
 
-    ``keys`` are hashable and closed under ``product(a, b)``, which returns
-    the key of the product.
+    The product ``i j`` is ``perms[i]`` after ``perms[j]``.  ``perms`` must
+    be closed under composition, and ``base`` must be a list of points on
+    which no two of them agree everywhere.  Each element is then keyed by
+    its values on the base, and the product is the element whose key is
+    ``perms[i]`` applied to the key of ``perms[j]``.
     """
+    keys = [tuple([p[x] for x in base]) for p in perms]
     index = {k: i for i, k in enumerate(keys)}
-    mul = tuple(tuple(index[product(a, b)] for b in keys) for a in keys)
+    if len(index) != len(keys):
+        raise ValueError(f"{label}: the base does not tell the elements apart")
+    try:
+        mul = tuple(tuple([index[tuple([p[y] for y in k])] for k in keys]) for p in perms)
+    except KeyError:
+        raise ValueError(f"{label}: the elements are not closed under composition") from None
     return table_group(mul, label)
 
 
@@ -245,7 +269,7 @@ def make_symmetric(n: int) -> FiniteGroup:
         raise BoundExceeded(f"symmetric group bound is n <= {config.MAX_SYMMETRIC_N}")
     config.check_table_order(math.factorial(n), what="symmetric group")
     perms = list(itertools.permutations(range(n)))
-    return cayley_group(perms, perm_compose, f"S{n}")
+    return permutation_group(perms, range(n), f"S{n}")
 
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -319,79 +343,68 @@ def generating_set(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def _discovery_order(G: FiniteGroup, gens: list[int]):
-    """BFS from the identity; yields (element, parent, generator) triples."""
-    parent: dict[int, tuple[int, int]] = {}
-    order = [G.identity]
-    frontier = [G.identity]
-    found = {G.identity}
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in gens:
-                b = G.mul[a][s]
-                if b not in found:
-                    found.add(b)
-                    parent[b] = (a, s)
-                    order.append(b)
-                    nxt.append(b)
-        frontier = nxt
-    return order, parent
-
-
-def endomorphisms_brute(G: FiniteGroup) -> list[GroupHom]:
-    """All endomorphisms by raw table search; exponential, tiny groups only.
-
-    Kept as an independent cross-check route for the backtracking enumerator.
-    """
-    if G.order > 8:
-        raise BoundExceeded("brute endomorphism search is limited to order <= 8")
-    out = []
-    for image in itertools.product(range(G.order), repeat=G.order):
-        if image[G.identity] != G.identity:
-            continue
-        if all(
-            image[G.mul[a][b]] == G.mul[image[a]][image[b]]
-            for a in range(G.order)
-            for b in range(G.order)
-        ):
-            out.append(GroupHom(G, G, image))
-    return out
-
-
 def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     """All automorphisms of G, sorted by image table.
 
-    Enumeration assigns images to a greedy minimal generating set (candidate
-    images must match element orders), extends each assignment over the whole
-    group along a BFS spanning tree, and keeps the maps that are verified to
-    be bijective homomorphisms.
+    A backtracking homomorphism search (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005, ch. 8).  Level k picks the image of
+    the k-th greedy generator among the elements of its order and extends
+    the partial map phi over the subgroup H_k of the first k+1 generators
+    along the Cayley graph, phi(as) = phi(a)phi(s).  Every edge ``as`` of
+    H_k is checked, and a candidate is rejected as soon as an edge
+    disagrees or two points get the same image.
+
+    A map with phi(e) = e that passes every edge (all a in G, all
+    generators s) is a homomorphism: phi(ab) = phi(a)phi(b) by induction on
+    the length of b as a word in the generators (inverses are positive
+    powers).  For b = cs with c shorter, phi(acs) = phi(ac)phi(s) =
+    phi(a)phi(c)phi(s) = phi(a)phi(cs) by the edge at ac, the induction and
+    the edge at c.  Injective, it is an automorphism.  Every automorphism
+    is found, as it keeps element orders and agrees with every edge.
     """
     config.check_table_order(G.order)
     config.check_enumeration(G.order, "automorphism search space base")
+    mul = G.mul
     gens = generating_set(G)
     order_of = [G.element_order(a) for a in range(G.order)]
-    discovery, parent = _discovery_order(G, gens)
-    candidates_per_gen = [
-        [b for b in range(G.order) if order_of[b] == order_of[s]] for s in gens
-    ]
+    candidates = [[b for b in range(G.order) if order_of[b] == order_of[s]] for s in gens]
+    phi = [-1] * G.order  # the partial map, -1 outside the current subgroup
+    used = [False] * G.order
+    phi[G.identity] = G.identity
+    used[G.identity] = True
     auts = []
-    for images in itertools.product(*candidates_per_gen):
-        gen_image = dict(zip(gens, images))
-        table = [0] * G.order
-        table[G.identity] = G.identity
-        for a in discovery[1:]:
-            p, s = parent[a]
-            table[a] = G.mul[table[p]][gen_image[s]]
-        if len(set(table)) != G.order:
-            continue
-        ok = all(
-            table[G.mul[a][b]] == G.mul[table[a]][table[b]]
-            for a in range(G.order)
-            for b in range(G.order)
-        )
-        if ok:
-            auts.append(GroupHom(G, G, tuple(table)))
+
+    def extend(domain, pairs, new) -> bool:
+        """Extend phi from ``domain`` = H_(k-1) over H_k, given the
+        (generator, image) pairs of levels 0..k, appending the new points."""
+        # old points need only the newest edge; ``new`` grows while it is walked
+        for points, edges in ((domain, pairs[-1:]), (new, pairs)):
+            for a in points:
+                row, image_row = mul[a], mul[phi[a]]
+                for s, t in edges:
+                    b, c = row[s], image_row[t]
+                    if phi[b] < 0 and not used[c]:
+                        phi[b] = c
+                        used[c] = True
+                        new.append(b)
+                    elif phi[b] != c:
+                        return False
+        return True
+
+    def search(domain, pairs):
+        if len(pairs) == len(gens):
+            auts.append(GroupHom(G, G, tuple(phi)))
+            return
+        for t in candidates[len(pairs)]:
+            level = pairs + [(gens[len(pairs)], t)]
+            new: list[int] = []
+            if extend(domain, level, new):
+                search(domain + new, level)
+            for b in new:
+                used[phi[b]] = False
+                phi[b] = -1
+
+    search([G.identity], [])
     auts.sort(key=lambda h: h.image)
     return auts
 
@@ -404,5 +417,6 @@ def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, tuple[GroupHom, ...]]:
     """
     auts = automorphisms(G)
     config.check_table_order(len(auts), what="automorphism group")
-    table = cayley_group([h.image for h in auts], perm_compose, f"Aut({G.label})")
+    # an automorphism is determined by its values on a generating set
+    table = permutation_group([h.image for h in auts], generating_set(G), f"Aut({G.label})")
     return table, tuple(auts)

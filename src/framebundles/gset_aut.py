@@ -35,10 +35,10 @@ from .frames import (
 from .groups import (
     FiniteGroup,
     Permutation,
-    cayley_group,
     is_permutation,
     perm_compose,
     perm_inverse,
+    permutation_group,
 )
 from .gsets import (
     EquivariantMap,
@@ -58,7 +58,9 @@ def aut_group_of_gset(F: GSet) -> tuple[FiniteGroup, tuple[EquivariantMap, ...]]
     Every automorphism carries the canonical (lexicographically smallest)
     frame to some other frame, and is determined by it, so the group is
     enumerated by composing associated maps through the canonical frame.
-    The returned list is sorted by value table.
+    The returned list is sorted by value table.  The canonical frame is also
+    the base of the Cayley table: psi(h f_x) = h psi(f_x), and the frame
+    meets every orbit.
     """
     if not is_free(F):
         raise NotFree("only free group-sets have wreath-sized automorphism groups")
@@ -72,8 +74,8 @@ def aut_group_of_gset(F: GSet) -> tuple[FiniteGroup, tuple[EquivariantMap, ...]]
         auts.append(EquivariantMap(F, F, identity_hom(F.group), value))
     auts.sort(key=lambda a: a.value)
     config.check_table_order(len(auts), what="group-set automorphism group")
-    table = cayley_group(
-        [a.value for a in auts], perm_compose, f"Aut({F.group.label}-set)"
+    table = permutation_group(
+        [a.value for a in auts], fs.frames[0], f"Aut({F.group.label}-set)"
     )
     return table, tuple(auts)
 
@@ -132,11 +134,15 @@ def autq_reconstruct(F: GSet, f: Frame, component: tuple[int, ...]) -> Equivaria
     return EquivariantMap(F, F, identity_hom(F.group), tuple(value))
 
 
-def wreath_to_aut(w: WreathElement, n: int, G: FiniteGroup) -> EquivariantMap:
+def wreath_to_aut(
+    w: WreathElement, n: int, G: FiniteGroup, F: GSet | None = None
+) -> EquivariantMap:
     """The isomorphism from the wreath product onto Aut(G x I_n).
 
     (h, x) maps to (h . g[s(x)]^-1, s(x)); right translation keeps the maps
     left-equivariant, and the whole assignment is a group homomorphism.
+    A caller that maps many elements passes ``F = standard_semitorsor(G, n)``
+    so that all the maps share one carrier.
     """
     if w.group != G or w.n != n or len(w.g_tuple) != n:
         raise ValueError("wreath element does not match the target semi-torsor")
@@ -144,7 +150,10 @@ def wreath_to_aut(w: WreathElement, n: int, G: FiniteGroup) -> EquivariantMap:
         raise ValueError(f"group entries must lie in 0..{G.order - 1}")
     if not is_permutation(w.sigma, n):
         raise ValueError(f"perm is not a permutation of 0..{n - 1}")
-    F = standard_semitorsor(G, n)
+    if F is None:
+        F = standard_semitorsor(G, n)
+    elif F.group != G or F.size != G.order * n:
+        raise ValueError("carrier is not the semi-torsor G x I_n")
     mul, inv = G.mul, G.inv
     value = [0] * F.size
     for h in range(G.order):
@@ -206,16 +215,17 @@ class SesReport:
         )
 
 
-def ses_report(F: GSet) -> SesReport:
+def ses_report(F: GSet, aut=None) -> SesReport:
     """Exhaustively verify the short exact sequence for a free group-set.
 
     Checks that the orbit-projection homomorphism has the orbit-preserving
     automorphisms as kernel, is surjective onto Sym(n), and is split by the
     section built from the canonical section frame; reports all cardinalities.
+    ``aut`` is ``aut_group_of_gset(F)`` if the caller has already built it.
     """
     if not is_free(F):
         raise NotFree("the sequence closes only for free group-sets")
-    table, auts = aut_group_of_gset(F)
+    table, auts = aut if aut is not None else aut_group_of_gset(F)
     q = orbits(F)
     n = q.orbit_count
     identity_perm = tuple(range(n))

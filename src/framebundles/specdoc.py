@@ -166,7 +166,7 @@ def _parse_clutching_gspace(entry: Any, fiber: GSet, where: str) -> EquivariantM
             tuple(_int_list(spec["perm"], f"{where}.wreath.perm")),
         )
         try:
-            return wreath_to_aut(w, n, G)
+            return wreath_to_aut(w, n, G, fiber)
         except ValueError as exc:
             raise SchemaError(f"{where}.wreath: {exc}") from exc
     else:

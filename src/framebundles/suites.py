@@ -211,16 +211,15 @@ def suite_wreath_iso(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
     """The explicit wreath-to-automorphism map is a bijective homomorphism."""
     rep = SuiteReport("wreath-iso")
     for G, n, name in _fixtures(groups, max_orbits, orbit_counts):
+        F = standard_semitorsor(G, n)
         wg = wreath_group(G, n)
-        images = [wreath_to_aut(w, n, G) for w in wg.elements]
+        images = [wreath_to_aut(w, n, G, F) for w in wg.elements]
         tables = [a.value for a in images]
         index = {t: i for i, t in enumerate(tables)}
         rep.add(name, "injective", len(index) == len(wg.elements))
-        # Aut(G x X) and its Cayley table are freed once this check is made
-        auts = aut_group_of_gset(standard_semitorsor(G, n))[1]
+        aut = aut_group_of_gset(F)
         rep.add(name, "surjective onto Aut(G x X)",
-                set(tables) == {a.value for a in auts})
-        del auts
+                set(tables) == {a.value for a in aut[1]})
         hom_ok = True
         pairs = 0
         for va, row in zip(tables, wg.group.mul):
@@ -233,7 +232,7 @@ def suite_wreath_iso(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
         rep.add(name, "round trip to wreath", round_ok)
         perm_ok = all(cq(images[i]) == w.sigma for i, w in enumerate(wg.elements))
         rep.add(name, "orbit permutation matches sigma", perm_ok)
-        r = ses_report(standard_semitorsor(G, n))
+        r = ses_report(F, aut)
         rep.add(name, "SES sizes", r.ok,
                 f"{r.aut_order} = {r.autq_order} x {r.sym_order}")
         rep.bump("homomorphism pairs", pairs)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from framebundles.cli import main
+from table_oracles import LOOP_5
 
 Z3_SPEC = '{"kind": "cyclic", "n": 3}'
 KLEIN_SPEC = '{"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 2}]}'
@@ -302,3 +303,13 @@ def test_out_of_range_document_is_usage_error(capsys, bundle, message):
 def test_malformed_table_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_non_associative_latin_square_names_a_failing_triple(capsys):
+    doc = json.dumps({"kind": "table", "mul": LOOP_5})
+    code, out, err = run(capsys, "classify-circle", "--group", doc)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: group.mul: associativity fails at (")
+    x, a, y = (int(v) for v in err.split("(")[1].split(")")[0].split(","))
+    mul = LOOP_5
+    assert mul[mul[x][a]][y] != mul[x][mul[a][y]]

@@ -34,8 +34,9 @@ from framebundles import (
 )
 import framebundles.frames as frames_module
 from framebundles.frames import WreathElement, frames_as_torsor, gset_homs, perm_inverse
-from framebundles.groups import cayley_group, make_symmetric
+from framebundles.groups import make_symmetric
 from framebundles.gsets import semitorsor_point
+from table_oracles import cayley_group
 
 
 Z2 = make_cyclic(2)

@@ -1,4 +1,8 @@
+import argparse
 import itertools
+import json
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +22,26 @@ from framebundles import (
     make_direct_product,
     make_symmetric,
 )
-from framebundles.groups import endomorphisms_brute, generating_set
+from framebundles.cli import cmd_classify_circle
+from framebundles.groups import (
+    FiniteGroup,
+    generating_set,
+    perm_compose,
+    permutation_group,
+)
+from framebundles.gsets import make_gset, standard_semitorsor, trivial_gset
+from framebundles.gset_aut import aut_group_of_gset
+from table_oracles import (
+    LOOP_5,
+    alternating5_table,
+    associativity_failures,
+    cayley_group,
+    dihedral_table,
+    endomorphisms_brute,
+    product_search_automorphisms,
+    quaternion_table,
+    relabelled,
+)
 
 
 def all_small_groups():
@@ -261,3 +284,124 @@ def test_symmetric_composition_convention():
     s, t = (1, 0, 2), (0, 2, 1)
     st_perm = tuple(s[t[x]] for x in range(3))
     assert S3.mul[idx[s]][idx[t]] == idx[st_perm]
+
+
+def groups_to_order_24():
+    z2, z3, z4 = make_cyclic(2), make_cyclic(3), make_cyclic(4)
+    return all_small_groups() + [
+        make_cyclic(5),
+        make_cyclic(8),
+        make_direct_product(make_direct_product(z2, z2), z2),
+        make_direct_product(z2, z4),
+        from_mul_table(dihedral_table(4), "D4"),
+        from_mul_table(quaternion_table(), "Q8"),
+        make_direct_product(z3, z3),
+        from_mul_table(dihedral_table(6), "D6"),
+        make_direct_product(make_symmetric(3), z3),
+        make_symmetric(4),
+        make_direct_product(make_direct_product(z2, z2), make_cyclic(6)),
+        make_direct_product(z4, make_cyclic(6)),
+        from_mul_table(dihedral_table(12), "D12"),
+    ]
+
+
+def relabelled_tables():
+    """Seeded relabellings of the S4, Q8, D6 and A5 tables."""
+    bases = [make_symmetric(4).mul, quaternion_table(), dihedral_table(6), alternating5_table()]
+    return [relabelled(mul, seed) for mul in bases for seed in (1, 2, 3)]
+
+
+def test_automorphisms_match_product_search():
+    # oracle: every same-order image tuple of the generators, checked on all pairs
+    for G in groups_to_order_24() + relabelled_tables():
+        assert automorphisms(G) == product_search_automorphisms(G), G.label
+
+
+def test_aut_group_table_matches_composition_table():
+    # oracle: the Cayley table of the image tables under perm_compose
+    for G in groups_to_order_24() + relabelled_tables():
+        table, auts = aut_group(G)
+        oracle = cayley_group([h.image for h in auts], perm_compose, "oracle")
+        assert table.mul == oracle.mul, G.label
+        assert (table.identity, table.inv) == (oracle.identity, oracle.inv)
+
+
+def test_gset_aut_table_matches_composition_table():
+    fixtures = [standard_semitorsor(G, n) for G in all_small_groups() for n in (1, 2)]
+    fixtures += [
+        standard_semitorsor(make_cyclic(2), 3),
+        standard_semitorsor(make_cyclic(4), 3),
+        trivial_gset(3),
+        make_gset(make_cyclic(2), [[0, 1, 2, 3], [3, 2, 1, 0]]),  # not standard
+    ]
+    for F in fixtures:
+        table, auts = aut_group_of_gset(F)
+        oracle = cayley_group([a.value for a in auts], perm_compose, "oracle")
+        assert table.mul == oracle.mul
+
+
+def test_symmetric_table_matches_composition_table():
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        assert make_symmetric(n).mul == cayley_group(perms, perm_compose, "oracle").mul
+
+
+def test_permutation_group_rejects_a_short_base_and_an_open_set():
+    s3 = list(itertools.permutations(range(3)))
+    with pytest.raises(ValueError, match="base does not tell"):
+        permutation_group(s3, [0], "S3")
+    with pytest.raises(ValueError, match="not closed"):
+        permutation_group([(0, 1, 2), (1, 2, 0)], range(3), "C")
+
+
+def _spoiled(mul, rng):
+    """A copy of a group table with two entries of one row swapped, keeping
+    the identity's row and column and every inverse entry in place."""
+    table = [list(row) for row in mul]
+    n = len(table)
+    e = next(a for a in range(n) if table[a] == list(range(n)))
+    a = rng.choice([x for x in range(n) if x != e])
+    cols = [b for b in range(n) if b != e and table[a][b] != e and table[b][a] != e]
+    b, c = rng.sample(cols, 2)
+    table[a][b], table[a][c] = table[a][c], table[a][b]
+    return table
+
+
+def test_light_associativity_test_agrees_with_cubic_loop():
+    # oracle: all n^3 triples, on tables of order <= 24
+    rng = random.Random(7)
+    groups = [G for G in groups_to_order_24() if G.order >= 4]
+    for G in groups:
+        assert associativity_failures(G.mul) == []
+        from_mul_table(G.mul)
+    # LOOP_5 x Z2 is associative at every middle element (e, h), and its
+    # first greedy generator is (e, 1): every generator has to be checked
+    loop = FiniteGroup(5, tuple(map(tuple, LOOP_5)), 0, tuple(range(5)))
+    tables = [make_direct_product(loop, make_cyclic(2)).mul]
+    tables += [_spoiled(rng.choice(groups).mul, rng) for _ in range(60)]
+    for table in tables:
+        failures = associativity_failures(table)
+        if not failures:
+            from_mul_table(table)
+            continue
+        with pytest.raises(ValueError, match="associativity fails") as exc:
+            from_mul_table(table)
+        triple = tuple(int(x) for x in str(exc.value).split("(")[1].rstrip(")").split(","))
+        assert triple in failures
+
+
+def _classify(spec):
+    start = time.perf_counter()
+    report = cmd_classify_circle(argparse.Namespace(group=json.dumps(spec)))
+    return report.data, time.perf_counter() - start
+
+
+def test_classify_circle_budget_s5_and_s4xz2():
+    data, seconds = _classify({"kind": "symmetric", "n": 5})
+    assert (data["aut_order"], len(data["classes"])) == (120, 7)
+    assert seconds < 2.0
+    s4xz2 = {"kind": "product", "factors": [{"kind": "symmetric", "n": 4},
+                                             {"kind": "cyclic", "n": 2}]}
+    data, seconds = _classify(s4xz2)
+    assert data["aut_order"] == 48
+    assert seconds < 2.0
