@@ -29,6 +29,7 @@ from .frames import (
     frame_divide,
     frame_functor_map,
     frames_as_torsor,
+    gset_homs,
     wreath_group,
 )
 from .groups import (
@@ -43,7 +44,7 @@ from .groups import (
     perm_inverse,
     validate_word,
 )
-from .gset_aut import aut_group_of_gset, cq, wreath_to_aut
+from .gset_aut import cq, wreath_to_aut
 from .gsets import (
     EquivariantMap,
     GSet,
@@ -173,8 +174,7 @@ def _conjugators(b: FlatBundle) -> list[tuple[int, ...]]:
     """Fiber symmetries respecting the bundle mode, as value tables."""
     if b.mode == MODE_GROUP:
         return [h.image for h in automorphisms(b.fiber_group)]
-    _, auts = aut_group_of_gset(b.fiber)
-    return [a.value for a in auts]
+    return [a.value for a in gset_homs(b.fiber, b.fiber)]
 
 
 def bundle_isomorphic(b1: FlatBundle, b2: FlatBundle) -> bool:
@@ -229,9 +229,9 @@ def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
     """The k-sheet winding bundle: one loop cycling the sheets of G x I_k."""
     if k < 1:
         raise ValueError("winding number must be >= 1")
+    F = standard_semitorsor(G, k)
     cycle = tuple((i + 1) % k for i in range(k))
     w = WreathElement(G, (G.identity,) * k, cycle)
-    F = standard_semitorsor(G, k)
     return flat_bundle(F, (wreath_to_aut(w, k, G, F),), mode=MODE_GSPACE)
 
 

@@ -19,6 +19,10 @@ that of ``s`` in ``itertools.permutations(range(n))``: the elements sorted by
 pointwise product on ``G^n``, the slot shift ``g' -> g' o s^-1`` and
 ``Sym(n)``, following the multiplication formula above.
 
+Like a linear map by a basis, an equivariant map out of a free group-set is
+fixed by the image ``t`` of a frame ``f``: each point is ``g . f[x]`` for one
+``(g, x)``, so equivariance forces :func:`frame_map`, ``g . f[x] -> g . t[x]``.
+
 Two hot paths rest on one-line arguments:
 
 * :func:`frames_as_torsor` relabels the Cayley table.  With ``W_d . base =
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -46,14 +50,11 @@ from .groups import FiniteGroup, Permutation, perm_compose, perm_inverse, table_
 from .gsets import (
     EquivariantMap,
     GSet,
-    OrbitPartition,
     check_equivariant,
-    division_table,
     identity_hom,
     is_free,
     is_orbit_bijection,
     orbits,
-    semitorsor_coords,
     standard_semitorsor,
 )
 
@@ -135,28 +136,45 @@ def is_basis(F: GSet, t: Frame) -> bool:
     return len(hit) == q.orbit_count
 
 
+def frame_map(F: GSet, f: Frame, F2: GSet, t: Frame) -> EquivariantMap:
+    """The id-equivariant map ``F -> F2`` with ``g . f[x] -> g . t[x]``.
+
+    For a basis ``f`` of ``F``, each point is ``g . f[x]`` for one ``(g, x)``
+    (well defined), ``h . (g . f[x]) = (hg) . f[x]`` goes to ``h . (g .
+    t[x])`` (equivariant), and equivariance forces every value (unique); into
+    a free ``F2`` it is injective iff the ``t[x]`` lie in distinct orbits and
+    onto iff they meet every orbit, so bijective exactly when ``t`` is a basis.
+    """
+    value = [0] * F.size
+    for row, row2 in zip(F.act, F2.act):
+        for p, p2 in zip(f, t):
+            value[row[p]] = row2[p2]
+    return EquivariantMap(F, F2, identity_hom(F.group), tuple(value))
+
+
+def _model_frame(F: GSet, t: Frame) -> tuple[GSet, Frame]:
+    """``G x I_n`` and its frame ``(e, x)``, after checking that ``t`` is a basis."""
+    if not is_basis(F, t):
+        raise ValueError("tuple is not a basis")
+    n = len(t)
+    e = F.group.identity
+    return standard_semitorsor(F.group, n), tuple(e * n + x for x in range(n))
+
+
 def associated_map(F: GSet, t: Frame) -> EquivariantMap:
     """The isomorphism G x I_n -> F induced by a frame: (g, x) -> g . t[x].
 
     Its inverse sends f to (f / t[x], x) where x is the slot whose orbit
     contains f.
     """
-    if not is_basis(F, t):
-        raise ValueError("tuple is not a basis")
-    n = len(t)
-    model = standard_semitorsor(F.group, n)
-    value = [0] * model.size
-    for g in range(F.group.order):
-        row = F.act[g]
-        for x in range(n):
-            value[g * n + x] = row[t[x]]
-    return EquivariantMap(model, F, identity_hom(F.group), tuple(value))
+    model, m = _model_frame(F, t)
+    return frame_map(model, m, F, t)
 
 
 def associated_map_inverse(F: GSet, t: Frame) -> EquivariantMap:
     """The inverse of :func:`associated_map`, as a map F -> G x I_n."""
-    phi = associated_map(F, t)
-    return EquivariantMap(F, phi.source, identity_hom(F.group), perm_inverse(phi.value))
+    model, m = _model_frame(F, t)
+    return frame_map(F, t, model, m)
 
 
 @dataclass
@@ -171,14 +189,9 @@ class FrameSpace:
     n: int
     frames: tuple[Frame, ...]
     index: dict[Frame, int]
-    partition: OrbitPartition
-    _div: dict[tuple[int, int], int] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.frames)
-
-    def divide_points(self, f_prime: int, f: int) -> int:
-        return self._div[(f_prime, f)]
 
 
 def enumerate_frames(F: GSet) -> FrameSpace:
@@ -209,8 +222,6 @@ def enumerate_frames(F: GSet) -> FrameSpace:
         n=n,
         frames=tuple(frames),
         index={t: i for i, t in enumerate(frames)},
-        partition=q,
-        _div=division_table(F),
     )
 
 
@@ -222,12 +233,13 @@ def frame_divide(fs: FrameSpace, f2: Frame, f1: Frame) -> WreathElement:
     """
     if f1 not in fs.index or f2 not in fs.index:
         raise ValueError("frames do not belong to this frame space")
-    q = fs.partition.orbit_of
+    q = orbits(fs.base_gset).orbit_of
     q1 = tuple(q[p] for p in f1)
     q2 = tuple(q[p] for p in f2)
     sigma = perm_compose(perm_inverse(q2), q1)
     s_inv = perm_inverse(sigma)
-    g = tuple(fs.divide_points(f2[x], f1[s_inv[x]]) for x in range(fs.n))
+    div = fs.base_gset.division
+    g = tuple(div[(f2[x], f1[s_inv[x]])] for x in range(fs.n))
     return WreathElement(fs.base_gset.group, g, sigma)
 
 
@@ -359,17 +371,8 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
 
     # orbits of the slot stabilizer, found by BFS over its generators
     others = [y for y in range(n) if y != x]
-    gens: list[WreathElement] = []
-    for y in others:
-        for g in range(G.order):
-            tup = tuple(g if z == y else G.identity for z in range(n))
-            gens.append(WreathElement(G, tup, tuple(range(n))))
-    for y in others:
-        for z in others:
-            if y < z:
-                sigma = list(range(n))
-                sigma[y], sigma[z] = sigma[z], sigma[y]
-                gens.append(WreathElement(G, (G.identity,) * n, tuple(sigma)))
+    gens = [_slot_element(G, n, y, g) for y in others for g in range(G.order)]
+    gens += [_swap(G, n, y, z) for y, z in itertools.combinations(others, 2)]
 
     class_of = [-1] * len(fs.frames)
     classes: list[int] = []  # representative frame index per class
@@ -392,8 +395,7 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
     # G acts on classes through the slot-x embedding g -> (delta_x g, id)
     act_rows = []
     for g in range(G.order):
-        tup = tuple(g if z == x else G.identity for z in range(n))
-        w = WreathElement(G, tup, tuple(range(n)))
+        w = _slot_element(G, n, x, g)
         row = [-1] * len(classes)
         for k, rep in enumerate(classes):
             row[k] = class_of[fs.index[wreath_act(F, w, fs.frames[rep])]]
@@ -432,20 +434,24 @@ class EquivalenceReport:
         return self.bijective and self.gset_hom_count == self.torsor_hom_count
 
 
+def _slot_element(G: FiniteGroup, n: int, x: int, g: int) -> WreathElement:
+    """``g`` at slot ``x``, the identity at every other slot, no permutation."""
+    tup = tuple(g if y == x else G.identity for y in range(n))
+    return WreathElement(G, tup, tuple(range(n)))
+
+
+def _swap(G: FiniteGroup, n: int, x: int, y: int) -> WreathElement:
+    """The permutation swapping slots ``x`` and ``y``, identity group entries."""
+    sigma = list(range(n))
+    sigma[x], sigma[y] = y, x
+    return WreathElement(G, (G.identity,) * n, tuple(sigma))
+
+
 def _wreath_generators(G: FiniteGroup, n: int) -> list[WreathElement]:
     """A generating set of G wr I_n: slot-wise group elements and adjacent swaps."""
-    out = []
-    for x in range(n):
-        for g in range(G.order):
-            if g == G.identity:
-                continue
-            tup = tuple(g if y == x else G.identity for y in range(n))
-            out.append(WreathElement(G, tup, tuple(range(n))))
-    for x in range(n - 1):
-        sigma = list(range(n))
-        sigma[x], sigma[x + 1] = sigma[x + 1], sigma[x]
-        out.append(WreathElement(G, (G.identity,) * n, tuple(sigma)))
-    return out
+    e = G.identity
+    out = [_slot_element(G, n, x, g) for x in range(n) for g in range(G.order) if g != e]
+    return out + [_swap(G, n, x, x + 1) for x in range(n - 1)]
 
 
 def gset_homs(F: GSet, F2: GSet) -> list[EquivariantMap]:
@@ -462,16 +468,7 @@ def gset_homs(F: GSet, F2: GSet) -> list[EquivariantMap]:
     if fs1.n != fs2.n:
         return []
     base = fs1.frames[0]
-    phi_inv = associated_map_inverse(F, base)
-    n = fs1.n
-    out = []
-    for image in fs2.frames:
-        value = [0] * F.size
-        for f in range(F.size):
-            g, x = semitorsor_coords(phi_inv.value[f], n)
-            value[f] = F2.act[g][image[x]]
-        out.append(EquivariantMap(F, F2, identity_hom(F.group), tuple(value)))
-    return out
+    return [frame_map(F, base, F2, t) for t in fs2.frames]
 
 
 def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:

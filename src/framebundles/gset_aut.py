@@ -27,16 +27,14 @@ from .errors import NotFree
 from .frames import (
     Frame,
     WreathElement,
-    associated_map,
-    associated_map_inverse,
     enumerate_frames,
+    frame_map,
     is_basis,
 )
 from .groups import (
     FiniteGroup,
     Permutation,
     is_permutation,
-    perm_compose,
     perm_inverse,
     permutation_group,
 )
@@ -44,7 +42,6 @@ from .gsets import (
     EquivariantMap,
     GSet,
     divide,
-    identity_hom,
     is_free,
     orbits,
     standard_semitorsor,
@@ -57,7 +54,7 @@ def aut_group_of_gset(F: GSet) -> tuple[FiniteGroup, tuple[EquivariantMap, ...]]
     An automorphism of a group-set is an id-equivariant bijective self-map.
     Every automorphism carries the canonical (lexicographically smallest)
     frame to some other frame, and is determined by it, so the group is
-    enumerated by composing associated maps through the canonical frame.
+    enumerated as the frame maps from the canonical frame to each frame.
     The returned list is sorted by value table.  The canonical frame is also
     the base of the Cayley table: psi(h f_x) = h psi(f_x), and the frame
     meets every orbit.
@@ -66,16 +63,11 @@ def aut_group_of_gset(F: GSet) -> tuple[FiniteGroup, tuple[EquivariantMap, ...]]
         raise NotFree("only free group-sets have wreath-sized automorphism groups")
     fs = enumerate_frames(F)
     config.check_enumeration(len(fs.frames), "group-set automorphisms")
-    canonical_inv = associated_map_inverse(F, fs.frames[0])
-    auts = []
-    for t in fs.frames:
-        phi_t = associated_map(F, t)
-        value = perm_compose(phi_t.value, canonical_inv.value)
-        auts.append(EquivariantMap(F, F, identity_hom(F.group), value))
-    auts.sort(key=lambda a: a.value)
+    base = fs.frames[0]
+    auts = sorted((frame_map(F, base, F, t) for t in fs.frames), key=lambda a: a.value)
     config.check_table_order(len(auts), what="group-set automorphism group")
     table = permutation_group(
-        [a.value for a in auts], fs.frames[0], f"Aut({F.group.label}-set)"
+        [a.value for a in auts], base, f"Aut({F.group.label}-set)"
     )
     return table, tuple(auts)
 
@@ -100,12 +92,7 @@ def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> EquivariantMap:
     n = len(f)
     if not is_permutation(sigma, n):
         raise ValueError("sigma is not a permutation of the slots")
-    value = [0] * F.size
-    for h in range(F.group.order):
-        row = F.act[h]
-        for x in range(n):
-            value[row[f[x]]] = row[f[sigma[x]]]
-    return EquivariantMap(F, F, identity_hom(F.group), tuple(value))
+    return frame_map(F, f, F, tuple(f[s] for s in sigma))
 
 
 def autq_component(psi: EquivariantMap, f: Frame) -> tuple[int, ...]:
@@ -123,15 +110,10 @@ def autq_component(psi: EquivariantMap, f: Frame) -> tuple[int, ...]:
 
 
 def autq_reconstruct(F: GSet, f: Frame, component: tuple[int, ...]) -> EquivariantMap:
-    """Inverse of :func:`autq_component` for a fixed frame."""
-    n = len(f)
+    """Inverse of :func:`autq_component` for a fixed frame: f[x] -> c[x]^-1 . f[x]."""
     inv = F.group.inv
-    value = [0] * F.size
-    for h in range(F.group.order):
-        row = F.act[h]
-        for x in range(n):
-            value[row[f[x]]] = F.act[F.group.mul[h][inv[component[x]]]][f[x]]
-    return EquivariantMap(F, F, identity_hom(F.group), tuple(value))
+    t = tuple(F.act[inv[component[x]]][f[x]] for x in range(len(f)))
+    return frame_map(F, f, F, t)
 
 
 def wreath_to_aut(
@@ -154,13 +136,9 @@ def wreath_to_aut(
         F = standard_semitorsor(G, n)
     elif F.group != G or F.size != G.order * n:
         raise ValueError("carrier is not the semi-torsor G x I_n")
-    mul, inv = G.mul, G.inv
-    value = [0] * F.size
-    for h in range(G.order):
-        for x in range(n):
-            sx = w.sigma[x]
-            value[h * n + x] = mul[h][inv[w.g_tuple[sx]]] * n + sx
-    return EquivariantMap(F, F, identity_hom(G), tuple(value))
+    e, inv = G.identity, G.inv
+    image = tuple(inv[w.g_tuple[s]] * n + s for s in w.sigma)
+    return frame_map(F, tuple(e * n + x for x in range(n)), F, image)
 
 
 def aut_to_wreath(psi: EquivariantMap) -> WreathElement:
@@ -241,8 +219,8 @@ def ses_report(F: GSet, aut=None) -> SesReport:
     ) and autq_order == F.group.order**n
     cq_surjective = set(cq_values) == perms
 
-    fs = enumerate_frames(F)
-    section_frame = fs.frames[0]
+    # the smallest frame: orbit indices follow the orbits' smallest points
+    section_frame = q.representatives
     section_splits = all(
         cq(section_from_frame(F, section_frame, sigma)) == sigma
         for sigma in itertools.permutations(range(n))

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import config
 from .errors import NoQuotient, NotFree
 from .groups import FiniteGroup, GroupHom, compose_hom, identity_hom, make_cyclic
 
@@ -66,6 +67,11 @@ class GSet:
             len({row[f] for row in self.act}) == len(self.act) for f in range(self.size)
         )
 
+    @cached_property
+    def division(self) -> dict[tuple[int, int], int]:
+        """The table ``(g . f, f) -> g``, computed once; valid when :func:`is_free`."""
+        return {(p, f): g for g, row in enumerate(self.act) for f, p in enumerate(row)}
+
     def __repr__(self) -> str:
         return f"GSet({self.group.label} on {self.size} points)"
 
@@ -119,6 +125,7 @@ def standard_semitorsor(G: FiniteGroup, n: int) -> GSet:
     """
     if n < 1:
         raise ValueError("need at least one orbit")
+    config.check_enumeration(G.order * n, "group-set points")
     act = tuple(
         tuple(G.mul[g][h] * n + x for h in range(G.order) for x in range(n))
         for g in range(G.order)
@@ -140,23 +147,17 @@ def divide(F: GSet, f_prime: int, f: int) -> int:
     Defined only for free actions; points in different orbits raise
     :class:`NoQuotient`.
     """
-    if not is_free(F):
-        raise NotFree("division requires a free action")
-    for g in range(F.group.order):
-        if F.act[g][f] == f_prime:
-            return g
-    raise NoQuotient(f"points {f_prime} and {f} lie in different orbits")
+    try:
+        return division_table(F)[(f_prime, f)]
+    except KeyError:
+        raise NoQuotient(f"points {f_prime} and {f} lie in different orbits") from None
 
 
 def division_table(F: GSet) -> dict[tuple[int, int], int]:
     """Lookup (f_prime, f) -> g for all same-orbit pairs of a free group-set."""
     if not is_free(F):
         raise NotFree("division requires a free action")
-    out: dict[tuple[int, int], int] = {}
-    for f in range(F.size):
-        for g in range(F.group.order):
-            out[(F.act[g][f], f)] = g
-    return out
+    return F.division
 
 
 @dataclass(frozen=True)

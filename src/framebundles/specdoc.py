@@ -310,10 +310,12 @@ def load_document(arg: str) -> Any:
     elif arg == "-":
         text = sys.stdin.read()
     else:
-        path = Path(arg)
-        if not path.exists():
-            raise SchemaError(f"document not found: {arg}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = Path(arg).read_text(encoding="utf-8")
+        except (FileNotFoundError, NotADirectoryError):
+            raise SchemaError(f"document not found: {arg}") from None
+        except OSError as exc:
+            raise SchemaError(f"cannot read document {arg}: {exc.strerror}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -74,6 +74,8 @@ class SuiteReport:
         self.counters[key] = self.counters.get(key, 0) + amount
 
 
+PAIR_BOUND = 50  # functor-laws checks all pairs only up to this many morphisms
+
 _NAMED_GROUPS = {
     "trivial": lambda: make_cyclic(1),
     "z1": lambda: make_cyclic(1),
@@ -166,7 +168,7 @@ def suite_torsor(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
     return rep
 
 
-def suite_functor_laws(groups, max_orbits: int, orbit_counts=None, pair_bound: int = 50) -> SuiteReport:
+def suite_functor_laws(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
     """Identity and composition laws of the frame lift, over all morphism pairs."""
     rep = SuiteReport("functor-laws")
     for G, n, name in _fixtures(groups, max_orbits, orbit_counts):
@@ -176,8 +178,8 @@ def suite_functor_laws(groups, max_orbits: int, orbit_counts=None, pair_bound: i
         rep.add(name, "identity lifts to identity",
                 all(ident(t) == t for t in fs.frames))
         homs = gset_homs(F, F)
-        if len(homs) > pair_bound:
-            rep.add(name, f"composition law (skipped, {len(homs)} > {pair_bound} morphisms)", True)
+        if len(homs) > PAIR_BOUND:
+            rep.add(name, f"composition law (skipped, {len(homs)} > {PAIR_BOUND} morphisms)", True)
             continue
         ok = True
         for a in homs:
@@ -264,8 +266,7 @@ def suite_division_rules(groups, max_orbits: int, orbit_counts=None) -> SuiteRep
                             lhs = divide(F, F.act[g2][f2], F.act[g1][f1])
                             if lhs != mul[mul[g2][d21]][inv[g1]]:
                                 scaling_ok = False
-        _, auts = aut_group_of_gset(F)
-        for psi in auts:
+        for psi in gset_homs(F, F):
             for orbit in by_orbit:
                 for f1 in orbit:
                     for f2 in orbit:

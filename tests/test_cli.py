@@ -286,6 +286,32 @@ def test_out_of_range_document_is_usage_error(capsys, bundle, message):
 
 
 @pytest.mark.parametrize(
+    "bundle",
+    [
+        {"kind": "winding", "group": {"kind": "cyclic", "n": 2}, "k": 2**63},
+        {"kind": "flat", "mode": "gspace", "loops": 0, "clutching": [],
+         "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 2}, "n": 2**63}},
+    ],
+    ids=["winding-k", "semitorsor-n"],
+)
+def test_huge_semitorsor_is_refused_before_it_is_built(capsys, bundle):
+    code, out, err = run(capsys, "components", json.dumps(bundle))
+    message = f"enumerating {2**64} group-set points exceeds the bound 20000"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unreadable_document_path_is_usage_error(capsys, tmp_path):
+    long_name = "a" * 300
+    code, out, err = run(capsys, "components", long_name)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read document {long_name}: File name too long\n"
+    code, out, err = run(capsys, "components", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: cannot read document {tmp_path}: Is a directory\n")
+    code, out, err = run(capsys, "components", str(tmp_path / "missing.json"))
+    assert (code, out, err) == (2, "", f"error: document not found: {tmp_path / 'missing.json'}\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["classify-circle", "--group", '{"kind": "table", "mul": [[0, 1], [1]]}'],

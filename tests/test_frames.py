@@ -33,9 +33,16 @@ from framebundles import (
     wreath_mul,
 )
 import framebundles.frames as frames_module
-from framebundles.frames import WreathElement, frames_as_torsor, gset_homs, perm_inverse
+from framebundles.frames import (
+    WreathElement,
+    frame_map,
+    frames_as_torsor,
+    gset_homs,
+    perm_inverse,
+)
 from framebundles.groups import make_symmetric
-from framebundles.gsets import semitorsor_point
+from framebundles.gsets import check_equivariant, semitorsor_point
+from framebundles.suites import fixture_groups
 from table_oracles import cayley_group
 
 
@@ -561,3 +568,32 @@ def test_equivalence_rejects_different_groups():
         check_equivalence(
             standard_semitorsor(Z2, 2), standard_semitorsor(Z3, 2)
         )
+
+
+# ---------------------------------------------------------------- frame_map kernel
+
+
+def _kernel_fixtures():
+    sets = [standard_semitorsor(G, n) for G in fixture_groups(6) for n in (1, 2)]
+    # a non-standard free Z2-set: orbits {0, 3}, {1, 5}, {2, 4}
+    sets.append(make_gset(Z2, [[0, 1, 2, 3, 4, 5], [3, 5, 4, 0, 2, 1]]))
+    sets.append(trivial_gset(3))
+    return sets
+
+
+@pytest.mark.parametrize("F", _kernel_fixtures(), ids=repr)
+def test_frame_map_sends_the_frame_to_its_image(F):
+    fs = enumerate_frames(F)
+    model = standard_semitorsor(F.group, fs.n)
+    for F2 in [F] if F == model else [F, model]:
+        for f in (fs.frames[0], fs.frames[-1]):
+            for t in itertools.product(range(F2.size), repeat=fs.n):
+                a = frame_map(F, f, F2, t)
+                assert tuple(a.value[p] for p in f) == t
+                assert check_equivariant(a)
+                assert a.is_bijective() == is_basis(F2, t)
+
+
+@pytest.mark.parametrize("F", _kernel_fixtures(), ids=repr)
+def test_smallest_frame_is_the_orbit_representatives(F):
+    assert enumerate_frames(F).frames[0] == orbits(F).representatives
