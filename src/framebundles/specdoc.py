@@ -221,12 +221,23 @@ def parse_bundle(obj: Any, where: str = "bundle") -> FlatBundle:
     raise SchemaError(f"{where}.mode: unknown mode {mode!r}")
 
 
+def _no_exponent(text: str) -> str:
+    """The rational string itself, refused when it has an exponent such as ``1e-9``.
+
+    ``Fraction`` would expand the power of ten in full before any check, so a
+    ten-character string could cost minutes.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent in {text!r}")
+    return text
+
+
 def parse_angle(obj: Any, where: str) -> Angle:
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Angle(obj)
     if isinstance(obj, str):
         try:
-            return Angle.parse(obj)
+            return Angle.parse(_no_exponent(obj))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: bad rational {obj!r}") from exc
     raise SchemaError(f"{where}: expected an integer or a 'p/q' string")
@@ -272,7 +283,7 @@ def parse_path(obj: Any, k: int, where: str = "path") -> tuple[list[FiberPoint],
     spec = _require_keys(obj, where, {"step", "points"})
     if isinstance(spec["step"], str):
         try:
-            step = Fraction(spec["step"])
+            step = Fraction(_no_exponent(spec["step"]))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}.step: bad rational") from exc
     elif isinstance(spec["step"], int) and not isinstance(spec["step"], bool):

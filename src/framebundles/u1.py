@@ -10,11 +10,18 @@ fiber point is an angle on a sheet, and the wreath product acts by
 A flat bundle is its holonomy data: one wreath element per loop of the wedge.
 Transport around a word applies the first letter first, which makes the
 word's holonomy the product of the letters' elements right-to-left.
+
+A word moves one point at a time with integer arithmetic: each letter is a
+sheet lookup and an addition of the angle's numerator to a running sum per
+denominator, and the sums are put over their common denominator L, the lcm
+of the denominators the point met, once at the end.  Exact ``Angle`` values
+are built only for the result.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -31,9 +38,13 @@ class Angle:
     denominator: int = 1
 
     def __post_init__(self):
-        f = Fraction(self.numerator, self.denominator) % 1
-        object.__setattr__(self, "numerator", f.numerator)
-        object.__setattr__(self, "denominator", f.denominator)
+        n, d = self.numerator, self.denominator
+        if d < 0:
+            n, d = -n, -d
+        n %= d
+        g = math.gcd(n, d)
+        object.__setattr__(self, "numerator", n // g)
+        object.__setattr__(self, "denominator", d // g)
 
     @classmethod
     def parse(cls, text: str) -> "Angle":
@@ -45,16 +56,14 @@ class Angle:
         return Fraction(self.numerator, self.denominator)
 
     def __add__(self, other: "Angle") -> "Angle":
-        f = self.frac + other.frac
-        return Angle(f.numerator, f.denominator)
+        d1, d2 = self.denominator, other.denominator
+        return Angle(self.numerator * d2 + other.numerator * d1, d1 * d2)
 
     def __neg__(self) -> "Angle":
-        f = -self.frac
-        return Angle(f.numerator, f.denominator)
+        return Angle(-self.numerator, self.denominator)
 
     def times(self, q: int) -> "Angle":
-        f = self.frac * q
-        return Angle(f.numerator, f.denominator)
+        return Angle(self.numerator * q, self.denominator)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}" if self.denominator != 1 else str(self.numerator)
@@ -158,29 +167,75 @@ def u1_winding_bundle(k: int, angles: Optional[Sequence[Angle]] = None) -> U1Fla
     return U1FlatBundle(k, 1, (U1Wreath(tup, cycle),))
 
 
+_Letters = dict[int, tuple[Permutation, tuple[tuple[int, int], ...]]]
+
+
+def _letters(b: U1FlatBundle) -> _Letters:
+    """Each letter +-i as (sigma, angles as (numerator, denominator) pairs).
+
+    Letter -i is the inverse (x -> -angles[sigma(x)], sigma^-1), built once
+    here; its numerators are negative, which the final ``Angle`` reduces.
+    """
+    table: _Letters = {}
+    for i, w in enumerate(b.holonomy_gen, 1):
+        pairs = [(a.numerator, a.denominator) for a in w.angles]
+        table[i] = (w.sigma, tuple(pairs))
+        table[-i] = (perm_inverse(w.sigma), tuple((-pairs[y][0], pairs[y][1]) for y in w.sigma))
+    return table
+
+
+def _move(letters: _Letters, word: tuple[int, ...], start: FiberPoint) -> FiberPoint:
+    """Move one point along the word, the first letter first.
+
+    A letter costs one sheet lookup and one small-integer addition: the
+    numerators of the angles the point reads are summed per denominator, and
+    the sums are put over their lcm L, together with the start angle, once at
+    the end.  So L is the lcm of the denominators this point actually meets,
+    not of every generator angle: with many sheets of coprime denominators, a
+    denominator over all of them would grow with the bundle, and every
+    integer with it.
+    """
+    x = start.sheet
+    sums: dict[int, int] = {}
+    for letter in word:
+        sigma, angles = letters[letter]
+        x = sigma[x]
+        n, d = angles[x]
+        sums[d] = sums.get(d, 0) + n
+    a = start.angle
+    den = math.lcm(a.denominator, *sums)
+    t = a.numerator * (den // a.denominator) + sum(n * (den // d) for d, n in sums.items())
+    return FiberPoint(Angle(t, den), x)
+
+
 def holonomy_u1(b: U1FlatBundle, word) -> U1Wreath:
     """Holonomy of a loop word; the first traversed letter acts first.
 
-    The product is assembled right-to-left so that acting with the result on
-    a point applies the letters in traversal order.
+    It is the element (angles, sigma) that moves (0, x) to where the word
+    moves it, (angles[sigma(x)], sigma(x)), for every sheet x; so it equals
+    the letters' elements multiplied right-to-left.
     """
     w = validate_word(b.loops, word)
-    out = u1_identity(b.k)
-    for letter in w:
-        gen = b.holonomy_gen[abs(letter) - 1]
-        if letter < 0:
-            gen = u1wreath_inv(gen)
-        out = u1wreath_mul(gen, out)
-    return out
+    letters = _letters(b)
+    angles = [ZERO] * b.k
+    sigma = [0] * b.k
+    for x in range(b.k):
+        p = _move(letters, w, FiberPoint(ZERO, x))
+        sigma[x] = p.sheet
+        angles[p.sheet] = p.angle
+    return U1Wreath(tuple(angles), tuple(sigma))
 
 
 def transport(b: U1FlatBundle, word, start: FiberPoint) -> FiberPoint:
-    """Parallel transport of a fiber point around a loop word.
+    """Parallel transport of a fiber point around a loop word, one letter at a time.
 
     Equivariant under pure angle shifts: transporting (theta + d, x) lands at
     the transport of (theta, x) shifted by d on the same landing sheet.
     """
-    return act_point(holonomy_u1(b, word), start)
+    w = validate_word(b.loops, word)
+    if not (0 <= start.sheet < b.k):
+        raise ValueError("point sheet out of range for this wreath element")
+    return _move(_letters(b), w, start)
 
 
 def frame_holonomy(b: U1FlatBundle, word) -> U1Wreath:
@@ -251,7 +306,9 @@ def division_form_check(path: Iterable[FiberPoint], step: Fraction) -> DivisionF
     is the angle difference taken with representative in [0, 1)) and the
     forward difference quotient with the sampling step is reported.  A path
     with angle(t) = c t reproduces the rate c exactly whenever |c| step < 1;
-    samples on mixed sheets have no quotient and are rejected.
+    samples on mixed sheets have no quotient and are rejected.  Each pair of
+    samples is put over the lcm L of its two denominators, so the rate is
+    ((n1 - n0) mod L) / (L step) with n0, n1 the numerators over L.
     """
     points = list(path)
     if len(points) < 2:
@@ -262,10 +319,12 @@ def division_form_check(path: Iterable[FiberPoint], step: Fraction) -> DivisionF
     sheet = points[0].sheet
     if any(p.sheet != sheet for p in points):
         raise NoQuotient("samples cross sheets; division is undefined")
+    angles = [p.angle for p in points]
     rates = []
-    for p0, p1 in zip(points, points[1:]):
-        diff = (p1.angle.frac - p0.angle.frac) % 1
-        rates.append(diff / step)
+    for a0, a1 in zip(angles, angles[1:]):
+        den = math.lcm(a0.denominator, a1.denominator)
+        diff = a1.numerator * (den // a1.denominator) - a0.numerator * (den // a0.denominator)
+        rates.append(Fraction(diff % den * step.denominator, den * step.numerator))
     constant = rates[0] if all(r == rates[0] for r in rates) else None
     return DivisionFormReport(sheet=sheet, rates=tuple(rates), constant_rate=constant)
 

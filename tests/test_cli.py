@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+import framebundles.suites as suites
 from framebundles.cli import main
 from table_oracles import LOOP_5
 
@@ -339,3 +341,38 @@ def test_non_associative_latin_square_names_a_failing_triple(capsys):
     x, a, y = (int(v) for v in err.split("(")[1].split(")")[0].split(","))
     mul = LOOP_5
     assert mul[mul[x][a]][y] != mul[x][mul[a][y]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["u1-transport", U1_WINDING_K2, "--word", "1",
+          "--start", '{"angle": "1e-1000000", "sheet": 0}'],
+         "point.angle: bad rational '1e-1000000'"),
+        (["division-check", U1_WINDING_K2, "--path", json.dumps(
+            {"step": "1E-1000000", "points": [{"angle": "0", "sheet": 0}] * 2})],
+         "path.step: bad rational"),
+    ],
+    ids=["start-angle", "step"],
+)
+def test_exponent_rational_is_refused_before_it_is_expanded(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_division_rules_checks_every_automorphism(capsys, monkeypatch):
+    true_homs = suites.gset_homs
+
+    def true_homs_then_a_swap(F, F2):
+        # last, a value table that swaps two points of the orbit of point 0
+        homs = true_homs(F, F2)
+        a, b = sorted({F.act[g][0] for g in range(F.group.order)})[:2]
+        value = list(homs[0].value)
+        value[a], value[b] = value[b], value[a]
+        return homs + [replace(homs[0], value=tuple(value))]
+
+    monkeypatch.setattr(suites, "gset_homs", true_homs_then_a_swap)
+    code, out, _ = run(capsys, "verify", "division-rules", "--group", "z3", "--orbits", "1")
+    assert "PASS [Z3 n=1] scaling rule" in out
+    assert "FAIL [Z3 n=1] automorphism invariance" in out
+    assert code == 1

@@ -2,7 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import u1_oracles as oracle
 
 from framebundles import (
     Angle,
@@ -385,3 +387,60 @@ def test_division_form_needs_positive_step():
     pts = [FiberPoint(A(0), 0), FiberPoint(A(1, 8), 0)]
     with pytest.raises(ValueError):
         division_form_check(pts, Fraction(0))
+
+
+# ---------------------------------------------------------------- Fraction oracle
+
+
+def draw_angle(data) -> Angle:
+    """An angle over a denominator up to 10^6, its numerator not yet reduced mod 1."""
+    den = data.draw(st.integers(min_value=1, max_value=10**6))
+    return A(data.draw(st.integers(min_value=-den, max_value=2 * den)), den)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_integer_core_matches_fraction_oracle(data):
+    # k <= 8 sheets, <= 4 loops, a word of up to 200 letters with inverses
+    k = data.draw(st.integers(min_value=1, max_value=8))
+    loops = data.draw(st.integers(min_value=1, max_value=4))
+
+    def perm():
+        return tuple(data.draw(st.permutations(list(range(k)))))
+
+    b = U1FlatBundle(
+        k, loops,
+        tuple(U1Wreath(tuple(draw_angle(data) for _ in range(k)), perm()) for _ in range(loops)),
+    )
+    letter = st.integers(min_value=-loops, max_value=loops).filter(bool)
+    word = tuple(data.draw(st.lists(letter, max_size=200)))
+    start = FiberPoint(draw_angle(data), data.draw(st.integers(min_value=0, max_value=k - 1)))
+
+    gens = [oracle.of(w) for w in b.holonomy_gen]
+    want = oracle.holonomy(gens, word, k)
+    h = holonomy_u1(b, word)
+    assert oracle.of(h) == want
+
+    end = transport(b, word, start)
+    assert end == act_point(h, start)
+    assert (end.angle.frac, end.sheet) == oracle.act(want, start.angle.frac, start.sheet)
+
+    frame = tuple(FiberPoint(draw_angle(data), x) for x in perm())
+    assert tuple((p.angle.frac, p.sheet) for p in frame_transport(h, frame)) == (
+        oracle.frame_transport(want, [(p.angle.frac, p.sheet) for p in frame])
+    )
+
+    q = data.draw(st.integers(min_value=-3, max_value=5))
+    pushed = pushforward(b, q)
+    assert [oracle.of(w) for w in pushed.holonomy_gen] == [oracle.scale(g, q) for g in gens]
+    assert oracle.of(holonomy_u1(pushed, word)) == oracle.scale(want, q)
+
+    x, y = start.angle, draw_angle(data)
+    assert (x + y).frac == (x.frac + y.frac) % 1
+    assert (-x).frac == -x.frac % 1
+    assert x.times(q).frac == x.frac * q % 1
+
+    samples = [draw_angle(data) for _ in range(data.draw(st.integers(min_value=2, max_value=6)))]
+    step = data.draw(st.fractions(min_value=Fraction(1, 10**6), max_value=3, max_denominator=10**6))
+    report = division_form_check([FiberPoint(a, start.sheet) for a in samples], step)
+    assert report.rates == oracle.rates([a.frac for a in samples], step)
