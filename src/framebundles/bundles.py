@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import config
@@ -55,20 +54,24 @@ from .gsets import (
     standard_semitorsor,
     trivial_gset,
 )
+from .records import Frozen
 
 MODE_GROUP = "group"
 MODE_GSPACE = "gspace"
 
 
-@dataclass(frozen=True)
-class FlatBundle:
+class FlatBundle(Frozen):
     """Monodromy data of a flat bundle over a wedge of ``loops`` circles."""
 
-    fiber: GSet
-    loops: int
-    clutching: tuple[EquivariantMap, ...]
-    mode: str
-    fiber_group: Optional[FiniteGroup] = None
+    __slots__ = _fields = ("fiber", "loops", "clutching", "mode", "fiber_group")
+
+    def __init__(self, fiber: GSet, loops: int, clutching: tuple[EquivariantMap, ...], mode: str,
+                 fiber_group: Optional[FiniteGroup] = None):
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "clutching", clutching)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "fiber_group", fiber_group)
 
     def __repr__(self) -> str:
         return f"FlatBundle(mode={self.mode}, loops={self.loops}, fiber={self.fiber!r})"
@@ -359,15 +362,20 @@ def sn_labelling(n: int, action: Mapping[Permutation, tuple]) -> tuple[int, ...]
     return tuple(labelling)
 
 
-@dataclass
 class SnActionReport:
     """Either a coherent global symmetric action or the named obstruction."""
 
-    ok: bool
-    n: int
-    action: Optional[dict[Permutation, tuple[int, ...]]] = None
-    obstruction_generator: Optional[int] = None
-    obstruction_permutation: Optional[tuple[int, ...]] = None
+    __slots__ = ("ok", "n", "action", "obstruction_generator", "obstruction_permutation")
+
+    def __init__(self, ok: bool, n: int,
+                 action: Optional[dict[Permutation, tuple[int, ...]]] = None,
+                 obstruction_generator: Optional[int] = None,
+                 obstruction_permutation: Optional[tuple[int, ...]] = None):
+        self.ok = ok
+        self.n = n
+        self.action = action
+        self.obstruction_generator = obstruction_generator
+        self.obstruction_permutation = obstruction_permutation
 
 
 def sn_action_on_bundle(b: FlatBundle) -> SnActionReport:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -57,21 +56,24 @@ from .gsets import (
     orbits,
     standard_semitorsor,
 )
+from .records import Frozen
 
 Frame = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(Frozen):
     """An element (g_tuple, sigma) of G wr I_n.
 
     ``sigma`` is a forward image table; ``g_tuple`` holds element indices of
     the base group, which is carried along so products can be validated.
     """
 
-    group: FiniteGroup
-    g_tuple: tuple[int, ...]
-    sigma: Permutation
+    _fields = ("group", "g_tuple", "sigma")
+
+    def __init__(self, group: FiniteGroup, g_tuple: tuple[int, ...], sigma: Permutation):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "g_tuple", g_tuple)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def n(self) -> int:
@@ -177,7 +179,6 @@ def associated_map_inverse(F: GSet, t: Frame) -> EquivariantMap:
     return frame_map(F, t, model, m)
 
 
-@dataclass
 class FrameSpace:
     """All frames of a free group-set, eagerly enumerated and lexicographically sorted.
 
@@ -185,13 +186,14 @@ class FrameSpace:
     on it, so the space is a ``G wr I_n`` torsor of size ``|G|^n n!``.
     """
 
-    base_gset: GSet
-    n: int
-    frames: tuple[Frame, ...]
-    index: dict[Frame, int]
+    __slots__ = ("base_gset", "n", "frames", "index")
 
-    def __len__(self) -> int:
-        return len(self.frames)
+    def __init__(self, base_gset: GSet, n: int, frames: tuple[Frame, ...],
+                 index: dict[Frame, int]):
+        self.base_gset = base_gset
+        self.n = n
+        self.frames = frames
+        self.index = index
 
 
 def enumerate_frames(F: GSet) -> FrameSpace:
@@ -278,15 +280,18 @@ def frame_functor_map(a: EquivariantMap, verify: bool = False) -> Callable[[Fram
     return lift
 
 
-@dataclass
 class WreathGroup:
     """G wr I_n materialized as a Cayley-table group with indexed elements."""
 
-    group: FiniteGroup
-    base: FiniteGroup
-    n: int
-    elements: tuple[WreathElement, ...]
-    index: dict[WreathElement, int]
+    __slots__ = ("group", "base", "n", "elements", "index")
+
+    def __init__(self, group: FiniteGroup, base: FiniteGroup, n: int,
+                 elements: tuple[WreathElement, ...], index: dict[WreathElement, int]):
+        self.group = group
+        self.base = base
+        self.n = n
+        self.elements = elements
+        self.index = index
 
 
 def wreath_group(G: FiniteGroup, n: int) -> WreathGroup:
@@ -341,7 +346,6 @@ def frames_as_torsor(fs: FrameSpace, wg: WreathGroup) -> GSet:
     return GSet(wg.group, len(fs.frames), act)
 
 
-@dataclass
 class Reconstruction:
     """Result of collapsing a frame space back to a group-set.
 
@@ -350,9 +354,12 @@ class Reconstruction:
     ``to_standard`` an isomorphism witness onto the standard semi-torsor.
     """
 
-    gset: GSet
-    class_of_frame: tuple[int, ...]
-    to_standard: EquivariantMap
+    __slots__ = ("gset", "class_of_frame", "to_standard")
+
+    def __init__(self, gset: GSet, class_of_frame: tuple[int, ...], to_standard: EquivariantMap):
+        self.gset = gset
+        self.class_of_frame = class_of_frame
+        self.to_standard = to_standard
 
 
 def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
@@ -416,14 +423,17 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
     return Reconstruction(quotient, tuple(class_of), witness)
 
 
-@dataclass
 class EquivalenceReport:
     """Outcome of comparing group-set morphisms with frame-torsor morphisms."""
 
-    gset_hom_count: int
-    torsor_hom_count: int
-    functor_injective: bool
-    functor_surjective: bool
+    __slots__ = ("gset_hom_count", "torsor_hom_count", "functor_injective", "functor_surjective")
+
+    def __init__(self, gset_hom_count: int, torsor_hom_count: int,
+                 functor_injective: bool, functor_surjective: bool):
+        self.gset_hom_count = gset_hom_count
+        self.torsor_hom_count = torsor_hom_count
+        self.functor_injective = functor_injective
+        self.functor_surjective = functor_surjective
 
     @property
     def bijective(self) -> bool:

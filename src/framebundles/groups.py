@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import config
 from .errors import BoundExceeded
+from .records import Frozen
 
 # A permutation of 0 .. n-1 as its forward image table.
 Permutation = tuple[int, ...]
@@ -52,8 +52,7 @@ def validate_word(loops: int, word) -> tuple[int, ...]:
     return w
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """A finite group presented by its multiplication table.
 
     ``mul[a][b]`` is the product of elements ``a`` and ``b``, ``identity`` is
@@ -61,11 +60,15 @@ class FiniteGroup:
     immutable and safe to share; all operations on them are pure.
     """
 
-    order: int
-    mul: tuple[tuple[int, ...], ...]
-    identity: int
-    inv: tuple[int, ...]
-    label: str = "G"
+    __slots__ = _fields = ("order", "mul", "identity", "inv", "label")
+
+    def __init__(self, order: int, mul: tuple[tuple[int, ...], ...], identity: int,
+                 inv: tuple[int, ...], label: str = "G"):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "label", label)
 
     def elements(self) -> range:
         return range(self.order)
@@ -125,13 +128,15 @@ class FiniteGroup:
         return f"FiniteGroup({self.label}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Frozen):
     """A homomorphism given by its full image table ``image[a]``."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    image: tuple[int, ...]
+    __slots__ = _fields = ("source", "target", "image")
+
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, image: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "image", image)
 
     def __call__(self, a: int) -> int:
         return self.image[a]

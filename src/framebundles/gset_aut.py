@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import config
 from .errors import NotFree
@@ -168,20 +167,26 @@ def aut_to_wreath(psi: EquivariantMap) -> WreathElement:
     return WreathElement(G, tuple(g), sigma)
 
 
-@dataclass
 class SesReport:
     """Verified sizes and splitting data of the automorphism sequence."""
 
-    group_label: str
-    orbit_count: int
-    aut_order: int
-    autq_order: int
-    sym_order: int
-    product_matches: bool
-    kernel_is_autq: bool
-    cq_surjective: bool
-    section_splits: bool
-    section_frame: Frame
+    __slots__ = ("group_label", "orbit_count", "aut_order", "autq_order", "sym_order",
+                 "product_matches", "kernel_is_autq", "cq_surjective", "section_splits",
+                 "section_frame")
+
+    def __init__(self, group_label: str, orbit_count: int, aut_order: int, autq_order: int,
+                 sym_order: int, product_matches: bool, kernel_is_autq: bool,
+                 cq_surjective: bool, section_splits: bool, section_frame: Frame):
+        self.group_label = group_label
+        self.orbit_count = orbit_count
+        self.aut_order = aut_order
+        self.autq_order = autq_order
+        self.sym_order = sym_order
+        self.product_matches = product_matches
+        self.kernel_is_autq = kernel_is_autq
+        self.cq_surjective = cq_surjective
+        self.section_splits = section_splits
+        self.section_frame = section_frame
 
     @property
     def ok(self) -> bool:

@@ -7,21 +7,23 @@ smallest carrier representative, so quotient data is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import config
 from .errors import NoQuotient, NotFree
 from .groups import FiniteGroup, GroupHom, compose_hom, identity_hom, make_cyclic
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class GSet:
+class GSet(Frozen):
     """A finite set with a left action of a finite group."""
 
-    group: FiniteGroup
-    size: int
-    act: tuple[tuple[int, ...], ...]
+    _fields = ("group", "size", "act")
+
+    def __init__(self, group: FiniteGroup, size: int, act: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "act", act)
 
     def validate(self) -> None:
         G = self.group
@@ -76,17 +78,20 @@ class GSet:
         return f"GSet({self.group.label} on {self.size} points)"
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(Frozen):
     """Canonical orbit decomposition of a group-set.
 
     ``orbit_of[f]`` is the orbit index of carrier point ``f`` and
     ``representatives[k]`` the smallest point of orbit ``k``.
     """
 
-    orbit_of: tuple[int, ...]
-    orbit_count: int
-    representatives: tuple[int, ...]
+    __slots__ = _fields = ("orbit_of", "orbit_count", "representatives")
+
+    def __init__(self, orbit_of: tuple[int, ...], orbit_count: int,
+                 representatives: tuple[int, ...]):
+        object.__setattr__(self, "orbit_of", orbit_of)
+        object.__setattr__(self, "orbit_count", orbit_count)
+        object.__setattr__(self, "representatives", representatives)
 
 
 def make_gset(group: FiniteGroup, act) -> GSet:
@@ -160,18 +165,20 @@ def division_table(F: GSet) -> dict[tuple[int, int], int]:
     return F.division
 
 
-@dataclass(frozen=True)
-class EquivariantMap:
+class EquivariantMap(Frozen):
     """A map of group-sets, equivariant over a homomorphism of their groups.
 
     ``value[f]`` is the image of carrier point ``f`` and the defining law is
     ``value[g . f] = xi(g) . value[f]``.
     """
 
-    source: GSet
-    target: GSet
-    xi: GroupHom
-    value: tuple[int, ...]
+    __slots__ = _fields = ("source", "target", "xi", "value")
+
+    def __init__(self, source: GSet, target: GSet, xi: GroupHom, value: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "value", value)
 
     def __call__(self, f: int) -> int:
         return self.value[f]

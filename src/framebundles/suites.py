@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import BoundExceeded
 from .frames import (
@@ -49,19 +48,23 @@ from .bundles import (
 )
 
 
-@dataclass
 class CheckResult:
-    fixture: str
-    check: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("fixture", "check", "ok", "detail")
+
+    def __init__(self, fixture: str, check: str, ok: bool, detail: str = ""):
+        self.fixture = fixture
+        self.check = check
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("suite", "checks", "counters")
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks: list[CheckResult] = []
+        self.counters: dict[str, int] = {}
 
     @property
     def ok(self) -> bool:

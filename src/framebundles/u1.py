@@ -22,23 +22,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import NoQuotient
 from .groups import Permutation, perm_compose, perm_inverse, validate_word
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(Frozen):
     """An exact rotation number: numerator/denominator reduced, in [0, 1)."""
 
-    numerator: int
-    denominator: int = 1
+    __slots__ = _fields = ("numerator", "denominator")
 
-    def __post_init__(self):
-        n, d = self.numerator, self.denominator
+    def __init__(self, numerator: int, denominator: int = 1):
+        n, d = numerator, denominator
         if d < 0:
             n, d = -n, -d
         n %= d
@@ -72,12 +70,14 @@ class Angle:
 ZERO = Angle(0)
 
 
-@dataclass(frozen=True)
-class U1Wreath:
+class U1Wreath(Frozen):
     """An element (angles, sigma) of the circle wreath product on k sheets."""
 
-    angles: tuple[Angle, ...]
-    sigma: Permutation
+    __slots__ = _fields = ("angles", "sigma")
+
+    def __init__(self, angles: tuple[Angle, ...], sigma: Permutation):
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def k(self) -> int:
@@ -109,12 +109,14 @@ def u1wreath_inv(a: U1Wreath) -> U1Wreath:
     return U1Wreath(angles, perm_inverse(a.sigma))
 
 
-@dataclass(frozen=True)
-class FiberPoint:
+class FiberPoint(Frozen):
     """A point of the fiber: an exact angle on one of the k sheets."""
 
-    angle: Angle
-    sheet: int
+    __slots__ = _fields = ("angle", "sheet")
+
+    def __init__(self, angle: Angle, sheet: int):
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "sheet", sheet)
 
 
 def act_point(w: U1Wreath, p: FiberPoint) -> FiberPoint:
@@ -140,20 +142,20 @@ def adjoint(w: U1Wreath, v: AlgebraVector) -> AlgebraVector:
     return tuple(v[s_inv[x]] for x in range(w.k))
 
 
-@dataclass(frozen=True)
-class U1FlatBundle:
+class U1FlatBundle(Frozen):
     """Flat circle-wreath bundle over a wedge: holonomy generators per loop."""
 
-    k: int
-    loops: int
-    holonomy_gen: tuple[U1Wreath, ...]
+    __slots__ = _fields = ("k", "loops", "holonomy_gen")
 
-    def __post_init__(self):
-        if self.loops != len(self.holonomy_gen) or self.loops < 1:
+    def __init__(self, k: int, loops: int, holonomy_gen: tuple[U1Wreath, ...]):
+        if loops != len(holonomy_gen) or loops < 1:
             raise ValueError("generator count must match the loop count")
-        for w in self.holonomy_gen:
-            if w.k != self.k:
+        for w in holonomy_gen:
+            if w.k != k:
                 raise ValueError("generator arity does not match the sheet count")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "holonomy_gen", holonomy_gen)
 
 
 def u1_winding_bundle(k: int, angles: Optional[Sequence[Angle]] = None) -> U1FlatBundle:
@@ -278,11 +280,7 @@ def pushforward(b: U1FlatBundle, q: int) -> U1FlatBundle:
     unchanged, so holonomies satisfy hol_new = (q-scaling, id) . hol_old for
     every word.
     """
-    gens = tuple(
-        U1Wreath(tuple(a.times(q) for a in w.angles), w.sigma)
-        for w in b.holonomy_gen
-    )
-    return U1FlatBundle(b.k, b.loops, gens)
+    return U1FlatBundle(b.k, b.loops, tuple(scale_wreath(w, q) for w in b.holonomy_gen))
 
 
 def scale_wreath(w: U1Wreath, q: int) -> U1Wreath:
@@ -290,13 +288,15 @@ def scale_wreath(w: U1Wreath, q: int) -> U1Wreath:
     return U1Wreath(tuple(a.times(q) for a in w.angles), w.sigma)
 
 
-@dataclass(frozen=True)
-class DivisionFormReport:
+class DivisionFormReport(Frozen):
     """Forward-difference evaluation of the connection along a sampled path."""
 
-    sheet: int
-    rates: tuple[Fraction, ...]
-    constant_rate: Optional[Fraction]
+    __slots__ = _fields = ("sheet", "rates", "constant_rate")
+
+    def __init__(self, sheet: int, rates: tuple[Fraction, ...], constant_rate: Optional[Fraction]):
+        object.__setattr__(self, "sheet", sheet)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "constant_rate", constant_rate)
 
 
 def division_form_check(path: Iterable[FiberPoint], step: Fraction) -> DivisionFormReport:

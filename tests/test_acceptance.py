@@ -12,45 +12,40 @@ from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
 
-from framebundles import (
+from framebundles.bundles import (
+    canonical_frame,
+    clutching_wreath,
+    finite_winding_bundle,
+    flat_bundle,
+    frame_bundle,
+    map_fiber_count,
+    quotient_bundle,
+    quotient_map,
+    total_components,
+)
+from framebundles.cli import cmd_classify_circle
+from framebundles.frames import WreathElement, check_equivalence, enumerate_frames, wreath_identity
+from framebundles.groups import identity_hom, make_cyclic, make_direct_product, perm_inverse
+from framebundles.gset_aut import cq, wreath_to_aut
+from framebundles.gsets import EquivariantMap, standard_semitorsor
+from framebundles.suites import fixture_groups, run_suite
+from framebundles.u1 import (
     Angle,
     FiberPoint,
     U1FlatBundle,
     U1Wreath,
     act_point,
     adjoint,
-    check_equivalence,
-    clutching_wreath,
-    division_form_check,
-    enumerate_frames,
-    finite_winding_bundle,
-    flat_bundle,
-    frame_bundle,
-    frame_holonomy,
-    holonomy_u1,
-    make_cyclic,
-    make_direct_product,
-    map_fiber_count,
-    pushforward,
-    quotient_bundle,
-    quotient_map,
-    standard_semitorsor,
-    total_components,
-    u1wreath_mul,
-    wreath_identity,
-)
-from framebundles.bundles import canonical_frame
-from framebundles.cli import cmd_classify_circle
-from framebundles.frames import WreathElement, perm_inverse
-from framebundles.gset_aut import cq, wreath_to_aut
-from framebundles.gsets import EquivariantMap, identity_hom
-from framebundles.suites import fixture_groups, run_suite
-from framebundles.u1 import (
     all_words,
+    division_form_check,
+    frame_holonomy,
     frame_transport,
+    holonomy_u1,
+    pushforward,
     scale_wreath,
     u1_canonical_frame,
     u1_winding_bundle,
+    u1wreath_mul,
 )
 
 A = Angle

@@ -2,47 +2,52 @@ import itertools
 
 import pytest
 
-from framebundles import (
-    EquivariantMap,
-    ModeMismatch,
-    NotFaithful,
-    TooSmall,
-    aut_group,
+from framebundles.bundles import (
     bundle_isomorphic,
+    canonical_frame,
     clutching_wreath,
     components,
-    enumerate_frames,
-    equivariant_map,
     finite_winding_bundle,
     flat_bundle,
     frame_bundle,
-    frame_functor_map,
     group_bundle_over_circle,
-    group_hom,
     holonomy,
-    identity_hom,
     is_trivializable,
-    make_cyclic,
-    make_direct_product,
     map_fiber_count,
-    orbits,
     quotient_bundle,
     quotient_map,
     sn_action_on_bundle,
     sn_labelling,
-    standard_semitorsor,
     total_components,
-    trivial_gset,
     unit_component_is_circle,
-    wreath_identity,
-    wreath_mul,
-    wreath_inv,
 )
-from framebundles.bundles import canonical_frame
-from framebundles.frames import WreathElement, wreath_act
-from framebundles.groups import automorphisms
+from framebundles.errors import ModeMismatch, NotFaithful, TooSmall
+from framebundles.frames import (
+    WreathElement,
+    enumerate_frames,
+    frame_functor_map,
+    wreath_act,
+    wreath_identity,
+    wreath_inv,
+    wreath_mul,
+)
+from framebundles.groups import (
+    aut_group,
+    automorphisms,
+    group_hom,
+    identity_hom,
+    make_cyclic,
+    make_direct_product,
+)
 from framebundles.gset_aut import cq, wreath_to_aut
-from framebundles.gsets import semitorsor_point
+from framebundles.gsets import (
+    EquivariantMap,
+    equivariant_map,
+    orbits,
+    semitorsor_point,
+    standard_semitorsor,
+    trivial_gset,
+)
 
 Z2 = make_cyclic(2)
 Z3 = make_cyclic(3)
@@ -84,7 +89,7 @@ def test_unit_component_is_circle():
 
 def test_klein_four_classes_give_4_3_2_components():
     table, auts = aut_group(KLEIN)
-    from framebundles import conjugacy_classes
+    from framebundles.groups import conjugacy_classes
 
     counts = []
     for cls in conjugacy_classes(table):
@@ -219,7 +224,7 @@ def test_quotient_map_fiber_count_is_group_order():
 
 def test_map_fiber_count_examples():
     F = standard_semitorsor(Z2, 2)
-    from framebundles import identity_map
+    from framebundles.gsets import identity_map
 
     assert map_fiber_count(identity_map(F)) == 1
 
@@ -376,7 +381,7 @@ def test_clutching_wreath_conjugation_covariance():
     fs = enumerate_frames(b.fiber)
     base = canonical_frame(b)
     w_base = clutching_wreath(b, base)[0]
-    from framebundles import frame_divide
+    from framebundles.frames import frame_divide
 
     for ref in fs.frames:
         u = frame_divide(fs, ref, base)

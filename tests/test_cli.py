@@ -1,10 +1,16 @@
+"""The command-line front end, in-process and in fresh interpreters."""
+
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import framebundles.suites as suites
-from framebundles.cli import main
+from framebundles.cli import SUITE_NAMES, main
+from framebundles.gsets import EquivariantMap
 from table_oracles import LOOP_5
 
 Z3_SPEC = '{"kind": "cyclic", "n": 3}'
@@ -369,10 +375,70 @@ def test_division_rules_checks_every_automorphism(capsys, monkeypatch):
         a, b = sorted({F.act[g][0] for g in range(F.group.order)})[:2]
         value = list(homs[0].value)
         value[a], value[b] = value[b], value[a]
-        return homs + [replace(homs[0], value=tuple(value))]
+        return homs + [EquivariantMap(homs[0].source, homs[0].target, homs[0].xi, tuple(value))]
 
     monkeypatch.setattr(suites, "gset_homs", true_homs_then_a_swap)
     code, out, _ = run(capsys, "verify", "division-rules", "--group", "z3", "--orbits", "1")
     assert "PASS [Z3 n=1] scaling rule" in out
     assert "FAIL [Z3 n=1] automorphism invariance" in out
     assert code == 1
+
+
+# -- fresh interpreters ------------------------------------------------------
+# The in-process tests run after pytest has imported every layer, so a handler
+# that lost one of its own imports would still pass there.
+
+TESTS = Path(__file__).parent
+SRC_ENV = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+SUBPROCESS_CASES = [
+    "classify_z3_text", "components_wreath_two_loops_text", "frame_bundle_wreath_text",
+    "holonomy_word_text", "sn_action_trivial_text", "decompose_z3_text",
+    "verify_appendix_b_text", "u1_holonomy_text", "u1_transport_json", "pushforward_text",
+    "division_check_json",
+]
+# prints the loaded modules on the last line, after the report
+MODULES_PROBE = "import sys\nfrom framebundles.cli import main\nmain(sys.argv[1:])\nprint(*sorted(sys.modules))"
+
+
+def _fresh(*args):
+    return subprocess.run([sys.executable, *args], env=SRC_ENV, capture_output=True, timeout=120)
+
+
+def test_subprocess_cases_cover_every_subcommand():
+    commands = {json.loads((TESTS / "golden" / f"{c}.json").read_text())["argv"][2]
+                for c in SUBPROCESS_CASES}
+    assert len(commands) == len(SUBPROCESS_CASES) == 11
+
+
+@pytest.mark.parametrize("name", SUBPROCESS_CASES)
+def test_golden_case_in_a_fresh_interpreter(name):
+    case = json.loads((TESTS / "golden" / f"{name}.json").read_text(encoding="utf-8"))
+    proc = _fresh("-m", "framebundles.cli", *case["argv"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        case["exit"], case["stdout"].encode(), case["stderr"].encode()
+    )
+
+
+def _loaded_modules(*argv):
+    proc = _fresh("-c", MODULES_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.decode().splitlines()[-1].split())
+
+
+def test_circle_bundle_request_loads_no_finite_bundle_layer():
+    loaded = _loaded_modules("u1-holonomy", U1_WINDING_K2, "--word", "1,-1,1")
+    assert "framebundles.u1" in loaded
+    for layer in ("bundles", "frames", "gsets", "gset_aut", "suites"):
+        assert f"framebundles.{layer}" not in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_finite_bundle_request_loads_no_circle_layer():
+    loaded = _loaded_modules("classify-circle", "--group", Z3_SPEC)
+    assert "framebundles.bundles" in loaded
+    for name in ("framebundles.u1", "framebundles.suites", "fractions", "dataclasses"):
+        assert name not in loaded
+
+
+def test_verify_help_lists_every_suite():
+    assert SUITE_NAMES == tuple(sorted(suites.SUITES))

@@ -1,38 +1,48 @@
 """Cross-cutting checks: non-standard carriers, nonabelian fixtures, bounds."""
 
+import copy
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from framebundles import (
-    BoundExceeded,
-    aut_group_of_gset,
+from framebundles.bundles import (
     bundle_isomorphic,
     clutching_wreath,
-    enumerate_frames,
     finite_winding_bundle,
     flat_bundle,
     frame_bundle,
-    frame_functor_map,
-    make_cyclic,
-    make_gset,
-    make_symmetric,
-    orbits,
-    reconstruct_semitorsor,
-    ses_report,
-    standard_semitorsor,
     total_components,
-    wreath_group,
 )
-from framebundles.frames import WreathElement
-from framebundles.gset_aut import autq_component, autq_reconstruct, cq, wreath_to_aut
+from framebundles.errors import BoundExceeded
+from framebundles.frames import (
+    WreathElement,
+    enumerate_frames,
+    frame_functor_map,
+    reconstruct_semitorsor,
+    wreath_group,
+    wreath_identity,
+)
+from framebundles.groups import identity_hom, make_cyclic, make_symmetric
+from framebundles.gset_aut import (
+    aut_group_of_gset,
+    autq_component,
+    autq_reconstruct,
+    cq,
+    ses_report,
+    wreath_to_aut,
+)
 from framebundles.gsets import (
     EquivariantMap,
     compose_equivariant,
-    identity_hom,
+    identity_map,
     is_free,
+    make_gset,
+    orbits,
     semitorsor_point,
+    standard_semitorsor,
 )
+from framebundles.u1 import Angle, FiberPoint, U1Wreath, division_form_check, u1_winding_bundle
 
 Z2 = make_cyclic(2)
 Z3 = make_cyclic(3)
@@ -99,7 +109,7 @@ def test_wreath_machinery_on_nonabelian_group():
     for w in sample:
         psi = wreath_to_aut(w, 2, S3)
         assert cq(psi) == w.sigma
-        from framebundles import aut_to_wreath
+        from framebundles.gset_aut import aut_to_wreath
 
         assert aut_to_wreath(psi) == w
 
@@ -164,3 +174,45 @@ def test_fixture_groups_bound():
     with pytest.raises(BoundExceeded):
         fixture_groups(7)
     assert [G.order for G in fixture_groups(6)] == [1, 2, 3, 4, 4, 5, 6, 6]
+
+
+# Each immutable value type, built from a parameter n, and one of its fields.
+# Two builds from the same n are distinct objects with equal fields.
+RECORDS = {
+    "FiniteGroup": (make_cyclic, "order"),
+    "GroupHom": (lambda n: identity_hom(make_cyclic(n)), "image"),
+    "GSet": (lambda n: standard_semitorsor(make_cyclic(n), 2), "act"),
+    "OrbitPartition": (lambda n: orbits(standard_semitorsor(Z2, n)), "orbit_count"),
+    "EquivariantMap": (lambda n: identity_map(standard_semitorsor(make_cyclic(n), 1)), "value"),
+    "WreathElement": (lambda n: wreath_identity(make_cyclic(n), 2), "sigma"),
+    "FlatBundle": (lambda n: finite_winding_bundle(make_cyclic(n), 2), "loops"),
+    "Angle": (lambda n: Angle(2 * n, 10), "numerator"),
+    "U1Wreath": (lambda n: U1Wreath((Angle(1, n),), (0,)), "angles"),
+    "FiberPoint": (lambda n: FiberPoint(Angle(1, n), 0), "sheet"),
+    "U1FlatBundle": (u1_winding_bundle, "k"),
+    "DivisionFormReport": (
+        lambda n: division_form_check([FiberPoint(Angle(0), 0), FiberPoint(Angle(1, n), 0)],
+                                      Fraction(1, 10)),
+        "rates",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_value_types_compare_by_fields_and_refuse_assignment(name):
+    # specdoc, bundle_isomorphic, compose_hom, wreath_to_aut, gset_homs and
+    # check_equivalence all compare such records field by field
+    build, field = RECORDS[name]
+    a, b, other = build(2), build(2), build(3)
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != other and copy.deepcopy(a) == a
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    assert a == b
+
+
+def test_gset_derived_structure_is_computed_once():
+    F = standard_semitorsor(Z3, 2)
+    assert F.orbit_partition is F.orbit_partition
+    assert F.division is F.division

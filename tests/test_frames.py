@@ -3,46 +3,48 @@ import math
 
 import pytest
 
-from framebundles import (
-    NotFree,
-    OrbitObstruction,
+from framebundles.errors import NotFree, OrbitObstruction
+from framebundles.frames import (
+    WreathElement,
     associated_map,
     associated_map_inverse,
     check_equivalence,
-    compose_equivariant,
-    divide,
     enumerate_frames,
-    equivariant_map,
     frame_divide,
     frame_functor_map,
-    group_hom,
-    identity_hom,
-    identity_map,
+    frame_map,
+    frames_as_torsor,
+    gset_homs,
     is_basis,
-    make_cyclic,
-    make_direct_product,
-    make_gset,
-    orbits,
     reconstruct_semitorsor,
-    standard_semitorsor,
-    trivial_gset,
     wreath_act,
     wreath_group,
     wreath_identity,
     wreath_inv,
     wreath_mul,
 )
-import framebundles.frames as frames_module
-from framebundles.frames import (
-    WreathElement,
-    frame_map,
-    frames_as_torsor,
-    gset_homs,
+from framebundles.groups import (
+    group_hom,
+    identity_hom,
+    make_cyclic,
+    make_direct_product,
+    make_symmetric,
     perm_inverse,
 )
-from framebundles.groups import make_symmetric
-from framebundles.gsets import check_equivariant, semitorsor_point
+from framebundles.gsets import (
+    check_equivariant,
+    compose_equivariant,
+    divide,
+    equivariant_map,
+    identity_map,
+    make_gset,
+    orbits,
+    semitorsor_point,
+    standard_semitorsor,
+    trivial_gset,
+)
 from framebundles.suites import fixture_groups
+import framebundles.frames as frames_module
 from table_oracles import cayley_group
 
 

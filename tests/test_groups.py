@@ -7,13 +7,16 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from framebundles import (
-    BoundExceeded,
+from framebundles.cli import cmd_classify_circle
+from framebundles.errors import BoundExceeded
+from framebundles.groups import (
+    FiniteGroup,
     aut_group,
     automorphisms,
     compose_hom,
     conjugacy_classes,
     from_mul_table,
+    generating_set,
     group_hom,
     identity_hom,
     is_isomorphism,
@@ -21,16 +24,11 @@ from framebundles import (
     make_cyclic,
     make_direct_product,
     make_symmetric,
-)
-from framebundles.cli import cmd_classify_circle
-from framebundles.groups import (
-    FiniteGroup,
-    generating_set,
     perm_compose,
     permutation_group,
 )
-from framebundles.gsets import make_gset, standard_semitorsor, trivial_gset
 from framebundles.gset_aut import aut_group_of_gset
+from framebundles.gsets import make_gset, standard_semitorsor, trivial_gset
 from table_oracles import (
     LOOP_5,
     alternating5_table,

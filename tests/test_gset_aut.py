@@ -2,33 +2,36 @@ import itertools
 
 import pytest
 
-from framebundles import (
-    NotFree,
+from framebundles.errors import NotFree
+from framebundles.frames import (
+    WreathElement,
     associated_map,
-    aut_group_of_gset,
-    aut_to_wreath,
-    autq_component,
-    cq,
-    divide,
     enumerate_frames,
-    identity_map,
-    make_cyclic,
-    make_direct_product,
-    make_gset,
-    make_symmetric,
-    section_from_frame,
-    ses_report,
-    standard_semitorsor,
-    trivial_gset,
     wreath_act,
     wreath_group,
     wreath_identity,
     wreath_mul,
+)
+from framebundles.groups import make_cyclic, make_direct_product, make_symmetric
+from framebundles.gset_aut import (
+    aut_group_of_gset,
+    aut_to_wreath,
+    autq_component,
+    autq_reconstruct,
+    cq,
+    section_from_frame,
+    ses_report,
     wreath_to_aut,
 )
-from framebundles.frames import WreathElement
-from framebundles.gset_aut import autq_reconstruct
-from framebundles.gsets import compose_equivariant, semitorsor_point
+from framebundles.gsets import (
+    compose_equivariant,
+    divide,
+    identity_map,
+    make_gset,
+    semitorsor_point,
+    standard_semitorsor,
+    trivial_gset,
+)
 
 Z2 = make_cyclic(2)
 Z3 = make_cyclic(3)
@@ -288,7 +291,7 @@ def test_pairing_invariance():
 
 def test_counteracting_map_is_frame_independent():
     # psi_w computed as phi_{w.t}^-1 . phi_t does not depend on t
-    from framebundles import associated_map_inverse
+    from framebundles.frames import associated_map_inverse
 
     G = Z3
     F = standard_semitorsor(G, 2)

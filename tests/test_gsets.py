@@ -1,28 +1,27 @@
 import pytest
 
-from framebundles import (
+from framebundles.errors import NoQuotient, NotFree
+from framebundles.groups import group_hom, identity_hom, make_cyclic, make_direct_product
+from framebundles.gsets import (
     EquivariantMap,
-    NoQuotient,
-    NotFree,
+    GSet,
     check_equivariant,
     compose_equivariant,
     divide,
+    division_table,
     equivariant_map,
-    group_hom,
-    identity_hom,
     identity_map,
     induced_orbit_map,
     is_free,
     is_orbit_bijection,
     is_transitive,
-    make_cyclic,
-    make_direct_product,
     make_gset,
     orbits,
+    semitorsor_coords,
+    semitorsor_point,
     standard_semitorsor,
     trivial_gset,
 )
-from framebundles.gsets import GSet, division_table, semitorsor_coords, semitorsor_point
 from framebundles.suites import fixture_groups
 
 

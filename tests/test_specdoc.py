@@ -1,6 +1,8 @@
 import pytest
 
-from framebundles import SchemaError, make_cyclic, standard_semitorsor
+from framebundles.errors import SchemaError
+from framebundles.groups import make_cyclic
+from framebundles.gsets import standard_semitorsor
 from framebundles.specdoc import (
     load_document,
     parse_bundle,

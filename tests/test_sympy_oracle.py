@@ -8,15 +8,11 @@ sympy_combinatorics = pytest.importorskip("sympy.combinatorics")
 Permutation = sympy_combinatorics.Permutation
 PermutationGroup = sympy_combinatorics.PermutationGroup
 
-from framebundles import (  # noqa: E402
-    components,
-    finite_winding_bundle,
-    flat_bundle,
-    make_cyclic,
-    standard_semitorsor,
-)
+from framebundles.bundles import components, finite_winding_bundle, flat_bundle  # noqa: E402
 from framebundles.frames import WreathElement, _wreath_generators, wreath_group  # noqa: E402
+from framebundles.groups import make_cyclic  # noqa: E402
 from framebundles.gset_aut import aut_group_of_gset, wreath_to_aut  # noqa: E402
+from framebundles.gsets import standard_semitorsor  # noqa: E402
 from framebundles.suites import fixture_groups  # noqa: E402
 
 GROUPS = fixture_groups(6)

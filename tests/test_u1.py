@@ -6,32 +6,30 @@ from hypothesis import given, settings, strategies as st
 
 import u1_oracles as oracle
 
-from framebundles import (
+from framebundles.errors import NoQuotient
+from framebundles.groups import perm_inverse
+from framebundles.u1 import (
     Angle,
     FiberPoint,
-    NoQuotient,
     U1FlatBundle,
     U1Wreath,
+    ZERO,
     act_point,
     adjoint,
+    all_words,
     division_form_check,
     frame_holonomy,
+    frame_transport,
     holonomy_u1,
     pushforward,
+    scale_wreath,
     transport,
+    u1_canonical_frame,
     u1_identity,
+    u1_winding_bundle,
     u1wreath_inv,
     u1wreath_mul,
 )
-from framebundles.u1 import (
-    ZERO,
-    all_words,
-    frame_transport,
-    scale_wreath,
-    u1_canonical_frame,
-    u1_winding_bundle,
-)
-from framebundles.frames import perm_inverse
 
 A = Angle
 
