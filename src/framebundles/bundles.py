@@ -27,9 +27,7 @@ from .frames import (
     enumerate_frames,
     frame_divide,
     frame_functor_map,
-    frames_as_torsor,
     gset_homs,
-    wreath_group,
 )
 from .groups import (
     FiniteGroup,
@@ -239,24 +237,26 @@ def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
 
 
 def frame_bundle(b: FlatBundle) -> FlatBundle:
-    """The bundle of fiber frames, a flat torsor bundle for the wreath product.
+    """The bundle of fiber frames: each clutching map lifted to frame indices.
 
     Clutching maps lift entrywise (slot order is global bookkeeping and never
-    permuted by the lift); the lifted bundle's fiber is the frame space acted
-    on by the materialized wreath product.
+    permuted by the lift), and the fiber is the frames as a bare set.  The
+    wreath product acts freely and transitively on it (:func:`wreath_act`,
+    checked by the ``torsor`` suite), and that action commutes with every
+    lift, so this is the principal bundle of frames; no caller reads the fiber
+    as a set of the wreath product, so its Cayley table is never built.
     """
     if not is_free(b.fiber):
         raise NotFree("frame bundles exist over free fibers")
     fs = enumerate_frames(b.fiber)
-    wg = wreath_group(b.fiber.group, fs.n)
-    torsor = frames_as_torsor(fs, wg)
-    xi = identity_hom(wg.group)
+    fiber = trivial_gset(len(fs.frames))
+    xi = identity_hom(fiber.group)
     clutch = []
     for a in b.clutching:
         lift = frame_functor_map(a)
         table = tuple(fs.index[lift(t)] for t in fs.frames)
-        clutch.append(EquivariantMap(torsor, torsor, xi, table))
-    return flat_bundle(torsor, tuple(clutch), mode=MODE_GSPACE)
+        clutch.append(EquivariantMap(fiber, fiber, xi, table))
+    return flat_bundle(fiber, tuple(clutch), mode=MODE_GSPACE)
 
 
 def clutching_wreath(b: FlatBundle, reference: Frame) -> list[WreathElement]:

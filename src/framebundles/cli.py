@@ -123,13 +123,12 @@ def cmd_frame_bundle(args) -> Report:
     b = specdoc.parse_bundle(specdoc.load_document(args.bundle))
     if b.mode != "gspace":
         raise ModeMismatch("frame bundles are built over group-space bundles")
+    fs = enumerate_frames(b.fiber)
     ref = canonical_frame(b)
     wreaths = clutching_wreath(b, ref)
-    lifted = frame_bundle(b)
-    count = total_components(lifted)
-    fs = enumerate_frames(b.fiber)
+    count = total_components(frame_bundle(b))
     report = Report("frame-bundle")
-    report.lines.append(f"fiber frames: {lifted.fiber.size}")
+    report.lines.append(f"fiber frames: {len(fs.frames)}")
     for t in fs.frames:
         report.lines.append(f"frame: {_perm_str(t)}")
     report.lines.append(f"reference frame: {_perm_str(ref)}")
@@ -139,7 +138,7 @@ def cmd_frame_bundle(args) -> Report:
         )
     report.lines.append(f"frame bundle components: {count}")
     report.data = {
-        "frames": lifted.fiber.size,
+        "frames": len(fs.frames),
         "reference": list(ref),
         "clutching": [
             {"g": list(w.g_tuple), "sigma": list(w.sigma)} for w in wreaths

@@ -23,17 +23,15 @@ Like a linear map by a basis, an equivariant map out of a free group-set is
 fixed by the image ``t`` of a frame ``f``: each point is ``g . f[x]`` for one
 ``(g, x)``, so equivariance forces :func:`frame_map`, ``g . f[x] -> g . t[x]``.
 
-Two hot paths rest on one-line arguments:
+The frame space of a group-set is computed once, by
+:attr:`~framebundles.gsets.GSet.frame_space`, and read here through
+:func:`enumerate_frames`.
 
-* :func:`frames_as_torsor` relabels the Cayley table.  With ``W_d . base =
-  f_i`` (``d`` from :func:`frame_divide`), the action law gives
-  ``w . f_i = w . (W_d . base) = (w W_d) . base``, which is the frame at
-  position ``pos[mul[w][d]]`` where ``pos[k]`` indexes ``W_k . base``.
-* :func:`check_equivalence` tabulates each generator ``w`` once, as the
-  permutations ``p1``, ``p2`` of frame indices with ``w . fs1[i] =
-  fs1[p1[i]]`` and likewise on ``fs2``.  Its test ``table[p1[i]] ==
-  p2[table[i]]`` is then the same comparison as ``table[index(w . fs1[i])]
-  == index(w . fs2[table[i]])``, made for every table, generator and frame.
+:func:`check_equivalence` tabulates each generator ``w`` once, as the
+permutations ``p1``, ``p2`` of frame indices with ``w . fs1[i] = fs1[p1[i]]``
+and likewise on ``fs2``.  Its test ``table[p1[i]] == p2[table[i]]`` is then
+the same comparison as ``table[index(w . fs1[i])] == index(w . fs2[table[i]])``,
+made for every table, generator and frame.
 """
 
 from __future__ import annotations
@@ -48,6 +46,8 @@ from .errors import NotFree, OrbitObstruction
 from .groups import FiniteGroup, Permutation, perm_compose, perm_inverse, table_group
 from .gsets import (
     EquivariantMap,
+    Frame,
+    FrameSpace,
     GSet,
     check_equivariant,
     identity_hom,
@@ -57,8 +57,6 @@ from .gsets import (
     standard_semitorsor,
 )
 from .records import Frozen
-
-Frame = tuple[int, ...]
 
 
 class WreathElement(Frozen):
@@ -179,52 +177,11 @@ def associated_map_inverse(F: GSet, t: Frame) -> EquivariantMap:
     return frame_map(F, t, model, m)
 
 
-class FrameSpace:
-    """All frames of a free group-set, eagerly enumerated and lexicographically sorted.
-
-    The list is closed under the wreath action, which is free and transitive
-    on it, so the space is a ``G wr I_n`` torsor of size ``|G|^n n!``.
-    """
-
-    __slots__ = ("base_gset", "n", "frames", "index")
-
-    def __init__(self, base_gset: GSet, n: int, frames: tuple[Frame, ...],
-                 index: dict[Frame, int]):
-        self.base_gset = base_gset
-        self.n = n
-        self.frames = frames
-        self.index = index
-
-
 def enumerate_frames(F: GSet) -> FrameSpace:
-    """Enumerate every basis tuple of a free group-set.
-
-    Frames are generated orbit-permutation by orbit-permutation (slot x
-    draws from orbit sigma(x)), which produces exactly the tuples passing the
-    basis criterion.
-    """
+    """Every basis tuple of a free group-set, enumerated once per group-set."""
     if not is_free(F):
         raise NotFree("frame spaces exist for free group-sets only")
-    q = orbits(F)
-    n = q.orbit_count
-    members: list[list[int]] = [[] for _ in range(n)]
-    for p in range(F.size):
-        members[q.orbit_of[p]].append(p)
-    count = math.factorial(n)
-    for m in members:
-        count *= len(m)
-    config.check_enumeration(count, "frames")
-    frames: list[Frame] = []
-    for sigma in itertools.permutations(range(n)):
-        pools = [members[sigma[x]] for x in range(n)]
-        frames.extend(itertools.product(*pools))
-    frames.sort()
-    return FrameSpace(
-        base_gset=F,
-        n=n,
-        frames=tuple(frames),
-        index={t: i for i, t in enumerate(frames)},
-    )
+    return F.frame_space
 
 
 def frame_divide(fs: FrameSpace, f2: Frame, f1: Frame) -> WreathElement:
@@ -245,13 +202,11 @@ def frame_divide(fs: FrameSpace, f2: Frame, f1: Frame) -> WreathElement:
     return WreathElement(fs.base_gset.group, g, sigma)
 
 
-def frame_functor_map(a: EquivariantMap, verify: bool = False) -> Callable[[Frame], Frame]:
+def frame_functor_map(a: EquivariantMap) -> Callable[[Frame], Frame]:
     """Lift an equivariant map to frames, t -> a . t.
 
     Only maps inducing a bijection on orbits lift; the lift is equivariant for
-    (xi^n, id) between the wreath products.  ``verify=True`` checks that
-    equivariance exhaustively over the source frame space, which catches any
-    mix-up in the orientation of the inverse-permutation convention.
+    (xi^n, id) between the wreath products.
     """
     if not is_orbit_bijection(a):
         raise OrbitObstruction(
@@ -264,31 +219,17 @@ def frame_functor_map(a: EquivariantMap, verify: bool = False) -> Callable[[Fram
     def lift(t: Frame) -> Frame:
         return tuple(value[p] for p in t)
 
-    if verify:
-        fs = enumerate_frames(a.source)
-        fs2 = enumerate_frames(a.target)
-        wg = wreath_group(a.source.group, fs.n)
-        xi = a.xi.image
-        for w in wg.elements:
-            pushed = WreathElement(
-                a.target.group, tuple(xi[g] for g in w.g_tuple), w.sigma
-            )
-            for t in fs.frames:
-                lifted = lift(wreath_act(a.source, w, t))
-                if lifted != wreath_act(a.target, pushed, lift(t)) or lifted not in fs2.index:
-                    raise AssertionError("frame lift failed the equivariance check")
     return lift
 
 
 class WreathGroup:
     """G wr I_n materialized as a Cayley-table group with indexed elements."""
 
-    __slots__ = ("group", "base", "n", "elements", "index")
+    __slots__ = ("group", "n", "elements", "index")
 
-    def __init__(self, group: FiniteGroup, base: FiniteGroup, n: int,
+    def __init__(self, group: FiniteGroup, n: int,
                  elements: tuple[WreathElement, ...], index: dict[WreathElement, int]):
         self.group = group
-        self.base = base
         self.n = n
         self.elements = elements
         self.index = index
@@ -329,21 +270,7 @@ def wreath_group(G: FiniteGroup, n: int) -> WreathGroup:
     )
     elements = tuple(WreathElement(G, g, s) for g in tuples for s in perms)
     index = {w: i for i, w in enumerate(elements)}
-    return WreathGroup(table_group(table, f"{G.label}wr{n}"), G, n, elements, index)
-
-
-def frames_as_torsor(fs: FrameSpace, wg: WreathGroup) -> GSet:
-    """The frame space as a group-set of the materialized wreath product.
-
-    The action is free and transitive, so it is the Cayley table relabelled
-    (module docstring): ``act[w][i] = pos[mul[w][d_i]]``.
-    """
-    F = fs.base_gset
-    base = fs.frames[0]
-    pos = [fs.index[wreath_act(F, w, base)] for w in wg.elements]
-    div = [wg.index[frame_divide(fs, t, base)] for t in fs.frames]
-    act = tuple(tuple(pos[row[d]] for d in div) for row in wg.group.mul)
-    return GSet(wg.group, len(fs.frames), act)
+    return WreathGroup(table_group(table, f"{G.label}wr{n}"), n, elements, index)
 
 
 class Reconstruction:

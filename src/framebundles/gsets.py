@@ -1,4 +1,4 @@
-"""Finite left group-sets: actions, orbits, freeness, division, equivariant maps.
+"""Finite left group-sets: actions, orbits, freeness, division, frames, equivariant maps.
 
 A group-set is a carrier ``0 .. size-1`` with an action table ``act[g][f]``.
 The orbit partition is canonical: orbit indices are assigned in order of the
@@ -7,12 +7,16 @@ smallest carrier representative, so quotient data is reproducible.
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import cached_property
 
 from . import config
 from .errors import NoQuotient, NotFree
 from .groups import FiniteGroup, GroupHom, compose_hom, identity_hom, make_cyclic
 from .records import Frozen
+
+Frame = tuple[int, ...]
 
 
 class GSet(Frozen):
@@ -74,6 +78,31 @@ class GSet(Frozen):
         """The table ``(g . f, f) -> g``, computed once; valid when :func:`is_free`."""
         return {(p, f): g for g, row in enumerate(self.act) for f, p in enumerate(row)}
 
+    @cached_property
+    def frame_space(self) -> FrameSpace:
+        """Every frame, enumerated once; valid when :func:`is_free`.
+
+        Read it via :func:`framebundles.frames.enumerate_frames`, which checks
+        freeness.  Frames are generated orbit-permutation by orbit-permutation
+        (slot x draws from orbit sigma(x)), which produces exactly the tuples
+        passing the basis criterion.  An oversized space raises on every read,
+        since a failed ``cached_property`` stores nothing.
+        """
+        q = self.orbit_partition
+        n = q.orbit_count
+        members: list[list[int]] = [[] for _ in range(n)]
+        for p in range(self.size):
+            members[q.orbit_of[p]].append(p)
+        count = math.factorial(n)
+        for m in members:
+            count *= len(m)
+        config.check_enumeration(count, "frames")
+        frames: list[Frame] = []
+        for sigma in itertools.permutations(range(n)):
+            frames.extend(itertools.product(*[members[sigma[x]] for x in range(n)]))
+        frames.sort()
+        return FrameSpace(self, n, tuple(frames), {t: i for i, t in enumerate(frames)})
+
     def __repr__(self) -> str:
         return f"GSet({self.group.label} on {self.size} points)"
 
@@ -92,6 +121,23 @@ class OrbitPartition(Frozen):
         object.__setattr__(self, "orbit_of", orbit_of)
         object.__setattr__(self, "orbit_count", orbit_count)
         object.__setattr__(self, "representatives", representatives)
+
+
+class FrameSpace:
+    """All frames of a free group-set, lexicographically sorted.
+
+    The list is closed under the wreath action, which is free and transitive
+    on it, so the space is a ``G wr I_n`` torsor of size ``|G|^n n!``.
+    """
+
+    __slots__ = ("base_gset", "n", "frames", "index")
+
+    def __init__(self, base_gset: GSet, n: int, frames: tuple[Frame, ...],
+                 index: dict[Frame, int]):
+        self.base_gset = base_gset
+        self.n = n
+        self.frames = frames
+        self.index = index
 
 
 def make_gset(group: FiniteGroup, act) -> GSet:

@@ -6,7 +6,12 @@ see the per-criterion lines.
 """
 
 import itertools
+import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 from argparse import Namespace
 from fractions import Fraction
@@ -293,3 +298,21 @@ def test_criterion_10_transport_suite():
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 30.0
     _report(10, ok, f"pushforward/frame/adjoint/division transport checks, exact equality, in {elapsed:.1f}s")
+
+
+def test_frame_bundle_z2_k5_fits_in_100mb():
+    # 3,840 frames, and a wreath product of the same order whose |W|^2 tables
+    # would not fit: the CLI child runs under a 100 MB address-space limit
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (100 * 2**20, 100 * 2**20))
+
+    doc = '{"kind": "winding", "group": {"kind": "cyclic", "n": 2}, "k": 5}'
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "framebundles.cli", "--format", "json", "frame-bundle", doc],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=60, preexec_fn=limit,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)["data"]
+    assert (data["frames"], data["components"]) == (3840, 768)

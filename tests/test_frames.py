@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from framebundles.errors import NotFree, OrbitObstruction
+from framebundles import config
+from framebundles.errors import BoundExceeded, NotFree, OrbitObstruction
 from framebundles.frames import (
     WreathElement,
     associated_map,
@@ -13,7 +14,6 @@ from framebundles.frames import (
     frame_divide,
     frame_functor_map,
     frame_map,
-    frames_as_torsor,
     gset_homs,
     is_basis,
     reconstruct_semitorsor,
@@ -32,11 +32,14 @@ from framebundles.groups import (
     perm_inverse,
 )
 from framebundles.gsets import (
+    GSet,
     check_equivariant,
     compose_equivariant,
     divide,
     equivariant_map,
     identity_map,
+    is_free,
+    is_transitive,
     make_gset,
     orbits,
     semitorsor_point,
@@ -168,8 +171,25 @@ def test_frame_count_formula():
 
 
 def test_enumerate_frames_rejects_non_free():
-    with pytest.raises(NotFree):
-        enumerate_frames(make_gset(Z2, [[0, 1], [0, 1]]))
+    F = make_gset(Z2, [[0, 1], [0, 1]])
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(NotFree):
+            enumerate_frames(F)
+
+
+def test_frame_space_is_computed_once_per_gset():
+    F = standard_semitorsor(Z3, 2)
+    assert enumerate_frames(F) is enumerate_frames(F)
+
+
+def test_oversized_frame_space_is_refused_on_every_call(monkeypatch):
+    F = standard_semitorsor(Z2, 2)
+    monkeypatch.setattr(config, "MAX_ENUMERATION", 7)
+    for _ in range(2):
+        with pytest.raises(BoundExceeded, match="enumerating 8 frames"):
+            enumerate_frames(F)
+    monkeypatch.undo()
+    assert len(enumerate_frames(F).frames) == 8
 
 
 # ---------------------------------------------------------------- wreath arithmetic
@@ -401,10 +421,30 @@ def test_cross_group_lift_is_xi_equivariant():
             assert lift(wreath_act(F4, w, t)) == wreath_act(F2, w2, lift(t))
 
 
+def _checked_lift(a):
+    """The frame lift of ``a``, checked exhaustively to be (xi^n, id)-equivariant.
+
+    Every element of the source wreath product and every source frame is
+    tried, and each lifted frame must lie in the target frame space; this
+    catches any mix-up in the orientation of the inverse-permutation convention.
+    """
+    lift = frame_functor_map(a)
+    fs = enumerate_frames(a.source)
+    fs2 = enumerate_frames(a.target)
+    xi = a.xi.image
+    for w in wreath_group(a.source.group, fs.n).elements:
+        pushed = WreathElement(a.target.group, tuple(xi[g] for g in w.g_tuple), w.sigma)
+        for t in fs.frames:
+            lifted = lift(wreath_act(a.source, w, t))
+            assert lifted == wreath_act(a.target, pushed, lift(t))
+            assert lifted in fs2.index
+    return lift
+
+
 def test_frame_functor_verify_mode():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
-    lift = frame_functor_map(identity_map(F), verify=True)
+    lift = _checked_lift(identity_map(F))
     assert all(lift(t) == t for t in fs.frames)
     # the wreath action by any fixed element is a permutation of the frames
     for w in wreath_group(Z2, 2).elements:
@@ -441,8 +481,8 @@ def test_functor_composition_across_groups():
         F2, F1, xi21,
         [semitorsor_point(0, x, 2) for _ in range(2) for x in range(2)],
     )
-    la = frame_functor_map(alpha, verify=True)
-    lb = frame_functor_map(beta, verify=True)
+    la = _checked_lift(alpha)
+    lb = _checked_lift(beta)
     lab = frame_functor_map(compose_equivariant(alpha, beta))
     for t in enumerate_frames(F4).frames:
         assert lab(t) == la(lb(t))
@@ -538,14 +578,17 @@ def _swapped_z2_gset():
     ids=["Z1-3", "Z2-2", "Z3-2", "S3-1", "Z2xZ2-2", "Z2-swapped"],
 )
 def test_frames_as_torsor_matches_direct_action(F):
+    # the direct wreath action on frame indices is a torsor of the wreath
+    # Cayley table: the action law holds, and the action is free and transitive
     fs = enumerate_frames(F)
     wg = wreath_group(F.group, fs.n)
-    direct = tuple(
+    table = tuple(
         tuple(fs.index[wreath_act(F, w, t)] for t in fs.frames) for w in wg.elements
     )
-    torsor = frames_as_torsor(fs, wg)
-    assert torsor.act == direct
+    torsor = GSet(wg.group, len(fs.frames), table)
     torsor.validate()
+    assert is_free(torsor)
+    assert is_transitive(torsor)
 
 
 def test_equivalence_catches_a_wrong_division(monkeypatch):

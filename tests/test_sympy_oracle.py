@@ -1,6 +1,7 @@
 """Differential tests against ``sympy.combinatorics`` as an independent oracle."""
 
 import math
+import sys
 
 import pytest
 
@@ -8,7 +9,13 @@ sympy_combinatorics = pytest.importorskip("sympy.combinatorics")
 Permutation = sympy_combinatorics.Permutation
 PermutationGroup = sympy_combinatorics.PermutationGroup
 
-from framebundles.bundles import components, finite_winding_bundle, flat_bundle  # noqa: E402
+from framebundles.bundles import (  # noqa: E402
+    components,
+    finite_winding_bundle,
+    flat_bundle,
+    frame_bundle,
+    total_components,
+)
 from framebundles.frames import WreathElement, _wreath_generators, wreath_group  # noqa: E402
 from framebundles.groups import make_cyclic  # noqa: E402
 from framebundles.gset_aut import aut_group_of_gset, wreath_to_aut  # noqa: E402
@@ -58,3 +65,20 @@ def test_clutching_orbits_match_components():
     for b in bundles:
         orbits = _group([a.value for a in b.clutching], b.fiber.size).orbits()
         assert {frozenset(o) for o in orbits} == {frozenset(c) for c in components(b)}
+
+
+def _refuse_wreath_table(*args):
+    raise AssertionError("the wreath Cayley table was built")
+
+
+@pytest.mark.parametrize("G, k, count", [(make_cyclic(2), 5, 768), (make_cyclic(4), 4, 1536)],
+                         ids=["Z2-5", "Z4-4"])
+def test_frame_bundle_components_from_lifts_alone(monkeypatch, G, k, count):
+    # 3,840 and 6,144 frames; |W| = 6,144 is past the Cayley-table bound
+    for name, module in list(sys.modules.items()):
+        if name.startswith("framebundles.") and hasattr(module, "wreath_group"):
+            monkeypatch.setattr(module, "wreath_group", _refuse_wreath_table)
+    lifted = frame_bundle(finite_winding_bundle(G, k))
+    assert lifted.fiber.size == G.order**k * math.factorial(k)
+    orbits = _group([a.value for a in lifted.clutching], lifted.fiber.size).orbits()
+    assert total_components(lifted) == count == math.factorial(k - 1) * G.order**k == len(orbits)
