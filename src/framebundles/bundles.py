@@ -39,6 +39,7 @@ from .groups import (
     kernel,
     perm_compose,
     perm_inverse,
+    perm_orbits,
     validate_word,
 )
 from .gset_aut import cq, wreath_to_aut
@@ -121,27 +122,7 @@ def group_bundle_over_circle(G: FiniteGroup, a: GroupHom) -> FlatBundle:
 
 def components(b: FlatBundle) -> tuple[tuple[int, ...], ...]:
     """Orbits of the group generated by the clutching maps on the fiber."""
-    size = b.fiber.size
-    seen = [False] * size
-    moves = [a.value for a in b.clutching]
-    inverses = [perm_inverse(v) for v in moves]
-    out = []
-    for start in range(size):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            p = stack.pop()
-            comp.append(p)
-            for table in itertools.chain(moves, inverses):
-                q = table[p]
-                if not seen[q]:
-                    seen[q] = True
-                    stack.append(q)
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
+    return perm_orbits([a.value for a in b.clutching], b.fiber.size)[1]
 
 
 def total_components(b: FlatBundle) -> int:

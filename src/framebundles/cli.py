@@ -201,16 +201,17 @@ def cmd_decompose(args) -> Report:
     quotient = quotient_bundle(b)
     proj = quotient_map(b)
     count = map_fiber_count(proj)
+    covering = total_components(quotient)
     report = Report("decompose")
     report.lines.append(f"orbit sheets: {quotient.fiber.size}")
     for i, a in enumerate(quotient.clutching):
         report.lines.append(f"covering clutching {i + 1}: {_perm_str(a.value)}")
-    report.lines.append(f"covering components: {total_components(quotient)}")
+    report.lines.append(f"covering components: {covering}")
     report.lines.append(f"principal fiber size |G|: {count}")
     report.data = {
         "sheets": quotient.fiber.size,
         "covering_clutching": [list(a.value) for a in quotient.clutching],
-        "covering_components": total_components(quotient),
+        "covering_components": covering,
         "principal_fiber": count,
     }
     return report

@@ -43,7 +43,7 @@ from typing import Callable
 
 from . import config
 from .errors import NotFree, OrbitObstruction
-from .groups import FiniteGroup, Permutation, perm_compose, perm_inverse, table_group
+from .groups import FiniteGroup, Permutation, perm_compose, perm_inverse, perm_orbits, table_group
 from .gsets import (
     EquivariantMap,
     Frame,
@@ -130,7 +130,7 @@ def is_basis(F: GSet, t: Frame) -> bool:
     if not is_free(F):
         raise NotFree("bases are defined for free group-sets only")
     q = orbits(F)
-    if len(t) != q.orbit_count:
+    if len(t) != q.orbit_count or any(not 0 <= p < F.size for p in t):
         return False
     hit = {q.orbit_of[p] for p in t}
     return len(hit) == q.orbit_count
@@ -303,28 +303,14 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
     if not (0 <= x < n):
         raise ValueError("slot index out of range")
 
-    # orbits of the slot stabilizer, found by BFS over its generators
+    # orbits of the slot stabilizer; each generator is tabulated once as a
+    # permutation of frame indices
     others = [y for y in range(n) if y != x]
     gens = [_slot_element(G, n, y, g) for y in others for g in range(G.order)]
     gens += [_swap(G, n, y, z) for y, z in itertools.combinations(others, 2)]
-
-    class_of = [-1] * len(fs.frames)
-    classes: list[int] = []  # representative frame index per class
-    for i in range(len(fs.frames)):
-        if class_of[i] >= 0:
-            continue
-        k = len(classes)
-        classes.append(i)
-        stack = [i]
-        class_of[i] = k
-        while stack:
-            j = stack.pop()
-            t = fs.frames[j]
-            for w in gens:
-                m = fs.index[wreath_act(F, w, t)]
-                if class_of[m] < 0:
-                    class_of[m] = k
-                    stack.append(m)
+    moves = [[fs.index[wreath_act(F, w, t)] for t in fs.frames] for w in gens]
+    class_of, members = perm_orbits(moves, len(fs.frames))
+    classes = [m[0] for m in members]  # representative frame index per class
 
     # G acts on classes through the slot-x embedding g -> (delta_x g, id)
     act_rows = []
@@ -347,7 +333,7 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
     )
     if not (witness.is_bijective() and check_equivariant(witness)):
         raise AssertionError("reconstruction witness failed verification")
-    return Reconstruction(quotient, tuple(class_of), witness)
+    return Reconstruction(quotient, class_of, witness)
 
 
 class EquivalenceReport:

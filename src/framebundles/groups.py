@@ -10,7 +10,8 @@ tabulates a group of permutations from their values on a *base*, a list of
 points on which no two of them agree, which is how Sym(n), Aut(G) and Aut(F)
 are built.  :func:`table_group` reads the identity and the inverses off a
 finished table; the wreath product, whose table is assembled from smaller
-ones, uses it directly.
+ones, uses it directly.  :func:`perm_orbits` is the one orbit algorithm of
+the library.
 """
 
 from __future__ import annotations
@@ -41,6 +42,34 @@ def perm_compose(s: Permutation, t: Permutation) -> Permutation:
 def is_permutation(p, n: int) -> bool:
     """Whether ``p`` is the image table of a permutation of 0 .. n-1."""
     return sorted(p) == list(range(n))
+
+
+def perm_orbits(perms, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The orbits on 0 .. size-1 of the group the tables ``perms`` generate.
+
+    Returns ``(orbit_of, members)``: orbits are numbered by their smallest
+    point and ``members[k]`` lists the points of orbit k in ascending order.
+    Forward images suffice, since a permutation of a finite set has its
+    inverse among its powers (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005, section 4.1).
+    """
+    orbit_of = [-1] * size
+    members = []
+    for start in range(size):
+        if orbit_of[start] >= 0:
+            continue
+        k = len(members)
+        orbit_of[start] = k
+        orbit = [start]
+        for p in orbit:  # ``orbit`` grows while it is walked
+            for perm in perms:
+                q = perm[p]
+                if orbit_of[q] < 0:
+                    orbit_of[q] = k
+                    orbit.append(q)
+        orbit.sort()
+        members.append(tuple(orbit))
+    return tuple(orbit_of), tuple(members)
 
 
 def validate_word(loops: int, word) -> tuple[int, ...]:
@@ -280,19 +309,15 @@ def make_symmetric(n: int) -> FiniteGroup:
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Partition of the elements under g ~ h g h^-1.
 
-    Classes are sorted tuples, listed in order of their smallest member, so
-    the output is canonical.
+    The classes are the orbits of conjugation by a generating set, which
+    generates every inner automorphism.  Classes are sorted tuples, listed in
+    order of their smallest member, so the output is canonical.
     """
-    seen = [False] * G.order
-    classes = []
-    for a in range(G.order):
-        if seen[a]:
-            continue
-        cls = {G.mul[h][G.mul[a][G.inv[h]]] for h in range(G.order)}
-        for x in cls:
-            seen[x] = True
-        classes.append(tuple(sorted(cls)))
-    return tuple(classes)
+    mul, inv = G.mul, G.inv
+    conjugations = [
+        tuple([mul[mul[h][a]][inv[h]] for a in range(G.order)]) for h in generating_set(G)
+    ]
+    return perm_orbits(conjugations, G.order)[1]
 
 
 def kernel(h: GroupHom) -> tuple[int, ...]:
@@ -315,35 +340,22 @@ def is_isomorphism(h: GroupHom) -> bool:
     )
 
 
-def _closure(G: FiniteGroup, seed: set[int]) -> set[int]:
-    out = set(seed)
-    out.add(G.identity)
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in seed:
-                for c in (G.mul[a][s], G.mul[s][a]):
-                    if c not in out:
-                        out.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return out
-
-
 def generating_set(G: FiniteGroup) -> list[int]:
     """A small generating set found greedily over the element order.
 
     Greedy choice of the smallest element outside the currently generated
-    subgroup; no generator is redundant.
+    subgroup; no generator is redundant.  The subgroup is the orbit of the
+    identity under the right multiplications ``x -> x s`` by the generators.
     """
     gens: list[int] = []
-    generated = {G.identity}
+    columns: list[Permutation] = []
+    orbit_of, _ = perm_orbits(columns, G.order)
     for a in range(G.order):
-        if a not in generated:
+        if orbit_of[a] != orbit_of[G.identity]:
             gens.append(a)
-            generated = _closure(G, set(gens))
-            if len(generated) == G.order:
+            columns.append(tuple([row[a] for row in G.mul]))
+            orbit_of, cosets = perm_orbits(columns, G.order)
+            if len(cosets) == 1:
                 break
     return gens
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from . import config
 from .errors import NoQuotient, NotFree
-from .groups import FiniteGroup, GroupHom, compose_hom, identity_hom, make_cyclic
+from .groups import FiniteGroup, GroupHom, compose_hom, identity_hom, make_cyclic, perm_orbits
 from .records import Frozen
 
 Frame = tuple[int, ...]
@@ -48,23 +48,8 @@ class GSet(Frozen):
     @cached_property
     def orbit_partition(self) -> OrbitPartition:
         """The canonical orbit partition, computed once; read it via :func:`orbits`."""
-        orbit_of = [-1] * self.size
-        reps = []
-        for f in range(self.size):
-            if orbit_of[f] >= 0:
-                continue
-            k = len(reps)
-            reps.append(f)
-            stack = [f]
-            orbit_of[f] = k
-            while stack:
-                p = stack.pop()
-                for row in self.act:
-                    q = row[p]
-                    if orbit_of[q] < 0:
-                        orbit_of[q] = k
-                        stack.append(q)
-        return OrbitPartition(tuple(orbit_of), len(reps), tuple(reps))
+        orbit_of, members = perm_orbits(self.act, self.size)
+        return OrbitPartition(orbit_of, len(members), tuple(m[0] for m in members), members)
 
     @cached_property
     def acts_freely(self) -> bool:
@@ -88,11 +73,8 @@ class GSet(Frozen):
         passing the basis criterion.  An oversized space raises on every read,
         since a failed ``cached_property`` stores nothing.
         """
-        q = self.orbit_partition
-        n = q.orbit_count
-        members: list[list[int]] = [[] for _ in range(n)]
-        for p in range(self.size):
-            members[q.orbit_of[p]].append(p)
+        members = self.orbit_partition.members
+        n = len(members)
         count = math.factorial(n)
         for m in members:
             count *= len(m)
@@ -110,17 +92,19 @@ class GSet(Frozen):
 class OrbitPartition(Frozen):
     """Canonical orbit decomposition of a group-set.
 
-    ``orbit_of[f]`` is the orbit index of carrier point ``f`` and
-    ``representatives[k]`` the smallest point of orbit ``k``.
+    ``orbit_of[f]`` is the orbit index of carrier point ``f``,
+    ``representatives[k]`` the smallest point of orbit ``k`` and
+    ``members[k]`` its points in ascending order.
     """
 
-    __slots__ = _fields = ("orbit_of", "orbit_count", "representatives")
+    __slots__ = _fields = ("orbit_of", "orbit_count", "representatives", "members")
 
     def __init__(self, orbit_of: tuple[int, ...], orbit_count: int,
-                 representatives: tuple[int, ...]):
+                 representatives: tuple[int, ...], members: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "orbit_of", orbit_of)
         object.__setattr__(self, "orbit_count", orbit_count)
         object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "members", members)
 
 
 class FrameSpace:

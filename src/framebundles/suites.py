@@ -249,10 +249,7 @@ def suite_division_rules(groups, max_orbits: int, orbit_counts=None) -> SuiteRep
     rep = SuiteReport("division-rules")
     for G, n, name in _fixtures(groups, max_orbits, orbit_counts):
         F = standard_semitorsor(G, n)
-        q = orbits(F)
-        by_orbit = [[] for _ in range(q.orbit_count)]
-        for p in range(F.size):
-            by_orbit[q.orbit_of[p]].append(p)
+        by_orbit = orbits(F).members
         mul, inv = G.mul, G.inv
         inverse_ok = cancel_ok = scaling_ok = invariance_ok = True
         for orbit in by_orbit:
@@ -353,8 +350,14 @@ def run_suite(
 ) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    for option, value in (("--max-group", max_group), ("--max-orbits", max_orbits),
+                          ("--orbits", orbit_count)):
+        if value is not None and value < 1:
+            raise ValueError(f"{option} must be at least 1, got {value}")
+    if group_name == "":
+        raise ValueError("--group must name a group")
     if name == "appendix-b":
         return suite_appendix_b()
-    groups = [named_group(group_name)] if group_name else fixture_groups(max_group)
-    counts = [orbit_count] if orbit_count else None
+    groups = [named_group(group_name)] if group_name is not None else fixture_groups(max_group)
+    counts = [orbit_count] if orbit_count is not None else None
     return SUITES[name](groups, max_orbits, orbit_counts=counts)

@@ -74,6 +74,13 @@ def test_z3_component_counts():
     assert total_components(twisted) == 2
 
 
+def test_component_members_come_in_ascending_order():
+    # 0 -> 2 -> 1: the points are found in the order 0, 2, 1
+    fiber = trivial_gset(3)
+    cycle = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (2, 0, 1))
+    assert components(flat_bundle(fiber, (cycle,))) == ((0, 1, 2),)
+
+
 def test_z3_twisted_orbit_partition():
     _, twisted = z3_bundles()
     assert components(twisted) == ((0,), (1, 2))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import framebundles.bundles as bundles
 import framebundles.suites as suites
 from framebundles.cli import SUITE_NAMES, main
 from framebundles.gsets import EquivariantMap
@@ -88,6 +89,14 @@ def test_components_command(capsys):
     assert "components: 2" in out
 
 
+def test_component_members_print_in_ascending_order(capsys):
+    bundle = {"kind": "flat", "mode": "gspace", "loops": 1, "clutching": [{"perm": [2, 0, 1]}],
+              "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 1}, "n": 3}}
+    code, out, _ = run(capsys, "components", json.dumps(bundle))
+    assert code == 0
+    assert out.splitlines()[1:3] == ["components: 1", "component 0: (0,1,2)"]
+
+
 def test_frame_bundle_command(capsys):
     code, out, _ = run(capsys, "frame-bundle", WINDING_Z2_K2)
     assert code == 0
@@ -166,6 +175,14 @@ def test_decompose_command(capsys):
     assert "covering components: 1" in out
 
 
+def test_decompose_counts_covering_components_once(capsys, monkeypatch):
+    calls = []
+    count = bundles.total_components
+    monkeypatch.setattr(bundles, "total_components", lambda b: calls.append(b) or count(b))
+    code, _, _ = run(capsys, "--format", "json", "decompose", WINDING_Z2_K2)
+    assert (code, len(calls)) == (0, 1)
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2
@@ -176,6 +193,21 @@ def test_verify_beyond_fixture_bound_usage_error(capsys):
     code, _, err = run(capsys, "verify", "torsor", "--max-group", "7")
     assert code == 2
     assert "order 6" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-orbits", "0"], "--max-orbits must be at least 1, got 0"),
+        (["--max-group", "0"], "--max-group must be at least 1, got 0"),
+        (["--orbits", "0"], "--orbits must be at least 1, got 0"),
+        (["--group", ""], "--group must name a group"),
+    ],
+    ids=["max-orbits", "max-group", "orbits", "group"],
+)
+def test_verify_refuses_an_option_that_selects_no_fixture(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "torsor", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_small_suite(capsys):

@@ -83,6 +83,15 @@ def test_trivial_group_bases_are_permutations():
     assert count == math.factorial(3)
 
 
+def test_out_of_range_entry_is_not_a_basis():
+    # a negative index would wrap around to the last point's orbit
+    F = standard_semitorsor(Z2, 2)
+    for t in [(-1, 0), (0, F.size), (F.size + 1, 1)]:
+        assert not is_basis(F, t)
+        with pytest.raises(ValueError, match="tuple is not a basis"):
+            associated_map(F, t)
+
+
 def test_is_basis_rejects_non_free():
     F = make_gset(Z2, [[0, 1], [0, 1]])
     with pytest.raises(NotFree):

@@ -1,6 +1,7 @@
 """Differential tests against ``sympy.combinatorics`` as an independent oracle."""
 
 import math
+import random
 import sys
 
 import pytest
@@ -17,7 +18,13 @@ from framebundles.bundles import (  # noqa: E402
     total_components,
 )
 from framebundles.frames import WreathElement, _wreath_generators, wreath_group  # noqa: E402
-from framebundles.groups import make_cyclic  # noqa: E402
+from framebundles.groups import (  # noqa: E402
+    aut_group,
+    conjugacy_classes,
+    make_cyclic,
+    make_symmetric,
+    perm_orbits,
+)
 from framebundles.gset_aut import aut_group_of_gset, wreath_to_aut  # noqa: E402
 from framebundles.gsets import standard_semitorsor  # noqa: E402
 from framebundles.suites import fixture_groups  # noqa: E402
@@ -31,6 +38,45 @@ def _group(tables, degree):
     # the identity keeps the generator list non-empty for the trivial group
     perms = [Permutation(list(t)) for t in tables]
     return PermutationGroup([Permutation(list(range(degree)))] + perms)
+
+
+def _orbit_cases():
+    """Edge cases, then seeded sets of 1-4 permutations that each shuffle a
+    random subset of points, so that the orbits vary in number and size."""
+    cases = [(0, []), (0, [()]), (1, []), (5, [tuple(range(5))])]
+    rng = random.Random(9)
+    for _ in range(40):
+        size = rng.randint(1, 12)
+        perms = []
+        for _ in range(rng.randint(1, 4)):
+            moved = rng.sample(range(size), rng.randint(0, size))
+            image = list(range(size))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                image[x] = y
+            perms.append(tuple(image))
+        cases.append((size, perms))
+    return cases
+
+
+@pytest.mark.parametrize("size, perms", _orbit_cases())
+def test_perm_orbits_match_sympy(size, perms):
+    orbit_of, members = perm_orbits(perms, size)
+    want = sorted(tuple(sorted(o)) for o in _group(perms, size).orbits())
+    assert members == tuple(want)
+    assert orbit_of == tuple(k for p in range(size) for k, m in enumerate(members) if p in m)
+
+
+CLASS_GROUPS = GROUPS + [make_symmetric(4)]
+
+
+@pytest.mark.parametrize("G", CLASS_GROUPS, ids=[G.label for G in CLASS_GROUPS])
+def test_conjugacy_classes_match_sympy(G):
+    # G by its left-regular permutations, Aut(G) by the automorphisms' image tables
+    table, auts = aut_group(G)
+    for H, perms in ((G, G.mul), (table, [h.image for h in auts])):
+        want = {frozenset(tuple(p.array_form) for p in c)
+                for c in _group(perms, G.order).conjugacy_classes()}
+        assert {frozenset(perms[i] for i in c) for c in conjugacy_classes(H)} == want
 
 
 @pytest.mark.parametrize("G, n", WREATH_CASES, ids=[f"{G.label}-{n}" for G, n in WREATH_CASES])
