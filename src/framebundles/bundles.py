@@ -42,11 +42,12 @@ from .groups import (
     perm_orbits,
     validate_word,
 )
-from .gset_aut import cq, wreath_to_aut
+from .gset_aut import wreath_to_aut
 from .gsets import (
     EquivariantMap,
     GSet,
     identity_hom,
+    induced_orbit_map,
     is_free,
     is_orbit_bijection,
     orbits,
@@ -192,7 +193,7 @@ def quotient_bundle(b: FlatBundle) -> FlatBundle:
     new_fiber = trivial_gset(q.orbit_count)
     xi = identity_hom(new_fiber.group)
     clutch = tuple(
-        EquivariantMap(new_fiber, new_fiber, xi, cq(a)) for a in b.clutching
+        EquivariantMap(new_fiber, new_fiber, xi, induced_orbit_map(a)) for a in b.clutching
     )
     return flat_bundle(new_fiber, clutch, mode=MODE_GSPACE)
 

@@ -31,7 +31,7 @@ from .errors import (
     NotFree,
     TooSmall,
 )
-from .groups import aut_group, conjugacy_classes
+from .groups import aut_group, conjugacy_classes, perm_orbits
 
 EXIT_OK = 0
 EXIT_OBSTRUCTION = 1
@@ -67,21 +67,20 @@ def _perm_str(p) -> str:
 
 
 def cmd_classify_circle(args) -> Report:
-    from .bundles import group_bundle_over_circle, total_components
-
     G = specdoc.parse_group(specdoc.load_document(args.group))
     table, auts = aut_group(G)
     classes = conjugacy_classes(table)
     rows = []
     for k, cls in enumerate(classes):
         rep_hom = auts[cls[0]]
-        bundle = group_bundle_over_circle(G, rep_hom)
+        rep_hom.validate()
+        # the components of the bundle glued by rep_hom are its orbits on G
         rows.append(
             {
                 "class": k,
                 "size": len(cls),
                 "representative": list(rep_hom.image),
-                "components": total_components(bundle),
+                "components": len(perm_orbits([rep_hom.image], G.order)[1]),
             }
         )
     report = Report("classify-circle")
@@ -264,7 +263,7 @@ def cmd_u1_holonomy(args) -> Report:
 
     b = specdoc.parse_u1_bundle(specdoc.load_document(args.spec))
     word = specdoc.parse_word(args.word, b.loops)
-    # the frame holonomy is the same wreath element (u1.frame_holonomy)
+    # a frame is transported entrywise, so its holonomy is the same element
     h = holonomy_u1(b, word)
     report = Report("u1-holonomy")
     report.lines.append(f"word: {','.join(map(str, word)) if word else '(empty)'}")

@@ -18,15 +18,24 @@ MAX_SYMMETRIC_N = 8
 MAX_ENUMERATION = 20_000
 
 
+def _estimate(n: int) -> str:
+    """``n`` in decimal, or a power of two below it when ``n`` has too many
+    digits for ``str`` (``sys.get_int_max_str_digits``), as 2000! has."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 def check_table_order(order: int, what: str = "group") -> None:
     if order > MAX_TABLE_ORDER:
         raise BoundExceeded(
-            f"{what} of order {order} exceeds the table bound {MAX_TABLE_ORDER}"
+            f"{what} of order {_estimate(order)} exceeds the table bound {MAX_TABLE_ORDER}"
         )
 
 
 def check_enumeration(count: int, what: str) -> None:
     if count > MAX_ENUMERATION:
         raise BoundExceeded(
-            f"enumerating {count} {what} exceeds the bound {MAX_ENUMERATION}"
+            f"enumerating {_estimate(count)} {what} exceeds the bound {MAX_ENUMERATION}"
         )

@@ -43,7 +43,15 @@ from typing import Callable
 
 from . import config
 from .errors import NotFree, OrbitObstruction
-from .groups import FiniteGroup, Permutation, perm_compose, perm_inverse, perm_orbits, table_group
+from .groups import (
+    FiniteGroup,
+    Permutation,
+    is_permutation,
+    perm_compose,
+    perm_inverse,
+    perm_orbits,
+    table_group,
+)
 from .gsets import (
     EquivariantMap,
     Frame,
@@ -62,13 +70,18 @@ from .records import Frozen
 class WreathElement(Frozen):
     """An element (g_tuple, sigma) of G wr I_n.
 
-    ``sigma`` is a forward image table; ``g_tuple`` holds element indices of
-    the base group, which is carried along so products can be validated.
+    ``sigma`` is a forward image table and ``g_tuple`` holds element indices
+    of the base group, which is carried along so products can be validated;
+    the constructor checks both.
     """
 
     _fields = ("group", "g_tuple", "sigma")
 
     def __init__(self, group: FiniteGroup, g_tuple: tuple[int, ...], sigma: Permutation):
+        if any(not (0 <= g < group.order) for g in g_tuple):
+            raise ValueError(f"group entries must lie in 0..{group.order - 1}")
+        if not is_permutation(sigma, len(sigma)):
+            raise ValueError(f"perm is not a permutation of 0..{len(sigma) - 1}")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "g_tuple", g_tuple)
         object.__setattr__(self, "sigma", sigma)
@@ -223,16 +236,13 @@ def frame_functor_map(a: EquivariantMap) -> Callable[[Frame], Frame]:
 
 
 class WreathGroup:
-    """G wr I_n materialized as a Cayley-table group with indexed elements."""
+    """G wr I_n materialized as a Cayley-table group; element i is ``elements[i]``."""
 
-    __slots__ = ("group", "n", "elements", "index")
+    __slots__ = ("group", "elements")
 
-    def __init__(self, group: FiniteGroup, n: int,
-                 elements: tuple[WreathElement, ...], index: dict[WreathElement, int]):
+    def __init__(self, group: FiniteGroup, elements: tuple[WreathElement, ...]):
         self.group = group
-        self.n = n
         self.elements = elements
-        self.index = index
 
 
 def wreath_group(G: FiniteGroup, n: int) -> WreathGroup:
@@ -269,8 +279,7 @@ def wreath_group(G: FiniteGroup, n: int) -> WreathGroup:
         for s in range(nf)
     )
     elements = tuple(WreathElement(G, g, s) for g in tuples for s in perms)
-    index = {w: i for i, w in enumerate(elements)}
-    return WreathGroup(table_group(table, f"{G.label}wr{n}"), n, elements, index)
+    return WreathGroup(table_group(table, f"{G.label}wr{n}"), elements)
 
 
 class Reconstruction:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 from . import config
 from .errors import BoundExceeded
@@ -89,7 +90,7 @@ class FiniteGroup(Frozen):
     immutable and safe to share; all operations on them are pure.
     """
 
-    __slots__ = _fields = ("order", "mul", "identity", "inv", "label")
+    _fields = ("order", "mul", "identity", "inv", "label")
 
     def __init__(self, order: int, mul: tuple[tuple[int, ...], ...], identity: int,
                  inv: tuple[int, ...], label: str = "G"):
@@ -98,9 +99,6 @@ class FiniteGroup(Frozen):
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "label", label)
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def is_abelian(self) -> bool:
         mul = self.mul
@@ -129,8 +127,8 @@ class FiniteGroup(Frozen):
             (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
 
         using a in S (with y = b), b in S (with x = xa), a in S (with
-        y = by) and b in S (with x = a).  ``generating_set`` reaches every
-        element by products of generators, so S is the whole table.
+        y = by) and b in S (with x = a).  :attr:`generators` reaches
+        every element by products of generators, so S is the whole table.
         """
         n = self.order
         mul = self.mul
@@ -144,7 +142,7 @@ class FiniteGroup(Frozen):
                 raise ValueError(f"identity axiom fails at element {a}")
             if mul[a][self.inv[a]] != e or mul[self.inv[a]][a] != e:
                 raise ValueError(f"inverse axiom fails at element {a}")
-        for a in generating_set(self):
+        for a in self.generators:
             a_row = mul[a]
             for x in range(n):
                 x_row = mul[x]
@@ -152,6 +150,26 @@ class FiniteGroup(Frozen):
                 if lhs != rhs:
                     y = next(y for y in range(n) if lhs[y] != rhs[y])
                     raise ValueError(f"associativity fails at ({x},{a},{y})")
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A small generating set found greedily over the element order, computed once.
+
+        Greedy choice of the smallest element outside the currently generated
+        subgroup; no generator is redundant.  The subgroup is the orbit of the
+        identity under the right multiplications ``x -> x s`` by the generators.
+        """
+        gens: list[int] = []
+        columns: list[Permutation] = []
+        orbit_of, _ = perm_orbits(columns, self.order)
+        for a in range(self.order):
+            if orbit_of[a] != orbit_of[self.identity]:
+                gens.append(a)
+                columns.append(tuple([row[a] for row in self.mul]))
+                orbit_of, cosets = perm_orbits(columns, self.order)
+                if len(cosets) == 1:
+                    break
+        return tuple(gens)
 
     def __repr__(self) -> str:  # keep large tables out of debug output
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -315,7 +333,7 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """
     mul, inv = G.mul, G.inv
     conjugations = [
-        tuple([mul[mul[h][a]][inv[h]] for a in range(G.order)]) for h in generating_set(G)
+        tuple([mul[mul[h][a]][inv[h]] for a in range(G.order)]) for h in G.generators
     ]
     return perm_orbits(conjugations, G.order)[1]
 
@@ -340,26 +358,6 @@ def is_isomorphism(h: GroupHom) -> bool:
     )
 
 
-def generating_set(G: FiniteGroup) -> list[int]:
-    """A small generating set found greedily over the element order.
-
-    Greedy choice of the smallest element outside the currently generated
-    subgroup; no generator is redundant.  The subgroup is the orbit of the
-    identity under the right multiplications ``x -> x s`` by the generators.
-    """
-    gens: list[int] = []
-    columns: list[Permutation] = []
-    orbit_of, _ = perm_orbits(columns, G.order)
-    for a in range(G.order):
-        if orbit_of[a] != orbit_of[G.identity]:
-            gens.append(a)
-            columns.append(tuple([row[a] for row in G.mul]))
-            orbit_of, cosets = perm_orbits(columns, G.order)
-            if len(cosets) == 1:
-                break
-    return gens
-
-
 def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     """All automorphisms of G, sorted by image table.
 
@@ -382,7 +380,7 @@ def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     config.check_table_order(G.order)
     config.check_enumeration(G.order, "automorphism search space base")
     mul = G.mul
-    gens = generating_set(G)
+    gens = G.generators
     order_of = [G.element_order(a) for a in range(G.order)]
     candidates = [[b for b in range(G.order) if order_of[b] == order_of[s]] for s in gens]
     phi = [-1] * G.order  # the partial map, -1 outside the current subgroup
@@ -435,5 +433,5 @@ def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, tuple[GroupHom, ...]]:
     auts = automorphisms(G)
     config.check_table_order(len(auts), what="automorphism group")
     # an automorphism is determined by its values on a generating set
-    table = permutation_group([h.image for h in auts], generating_set(G), f"Aut({G.label})")
+    table = permutation_group([h.image for h in auts], G.generators, f"Aut({G.label})")
     return table, tuple(auts)

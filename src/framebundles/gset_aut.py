@@ -23,24 +23,13 @@ import math
 
 from . import config
 from .errors import NotFree
-from .frames import (
-    Frame,
-    WreathElement,
-    enumerate_frames,
-    frame_map,
-    is_basis,
-)
-from .groups import (
-    FiniteGroup,
-    Permutation,
-    is_permutation,
-    perm_inverse,
-    permutation_group,
-)
+from .frames import Frame, WreathElement, frame_map, gset_homs, is_basis
+from .groups import FiniteGroup, Permutation, is_permutation, perm_inverse, permutation_group
 from .gsets import (
     EquivariantMap,
     GSet,
     divide,
+    induced_orbit_map,
     is_free,
     orbits,
     standard_semitorsor,
@@ -48,43 +37,31 @@ from .gsets import (
 
 
 def aut_group_of_gset(F: GSet) -> tuple[FiniteGroup, tuple[EquivariantMap, ...]]:
-    """Enumerate Aut(F) and realize it as a Cayley-table group.
+    """Aut(F), the morphisms ``F -> F`` of :func:`gset_homs`, as a Cayley-table group.
 
     An automorphism of a group-set is an id-equivariant bijective self-map.
     Every automorphism carries the canonical (lexicographically smallest)
-    frame to some other frame, and is determined by it, so the group is
-    enumerated as the frame maps from the canonical frame to each frame.
-    The returned list is sorted by value table.  The canonical frame is also
-    the base of the Cayley table: psi(h f_x) = h psi(f_x), and the frame
-    meets every orbit.
+    frame to some other frame, and is determined by it.  The returned list
+    is sorted by value table: the canonical frame's points are the orbit
+    minima in increasing order, so value tables sort the way their image
+    frames do.  The canonical frame is also the base of the Cayley table:
+    psi(h f_x) = h psi(f_x), and the frame meets every orbit.
     """
     if not is_free(F):
         raise NotFree("only free group-sets have wreath-sized automorphism groups")
-    fs = enumerate_frames(F)
-    config.check_enumeration(len(fs.frames), "group-set automorphisms")
-    base = fs.frames[0]
-    auts = sorted((frame_map(F, base, F, t) for t in fs.frames), key=lambda a: a.value)
+    auts = gset_homs(F, F)
     config.check_table_order(len(auts), what="group-set automorphism group")
-    table = permutation_group(
-        [a.value for a in auts], base, f"Aut({F.group.label}-set)"
-    )
+    base = orbits(F).representatives  # the canonical frame
+    table = permutation_group([a.value for a in auts], base, f"Aut({F.group.label}-set)")
     return table, tuple(auts)
-
-
-def cq(psi: EquivariantMap) -> Permutation:
-    """The permutation of orbit indices induced by an automorphism.
-
-    Satisfies q . psi = cq(psi) . q and is a homomorphism onto Sym(n).
-    """
-    q = orbits(psi.source)
-    return tuple(q.orbit_of[psi.value[rep]] for rep in q.representatives)
 
 
 def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> EquivariantMap:
     """The automorphism h f[x] -> h f[sigma(x)] defined by a frame.
 
     For a fixed frame this is a homomorphism in sigma; when the frame is a
-    section of the orbit map (slot x inside orbit x) it splits cq.
+    section of the orbit map (slot x inside orbit x) it splits the orbit
+    permutation :func:`~framebundles.gsets.induced_orbit_map`.
     """
     if not is_basis(F, f):
         raise ValueError("section_from_frame needs a basis")
@@ -102,7 +79,7 @@ def autq_component(psi: EquivariantMap, f: Frame) -> tuple[int, ...]:
     assignment psi -> tuple is a homomorphism onto G^n.
     """
     n = len(f)
-    if cq(psi) != tuple(range(n)):
+    if induced_orbit_map(psi) != tuple(range(n)):
         raise ValueError("automorphism does not preserve orbits")
     F = psi.source
     return tuple(divide(F, f[x], psi.value[f[x]]) for x in range(n))
@@ -127,10 +104,6 @@ def wreath_to_aut(
     """
     if w.group != G or w.n != n or len(w.g_tuple) != n:
         raise ValueError("wreath element does not match the target semi-torsor")
-    if any(not (0 <= g < G.order) for g in w.g_tuple):
-        raise ValueError(f"group entries must lie in 0..{G.order - 1}")
-    if not is_permutation(w.sigma, n):
-        raise ValueError(f"perm is not a permutation of 0..{n - 1}")
     if F is None:
         F = standard_semitorsor(G, n)
     elif F.group != G or F.size != G.order * n:
@@ -143,9 +116,9 @@ def wreath_to_aut(
 def aut_to_wreath(psi: EquivariantMap) -> WreathElement:
     """Recover the wreath element of an automorphism of a standard semi-torsor.
 
-    The permutation is cq(psi); the group tuple comes from evaluating at the
-    identity section, inverting the right-translation convention of
-    :func:`wreath_to_aut`.
+    The permutation is the orbit permutation of psi (``induced_orbit_map``);
+    the group tuple comes from evaluating at the identity section, inverting
+    the right-translation convention of :func:`wreath_to_aut`.
     """
     F = psi.source
     G = F.group
@@ -154,7 +127,7 @@ def aut_to_wreath(psi: EquivariantMap) -> WreathElement:
     n = F.size // G.order
     if F != standard_semitorsor(G, n):
         raise ValueError("carrier is not a standard semi-torsor")
-    sigma = cq(psi)
+    sigma = induced_orbit_map(psi)
     s_inv = perm_inverse(sigma)
     e = G.identity
     g = []
@@ -214,9 +187,9 @@ def ses_report(F: GSet, aut=None) -> SesReport:
     identity_perm = tuple(range(n))
     perms = set(itertools.permutations(range(n)))
 
-    cq_values = [cq(a) for a in auts]
+    cq_values = [induced_orbit_map(a) for a in auts]
     autq_order = sum(1 for p in cq_values if p == identity_perm)
-    # kernel of cq = the maps fixing every orbit setwise, checked point by point
+    # kernel of c_q = the maps fixing every orbit setwise, checked point by point
     kernel_is_autq = all(
         (p == identity_perm)
         == all(q.orbit_of[a.value[f]] == q.orbit_of[f] for f in range(F.size))
@@ -227,7 +200,7 @@ def ses_report(F: GSet, aut=None) -> SesReport:
     # the smallest frame: orbit indices follow the orbits' smallest points
     section_frame = q.representatives
     section_splits = all(
-        cq(section_from_frame(F, section_frame, sigma)) == sigma
+        induced_orbit_map(section_from_frame(F, section_frame, sigma)) == sigma
         for sigma in itertools.permutations(range(n))
     )
     return SesReport(

@@ -262,17 +262,18 @@ def compose_equivariant(a: EquivariantMap, b: EquivariantMap) -> EquivariantMap:
 
 
 def induced_orbit_map(a: EquivariantMap) -> tuple[int, ...]:
-    """The unique map on orbit indices making the quotient square commute."""
+    """The unique map c on orbit indices with q2 . a = c . q1.
+
+    For an automorphism of a free group-set this is the orbit permutation
+    c_q, a homomorphism onto Sym(orbits).
+    """
     q1 = orbits(a.source)
     q2 = orbits(a.target)
-    table = [-1] * q1.orbit_count
-    for k, rep in enumerate(q1.representatives):
-        table[k] = q2.orbit_of[a.value[rep]]
+    table = tuple(q2.orbit_of[a.value[rep]] for rep in q1.representatives)
     # the map is well defined by equivariance; verify the square exhaustively
-    for f in range(a.source.size):
-        if q2.orbit_of[a.value[f]] != table[q1.orbit_of[f]]:
-            raise ValueError("orbit map is not constant on orbits")
-    return tuple(table)
+    if any(q2.orbit_of[a.value[f]] != table[k] for f, k in enumerate(q1.orbit_of)):
+        raise ValueError("orbit map is not constant on orbits")
+    return table
 
 
 def is_orbit_bijection(a: EquivariantMap) -> bool:

@@ -165,13 +165,10 @@ def _parse_clutching_gspace(entry: Any, fiber: GSet, where: str) -> EquivariantM
         n = fiber.size // G.order
         if n < 1 or fiber != standard_semitorsor(G, n):
             raise SchemaError(f"{where}.wreath: fiber is not a standard semi-torsor")
-        w = WreathElement(
-            G,
-            tuple(_int_list(spec["g"], f"{where}.wreath.g")),
-            tuple(_int_list(spec["perm"], f"{where}.wreath.perm")),
-        )
+        g = tuple(_int_list(spec["g"], f"{where}.wreath.g"))
+        perm = tuple(_int_list(spec["perm"], f"{where}.wreath.perm"))
         try:
-            return wreath_to_aut(w, n, G, fiber)
+            return wreath_to_aut(WreathElement(G, g, perm), n, G, fiber)
         except ValueError as exc:
             raise SchemaError(f"{where}.wreath: {exc}") from exc
     else:

@@ -28,13 +28,14 @@ from .groups import (
     make_symmetric,
     perm_inverse,
 )
-from .gset_aut import aut_group_of_gset, aut_to_wreath, cq, ses_report, wreath_to_aut
+from .gset_aut import aut_group_of_gset, aut_to_wreath, ses_report, wreath_to_aut
 from .gsets import (
     EquivariantMap,
     compose_equivariant,
     divide,
     identity_hom,
     identity_map,
+    induced_orbit_map,
     orbits,
     standard_semitorsor,
     trivial_gset,
@@ -78,6 +79,7 @@ class SuiteReport:
 
 
 PAIR_BOUND = 50  # functor-laws checks all pairs only up to this many morphisms
+APPENDIX_B_MAX_N = 4  # appendix-b checks S3 .. S4; its labelling checks cost (n!)^3 for S_n
 
 _NAMED_GROUPS = {
     "trivial": lambda: make_cyclic(1),
@@ -124,17 +126,16 @@ def fixture_groups(max_order: int) -> list[FiniteGroup]:
     return out
 
 
-def _fixtures(groups: list[FiniteGroup], max_orbits: int, orbit_counts=None):
-    ns = orbit_counts if orbit_counts is not None else range(1, max_orbits + 1)
+def _fixtures(groups: list[FiniteGroup], orbit_counts):
     for G in groups:
-        for n in ns:
+        for n in orbit_counts:
             yield G, n, f"{G.label} n={n}"
 
 
-def suite_torsor(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
+def suite_torsor(groups, orbit_counts) -> SuiteReport:
     """Frame spaces are wreath torsors: size, closure, freeness, transitivity."""
     rep = SuiteReport("torsor")
-    for G, n, name in _fixtures(groups, max_orbits, orbit_counts):
+    for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         fs = enumerate_frames(F)
         expected = G.order**n * math.factorial(n)
@@ -171,10 +172,10 @@ def suite_torsor(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
     return rep
 
 
-def suite_functor_laws(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
+def suite_functor_laws(groups, orbit_counts) -> SuiteReport:
     """Identity and composition laws of the frame lift, over all morphism pairs."""
     rep = SuiteReport("functor-laws")
-    for G, n, name in _fixtures(groups, max_orbits, orbit_counts):
+    for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         fs = enumerate_frames(F)
         ident = frame_functor_map(identity_map(F))
@@ -197,10 +198,10 @@ def suite_functor_laws(groups, max_orbits: int, orbit_counts=None) -> SuiteRepor
     return rep
 
 
-def suite_ses(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
+def suite_ses(groups, orbit_counts) -> SuiteReport:
     """Short-exact-sequence report per fixture: sizes, kernel, splitting."""
     rep = SuiteReport("ses")
-    for G, n, name in _fixtures(groups, max_orbits, orbit_counts):
+    for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         r = ses_report(F)
         rep.add(name, "|Aut(F)| = |Aut(q)| |Sym(X)|", r.product_matches,
@@ -212,10 +213,10 @@ def suite_ses(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
     return rep
 
 
-def suite_wreath_iso(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
+def suite_wreath_iso(groups, orbit_counts) -> SuiteReport:
     """The explicit wreath-to-automorphism map is a bijective homomorphism."""
     rep = SuiteReport("wreath-iso")
-    for G, n, name in _fixtures(groups, max_orbits, orbit_counts):
+    for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         wg = wreath_group(G, n)
         images = [wreath_to_aut(w, n, G, F) for w in wg.elements]
@@ -235,7 +236,7 @@ def suite_wreath_iso(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
         rep.add(name, "homomorphism on all pairs", hom_ok)
         round_ok = all(aut_to_wreath(images[i]) == w for i, w in enumerate(wg.elements))
         rep.add(name, "round trip to wreath", round_ok)
-        perm_ok = all(cq(images[i]) == w.sigma for i, w in enumerate(wg.elements))
+        perm_ok = all(induced_orbit_map(images[i]) == w.sigma for i, w in enumerate(wg.elements))
         rep.add(name, "orbit permutation matches sigma", perm_ok)
         r = ses_report(F, aut)
         rep.add(name, "SES sizes", r.ok,
@@ -244,10 +245,10 @@ def suite_wreath_iso(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
     return rep
 
 
-def suite_division_rules(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
+def suite_division_rules(groups, orbit_counts) -> SuiteReport:
     """The four division identities, exhaustively on every free fixture."""
     rep = SuiteReport("division-rules")
-    for G, n, name in _fixtures(groups, max_orbits, orbit_counts):
+    for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         by_orbit = orbits(F).members
         mul, inv = G.mul, G.inv
@@ -280,10 +281,10 @@ def suite_division_rules(groups, max_orbits: int, orbit_counts=None) -> SuiteRep
     return rep
 
 
-def suite_equivalence(groups, max_orbits: int, orbit_counts=None) -> SuiteReport:
+def suite_equivalence(groups, orbit_counts) -> SuiteReport:
     """Full faithfulness of the frame lift between morphism sets."""
     rep = SuiteReport("equivalence")
-    for G, n, name in _fixtures(groups, max_orbits, orbit_counts):
+    for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         r = check_equivalence(F, F)
         expected = G.order**n * math.factorial(n)
@@ -296,10 +297,10 @@ def suite_equivalence(groups, max_orbits: int, orbit_counts=None) -> SuiteReport
     return rep
 
 
-def suite_appendix_b(max_n: int = 4) -> SuiteReport:
+def suite_appendix_b() -> SuiteReport:
     """Labelling of faithful symmetric actions and the global-action obstruction."""
     rep = SuiteReport("appendix-b")
-    for n in range(3, max_n + 1):
+    for n in range(3, APPENDIX_B_MAX_N + 1):
         perms = list(itertools.permutations(range(n)))
         all_ok = True
         for tau in perms:
@@ -359,5 +360,5 @@ def run_suite(
     if name == "appendix-b":
         return suite_appendix_b()
     groups = [named_group(group_name)] if group_name is not None else fixture_groups(max_group)
-    counts = [orbit_count] if orbit_count is not None else None
-    return SUITES[name](groups, max_orbits, orbit_counts=counts)
+    counts = [orbit_count] if orbit_count is not None else range(1, max_orbits + 1)
+    return SUITES[name](groups, counts)

@@ -215,7 +215,9 @@ def holonomy_u1(b: U1FlatBundle, word) -> U1Wreath:
 
     It is the element (angles, sigma) that moves (0, x) to where the word
     moves it, (angles[sigma(x)], sigma(x)), for every sheet x; so it equals
-    the letters' elements multiplied right-to-left.
+    the letters' elements multiplied right-to-left.  It is also the holonomy
+    of the frame-torsor connection, since a frame is transported entrywise
+    (:func:`frame_transport`).
     """
     w = validate_word(b.loops, word)
     letters = _letters(b)
@@ -238,17 +240,6 @@ def transport(b: U1FlatBundle, word, start: FiberPoint) -> FiberPoint:
     if not (0 <= start.sheet < b.k):
         raise ValueError("point sheet out of range for this wreath element")
     return _move(_letters(b), w, start)
-
-
-def frame_holonomy(b: U1FlatBundle, word) -> U1Wreath:
-    """Holonomy of the induced frame-torsor connection.
-
-    It is the same wreath element as :func:`holonomy_u1`: transporting a
-    frame transports each entry, so the frame picks up exactly the per-sheet
-    angle increments together with the shared sheet permutation.  See
-    :func:`frame_transport` for the action on frame tuples.
-    """
-    return holonomy_u1(b, word)
 
 
 U1Frame = tuple[FiberPoint, ...]

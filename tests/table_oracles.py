@@ -12,7 +12,6 @@ from framebundles.groups import (
     FiniteGroup,
     GroupHom,
     from_mul_table,
-    generating_set,
     perm_compose,
     table_group,
 )
@@ -84,7 +83,7 @@ def product_search_automorphisms(G: FiniteGroup) -> list[GroupHom]:
     """All automorphisms of G, sorted by image table, by trying every tuple
     of same-order images of a greedy generating set and checking the
     homomorphism law on all pairs (the search ``automorphisms`` replaced)."""
-    gens = generating_set(G)
+    gens = G.generators
     order_of = [G.element_order(a) for a in range(G.order)]
     discovery, parent = _discovery_order(G, gens)
     candidates_per_gen = [

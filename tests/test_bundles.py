@@ -39,10 +39,11 @@ from framebundles.groups import (
     make_cyclic,
     make_direct_product,
 )
-from framebundles.gset_aut import cq, wreath_to_aut
+from framebundles.gset_aut import wreath_to_aut
 from framebundles.gsets import (
     EquivariantMap,
     equivariant_map,
+    induced_orbit_map,
     orbits,
     semitorsor_point,
     standard_semitorsor,
@@ -220,7 +221,17 @@ def test_quotient_clutching_is_cq_of_clutching():
     for b in fixtures:
         q = quotient_bundle(b)
         for a, qa in zip(b.clutching, q.clutching):
-            assert qa.value == cq(a)
+            assert qa.value == induced_orbit_map(a)
+
+
+def test_quotient_refuses_a_clutching_map_that_mixes_orbits():
+    # a bijection of Z2 x I_2 built without the equivariance check: orbit 0 is
+    # {0, 2}, and it sends 0 into orbit 0 but 2 into orbit 1
+    fiber = standard_semitorsor(Z2, 2)
+    mixed = EquivariantMap(fiber, fiber, identity_hom(Z2), (0, 1, 3, 2))
+    b = flat_bundle(fiber, (mixed,), mode="gspace")
+    with pytest.raises(ValueError, match="orbit map is not constant on orbits"):
+        quotient_bundle(b)
 
 
 def test_quotient_map_fiber_count_is_group_order():
@@ -451,7 +462,7 @@ def test_holonomy_is_homomorphism_on_concatenation():
 def test_winding_cube_has_identity_orbit_permutation():
     b = finite_winding_bundle(Z2, 3)
     h = holonomy(b, (1, 1, 1))
-    assert cq(h) == (0, 1, 2)
+    assert induced_orbit_map(h) == (0, 1, 2)
 
 
 def test_holonomy_rejects_bad_letters():

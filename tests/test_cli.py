@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import framebundles.bundles as bundles
+import framebundles.groups as groups
 import framebundles.suites as suites
 from framebundles.cli import SUITE_NAMES, main
 from framebundles.gsets import EquivariantMap
@@ -81,6 +82,24 @@ def test_classify_circle_json(capsys):
     assert payload["status"] == "ok"
     assert payload["data"]["aut_order"] == 2
     assert [c["components"] for c in payload["data"]["classes"]] == [3, 2]
+
+
+def test_classify_circle_searches_each_generating_set_once(capsys, monkeypatch):
+    s4_table = json.dumps({"kind": "table", "mul": groups.make_symmetric(4).mul})
+    orbit_kernel = groups.perm_orbits
+    searches = []
+
+    def spy(perms, size):
+        # a generating-set search starts from no generators; no other call
+        # of the orbit kernel in this request passes an empty list
+        if not perms:
+            searches.append(size)
+        return orbit_kernel(perms, size)
+
+    monkeypatch.setattr(groups, "perm_orbits", spy)
+    code, out, _ = run(capsys, "classify-circle", "--group", s4_table)
+    assert code == 0 and "conjugacy classes: 5" in out
+    assert searches == [24, 24]  # once for G, once for Aut(G)
 
 
 def test_components_command(capsys):
@@ -340,6 +359,29 @@ def test_huge_semitorsor_is_refused_before_it_is_built(capsys, bundle):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+TRIVIAL_COVERING_2000 = {
+    "kind": "flat", "mode": "gspace", "loops": 1, "clutching": [{"perm": list(range(2000))}],
+    "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 1}, "n": 2000},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["frame-bundle", json.dumps({"kind": "winding", "group": {"kind": "cyclic", "n": 1},
+                                      "k": 2000})], "frames"),
+        (["verify", "torsor", "--group", "z1", "--orbits", "2000"], "frames"),
+        (["sn-action", json.dumps(TRIVIAL_COVERING_2000)], "permutations"),
+    ],
+    ids=["frame-bundle", "verify", "sn-action"],
+)
+def test_refusal_names_the_bound_when_the_estimate_is_too_long_to_print(capsys, argv, what):
+    # 2000! = |Sym(2000)| has 5,736 digits, more than str() prints of an int
+    code, out, err = run(capsys, *argv)
+    message = f"enumerating at least 2^19052 {what} exceeds the bound 20000"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_unreadable_document_path_is_usage_error(capsys, tmp_path):
     long_name = "a" * 300
     code, out, err = run(capsys, "components", long_name)
@@ -466,10 +508,18 @@ def test_circle_bundle_request_loads_no_finite_bundle_layer():
 
 
 def test_finite_bundle_request_loads_no_circle_layer():
-    loaded = _loaded_modules("classify-circle", "--group", Z3_SPEC)
+    loaded = _loaded_modules("components", WINDING_Z2_K2)
     assert "framebundles.bundles" in loaded
     for name in ("framebundles.u1", "framebundles.suites", "fractions", "dataclasses"):
         assert name not in loaded
+
+
+def test_classify_circle_loads_no_bundle_layer():
+    # the components of each class's bundle are the orbits of its representative
+    loaded = _loaded_modules("classify-circle", "--group", Z3_SPEC)
+    assert "framebundles.groups" in loaded
+    for layer in ("bundles", "frames", "gsets", "gset_aut"):
+        assert f"framebundles.{layer}" not in loaded
 
 
 def test_verify_help_lists_every_suite():

@@ -2,10 +2,12 @@
 
 import copy
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+from framebundles import config
 from framebundles.bundles import (
     bundle_isomorphic,
     clutching_wreath,
@@ -28,7 +30,6 @@ from framebundles.gset_aut import (
     aut_group_of_gset,
     autq_component,
     autq_reconstruct,
-    cq,
     ses_report,
     wreath_to_aut,
 )
@@ -36,6 +37,7 @@ from framebundles.gsets import (
     EquivariantMap,
     compose_equivariant,
     identity_map,
+    induced_orbit_map,
     is_free,
     make_gset,
     orbits,
@@ -108,7 +110,7 @@ def test_wreath_machinery_on_nonabelian_group():
     sample = wg.elements[::7]
     for w in sample:
         psi = wreath_to_aut(w, 2, S3)
-        assert cq(psi) == w.sigma
+        assert induced_orbit_map(psi) == w.sigma
         from framebundles.gset_aut import aut_to_wreath
 
         assert aut_to_wreath(psi) == w
@@ -166,6 +168,17 @@ def test_enumeration_bound_rejected():
 def test_wreath_group_bound_rejected():
     with pytest.raises(BoundExceeded):
         wreath_group(make_symmetric(4), 4)
+
+
+def test_bound_messages_print_every_estimate():
+    # 2000! has 5,736 digits, more than str() prints of an int by default
+    huge = math.factorial(2000)
+    with pytest.raises(BoundExceeded) as refused:
+        config.check_table_order(huge)
+    assert str(refused.value) == "group of order at least 2^19052 exceeds the table bound 5040"
+    with pytest.raises(BoundExceeded) as refused:
+        config.check_enumeration(huge, "frames")
+    assert str(refused.value) == "enumerating at least 2^19052 frames exceeds the bound 20000"
 
 
 def test_fixture_groups_bound():

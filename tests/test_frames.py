@@ -259,6 +259,20 @@ def test_wreath_identity_and_inverse():
         assert wreath_mul(w, wreath_inv(w)) == wreath_identity(Z3, 2)
 
 
+@pytest.mark.parametrize(
+    "g, sigma, message",
+    [
+        ((-1, 0), (0, 1), "group entries must lie in 0..2"),  # would act like g = (2, 0)
+        ((5, 0), (0, 1), "group entries must lie in 0..2"),
+        ((0, 0), (0, 0), "perm is not a permutation of 0..1"),
+    ],
+    ids=["negative-entry", "entry-past-order", "repeated-slot"],
+)
+def test_wreath_element_checks_its_entries(g, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        WreathElement(Z3, g, sigma)
+
+
 def test_wreath_mul_rejects_mismatch():
     with pytest.raises(ValueError):
         wreath_mul(wreath_identity(Z2, 2), wreath_identity(Z2, 3))

@@ -16,7 +16,6 @@ from framebundles.groups import (
     compose_hom,
     conjugacy_classes,
     from_mul_table,
-    generating_set,
     group_hom,
     identity_hom,
     is_isomorphism,
@@ -261,7 +260,7 @@ def test_inclusion_z2_in_z4_not_isomorphism():
 
 def test_generating_set_is_irredundant():
     for G in all_small_groups():
-        gens = generating_set(G)
+        gens = G.generators
         assert len(gens) <= 3
 
 

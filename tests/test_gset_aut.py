@@ -18,7 +18,6 @@ from framebundles.gset_aut import (
     aut_to_wreath,
     autq_component,
     autq_reconstruct,
-    cq,
     section_from_frame,
     ses_report,
     wreath_to_aut,
@@ -27,6 +26,7 @@ from framebundles.gsets import (
     compose_equivariant,
     divide,
     identity_map,
+    induced_orbit_map,
     make_gset,
     semitorsor_point,
     standard_semitorsor,
@@ -83,14 +83,14 @@ def test_aut_table_realizes_composition():
 
 def test_cq_identity():
     F = standard_semitorsor(Z2, 3)
-    assert cq(identity_map(F)) == (0, 1, 2)
+    assert induced_orbit_map(identity_map(F)) == (0, 1, 2)
 
 
 def test_cq_orbit_swap_is_transposition():
     F = standard_semitorsor(Z2, 2)
     w = WreathElement(Z2, (0, 0), (1, 0))
     psi = wreath_to_aut(w, 2, Z2)
-    assert cq(psi) == (1, 0)
+    assert induced_orbit_map(psi) == (1, 0)
 
 
 def test_cq_is_a_homomorphism_onto_sym():
@@ -100,8 +100,9 @@ def test_cq_is_a_homomorphism_onto_sym():
     for a in auts:
         for b in auts:
             composed = compose_equivariant(a, b)
-            assert cq(composed) == tuple(cq(a)[x] for x in cq(b))
-        perms.add(cq(a))
+            c_a, c_b = induced_orbit_map(a), induced_orbit_map(b)
+            assert induced_orbit_map(composed) == tuple(c_a[x] for x in c_b)
+        perms.add(induced_orbit_map(a))
     assert perms == set(itertools.permutations(range(2)))
 
 
@@ -132,7 +133,7 @@ def test_cq_of_section_is_identity_on_section_frames():
         F = standard_semitorsor(G, n)
         frame = identity_frame(G, n)
         for sigma in itertools.permutations(range(n)):
-            assert cq(section_from_frame(F, frame, sigma)) == sigma
+            assert induced_orbit_map(section_from_frame(F, frame, sigma)) == sigma
 
 
 def test_section_moves_frame_points():
@@ -157,7 +158,7 @@ def test_autq_component_round_trip():
     frame = identity_frame(Z4, 2)
     for tup in itertools.product(range(4), repeat=2):
         psi = autq_reconstruct(F, frame, tup)
-        assert cq(psi) == (0, 1)
+        assert induced_orbit_map(psi) == (0, 1)
         assert autq_component(psi, frame) == tup
 
 
@@ -270,7 +271,7 @@ def test_aut_to_wreath_composition_tuple_law():
 
 def test_cq_of_wreath_to_aut_is_sigma():
     for w in wreath_group(Z3, 2).elements:
-        assert cq(wreath_to_aut(w, 2, Z3)) == w.sigma
+        assert induced_orbit_map(wreath_to_aut(w, 2, Z3)) == w.sigma
 
 
 def test_pairing_invariance():

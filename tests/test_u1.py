@@ -18,7 +18,6 @@ from framebundles.u1 import (
     adjoint,
     all_words,
     division_form_check,
-    frame_holonomy,
     frame_transport,
     holonomy_u1,
     pushforward,
@@ -238,12 +237,6 @@ def test_holonomy_rejects_bad_word():
 # ---------------------------------------------------------------- frame holonomy
 
 
-def test_frame_holonomy_is_the_same_element():
-    b = u1_winding_bundle(3, [A(1, 12), A(5, 12), A(0)])
-    for word in [(), (1,), (1, 1), (-1, 1, 1)]:
-        assert frame_holonomy(b, word) == holonomy_u1(b, word)
-
-
 def test_frame_transport_identity_fixes_frames():
     frame = u1_canonical_frame(3)
     assert frame_transport(u1_identity(3), frame) == frame
@@ -254,7 +247,7 @@ def test_frame_transport_decomposes_entrywise():
     # transport increment of the sheet-x point, with the shared permutation
     b = u1_winding_bundle(3, [A(1, 12), A(5, 12), A(0)])
     for word in [(1,), (1, 1), (-1,), (1, 1, 1)]:
-        h = frame_holonomy(b, word)
+        h = holonomy_u1(b, word)
         moved = frame_transport(h, u1_canonical_frame(3))
         s_inv = perm_inverse(h.sigma)
         for x in range(3):
@@ -273,9 +266,9 @@ def test_frame_holonomy_functorial_over_words():
     frame = u1_canonical_frame(2)
     for u in [(1,), (2,), (1, 2)]:
         for v in [(1,), (-2,), (2, 1)]:
-            direct = frame_transport(frame_holonomy(b, u + v), frame)
+            direct = frame_transport(holonomy_u1(b, u + v), frame)
             stepped = frame_transport(
-                frame_holonomy(b, v), frame_transport(frame_holonomy(b, u), frame)
+                holonomy_u1(b, v), frame_transport(holonomy_u1(b, u), frame)
             )
             assert direct == stepped
 
