@@ -46,6 +46,7 @@ from .gset_aut import wreath_to_aut
 from .gsets import (
     EquivariantMap,
     GSet,
+    check_equivariant,
     identity_hom,
     induced_orbit_map,
     is_free,
@@ -97,6 +98,9 @@ def flat_bundle(
             raise ValueError(f"clutching {i} is not id-equivariant")
         if not a.is_bijective():
             raise ValueError(f"clutching {i} is not a bijection")
+        # vacuous in group mode, whose fiber group is trivial
+        if not check_equivariant(a):
+            raise ValueError(f"clutching {i} is not equivariant")
     if mode == MODE_GROUP:
         if fiber_group is None:
             raise ValueError("group mode needs the underlying group")

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from . import specdoc
+from . import config, specdoc
 from .errors import (
     FrameBundlesError,
     ModeMismatch,
@@ -31,7 +31,7 @@ from .errors import (
     NotFree,
     TooSmall,
 )
-from .groups import aut_group, conjugacy_classes, perm_orbits
+from .groups import automorphism_classes, automorphisms, perm_orbits
 
 EXIT_OK = 0
 EXIT_OBSTRUCTION = 1
@@ -68,8 +68,9 @@ def _perm_str(p) -> str:
 
 def cmd_classify_circle(args) -> Report:
     G = specdoc.parse_group(specdoc.load_document(args.group))
-    table, auts = aut_group(G)
-    classes = conjugacy_classes(table)
+    auts = automorphisms(G)
+    config.check_table_order(len(auts), what="automorphism group")
+    classes, abelian = automorphism_classes(G, auts)
     rows = []
     for k, cls in enumerate(classes):
         rep_hom = auts[cls[0]]
@@ -85,7 +86,7 @@ def cmd_classify_circle(args) -> Report:
         )
     report = Report("classify-circle")
     report.lines.append(f"group: {G.label} order {G.order}")
-    report.lines.append(f"automorphisms: {table.order}")
+    report.lines.append(f"automorphisms: {len(auts)}")
     report.lines.append(f"conjugacy classes: {len(classes)}")
     report.lines.append("class size representative components")
     for row in rows:
@@ -95,8 +96,8 @@ def cmd_classify_circle(args) -> Report:
     report.data = {
         "group": G.label,
         "order": G.order,
-        "aut_order": table.order,
-        "aut_abelian": table.is_abelian(),
+        "aut_order": len(auts),
+        "aut_abelian": abelian,
         "classes": rows,
     }
     return report

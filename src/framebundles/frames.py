@@ -11,14 +11,6 @@ with multiplication ``(g, s)(g', s') = (x -> g[x] g'[s^-1(x)], s s')``.  The
 ``s^-1`` in the action formula is the convention everything else here hinges
 on; it is computed once per element from the stored forward image table.
 
-The materialized wreath product (:func:`wreath_group`) numbers the element
-``(g, s)`` as ``rank(g) * n! + rank(s)``, where ``rank(g)`` is the position of
-the tuple ``g`` in ``itertools.product(range(|G|), repeat=n)`` and ``rank(s)``
-that of ``s`` in ``itertools.permutations(range(n))``: the elements sorted by
-``(g, s)``.  Its Cayley table is assembled from three small tables, the
-pointwise product on ``G^n``, the slot shift ``g' -> g' o s^-1`` and
-``Sym(n)``, following the multiplication formula above.
-
 Like a linear map by a basis, an equivariant map out of a free group-set is
 fixed by the image ``t`` of a frame ``f``: each point is ``g . f[x]`` for one
 ``(g, x)``, so equivariance forces :func:`frame_map`, ``g . f[x] -> g . t[x]``.
@@ -50,7 +42,6 @@ from .groups import (
     perm_compose,
     perm_inverse,
     perm_orbits,
-    table_group,
 )
 from .gsets import (
     EquivariantMap,
@@ -82,6 +73,8 @@ class WreathElement(Frozen):
             raise ValueError(f"group entries must lie in 0..{group.order - 1}")
         if not is_permutation(sigma, len(sigma)):
             raise ValueError(f"perm is not a permutation of 0..{len(sigma) - 1}")
+        if len(g_tuple) != len(sigma):
+            raise ValueError(f"{len(g_tuple)} group entries for a permutation of {len(sigma)} slots")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "g_tuple", g_tuple)
         object.__setattr__(self, "sigma", sigma)
@@ -235,51 +228,12 @@ def frame_functor_map(a: EquivariantMap) -> Callable[[Frame], Frame]:
     return lift
 
 
-class WreathGroup:
-    """G wr I_n materialized as a Cayley-table group; element i is ``elements[i]``."""
-
-    __slots__ = ("group", "elements")
-
-    def __init__(self, group: FiniteGroup, elements: tuple[WreathElement, ...]):
-        self.group = group
-        self.elements = elements
-
-
-def wreath_group(G: FiniteGroup, n: int) -> WreathGroup:
-    """Materialize the wreath product, elements sorted by (g_tuple, sigma).
-
-    Entry (i, j) of the Cayley table is the index of
-    ``wreath_mul(elements[i], elements[j])``; see the module docstring for
-    the element numbering and the three tables it is assembled from.
-    """
-    order = G.order**n * math.factorial(n)
-    config.check_enumeration(order, "wreath elements")
-    config.check_table_order(order, what="wreath product")
-    tuples = list(itertools.product(range(G.order), repeat=n))
+def wreath_elements(G: FiniteGroup, n: int) -> list[WreathElement]:
+    """Every element of the wreath product, sorted by (g_tuple, sigma)."""
+    config.check_enumeration(G.order**n * math.factorial(n), "wreath elements")
     perms = list(itertools.permutations(range(n)))
-    tuple_rank = {g: i for i, g in enumerate(tuples)}
-    perm_rank = {s: i for i, s in enumerate(perms)}
-    mul = G.mul
-    pointwise = [
-        [tuple_rank[tuple(mul[x][y] for x, y in zip(a, b))] for b in tuples]
-        for a in tuples
-    ]
-    shift = [
-        [tuple_rank[tuple(b[y] for y in perm_inverse(s))] for b in tuples]
-        for s in perms
-    ]
-    sym = [[perm_rank[perm_compose(s, t)] for t in perms] for s in perms]
-    # (a, s)(b, t) = (a . (b o s^-1), s t); entries index one shared tuple
-    # so the table holds no int object of its own
-    ids = tuple(range(order))
-    nf = len(perms)
-    table = tuple(
-        tuple([ids[row_a[k] * nf + u] for k in shift[s] for u in sym[s]])
-        for row_a in pointwise
-        for s in range(nf)
-    )
-    elements = tuple(WreathElement(G, g, s) for g in tuples for s in perms)
-    return WreathGroup(table_group(table, f"{G.label}wr{n}"), elements)
+    return [WreathElement(G, g, s) for g in itertools.product(range(G.order), repeat=n)
+            for s in perms]
 
 
 class Reconstruction:
@@ -435,8 +389,9 @@ def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
             tuple(fs2.index[wreath_act(F2, w, target)] for w in divisions)
         )
 
-    # each constructed table really is wreath-equivariant: checking the
-    # generators suffices, equivariance under products follows inductively.
+    # each constructed table really is wreath-equivariant: as in
+    # groups.first_broken_edge, the generators suffice once they generate W,
+    # that is, once the p1 make one orbit, as W acts freely and transitively.
     # Generator w moves frame i of fs1 to p1[i] and frame j of fs2 to p2[j].
     gens = _wreath_generators(F.group, fs1.n)
     moves = [
@@ -446,6 +401,8 @@ def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
         )
         for w in gens
     ]
+    if len(perm_orbits([p1 for p1, _ in moves], len(fs1.frames))[1]) != 1:
+        raise AssertionError("the wreath generators do not act transitively on frames")
     for table in torsor_tables:
         for p1, p2 in moves:
             if [table[m] for m in p1] != [p2[j] for j in table]:

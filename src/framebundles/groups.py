@@ -7,11 +7,14 @@ product and subgroup constructions can keep their natural labelling.
 The module is also the permutation and Cayley-table kernel of the library:
 permutations are forward image tables, and :func:`permutation_group`
 tabulates a group of permutations from their values on a *base*, a list of
-points on which no two of them agree, which is how Sym(n), Aut(G) and Aut(F)
-are built.  :func:`table_group` reads the identity and the inverses off a
-finished table; the wreath product, whose table is assembled from smaller
-ones, uses it directly.  :func:`perm_orbits` is the one orbit algorithm of
-the library.
+points on which no two of them agree, which is how Sym(n) is built.
+:func:`table_group` reads the identity and the inverses off a finished
+table.  :func:`perm_orbits` is the one orbit algorithm of the library.
+
+A group that the library reads only through its generators gets no table:
+:func:`first_broken_edge` proves a homomorphism law on the generator edges
+of the Cayley graph, and :func:`automorphism_classes` classifies Aut(G)
+from a generating set of it.
 """
 
 from __future__ import annotations
@@ -73,6 +76,53 @@ def perm_orbits(perms, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return tuple(orbit_of), tuple(members)
 
 
+def greedy_generators(order: int, identity: int, right_mul) -> tuple[int, ...]:
+    """An irredundant generating set: each generator is the smallest element
+    outside the subgroup of those before it, the orbit of the identity under
+    their right multiplications; ``right_mul(a)`` is the table ``x -> x a``."""
+    gens: list[int] = []
+    columns: list[Permutation] = []
+    orbit_of, _ = perm_orbits(columns, order)
+    for a in range(order):
+        if orbit_of[a] != orbit_of[identity]:
+            gens.append(a)
+            columns.append(right_mul(a))
+            orbit_of, cosets = perm_orbits(columns, order)
+            if len(cosets) == 1:
+                break
+    return tuple(gens)
+
+
+def first_broken_edge(image, compose, identity: int, gens, moves) -> tuple[int, int] | None:
+    """The first pair ``(a, s)`` with ``image[a s] != compose(image[a], image[s])``, or None.
+
+    ``compose`` multiplies images, and ``moves[k]`` is the table ``a -> a s``
+    of right multiplication by ``s = gens[k]``.  Only ``(e, e)`` and the
+    Cayley-graph edges ``(a, s)`` are checked, |G| |gens| + 1 pairs for |G|^2.
+    Raises ValueError unless the moves make one orbit.
+
+    Lemma: a map phi into a group with phi(e) phi(e) = phi(e), that is
+    phi(e) = e, and phi(as) = phi(a) phi(s) for every a and every s in a set
+    S whose right multiplications make one orbit, is a homomorphism.  The
+    orbit of e is the set of products s_1 ... s_k over S, so the whole group.
+    Induct on k for b = s_1 ... s_k: phi(ae) = phi(a) phi(e), and for b = cs
+    with c shorter, phi(acs) = phi(ac) phi(s) = phi(a) phi(c) phi(s) =
+    phi(a) phi(cs), by the edge at ac, the induction and the edge at c.
+    """
+    size = len(image)
+    orbit_of, members = perm_orbits(moves, size)
+    reached = len(members[orbit_of[identity]])
+    if reached != size:
+        raise ValueError(f"the generators reach {reached} of {size} elements")
+    if compose(image[identity], image[identity]) != image[identity]:
+        return identity, identity
+    for s, move in zip(gens, moves):
+        for a, a_s in enumerate(move):
+            if image[a_s] != compose(image[a], image[s]):
+                return a, s
+    return None
+
+
 def validate_word(loops: int, word) -> tuple[int, ...]:
     """A loop word over a wedge of ``loops`` circles: letters +-1 .. +-loops."""
     w = tuple(int(x) for x in word)
@@ -99,14 +149,6 @@ class FiniteGroup(Frozen):
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "label", label)
-
-    def is_abelian(self) -> bool:
-        mul = self.mul
-        return all(
-            mul[a][b] == mul[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
 
     def element_order(self, a: int) -> int:
         x = a
@@ -153,23 +195,10 @@ class FiniteGroup(Frozen):
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A small generating set found greedily over the element order, computed once.
-
-        Greedy choice of the smallest element outside the currently generated
-        subgroup; no generator is redundant.  The subgroup is the orbit of the
-        identity under the right multiplications ``x -> x s`` by the generators.
-        """
-        gens: list[int] = []
-        columns: list[Permutation] = []
-        orbit_of, _ = perm_orbits(columns, self.order)
-        for a in range(self.order):
-            if orbit_of[a] != orbit_of[self.identity]:
-                gens.append(a)
-                columns.append(tuple([row[a] for row in self.mul]))
-                orbit_of, cosets = perm_orbits(columns, self.order)
-                if len(cosets) == 1:
-                    break
-        return tuple(gens)
+        """A small generating set (:func:`greedy_generators`), computed once."""
+        mul = self.mul
+        return greedy_generators(self.order, self.identity,
+                                 lambda a: tuple([row[a] for row in mul]))
 
     def __repr__(self) -> str:  # keep large tables out of debug output
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -195,11 +224,12 @@ class GroupHom(Frozen):
             raise ValueError("image table entry out of range")
         if self.image[self.source.identity] != self.target.identity:
             raise ValueError("homomorphism does not preserve the identity")
-        smul, tmul, img = self.source.mul, self.target.mul, self.image
-        for a in range(self.source.order):
-            for b in range(self.source.order):
-                if img[smul[a][b]] != tmul[img[a]][img[b]]:
-                    raise ValueError(f"homomorphism law fails at ({a},{b})")
+        G, tmul = self.source, self.target.mul
+        moves = [tuple([row[s] for row in G.mul]) for s in G.generators]
+        broken = first_broken_edge(self.image, lambda x, y: tmul[x][y], G.identity,
+                                   G.generators, moves)
+        if broken is not None:
+            raise ValueError("homomorphism law fails at ({},{})".format(*broken))
 
     def __repr__(self) -> str:
         return f"GroupHom({self.source.label}->{self.target.label}, {self.image})"
@@ -369,13 +399,11 @@ def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     H_k is checked, and a candidate is rejected as soon as an edge
     disagrees or two points get the same image.
 
-    A map with phi(e) = e that passes every edge (all a in G, all
-    generators s) is a homomorphism: phi(ab) = phi(a)phi(b) by induction on
-    the length of b as a word in the generators (inverses are positive
-    powers).  For b = cs with c shorter, phi(acs) = phi(ac)phi(s) =
-    phi(a)phi(c)phi(s) = phi(a)phi(cs) by the edge at ac, the induction and
-    the edge at c.  Injective, it is an automorphism.  Every automorphism
-    is found, as it keeps element orders and agrees with every edge.
+    A leaf has phi(e) = e and has passed every edge (all a in G, all
+    generators s), so it is a homomorphism by the lemma of
+    :func:`first_broken_edge`; injective, it is an automorphism.  Every
+    automorphism is found, as it keeps element orders and agrees with every
+    edge.
     """
     config.check_table_order(G.order)
     config.check_enumeration(G.order, "automorphism search space base")
@@ -424,14 +452,23 @@ def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     return auts
 
 
-def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, tuple[GroupHom, ...]]:
-    """Materialize Aut(G) as a Cayley-table group under composition.
+def automorphism_classes(G: FiniteGroup, auts) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """The conjugacy classes of Aut(G) over the indices of ``auts =
+    automorphisms(G)``, listed as by :func:`conjugacy_classes`, and whether
+    Aut(G) is abelian, with no Cayley table: each automorphism is keyed by its
+    values on ``G.generators``, :func:`greedy_generators` finds a generating
+    set from the right multiplications ``p -> p h``, the classes are the
+    orbits of conjugation by it, and Aut(G) is abelian iff it commutes."""
+    images = [h.image for h in auts]
+    index = {tuple([p[s] for s in G.generators]): i for i, p in enumerate(images)}
+    keys = list(index)
 
-    Returns the table group together with the indexed automorphism list; the
-    table realizes ``auts[i] . auts[j]`` (j applied first) at entry (i, j).
-    """
-    auts = automorphisms(G)
-    config.check_table_order(len(auts), what="automorphism group")
-    # an automorphism is determined by its values on a generating set
-    table = permutation_group([h.image for h in auts], G.generators, f"Aut({G.label})")
-    return table, tuple(auts)
+    def keyed(h: int, outer) -> Permutation:  # p -> outer o p o h, on indices
+        return tuple([index[tuple([outer[p[x]] for x in keys[h]])] for p in images])
+
+    ident = tuple(range(G.order))
+    gens = greedy_generators(len(auts), index[G.generators], lambda h: keyed(h, ident))
+    conjugations = [keyed(h, perm_inverse(images[h])) for h in gens]
+    commute = all([images[h][x] for x in keys[k]] == [images[k][x] for x in keys[h]]
+                  for h in gens for k in gens)
+    return perm_orbits(conjugations, len(auts))[1], commute

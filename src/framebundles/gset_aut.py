@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from . import config
 from .errors import NotFree
 from .frames import Frame, WreathElement, frame_map, gset_homs, is_basis
-from .groups import FiniteGroup, Permutation, is_permutation, perm_inverse, permutation_group
+from .groups import FiniteGroup, Permutation, is_permutation, perm_inverse
 from .gsets import (
     EquivariantMap,
     GSet,
@@ -34,26 +33,6 @@ from .gsets import (
     orbits,
     standard_semitorsor,
 )
-
-
-def aut_group_of_gset(F: GSet) -> tuple[FiniteGroup, tuple[EquivariantMap, ...]]:
-    """Aut(F), the morphisms ``F -> F`` of :func:`gset_homs`, as a Cayley-table group.
-
-    An automorphism of a group-set is an id-equivariant bijective self-map.
-    Every automorphism carries the canonical (lexicographically smallest)
-    frame to some other frame, and is determined by it.  The returned list
-    is sorted by value table: the canonical frame's points are the orbit
-    minima in increasing order, so value tables sort the way their image
-    frames do.  The canonical frame is also the base of the Cayley table:
-    psi(h f_x) = h psi(f_x), and the frame meets every orbit.
-    """
-    if not is_free(F):
-        raise NotFree("only free group-sets have wreath-sized automorphism groups")
-    auts = gset_homs(F, F)
-    config.check_table_order(len(auts), what="group-set automorphism group")
-    base = orbits(F).representatives  # the canonical frame
-    table = permutation_group([a.value for a in auts], base, f"Aut({F.group.label}-set)")
-    return table, tuple(auts)
 
 
 def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> EquivariantMap:
@@ -102,7 +81,7 @@ def wreath_to_aut(
     A caller that maps many elements passes ``F = standard_semitorsor(G, n)``
     so that all the maps share one carrier.
     """
-    if w.group != G or w.n != n or len(w.g_tuple) != n:
+    if w.group != G or w.n != n:
         raise ValueError("wreath element does not match the target semi-torsor")
     if F is None:
         F = standard_semitorsor(G, n)
@@ -171,17 +150,19 @@ class SesReport:
         )
 
 
-def ses_report(F: GSet, aut=None) -> SesReport:
+def ses_report(F: GSet, auts=None) -> SesReport:
     """Exhaustively verify the short exact sequence for a free group-set.
 
     Checks that the orbit-projection homomorphism has the orbit-preserving
     automorphisms as kernel, is surjective onto Sym(n), and is split by the
     section built from the canonical section frame; reports all cardinalities.
-    ``aut`` is ``aut_group_of_gset(F)`` if the caller has already built it.
+    ``auts`` is Aut(F) as ``gset_homs(F, F)`` lists it, if the caller has
+    already listed it.
     """
     if not is_free(F):
         raise NotFree("the sequence closes only for free group-sets")
-    table, auts = aut if aut is not None else aut_group_of_gset(F)
+    if auts is None:
+        auts = gset_homs(F, F)
     q = orbits(F)
     n = q.orbit_count
     identity_perm = tuple(range(n))
@@ -206,10 +187,10 @@ def ses_report(F: GSet, aut=None) -> SesReport:
     return SesReport(
         group_label=F.group.label,
         orbit_count=n,
-        aut_order=table.order,
+        aut_order=len(auts),
         autq_order=autq_order,
         sym_order=math.factorial(n),
-        product_matches=table.order == autq_order * math.factorial(n),
+        product_matches=len(auts) == autq_order * math.factorial(n),
         kernel_is_autq=kernel_is_autq,
         cq_surjective=cq_surjective,
         section_splits=section_splits,

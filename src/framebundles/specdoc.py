@@ -167,6 +167,8 @@ def _parse_clutching_gspace(entry: Any, fiber: GSet, where: str) -> EquivariantM
             raise SchemaError(f"{where}.wreath: fiber is not a standard semi-torsor")
         g = tuple(_int_list(spec["g"], f"{where}.wreath.g"))
         perm = tuple(_int_list(spec["perm"], f"{where}.wreath.perm"))
+        if len(g) != n:
+            raise SchemaError(f"{where}.wreath: wreath element does not match the target semi-torsor")
         try:
             return wreath_to_aut(WreathElement(G, g, perm), n, G, fiber)
         except ValueError as exc:

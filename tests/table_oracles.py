@@ -1,6 +1,8 @@
 """Independent routes used as test oracles: the Cayley table of a list of
-elements under a product, the raw endomorphism search, the product search
-for automorphisms, the cubic associativity check, and a few group tables."""
+elements under a product (and the tables of the wreath product, Aut(G) and
+Aut(F) built with it, which the library never builds), the raw endomorphism
+search, the product search for automorphisms, the cubic associativity check,
+and a few group tables."""
 
 from __future__ import annotations
 
@@ -8,9 +10,11 @@ import itertools
 import random
 
 from framebundles.errors import BoundExceeded
+from framebundles.frames import gset_homs, wreath_elements, wreath_mul
 from framebundles.groups import (
     FiniteGroup,
     GroupHom,
+    automorphisms,
     from_mul_table,
     perm_compose,
     table_group,
@@ -37,6 +41,27 @@ def cayley_group(keys, product, label: str) -> FiniteGroup:
     index = {k: i for i, k in enumerate(keys)}
     mul = tuple(tuple(index[product(a, b)] for b in keys) for a in keys)
     return table_group(mul, label)
+
+
+def wreath_table(G: FiniteGroup, n: int) -> FiniteGroup:
+    """G wr I_n as the Cayley table of ``wreath_elements(G, n)`` under ``wreath_mul``."""
+    return cayley_group(wreath_elements(G, n), wreath_mul, f"{G.label}wr{n}")
+
+
+def aut_table(G: FiniteGroup) -> FiniteGroup:
+    """Aut(G) as the Cayley table of the image tables of ``automorphisms(G)``,
+    element i being the i-th automorphism, ``i j`` applying j first."""
+    return cayley_group([h.image for h in automorphisms(G)], perm_compose, f"Aut({G.label})")
+
+
+def gset_aut_table(F) -> FiniteGroup:
+    """Aut(F) as the Cayley table of the value tables of ``gset_homs(F, F)``."""
+    return cayley_group([a.value for a in gset_homs(F, F)], perm_compose, "Aut(F)")
+
+
+def is_abelian(G: FiniteGroup) -> bool:
+    """Whether every pair of elements commutes, by the quadratic loop."""
+    return all(G.mul[a][b] == G.mul[b][a] for a in range(G.order) for b in range(G.order))
 
 
 def endomorphisms_brute(G: FiniteGroup) -> list[GroupHom]:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from framebundles.bundles import (
+    FlatBundle,
     bundle_isomorphic,
     canonical_frame,
     clutching_wreath,
@@ -32,7 +33,6 @@ from framebundles.frames import (
     wreath_mul,
 )
 from framebundles.groups import (
-    aut_group,
     automorphisms,
     group_hom,
     identity_hom,
@@ -40,6 +40,8 @@ from framebundles.groups import (
     make_direct_product,
 )
 from framebundles.gset_aut import wreath_to_aut
+from table_oracles import aut_table
+
 from framebundles.gsets import (
     EquivariantMap,
     equivariant_map,
@@ -96,11 +98,11 @@ def test_unit_component_is_circle():
 
 
 def test_klein_four_classes_give_4_3_2_components():
-    table, auts = aut_group(KLEIN)
+    auts = automorphisms(KLEIN)
     from framebundles.groups import conjugacy_classes
 
     counts = []
-    for cls in conjugacy_classes(table):
+    for cls in conjugacy_classes(aut_table(KLEIN)):
         rep = auts[cls[0]]
         counts.append(total_components(group_bundle_over_circle(KLEIN, rep)))
     assert counts == [4, 3, 2]
@@ -224,14 +226,26 @@ def test_quotient_clutching_is_cq_of_clutching():
             assert qa.value == induced_orbit_map(a)
 
 
-def test_quotient_refuses_a_clutching_map_that_mixes_orbits():
+def _mixed_clutching():
     # a bijection of Z2 x I_2 built without the equivariance check: orbit 0 is
     # {0, 2}, and it sends 0 into orbit 0 but 2 into orbit 1
     fiber = standard_semitorsor(Z2, 2)
-    mixed = EquivariantMap(fiber, fiber, identity_hom(Z2), (0, 1, 3, 2))
-    b = flat_bundle(fiber, (mixed,), mode="gspace")
+    return fiber, EquivariantMap(fiber, fiber, identity_hom(Z2), (0, 1, 3, 2))
+
+
+def test_quotient_refuses_a_clutching_map_that_mixes_orbits():
+    # the record is built directly, as flat_bundle refuses the map
+    fiber, mixed = _mixed_clutching()
+    b = FlatBundle(fiber, 1, (mixed,), "gspace")
     with pytest.raises(ValueError, match="orbit map is not constant on orbits"):
         quotient_bundle(b)
+
+
+def test_flat_bundle_refuses_a_clutching_map_that_is_not_equivariant():
+    fiber, mixed = _mixed_clutching()
+    ident = EquivariantMap(fiber, fiber, identity_hom(Z2), tuple(range(fiber.size)))
+    with pytest.raises(ValueError, match="clutching 1 is not equivariant"):
+        flat_bundle(fiber, (ident, mixed), mode="gspace")
 
 
 def test_quotient_map_fiber_count_is_group_order():

@@ -102,6 +102,32 @@ def test_classify_circle_searches_each_generating_set_once(capsys, monkeypatch):
     assert searches == [24, 24]  # once for G, once for Aut(G)
 
 
+def _refuse_table(*args):
+    raise AssertionError("a Cayley table was built")
+
+
+TABLE_FREE_REQUESTS = [
+    ["verify", suite, "--group", group, "--orbits", "3"]
+    for suite in ("wreath-iso", "ses", "torsor") for group in ("z4", "z2xz2")
+] + [["classify-circle", "--group",
+      json.dumps({"kind": "table", "mul": groups.make_symmetric(4).mul})]]
+
+
+@pytest.mark.parametrize("argv", TABLE_FREE_REQUESTS,
+                         ids=[f"{a[1]}-{a[3]}" for a in TABLE_FREE_REQUESTS[:-1]] + ["classify-S4-table"])
+def test_requests_build_no_cayley_table(capsys, monkeypatch, argv):
+    # the wreath product, Aut(G) and Aut(F) are read through generators only
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("framebundles"):
+                for fn in ("permutation_group", "table_group"):
+                    if hasattr(module, fn):
+                        patch.setattr(module, fn, _refuse_table)
+        patched = run(capsys, *argv)
+    assert patched[0] == 0
+    assert patched == run(capsys, *argv)
+
+
 def test_components_command(capsys):
     code, out, _ = run(capsys, "components", WINDING_Z2_K2)
     assert code == 0

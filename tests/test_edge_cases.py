@@ -21,13 +21,13 @@ from framebundles.frames import (
     WreathElement,
     enumerate_frames,
     frame_functor_map,
+    gset_homs,
     reconstruct_semitorsor,
-    wreath_group,
+    wreath_elements,
     wreath_identity,
 )
 from framebundles.groups import identity_hom, make_cyclic, make_symmetric
 from framebundles.gset_aut import (
-    aut_group_of_gset,
     autq_component,
     autq_reconstruct,
     ses_report,
@@ -45,6 +45,7 @@ from framebundles.gsets import (
     standard_semitorsor,
 )
 from framebundles.u1 import Angle, FiberPoint, U1Wreath, division_form_check, u1_winding_bundle
+from table_oracles import gset_aut_table, wreath_table
 
 Z2 = make_cyclic(2)
 Z3 = make_cyclic(3)
@@ -71,7 +72,7 @@ def test_scrambled_carrier_still_free_with_same_orbits():
 
 def test_aut_group_on_scrambled_carrier():
     F = scrambled_copy(standard_semitorsor(Z2, 2), SCRAMBLE)
-    table, auts = aut_group_of_gset(F)
+    table = gset_aut_table(F)
     assert table.order == 8
     table.validate()
     r = ses_report(F)
@@ -104,10 +105,10 @@ def test_autq_component_homomorphism_nonabelian():
 
 
 def test_wreath_machinery_on_nonabelian_group():
-    wg = wreath_group(S3, 2)
-    assert wg.group.order == 36 * 2
-    wg.group.validate()
-    sample = wg.elements[::7]
+    table = wreath_table(S3, 2)
+    assert table.order == 36 * 2
+    table.validate()
+    sample = wreath_elements(S3, 2)[::7]
     for w in sample:
         psi = wreath_to_aut(w, 2, S3)
         assert induced_orbit_map(psi) == w.sigma
@@ -118,7 +119,7 @@ def test_wreath_machinery_on_nonabelian_group():
 
 def test_gspace_bundles_isomorphic_by_conjugation():
     b = finite_winding_bundle(Z2, 2)
-    _, auts = aut_group_of_gset(b.fiber)
+    auts = gset_homs(b.fiber, b.fiber)
     conjugator = auts[3]
     size = b.fiber.size
     c = conjugator.value
@@ -167,7 +168,7 @@ def test_enumeration_bound_rejected():
 
 def test_wreath_group_bound_rejected():
     with pytest.raises(BoundExceeded):
-        wreath_group(make_symmetric(4), 4)
+        wreath_elements(make_symmetric(4), 4)
 
 
 def test_bound_messages_print_every_estimate():

@@ -18,7 +18,7 @@ from framebundles.frames import (
     is_basis,
     reconstruct_semitorsor,
     wreath_act,
-    wreath_group,
+    wreath_elements,
     wreath_identity,
     wreath_inv,
     wreath_mul,
@@ -48,7 +48,7 @@ from framebundles.gsets import (
 )
 from framebundles.suites import fixture_groups
 import framebundles.frames as frames_module
-from table_oracles import cayley_group
+from table_oracles import wreath_table
 
 
 Z2 = make_cyclic(2)
@@ -243,9 +243,9 @@ def test_wreath_mul_example_against_matrix_oracle():
 
 
 def test_wreath_mul_matches_matrices_exhaustively():
-    wg = wreath_group(Z2, 2)
-    for a in wg.elements:
-        for b in wg.elements:
+    elements = wreath_elements(Z2, 2)
+    for a in elements:
+        for b in elements:
             oracle = mat_decode(mat_mul(wreath_matrix(a), wreath_matrix(b)), Z2)
             assert wreath_mul(a, b) == oracle
 
@@ -255,7 +255,7 @@ def test_wreath_identity_and_inverse():
     a = WreathElement(Z2, (1, 0), (1, 0))
     assert wreath_mul(e, a) == a
     assert wreath_mul(a, wreath_inv(a)) == e
-    for w in wreath_group(Z3, 2).elements:
+    for w in wreath_elements(Z3, 2):
         assert wreath_mul(w, wreath_inv(w)) == wreath_identity(Z3, 2)
 
 
@@ -265,8 +265,10 @@ def test_wreath_identity_and_inverse():
         ((-1, 0), (0, 1), "group entries must lie in 0..2"),  # would act like g = (2, 0)
         ((5, 0), (0, 1), "group entries must lie in 0..2"),
         ((0, 0), (0, 0), "perm is not a permutation of 0..1"),
+        ((1,), (0, 1), "1 group entries for a permutation of 2 slots"),
+        ((1, 2, 0), (0, 1), "3 group entries for a permutation of 2 slots"),
     ],
-    ids=["negative-entry", "entry-past-order", "repeated-slot"],
+    ids=["negative-entry", "entry-past-order", "repeated-slot", "short-tuple", "long-tuple"],
 )
 def test_wreath_element_checks_its_entries(g, sigma, message):
     with pytest.raises(ValueError, match=message):
@@ -281,9 +283,9 @@ def test_wreath_mul_rejects_mismatch():
 
 
 def test_wreath_group_satisfies_axioms():
-    wg = wreath_group(Z2, 2)
-    wg.group.validate()
-    assert wg.group.order == 8
+    table = wreath_table(Z2, 2)
+    table.validate()
+    assert table.order == 8
 
 
 @pytest.mark.parametrize(
@@ -299,14 +301,14 @@ def test_wreath_group_satisfies_axioms():
     ids=["Z1-3", "Z2-4", "Z3-2", "Z4-2", "Z2xZ2-2", "S3-2"],
 )
 def test_wreath_group_table_matches_wreath_mul(G, n):
-    # the assembled table against the one tabulated from wreath_mul itself
-    wg = wreath_group(G, n)
-    assert list(wg.elements) == sorted(wg.elements, key=lambda w: (w.g_tuple, w.sigma))
-    oracle = cayley_group(wg.elements, wreath_mul, f"{G.label}wr{n}")
-    assert wg.group.mul == oracle.mul
-    assert wg.group.identity == oracle.identity
-    assert wg.group.inv == oracle.inv
-    assert wg.group == oracle
+    # the elements are |G|^n n! distinct, sorted, closed under wreath_mul
+    # (the oracle table has an entry for every product) and form a group
+    elements = wreath_elements(G, n)
+    assert elements == sorted(set(elements), key=lambda w: (w.g_tuple, w.sigma))
+    assert len(elements) == G.order**n * math.factorial(n)
+    oracle = wreath_table(G, n)
+    oracle.validate()
+    assert elements[oracle.identity] == wreath_identity(G, n)
 
 
 # ---------------------------------------------------------------- the action
@@ -321,10 +323,10 @@ def test_wreath_act_identity_fixes_everything():
 
 def test_wreath_action_axiom_exhaustive():
     F = standard_semitorsor(Z2, 2)
-    wg = wreath_group(Z2, 2)
+    elements = wreath_elements(Z2, 2)
     tuples = list(itertools.product(range(F.size), repeat=2))
-    for a in wg.elements:
-        for b in wg.elements:
+    for a in elements:
+        for b in elements:
             ab = wreath_mul(a, b)
             for t in tuples:
                 assert wreath_act(F, a, wreath_act(F, b, t)) == wreath_act(F, ab, t)
@@ -333,7 +335,7 @@ def test_wreath_action_axiom_exhaustive():
 def test_action_maps_bases_to_bases():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
-    for w in wreath_group(Z2, 2).elements:
+    for w in wreath_elements(Z2, 2):
         for t in fs.frames:
             assert wreath_act(F, w, t) in fs.index
 
@@ -362,10 +364,10 @@ def test_frame_divide_unique_exhaustive():
     # relating them; freeness and transitivity mean exactly one each
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
-    wg = wreath_group(Z2, 2)
+    elements = wreath_elements(Z2, 2)
     for t1 in fs.frames:
         for t2 in fs.frames:
-            solutions = [w for w in wg.elements if wreath_act(F, w, t1) == t2]
+            solutions = [w for w in elements if wreath_act(F, w, t1) == t2]
             assert len(solutions) == 1
             assert frame_divide(fs, t2, t1) == solutions[0]
 
@@ -419,7 +421,7 @@ def test_orbit_swap_lift_is_wreath_equivariant():
         [semitorsor_point(g, 1 - x, 2) for g in range(2) for x in range(2)],
     )
     lift = frame_functor_map(swap)
-    for w in wreath_group(G, 2).elements:
+    for w in wreath_elements(G, 2):
         for t in fs.frames:
             assert lift(wreath_act(F, w, t)) == wreath_act(F, w, lift(t))
 
@@ -438,7 +440,7 @@ def test_cross_group_lift_is_xi_equivariant():
     )
     lift = frame_functor_map(a)
     fs4 = enumerate_frames(F4)
-    for w in wreath_group(z4, 2).elements:
+    for w in wreath_elements(z4, 2):
         w2 = WreathElement(Z2, tuple(xi.image[g] for g in w.g_tuple), w.sigma)
         for t in fs4.frames:
             assert lift(wreath_act(F4, w, t)) == wreath_act(F2, w2, lift(t))
@@ -455,7 +457,7 @@ def _checked_lift(a):
     fs = enumerate_frames(a.source)
     fs2 = enumerate_frames(a.target)
     xi = a.xi.image
-    for w in wreath_group(a.source.group, fs.n).elements:
+    for w in wreath_elements(a.source.group, fs.n):
         pushed = WreathElement(a.target.group, tuple(xi[g] for g in w.g_tuple), w.sigma)
         for t in fs.frames:
             lifted = lift(wreath_act(a.source, w, t))
@@ -470,7 +472,7 @@ def test_frame_functor_verify_mode():
     lift = _checked_lift(identity_map(F))
     assert all(lift(t) == t for t in fs.frames)
     # the wreath action by any fixed element is a permutation of the frames
-    for w in wreath_group(Z2, 2).elements:
+    for w in wreath_elements(Z2, 2):
         images = {wreath_act(F, w, t) for t in fs.frames}
         assert images == set(fs.frames)
 
@@ -604,11 +606,11 @@ def test_frames_as_torsor_matches_direct_action(F):
     # the direct wreath action on frame indices is a torsor of the wreath
     # Cayley table: the action law holds, and the action is free and transitive
     fs = enumerate_frames(F)
-    wg = wreath_group(F.group, fs.n)
+    elements = wreath_elements(F.group, fs.n)
     table = tuple(
-        tuple(fs.index[wreath_act(F, w, t)] for t in fs.frames) for w in wg.elements
+        tuple(fs.index[wreath_act(F, w, t)] for t in fs.frames) for w in elements
     )
-    torsor = GSet(wg.group, len(fs.frames), table)
+    torsor = GSet(wreath_table(F.group, fs.n), len(fs.frames), table)
     torsor.validate()
     assert is_free(torsor)
     assert is_transitive(torsor)

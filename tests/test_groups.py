@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import json
+import math
 import random
 import time
 
@@ -9,12 +10,15 @@ from hypothesis import given, strategies as st
 
 from framebundles.cli import cmd_classify_circle
 from framebundles.errors import BoundExceeded
+from framebundles.frames import gset_homs
 from framebundles.groups import (
     FiniteGroup,
-    aut_group,
+    GroupHom,
+    automorphism_classes,
     automorphisms,
     compose_hom,
     conjugacy_classes,
+    first_broken_edge,
     from_mul_table,
     group_hom,
     identity_hom,
@@ -24,17 +28,20 @@ from framebundles.groups import (
     make_direct_product,
     make_symmetric,
     perm_compose,
+    perm_orbits,
     permutation_group,
 )
-from framebundles.gset_aut import aut_group_of_gset
-from framebundles.gsets import make_gset, standard_semitorsor, trivial_gset
+from framebundles.gsets import make_gset, orbits, standard_semitorsor, trivial_gset
 from table_oracles import (
     LOOP_5,
     alternating5_table,
     associativity_failures,
+    aut_table,
     cayley_group,
     dihedral_table,
     endomorphisms_brute,
+    gset_aut_table,
+    is_abelian,
     product_search_automorphisms,
     quaternion_table,
     relabelled,
@@ -159,21 +166,25 @@ def test_automorphisms_closed_under_composition_and_contain_identity():
 
 def test_aut_group_satisfies_axioms():
     for G in all_small_groups():
-        table, auts = aut_group(G)
+        table = aut_table(G)
         table.validate()
-        assert table.order == len(auts)
+        assert table.order == len(automorphisms(G))
 
 
 def test_aut_group_klein_four_is_s3():
     z2 = make_cyclic(2)
-    table, _ = aut_group(make_direct_product(z2, z2))
-    assert table.order == 6
-    assert not table.is_abelian()
+    klein = make_direct_product(z2, z2)
+    auts = automorphisms(klein)
+    classes, abelian = automorphism_classes(klein, auts)
+    assert len(auts) == 6
+    assert sorted(len(c) for c in classes) == [1, 2, 3]
+    assert not abelian
+    assert not is_abelian(aut_table(klein))
 
 
 def test_aut_group_table_realizes_composition():
     G = make_symmetric(3)
-    table, auts = aut_group(G)
+    table, auts = aut_table(G), automorphisms(G)
     for i in range(table.order):
         for j in range(table.order):
             composed = compose_hom(auts[i], auts[j])
@@ -258,6 +269,74 @@ def test_inclusion_z2_in_z4_not_isomorphism():
     assert is_isomorphism(identity_hom(z4))
 
 
+def _swapped_off_generators(G):
+    """The identity map of G with the images of two elements outside
+    ``G.generators`` and the identity swapped, or None if there are none."""
+    outside = [a for a in range(G.order) if a != G.identity and a not in G.generators]
+    if len(outside) < 2:
+        return None
+    image = list(range(G.order))
+    a, b = outside[:2]
+    image[a], image[b] = b, a
+    return tuple(image)
+
+
+def test_group_hom_wrong_only_off_the_generators_is_refused():
+    # right on the identity and on every generator, wrong on two other elements
+    checked = 0
+    for G in groups_to_order_24():
+        image = _swapped_off_generators(G)
+        if image is None:
+            continue
+        with pytest.raises(ValueError, match="homomorphism law fails") as exc:
+            GroupHom(G, G, image).validate()
+        a, s = (int(x) for x in str(exc.value).split("(")[1].rstrip(")").split(","))
+        assert s in G.generators
+        assert image[G.mul[a][s]] != G.mul[image[a]][image[s]]
+        checked += 1
+    assert checked >= 15
+
+
+def test_group_hom_that_respects_only_the_first_generator_is_refused():
+    # left multiplication by s1 on one left coset of <s1> that holds neither
+    # the identity nor a generator keeps every s1 edge and every generator
+    checked = 0
+    for G in groups_to_order_24():
+        if len(G.generators) < 2:
+            continue
+        s1 = G.generators[0]
+        orbit_of, cosets = perm_orbits([tuple(row[s1] for row in G.mul)], G.order)
+        taken = {orbit_of[a] for a in (G.identity, *G.generators)}
+        free = [c for k, c in enumerate(cosets) if k not in taken]
+        if not free:
+            continue
+        image = list(range(G.order))
+        for a in free[0]:
+            image[a] = G.mul[s1][a]
+        with pytest.raises(ValueError, match="homomorphism law fails") as exc:
+            GroupHom(G, G, tuple(image)).validate()
+        a, s = (int(x) for x in str(exc.value).split("(")[1].rstrip(")").split(","))
+        assert s in G.generators[1:]
+        assert image[G.mul[a][s]] != G.mul[image[a]][image[s]]
+        checked += 1
+    assert checked >= 8
+
+
+def test_a_generating_set_one_element_short_fails_the_orbit_check():
+    for G in groups_to_order_24():
+        moves = [tuple(row[s] for row in G.mul) for s in G.generators]
+        image = tuple(range(G.order))
+
+        def compose(x, y):
+            return G.mul[x][y]
+
+        assert first_broken_edge(image, compose, G.identity, G.generators, moves) is None
+        if G.order == 1:
+            continue
+        with pytest.raises(ValueError, match="the generators reach"):
+            first_broken_edge(image, compose, G.identity, G.generators[:-1], moves[:-1])
+
+
 def test_generating_set_is_irredundant():
     for G in all_small_groups():
         gens = G.generators
@@ -315,12 +394,12 @@ def test_automorphisms_match_product_search():
 
 
 def test_aut_group_table_matches_composition_table():
-    # oracle: the Cayley table of the image tables under perm_compose
+    # oracle: the classes and commutativity of the Cayley table of Aut(G)
     for G in groups_to_order_24() + relabelled_tables():
-        table, auts = aut_group(G)
-        oracle = cayley_group([h.image for h in auts], perm_compose, "oracle")
-        assert table.mul == oracle.mul, G.label
-        assert (table.identity, table.inv) == (oracle.identity, oracle.inv)
+        classes, abelian = automorphism_classes(G, automorphisms(G))
+        oracle = aut_table(G)
+        assert classes == conjugacy_classes(oracle), G.label
+        assert abelian == is_abelian(oracle), G.label
 
 
 def test_gset_aut_table_matches_composition_table():
@@ -332,9 +411,11 @@ def test_gset_aut_table_matches_composition_table():
         make_gset(make_cyclic(2), [[0, 1, 2, 3], [3, 2, 1, 0]]),  # not standard
     ]
     for F in fixtures:
-        table, auts = aut_group_of_gset(F)
-        oracle = cayley_group([a.value for a in auts], perm_compose, "oracle")
-        assert table.mul == oracle.mul
+        # the oracle has an entry for every product, so gset_homs is closed
+        oracle = gset_aut_table(F)
+        oracle.validate()
+        n = orbits(F).orbit_count
+        assert oracle.order == len(gset_homs(F, F)) == F.group.order**n * math.factorial(n)
 
 
 def test_symmetric_table_matches_composition_table():

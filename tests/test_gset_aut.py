@@ -7,14 +7,14 @@ from framebundles.frames import (
     WreathElement,
     associated_map,
     enumerate_frames,
+    gset_homs,
     wreath_act,
-    wreath_group,
+    wreath_elements,
     wreath_identity,
     wreath_mul,
 )
 from framebundles.groups import make_cyclic, make_direct_product, make_symmetric
 from framebundles.gset_aut import (
-    aut_group_of_gset,
     aut_to_wreath,
     autq_component,
     autq_reconstruct,
@@ -32,6 +32,7 @@ from framebundles.gsets import (
     standard_semitorsor,
     trivial_gset,
 )
+from table_oracles import gset_aut_table, is_abelian
 
 Z2 = make_cyclic(2)
 Z3 = make_cyclic(3)
@@ -46,32 +47,35 @@ def identity_frame(G, n):
 
 
 def test_aut_of_abelian_torsor_is_the_group():
-    table, auts = aut_group_of_gset(standard_semitorsor(Z4, 1))
+    table = gset_aut_table(standard_semitorsor(Z4, 1))
     assert table.order == 4
-    assert table.is_abelian()
+    assert is_abelian(table)
 
 
 def test_aut_of_z2_two_orbits_has_order_eight():
-    table, auts = aut_group_of_gset(standard_semitorsor(Z2, 2))
+    table = gset_aut_table(standard_semitorsor(Z2, 2))
     assert table.order == 8
     table.validate()
 
 
 def test_aut_of_plain_three_point_set_is_s3():
-    table, auts = aut_group_of_gset(trivial_gset(3))
+    auts = gset_homs(trivial_gset(3), trivial_gset(3))
+    table = gset_aut_table(trivial_gset(3))
     assert table.order == 6
-    assert not table.is_abelian()
+    assert not is_abelian(table)
     # all bijections of three points appear
     assert {a.value for a in auts} == set(itertools.permutations(range(3)))
 
 
 def test_aut_group_rejects_non_free():
     with pytest.raises(NotFree):
-        aut_group_of_gset(make_gset(Z2, [[0, 1], [0, 1]]))
+        F = make_gset(Z2, [[0, 1], [0, 1]])
+        gset_homs(F, F)
 
 
 def test_aut_table_realizes_composition():
-    table, auts = aut_group_of_gset(standard_semitorsor(Z2, 2))
+    F = standard_semitorsor(Z2, 2)
+    table, auts = gset_aut_table(F), gset_homs(F, F)
     for i in range(table.order):
         for j in range(table.order):
             composed = compose_equivariant(auts[i], auts[j])
@@ -95,7 +99,7 @@ def test_cq_orbit_swap_is_transposition():
 
 def test_cq_is_a_homomorphism_onto_sym():
     F = standard_semitorsor(Z2, 2)
-    _, auts = aut_group_of_gset(F)
+    auts = gset_homs(F, F)
     perms = set()
     for a in auts:
         for b in auts:
@@ -218,11 +222,11 @@ def test_wreath_to_aut_pure_tuple_right_translates():
 
 
 def test_wreath_to_aut_homomorphism_64_pairs():
-    wg = wreath_group(Z2, 2)
-    images = {w: wreath_to_aut(w, 2, Z2) for w in wg.elements}
+    elements = wreath_elements(Z2, 2)
+    images = {w: wreath_to_aut(w, 2, Z2) for w in elements}
     count = 0
-    for a in wg.elements:
-        for b in wg.elements:
+    for a in elements:
+        for b in elements:
             lhs = images[wreath_mul(a, b)].value
             rhs = tuple(images[a].value[x] for x in images[b].value)
             assert lhs == rhs
@@ -231,18 +235,17 @@ def test_wreath_to_aut_homomorphism_64_pairs():
 
 
 def test_wreath_to_aut_bijective():
-    wg = wreath_group(Z3, 2)
-    tables = {wreath_to_aut(w, 2, Z3).value for w in wg.elements}
-    assert len(tables) == wg.group.order
-    _, auts = aut_group_of_gset(standard_semitorsor(Z3, 2))
+    elements = wreath_elements(Z3, 2)
+    tables = {wreath_to_aut(w, 2, Z3).value for w in elements}
+    assert len(tables) == len(elements) == 18
+    auts = gset_homs(standard_semitorsor(Z3, 2), standard_semitorsor(Z3, 2))
     assert tables == {a.value for a in auts}
 
 
 def test_aut_to_wreath_round_trips():
-    wg = wreath_group(Z2, 2)
-    for w in wg.elements:
+    for w in wreath_elements(Z2, 2):
         assert aut_to_wreath(wreath_to_aut(w, 2, Z2)) == w
-    _, auts = aut_group_of_gset(standard_semitorsor(Z2, 2))
+    auts = gset_homs(standard_semitorsor(Z2, 2), standard_semitorsor(Z2, 2))
     for a in auts:
         assert wreath_to_aut(aut_to_wreath(a), 2, Z2).value == a.value
 
@@ -270,7 +273,7 @@ def test_aut_to_wreath_composition_tuple_law():
 
 
 def test_cq_of_wreath_to_aut_is_sigma():
-    for w in wreath_group(Z3, 2).elements:
+    for w in wreath_elements(Z3, 2):
         assert induced_orbit_map(wreath_to_aut(w, 2, Z3)) == w.sigma
 
 
@@ -280,7 +283,7 @@ def test_pairing_invariance():
     n = 2
     F = standard_semitorsor(G, n)
     fs = enumerate_frames(F)
-    for w in wreath_group(G, n).elements:
+    for w in wreath_elements(G, n):
         psi = wreath_to_aut(w, n, G)
         for t in fs.frames:
             moved = wreath_act(F, w, t)
@@ -297,7 +300,7 @@ def test_counteracting_map_is_frame_independent():
     G = Z3
     F = standard_semitorsor(G, 2)
     fs = enumerate_frames(F)
-    for w in wreath_group(G, 2).elements[:: 6]:
+    for w in wreath_elements(G, 2)[:: 6]:
         expected = None
         for t in fs.frames:
             moved = wreath_act(F, w, t)

@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 
 import pytest
 
@@ -17,17 +16,19 @@ from framebundles.bundles import (  # noqa: E402
     frame_bundle,
     total_components,
 )
-from framebundles.frames import WreathElement, _wreath_generators, wreath_group  # noqa: E402
+from framebundles.frames import WreathElement, _wreath_generators, wreath_elements  # noqa: E402
 from framebundles.groups import (  # noqa: E402
-    aut_group,
+    automorphism_classes,
+    automorphisms,
     conjugacy_classes,
     make_cyclic,
     make_symmetric,
     perm_orbits,
 )
-from framebundles.gset_aut import aut_group_of_gset, wreath_to_aut  # noqa: E402
+from framebundles.gset_aut import wreath_to_aut  # noqa: E402
 from framebundles.gsets import standard_semitorsor  # noqa: E402
 from framebundles.suites import fixture_groups  # noqa: E402
+from table_oracles import aut_table, gset_aut_table, is_abelian, relabelled  # noqa: E402
 
 GROUPS = fixture_groups(6)
 # every fixture group with n <= 2, and n = 3 up to order 4
@@ -72,11 +73,28 @@ CLASS_GROUPS = GROUPS + [make_symmetric(4)]
 @pytest.mark.parametrize("G", CLASS_GROUPS, ids=[G.label for G in CLASS_GROUPS])
 def test_conjugacy_classes_match_sympy(G):
     # G by its left-regular permutations, Aut(G) by the automorphisms' image tables
-    table, auts = aut_group(G)
+    table, auts = aut_table(G), automorphisms(G)
     for H, perms in ((G, G.mul), (table, [h.image for h in auts])):
         want = {frozenset(tuple(p.array_form) for p in c)
                 for c in _group(perms, G.order).conjugacy_classes()}
         assert {frozenset(perms[i] for i in c) for c in conjugacy_classes(H)} == want
+
+
+AUT_CASES = CLASS_GROUPS + [relabelled(make_symmetric(4).mul, seed) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("G", AUT_CASES, ids=[f"{G.label}-{i}" for i, G in enumerate(AUT_CASES)])
+def test_automorphism_classes_match_table_oracle_and_sympy(G):
+    auts = automorphisms(G)
+    classes, abelian = automorphism_classes(G, auts)
+    table = aut_table(G)
+    assert (len(auts), classes, abelian) == (table.order, conjugacy_classes(table),
+                                             is_abelian(table))
+    images = [h.image for h in auts]
+    group = _group(images, G.order)
+    want = {frozenset(tuple(p.array_form) for p in c) for c in group.conjugacy_classes()}
+    assert {frozenset(images[i] for i in c) for c in classes} == want
+    assert (group.order(), group.is_abelian) == (len(auts), abelian)
 
 
 @pytest.mark.parametrize("G, n", WREATH_CASES, ids=[f"{G.label}-{n}" for G, n in WREATH_CASES])
@@ -84,7 +102,7 @@ def test_wreath_generator_images_generate_aut(G, n):
     F = standard_semitorsor(G, n)
     images = [wreath_to_aut(w, n, G, F).value for w in _wreath_generators(G, n)]
     order = _group(images, F.size).order()
-    assert order == G.order**n * math.factorial(n) == aut_group_of_gset(F)[0].order
+    assert order == G.order**n * math.factorial(n) == gset_aut_table(F).order
 
 
 def _two_loop_bundles():
@@ -92,7 +110,7 @@ def _two_loop_bundles():
     out = []
     for G in GROUPS[:5]:
         F = standard_semitorsor(G, 2)
-        elements = wreath_group(G, 2).elements
+        elements = wreath_elements(G, 2)
         maps = [wreath_to_aut(w, 2, G, F) for w in elements]
         for i in range(0, len(maps), 3):
             j = (7 * i + 1) % len(maps)
@@ -113,17 +131,10 @@ def test_clutching_orbits_match_components():
         assert {frozenset(o) for o in orbits} == {frozenset(c) for c in components(b)}
 
 
-def _refuse_wreath_table(*args):
-    raise AssertionError("the wreath Cayley table was built")
-
-
 @pytest.mark.parametrize("G, k, count", [(make_cyclic(2), 5, 768), (make_cyclic(4), 4, 1536)],
                          ids=["Z2-5", "Z4-4"])
-def test_frame_bundle_components_from_lifts_alone(monkeypatch, G, k, count):
+def test_frame_bundle_components_from_lifts_alone(G, k, count):
     # 3,840 and 6,144 frames; |W| = 6,144 is past the Cayley-table bound
-    for name, module in list(sys.modules.items()):
-        if name.startswith("framebundles.") and hasattr(module, "wreath_group"):
-            monkeypatch.setattr(module, "wreath_group", _refuse_wreath_table)
     lifted = frame_bundle(finite_winding_bundle(G, k))
     assert lifted.fiber.size == G.order**k * math.factorial(k)
     orbits = _group([a.value for a in lifted.clutching], lifted.fiber.size).orbits()
