@@ -88,6 +88,8 @@ def flat_bundle(
     maps = tuple(clutching)
     if not maps:
         raise ValueError("a bundle over a wedge needs at least one loop")
+    if fiber.size == 0:
+        raise ValueError("the fiber has no points")
     if mode not in (MODE_GROUP, MODE_GSPACE):
         raise ValueError(f"unknown bundle mode {mode!r}")
     ident = tuple(range(fiber.group.order))
@@ -219,7 +221,7 @@ def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
     F = standard_semitorsor(G, k)
     cycle = tuple((i + 1) % k for i in range(k))
     w = WreathElement(G, (G.identity,) * k, cycle)
-    return flat_bundle(F, (wreath_to_aut(w, k, G, F),), mode=MODE_GSPACE)
+    return flat_bundle(F, (wreath_to_aut(w, F),), mode=MODE_GSPACE)
 
 
 def frame_bundle(b: FlatBundle) -> FlatBundle:

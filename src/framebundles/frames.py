@@ -53,6 +53,7 @@ from .gsets import (
     is_free,
     is_orbit_bijection,
     orbits,
+    semitorsor_point,
     standard_semitorsor,
 )
 from .records import Frozen
@@ -163,8 +164,8 @@ def _model_frame(F: GSet, t: Frame) -> tuple[GSet, Frame]:
     if not is_basis(F, t):
         raise ValueError("tuple is not a basis")
     n = len(t)
-    e = F.group.identity
-    return standard_semitorsor(F.group, n), tuple(e * n + x for x in range(n))
+    frame = tuple(semitorsor_point(F.group.identity, x, n) for x in range(n))
+    return standard_semitorsor(F.group, n), frame
 
 
 def associated_map(F: GSet, t: Frame) -> EquivariantMap:

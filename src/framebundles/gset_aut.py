@@ -23,7 +23,7 @@ import math
 
 from .errors import NotFree
 from .frames import Frame, WreathElement, frame_map, gset_homs, is_basis
-from .groups import FiniteGroup, Permutation, is_permutation, perm_inverse
+from .groups import Permutation, is_permutation, perm_inverse
 from .gsets import (
     EquivariantMap,
     GSet,
@@ -31,6 +31,9 @@ from .gsets import (
     induced_orbit_map,
     is_free,
     orbits,
+    semitorsor_coords,
+    semitorsor_orbit_count,
+    semitorsor_point,
     standard_semitorsor,
 )
 
@@ -71,25 +74,21 @@ def autq_reconstruct(F: GSet, f: Frame, component: tuple[int, ...]) -> Equivaria
     return frame_map(F, f, F, t)
 
 
-def wreath_to_aut(
-    w: WreathElement, n: int, G: FiniteGroup, F: GSet | None = None
-) -> EquivariantMap:
-    """The isomorphism from the wreath product onto Aut(G x I_n).
+def wreath_to_aut(w: WreathElement, F: GSet | None = None) -> EquivariantMap:
+    """The isomorphism from the wreath product G wr I_n onto Aut(G x I_n).
 
     (h, x) maps to (h . g[s(x)]^-1, s(x)); right translation keeps the maps
     left-equivariant, and the whole assignment is a group homomorphism.
     A caller that maps many elements passes ``F = standard_semitorsor(G, n)``
-    so that all the maps share one carrier.
+    so that all the maps share one carrier; any other carrier is refused.
     """
-    if w.group != G or w.n != n:
-        raise ValueError("wreath element does not match the target semi-torsor")
+    G, n = w.group, w.n
     if F is None:
         F = standard_semitorsor(G, n)
-    elif F.group != G or F.size != G.order * n:
-        raise ValueError("carrier is not the semi-torsor G x I_n")
-    e, inv = G.identity, G.inv
-    image = tuple(inv[w.g_tuple[s]] * n + s for s in w.sigma)
-    return frame_map(F, tuple(e * n + x for x in range(n)), F, image)
+    elif F.group != G or semitorsor_orbit_count(F) != n:
+        raise ValueError("wreath element does not match the target semi-torsor")
+    image = tuple(semitorsor_point(G.inv[w.g_tuple[s]], s, n) for s in w.sigma)
+    return frame_map(F, tuple(semitorsor_point(G.identity, x, n) for x in range(n)), F, image)
 
 
 def aut_to_wreath(psi: EquivariantMap) -> WreathElement:
@@ -101,18 +100,12 @@ def aut_to_wreath(psi: EquivariantMap) -> WreathElement:
     """
     F = psi.source
     G = F.group
-    if F.size % G.order != 0:
-        raise ValueError("carrier is not a standard semi-torsor")
-    n = F.size // G.order
-    if F != standard_semitorsor(G, n):
-        raise ValueError("carrier is not a standard semi-torsor")
+    n = semitorsor_orbit_count(F)
     sigma = induced_orbit_map(psi)
     s_inv = perm_inverse(sigma)
-    e = G.identity
     g = []
     for x in range(n):
-        image = psi.value[e * n + s_inv[x]]
-        gc, xc = divmod(image, n)
+        gc, xc = semitorsor_coords(psi.value[semitorsor_point(G.identity, s_inv[x], n)], n)
         if xc != x:
             raise AssertionError("orbit permutation mismatch")
         g.append(G.inv[gc])

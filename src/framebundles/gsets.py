@@ -176,6 +176,17 @@ def semitorsor_coords(p: int, n: int) -> tuple[int, int]:
     return divmod(p, n)
 
 
+def semitorsor_orbit_count(F: GSet) -> int:
+    """The n for which ``F`` is exactly ``standard_semitorsor(F.group, n)``.
+
+    Any other group-set raises ``ValueError``, also one of the same size.
+    """
+    n, rest = divmod(F.size, F.group.order)
+    if rest or n < 1 or F.act != standard_semitorsor(F.group, n).act:
+        raise ValueError("carrier is not the semi-torsor G x I_n")
+    return n
+
+
 def divide(F: GSet, f_prime: int, f: int) -> int:
     """The unique group element carrying f to f_prime within one orbit.
 

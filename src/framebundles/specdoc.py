@@ -28,6 +28,9 @@ Circle bundle: {"k": 2, "loops": 1,
 Path:          {"step": "1/100",
                 "points": [{"angle": "p/q", "sheet": 0}, ...]}
 
+An angle is an integer or a "p/q" string, read as a ``Fraction`` that ``u1``
+reduces mod 1.
+
 Permutations are 0-based forward image tables throughout.
 
 Each parser imports the layers it builds itself, which keeps about 23 ms of
@@ -60,7 +63,7 @@ if TYPE_CHECKING:
 
     from .bundles import FlatBundle
     from .gsets import EquivariantMap, GSet
-    from .u1 import Angle, FiberPoint, U1FlatBundle
+    from .u1 import FiberPoint, U1FlatBundle
 
 
 def _require_keys(obj: Any, where: str, required: set[str], optional: set[str] = frozenset()) -> dict:
@@ -148,7 +151,7 @@ def parse_gset(obj: Any, where: str = "gset") -> GSet:
 def _parse_clutching_gspace(entry: Any, fiber: GSet, where: str) -> EquivariantMap:
     from .frames import WreathElement
     from .gset_aut import wreath_to_aut
-    from .gsets import equivariant_map, standard_semitorsor
+    from .gsets import equivariant_map, semitorsor_orbit_count
 
     if not isinstance(entry, dict) or len(entry) != 1:
         raise SchemaError(f"{where}: expected exactly one of perm/table/wreath")
@@ -161,16 +164,16 @@ def _parse_clutching_gspace(entry: Any, fiber: GSet, where: str) -> EquivariantM
         table = _int_list(value, f"{where}.table")
     elif key == "wreath":
         spec = _require_keys(value, f"{where}.wreath", {"g", "perm"})
-        G = fiber.group
-        n = fiber.size // G.order
-        if n < 1 or fiber != standard_semitorsor(G, n):
-            raise SchemaError(f"{where}.wreath: fiber is not a standard semi-torsor")
+        try:
+            n = semitorsor_orbit_count(fiber)
+        except ValueError as exc:
+            raise SchemaError(f"{where}.wreath: fiber is not a standard semi-torsor") from exc
         g = tuple(_int_list(spec["g"], f"{where}.wreath.g"))
         perm = tuple(_int_list(spec["perm"], f"{where}.wreath.perm"))
         if len(g) != n:
             raise SchemaError(f"{where}.wreath: wreath element does not match the target semi-torsor")
         try:
-            return wreath_to_aut(WreathElement(G, g, perm), n, G, fiber)
+            return wreath_to_aut(WreathElement(fiber.group, g, perm), fiber)
         except ValueError as exc:
             raise SchemaError(f"{where}.wreath: {exc}") from exc
     else:
@@ -238,19 +241,24 @@ def _no_exponent(text: str) -> str:
     return text
 
 
-def _angle(u1, obj: Any, where: str) -> Angle:
-    """The angle ``obj`` names; ``u1`` is the layer module, which the calling parser imported."""
+def _angle(Fraction, obj: Any, where: str) -> Fraction:
+    """The rational ``obj`` names, which ``u1`` reads mod 1.
+
+    ``Fraction`` is passed in by the calling parser, which imported it once per document.
+    """
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return u1.Angle(obj)
+        return Fraction(obj)
     if isinstance(obj, str):
         try:
-            return u1.Angle.parse(_no_exponent(obj))
+            return Fraction(_no_exponent(obj))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: bad rational {obj!r}") from exc
     raise SchemaError(f"{where}: expected an integer or a 'p/q' string")
 
 
 def parse_u1_bundle(obj: Any, where: str = "u1") -> U1FlatBundle:
+    from fractions import Fraction
+
     from . import u1
 
     spec = _require_keys(obj, where, {"k", "loops", "generators"})
@@ -270,7 +278,8 @@ def parse_u1_bundle(obj: Any, where: str = "u1") -> U1FlatBundle:
             raise SchemaError(f"{where}.generators[{i}].perm: not a permutation of 0..{k-1}")
         out.append(
             u1.U1Wreath(
-                tuple(_angle(u1, a, f"{where}.generators[{i}].angles[{j}]") for j, a in enumerate(angles)),
+                tuple(_angle(Fraction, a, f"{where}.generators[{i}].angles[{j}]")
+                      for j, a in enumerate(angles)),
                 perm,
             )
         )
@@ -281,17 +290,19 @@ def parse_u1_bundle(obj: Any, where: str = "u1") -> U1FlatBundle:
 
 
 def parse_fiber_point(obj: Any, k: int, where: str = "point") -> FiberPoint:
+    from fractions import Fraction
+
     from . import u1
 
-    return _fiber_point(u1, obj, k, where)
+    return _fiber_point(u1, Fraction, obj, k, where)
 
 
-def _fiber_point(u1, obj: Any, k: int, where: str) -> FiberPoint:
+def _fiber_point(u1, Fraction, obj: Any, k: int, where: str) -> FiberPoint:
     spec = _require_keys(obj, where, {"angle", "sheet"})
     sheet = _int(spec["sheet"], f"{where}.sheet")
     if not (0 <= sheet < k):
         raise SchemaError(f"{where}.sheet: out of range for {k} sheets")
-    return u1.FiberPoint(_angle(u1, spec["angle"], f"{where}.angle"), sheet)
+    return u1.FiberPoint(_angle(Fraction, spec["angle"], f"{where}.angle"), sheet)
 
 
 def parse_path(obj: Any, k: int, where: str = "path") -> tuple[list[FiberPoint], Fraction]:
@@ -314,7 +325,8 @@ def parse_path(obj: Any, k: int, where: str = "path") -> tuple[list[FiberPoint],
     pts = spec["points"]
     if not isinstance(pts, list) or len(pts) < 2:
         raise SchemaError(f"{where}.points: need at least two samples")
-    return [_fiber_point(u1, p, k, f"{where}.points[{i}]") for i, p in enumerate(pts)], step
+    points = [_fiber_point(u1, Fraction, p, k, f"{where}.points[{i}]") for i, p in enumerate(pts)]
+    return points, step
 
 
 def parse_word(text: str, loops: int) -> tuple[int, ...]:

@@ -233,7 +233,7 @@ def suite_wreath_iso(groups, orbit_counts) -> SuiteReport:
     for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         elements = wreath_elements(G, n)
-        images = [wreath_to_aut(w, n, G, F) for w in elements]
+        images = [wreath_to_aut(w, F) for w in elements]
         tables = [a.value for a in images]
         rep.add(name, "injective", len(set(tables)) == len(elements))
         auts = gset_homs(F, F)

@@ -1,9 +1,11 @@
 """Exact circle-group wreath holonomy: U(1) wr I_k with rational rotation numbers.
 
-The circle group is modeled by rotation numbers in [0, 1) with exact rational
-arithmetic, so every holonomy identity in this module is an equality of
-fractions, never a float comparison.  The fiber is k disjoint circles; a
-fiber point is an angle on a sheet, and the wreath product acts by
+The circle group is modeled by rotation numbers: an angle is a ``Fraction``
+in [0, 1), so every holonomy identity in this module is an equality of
+fractions, never a float comparison.  :func:`_mod1` keeps that invariant,
+once, where angles enter a ``U1Wreath`` or a ``FiberPoint``.  The fiber is k
+disjoint circles; a fiber point is an angle on a sheet, and the wreath
+product acts by
 
     (angles, s) . (theta, x) = (theta + angles[s(x)], s(x)).
 
@@ -14,8 +16,8 @@ word's holonomy the product of the letters' elements right-to-left.
 A word moves one point at a time with integer arithmetic: each letter is a
 sheet lookup and an addition of the angle's numerator to a running sum per
 denominator, and the sums are put over their common denominator L, the lcm
-of the denominators the point met, once at the end.  Exact ``Angle`` values
-are built only for the result.
+of the denominators the point met, once at the end.  A ``Fraction`` is built
+only for the result.
 """
 
 from __future__ import annotations
@@ -30,44 +32,9 @@ from .groups import Permutation, perm_compose, perm_inverse, validate_word
 from .records import Frozen
 
 
-class Angle(Frozen):
-    """An exact rotation number: numerator/denominator reduced, in [0, 1)."""
-
-    __slots__ = _fields = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int = 1):
-        n, d = numerator, denominator
-        if d < 0:
-            n, d = -n, -d
-        n %= d
-        g = math.gcd(n, d)
-        object.__setattr__(self, "numerator", n // g)
-        object.__setattr__(self, "denominator", d // g)
-
-    @classmethod
-    def parse(cls, text: str) -> "Angle":
-        f = Fraction(text)
-        return cls(f.numerator, f.denominator)
-
-    @property
-    def frac(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __add__(self, other: "Angle") -> "Angle":
-        d1, d2 = self.denominator, other.denominator
-        return Angle(self.numerator * d2 + other.numerator * d1, d1 * d2)
-
-    def __neg__(self) -> "Angle":
-        return Angle(-self.numerator, self.denominator)
-
-    def times(self, q: int) -> "Angle":
-        return Angle(self.numerator * q, self.denominator)
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}" if self.denominator != 1 else str(self.numerator)
-
-
-ZERO = Angle(0)
+def _mod1(a: Fraction) -> Fraction:
+    """The angle ``a`` names, in [0, 1): ``a`` itself when it is already there."""
+    return a if 0 <= a.numerator < a.denominator else a % 1
 
 
 class U1Wreath(Frozen):
@@ -75,8 +42,8 @@ class U1Wreath(Frozen):
 
     __slots__ = _fields = ("angles", "sigma")
 
-    def __init__(self, angles: tuple[Angle, ...], sigma: Permutation):
-        object.__setattr__(self, "angles", angles)
+    def __init__(self, angles: tuple[Fraction, ...], sigma: Permutation):
+        object.__setattr__(self, "angles", tuple(map(_mod1, angles)))
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -88,7 +55,7 @@ class U1Wreath(Frozen):
 
 
 def u1_identity(k: int) -> U1Wreath:
-    return U1Wreath((ZERO,) * k, tuple(range(k)))
+    return U1Wreath((Fraction(0),) * k, tuple(range(k)))
 
 
 def _check_arity(a: U1Wreath, b: U1Wreath) -> None:
@@ -114,8 +81,8 @@ class FiberPoint(Frozen):
 
     __slots__ = _fields = ("angle", "sheet")
 
-    def __init__(self, angle: Angle, sheet: int):
-        object.__setattr__(self, "angle", angle)
+    def __init__(self, angle: Fraction, sheet: int):
+        object.__setattr__(self, "angle", _mod1(angle))
         object.__setattr__(self, "sheet", sheet)
 
 
@@ -158,12 +125,12 @@ class U1FlatBundle(Frozen):
         object.__setattr__(self, "holonomy_gen", holonomy_gen)
 
 
-def u1_winding_bundle(k: int, angles: Optional[Sequence[Angle]] = None) -> U1FlatBundle:
+def u1_winding_bundle(k: int, angles: Optional[Sequence[Fraction]] = None) -> U1FlatBundle:
     """The k-sheet winding model: one loop cycling the sheets, optional twist angles."""
     if k < 1:
         raise ValueError("sheet count must be >= 1")
     cycle = tuple((i + 1) % k for i in range(k))
-    tup = tuple(angles) if angles is not None else (ZERO,) * k
+    tup = tuple(angles) if angles is not None else (Fraction(0),) * k
     if len(tup) != k:
         raise ValueError("angle tuple has wrong arity")
     return U1FlatBundle(k, 1, (U1Wreath(tup, cycle),))
@@ -176,7 +143,8 @@ def _letters(b: U1FlatBundle) -> _Letters:
     """Each letter +-i as (sigma, angles as (numerator, denominator) pairs).
 
     Letter -i is the inverse (x -> -angles[sigma(x)], sigma^-1), built once
-    here; its numerators are negative, which the final ``Angle`` reduces.
+    here; its numerators are negative, which the final ``% den`` in
+    :func:`_move` reduces.
     """
     table: _Letters = {}
     for i, w in enumerate(b.holonomy_gen, 1):
@@ -207,7 +175,7 @@ def _move(letters: _Letters, word: tuple[int, ...], start: FiberPoint) -> FiberP
     a = start.angle
     den = math.lcm(a.denominator, *sums)
     t = a.numerator * (den // a.denominator) + sum(n * (den // d) for d, n in sums.items())
-    return FiberPoint(Angle(t, den), x)
+    return FiberPoint(Fraction(t % den, den), x)
 
 
 def holonomy_u1(b: U1FlatBundle, word) -> U1Wreath:
@@ -221,10 +189,10 @@ def holonomy_u1(b: U1FlatBundle, word) -> U1Wreath:
     """
     w = validate_word(b.loops, word)
     letters = _letters(b)
-    angles = [ZERO] * b.k
+    angles = [Fraction(0)] * b.k
     sigma = [0] * b.k
     for x in range(b.k):
-        p = _move(letters, w, FiberPoint(ZERO, x))
+        p = _move(letters, w, FiberPoint(Fraction(0), x))
         sigma[x] = p.sheet
         angles[p.sheet] = p.angle
     return U1Wreath(tuple(angles), tuple(sigma))
@@ -246,7 +214,7 @@ U1Frame = tuple[FiberPoint, ...]
 
 
 def u1_canonical_frame(k: int) -> U1Frame:
-    return tuple(FiberPoint(ZERO, x) for x in range(k))
+    return tuple(FiberPoint(Fraction(0), x) for x in range(k))
 
 
 def is_u1_frame(k: int, frame: U1Frame) -> bool:
@@ -276,7 +244,7 @@ def pushforward(b: U1FlatBundle, q: int) -> U1FlatBundle:
 
 def scale_wreath(w: U1Wreath, q: int) -> U1Wreath:
     """Apply the sheet-wise power map to a wreath element (permutation kept)."""
-    return U1Wreath(tuple(a.times(q) for a in w.angles), w.sigma)
+    return U1Wreath(tuple(a * q for a in w.angles), w.sigma)
 
 
 class DivisionFormReport(Frozen):
@@ -310,12 +278,13 @@ def division_form_check(path: Iterable[FiberPoint], step: Fraction) -> DivisionF
     sheet = points[0].sheet
     if any(p.sheet != sheet for p in points):
         raise NoQuotient("samples cross sheets; division is undefined")
-    angles = [p.angle for p in points]
+    angles = [(p.angle.numerator, p.angle.denominator) for p in points]
+    s_num, s_den = step.numerator, step.denominator
     rates = []
-    for a0, a1 in zip(angles, angles[1:]):
-        den = math.lcm(a0.denominator, a1.denominator)
-        diff = a1.numerator * (den // a1.denominator) - a0.numerator * (den // a0.denominator)
-        rates.append(Fraction(diff % den * step.denominator, den * step.numerator))
+    for (n0, d0), (n1, d1) in zip(angles, angles[1:]):
+        den = math.lcm(d0, d1)
+        diff = n1 * (den // d1) - n0 * (den // d0)
+        rates.append(Fraction(diff % den * s_den, den * s_num))
     constant = rates[0] if all(r == rates[0] for r in rates) else None
     return DivisionFormReport(sheet=sheet, rates=tuple(rates), constant_rate=constant)
 

@@ -35,7 +35,6 @@ from framebundles.gset_aut import wreath_to_aut
 from framebundles.gsets import EquivariantMap, induced_orbit_map, standard_semitorsor
 from framebundles.suites import fixture_groups, run_suite
 from framebundles.u1 import (
-    Angle,
     FiberPoint,
     U1FlatBundle,
     U1Wreath,
@@ -52,7 +51,7 @@ from framebundles.u1 import (
     u1wreath_mul,
 )
 
-A = Angle
+A = Fraction  # an angle; the records reduce it into [0, 1)
 
 
 def _report(num, ok, detail):
@@ -179,7 +178,7 @@ def _decomposition_fixtures():
     ]
     # twisted torsor bundle
     torsor = standard_semitorsor(z3, 1)
-    twist = wreath_to_aut(WreathElement(z3, (1,), (0,)), 1, z3)
+    twist = wreath_to_aut(WreathElement(z3, (1,), (0,)))
     fixtures.append(flat_bundle(torsor, (twist,), mode="gspace"))
     # trivial bundle with three orbits
     fiber = standard_semitorsor(z2, 3)
@@ -187,8 +186,8 @@ def _decomposition_fixtures():
     fixtures.append(flat_bundle(fiber, (ident,), mode="gspace"))
     # two loops over the wedge: a sheet swap and a pure translation
     f2 = standard_semitorsor(z2, 2)
-    swap = wreath_to_aut(WreathElement(z2, (0, 0), (1, 0)), 2, z2)
-    shift = wreath_to_aut(WreathElement(z2, (1, 1), (0, 1)), 2, z2)
+    swap = wreath_to_aut(WreathElement(z2, (0, 0), (1, 0)))
+    shift = wreath_to_aut(WreathElement(z2, (1, 1), (0, 1)))
     fixtures.append(flat_bundle(f2, (swap, shift), mode="gspace"))
     return fixtures
 
@@ -280,10 +279,7 @@ def test_criterion_10_transport_suite():
         (Fraction(5, 7), Fraction(1, 50), 5),
         (Fraction(3, 2), Fraction(1, 12), 4),
     ]:
-        pts = [
-            FiberPoint(Angle((rate * step * i).numerator, (rate * step * i).denominator), 0)
-            for i in range(count)
-        ]
+        pts = [FiberPoint(rate * step * i, 0) for i in range(count)]
         if division_form_check(pts, step).constant_rate != rate:
             ok = False
 

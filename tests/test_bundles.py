@@ -192,7 +192,7 @@ def test_trivializable_cases():
 
 def test_quotient_of_torsor_bundle_is_a_point():
     fiber = standard_semitorsor(Z3, 1)
-    neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)), 1, Z3)
+    neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)))
     b = flat_bundle(fiber, (neg,), mode="gspace")
     q = quotient_bundle(b)
     assert q.fiber.size == 1

@@ -358,16 +358,35 @@ def _wreath_bundle(g, perm):
           "fiber": {"kind": "table", "group": {"kind": "cyclic", "n": 2}, "act": [[0, 1], [5, 0]]},
           "loops": 1, "clutching": [{"table": [0, 1]}]},
          "bundle.fiber.act: action table entry out of range"),
+        # free, two orbits, the size of Z2 x I_2, but not its packing (h, x) -> 2h + x
+        ({"kind": "flat", "mode": "gspace",
+          "fiber": {"kind": "table", "group": {"kind": "cyclic", "n": 2},
+                    "act": [[0, 1, 2, 3], [1, 0, 3, 2]]},
+          "loops": 1, "clutching": [{"wreath": {"g": [0, 0], "perm": [1, 0]}}]},
+         "bundle.clutching[0].wreath: fiber is not a standard semi-torsor"),
         ({"kind": "flat", "mode": "group", "fiber": {"kind": "cyclic", "n": 3},
           "loops": 1, "clutching": [{"aut": [0, 2, 7]}]},
          "bundle.clutching[0].aut: image table entry out of range"),
     ],
     ids=["wreath-perm-negative", "wreath-g-negative", "wreath-g-short", "act-out-of-range",
-         "aut-out-of-range"],
+         "wreath-fiber-not-g-x-i-n", "aut-out-of-range"],
 )
 def test_out_of_range_document_is_usage_error(capsys, bundle, message):
     code, out, err = run(capsys, "components", json.dumps(bundle))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+EMPTY_FIBER = {
+    "kind": "flat", "mode": "gspace", "loops": 1, "clutching": [{"table": []}],
+    "fiber": {"kind": "table", "group": {"kind": "cyclic", "n": 2}, "act": [[], []]},
+}
+
+
+@pytest.mark.parametrize("command", ["components", "holonomy", "frame-bundle", "sn-action",
+                                     "decompose"])
+def test_empty_fiber_is_usage_error(capsys, command):
+    code, out, err = run(capsys, command, json.dumps(EMPTY_FIBER))
+    assert (code, out, err) == (2, "", "error: bundle: the fiber has no points\n")
 
 
 @pytest.mark.parametrize(

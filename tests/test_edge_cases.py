@@ -44,7 +44,7 @@ from framebundles.gsets import (
     semitorsor_point,
     standard_semitorsor,
 )
-from framebundles.u1 import Angle, FiberPoint, U1Wreath, division_form_check, u1_winding_bundle
+from framebundles.u1 import FiberPoint, U1Wreath, division_form_check, u1_winding_bundle
 from table_oracles import gset_aut_table, wreath_table
 
 Z2 = make_cyclic(2)
@@ -110,7 +110,7 @@ def test_wreath_machinery_on_nonabelian_group():
     table.validate()
     sample = wreath_elements(S3, 2)[::7]
     for w in sample:
-        psi = wreath_to_aut(w, 2, S3)
+        psi = wreath_to_aut(w)
         assert induced_orbit_map(psi) == w.sigma
         from framebundles.gset_aut import aut_to_wreath
 
@@ -147,8 +147,8 @@ def test_gspace_winding_not_isomorphic_to_trivial():
 
 def test_two_loop_frame_bundle_lifts_generatorwise():
     fiber = standard_semitorsor(Z2, 2)
-    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)), 2, Z2)
-    shift = wreath_to_aut(WreathElement(Z2, (1, 0), (0, 1)), 2, Z2)
+    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)))
+    shift = wreath_to_aut(WreathElement(Z2, (1, 0), (0, 1)))
     b = flat_bundle(fiber, (swap, shift), mode="gspace")
     lifted = frame_bundle(b)
     fs = enumerate_frames(fiber)
@@ -200,12 +200,11 @@ RECORDS = {
     "EquivariantMap": (lambda n: identity_map(standard_semitorsor(make_cyclic(n), 1)), "value"),
     "WreathElement": (lambda n: wreath_identity(make_cyclic(n), 2), "sigma"),
     "FlatBundle": (lambda n: finite_winding_bundle(make_cyclic(n), 2), "loops"),
-    "Angle": (lambda n: Angle(2 * n, 10), "numerator"),
-    "U1Wreath": (lambda n: U1Wreath((Angle(1, n),), (0,)), "angles"),
-    "FiberPoint": (lambda n: FiberPoint(Angle(1, n), 0), "sheet"),
+    "U1Wreath": (lambda n: U1Wreath((Fraction(1, n),), (0,)), "angles"),
+    "FiberPoint": (lambda n: FiberPoint(Fraction(1, n), 0), "sheet"),
     "U1FlatBundle": (u1_winding_bundle, "k"),
     "DivisionFormReport": (
-        lambda n: division_form_check([FiberPoint(Angle(0), 0), FiberPoint(Angle(1, n), 0)],
+        lambda n: division_form_check([FiberPoint(Fraction(0), 0), FiberPoint(Fraction(1, n), 0)],
                                       Fraction(1, 10)),
         "rates",
     ),

@@ -28,6 +28,7 @@ from framebundles.gsets import (
     identity_map,
     induced_orbit_map,
     make_gset,
+    semitorsor_orbit_count,
     semitorsor_point,
     standard_semitorsor,
     trivial_gset,
@@ -93,7 +94,7 @@ def test_cq_identity():
 def test_cq_orbit_swap_is_transposition():
     F = standard_semitorsor(Z2, 2)
     w = WreathElement(Z2, (0, 0), (1, 0))
-    psi = wreath_to_aut(w, 2, Z2)
+    psi = wreath_to_aut(w)
     assert induced_orbit_map(psi) == (1, 0)
 
 
@@ -180,7 +181,7 @@ def test_autq_component_is_homomorphism():
 
 def test_autq_component_rejects_orbit_movers():
     F = standard_semitorsor(Z2, 2)
-    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)), 2, Z2)
+    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)))
     with pytest.raises(ValueError):
         autq_component(swap, identity_frame(Z2, 2))
 
@@ -207,14 +208,30 @@ def test_autq_basis_change_covariance():
 
 
 def test_wreath_to_aut_identity():
-    psi = wreath_to_aut(wreath_identity(Z2, 2), 2, Z2)
+    psi = wreath_to_aut(wreath_identity(Z2, 2))
     assert psi.value == tuple(range(4))
+
+
+def test_wreath_to_aut_refuses_a_carrier_that_is_not_g_x_i_n():
+    # free with two Z2 orbits, {0, 1} and {2, 3}: the size of Z2 x I_2, not its packing
+    F = make_gset(Z2, [(0, 1, 2, 3), (1, 0, 3, 2)])
+    swap = WreathElement(Z2, (0, 0), (1, 0))
+    with pytest.raises(ValueError, match="carrier is not the semi-torsor G x I_n"):
+        wreath_to_aut(swap, F)
+    with pytest.raises(ValueError, match="carrier is not the semi-torsor G x I_n"):
+        aut_to_wreath(identity_map(F))
+    with pytest.raises(ValueError, match="does not match the target semi-torsor"):
+        wreath_to_aut(swap, standard_semitorsor(Z2, 3))
+    assert [semitorsor_orbit_count(standard_semitorsor(Z3, n)) for n in (1, 2, 3)] == [1, 2, 3]
+    assert semitorsor_orbit_count(trivial_gset(3)) == 3
+    with pytest.raises(ValueError):
+        semitorsor_orbit_count(make_gset(Z2, [(0, 1), (0, 1)]))  # |Z2| points, Z2 acts trivially
 
 
 def test_wreath_to_aut_pure_tuple_right_translates():
     G = Z3
     w = WreathElement(G, (1, 2), (0, 1))
-    psi = wreath_to_aut(w, 2, G)
+    psi = wreath_to_aut(w)
     for g in range(3):
         for x in range(2):
             expected = semitorsor_point(G.mul[g][G.inv[w.g_tuple[x]]], x, 2)
@@ -223,7 +240,7 @@ def test_wreath_to_aut_pure_tuple_right_translates():
 
 def test_wreath_to_aut_homomorphism_64_pairs():
     elements = wreath_elements(Z2, 2)
-    images = {w: wreath_to_aut(w, 2, Z2) for w in elements}
+    images = {w: wreath_to_aut(w) for w in elements}
     count = 0
     for a in elements:
         for b in elements:
@@ -236,7 +253,7 @@ def test_wreath_to_aut_homomorphism_64_pairs():
 
 def test_wreath_to_aut_bijective():
     elements = wreath_elements(Z3, 2)
-    tables = {wreath_to_aut(w, 2, Z3).value for w in elements}
+    tables = {wreath_to_aut(w).value for w in elements}
     assert len(tables) == len(elements) == 18
     auts = gset_homs(standard_semitorsor(Z3, 2), standard_semitorsor(Z3, 2))
     assert tables == {a.value for a in auts}
@@ -244,10 +261,10 @@ def test_wreath_to_aut_bijective():
 
 def test_aut_to_wreath_round_trips():
     for w in wreath_elements(Z2, 2):
-        assert aut_to_wreath(wreath_to_aut(w, 2, Z2)) == w
+        assert aut_to_wreath(wreath_to_aut(w)) == w
     auts = gset_homs(standard_semitorsor(Z2, 2), standard_semitorsor(Z2, 2))
     for a in auts:
-        assert wreath_to_aut(aut_to_wreath(a), 2, Z2).value == a.value
+        assert wreath_to_aut(aut_to_wreath(a)).value == a.value
 
 
 def test_aut_to_wreath_identity():
@@ -266,15 +283,15 @@ def test_aut_to_wreath_composition_tuple_law():
     sample = wg_elements[:: max(1, len(wg_elements) // 24)]
     for w1 in sample:
         for w2 in sample:
-            p1 = wreath_to_aut(w1, 2, G)
-            p2 = wreath_to_aut(w2, 2, G)
+            p1 = wreath_to_aut(w1)
+            p2 = wreath_to_aut(w2)
             composed = compose_equivariant(p1, p2)
             assert aut_to_wreath(composed) == wreath_mul(w1, w2)
 
 
 def test_cq_of_wreath_to_aut_is_sigma():
     for w in wreath_elements(Z3, 2):
-        assert induced_orbit_map(wreath_to_aut(w, 2, Z3)) == w.sigma
+        assert induced_orbit_map(wreath_to_aut(w)) == w.sigma
 
 
 def test_pairing_invariance():
@@ -284,7 +301,7 @@ def test_pairing_invariance():
     F = standard_semitorsor(G, n)
     fs = enumerate_frames(F)
     for w in wreath_elements(G, n):
-        psi = wreath_to_aut(w, n, G)
+        psi = wreath_to_aut(w)
         for t in fs.frames:
             moved = wreath_act(F, w, t)
             phi_t = associated_map(F, t)
@@ -310,7 +327,7 @@ def test_counteracting_map_is_frame_independent():
             if expected is None:
                 expected = table
             assert table == expected
-        assert expected == wreath_to_aut(w, 2, G).value
+        assert expected == wreath_to_aut(w).value
 
 
 # ---------------------------------------------------------------- SES

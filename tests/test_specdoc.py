@@ -143,6 +143,13 @@ def test_parse_fiber_point_and_path():
     assert len(pts) == 2 and step.denominator == 10
     with pytest.raises(SchemaError):
         parse_path({"step": "0", "points": []}, 2)
+    # angles outside [0, 1) are read mod 1, both as points and as path samples
+    wants = {"4/3": (1, 3), "-1/4": (3, 4), 5: (0, 1)}
+    for text, want in wants.items():
+        a = parse_fiber_point({"angle": text, "sheet": 0}, 2).angle
+        assert (a.numerator, a.denominator) == want
+    pts, _ = parse_path({"step": "1", "points": [{"angle": t, "sheet": 1} for t in wants]}, 2)
+    assert [(p.angle.numerator, p.angle.denominator) for p in pts] == list(wants.values())
 
 
 def test_parse_word():

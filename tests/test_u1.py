@@ -9,11 +9,9 @@ import u1_oracles as oracle
 from framebundles.errors import NoQuotient
 from framebundles.groups import perm_inverse
 from framebundles.u1 import (
-    Angle,
     FiberPoint,
     U1FlatBundle,
     U1Wreath,
-    ZERO,
     act_point,
     adjoint,
     all_words,
@@ -30,17 +28,13 @@ from framebundles.u1 import (
     u1wreath_mul,
 )
 
-A = Angle
+A = Fraction  # an angle; the records reduce it into [0, 1)
 
 
 def rationals(max_den=12):
     return st.fractions(
         min_value=Fraction(-3), max_value=Fraction(3), max_denominator=max_den
     )
-
-
-def angle_of(f: Fraction) -> Angle:
-    return Angle(f.numerator, f.denominator)
 
 
 def wreath_elements(k, angle_pool):
@@ -56,21 +50,23 @@ def wreath_elements(k, angle_pool):
 
 
 def test_angle_normalization():
-    assert A(5, 4) == A(1, 4)
-    assert A(-1, 4) == A(3, 4)
-    assert A(2, 4) == A(1, 2)
-    assert A(3, 3) == A(0)
+    w = U1Wreath((A(5, 4), A(-1, 4), A(2, 4), A(3, 3), A(-7)), (0, 1, 2, 3, 4))
+    assert w.angles == (A(1, 4), A(3, 4), A(1, 2), A(0), A(0))
+    assert FiberPoint(A(-5, 4), 0).angle == A(3, 4)
+    assert u1_winding_bundle(2, [A(7, 3), A(1, 3)]) == u1_winding_bundle(2, [A(1, 3), A(-2, 3)])
 
 
 def test_angle_parse_and_str():
-    assert A.parse("1/3") == A(1, 3)
-    assert str(A(1, 3)) == "1/3"
-    assert str(A(0)) == "0"
+    from framebundles.specdoc import parse_fiber_point
+
+    assert parse_fiber_point({"angle": "-2/3", "sheet": 0}, 1).angle == A(1, 3)
+    assert str(FiberPoint(A(4, 3), 0).angle) == "1/3"
+    assert str(U1Wreath((A(2),), (0,)).angles[0]) == "0"
 
 
 @given(rationals(), rationals())
 def test_angle_addition_matches_fractions(x, y):
-    assert (angle_of(x) + angle_of(y)).frac == (x + y) % 1
+    assert act_point(U1Wreath((y,), (0,)), FiberPoint(x, 0)).angle == (x + y) % 1
 
 
 # ---------------------------------------------------------------- wreath group
@@ -95,9 +91,7 @@ def test_u1_identity_neutral():
 def test_u1_inverse_randomized(data):
     k = data.draw(st.integers(min_value=1, max_value=3))
     sigma = tuple(data.draw(st.permutations(list(range(k)))))
-    angles = tuple(
-        angle_of(data.draw(rationals())) for _ in range(k)
-    )
+    angles = tuple(data.draw(rationals()) for _ in range(k))
     a = U1Wreath(angles, sigma)
     assert u1wreath_mul(a, u1wreath_inv(a)) == u1_identity(k)
     assert u1wreath_mul(u1wreath_inv(a), a) == u1_identity(k)
@@ -109,9 +103,7 @@ def test_u1_associativity_randomized(data):
 
     def draw_elem():
         sigma = tuple(data.draw(st.permutations(list(range(k)))))
-        return U1Wreath(
-            tuple(angle_of(data.draw(rationals())) for _ in range(k)), sigma
-        )
+        return U1Wreath(tuple(data.draw(rationals()) for _ in range(k)), sigma)
 
     a, b, c = draw_elem(), draw_elem(), draw_elem()
     assert u1wreath_mul(u1wreath_mul(a, b), c) == u1wreath_mul(a, u1wreath_mul(b, c))
@@ -176,7 +168,7 @@ def test_transport_equivariant_under_angle_shift():
                 end = transport(b, word, start)
                 end_shifted = transport(b, word, shifted)
                 assert end_shifted.sheet == end.sheet
-                assert end_shifted.angle == end.angle + delta
+                assert end_shifted.angle == (end.angle + delta) % 1
 
 
 # ---------------------------------------------------------------- holonomy
@@ -354,7 +346,7 @@ def test_division_form_exponential_rate_recovered():
     rate = Fraction(5, 7)
     step = Fraction(1, 50)
     pts = [
-        FiberPoint(angle_of(rate * step * i), 2) for i in range(5)
+        FiberPoint(rate * step * i, 2) for i in range(5)
     ]
     r = division_form_check(pts, step)
     assert r.constant_rate == rate
@@ -383,7 +375,7 @@ def test_division_form_needs_positive_step():
 # ---------------------------------------------------------------- Fraction oracle
 
 
-def draw_angle(data) -> Angle:
+def draw_angle(data) -> Fraction:
     """An angle over a denominator up to 10^6, its numerator not yet reduced mod 1."""
     den = data.draw(st.integers(min_value=1, max_value=10**6))
     return A(data.draw(st.integers(min_value=-den, max_value=2 * den)), den)
@@ -414,11 +406,11 @@ def test_integer_core_matches_fraction_oracle(data):
 
     end = transport(b, word, start)
     assert end == act_point(h, start)
-    assert (end.angle.frac, end.sheet) == oracle.act(want, start.angle.frac, start.sheet)
+    assert (end.angle, end.sheet) == oracle.act(want, start.angle, start.sheet)
 
     frame = tuple(FiberPoint(draw_angle(data), x) for x in perm())
-    assert tuple((p.angle.frac, p.sheet) for p in frame_transport(h, frame)) == (
-        oracle.frame_transport(want, [(p.angle.frac, p.sheet) for p in frame])
+    assert tuple((p.angle, p.sheet) for p in frame_transport(h, frame)) == (
+        oracle.frame_transport(want, [(p.angle, p.sheet) for p in frame])
     )
 
     q = data.draw(st.integers(min_value=-3, max_value=5))
@@ -427,11 +419,11 @@ def test_integer_core_matches_fraction_oracle(data):
     assert oracle.of(holonomy_u1(pushed, word)) == oracle.scale(want, q)
 
     x, y = start.angle, draw_angle(data)
-    assert (x + y).frac == (x.frac + y.frac) % 1
-    assert (-x).frac == -x.frac % 1
-    assert x.times(q).frac == x.frac * q % 1
+    assert act_point(U1Wreath((y,), (0,)), FiberPoint(x, 0)).angle == (x + y) % 1
+    assert u1wreath_inv(U1Wreath((y,), (0,))).angles == (-y % 1,)
+    assert scale_wreath(U1Wreath((y,), (0,)), q).angles == (y * q % 1,)
 
     samples = [draw_angle(data) for _ in range(data.draw(st.integers(min_value=2, max_value=6)))]
     step = data.draw(st.fractions(min_value=Fraction(1, 10**6), max_value=3, max_denominator=10**6))
     report = division_form_check([FiberPoint(a, start.sheet) for a in samples], step)
-    assert report.rates == oracle.rates([a.frac for a in samples], step)
+    assert report.rates == oracle.rates(samples, step)

@@ -4,7 +4,7 @@ An element is ``(angles, sigma)`` with ``angles`` a tuple of ``Fraction`` in
 [0, 1) and ``sigma`` an image table.  A word's holonomy is the product of its
 letters' elements right-to-left, each inverse letter inverted on its own:
 the fold the library used before it moved to integers over a common
-denominator.  Nothing here uses ``Angle`` arithmetic.
+denominator.  Nothing here calls the library's arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 def of(w) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """A library ``U1Wreath`` as a Fraction pair."""
-    return tuple(a.frac for a in w.angles), tuple(w.sigma)
+    return tuple(w.angles), tuple(w.sigma)
 
 
 def identity(k: int):
