@@ -26,8 +26,8 @@ from .frames import (
     WreathElement,
     enumerate_frames,
     frame_divide,
-    frame_functor_map,
     gset_homs,
+    lift_table,
 )
 from .groups import (
     FiniteGroup,
@@ -229,22 +229,17 @@ def frame_bundle(b: FlatBundle) -> FlatBundle:
 
     Clutching maps lift entrywise (slot order is global bookkeeping and never
     permuted by the lift), and the fiber is the frames as a bare set.  The
-    wreath product acts freely and transitively on it (:func:`wreath_act`,
+    wreath product acts freely and transitively on it (:func:`act_table`,
     checked by the ``torsor`` suite), and that action commutes with every
     lift, so this is the principal bundle of frames; no caller reads the fiber
     as a set of the wreath product, so its Cayley table is never built.
     """
     if not is_free(b.fiber):
         raise NotFree("frame bundles exist over free fibers")
-    fs = enumerate_frames(b.fiber)
-    fiber = trivial_gset(len(fs.frames))
+    fiber = trivial_gset(len(enumerate_frames(b.fiber).frames))
     xi = identity_hom(fiber.group)
-    clutch = []
-    for a in b.clutching:
-        lift = frame_functor_map(a)
-        table = tuple(fs.index[lift(t)] for t in fs.frames)
-        clutch.append(EquivariantMap(fiber, fiber, xi, table))
-    return flat_bundle(fiber, tuple(clutch), mode=MODE_GSPACE)
+    clutch = tuple(EquivariantMap(fiber, fiber, xi, tuple(lift_table(a))) for a in b.clutching)
+    return flat_bundle(fiber, clutch, mode=MODE_GSPACE)
 
 
 def clutching_wreath(b: FlatBundle, reference: Frame) -> list[WreathElement]:

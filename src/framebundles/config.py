@@ -17,6 +17,13 @@ MAX_SYMMETRIC_N = 8
 # elements, automorphisms of a group-set) may produce.
 MAX_ENUMERATION = 20_000
 
+# Largest circle-group work one request may do: angles parsed (k x loops),
+# sheet moves of a holonomy (k x |word|), letters transported (|word|) or
+# path samples parsed.  A parsed angle or sample costs about 13 us (2 CPUs,
+# Python 3.11), so the bound is about 4 s of that work; a letter move costs
+# far less.
+MAX_CIRCLE_WORK = 300_000
+
 
 def _estimate(n: int) -> str:
     """``n`` in decimal, or a power of two below it when ``n`` has too many
@@ -31,6 +38,13 @@ def check_table_order(order: int, what: str = "group") -> None:
     if order > MAX_TABLE_ORDER:
         raise BoundExceeded(
             f"{what} of order {_estimate(order)} exceeds the table bound {MAX_TABLE_ORDER}"
+        )
+
+
+def check_circle_work(count: int, what: str) -> None:
+    if count > MAX_CIRCLE_WORK:
+        raise BoundExceeded(
+            f"{what}: {_estimate(count)} exceeds config.MAX_CIRCLE_WORK = {MAX_CIRCLE_WORK}"
         )
 
 

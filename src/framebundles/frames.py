@@ -19,6 +19,17 @@ The frame space of a group-set is computed once, by
 :attr:`~framebundles.gsets.GSet.frame_space`, and read here through
 :func:`enumerate_frames`.
 
+A map on a whole frame space is tabulated by one kernel, :func:`frame_table`:
+slot ``x`` of the image of ``t`` is ``rows[x][t[src[x]]]``, computed one slot
+at a time over the space's cached columns (one ``itemgetter`` call per slot)
+and joined with ``zip``, and each image tuple is looked up in the target's
+index (None where it is not a frame).  A wreath element is
+``rows = [act[g] for g in g_tuple]`` with ``src = s^-1`` (:func:`act_table`);
+a frame lift is ``rows = [a.value] * n`` with ``src`` the identity
+(:func:`lift_table`).  :func:`orbit_tables` gives, for each frame ``t``, the
+images of ``t`` under a list of wreath elements, the same kernel read over
+the elements' keys.  :func:`wreath_act` moves a single frame.
+
 :func:`check_equivalence` tabulates each generator ``w`` once, as the
 permutations ``p1``, ``p2`` of frame indices with ``w . fs1[i] = fs1[p1[i]]``
 and likewise on ``fs2``.  Its test ``table[p1[i]] == p2[table[i]]`` is then
@@ -31,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Callable
+from operator import itemgetter
 
 from . import config
 from .errors import NotFree, OrbitObstruction
@@ -132,6 +143,55 @@ def wreath_act(F: GSet, w: WreathElement, t: Frame) -> Frame:
     return tuple([act[g[x]][t[y]] for x, y in enumerate(s_inv)])
 
 
+def _getter(positions):
+    """``_getter(p)(seq)`` is the tuple of ``seq[i]`` for ``i`` in ``p``, one
+    ``itemgetter`` call (a loop in C); ``itemgetter`` alone returns the bare
+    item for a single position."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda seq: (seq[i],)
+    return itemgetter(*positions)
+
+
+def frame_table(columns, rows, src, index: dict[Frame, int]) -> list[int | None]:
+    """Entry i is ``index[t']`` for the i-th tuple ``t``, where ``t'[x] = rows[x][t[src[x]]]``.
+
+    ``columns[y]`` holds slot ``y`` of every ``t`` (for a frame space, its
+    ``columns``); with no slots there is one tuple, the empty one.  Where
+    ``t'`` is not in ``index`` (not a frame) the entry is None, which equals
+    no index.  Each slot's images are one ``itemgetter`` call.
+    """
+    if not columns:
+        return [index.get(())]
+    return list(map(index.get, zip(*[_getter(columns[y])(row) for row, y in zip(rows, src)])))
+
+
+def act_table(fs: FrameSpace, w: WreathElement) -> list[int | None]:
+    """Entry i is the index of ``w . fs.frames[i]`` (:func:`wreath_act`)."""
+    if w.n != fs.n:
+        raise ValueError("tuple length does not match the wreath element")
+    act = fs.base_gset.act
+    return frame_table(fs.columns, [act[g] for g in w.g_tuple], w.sigma_inv, fs.index)
+
+
+def orbit_tables(ws: list[WreathElement], fs: FrameSpace):
+    """For each frame ``t`` of ``fs`` in turn, the list whose entry i is the
+    index of ``ws[i] . t`` (:func:`wreath_act`), or None off the space.
+
+    Slot ``x`` of ``(g, s) . t`` is ``act[g[x]][t[s^-1(x)]]``: entry
+    ``g[x] n + s^-1(x)`` of the flat list holding ``act[g][t[y]]`` at
+    ``g n + y``.  So each table is :func:`frame_table` over the elements' key
+    tuples, with that flat list as the row of every slot.  The keys are built
+    once and each table from its own ``t``; no ``|ws| x |frames|`` matrix is
+    held.
+    """
+    n = fs.n
+    keys = tuple(zip(*[[g * n + y for g, y in zip(w.g_tuple, w.sigma_inv)] for w in ws]))
+    for t in fs.frames:
+        flat = [row[p] for row in fs.base_gset.act for p in t]
+        yield frame_table(keys, [flat] * n, range(n), fs.index)
+
+
 def is_basis(F: GSet, t: Frame) -> bool:
     """Basis criterion: the orbit assignment of the tuple is a bijection."""
     if not is_free(F):
@@ -209,11 +269,12 @@ def frame_divide(fs: FrameSpace, f2: Frame, f1: Frame) -> WreathElement:
     return WreathElement(fs.base_gset.group, g, sigma)
 
 
-def frame_functor_map(a: EquivariantMap) -> Callable[[Frame], Frame]:
-    """Lift an equivariant map to frames, t -> a . t.
+def lift_table(a: EquivariantMap) -> list[int | None]:
+    """The frame lift t -> a . t of an equivariant map, on frame indices.
 
-    Only maps inducing a bijection on orbits lift; the lift is equivariant for
-    (xi^n, id) between the wreath products.
+    Entry i is the index in the target's frame space of source frame i with
+    ``a`` applied slot by slot.  Only maps inducing a bijection on orbits
+    lift; the lift is equivariant for (xi^n, id) between the wreath products.
     """
     if not is_orbit_bijection(a):
         raise OrbitObstruction(
@@ -221,12 +282,8 @@ def frame_functor_map(a: EquivariantMap) -> Callable[[Frame], Frame]:
         )
     if not (is_free(a.source) and is_free(a.target)):
         raise NotFree("frame lifts are defined between free group-sets")
-    value = a.value
-
-    def lift(t: Frame) -> Frame:
-        return tuple(value[p] for p in t)
-
-    return lift
+    fs = a.source.frame_space  # both free, as enumerate_frames would check
+    return frame_table(fs.columns, [a.value] * fs.n, range(fs.n), a.target.frame_space.index)
 
 
 def wreath_elements(G: FiniteGroup, n: int) -> list[WreathElement]:
@@ -272,18 +329,14 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
     others = [y for y in range(n) if y != x]
     gens = [_slot_element(G, n, y, g) for y in others for g in range(G.order)]
     gens += [_swap(G, n, y, z) for y, z in itertools.combinations(others, 2)]
-    moves = [[fs.index[wreath_act(F, w, t)] for t in fs.frames] for w in gens]
-    class_of, members = perm_orbits(moves, len(fs.frames))
+    class_of, members = perm_orbits([act_table(fs, w) for w in gens], len(fs.frames))
     classes = [m[0] for m in members]  # representative frame index per class
 
     # G acts on classes through the slot-x embedding g -> (delta_x g, id)
     act_rows = []
     for g in range(G.order):
-        w = _slot_element(G, n, x, g)
-        row = [-1] * len(classes)
-        for k, rep in enumerate(classes):
-            row[k] = class_of[fs.index[wreath_act(F, w, fs.frames[rep])]]
-        act_rows.append(tuple(row))
+        table = act_table(fs, _slot_element(G, n, x, g))
+        act_rows.append(tuple(class_of[table[rep]] for rep in classes))
     quotient = GSet(G, len(classes), tuple(act_rows))
     quotient.validate()
 
@@ -375,38 +428,30 @@ def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
         return EquivalenceReport(0, 0, True, True)
 
     homs = gset_homs(F, F2)
-    lifted: set[tuple[int, ...]] = set()
-    for a in homs:
-        lift = frame_functor_map(a)
-        table = tuple(fs2.index[lift(t)] for t in fs1.frames)
-        lifted.add(table)
+    lifted = {tuple(lift_table(a)) for a in homs}
 
-    # torsor morphisms: each is w . base -> w . target_frame, one per target
+    # torsor morphisms: each is w . base -> w . target, one per target
     base = fs1.frames[0]
     divisions = [frame_divide(fs1, t, base) for t in fs1.frames]
-    torsor_tables: set[tuple[int, ...]] = set()
-    for target in fs2.frames:
-        torsor_tables.add(
-            tuple(fs2.index[wreath_act(F2, w, target)] for w in divisions)
-        )
+    torsor_tables = {tuple(table) for table in orbit_tables(divisions, fs2)}
+    if any(None in table for table in lifted | torsor_tables):
+        raise AssertionError("a lifted or torsor morphism leaves the frame space")
 
     # each constructed table really is wreath-equivariant: as in
     # groups.first_broken_edge, the generators suffice once they generate W,
     # that is, once the p1 make one orbit, as W acts freely and transitively.
     # Generator w moves frame i of fs1 to p1[i] and frame j of fs2 to p2[j].
-    gens = _wreath_generators(F.group, fs1.n)
-    moves = [
-        (
-            [fs1.index[wreath_act(F, w, t)] for t in fs1.frames],
-            [fs2.index[wreath_act(F2, w, t)] for t in fs2.frames],
-        )
-        for w in gens
-    ]
+    moves = [(act_table(fs1, w), act_table(fs2, w)) for w in _wreath_generators(F.group, fs1.n)]
+    if any(None in p1 or None in p2 for p1, p2 in moves):
+        raise AssertionError("a wreath generator moves a frame off the frame space")
     if len(perm_orbits([p1 for p1, _ in moves], len(fs1.frames))[1]) != 1:
         raise AssertionError("the wreath generators do not act transitively on frames")
+    # _getter(p1)(table) lists table[p1[i]]
+    moves = [(_getter(p1), p2) for p1, p2 in moves]
     for table in torsor_tables:
-        for p1, p2 in moves:
-            if [table[m] for m in p1] != [p2[j] for j in table]:
+        through = _getter(table)
+        for after_p1, p2 in moves:
+            if after_p1(table) != through(p2):
                 raise AssertionError("torsor morphism failed equivariance")
 
     return EquivalenceReport(

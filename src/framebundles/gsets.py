@@ -112,9 +112,11 @@ class FrameSpace:
 
     The list is closed under the wreath action, which is free and transitive
     on it, so the space is a ``G wr I_n`` torsor of size ``|G|^n n!``.
+    ``columns[x]`` holds slot ``x`` of every frame, in the same order, for
+    :func:`framebundles.frames.frame_table`.
     """
 
-    __slots__ = ("base_gset", "n", "frames", "index")
+    __slots__ = ("base_gset", "n", "frames", "index", "columns")
 
     def __init__(self, base_gset: GSet, n: int, frames: tuple[Frame, ...],
                  index: dict[Frame, int]):
@@ -122,6 +124,7 @@ class FrameSpace:
         self.n = n
         self.frames = frames
         self.index = index
+        self.columns = tuple(zip(*frames))
 
 
 def make_gset(group: FiniteGroup, act) -> GSet:

@@ -45,6 +45,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Any
 
+from . import config
 from .errors import SchemaError
 from .groups import (
     FiniteGroup,
@@ -264,6 +265,7 @@ def parse_u1_bundle(obj: Any, where: str = "u1") -> U1FlatBundle:
     spec = _require_keys(obj, where, {"k", "loops", "generators"})
     k = _int(spec["k"], f"{where}.k")
     loops = _int(spec["loops"], f"{where}.loops")
+    config.check_circle_work(k * loops, f"{where}: angles to parse (k x loops)")
     gens = spec["generators"]
     if not isinstance(gens, list) or len(gens) != loops:
         raise SchemaError(f"{where}.generators: expected a list of {loops} entries")
@@ -325,6 +327,7 @@ def parse_path(obj: Any, k: int, where: str = "path") -> tuple[list[FiberPoint],
     pts = spec["points"]
     if not isinstance(pts, list) or len(pts) < 2:
         raise SchemaError(f"{where}.points: need at least two samples")
+    config.check_circle_work(len(pts), f"{where}.points: samples to parse")
     points = [_fiber_point(u1, Fraction, p, k, f"{where}.points[{i}]") for i, p in enumerate(pts)]
     return points, step
 

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import eq
 
 from . import config
 from .errors import BoundExceeded
 from .frames import (
     _wreath_generators,
+    act_table,
+    check_equivalence,
     enumerate_frames,
     frame_divide,
-    frame_functor_map,
-    check_equivalence,
     gset_homs,
+    lift_table,
     wreath_act,
     wreath_elements,
     wreath_identity,
@@ -33,7 +35,6 @@ from .groups import (
     perm_compose,
     perm_inverse,
 )
-from .gset_aut import aut_to_wreath, ses_report, wreath_to_aut
 from .gsets import (
     EquivariantMap,
     compose_equivariant,
@@ -44,13 +45,6 @@ from .gsets import (
     orbits,
     standard_semitorsor,
     trivial_gset,
-)
-from .bundles import (
-    finite_winding_bundle,
-    flat_bundle,
-    quotient_bundle,
-    sn_action_on_bundle,
-    sn_labelling,
 )
 
 
@@ -150,31 +144,28 @@ def suite_torsor(groups, orbit_counts) -> SuiteReport:
         # closure and freeness read all |W| x |frames| = |W|^2 action values,
         # as many as the entries of a Cayley table of W
         config.check_table_order(len(elements), what="wreath product")
-        closed = True
-        free = True
         identity = wreath_identity(G, n)
+        indices = range(len(fs.frames))
+        off = fixed = ""  # the first counterexample of each check
         for w in elements:
-            is_id = w == identity
-            for t in fs.frames:
-                image = wreath_act(F, w, t)
-                if image not in fs.index:
-                    closed = False
-                if not is_id and image == t:
-                    free = False
-        rep.add(name, "action closed on frames", closed)
-        rep.add(name, "action free", free)
-        transitive = True
+            table = act_table(fs, w)
+            if not off and None in table:
+                off = f"{w!r} sends frame {fs.frames[table.index(None)]} off the frame space"
+            # operator.eq, as int.__eq__(i, None) is NotImplemented, which is true
+            if not fixed and w != identity and any(map(eq, table, indices)):
+                i = next(i for i, j in enumerate(table) if i == j)
+                fixed = f"{w!r} fixes frame {fs.frames[i]}"
+        rep.add(name, "action closed on frames", not off, off)
+        rep.add(name, "action free", not fixed, fixed)
+        missed = ""
         base = fs.frames[0]
-        for t in fs.frames:
-            w = frame_divide(fs, t, base)
-            if wreath_act(F, w, base) != t:
-                transitive = False
-        # second pass over arbitrary pairs, still exhaustive in the source frame
-        for t1 in fs.frames:
-            w = frame_divide(fs, base, t1)
-            if wreath_act(F, w, t1) != base:
-                transitive = False
-        rep.add(name, "action transitive via division", transitive)
+        # from the base frame to every frame, then from every frame back to it
+        for t1, t2 in [(base, t) for t in fs.frames] + [(t, base) for t in fs.frames]:
+            w = frame_divide(fs, t2, t1)
+            image = wreath_act(F, w, t1)
+            if not missed and image != t2:
+                missed = f"{w!r} sends frame {t1} to {image}, not {t2}"
+        rep.add(name, "action transitive via division", not missed, missed)
         rep.bump("frames", len(fs.frames))
         rep.bump("wreath elements", len(elements))
     return rep
@@ -186,28 +177,35 @@ def suite_functor_laws(groups, orbit_counts) -> SuiteReport:
     for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         fs = enumerate_frames(F)
-        ident = frame_functor_map(identity_map(F))
         rep.add(name, "identity lifts to identity",
-                all(ident(t) == t for t in fs.frames))
+                lift_table(identity_map(F)) == list(range(len(fs.frames))))
         homs = gset_homs(F, F)
         if len(homs) > PAIR_BOUND:
             rep.add(name, f"composition law (skipped, {len(homs)} > {PAIR_BOUND} morphisms)", True)
             continue
-        ok = True
-        for a in homs:
-            la = frame_functor_map(a)
-            for b in homs:
-                lb = frame_functor_map(b)
-                lab = frame_functor_map(compose_equivariant(a, b))
-                if any(lab(t) != la(lb(t)) for t in fs.frames):
-                    ok = False
-        rep.add(name, "composition law on all pairs", ok)
+        broken = _first_broken_composition(homs)
+        detail = f"a={broken[0].value} b={broken[1].value}" if broken else ""
+        rep.add(name, "composition law on all pairs", not broken, detail)
         rep.bump("composable pairs", len(homs) ** 2)
     return rep
 
 
+def _first_broken_composition(homs):
+    """The first pair (a, b) whose lift(a b) is not la after lb, or None."""
+    lifts = [lift_table(a) for a in homs]
+    for a, la in zip(homs, lifts):
+        for b, lb in zip(homs, lifts):
+            lab = lift_table(compose_equivariant(a, b))
+            # None, a frame lifted off the frame space, matches nothing
+            if None in lb or None in lab or lab != list(map(la.__getitem__, lb)):
+                return a, b
+    return None
+
+
 def suite_ses(groups, orbit_counts) -> SuiteReport:
     """Short-exact-sequence report per fixture: sizes, kernel, splitting."""
+    from .gset_aut import ses_report
+
     rep = SuiteReport("ses")
     for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
@@ -229,6 +227,8 @@ def suite_wreath_iso(groups, orbit_counts) -> SuiteReport:
     so the ``homomorphism pairs`` counter counts the |W|^2 pairs that the
     proved law covers, not the products computed.
     """
+    from .gset_aut import aut_to_wreath, ses_report, wreath_to_aut
+
     rep = SuiteReport("wreath-iso")
     for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
@@ -313,6 +313,14 @@ def suite_equivalence(groups, orbit_counts) -> SuiteReport:
 
 def suite_appendix_b() -> SuiteReport:
     """Labelling of faithful symmetric actions and the global-action obstruction."""
+    from .bundles import (
+        finite_winding_bundle,
+        flat_bundle,
+        quotient_bundle,
+        sn_action_on_bundle,
+        sn_labelling,
+    )
+
     rep = SuiteReport("appendix-b")
     for n in range(3, APPENDIX_B_MAX_N + 1):
         perms = list(itertools.permutations(range(n)))

@@ -27,6 +27,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from . import config
 from .errors import NoQuotient
 from .groups import Permutation, perm_compose, perm_inverse, validate_word
 from .records import Frozen
@@ -188,6 +189,7 @@ def holonomy_u1(b: U1FlatBundle, word) -> U1Wreath:
     (:func:`frame_transport`).
     """
     w = validate_word(b.loops, word)
+    config.check_circle_work(b.k * len(w), "holonomy sheet moves (k x |word|)")
     letters = _letters(b)
     angles = [Fraction(0)] * b.k
     sigma = [0] * b.k
@@ -205,6 +207,7 @@ def transport(b: U1FlatBundle, word, start: FiberPoint) -> FiberPoint:
     the transport of (theta, x) shifted by d on the same landing sheet.
     """
     w = validate_word(b.loops, word)
+    config.check_circle_work(len(w), "transport letters (|word|)")
     if not (0 <= start.sheet < b.k):
         raise ValueError("point sheet out of range for this wreath element")
     return _move(_letters(b), w, start)

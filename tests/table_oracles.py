@@ -2,7 +2,7 @@
 elements under a product (and the tables of the wreath product, Aut(G) and
 Aut(F) built with it, which the library never builds), the raw endomorphism
 search, the product search for automorphisms, the cubic associativity check,
-and a few group tables."""
+maps on frame spaces tabulated one frame at a time, and a few group tables."""
 
 from __future__ import annotations
 
@@ -10,7 +10,15 @@ import itertools
 import random
 
 from framebundles.errors import BoundExceeded
-from framebundles.frames import gset_homs, wreath_elements, wreath_mul
+from framebundles.frames import (
+    EquivalenceReport,
+    enumerate_frames,
+    frame_divide,
+    gset_homs,
+    wreath_act,
+    wreath_elements,
+    wreath_mul,
+)
 from framebundles.groups import (
     FiniteGroup,
     GroupHom,
@@ -57,6 +65,37 @@ def aut_table(G: FiniteGroup) -> FiniteGroup:
 def gset_aut_table(F) -> FiniteGroup:
     """Aut(F) as the Cayley table of the value tables of ``gset_homs(F, F)``."""
     return cayley_group([a.value for a in gset_homs(F, F)], perm_compose, "Aut(F)")
+
+
+def frame_functor_map(a):
+    """The frame lift ``t -> a . t`` of an equivariant map, as a map on frames."""
+    value = a.value
+    return lambda t: tuple(value[p] for p in t)
+
+
+def act_table_per_frame(fs, w) -> list:
+    """``frames.act_table`` one ``wreath_act`` call per frame: the index of
+    each image, None where it is not a frame."""
+    return [fs.index.get(wreath_act(fs.base_gset, w, t)) for t in fs.frames]
+
+
+def lift_table_per_frame(a) -> list:
+    """``frames.lift_table`` one lifted frame at a time."""
+    lift = frame_functor_map(a)
+    index = enumerate_frames(a.target).index
+    return [index.get(lift(t)) for t in enumerate_frames(a.source).frames]
+
+
+def equivalence_per_frame(F, F2) -> EquivalenceReport:
+    """``frames.check_equivalence`` without the generator check: the lifted
+    tables and the torsor tables ``w . base -> w . target``, one frame at a time."""
+    fs1, fs2 = enumerate_frames(F), enumerate_frames(F2)
+    homs = gset_homs(F, F2)
+    lifted = {tuple(lift_table_per_frame(a)) for a in homs}
+    divisions = [frame_divide(fs1, t, fs1.frames[0]) for t in fs1.frames]
+    torsor = {tuple(fs2.index[wreath_act(F2, w, target)] for w in divisions)
+              for target in fs2.frames}
+    return EquivalenceReport(len(homs), len(torsor), len(lifted) == len(homs), lifted == torsor)
 
 
 def is_abelian(G: FiniteGroup) -> bool:

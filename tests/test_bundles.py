@@ -26,7 +26,7 @@ from framebundles.errors import ModeMismatch, NotFaithful, TooSmall
 from framebundles.frames import (
     WreathElement,
     enumerate_frames,
-    frame_functor_map,
+    lift_table,
     wreath_act,
     wreath_identity,
     wreath_inv,
@@ -40,7 +40,7 @@ from framebundles.groups import (
     make_direct_product,
 )
 from framebundles.gset_aut import wreath_to_aut
-from table_oracles import aut_table
+from table_oracles import aut_table, frame_functor_map, lift_table_per_frame
 
 from framebundles.gsets import (
     EquivariantMap,
@@ -371,9 +371,10 @@ def test_frame_bundle_mod_tuple_part_recovers_covering_frames():
 
     q = quotient_bundle(b)
     qfs = enumerate_frames(q.fiber)
-    qlift = frame_functor_map(q.clutching[0])
-    for t in qfs.frames:
-        assert induced[t] == qlift(t)
+    qlift = lift_table(q.clutching[0])
+    assert qlift == lift_table_per_frame(q.clutching[0])
+    for i, t in enumerate(qfs.frames):
+        assert induced[t] == qfs.frames[qlift[i]]
 
 
 # ---------------------------------------------------------------- clutching in the wreath group

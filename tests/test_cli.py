@@ -567,5 +567,23 @@ def test_classify_circle_loads_no_bundle_layer():
         assert f"framebundles.{layer}" not in loaded
 
 
+@pytest.mark.parametrize(
+    "suite", ["torsor", "functor-laws", "equivalence", "division-rules", "ses", "wreath-iso"]
+)
+def test_verify_loads_only_the_layers_its_suite_runs(suite):
+    loaded = _loaded_modules("verify", suite, "--group", "z2", "--orbits", "2")
+    assert "framebundles.suites" in loaded
+    assert "framebundles.specdoc" not in loaded
+    assert "framebundles.bundles" not in loaded
+    # only the automorphism suites read Aut(F)
+    assert ("framebundles.gset_aut" in loaded) == (suite in ("ses", "wreath-iso"))
+
+
+def test_verify_appendix_b_loads_the_bundle_layer():
+    loaded = _loaded_modules("verify", "appendix-b")
+    assert "framebundles.bundles" in loaded
+    assert "framebundles.specdoc" not in loaded
+
+
 def test_verify_help_lists_every_suite():
     assert SUITE_NAMES == tuple(sorted(suites.SUITES))

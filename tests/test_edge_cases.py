@@ -20,7 +20,6 @@ from framebundles.errors import BoundExceeded
 from framebundles.frames import (
     WreathElement,
     enumerate_frames,
-    frame_functor_map,
     gset_homs,
     reconstruct_semitorsor,
     wreath_elements,
@@ -45,7 +44,7 @@ from framebundles.gsets import (
     standard_semitorsor,
 )
 from framebundles.u1 import FiberPoint, U1Wreath, division_form_check, u1_winding_bundle
-from table_oracles import gset_aut_table, wreath_table
+from table_oracles import frame_functor_map, gset_aut_table, wreath_table
 
 Z2 = make_cyclic(2)
 Z3 = make_cyclic(3)

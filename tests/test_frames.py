@@ -7,15 +7,16 @@ from framebundles import config
 from framebundles.errors import BoundExceeded, NotFree, OrbitObstruction
 from framebundles.frames import (
     WreathElement,
+    act_table,
     associated_map,
     associated_map_inverse,
     check_equivalence,
     enumerate_frames,
     frame_divide,
-    frame_functor_map,
     frame_map,
     gset_homs,
     is_basis,
+    lift_table,
     reconstruct_semitorsor,
     wreath_act,
     wreath_elements,
@@ -48,7 +49,7 @@ from framebundles.gsets import (
 )
 from framebundles.suites import fixture_groups
 import framebundles.frames as frames_module
-from table_oracles import wreath_table
+from table_oracles import lift_table_per_frame, wreath_table
 
 
 Z2 = make_cyclic(2)
@@ -141,9 +142,9 @@ def test_phi_commutes_with_morphisms():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
     for a in gset_homs(F, F):
-        lift = frame_functor_map(a)
-        for t in fs.frames:
-            lhs = associated_map(F, lift(t)).value
+        lift = lift_table(a)
+        for i, t in enumerate(fs.frames):
+            lhs = associated_map(F, fs.frames[lift[i]]).value
             rhs = tuple(a.value[p] for p in associated_map(F, t).value)
             assert lhs == rhs
 
@@ -395,8 +396,7 @@ def test_frame_divide_rejects_foreign_frames():
 def test_identity_lifts_to_identity():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
-    lift = frame_functor_map(identity_map(F))
-    assert all(lift(t) == t for t in fs.frames)
+    assert lift_table(identity_map(F)) == list(range(len(fs.frames)))
 
 
 def test_fold_map_is_obstructed():
@@ -406,7 +406,29 @@ def test_fold_map_is_obstructed():
     value = [semitorsor_point(g, 0, 1) for g in range(G.order) for _ in range(2)]
     fold = equivariant_map(source, target, identity_hom(G), value)
     with pytest.raises(OrbitObstruction):
-        frame_functor_map(fold)
+        lift_table(fold)
+
+
+def _checked_lift(a):
+    """``lift_table(a)``, checked against the per-frame oracle and checked
+    exhaustively to be (xi^n, id)-equivariant.
+
+    For every element ``w`` of the source wreath product, ``w`` moves source
+    frame i to ``p[i]`` and its push-forward moves target frame j to
+    ``p2[j]``; the lift must send ``p[i]`` to ``p2[lift[i]]``.  This catches
+    any mix-up in the orientation of the inverse-permutation convention.
+    """
+    lift = lift_table(a)
+    assert lift == lift_table_per_frame(a)
+    assert None not in lift
+    fs = enumerate_frames(a.source)
+    fs2 = enumerate_frames(a.target)
+    xi = a.xi.image
+    for w in wreath_elements(a.source.group, fs.n):
+        pushed = WreathElement(a.target.group, tuple(xi[g] for g in w.g_tuple), w.sigma)
+        p, p2 = act_table(fs, w), act_table(fs2, pushed)
+        assert all(lift[p[i]] == p2[lift[i]] for i in range(len(fs.frames)))
+    return lift
 
 
 def test_orbit_swap_lift_is_wreath_equivariant():
@@ -420,10 +442,12 @@ def test_orbit_swap_lift_is_wreath_equivariant():
         identity_hom(G),
         [semitorsor_point(g, 1 - x, 2) for g in range(2) for x in range(2)],
     )
-    lift = frame_functor_map(swap)
+    lift = _checked_lift(swap)
+    assert lift != list(range(len(fs.frames)))
     for w in wreath_elements(G, 2):
-        for t in fs.frames:
-            assert lift(wreath_act(F, w, t)) == wreath_act(F, w, lift(t))
+        for i, t in enumerate(fs.frames):
+            moved = fs.index[wreath_act(F, w, t)]
+            assert fs.frames[lift[moved]] == wreath_act(F, w, fs.frames[lift[i]])
 
 
 def test_cross_group_lift_is_xi_equivariant():
@@ -438,39 +462,19 @@ def test_cross_group_lift_is_xi_equivariant():
         xi,
         [semitorsor_point(g % 2, x, 2) for g in range(4) for x in range(2)],
     )
-    lift = frame_functor_map(a)
-    fs4 = enumerate_frames(F4)
+    lift = _checked_lift(a)
+    fs4, fs2 = enumerate_frames(F4), enumerate_frames(F2)
     for w in wreath_elements(z4, 2):
         w2 = WreathElement(Z2, tuple(xi.image[g] for g in w.g_tuple), w.sigma)
-        for t in fs4.frames:
-            assert lift(wreath_act(F4, w, t)) == wreath_act(F2, w2, lift(t))
-
-
-def _checked_lift(a):
-    """The frame lift of ``a``, checked exhaustively to be (xi^n, id)-equivariant.
-
-    Every element of the source wreath product and every source frame is
-    tried, and each lifted frame must lie in the target frame space; this
-    catches any mix-up in the orientation of the inverse-permutation convention.
-    """
-    lift = frame_functor_map(a)
-    fs = enumerate_frames(a.source)
-    fs2 = enumerate_frames(a.target)
-    xi = a.xi.image
-    for w in wreath_elements(a.source.group, fs.n):
-        pushed = WreathElement(a.target.group, tuple(xi[g] for g in w.g_tuple), w.sigma)
-        for t in fs.frames:
-            lifted = lift(wreath_act(a.source, w, t))
-            assert lifted == wreath_act(a.target, pushed, lift(t))
-            assert lifted in fs2.index
-    return lift
+        for i, t in enumerate(fs4.frames):
+            moved = fs4.index[wreath_act(F4, w, t)]
+            assert fs2.frames[lift[moved]] == wreath_act(F2, w2, fs2.frames[lift[i]])
 
 
 def test_frame_functor_verify_mode():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
-    lift = _checked_lift(identity_map(F))
-    assert all(lift(t) == t for t in fs.frames)
+    assert _checked_lift(identity_map(F)) == list(range(len(fs.frames)))
     # the wreath action by any fixed element is a permutation of the frames
     for w in wreath_elements(Z2, 2):
         images = {wreath_act(F, w, t) for t in fs.frames}
@@ -481,12 +485,11 @@ def test_functor_composition_law():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
     homs = gset_homs(F, F)
-    for a in homs:
-        la = frame_functor_map(a)
-        for b in homs:
-            lb = frame_functor_map(b)
-            lab = frame_functor_map(compose_equivariant(a, b))
-            assert all(lab(t) == la(lb(t)) for t in fs.frames)
+    lifts = [lift_table(a) for a in homs]
+    assert all(sorted(la) == list(range(len(fs.frames))) for la in lifts)
+    for a, la in zip(homs, lifts):
+        for b, lb in zip(homs, lifts):
+            assert lift_table(compose_equivariant(a, b)) == [la[j] for j in lb]
 
 
 def test_functor_composition_across_groups():
@@ -508,9 +511,7 @@ def test_functor_composition_across_groups():
     )
     la = _checked_lift(alpha)
     lb = _checked_lift(beta)
-    lab = frame_functor_map(compose_equivariant(alpha, beta))
-    for t in enumerate_frames(F4).frames:
-        assert lab(t) == la(lb(t))
+    assert _checked_lift(compose_equivariant(alpha, beta)) == [la[j] for j in lb]
 
 
 def test_maps_agreeing_on_a_basis_agree_everywhere():
@@ -607,9 +608,7 @@ def test_frames_as_torsor_matches_direct_action(F):
     # Cayley table: the action law holds, and the action is free and transitive
     fs = enumerate_frames(F)
     elements = wreath_elements(F.group, fs.n)
-    table = tuple(
-        tuple(fs.index[wreath_act(F, w, t)] for t in fs.frames) for w in elements
-    )
+    table = tuple(tuple(act_table(fs, w)) for w in elements)
     torsor = GSet(wreath_table(F.group, fs.n), len(fs.frames), table)
     torsor.validate()
     assert is_free(torsor)

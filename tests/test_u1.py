@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import u1_oracles as oracle
 
-from framebundles.errors import NoQuotient
+from framebundles import config, specdoc
+from framebundles.errors import BoundExceeded, NoQuotient
 from framebundles.groups import perm_inverse
 from framebundles.u1 import (
     FiberPoint,
@@ -427,3 +428,23 @@ def test_integer_core_matches_fraction_oracle(data):
     step = data.draw(st.fractions(min_value=Fraction(1, 10**6), max_value=3, max_denominator=10**6))
     report = division_form_check([FiberPoint(a, start.sheet) for a in samples], step)
     assert report.rates == oracle.rates(samples, step)
+
+
+def test_circle_work_bound_refuses_before_the_work(monkeypatch):
+    # each refusal names the knob and the estimated work; one unit less passes
+    monkeypatch.setattr(config, "MAX_CIRCLE_WORK", 12)
+    knob = "exceeds config.MAX_CIRCLE_WORK = 12"
+    b = u1_winding_bundle(3)
+    holonomy_u1(b, (1,) * 4)
+    with pytest.raises(BoundExceeded, match=rf"k x \|word\|\): 15 {knob}"):
+        holonomy_u1(b, (1,) * 5)
+    transport(b, (1,) * 12, FiberPoint(A(0), 0))
+    with pytest.raises(BoundExceeded, match=rf"\(\|word\|\): 13 {knob}"):
+        transport(b, (1,) * 13, FiberPoint(A(0), 0))
+    # the angle count is checked before the generators are read
+    with pytest.raises(BoundExceeded, match=rf"k x loops\): 13 {knob}"):
+        specdoc.parse_u1_bundle({"k": 13, "loops": 1, "generators": []})
+    points = [{"angle": "1/3", "sheet": 0}] * 13
+    specdoc.parse_path({"step": "1/10", "points": points[:12]}, 1)
+    with pytest.raises(BoundExceeded, match=rf"samples to parse: 13 {knob}"):
+        specdoc.parse_path({"step": "1/10", "points": points}, 1)
