@@ -41,6 +41,15 @@ def check_table_order(order: int, what: str = "group") -> None:
         )
 
 
+def check_table_entries(count: int, what: str) -> None:
+    """Refuse a table of more entries than the largest Cayley table admitted."""
+    if count > MAX_TABLE_ORDER**2:
+        raise BoundExceeded(
+            f"{what}: {_estimate(count)} entries exceed config.MAX_TABLE_ORDER ** 2 = "
+            f"{MAX_TABLE_ORDER**2}"
+        )
+
+
 def check_circle_work(count: int, what: str) -> None:
     if count > MAX_CIRCLE_WORK:
         raise BoundExceeded(

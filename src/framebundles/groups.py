@@ -14,7 +14,11 @@ table.  :func:`perm_orbits` is the one orbit algorithm of the library.
 A group that the library reads only through its generators gets no table:
 :func:`first_broken_edge` proves a homomorphism law on the generator edges
 of the Cayley graph, and :func:`automorphism_classes` classifies Aut(G)
-from a generating set of it.
+from a generating set of it.  The lemma proves associativity (Light's test
+in :meth:`FiniteGroup.validate`), the homomorphism law of :class:`GroupHom`,
+of ``verify wreath-iso`` and of ``bundles.sn_labelling``, and the action law
+of ``gsets.GSet``; ``gsets.check_equivariant`` checks only generators by the
+same closure argument.
 """
 
 from __future__ import annotations
@@ -76,10 +80,10 @@ def perm_orbits(perms, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return tuple(orbit_of), tuple(members)
 
 
-def greedy_generators(order: int, identity: int, right_mul) -> tuple[int, ...]:
-    """An irredundant generating set: each generator is the smallest element
-    outside the subgroup of those before it, the orbit of the identity under
-    their right multiplications; ``right_mul(a)`` is the table ``x -> x a``."""
+def greedy_generators(order: int, identity: int, right_mul) -> tuple[tuple[int, ...], tuple]:
+    """An irredundant generating set and its tables ``right_mul(a)``, ``x -> x a``:
+    each generator is the smallest element outside the subgroup of those
+    before it, the orbit of the identity under their right multiplications."""
     gens: list[int] = []
     columns: list[Permutation] = []
     orbit_of, _ = perm_orbits(columns, order)
@@ -90,7 +94,7 @@ def greedy_generators(order: int, identity: int, right_mul) -> tuple[int, ...]:
             orbit_of, cosets = perm_orbits(columns, order)
             if len(cosets) == 1:
                 break
-    return tuple(gens)
+    return tuple(gens), tuple(columns)
 
 
 def first_broken_edge(image, compose, identity: int, gens, moves) -> tuple[int, int] | None:
@@ -99,7 +103,7 @@ def first_broken_edge(image, compose, identity: int, gens, moves) -> tuple[int, 
     ``compose`` multiplies images, and ``moves[k]`` is the table ``a -> a s``
     of right multiplication by ``s = gens[k]``.  Only ``(e, e)`` and the
     Cayley-graph edges ``(a, s)`` are checked, |G| |gens| + 1 pairs for |G|^2.
-    Raises ValueError unless the moves make one orbit.
+    When no edge is broken, raises ValueError unless the moves make one orbit.
 
     Lemma: a map phi into a group with phi(e) phi(e) = phi(e), that is
     phi(e) = e, and phi(as) = phi(a) phi(s) for every a and every s in a set
@@ -108,18 +112,24 @@ def first_broken_edge(image, compose, identity: int, gens, moves) -> tuple[int, 
     Induct on k for b = s_1 ... s_k: phi(ae) = phi(a) phi(e), and for b = cs
     with c shorter, phi(acs) = phi(ac) phi(s) = phi(a) phi(c) phi(s) =
     phi(a) phi(cs), by the edge at ac, the induction and the edge at c.
+
+    The proof needs only associativity and phi(e) = e, so it holds in a
+    monoid of maps too, as for an action table, where the ``(e, e)`` check
+    shows only that phi(e) is idempotent: ``GSet.validate`` checks the
+    identity row itself.  The laws proved here are listed in the module
+    docstring.
     """
-    size = len(image)
-    orbit_of, members = perm_orbits(moves, size)
-    reached = len(members[orbit_of[identity]])
-    if reached != size:
-        raise ValueError(f"the generators reach {reached} of {size} elements")
     if compose(image[identity], image[identity]) != image[identity]:
         return identity, identity
     for s, move in zip(gens, moves):
         for a, a_s in enumerate(move):
             if image[a_s] != compose(image[a], image[s]):
                 return a, s
+    size = len(image)
+    orbit_of, members = perm_orbits(moves, size)
+    reached = len(members[orbit_of[identity]])
+    if reached != size:
+        raise ValueError(f"the generators reach {reached} of {size} elements")
     return None
 
 
@@ -161,16 +171,11 @@ class FiniteGroup(Frozen):
     def validate(self) -> None:
         """Exhaustively check the group axioms; raises ValueError on failure.
 
-        Associativity is Light's test: (xa)y = x(ay) for all x, y and every
-        ``a`` of a generating set, O(n^2 |gens|) where all triples cost n^3.
-        This suffices: the set S of the ``a`` passing it contains the
-        identity and is closed under products.  For a, b in S,
-
-            (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
-
-        using a in S (with y = b), b in S (with x = xa), a in S (with
-        y = by) and b in S (with x = a).  :attr:`generators` reaches
-        every element by products of generators, so S is the whole table.
+        Associativity, (xy)z = x(yz), is the homomorphism law of x -> the
+        row of x, into the maps of the set under :func:`perm_compose`, so
+        :func:`first_broken_edge` proves it on the generator edges after the
+        identity row is checked: Light's test, (xa)y = x(ay) for all x, y and
+        every ``a`` of a generating set, O(n^2 |gens|) where all triples cost n^3.
         """
         n = self.order
         mul = self.mul
@@ -184,21 +189,27 @@ class FiniteGroup(Frozen):
                 raise ValueError(f"identity axiom fails at element {a}")
             if mul[a][self.inv[a]] != e or mul[self.inv[a]][a] != e:
                 raise ValueError(f"inverse axiom fails at element {a}")
-        for a in self.generators:
-            a_row = mul[a]
-            for x in range(n):
-                x_row = mul[x]
-                lhs, rhs = mul[x_row[a]], tuple([x_row[ay] for ay in a_row])
-                if lhs != rhs:
-                    y = next(y for y in range(n) if lhs[y] != rhs[y])
-                    raise ValueError(f"associativity fails at ({x},{a},{y})")
+        broken = first_broken_edge(mul, perm_compose, e, self.generators, self.moves)
+        if broken is not None:
+            x, a = broken
+            y = next(y for y in range(n) if mul[mul[x][a]][y] != mul[x][mul[a][y]])
+            raise ValueError(f"associativity fails at ({x},{a},{y})")
 
     @cached_property
-    def generators(self) -> tuple[int, ...]:
-        """A small generating set (:func:`greedy_generators`), computed once."""
+    def _greedy(self) -> tuple[tuple[int, ...], tuple[Permutation, ...]]:
         mul = self.mul
         return greedy_generators(self.order, self.identity,
                                  lambda a: tuple([row[a] for row in mul]))
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """A small generating set (:func:`greedy_generators`), computed once."""
+        return self._greedy[0]
+
+    @property
+    def moves(self) -> tuple[Permutation, ...]:
+        """The tables ``a -> a s`` of the generators s, computed with them."""
+        return self._greedy[1]
 
     def __repr__(self) -> str:  # keep large tables out of debug output
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -225,9 +236,8 @@ class GroupHom(Frozen):
         if self.image[self.source.identity] != self.target.identity:
             raise ValueError("homomorphism does not preserve the identity")
         G, tmul = self.source, self.target.mul
-        moves = [tuple([row[s] for row in G.mul]) for s in G.generators]
         broken = first_broken_edge(self.image, lambda x, y: tmul[x][y], G.identity,
-                                   G.generators, moves)
+                                   G.generators, G.moves)
         if broken is not None:
             raise ValueError("homomorphism law fails at ({},{})".format(*broken))
 
@@ -267,22 +277,31 @@ def permutation_group(perms, base, label: str) -> FiniteGroup:
 
 
 def table_group(mul: tuple[tuple[int, ...], ...], label: str) -> FiniteGroup:
-    """The group of a Cayley table known to be a group's (not validated).
+    """The group of a square Cayley table, its identity and inverses read off it.
 
-    The identity is the one row of the table that fixes every element and
-    each inverse is the one entry of its row equal to the identity: in a
-    group both are unique.
+    The identity is the first row that fixes every element (a left identity
+    e and a two-sided e' have e = e e' = e'), and the inverse of ``a`` the
+    first entry of row ``a`` equal to it.  Raises ValueError unless both are
+    two-sided; :meth:`FiniteGroup.validate` checks the other axioms.
     """
-    identity = mul.index(tuple(range(len(mul))))
-    inv = tuple(row.index(identity) for row in mul)
-    return FiniteGroup(len(mul), mul, identity, inv, label)
+    ident = tuple(range(len(mul)))
+    identity = next((e for e, row in enumerate(mul) if row == ident), None)
+    if identity is None or tuple([row[identity] for row in mul]) != ident:
+        raise ValueError("table has no identity element")
+    inv = []
+    for a, row in enumerate(mul):
+        b = row.index(identity) if identity in row else None
+        if b is None or mul[b][a] != identity:
+            raise ValueError(f"element {a} has no two-sided inverse")
+        inv.append(b)
+    return FiniteGroup(len(mul), mul, identity, tuple(inv), label)
 
 
 def from_mul_table(mul, label: str = "G") -> FiniteGroup:
     """Construct a group from a bare multiplication table.
 
-    The identity and inverse tables are derived, and all axioms are checked
-    exhaustively (the input is untrusted).
+    The identity and inverse tables are derived by :func:`table_group`, and
+    all axioms are checked exhaustively (the input is untrusted).
     """
     table = tuple(tuple(row) for row in mul)
     n = len(table)
@@ -291,20 +310,7 @@ def from_mul_table(mul, label: str = "G") -> FiniteGroup:
     config.check_table_order(n)
     if any(len(row) != n for row in table):
         raise ValueError("multiplication table has wrong shape")
-    identity = None
-    for e in range(n):
-        if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise ValueError("table has no identity element")
-    inv = []
-    for a in range(n):
-        a_inv = next((b for b in range(n) if table[a][b] == identity), None)
-        if a_inv is None or table[a_inv][a] != identity:
-            raise ValueError(f"element {a} has no two-sided inverse")
-        inv.append(a_inv)
-    G = FiniteGroup(n, table, identity, tuple(inv), label)
+    G = table_group(table, label)
     G.validate()
     return G
 
@@ -467,7 +473,7 @@ def automorphism_classes(G: FiniteGroup, auts) -> tuple[tuple[tuple[int, ...], .
         return tuple([index[tuple([outer[p[x]] for x in keys[h]])] for p in images])
 
     ident = tuple(range(G.order))
-    gens = greedy_generators(len(auts), index[G.generators], lambda h: keyed(h, ident))
+    gens, _ = greedy_generators(len(auts), index[G.generators], lambda h: keyed(h, ident))
     conjugations = [keyed(h, perm_inverse(images[h])) for h in gens]
     commute = all([images[h][x] for x in keys[k]] == [images[k][x] for x in keys[h]]
                   for h in gens for k in gens)

@@ -19,12 +19,13 @@ from .frames import (
     check_equivalence,
     enumerate_frames,
     frame_divide,
+    frame_map,
     gset_homs,
     lift_table,
+    orbit_tables,
     wreath_act,
     wreath_elements,
     wreath_identity,
-    wreath_mul,
 )
 from .groups import (
     FiniteGroup,
@@ -38,7 +39,7 @@ from .groups import (
 from .gsets import (
     EquivariantMap,
     compose_equivariant,
-    divide,
+    division_table,
     identity_hom,
     identity_map,
     induced_orbit_map,
@@ -78,7 +79,7 @@ class SuiteReport:
 
 
 PAIR_BOUND = 50  # functor-laws checks all pairs only up to this many morphisms
-APPENDIX_B_MAX_N = 4  # appendix-b checks S3 .. S4; its labelling checks cost (n!)^3 for S_n
+APPENDIX_B_MAX_N = 4  # appendix-b checks S3 .. S4; labelling n! actions costs (n!)^2 n^2
 
 _NAMED_GROUPS = {
     "trivial": lambda: make_cyclic(1),
@@ -225,7 +226,10 @@ def suite_wreath_iso(groups, orbit_counts) -> SuiteReport:
     The homomorphism law on all |W|^2 pairs is proved on the |W| |gens|
     generator edges by the lemma of :func:`~framebundles.groups.first_broken_edge`,
     so the ``homomorphism pairs`` counter counts the |W|^2 pairs that the
-    proved law covers, not the products computed.
+    proved law covers, not the products computed.  W is indexed by the
+    frames of G x I_n, w as w . base, on which it acts freely and
+    transitively; right multiplication by s then sends w . base to
+    w . (s . base), so it is the frame lift of the map base -> s . base.
     """
     from .gset_aut import aut_to_wreath, ses_report, wreath_to_aut
 
@@ -239,19 +243,14 @@ def suite_wreath_iso(groups, orbit_counts) -> SuiteReport:
         auts = gset_homs(F, F)
         rep.add(name, "surjective onto Aut(G x X)",
                 set(tables) == {a.value for a in auts})
-        position = {w: i for i, w in enumerate(elements)}
-        gens = _wreath_generators(G, n)
-        moves = [[position[wreath_mul(w, s)] for w in elements] for s in gens]
-        try:
-            hom_ok = first_broken_edge(tables, perm_compose, position[wreath_identity(G, n)],
-                                       [position[s] for s in gens], moves) is None
-        except ValueError:  # the generators do not generate W
-            hom_ok = False
-        rep.add(name, "homomorphism on all pairs", hom_ok)
-        round_ok = all(aut_to_wreath(images[i]) == w for i, w in enumerate(elements))
-        rep.add(name, "round trip to wreath", round_ok)
-        perm_ok = all(induced_orbit_map(images[i]) == w.sigma for i, w in enumerate(elements))
-        rep.add(name, "orbit permutation matches sigma", perm_ok)
+        broken = _broken_wreath_hom(F, elements, tables)
+        rep.add(name, "homomorphism on all pairs", not broken, broken)
+        trip = next((f"{w!r} comes back as {v!r}"
+                     for w, v in zip(elements, map(aut_to_wreath, images)) if v != w), "")
+        rep.add(name, "round trip to wreath", not trip, trip)
+        moved = next((f"{w!r} permutes the orbits by {p}"
+                      for w, p in zip(elements, map(induced_orbit_map, images)) if p != w.sigma), "")
+        rep.add(name, "orbit permutation matches sigma", not moved, moved)
         r = ses_report(F, auts)
         rep.add(name, "SES sizes", r.ok,
                 f"{r.aut_order} = {r.autq_order} x {r.sym_order}")
@@ -259,38 +258,70 @@ def suite_wreath_iso(groups, orbit_counts) -> SuiteReport:
     return rep
 
 
+def _broken_wreath_hom(F, elements, tables) -> str:
+    """The first edge (w, s) with phi(w s) != phi(w) phi(s), or "", where phi
+    sends ``elements[i]`` to ``tables[i]``, in the frame indexing of
+    :func:`suite_wreath_iso`."""
+    fs = enumerate_frames(F)
+    base = fs.frames[0]
+    at = next(orbit_tables(elements, fs))  # elements[i] . base is frame at[i]
+    if None in at or sorted(at) != list(range(len(fs.frames))):
+        return "W does not act freely and transitively on the frames"
+    of_frame = perm_inverse(at)
+    moved = [wreath_act(F, s, base) for s in _wreath_generators(F.group, fs.n)]
+    moves = [lift_table(frame_map(F, base, F, t)) for t in moved]
+    try:
+        broken = first_broken_edge([tables[i] for i in of_frame], perm_compose, fs.index[base],
+                                   [fs.index[t] for t in moved], moves)
+    except ValueError:  # the generators do not generate W
+        return "the generators do not reach every element"
+    if broken is None:
+        return ""
+    w, s = (elements[of_frame[j]] for j in broken)
+    return f"phi(w s) != phi(w) phi(s) at w={w!r}, s={s!r}"
+
+
 def suite_division_rules(groups, orbit_counts) -> SuiteReport:
-    """The four division identities, exhaustively on every free fixture."""
+    """The four division identities, exhaustively on every free fixture.
+
+    ``[a/b]`` is the group element carrying point b to point a, read from
+    the division table; each rule reports its first counterexample.
+    """
     rep = SuiteReport("division-rules")
     for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
+        div = division_table(F)
         by_orbit = orbits(F).members
-        mul, inv = G.mul, G.inv
-        inverse_ok = cancel_ok = scaling_ok = invariance_ok = True
+        mul, inv, act = G.mul, G.inv, F.act
+        inverse = cancel = scaling = invariance = ""  # the first counterexample of each rule
         for orbit in by_orbit:
             for f1 in orbit:
                 for f2 in orbit:
-                    d21 = divide(F, f2, f1)
-                    if d21 != inv[divide(F, f1, f2)]:
-                        inverse_ok = False
+                    d21 = div[f2, f1]
+                    if not inverse and d21 != inv[div[f1, f2]]:
+                        inverse = f"[{f2}/{f1}] = {d21} is not the inverse of [{f1}/{f2}] = {div[f1, f2]}"
                     for f in orbit:
-                        if d21 != mul[divide(F, f2, f)][divide(F, f, f1)]:
-                            cancel_ok = False
+                        if not cancel and d21 != mul[div[f2, f]][div[f, f1]]:
+                            cancel = (f"[{f2}/{f1}] = {d21} but [{f2}/{f}] [{f}/{f1}] = "
+                                      f"{mul[div[f2, f]][div[f, f1]]}")
                     for g1 in range(G.order):
                         for g2 in range(G.order):
-                            lhs = divide(F, F.act[g2][f2], F.act[g1][f1])
-                            if lhs != mul[mul[g2][d21]][inv[g1]]:
-                                scaling_ok = False
+                            lhs, rhs = div[act[g2][f2], act[g1][f1]], mul[mul[g2][d21]][inv[g1]]
+                            if not scaling and lhs != rhs:
+                                scaling = (f"[{g2}.{f2}/{g1}.{f1}] = {lhs} but "
+                                           f"{g2} [{f2}/{f1}] {g1}^-1 = {rhs}")
         for psi in gset_homs(F, F):
+            value = psi.value
             for orbit in by_orbit:
                 for f1 in orbit:
                     for f2 in orbit:
-                        if divide(F, psi.value[f2], psi.value[f1]) != divide(F, f2, f1):
-                            invariance_ok = False
-        rep.add(name, "inverse rule", inverse_ok)
-        rep.add(name, "cancellation rule", cancel_ok)
-        rep.add(name, "scaling rule", scaling_ok)
-        rep.add(name, "automorphism invariance", invariance_ok)
+                        if not invariance and div[value[f2], value[f1]] != div[f2, f1]:
+                            invariance = (f"{value} sends [{f2}/{f1}] = {div[f2, f1]} "
+                                          f"to {div[value[f2], value[f1]]}")
+        rep.add(name, "inverse rule", not inverse, inverse)
+        rep.add(name, "cancellation rule", not cancel, cancel)
+        rep.add(name, "scaling rule", not scaling, scaling)
+        rep.add(name, "automorphism invariance", not invariance, invariance)
         rep.bump("fixtures")
     return rep
 

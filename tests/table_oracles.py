@@ -2,7 +2,9 @@
 elements under a product (and the tables of the wreath product, Aut(G) and
 Aut(F) built with it, which the library never builds), the raw endomorphism
 search, the product search for automorphisms, the cubic associativity check,
-maps on frame spaces tabulated one frame at a time, and a few group tables."""
+the all-pairs action, equivariance and symmetric-action laws that the library
+checks on generator edges, maps on frame spaces tabulated one frame at a
+time, and a few group tables."""
 
 from __future__ import annotations
 
@@ -184,6 +186,37 @@ def associativity_failures(mul) -> list[tuple[int, int, int]]:
         for c in range(n)
         if mul[mul[a][b]][c] != mul[a][mul[b][c]]
     ]
+
+
+def action_law_holds(G: FiniteGroup, act) -> bool:
+    """Whether ``act[g h] = act[g]`` after ``act[h]`` for every pair (g, h),
+    by the loop over all |G|^2 pairs."""
+    return all(
+        tuple(act[G.mul[g][h]]) == perm_compose(act[g], act[h])
+        for g in range(G.order)
+        for h in range(G.order)
+    )
+
+
+def is_equivariant_everywhere(a) -> bool:
+    """Whether ``value[g f] = xi(g) value[f]`` for every g in the group and
+    every point f, by the loop over all of them."""
+    src, tgt, xi, val = a.source, a.target, a.xi, a.value
+    return all(
+        val[src.act[g][f]] == tgt.act[xi.image[g]][val[f]]
+        for g in range(src.group.order)
+        for f in range(src.size)
+    )
+
+
+def is_homomorphism_on_all_pairs(action) -> bool:
+    """Whether the map ``action`` from permutations to image tables respects
+    the product of every pair of permutations."""
+    return all(
+        tuple(action[perm_compose(s, t)]) == perm_compose(action[s], action[t])
+        for s in action
+        for t in action
+    )
 
 
 def permutation_table(perms) -> list[list[int]]:

@@ -309,3 +309,22 @@ def test_frame_bundle_z2_k5_fits_in_100mb():
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)["data"]
     assert (data["frames"], data["components"]) == (3840, 768)
+
+
+def test_trivial_action_of_z2520_on_one_point_is_answered_quickly():
+    # a 12.7 KB document: the action law costs one check per generator
+    # edge, not one per pair of the 2520 elements
+    doc = json.dumps({
+        "kind": "flat", "mode": "gspace", "loops": 1, "clutching": [{"table": [0]}],
+        "fiber": {"kind": "table", "group": {"kind": "cyclic", "n": 2520}, "act": [[0]] * 2520},
+    })
+    src = Path(__file__).resolve().parent.parent / "src"
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "framebundles.cli", "--format", "json", "components", doc],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["data"]["components"] == 1
+    assert elapsed < 3.0, f"{elapsed:.2f}s"

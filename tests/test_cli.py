@@ -116,13 +116,22 @@ TABLE_FREE_REQUESTS = [
 @pytest.mark.parametrize("argv", TABLE_FREE_REQUESTS,
                          ids=[f"{a[1]}-{a[3]}" for a in TABLE_FREE_REQUESTS[:-1]] + ["classify-S4-table"])
 def test_requests_build_no_cayley_table(capsys, monkeypatch, argv):
-    # the wreath product, Aut(G) and Aut(F) are read through generators only
+    # the wreath product, Aut(G) and Aut(F) are read through generators only;
+    # the one table a request may read is a table group's own, from its document
+    given = [tuple(map(tuple, json.loads(a)["mul"])) for a in argv if a.startswith("{")]
+    read_table = groups.table_group
+
+    def read_given_table(mul, label):
+        if mul not in given:
+            _refuse_table()
+        return read_table(mul, label)
+
     with monkeypatch.context() as patch:
         for name, module in list(sys.modules.items()):
             if name.startswith("framebundles"):
-                for fn in ("permutation_group", "table_group"):
+                for fn, spy in (("permutation_group", _refuse_table), ("table_group", read_given_table)):
                     if hasattr(module, fn):
-                        patch.setattr(module, fn, _refuse_table)
+                        patch.setattr(module, fn, spy)
         patched = run(capsys, *argv)
     assert patched[0] == 0
     assert patched == run(capsys, *argv)
@@ -404,6 +413,23 @@ def test_huge_semitorsor_is_refused_before_it_is_built(capsys, bundle):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_wreath_iso_is_refused_before_listing_the_wreath_elements(capsys):
+    code, out, err = run(capsys, "verify", "wreath-iso", "--group", "s4", "--orbits", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: enumerating 82944 wreath elements exceeds the bound 20000\n"
+
+
+def test_semitorsor_action_table_is_refused_past_the_largest_cayley_table(capsys, monkeypatch):
+    # |G| |G| n = 4 * 4 * 7 = 112 entries > 10^2, for 28 points and a table of order 4
+    import framebundles.config as config
+
+    monkeypatch.setattr(config, "MAX_TABLE_ORDER", 10)
+    doc = '{"kind": "winding", "group": {"kind": "cyclic", "n": 4}, "k": 7}'
+    code, out, err = run(capsys, "components", doc)
+    message = "action table of G x I_n: 112 entries exceed config.MAX_TABLE_ORDER ** 2 = 100"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 TRIVIAL_COVERING_2000 = {
     "kind": "flat", "mode": "gspace", "loops": 1, "clutching": [{"perm": list(range(2000))}],
     "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 1}, "n": 2000},
@@ -450,8 +476,17 @@ def test_unreadable_document_path_is_usage_error(capsys, tmp_path):
              "fiber": {"kind": "table", "group": {"kind": "cyclic", "n": 1}, "act": [["x"]]},
              "loops": 1, "clutching": [{"table": [0]}]})],
          "bundle.fiber.act[0]: expected an integer"),
+        (["classify-circle", "--group", '{"kind": "table", "mul": [[1, 0], [0, 0]]}'],
+         "group.mul: table has no identity element"),
+        (["classify-circle", "--group", '{"kind": "table", "mul": [[0, 1], [0, 1]]}'],
+         "group.mul: table has no identity element"),
+        (["classify-circle", "--group", '{"kind": "table", "mul": [[0, 1, 2], [1, 2, 2], [2, 0, 1]]}'],
+         "group.mul: element 1 has no two-sided inverse"),
+        (["classify-circle", "--group", '{"kind": "table", "mul": [[0, 1, 2], [1, 2, 0], [2, 1, 1]]}'],
+         "group.mul: element 1 has no two-sided inverse"),
     ],
-    ids=["ragged-mul", "boolean-mul", "string-act"],
+    ids=["ragged-mul", "boolean-mul", "string-act", "no-identity", "left-identity-only",
+         "no-inverse", "right-inverse-only"],
 )
 def test_malformed_table_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -498,9 +533,32 @@ def test_division_rules_checks_every_automorphism(capsys, monkeypatch):
 
     monkeypatch.setattr(suites, "gset_homs", true_homs_then_a_swap)
     code, out, _ = run(capsys, "verify", "division-rules", "--group", "z3", "--orbits", "1")
-    assert "PASS [Z3 n=1] scaling rule" in out
-    assert "FAIL [Z3 n=1] automorphism invariance" in out
+    assert "PASS [Z3 n=1] scaling rule\n" in out
+    # the table swapping points 0 and 1 is the counterexample, first at [1/0]
+    assert "FAIL [Z3 n=1] automorphism invariance ((1, 0, 2) sends [1/0] = 1 to 2)" in out
     assert code == 1
+
+
+def test_wreath_iso_names_its_counterexamples(capsys, monkeypatch):
+    import framebundles.gset_aut as gset_aut
+    from framebundles.frames import WreathElement
+
+    true_map = gset_aut.wreath_to_aut
+
+    def sigma_inverted(w, F=None):  # an anti-homomorphism on the permutation part
+        return true_map(WreathElement(w.group, w.g_tuple, groups.perm_inverse(w.sigma)), F)
+
+    monkeypatch.setattr(gset_aut, "wreath_to_aut", sigma_inverted)
+    code, out, _ = run(capsys, "verify", "wreath-iso", "--group", "z2", "--orbits", "3")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(" (")[0] for line in fails] == [
+        "FAIL [Z2 n=3] homomorphism on all pairs",
+        "FAIL [Z2 n=3] round trip to wreath",
+        "FAIL [Z2 n=3] orbit permutation matches sigma",
+    ]
+    assert fails[0].endswith(", s=WreathElement(g=(1, 0, 0), sigma=(0, 1, 2)))")
+    assert "comes back as" in fails[1] and "permutes the orbits by" in fails[2]
 
 
 # -- fresh interpreters ------------------------------------------------------
