@@ -329,6 +329,23 @@ def test_division_check_mixed_sheets_obstruction(capsys):
     assert "obstruction" in err
 
 
+@pytest.mark.parametrize("bad", ["1e-2", "1/0", "x", True, "1" * 4301])
+def test_bad_sample_outranks_an_earlier_sheet_crossing(capsys, bad):
+    # every sample is read before the sheets are compared: a schema error
+    # anywhere in the path exits 2, even after the path has crossed sheets
+    points = [{"angle": "0", "sheet": 0}, {"angle": "1/4", "sheet": 1},
+              {"angle": "1/2", "sheet": 1}, {"angle": bad, "sheet": 1}]
+    path_doc = json.dumps({"step": "1/4", "points": points})
+    code, out, err = run(capsys, "division-check", U1_WINDING_K2, "--path", path_doc)
+    want = ("expected an integer or a 'p/q' string" if bad is True
+            else f"bad rational {bad!r}")
+    assert (code, out, err) == (2, "", f"error: path.points[3].angle: {want}\n")
+    points[3]["sheet"] = 2
+    code, out, err = run(capsys, "division-check", U1_WINDING_K2, "--path",
+                         json.dumps({"step": "1/4", "points": points}))
+    assert (code, err) == (2, "error: path.points[3].sheet: out of range for 2 sheets\n")
+
+
 def test_schema_error_exit_code(capsys):
     code, _, err = run(capsys, "classify-circle", "--group", '{"kind": "cyclic"}')
     assert code == 2

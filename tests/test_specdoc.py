@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framebundles.errors import SchemaError
 from framebundles.groups import make_cyclic
@@ -173,3 +174,87 @@ def test_load_document_inline_and_file(tmp_path):
         load_document(str(tmp_path / "missing.json"))
     with pytest.raises(SchemaError):
         load_document("{not json")
+
+
+# ---------------------------------------------------------------- rational parity
+# Every angle string reads as ``Fraction(text) % 1``, or is refused with the
+# message it has always had; the oracle is ``Fraction`` itself, with the
+# exponent forms refused before it expands them.
+
+LONG_NUMERATOR = "1" * 4301 + "/3"  # past sys.get_int_max_str_digits()
+RATIONAL_CORPUS = [
+    "0", "1", "-1", "-0", "7", "007/08", "1/4", "-1/4", "5/4", "-9/4", "4/3", "12/8", "1/1",
+    "+1/4", "+0", " 1/4 ", "\t3/4\n", "0.25", "-0.75", ".5", "5.", "1.5e3", "1_0/40",
+    "1__0/4", "_1/4", "١/4", "٣/٤", "1/٤", "½", "1e-2", "1E2", "1/0", "-1/0", "0/0", "",
+    " ", "/", "1/", "/4", "-", "--1", "+-1", "1/-2", "-1/-2", "1 /2", "- 1/2", "1/2/3",
+    "0x10", "1.5/2", "nan", "inf", "²", LONG_NUMERATOR, "1/" + "3" * 4301,
+]
+
+
+def _fraction_oracle(text: str, where: str):
+    """``(numerator, denominator)`` of ``Fraction(text) % 1``, or the refusal."""
+    from fractions import Fraction
+
+    if "e" in text or "E" in text:
+        return f"{where}: bad rational {text!r}"
+    try:
+        a = Fraction(text) % 1
+    except (ValueError, ZeroDivisionError):
+        return f"{where}: bad rational {text!r}"
+    return a.numerator, a.denominator
+
+
+def _read_point(text: str):
+    try:
+        a = parse_fiber_point({"angle": text, "sheet": 0}, 1).angle
+    except SchemaError as exc:
+        return str(exc)
+    return a.numerator, a.denominator
+
+
+def _seeded_strings(seed: int, count: int) -> list[str]:
+    import random
+
+    rng = random.Random(seed)
+    alphabet = "0123456789" * 3 + "-+/._ eE١²"
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("text", RATIONAL_CORPUS)
+def test_angle_reads_as_fraction_mod_one(text):
+    assert _read_point(text) == _fraction_oracle(text, "point.angle")
+
+
+def test_seeded_angle_strings_read_as_fraction_mod_one():
+    for text in _seeded_strings(7, 2000):
+        assert _read_point(text) == _fraction_oracle(text, "point.angle"), text
+
+
+@pytest.mark.parametrize("text", RATIONAL_CORPUS)
+def test_step_reads_as_fraction(text):
+    from fractions import Fraction
+
+    doc = {"step": text, "points": [{"angle": "0", "sheet": 0}] * 2}
+    want = _fraction_oracle(text, "path.step")
+    if isinstance(want, str):
+        with pytest.raises(SchemaError) as info:
+            parse_path(doc, 1)
+        assert str(info.value) == "path.step: bad rational"
+    elif Fraction(text) <= 0:
+        with pytest.raises(SchemaError, match=r"^path.step: must be positive$"):
+            parse_path(doc, 1)
+    else:
+        assert parse_path(doc, 1)[1] == Fraction(text)
+
+
+@settings(deadline=None)
+@given(st.text(alphabet="0123456789-+/._ e١", max_size=10))
+def test_angle_reads_as_fraction_mod_one_hypothesis(text):
+    assert _read_point(text) == _fraction_oracle(text, "point.angle")
+
+
+def test_non_string_angles_keep_their_messages():
+    for obj in (True, 0.5, None, [1], {"p": 1}):
+        with pytest.raises(SchemaError, match=r"^point.angle: expected an integer or a 'p/q' string$"):
+            parse_fiber_point({"angle": obj, "sheet": 0}, 1)
+    assert parse_fiber_point({"angle": -7, "sheet": 0}, 1).angle == 0
