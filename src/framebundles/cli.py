@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 
-from . import config
 from .errors import (
     FrameBundlesError,
     ModeMismatch,
@@ -33,7 +32,7 @@ from .errors import (
     NotFree,
     TooSmall,
 )
-from .groups import automorphism_classes, automorphisms, perm_orbits
+from .groups import automorphism_classes, automorphisms, check_automorphism_order, perm_orbits
 
 EXIT_OK = 0
 EXIT_OBSTRUCTION = 1
@@ -72,8 +71,8 @@ def cmd_classify_circle(args) -> Report:
     from . import specdoc
 
     G = specdoc.parse_group(specdoc.load_document(args.group))
+    check_automorphism_order(G)
     auts = automorphisms(G)
-    config.check_table_order(len(auts), what="automorphism group")
     classes, abelian = automorphism_classes(G, auts)
     rows = []
     for k, cls in enumerate(classes):
@@ -331,8 +330,9 @@ def cmd_division_check(args) -> Report:
     from .u1 import division_form_check
 
     b = specdoc.parse_u1_bundle(specdoc.load_document(args.spec))
-    points, step = specdoc.parse_path(specdoc.load_document(args.path), b.k)
-    result = division_form_check(points, step)
+    # the samples are read as the check consumes them
+    samples, step = specdoc.parse_path(specdoc.load_document(args.path), b.k)
+    result = division_form_check(samples, step)
     rates = [str(r) for r in result.rates]
     report = Report("division-check")
     report.lines.append(f"sheet: {result.sheet}")

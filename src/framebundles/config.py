@@ -19,9 +19,11 @@ MAX_ENUMERATION = 20_000
 
 # Largest circle-group work one request may do: angles parsed (k x loops),
 # sheet moves of a holonomy (k x |word|), letters transported (|word|) or
-# path samples parsed.  A parsed angle or sample costs about 13 us (2 CPUs,
-# Python 3.11), so the bound is about 4 s of that work; a letter move costs
-# far less.
+# path samples parsed.  A path sample costs about 3 us of a whole
+# division-check request when its rates repeat, and about 7 us when every
+# rate is new (six-digit denominators), so the bound is 1 to 2 s of that
+# work, at about 100 MB of JSON document (2 CPUs, Python 3.11); a letter
+# move costs far less.
 MAX_CIRCLE_WORK = 300_000
 
 

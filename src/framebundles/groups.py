@@ -168,6 +168,11 @@ class FiniteGroup(Frozen):
             n += 1
         return n
 
+    @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of every element, computed once."""
+        return tuple([self.element_order(a) for a in range(self.order)])
+
     def validate(self) -> None:
         """Exhaustively check the group axioms; raises ValueError on failure.
 
@@ -394,68 +399,124 @@ def is_isomorphism(h: GroupHom) -> bool:
     )
 
 
-def automorphisms(G: FiniteGroup) -> list[GroupHom]:
-    """All automorphisms of G, sorted by image table.
+def _automorphism_search(G: FiniteGroup):
+    """The backtrack of :func:`automorphisms`: the candidate images of each
+    greedy generator, and ``leaves(prefix)``, which yields the image table
+    of every leaf whose first generators go to ``prefix``.
 
-    A backtracking homomorphism search (Holt, Eick & O'Brien, *Handbook of
-    Computational Group Theory*, 2005, ch. 8).  Level k picks the image of
-    the k-th greedy generator among the elements of its order and extends
-    the partial map phi over the subgroup H_k of the first k+1 generators
-    along the Cayley graph, phi(as) = phi(a)phi(s).  Every edge ``as`` of
-    H_k is checked, and a candidate is rejected as soon as an edge
-    disagrees or two points get the same image.
-
-    A leaf has phi(e) = e and has passed every edge (all a in G, all
-    generators s), so it is a homomorphism by the lemma of
-    :func:`first_broken_edge`; injective, it is an automorphism.  Every
-    automorphism is found, as it keeps element orders and agrees with every
-    edge.
+    Level k picks the image of the k-th greedy generator among the elements
+    of its order and extends the partial map phi over the subgroup H_k of
+    the first k+1 generators along the Cayley graph, phi(as) = phi(a)phi(s).
+    Every edge ``as`` of H_k is checked, and a candidate is rejected as soon
+    as an edge disagrees or two points get the same image.  Each call of
+    ``leaves`` works on its own partial map, so a stream left unfinished
+    disturbs no other.
     """
     config.check_table_order(G.order)
     config.check_enumeration(G.order, "automorphism search space base")
     mul = G.mul
     gens = G.generators
-    order_of = [G.element_order(a) for a in range(G.order)]
+    order_of = G.element_orders
     candidates = [[b for b in range(G.order) if order_of[b] == order_of[s]] for s in gens]
-    phi = [-1] * G.order  # the partial map, -1 outside the current subgroup
-    used = [False] * G.order
-    phi[G.identity] = G.identity
-    used[G.identity] = True
-    auts = []
 
-    def extend(domain, pairs, new) -> bool:
-        """Extend phi from ``domain`` = H_(k-1) over H_k, given the
-        (generator, image) pairs of levels 0..k, appending the new points."""
-        # old points need only the newest edge; ``new`` grows while it is walked
-        for points, edges in ((domain, pairs[-1:]), (new, pairs)):
-            for a in points:
-                row, image_row = mul[a], mul[phi[a]]
-                for s, t in edges:
-                    b, c = row[s], image_row[t]
-                    if phi[b] < 0 and not used[c]:
-                        phi[b] = c
-                        used[c] = True
-                        new.append(b)
-                    elif phi[b] != c:
-                        return False
-        return True
+    def leaves(prefix):
+        phi = [-1] * G.order  # the partial map, -1 outside the current subgroup
+        used = [False] * G.order
+        phi[G.identity] = G.identity
+        used[G.identity] = True
 
-    def search(domain, pairs):
-        if len(pairs) == len(gens):
-            auts.append(GroupHom(G, G, tuple(phi)))
-            return
-        for t in candidates[len(pairs)]:
-            level = pairs + [(gens[len(pairs)], t)]
-            new: list[int] = []
-            if extend(domain, level, new):
-                search(domain + new, level)
-            for b in new:
-                used[phi[b]] = False
-                phi[b] = -1
+        def extend(domain, pairs, new) -> bool:
+            """Extend phi from ``domain`` = H_(k-1) over H_k, given the
+            (generator, image) pairs of levels 0..k, appending the new points."""
+            # old points need only the newest edge; ``new`` grows while it is walked
+            for points, edges in ((domain, pairs[-1:]), (new, pairs)):
+                for a in points:
+                    row, image_row = mul[a], mul[phi[a]]
+                    for s, t in edges:
+                        b, c = row[s], image_row[t]
+                        if phi[b] < 0 and not used[c]:
+                            phi[b] = c
+                            used[c] = True
+                            new.append(b)
+                        elif phi[b] != c:
+                            return False
+            return True
 
-    search([G.identity], [])
+        def search(domain, pairs):
+            k = len(pairs)
+            if k == len(gens):
+                yield phi
+                return
+            for t in candidates[k] if k >= len(prefix) else (prefix[k],):
+                level = pairs + [(gens[k], t)]
+                new: list[int] = []
+                if extend(domain, level, new):
+                    yield from search(domain + new, level)
+                for b in new:
+                    used[phi[b]] = False
+                    phi[b] = -1
+
+        return search([G.identity], [])
+
+    return candidates, leaves
+
+
+def automorphisms(G: FiniteGroup) -> list[GroupHom]:
+    """All automorphisms of G, sorted by image table.
+
+    A backtracking homomorphism search (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005, ch. 8), set out in
+    :func:`_automorphism_search`.  A leaf has phi(e) = e and has passed
+    every edge (all a in G, all generators s), so it is a homomorphism by
+    the lemma of :func:`first_broken_edge`; injective, it is an
+    automorphism.  Every automorphism is found, as it keeps element orders
+    and agrees with every edge.
+    """
+    _, leaves = _automorphism_search(G)
+    auts = [GroupHom(G, G, tuple(phi)) for phi in leaves(())]
     auts.sort(key=lambda h: h.image)
     return auts
+
+
+def _leaf_count(candidates, leaves) -> int:
+    count, prefix = 1, []
+    for level in candidates:
+        alive = [t for t in level if next(leaves(prefix + [t]), None) is not None]
+        count *= len(alive)
+        prefix.append(alive[0])
+    return count
+
+
+def automorphism_count(G: FiniteGroup) -> int:
+    """|Aut(G)|, counted without listing Aut(G).
+
+    An automorphism is fixed by its images of the greedy generators, so
+    Aut(G) acts regularly on the image tuples that the search of
+    :func:`automorphisms` completes, and |Aut(G)| is their number.  With the
+    first k images fixed at a completed tuple, the k-th generator's images
+    over the completed tuples form an orbit of the stabilizer of the first
+    k-1 generators, and by orbit-stabilizer (Holt, Eick & O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 4) |Aut(G)| is the
+    product of these orbit lengths.  Level by level, then, the count is the
+    number of candidates with at least one leaf below them, the earlier
+    levels fixed at the first leaf found; each candidate's search stops at
+    its first leaf.
+    """
+    return _leaf_count(*_automorphism_search(G))
+
+
+def check_automorphism_order(G: FiniteGroup) -> None:
+    """Refuse G, before any automorphism is listed, when |Aut(G)| exceeds
+    ``config.MAX_TABLE_ORDER``.
+
+    The search of :func:`automorphisms` completes at most the product of
+    its candidate counts, which therefore bounds |Aut(G)|; only when that
+    product exceeds the bound is |Aut(G)| counted
+    (:func:`automorphism_count`).
+    """
+    candidates, leaves = _automorphism_search(G)
+    if math.prod(map(len, candidates)) > config.MAX_TABLE_ORDER:
+        config.check_table_order(_leaf_count(candidates, leaves), what="automorphism group")
 
 
 def automorphism_classes(G: FiniteGroup, auts) -> tuple[tuple[tuple[int, ...], ...], bool]:

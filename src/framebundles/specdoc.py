@@ -28,8 +28,16 @@ Circle bundle: {"k": 2, "loops": 1,
 Path:          {"step": "1/100",
                 "points": [{"angle": "p/q", "sheet": 0}, ...]}
 
-An angle is an integer or a "p/q" string, read as a ``Fraction`` that ``u1``
-reduces mod 1.
+A rational (an angle or a path step) is an integer or a string that
+``Fraction`` reads, with exponent forms refused.  One reader turns it into a
+reduced ``(numerator, denominator)`` pair of ints; a string of the strict
+form ``-?[0-9]+(/[0-9]+)?`` needs only ``int`` and one ``gcd``, and any other
+string goes through ``Fraction``, so accepted forms and refusals stay those
+of ``Fraction``.  An angle is then taken mod 1.  Generator angles and a
+transport's start point become ``Fraction``s for the ``u1`` records; path
+samples do not: :func:`parse_path` checks the step and the sample count and
+returns the samples as a stream of ``(numerator, denominator, sheet)``
+triples, each read, or refused, when ``u1.division_form_check`` reaches it.
 
 Permutations are 0-based forward image tables throughout.
 
@@ -42,8 +50,9 @@ cache).
 from __future__ import annotations
 
 import json
+import math
 import sys
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from . import config
 from .errors import SchemaError
@@ -242,19 +251,58 @@ def _no_exponent(text: str) -> str:
     return text
 
 
-def _angle(Fraction, obj: Any, where: str) -> Fraction:
-    """The rational ``obj`` names, which ``u1`` reads mod 1.
+def _strict(text: str) -> tuple[int, int] | None:
+    """``text`` as a reduced ``(numerator, denominator)`` when it has the strict
+    ASCII form ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, else None.
 
-    ``Fraction`` is passed in by the calling parser, which imported it once per document.
+    ``Fraction(text)`` reads such a string as the same two ints, with a regex
+    on top; None also covers digits ``int`` refuses (more than
+    ``sys.get_int_max_str_digits()``), which ``Fraction`` refuses as well.
     """
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return Fraction(obj)
+    num, slash, den = text.partition("/")
+    if not (text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit()
+            and (den.isdigit() or not slash)):
+        return None
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        return None
+    if d == 0:
+        return None
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _rational(obj: Any, where: str, quote: bool = True) -> tuple[int, int]:
+    """The reduced ``(numerator, denominator)`` of the rational ``obj`` names.
+
+    ``obj`` is an int or a string.  A string of the strict form (see
+    :func:`_strict`) is read with ``int`` and one ``gcd``; any other string
+    goes through ``Fraction``, so the forms it accepts (``"+1/4"``,
+    ``" 1/4 "``, ``"0.25"``, ``"1_0/40"``, non-ASCII digits) and every
+    refusal stay as they were.  ``quote`` puts the string in the refusal.
+    """
     if isinstance(obj, str):
+        pair = _strict(obj)
+        if pair is not None:
+            return pair
+        from fractions import Fraction
+
         try:
-            return Fraction(_no_exponent(obj))
+            a = Fraction(_no_exponent(obj))
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: bad rational {obj!r}") from exc
+            raise SchemaError(f"{where}: bad rational {obj!r}" if quote
+                              else f"{where}: bad rational") from exc
+        return a.numerator, a.denominator
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj, 1
     raise SchemaError(f"{where}: expected an integer or a 'p/q' string")
+
+
+def _angle(obj: Any, where: str) -> tuple[int, int]:
+    """The angle ``obj`` names, in [0, 1), as a reduced ``(numerator, denominator)``."""
+    n, d = _rational(obj, where)
+    return n % d, d
 
 
 def parse_u1_bundle(obj: Any, where: str = "u1") -> U1FlatBundle:
@@ -280,7 +328,7 @@ def parse_u1_bundle(obj: Any, where: str = "u1") -> U1FlatBundle:
             raise SchemaError(f"{where}.generators[{i}].perm: not a permutation of 0..{k-1}")
         out.append(
             u1.U1Wreath(
-                tuple(_angle(Fraction, a, f"{where}.generators[{i}].angles[{j}]")
+                tuple(Fraction(*_angle(a, f"{where}.generators[{i}].angles[{j}]"))
                       for j, a in enumerate(angles)),
                 perm,
             )
@@ -291,45 +339,60 @@ def parse_u1_bundle(obj: Any, where: str = "u1") -> U1FlatBundle:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def parse_fiber_point(obj: Any, k: int, where: str = "point") -> FiberPoint:
-    from fractions import Fraction
-
-    from . import u1
-
-    return _fiber_point(u1, Fraction, obj, k, where)
-
-
-def _fiber_point(u1, Fraction, obj: Any, k: int, where: str) -> FiberPoint:
+def _sample(obj: Any, k: int, where: str) -> tuple[int, int, int]:
+    """A fiber point ``{"angle": ..., "sheet": ...}`` as ``(numerator, denominator, sheet)``."""
     spec = _require_keys(obj, where, {"angle", "sheet"})
     sheet = _int(spec["sheet"], f"{where}.sheet")
     if not (0 <= sheet < k):
         raise SchemaError(f"{where}.sheet: out of range for {k} sheets")
-    return u1.FiberPoint(_angle(Fraction, spec["angle"], f"{where}.angle"), sheet)
+    return (*_angle(spec["angle"], f"{where}.angle"), sheet)
 
 
-def parse_path(obj: Any, k: int, where: str = "path") -> tuple[list[FiberPoint], Fraction]:
+def parse_fiber_point(obj: Any, k: int, where: str = "point") -> FiberPoint:
     from fractions import Fraction
 
-    from . import u1
+    from .u1 import FiberPoint
+
+    n, d, sheet = _sample(obj, k, where)
+    return FiberPoint(Fraction(n, d), sheet)
+
+
+def _samples(pts: list, k: int, where: str) -> Iterator[tuple[int, int, int]]:
+    """Each sample of ``pts`` as ``(numerator, denominator, sheet)``, read when asked for.
+
+    A sample with exactly the keys ``angle`` and ``sheet``, a sheet in range
+    and a strict angle string is read here; any other goes through
+    :func:`_sample`, which gives the same triple or the same refusal.
+    """
+    for i, p in enumerate(pts):
+        if type(p) is dict and len(p) == 2:
+            sheet, text = p.get("sheet"), p.get("angle")
+            if (type(sheet) is int and 0 <= sheet < k and type(text) is str
+                    and (pair := _strict(text)) is not None):
+                n, d = pair
+                yield n % d, d, sheet
+                continue
+        yield _sample(p, k, f"{where}.points[{i}]")
+
+
+def parse_path(obj: Any, k: int, where: str = "path") -> tuple[Iterator[tuple[int, int, int]], Fraction]:
+    """The samples of a path document, streamed as ``(numerator, denominator,
+    sheet)`` triples with the angle in [0, 1), and its step.
+
+    The step, the sample count and ``config.check_circle_work`` are checked
+    here; each sample is read, and refused, only when the stream reaches it.
+    """
+    from fractions import Fraction
 
     spec = _require_keys(obj, where, {"step", "points"})
-    if isinstance(spec["step"], str):
-        try:
-            step = Fraction(_no_exponent(spec["step"]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}.step: bad rational") from exc
-    elif isinstance(spec["step"], int) and not isinstance(spec["step"], bool):
-        step = Fraction(spec["step"])
-    else:
-        raise SchemaError(f"{where}.step: expected an integer or a 'p/q' string")
-    if step <= 0:
+    num, den = _rational(spec["step"], f"{where}.step", quote=False)
+    if num <= 0:
         raise SchemaError(f"{where}.step: must be positive")
     pts = spec["points"]
     if not isinstance(pts, list) or len(pts) < 2:
         raise SchemaError(f"{where}.points: need at least two samples")
     config.check_circle_work(len(pts), f"{where}.points: samples to parse")
-    points = [_fiber_point(u1, Fraction, p, k, f"{where}.points[{i}]") for i, p in enumerate(pts)]
-    return points, step
+    return _samples(pts, k, where), Fraction(num, den)
 
 
 def parse_word(text: str, loops: int) -> tuple[int, ...]:

@@ -18,6 +18,11 @@ sheet lookup and an addition of the angle's numerator to a running sum per
 denominator, and the sums are put over their common denominator L, the lcm
 of the denominators the point met, once at the end.  A ``Fraction`` is built
 only for the result.
+
+A sampled path reaches :func:`division_form_check` as a stream of
+``(numerator, denominator, sheet)`` triples of ints, as ``specdoc.parse_path``
+reads them: no ``Fraction`` or ``FiberPoint`` is built per sample, and each
+distinct rate becomes one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -250,6 +255,12 @@ def scale_wreath(w: U1Wreath, q: int) -> U1Wreath:
     return U1Wreath(tuple(a * q for a in w.angles), w.sigma)
 
 
+# Distinct rates of one path that share a ``Fraction``: a sampled path
+# repeats a few rates (1 to 401 distinct values in 20,000 samples of the
+# benchmark's paths), and past this many the table would only hold memory.
+_SHARED_RATES = 1024
+
+
 class DivisionFormReport(Frozen):
     """Forward-difference evaluation of the connection along a sampled path."""
 
@@ -261,34 +272,59 @@ class DivisionFormReport(Frozen):
         object.__setattr__(self, "constant_rate", constant_rate)
 
 
-def division_form_check(path: Iterable[FiberPoint], step: Fraction) -> DivisionFormReport:
+def division_form_check(samples: Iterable[tuple[int, int, int]], step) -> DivisionFormReport:
     """Discrete shadow of the division form of the canonical connection.
 
     Consecutive samples are divided inside their common sheet (the division
     is the angle difference taken with representative in [0, 1)) and the
     forward difference quotient with the sampling step is reported.  A path
     with angle(t) = c t reproduces the rate c exactly whenever |c| step < 1;
-    samples on mixed sheets have no quotient and are rejected.  Each pair of
-    samples is put over the lcm L of its two denominators, so the rate is
-    ((n1 - n0) mod L) / (L step) with n0, n1 the numerators over L.
+    samples on mixed sheets have no quotient and are rejected.
+
+    Each sample is a ``(numerator, denominator, sheet)`` triple of ints, the
+    angle numerator/denominator with a positive denominator, as
+    ``specdoc.parse_path`` streams them.  The samples are read once, in
+    order, and all of them before a sheet crossing is reported, so a bad
+    sample later in a stream still raises its own error.  Each pair is put
+    over the lcm L of its two denominators, so the rate is
+    ((n1 - n0) mod L) / (L step) with n0, n1 the numerators over L.  Each of
+    the first ``_SHARED_RATES`` distinct rates becomes one ``Fraction``,
+    shared by every pair that has it; a rate past them is built for each
+    pair, so a path whose rates are all distinct keeps no table of them.
     """
-    points = list(path)
-    if len(points) < 2:
+    it = iter(samples)
+    first, second = next(it, None), next(it, None)
+    if second is None:
         raise ValueError("need at least two samples")
     step = Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    sheet = points[0].sheet
-    if any(p.sheet != sheet for p in points):
-        raise NoQuotient("samples cross sheets; division is undefined")
-    angles = [(p.angle.numerator, p.angle.denominator) for p in points]
     s_num, s_den = step.numerator, step.denominator
+    n0, d0, sheet = first
+    crossed = False
+    known: dict[tuple[int, int], Fraction] = {}
     rates = []
-    for (n0, d0), (n1, d1) in zip(angles, angles[1:]):
-        den = math.lcm(d0, d1)
-        diff = n1 * (den // d1) - n0 * (den // d0)
-        rates.append(Fraction(diff % den * s_den, den * s_num))
-    constant = rates[0] if all(r == rates[0] for r in rates) else None
+    for n1, d1, x in itertools.chain((second,), it):
+        if x != sheet:
+            crossed = True
+        if d0 == d1:
+            num, den = (n1 - n0) % d0, d0
+        else:
+            den = math.lcm(d0, d1)
+            num = (n1 * (den // d1) - n0 * (den // d0)) % den
+        num, den = num * s_den, den * s_num
+        g = math.gcd(num, den)
+        key = (num // g, den // g)
+        rate = known.get(key)
+        if rate is None:
+            rate = Fraction(*key)
+            if len(known) < _SHARED_RATES:
+                known[key] = rate
+        rates.append(rate)
+        n0, d0 = n1, d1
+    if crossed:
+        raise NoQuotient("samples cross sheets; division is undefined")
+    constant = rates[0] if len(known) == 1 else None
     return DivisionFormReport(sheet=sheet, rates=tuple(rates), constant_rate=constant)
 
 

@@ -279,8 +279,8 @@ def test_criterion_10_transport_suite():
         (Fraction(5, 7), Fraction(1, 50), 5),
         (Fraction(3, 2), Fraction(1, 12), 4),
     ]:
-        pts = [FiberPoint(rate * step * i, 0) for i in range(count)]
-        if division_form_check(pts, step).constant_rate != rate:
+        samples = [(a.numerator, a.denominator, 0) for a in (rate * step * i for i in range(count))]
+        if division_form_check(samples, step).constant_rate != rate:
             ok = False
 
     # (e) squaring the zero-angle winding connection changes nothing

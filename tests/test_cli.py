@@ -317,6 +317,38 @@ def test_division_check_command(capsys):
     assert "constant rate: 1/4" in out
 
 
+def test_division_check_builds_fractions_and_fiber_points_only_for_results(capsys, monkeypatch):
+    # design probe: samples stream as ints; a Fraction is built once per distinct
+    # rate, and no FiberPoint and no Fraction from a string is built at all
+    import fractions
+
+    import framebundles.u1 as u1
+
+    built = {"FiberPoint": 0, "Fraction(str)": 0}
+    point_init, fraction_new = u1.FiberPoint.__init__, fractions.Fraction.__new__
+
+    def counted_point(self, *args):
+        built["FiberPoint"] += 1
+        point_init(self, *args)
+
+    def counted_fraction(cls, numerator=0, denominator=None, **kwargs):
+        built["Fraction(str)"] += isinstance(numerator, str)
+        return fraction_new(cls, numerator, denominator, **kwargs)
+
+    results = []
+    check = u1.division_form_check
+    monkeypatch.setattr(u1.FiberPoint, "__init__", counted_point)
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted_fraction)
+    monkeypatch.setattr(u1, "division_form_check", lambda *a: results.append(check(*a)) or results[-1])
+    points = [{"angle": f"{i * i % 97}/{97 if i % 2 else 194}", "sheet": 1} for i in range(300)]
+    path_doc = json.dumps({"step": "1/100", "points": points})
+    code, _, _ = run(capsys, "--format", "json", "division-check", U1_WINDING_K2, "--path", path_doc)
+    assert code == 0
+    assert built == {"FiberPoint": 0, "Fraction(str)": 0}
+    rates = results[0].rates
+    assert len(rates) == 299 and len({id(r) for r in rates}) == len(set(rates)) > 1
+
+
 def test_division_check_mixed_sheets_obstruction(capsys):
     path_doc = json.dumps(
         {

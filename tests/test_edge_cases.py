@@ -203,8 +203,7 @@ RECORDS = {
     "FiberPoint": (lambda n: FiberPoint(Fraction(1, n), 0), "sheet"),
     "U1FlatBundle": (u1_winding_bundle, "k"),
     "DivisionFormReport": (
-        lambda n: division_form_check([FiberPoint(Fraction(0), 0), FiberPoint(Fraction(1, n), 0)],
-                                      Fraction(1, 10)),
+        lambda n: division_form_check([(0, 1, 0), (1, n, 0)], Fraction(1, 10)),
         "rates",
     ),
 }

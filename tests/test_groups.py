@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import framebundles.groups as groups
 from framebundles.cli import cmd_classify_circle
 from framebundles.errors import BoundExceeded
 from framebundles.frames import gset_homs
@@ -15,7 +16,9 @@ from framebundles.groups import (
     FiniteGroup,
     GroupHom,
     automorphism_classes,
+    automorphism_count,
     automorphisms,
+    check_automorphism_order,
     compose_hom,
     conjugacy_classes,
     first_broken_edge,
@@ -391,6 +394,48 @@ def test_automorphisms_match_product_search():
     # oracle: every same-order image tuple of the generators, checked on all pairs
     for G in groups_to_order_24() + relabelled_tables():
         assert automorphisms(G) == product_search_automorphisms(G), G.label
+
+
+def test_automorphism_count_matches_the_listing():
+    # orbit-stabilizer over the completed image tuples, against the full list
+    for G in groups_to_order_24() + relabelled_tables():
+        assert automorphism_count(G) == len(automorphisms(G)), G.label
+
+
+def _elementary_abelian(p, n):
+    G = make_cyclic(p)
+    for _ in range(n - 1):
+        G = make_direct_product(G, make_cyclic(p))
+    return G
+
+
+def test_automorphism_count_of_elementary_abelian_groups_is_the_order_of_gl():
+    # Aut(Z_p^n) = GL(n, p), of order prod (p^n - p^i) over i < n
+    for p, n in [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]:
+        gl = math.prod(p**n - p**i for i in range(n))
+        assert automorphism_count(_elementary_abelian(p, n)) == gl, (p, n)
+
+
+def test_automorphism_order_is_refused_before_any_automorphism_is_listed(monkeypatch):
+    monkeypatch.setattr(groups, "GroupHom", None)  # listing would fail at its first leaf
+    for n, order in [(4, 20160), (5, 9999360)]:
+        with pytest.raises(BoundExceeded) as exc:
+            check_automorphism_order(_elementary_abelian(2, n))
+        assert str(exc.value) == f"automorphism group of order {order} exceeds the table bound 5040"
+
+
+def test_automorphism_order_is_counted_only_past_the_search_bound(monkeypatch):
+    # the product of the candidate counts bounds |Aut(G)|: Z_n has phi(n)
+    # candidates, so no count runs; Z2^4 has 15^4 and is counted
+    counted = []
+    leaf_count = groups._leaf_count
+    monkeypatch.setattr(groups, "_leaf_count", lambda *a: counted.append(1) or leaf_count(*a))
+    for G in [make_cyclic(60), make_symmetric(4), _elementary_abelian(2, 3)]:
+        check_automorphism_order(G)
+    assert counted == []
+    with pytest.raises(BoundExceeded):
+        check_automorphism_order(_elementary_abelian(2, 4))
+    assert counted == [1]
 
 
 def test_aut_group_table_matches_composition_table():

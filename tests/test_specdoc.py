@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,7 +144,7 @@ def test_parse_fiber_point_and_path():
         {"step": "1/10", "points": [{"angle": "0", "sheet": 0}, {"angle": "1/10", "sheet": 0}]},
         2,
     )
-    assert len(pts) == 2 and step.denominator == 10
+    assert list(pts) == [(0, 1, 0), (1, 10, 0)] and step.denominator == 10
     with pytest.raises(SchemaError):
         parse_path({"step": "0", "points": []}, 2)
     # angles outside [0, 1) are read mod 1, both as points and as path samples
@@ -150,7 +153,7 @@ def test_parse_fiber_point_and_path():
         a = parse_fiber_point({"angle": text, "sheet": 0}, 2).angle
         assert (a.numerator, a.denominator) == want
     pts, _ = parse_path({"step": "1", "points": [{"angle": t, "sheet": 1} for t in wants]}, 2)
-    assert [(p.angle.numerator, p.angle.denominator) for p in pts] == list(wants.values())
+    assert list(pts) == [(*want, 1) for want in wants.values()]
 
 
 def test_parse_word():
@@ -193,8 +196,6 @@ RATIONAL_CORPUS = [
 
 def _fraction_oracle(text: str, where: str):
     """``(numerator, denominator)`` of ``Fraction(text) % 1``, or the refusal."""
-    from fractions import Fraction
-
     if "e" in text or "E" in text:
         return f"{where}: bad rational {text!r}"
     try:
@@ -212,9 +213,24 @@ def _read_point(text: str):
     return a.numerator, a.denominator
 
 
-def _seeded_strings(seed: int, count: int) -> list[str]:
-    import random
+def _read_sample(point, k: int = 1):
+    """The first sample of a two-sample path, as the stream yields it."""
+    samples, _ = parse_path({"step": "1", "points": [point, {"angle": "0", "sheet": 0}]}, k)
+    try:
+        return next(samples)
+    except SchemaError as exc:
+        return str(exc)
 
+
+def _both_readers(text: str):
+    """The angle through ``parse_fiber_point`` and through the path stream."""
+    sample = _read_sample({"angle": text, "sheet": 0})
+    if isinstance(sample, str):
+        return _read_point(text), sample.replace("path.points[0]", "point", 1)
+    return _read_point(text), sample[:2]
+
+
+def _seeded_strings(seed: int, count: int) -> list[str]:
     rng = random.Random(seed)
     alphabet = "0123456789" * 3 + "-+/._ eE١²"
     return ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8))) for _ in range(count)]
@@ -222,18 +238,18 @@ def _seeded_strings(seed: int, count: int) -> list[str]:
 
 @pytest.mark.parametrize("text", RATIONAL_CORPUS)
 def test_angle_reads_as_fraction_mod_one(text):
-    assert _read_point(text) == _fraction_oracle(text, "point.angle")
+    want = _fraction_oracle(text, "point.angle")
+    assert _both_readers(text) == (want, want)
 
 
 def test_seeded_angle_strings_read_as_fraction_mod_one():
     for text in _seeded_strings(7, 2000):
-        assert _read_point(text) == _fraction_oracle(text, "point.angle"), text
+        want = _fraction_oracle(text, "point.angle")
+        assert _both_readers(text) == (want, want), text
 
 
 @pytest.mark.parametrize("text", RATIONAL_CORPUS)
 def test_step_reads_as_fraction(text):
-    from fractions import Fraction
-
     doc = {"step": text, "points": [{"angle": "0", "sheet": 0}] * 2}
     want = _fraction_oracle(text, "path.step")
     if isinstance(want, str):
@@ -250,7 +266,8 @@ def test_step_reads_as_fraction(text):
 @settings(deadline=None)
 @given(st.text(alphabet="0123456789-+/._ e١", max_size=10))
 def test_angle_reads_as_fraction_mod_one_hypothesis(text):
-    assert _read_point(text) == _fraction_oracle(text, "point.angle")
+    want = _fraction_oracle(text, "point.angle")
+    assert _both_readers(text) == (want, want)
 
 
 def test_non_string_angles_keep_their_messages():
@@ -258,3 +275,32 @@ def test_non_string_angles_keep_their_messages():
         with pytest.raises(SchemaError, match=r"^point.angle: expected an integer or a 'p/q' string$"):
             parse_fiber_point({"angle": obj, "sheet": 0}, 1)
     assert parse_fiber_point({"angle": -7, "sheet": 0}, 1).angle == 0
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        {"angle": "1/4", "sheet": 1}, {"angle": 3, "sheet": 0}, {"sheet": 1, "angle": "-1/4"},
+        {"angle": "1/4", "sheet": True}, {"angle": "1/4", "sheet": 2}, {"angle": "1/4", "sheet": -1},
+        {"angle": "1/4", "sheet": "0"}, {"angle": "1/4"}, {"sheet": 0}, {"angle": "x", "sheet": 9},
+        {"angle": "1/4", "sheet": 0, "x": 1}, {"angle": "1/4", "extra": 0}, ["1/4", 0], None,
+        {"angle": None, "sheet": 0}, {"angle": 0.25, "sheet": 0}, {"angle": "1/0", "sheet": 0},
+    ],
+)
+def test_path_stream_reads_a_sample_as_a_fiber_point(point):
+    # the stream's own fast path gives the checked read's triple or refusal
+    try:
+        p = parse_fiber_point(point, 2)
+        want = (p.angle.numerator, p.angle.denominator, p.sheet)
+    except SchemaError as exc:
+        want = str(exc).replace("point", "path.points[0]", 1)
+    assert _read_sample(point, 2) == want
+
+
+def test_path_stream_refuses_a_sample_only_when_it_is_read():
+    points = [{"angle": "1/4", "sheet": 0}, {"angle": "1/3", "sheet": 0}, {"angle": "1/", "sheet": 0}]
+    samples, step = parse_path({"step": "1/2", "points": points}, 1)
+    assert step == Fraction(1, 2)
+    assert next(samples) == (1, 4, 0) and next(samples) == (1, 3, 0)
+    with pytest.raises(SchemaError, match=r"^path.points\[2\].angle: bad rational '1/'$"):
+        next(samples)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import u1_oracles as oracle
 
-from framebundles import config, specdoc
+from framebundles import config, specdoc, u1
 from framebundles.errors import BoundExceeded, NoQuotient
 from framebundles.groups import perm_inverse
 from framebundles.u1 import (
@@ -329,48 +329,94 @@ def test_pushforward_commutes_with_holonomy():
 # ---------------------------------------------------------------- division form
 
 
+def triples(angles, sheet=0):
+    """Path samples as the ``(numerator, denominator, sheet)`` triples the check reads."""
+    return [(a.numerator, a.denominator, sheet) for a in map(A, angles)]
+
+
 def test_division_form_constant_path():
-    pts = [FiberPoint(A(1, 3), 0) for _ in range(4)]
-    r = division_form_check(pts, Fraction(1, 10))
+    r = division_form_check(triples([A(1, 3)] * 4), Fraction(1, 10))
     assert r.constant_rate == 0
+    assert r.rates == oracle.rates([A(1, 3)] * 4, Fraction(1, 10))
 
 
 def test_division_form_linear_quarter_rate():
-    pts = [FiberPoint(A(i, 400), 0) for i in range(6)]
-    r = division_form_check(pts, Fraction(1, 100))
+    angles = [A(i, 400) for i in range(6)]
+    r = division_form_check(triples(angles), Fraction(1, 100))
     assert r.constant_rate == Fraction(1, 4)
-    assert all(rate == Fraction(1, 4) for rate in r.rates)
+    assert r.rates == oracle.rates(angles, Fraction(1, 100))
 
 
 def test_division_form_exponential_rate_recovered():
     # a path exp(t Y) at rate Y = 5/7 sampled with step 1/50
     rate = Fraction(5, 7)
     step = Fraction(1, 50)
-    pts = [
-        FiberPoint(rate * step * i, 2) for i in range(5)
-    ]
-    r = division_form_check(pts, step)
+    r = division_form_check(triples([rate * step * i for i in range(5)], 2), step)
     assert r.constant_rate == rate
     assert r.sheet == 2
 
 
 def test_division_form_nonuniform_reports_each_difference():
-    pts = [FiberPoint(A(0), 0), FiberPoint(A(1, 8), 0), FiberPoint(A(1, 2), 0)]
-    r = division_form_check(pts, Fraction(1, 4))
-    assert r.rates == (Fraction(1, 2), Fraction(3, 2))
+    angles = [A(0), A(1, 8), A(1, 2)]
+    r = division_form_check(triples(angles), Fraction(1, 4))
+    assert r.rates == (Fraction(1, 2), Fraction(3, 2)) == oracle.rates(angles, Fraction(1, 4))
     assert r.constant_rate is None
 
 
+def test_division_form_reads_unreduced_angles_outside_the_unit_interval():
+    # any numerator over any positive denominator names its angle mod 1
+    angles = [A(-5, 4), A(2), A(9, 8), A(-1, 3)]
+    r = division_form_check([(-10, 8, 0), (6, 3, 0), (9, 8, 0), (-2, 6, 0)], Fraction(1, 4))
+    assert r.rates == oracle.rates([a % 1 for a in angles], Fraction(1, 4))
+
+
 def test_division_form_mixed_sheets_rejected():
-    pts = [FiberPoint(A(0), 0), FiberPoint(A(1, 8), 1)]
     with pytest.raises(NoQuotient):
-        division_form_check(pts, Fraction(1, 4))
+        division_form_check([(0, 1, 0), (1, 8, 1)], Fraction(1, 4))
+
+
+def test_division_form_reads_every_sample_before_it_reports_a_crossing():
+    read = []
+
+    def stream():
+        for sample in [(0, 1, 0), (1, 8, 1), (1, 4, 1), (1, 2, 1)]:
+            read.append(sample)
+            yield sample
+        raise ValueError("bad last sample")
+
+    with pytest.raises(ValueError, match="bad last sample"):
+        division_form_check(stream(), Fraction(1, 4))
+    assert len(read) == 4
 
 
 def test_division_form_needs_positive_step():
-    pts = [FiberPoint(A(0), 0), FiberPoint(A(1, 8), 0)]
-    with pytest.raises(ValueError):
-        division_form_check(pts, Fraction(0))
+    with pytest.raises(ValueError, match="step must be positive"):
+        division_form_check([(0, 1, 0), (1, 8, 0)], Fraction(0))
+
+
+def test_division_form_needs_two_samples():
+    for samples in ([], [(0, 1, 0)], iter([(0, 1, 0)])):
+        with pytest.raises(ValueError, match="need at least two samples"):
+            division_form_check(samples, Fraction(-1))
+
+
+def test_division_form_builds_one_fraction_per_distinct_rate():
+    angles = [A(i * i % 7, 7) for i in range(50)]
+    r = division_form_check(triples(angles), Fraction(1, 3))
+    assert r.rates == oracle.rates(angles, Fraction(1, 3))
+    assert len({id(q) for q in r.rates}) == len(set(r.rates))
+
+
+def test_division_form_past_the_shared_rates(monkeypatch):
+    # rates past the shared ones are built per pair, with the same values,
+    # and a path with more distinct rates than that is not constant
+    monkeypatch.setattr(u1, "_SHARED_RATES", 3)
+    angles = [A(i * (i + 1) // 2, 31) for i in range(40)]
+    r = division_form_check(triples(angles), Fraction(1, 5))
+    assert r.rates == oracle.rates(angles, Fraction(1, 5)) and r.constant_rate is None
+    assert len({id(q) for q in r.rates if q in set(r.rates[:3])}) == 3
+    r = division_form_check(triples([A(2, 31) * i for i in range(40)]), Fraction(1, 5))
+    assert r.constant_rate == Fraction(10, 31) and len({id(q) for q in r.rates}) == 1
 
 
 # ---------------------------------------------------------------- Fraction oracle
@@ -426,8 +472,8 @@ def test_integer_core_matches_fraction_oracle(data):
 
     samples = [draw_angle(data) for _ in range(data.draw(st.integers(min_value=2, max_value=6)))]
     step = data.draw(st.fractions(min_value=Fraction(1, 10**6), max_value=3, max_denominator=10**6))
-    report = division_form_check([FiberPoint(a, start.sheet) for a in samples], step)
-    assert report.rates == oracle.rates(samples, step)
+    report = division_form_check(triples(samples, start.sheet), step)
+    assert report.rates == oracle.rates([a % 1 for a in samples], step)
 
 
 def test_circle_work_bound_refuses_before_the_work(monkeypatch):
