@@ -22,7 +22,7 @@ only for the result.
 A sampled path reaches :func:`division_form_check` as a stream of
 ``(numerator, denominator, sheet)`` triples of ints, as ``specdoc.parse_path``
 reads them: no ``Fraction`` or ``FiberPoint`` is built per sample, and each
-distinct rate becomes one ``Fraction``.
+distinct rate becomes one ``Fraction`` (up to ``_SHARED_RATES`` of them).
 """
 
 from __future__ import annotations
