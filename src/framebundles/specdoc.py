@@ -375,7 +375,8 @@ def _samples(pts: list, k: int, where: str) -> Iterator[tuple[int, int, int]]:
         yield _sample(p, k, f"{where}.points[{i}]")
 
 
-def parse_path(obj: Any, k: int, where: str = "path") -> tuple[Iterator[tuple[int, int, int]], Fraction]:
+def parse_path(obj: Any, k: int,
+               where: str = "path") -> tuple[Iterator[tuple[int, int, int]], Fraction]:
     """The samples of a path document, streamed as ``(numerator, denominator,
     sheet)`` triples with the angle in [0, 1), and its step.
 
