@@ -32,7 +32,7 @@ from .errors import (
     NotFree,
     TooSmall,
 )
-from .groups import automorphism_classes, automorphisms, check_automorphism_order, perm_orbits
+from .groups import automorphism_classes, perm_orbits
 
 EXIT_OK = 0
 EXIT_OBSTRUCTION = 1
@@ -71,22 +71,13 @@ def cmd_classify_circle(args) -> Report:
     from . import specdoc
 
     G = specdoc.parse_group(specdoc.load_document(args.group))
-    check_automorphism_order(G)
-    auts = automorphisms(G)
-    classes, abelian = automorphism_classes(G, auts)
+    auts, classes, abelian = automorphism_classes(G)
     rows = []
     for k, cls in enumerate(classes):
-        rep_hom = auts[cls[0]]
-        rep_hom.validate()
-        # the components of the bundle glued by rep_hom are its orbits on G
-        rows.append(
-            {
-                "class": k,
-                "size": len(cls),
-                "representative": list(rep_hom.image),
-                "components": len(perm_orbits([rep_hom.image], G.order)[1]),
-            }
-        )
+        rep = auts[cls[0]].image
+        # the components of the bundle glued by rep are its orbits on G
+        rows.append({"class": k, "size": len(cls), "representative": list(rep),
+                     "components": len(perm_orbits([rep], G.order)[1])})
     report = Report("classify-circle")
     report.lines.append(f"group: {G.label} order {G.order}")
     report.lines.append(f"automorphisms: {len(auts)}")

@@ -13,12 +13,13 @@ table.  :func:`perm_orbits` is the one orbit algorithm of the library.
 
 A group that the library reads only through its generators gets no table:
 :func:`first_broken_edge` proves a homomorphism law on the generator edges
-of the Cayley graph, and :func:`automorphism_classes` classifies Aut(G)
-from a generating set of it.  The lemma proves associativity (Light's test
-in :meth:`FiniteGroup.validate`), the homomorphism law of :class:`GroupHom`,
-of ``verify wreath-iso`` and of ``bundles.sn_labelling``, and the action law
-of ``gsets.GSet``; ``gsets.check_equivariant`` checks only generators by the
-same closure argument.
+of the Cayley graph, and :func:`automorphism_classes` classifies Aut(G),
+bounded by :func:`automorphisms`, from a generating set of it.  The lemma
+proves associativity (Light's test in :meth:`FiniteGroup.validate`), the
+homomorphism law of :class:`GroupHom`, of ``verify wreath-iso`` and of
+``bundles.sn_labelling``, and the action law of ``gsets.GSet``;
+``gsets.check_equivariant`` checks only generators by the same closure
+argument.
 """
 
 from __future__ import annotations
@@ -160,18 +161,20 @@ class FiniteGroup(Frozen):
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "label", label)
 
-    def element_order(self, a: int) -> int:
-        x = a
-        n = 1
-        while x != self.identity:
-            x = self.mul[x][a]
-            n += 1
-        return n
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        """The order of every element, computed once."""
-        return tuple([self.element_order(a) for a in range(self.order)])
+        """The order of every element, computed once by one power walk per cyclic
+        subgroup: a, a^2, ..., a^m = e from each ``a`` not yet reached, where
+        a^j has order m / gcd(m, j)."""
+        orders = [0] * self.order
+        for a in range(self.order):
+            if not orders[a]:
+                powers = [a]
+                while powers[-1] != self.identity:
+                    powers.append(self.mul[powers[-1]][a])
+                for j, x in enumerate(powers, 1):
+                    orders[x] = len(powers) // math.gcd(len(powers), j)
+        return tuple(orders)
 
     def validate(self) -> None:
         """Exhaustively check the group axioms; raises ValueError on failure.
@@ -248,13 +251,6 @@ class GroupHom(Frozen):
 
     def __repr__(self) -> str:
         return f"GroupHom({self.source.label}->{self.target.label}, {self.image})"
-
-
-def group_hom(source: FiniteGroup, target: FiniteGroup, image) -> GroupHom:
-    """Build and validate a homomorphism from an image table."""
-    h = GroupHom(source, target, tuple(image))
-    h.validate()
-    return h
 
 
 def identity_hom(G: FiniteGroup) -> GroupHom:
@@ -365,20 +361,6 @@ def make_symmetric(n: int) -> FiniteGroup:
     return permutation_group(perms, range(n), f"S{n}")
 
 
-def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Partition of the elements under g ~ h g h^-1.
-
-    The classes are the orbits of conjugation by a generating set, which
-    generates every inner automorphism.  Classes are sorted tuples, listed in
-    order of their smallest member, so the output is canonical.
-    """
-    mul, inv = G.mul, G.inv
-    conjugations = [
-        tuple([mul[mul[h][a]][inv[h]] for a in range(G.order)]) for h in G.generators
-    ]
-    return perm_orbits(conjugations, G.order)[1]
-
-
 def kernel(h: GroupHom) -> tuple[int, ...]:
     """Sorted indices of source elements mapping to the target identity."""
     e = h.target.identity
@@ -461,6 +443,26 @@ def _automorphism_search(G: FiniteGroup):
     return candidates, leaves
 
 
+def _leaf_count(candidates, leaves) -> int:
+    """|Aut(G)| from the search of :func:`_automorphism_search`, without listing it.
+
+    An automorphism is fixed by its images of the greedy generators, so Aut(G)
+    acts regularly on the image tuples the search completes.  With the first
+    k images fixed at a completed tuple, the k-th generator's images over the
+    completed tuples form an orbit of the stabilizer of the first k-1
+    generators, so by orbit-stabilizer (Holt, Eick & O'Brien, 2005, ch. 4)
+    |Aut(G)| is the product over the levels of the number of candidates with
+    a leaf below them, the earlier levels fixed at the first leaf found; each
+    candidate's search stops at its first leaf.
+    """
+    count, prefix = 1, []
+    for level in candidates:
+        alive = [t for t in level if next(leaves(prefix + [t]), None) is not None]
+        count *= len(alive)
+        prefix.append(alive[0])
+    return count
+
+
 def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     """All automorphisms of G, sorted by image table.
 
@@ -471,61 +473,27 @@ def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     the lemma of :func:`first_broken_edge`; injective, it is an
     automorphism.  Every automorphism is found, as it keeps element orders
     and agrees with every edge.
-    """
-    _, leaves = _automorphism_search(G)
-    auts = [GroupHom(G, G, tuple(phi)) for phi in leaves(())]
-    auts.sort(key=lambda h: h.image)
-    return auts
 
-
-def _leaf_count(candidates, leaves) -> int:
-    count, prefix = 1, []
-    for level in candidates:
-        alive = [t for t in level if next(leaves(prefix + [t]), None) is not None]
-        count *= len(alive)
-        prefix.append(alive[0])
-    return count
-
-
-def automorphism_count(G: FiniteGroup) -> int:
-    """|Aut(G)|, counted without listing Aut(G).
-
-    An automorphism is fixed by its images of the greedy generators, so
-    Aut(G) acts regularly on the image tuples that the search of
-    :func:`automorphisms` completes, and |Aut(G)| is their number.  With the
-    first k images fixed at a completed tuple, the k-th generator's images
-    over the completed tuples form an orbit of the stabilizer of the first
-    k-1 generators, and by orbit-stabilizer (Holt, Eick & O'Brien,
-    *Handbook of Computational Group Theory*, 2005, ch. 4) |Aut(G)| is the
-    product of these orbit lengths.  Level by level, then, the count is the
-    number of candidates with at least one leaf below them, the earlier
-    levels fixed at the first leaf found; each candidate's search stops at
-    its first leaf.
-    """
-    return _leaf_count(*_automorphism_search(G))
-
-
-def check_automorphism_order(G: FiniteGroup) -> None:
-    """Refuse G, before any automorphism is listed, when |Aut(G)| exceeds
-    ``config.MAX_TABLE_ORDER``.
-
-    The search of :func:`automorphisms` completes at most the product of
-    its candidate counts, which therefore bounds |Aut(G)|; only when that
-    product exceeds the bound is |Aut(G)| counted
-    (:func:`automorphism_count`).
+    Raises BoundExceeded before listing when |Aut(G)| exceeds
+    ``config.MAX_TABLE_ORDER``, counted (:func:`_leaf_count`) only when the
+    product of the candidate counts, which bounds it, does.
     """
     candidates, leaves = _automorphism_search(G)
     if math.prod(map(len, candidates)) > config.MAX_TABLE_ORDER:
         config.check_table_order(_leaf_count(candidates, leaves), what="automorphism group")
+    return sorted((GroupHom(G, G, tuple(phi)) for phi in leaves(())), key=lambda h: h.image)
 
 
-def automorphism_classes(G: FiniteGroup, auts) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """The conjugacy classes of Aut(G) over the indices of ``auts =
-    automorphisms(G)``, listed as by :func:`conjugacy_classes`, and whether
-    Aut(G) is abelian, with no Cayley table: each automorphism is keyed by its
-    values on ``G.generators``, :func:`greedy_generators` finds a generating
-    set from the right multiplications ``p -> p h``, the classes are the
-    orbits of conjugation by it, and Aut(G) is abelian iff it commutes."""
+def automorphism_classes(G: FiniteGroup):
+    """``(auts, classes, abelian)``: ``auts = automorphisms(G)``, the conjugacy
+    classes of Aut(G) as sorted tuples of indices into ``auts`` in order of
+    their least member, so that ``auts[cls[0]]``, the class representative,
+    has the least image table; and whether Aut(G) is abelian.  No Cayley table
+    is built: each automorphism is keyed by its values on ``G.generators``,
+    :func:`greedy_generators` finds a generating set from the right
+    multiplications ``p -> p h``, the classes are the orbits of conjugation
+    by it, and Aut(G) is abelian iff it commutes."""
+    auts = automorphisms(G)
     images = [h.image for h in auts]
     index = {tuple([p[s] for s in G.generators]): i for i, p in enumerate(images)}
     keys = list(index)
@@ -538,4 +506,4 @@ def automorphism_classes(G: FiniteGroup, auts) -> tuple[tuple[tuple[int, ...], .
     conjugations = [keyed(h, perm_inverse(images[h])) for h in gens]
     commute = all([images[h][x] for x in keys[k]] == [images[k][x] for x in keys[h]]
                   for h in gens for k in gens)
-    return perm_orbits(conjugations, len(auts))[1], commute
+    return auts, perm_orbits(conjugations, len(auts))[1], commute

@@ -34,7 +34,6 @@ from .gsets import (
     semitorsor_coords,
     semitorsor_orbit_count,
     semitorsor_point,
-    standard_semitorsor,
 )
 
 
@@ -74,18 +73,17 @@ def autq_reconstruct(F: GSet, f: Frame, component: tuple[int, ...]) -> Equivaria
     return frame_map(F, f, F, t)
 
 
-def wreath_to_aut(w: WreathElement, F: GSet | None = None) -> EquivariantMap:
+def wreath_to_aut(w: WreathElement, F: GSet) -> EquivariantMap:
     """The isomorphism from the wreath product G wr I_n onto Aut(G x I_n).
 
     (h, x) maps to (h . g[s(x)]^-1, s(x)); right translation keeps the maps
     left-equivariant, and the whole assignment is a group homomorphism.
-    A caller that maps many elements passes ``F = standard_semitorsor(G, n)``
-    so that all the maps share one carrier; any other carrier is refused.
+    ``F`` is the carrier ``standard_semitorsor(G, n)``, which a caller that
+    maps many elements builds once so that the maps share it; any other
+    carrier is refused.
     """
     G, n = w.group, w.n
-    if F is None:
-        F = standard_semitorsor(G, n)
-    elif F.group != G or semitorsor_orbit_count(F) != n:
+    if F.group != G or semitorsor_orbit_count(F) != n:
         raise ValueError("wreath element does not match the target semi-torsor")
     image = tuple(semitorsor_point(G.inv[w.g_tuple[s]], s, n) for s in w.sigma)
     return frame_map(F, tuple(semitorsor_point(G.identity, x, n) for x in range(n)), F, image)
@@ -115,15 +113,12 @@ def aut_to_wreath(psi: EquivariantMap) -> WreathElement:
 class SesReport:
     """Verified sizes and splitting data of the automorphism sequence."""
 
-    __slots__ = ("group_label", "orbit_count", "aut_order", "autq_order", "sym_order",
-                 "product_matches", "kernel_is_autq", "cq_surjective", "section_splits",
-                 "section_frame")
+    __slots__ = ("aut_order", "autq_order", "sym_order", "product_matches", "kernel_is_autq",
+                 "cq_surjective", "section_splits", "section_frame")
 
-    def __init__(self, group_label: str, orbit_count: int, aut_order: int, autq_order: int,
-                 sym_order: int, product_matches: bool, kernel_is_autq: bool,
-                 cq_surjective: bool, section_splits: bool, section_frame: Frame):
-        self.group_label = group_label
-        self.orbit_count = orbit_count
+    def __init__(self, aut_order: int, autq_order: int, sym_order: int, product_matches: bool,
+                 kernel_is_autq: bool, cq_surjective: bool, section_splits: bool,
+                 section_frame: Frame):
         self.aut_order = aut_order
         self.autq_order = autq_order
         self.sym_order = sym_order
@@ -178,8 +173,6 @@ def ses_report(F: GSet, auts=None) -> SesReport:
         for sigma in itertools.permutations(range(n))
     )
     return SesReport(
-        group_label=F.group.label,
-        orbit_count=n,
         aut_order=len(auts),
         autq_order=autq_order,
         sym_order=math.factorial(n),

@@ -104,26 +104,15 @@ def named_group(name: str) -> FiniteGroup:
         ) from None
 
 
+# every isomorphism class of groups of order <= 6, in order of group order
+_FIXTURE_NAMES = ("z1", "z2", "z3", "z4", "z2xz2", "z5", "z6", "s3")
+
+
 def fixture_groups(max_order: int) -> list[FiniteGroup]:
     """Every isomorphism class of groups of order <= max_order (bounded at 6)."""
     if max_order > 6:
         raise BoundExceeded("fixture list is complete only up to order 6")
-    out: list[FiniteGroup] = []
-    if max_order >= 1:
-        out.append(make_cyclic(1))
-    if max_order >= 2:
-        out.append(make_cyclic(2))
-    if max_order >= 3:
-        out.append(make_cyclic(3))
-    if max_order >= 4:
-        out.append(make_cyclic(4))
-        out.append(make_direct_product(make_cyclic(2), make_cyclic(2)))
-    if max_order >= 5:
-        out.append(make_cyclic(5))
-    if max_order >= 6:
-        out.append(make_cyclic(6))
-        out.append(make_symmetric(3))
-    return out
+    return [G for G in map(named_group, _FIXTURE_NAMES) if G.order <= max_order]
 
 
 def _fixtures(groups: list[FiniteGroup], orbit_counts):

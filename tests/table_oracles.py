@@ -1,10 +1,11 @@
 """Independent routes used as test oracles: the Cayley table of a list of
 elements under a product (and the tables of the wreath product, Aut(G) and
-Aut(F) built with it, which the library never builds), the raw endomorphism
+Aut(F) built with it, which the library never builds), conjugacy classes of
+a table, element orders one power walk per element, the raw endomorphism
 search, the product search for automorphisms, the cubic associativity check,
 the all-pairs action, equivariance and symmetric-action laws that the library
 checks on generator edges, maps on frame spaces tabulated one frame at a
-time, and a few group tables."""
+time, and a few group tables; and ``hom``, a validated homomorphism."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from framebundles.groups import (
     automorphisms,
     from_mul_table,
     perm_compose,
+    perm_orbits,
     table_group,
 )
 
@@ -62,6 +64,39 @@ def aut_table(G: FiniteGroup) -> FiniteGroup:
     """Aut(G) as the Cayley table of the image tables of ``automorphisms(G)``,
     element i being the i-th automorphism, ``i j`` applying j first."""
     return cayley_group([h.image for h in automorphisms(G)], perm_compose, f"Aut({G.label})")
+
+
+def hom(source: FiniteGroup, target: FiniteGroup, image) -> GroupHom:
+    """Build and validate a homomorphism from an image table."""
+    h = GroupHom(source, target, tuple(image))
+    h.validate()
+    return h
+
+
+def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Partition of the elements under g ~ h g h^-1.
+
+    The classes are the orbits of conjugation by a generating set, which
+    generates every inner automorphism.  Classes are sorted tuples, listed in
+    order of their smallest member, so the output is canonical.
+    """
+    mul, inv = G.mul, G.inv
+    conjugations = [
+        tuple([mul[mul[h][a]][inv[h]] for a in range(G.order)]) for h in G.generators
+    ]
+    return perm_orbits(conjugations, G.order)[1]
+
+
+def element_orders_by_walk(G: FiniteGroup) -> tuple[int, ...]:
+    """The order of every element, walking the powers of each element on its own."""
+    orders = []
+    for a in range(G.order):
+        x, n = a, 1
+        while x != G.identity:
+            x = G.mul[x][a]
+            n += 1
+        orders.append(n)
+    return tuple(orders)
 
 
 def gset_aut_table(F) -> FiniteGroup:
@@ -150,7 +185,7 @@ def product_search_automorphisms(G: FiniteGroup) -> list[GroupHom]:
     of same-order images of a greedy generating set and checking the
     homomorphism law on all pairs (the search ``automorphisms`` replaced)."""
     gens = G.generators
-    order_of = [G.element_order(a) for a in range(G.order)]
+    order_of = element_orders_by_walk(G)
     discovery, parent = _discovery_order(G, gens)
     candidates_per_gen = [
         [b for b in range(G.order) if order_of[b] == order_of[s]] for s in gens

@@ -178,7 +178,7 @@ def _decomposition_fixtures():
     ]
     # twisted torsor bundle
     torsor = standard_semitorsor(z3, 1)
-    twist = wreath_to_aut(WreathElement(z3, (1,), (0,)))
+    twist = wreath_to_aut(WreathElement(z3, (1,), (0,)), torsor)
     fixtures.append(flat_bundle(torsor, (twist,), mode="gspace"))
     # trivial bundle with three orbits
     fiber = standard_semitorsor(z2, 3)
@@ -186,8 +186,8 @@ def _decomposition_fixtures():
     fixtures.append(flat_bundle(fiber, (ident,), mode="gspace"))
     # two loops over the wedge: a sheet swap and a pure translation
     f2 = standard_semitorsor(z2, 2)
-    swap = wreath_to_aut(WreathElement(z2, (0, 0), (1, 0)))
-    shift = wreath_to_aut(WreathElement(z2, (1, 1), (0, 1)))
+    swap = wreath_to_aut(WreathElement(z2, (0, 0), (1, 0)), f2)
+    shift = wreath_to_aut(WreathElement(z2, (1, 1), (0, 1)), f2)
     fixtures.append(flat_bundle(f2, (swap, shift), mode="gspace"))
     return fixtures
 

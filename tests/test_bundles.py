@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from framebundles.bundles import (
     total_components,
     unit_component_is_circle,
 )
-from framebundles.errors import ModeMismatch, NotFaithful, TooSmall
+from framebundles.errors import BoundExceeded, ModeMismatch, NotFaithful, TooSmall
 from framebundles.frames import (
     WreathElement,
     enumerate_frames,
@@ -34,13 +35,18 @@ from framebundles.frames import (
 )
 from framebundles.groups import (
     automorphisms,
-    group_hom,
     identity_hom,
     make_cyclic,
     make_direct_product,
 )
 from framebundles.gset_aut import wreath_to_aut
-from table_oracles import aut_table, frame_functor_map, lift_table_per_frame
+from table_oracles import (
+    aut_table,
+    conjugacy_classes,
+    frame_functor_map,
+    hom,
+    lift_table_per_frame,
+)
 
 from framebundles.gsets import (
     EquivariantMap,
@@ -66,7 +72,7 @@ def z3_bundles():
 
 
 def test_group_bundle_rejects_non_automorphism():
-    const = group_hom(Z3, Z3, [0, 0, 0])
+    const = hom(Z3, Z3, [0, 0, 0])
     with pytest.raises(ValueError):
         group_bundle_over_circle(Z3, const)
 
@@ -99,8 +105,6 @@ def test_unit_component_is_circle():
 
 def test_klein_four_classes_give_4_3_2_components():
     auts = automorphisms(KLEIN)
-    from framebundles.groups import conjugacy_classes
-
     counts = []
     for cls in conjugacy_classes(aut_table(KLEIN)):
         rep = auts[cls[0]]
@@ -164,6 +168,16 @@ def test_components_invariant_under_isomorphism():
                 assert total_components(b1) == total_components(b2)
 
 
+def test_group_isomorphism_refuses_a_fiber_with_too_many_automorphisms():
+    # |Aut(Z2^4)| = |GL(4, 2)| = 20160 is counted, not listed, and refused
+    G = make_direct_product(KLEIN, KLEIN)
+    b = group_bundle_over_circle(G, identity_hom(G))
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match="automorphism group of order 20160 exceeds"):
+        bundle_isomorphic(b, b)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_mode_mismatch_rejected():
     b1 = z3_bundles()[0]
     b2 = finite_winding_bundle(Z3, 1)
@@ -192,7 +206,7 @@ def test_trivializable_cases():
 
 def test_quotient_of_torsor_bundle_is_a_point():
     fiber = standard_semitorsor(Z3, 1)
-    neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)))
+    neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)), fiber)
     b = flat_bundle(fiber, (neg,), mode="gspace")
     q = quotient_bundle(b)
     assert q.fiber.size == 1
@@ -263,7 +277,7 @@ def test_map_fiber_count_examples():
     z4 = make_cyclic(4)
     F4 = standard_semitorsor(z4, 2)
     F2 = standard_semitorsor(Z2, 2)
-    xi = group_hom(z4, Z2, [a % 2 for a in range(4)])
+    xi = hom(z4, Z2, [a % 2 for a in range(4)])
     reduction = equivariant_map(
         F4, F2, xi,
         [semitorsor_point(g % 2, x, 2) for g in range(4) for x in range(2)],

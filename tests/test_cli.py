@@ -594,7 +594,7 @@ def test_wreath_iso_names_its_counterexamples(capsys, monkeypatch):
 
     true_map = gset_aut.wreath_to_aut
 
-    def sigma_inverted(w, F=None):  # an anti-homomorphism on the permutation part
+    def sigma_inverted(w, F):  # an anti-homomorphism on the permutation part
         return true_map(WreathElement(w.group, w.g_tuple, groups.perm_inverse(w.sigma)), F)
 
     monkeypatch.setattr(gset_aut, "wreath_to_aut", sigma_inverted)

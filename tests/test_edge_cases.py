@@ -108,8 +108,9 @@ def test_wreath_machinery_on_nonabelian_group():
     assert table.order == 36 * 2
     table.validate()
     sample = wreath_elements(S3, 2)[::7]
+    F = standard_semitorsor(S3, 2)
     for w in sample:
-        psi = wreath_to_aut(w)
+        psi = wreath_to_aut(w, F)
         assert induced_orbit_map(psi) == w.sigma
         from framebundles.gset_aut import aut_to_wreath
 
@@ -146,8 +147,8 @@ def test_gspace_winding_not_isomorphic_to_trivial():
 
 def test_two_loop_frame_bundle_lifts_generatorwise():
     fiber = standard_semitorsor(Z2, 2)
-    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)))
-    shift = wreath_to_aut(WreathElement(Z2, (1, 0), (0, 1)))
+    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)), fiber)
+    shift = wreath_to_aut(WreathElement(Z2, (1, 0), (0, 1)), fiber)
     b = flat_bundle(fiber, (swap, shift), mode="gspace")
     lifted = frame_bundle(b)
     fs = enumerate_frames(fiber)
@@ -187,6 +188,10 @@ def test_fixture_groups_bound():
     with pytest.raises(BoundExceeded):
         fixture_groups(7)
     assert [G.order for G in fixture_groups(6)] == [1, 2, 3, 4, 4, 5, 6, 6]
+    assert [G.label for G in fixture_groups(6)] == ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6",
+                                                     "S3"]
+    assert [G.label for G in fixture_groups(4)] == ["Z1", "Z2", "Z3", "Z4", "Z2xZ2"]
+    assert fixture_groups(0) == []
 
 
 # Each immutable value type, built from a parameter n, and one of its fields.

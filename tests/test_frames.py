@@ -25,7 +25,6 @@ from framebundles.frames import (
     wreath_mul,
 )
 from framebundles.groups import (
-    group_hom,
     identity_hom,
     make_cyclic,
     make_direct_product,
@@ -49,7 +48,7 @@ from framebundles.gsets import (
 )
 from framebundles.suites import fixture_groups
 import framebundles.frames as frames_module
-from table_oracles import lift_table_per_frame, wreath_table
+from table_oracles import hom, lift_table_per_frame, wreath_table
 
 
 Z2 = make_cyclic(2)
@@ -455,7 +454,7 @@ def test_cross_group_lift_is_xi_equivariant():
     z4 = make_cyclic(4)
     F4 = standard_semitorsor(z4, 2)
     F2 = standard_semitorsor(Z2, 2)
-    xi = group_hom(z4, Z2, [a % 2 for a in range(4)])
+    xi = hom(z4, Z2, [a % 2 for a in range(4)])
     a = equivariant_map(
         F4,
         F2,
@@ -499,8 +498,8 @@ def test_functor_composition_across_groups():
     F4 = standard_semitorsor(z4, 2)
     F2 = standard_semitorsor(Z2, 2)
     F1 = standard_semitorsor(z1, 2)
-    xi42 = group_hom(z4, Z2, [a % 2 for a in range(4)])
-    xi21 = group_hom(Z2, z1, [0, 0])
+    xi42 = hom(z4, Z2, [a % 2 for a in range(4)])
+    xi21 = hom(Z2, z1, [0, 0])
     beta = equivariant_map(
         F4, F2, xi42,
         [semitorsor_point(g % 2, x, 2) for g in range(4) for x in range(2)],

@@ -16,14 +16,10 @@ from framebundles.groups import (
     FiniteGroup,
     GroupHom,
     automorphism_classes,
-    automorphism_count,
     automorphisms,
-    check_automorphism_order,
     compose_hom,
-    conjugacy_classes,
     first_broken_edge,
     from_mul_table,
-    group_hom,
     identity_hom,
     is_isomorphism,
     kernel,
@@ -41,9 +37,12 @@ from table_oracles import (
     associativity_failures,
     aut_table,
     cayley_group,
+    conjugacy_classes,
     dihedral_table,
+    element_orders_by_walk,
     endomorphisms_brute,
     gset_aut_table,
+    hom,
     is_abelian,
     product_search_automorphisms,
     quaternion_table,
@@ -104,7 +103,7 @@ def test_direct_product_z2_z3_has_order_six_element():
     # oracle: element orders computed by repeated multiplication
     G = make_direct_product(make_cyclic(2), make_cyclic(3))
     assert G.order == 6
-    assert max(G.element_order(a) for a in range(G.order)) == 6
+    assert max(element_orders_by_walk(G)) == 6
 
 
 def test_make_symmetric_small():
@@ -177,8 +176,7 @@ def test_aut_group_satisfies_axioms():
 def test_aut_group_klein_four_is_s3():
     z2 = make_cyclic(2)
     klein = make_direct_product(z2, z2)
-    auts = automorphisms(klein)
-    classes, abelian = automorphism_classes(klein, auts)
+    auts, classes, abelian = automorphism_classes(klein)
     assert len(auts) == 6
     assert sorted(len(c) for c in classes) == [1, 2, 3]
     assert not abelian
@@ -218,7 +216,7 @@ def test_conjugacy_classes_s4_against_partition_oracle():
 def test_conjugacy_classes_equal_element_orders():
     for G in all_small_groups():
         for cls in conjugacy_classes(G):
-            orders = {G.element_order(a) for a in cls}
+            orders = {G.element_orders[a] for a in cls}
             assert len(orders) == 1
 
 
@@ -226,27 +224,27 @@ def test_kernel_identity_and_constant():
     G = make_cyclic(4)
     assert kernel(identity_hom(G)) == (0,)
     one = make_cyclic(1)
-    to_one = group_hom(G, one, [0, 0, 0, 0])
+    to_one = hom(G, one, [0, 0, 0, 0])
     assert kernel(to_one) == (0, 1, 2, 3)
 
 
 def test_kernel_squaring_on_z4():
     G = make_cyclic(4)
-    squaring = group_hom(G, G, [(2 * a) % 4 for a in range(4)])
+    squaring = hom(G, G, [(2 * a) % 4 for a in range(4)])
     assert kernel(squaring) == (0, 2)
 
 
 def test_kernel_size_divides_group_order():
     G = make_cyclic(6)
     z3 = make_cyclic(3)
-    reduction = group_hom(G, z3, [a % 3 for a in range(6)])
+    reduction = hom(G, z3, [a % 3 for a in range(6)])
     assert G.order % len(kernel(reduction)) == 0
 
 
 def test_kernel_closed_under_mul_and_inv():
     G = make_cyclic(6)
     z2 = make_cyclic(2)
-    h = group_hom(G, z2, [a % 2 for a in range(6)])
+    h = hom(G, z2, [a % 2 for a in range(6)])
     ker = set(kernel(h))
     assert all(G.mul[a][b] in ker for a in ker for b in ker)
     assert all(G.inv[a] in ker for a in ker)
@@ -256,7 +254,7 @@ def test_compose_hom_identity_and_negation():
     G = make_cyclic(3)
     ident = identity_hom(G)
     assert compose_hom(ident, ident).image == ident.image
-    neg = group_hom(G, G, [0, 2, 1])
+    neg = hom(G, G, [0, 2, 1])
     assert compose_hom(neg, neg).image == ident.image
 
 
@@ -267,7 +265,7 @@ def test_compose_hom_rejects_mismatch():
 
 def test_inclusion_z2_in_z4_not_isomorphism():
     z2, z4 = make_cyclic(2), make_cyclic(4)
-    incl = group_hom(z2, z4, [0, 2])
+    incl = hom(z2, z4, [0, 2])
     assert not is_isomorphism(incl)
     assert is_isomorphism(identity_hom(z4))
 
@@ -396,10 +394,20 @@ def test_automorphisms_match_product_search():
         assert automorphisms(G) == product_search_automorphisms(G), G.label
 
 
+def test_element_orders_match_the_walk_oracle():
+    # one power walk per cyclic subgroup, against one walk per element
+    for G in groups_to_order_24() + relabelled_tables():
+        assert G.element_orders == element_orders_by_walk(G), G.label
+
+
+def _automorphism_count(G):
+    return groups._leaf_count(*groups._automorphism_search(G))
+
+
 def test_automorphism_count_matches_the_listing():
     # orbit-stabilizer over the completed image tuples, against the full list
     for G in groups_to_order_24() + relabelled_tables():
-        assert automorphism_count(G) == len(automorphisms(G)), G.label
+        assert _automorphism_count(G) == len(automorphisms(G)), G.label
 
 
 def _elementary_abelian(p, n):
@@ -413,14 +421,14 @@ def test_automorphism_count_of_elementary_abelian_groups_is_the_order_of_gl():
     # Aut(Z_p^n) = GL(n, p), of order prod (p^n - p^i) over i < n
     for p, n in [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]:
         gl = math.prod(p**n - p**i for i in range(n))
-        assert automorphism_count(_elementary_abelian(p, n)) == gl, (p, n)
+        assert _automorphism_count(_elementary_abelian(p, n)) == gl, (p, n)
 
 
 def test_automorphism_order_is_refused_before_any_automorphism_is_listed(monkeypatch):
     monkeypatch.setattr(groups, "GroupHom", None)  # listing would fail at its first leaf
     for n, order in [(4, 20160), (5, 9999360)]:
         with pytest.raises(BoundExceeded) as exc:
-            check_automorphism_order(_elementary_abelian(2, n))
+            automorphisms(_elementary_abelian(2, n))
         assert str(exc.value) == f"automorphism group of order {order} exceeds the table bound 5040"
 
 
@@ -431,17 +439,18 @@ def test_automorphism_order_is_counted_only_past_the_search_bound(monkeypatch):
     leaf_count = groups._leaf_count
     monkeypatch.setattr(groups, "_leaf_count", lambda *a: counted.append(1) or leaf_count(*a))
     for G in [make_cyclic(60), make_symmetric(4), _elementary_abelian(2, 3)]:
-        check_automorphism_order(G)
+        automorphisms(G)
     assert counted == []
     with pytest.raises(BoundExceeded):
-        check_automorphism_order(_elementary_abelian(2, 4))
+        automorphisms(_elementary_abelian(2, 4))
     assert counted == [1]
 
 
 def test_aut_group_table_matches_composition_table():
     # oracle: the classes and commutativity of the Cayley table of Aut(G)
     for G in groups_to_order_24() + relabelled_tables():
-        classes, abelian = automorphism_classes(G, automorphisms(G))
+        auts, classes, abelian = automorphism_classes(G)
+        assert auts == automorphisms(G), G.label
         oracle = aut_table(G)
         assert classes == conjugacy_classes(oracle), G.label
         assert abelian == is_abelian(oracle), G.label
@@ -517,6 +526,17 @@ def _classify(spec):
     start = time.perf_counter()
     report = cmd_classify_circle(argparse.Namespace(group=json.dumps(spec)))
     return report.data, time.perf_counter() - start
+
+
+def test_classify_circle_lists_aut_once_and_proves_no_representative(monkeypatch):
+    # each representative is a leaf of the search, which has passed the edge
+    # proof that GroupHom.validate would repeat
+    calls = []
+    listing = groups.automorphisms
+    monkeypatch.setattr(groups, "automorphisms", lambda G: calls.append(G) or listing(G))
+    monkeypatch.setattr(groups.GroupHom, "validate", None)
+    data, _ = _classify({"kind": "symmetric", "n": 4})
+    assert (len(calls), data["aut_order"], len(data["classes"])) == (1, 24, 5)
 
 
 def test_classify_circle_budget_s5_and_s4xz2():

@@ -94,7 +94,7 @@ def test_cq_identity():
 def test_cq_orbit_swap_is_transposition():
     F = standard_semitorsor(Z2, 2)
     w = WreathElement(Z2, (0, 0), (1, 0))
-    psi = wreath_to_aut(w)
+    psi = wreath_to_aut(w, F)
     assert induced_orbit_map(psi) == (1, 0)
 
 
@@ -181,7 +181,7 @@ def test_autq_component_is_homomorphism():
 
 def test_autq_component_rejects_orbit_movers():
     F = standard_semitorsor(Z2, 2)
-    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)))
+    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)), F)
     with pytest.raises(ValueError):
         autq_component(swap, identity_frame(Z2, 2))
 
@@ -208,7 +208,7 @@ def test_autq_basis_change_covariance():
 
 
 def test_wreath_to_aut_identity():
-    psi = wreath_to_aut(wreath_identity(Z2, 2))
+    psi = wreath_to_aut(wreath_identity(Z2, 2), standard_semitorsor(Z2, 2))
     assert psi.value == tuple(range(4))
 
 
@@ -231,7 +231,7 @@ def test_wreath_to_aut_refuses_a_carrier_that_is_not_g_x_i_n():
 def test_wreath_to_aut_pure_tuple_right_translates():
     G = Z3
     w = WreathElement(G, (1, 2), (0, 1))
-    psi = wreath_to_aut(w)
+    psi = wreath_to_aut(w, standard_semitorsor(G, 2))
     for g in range(3):
         for x in range(2):
             expected = semitorsor_point(G.mul[g][G.inv[w.g_tuple[x]]], x, 2)
@@ -239,8 +239,8 @@ def test_wreath_to_aut_pure_tuple_right_translates():
 
 
 def test_wreath_to_aut_homomorphism_64_pairs():
-    elements = wreath_elements(Z2, 2)
-    images = {w: wreath_to_aut(w) for w in elements}
+    elements, F = wreath_elements(Z2, 2), standard_semitorsor(Z2, 2)
+    images = {w: wreath_to_aut(w, F) for w in elements}
     count = 0
     for a in elements:
         for b in elements:
@@ -252,19 +252,19 @@ def test_wreath_to_aut_homomorphism_64_pairs():
 
 
 def test_wreath_to_aut_bijective():
-    elements = wreath_elements(Z3, 2)
-    tables = {wreath_to_aut(w).value for w in elements}
+    elements, F = wreath_elements(Z3, 2), standard_semitorsor(Z3, 2)
+    tables = {wreath_to_aut(w, F).value for w in elements}
     assert len(tables) == len(elements) == 18
-    auts = gset_homs(standard_semitorsor(Z3, 2), standard_semitorsor(Z3, 2))
+    auts = gset_homs(F, F)
     assert tables == {a.value for a in auts}
 
 
 def test_aut_to_wreath_round_trips():
+    F = standard_semitorsor(Z2, 2)
     for w in wreath_elements(Z2, 2):
-        assert aut_to_wreath(wreath_to_aut(w)) == w
-    auts = gset_homs(standard_semitorsor(Z2, 2), standard_semitorsor(Z2, 2))
-    for a in auts:
-        assert wreath_to_aut(aut_to_wreath(a)).value == a.value
+        assert aut_to_wreath(wreath_to_aut(w, F)) == w
+    for a in gset_homs(F, F):
+        assert wreath_to_aut(aut_to_wreath(a), F).value == a.value
 
 
 def test_aut_to_wreath_identity():
@@ -281,17 +281,19 @@ def test_aut_to_wreath_composition_tuple_law():
         for s in itertools.permutations(range(2))
     ]
     sample = wg_elements[:: max(1, len(wg_elements) // 24)]
+    F = standard_semitorsor(G, 2)
     for w1 in sample:
         for w2 in sample:
-            p1 = wreath_to_aut(w1)
-            p2 = wreath_to_aut(w2)
+            p1 = wreath_to_aut(w1, F)
+            p2 = wreath_to_aut(w2, F)
             composed = compose_equivariant(p1, p2)
             assert aut_to_wreath(composed) == wreath_mul(w1, w2)
 
 
 def test_cq_of_wreath_to_aut_is_sigma():
+    F = standard_semitorsor(Z3, 2)
     for w in wreath_elements(Z3, 2):
-        assert induced_orbit_map(wreath_to_aut(w)) == w.sigma
+        assert induced_orbit_map(wreath_to_aut(w, F)) == w.sigma
 
 
 def test_pairing_invariance():
@@ -301,7 +303,7 @@ def test_pairing_invariance():
     F = standard_semitorsor(G, n)
     fs = enumerate_frames(F)
     for w in wreath_elements(G, n):
-        psi = wreath_to_aut(w)
+        psi = wreath_to_aut(w, F)
         for t in fs.frames:
             moved = wreath_act(F, w, t)
             phi_t = associated_map(F, t)
@@ -327,7 +329,7 @@ def test_counteracting_map_is_frame_independent():
             if expected is None:
                 expected = table
             assert table == expected
-        assert expected == wreath_to_aut(w).value
+        assert expected == wreath_to_aut(w, F).value
 
 
 # ---------------------------------------------------------------- SES

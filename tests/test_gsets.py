@@ -1,7 +1,7 @@
 import pytest
 
 from framebundles.errors import NoQuotient, NotFree
-from framebundles.groups import group_hom, identity_hom, make_cyclic, make_direct_product
+from framebundles.groups import identity_hom, make_cyclic, make_direct_product
 from framebundles.gsets import (
     EquivariantMap,
     GSet,
@@ -23,6 +23,7 @@ from framebundles.gsets import (
     trivial_gset,
 )
 from framebundles.suites import fixture_groups
+from table_oracles import hom
 
 
 def left_translation_gset(G):
@@ -220,7 +221,7 @@ def test_compose_equivariant_and_xi_composition():
     z4, z2 = make_cyclic(4), make_cyclic(2)
     F4 = standard_semitorsor(z4, 2)
     F2 = standard_semitorsor(z2, 2)
-    xi = group_hom(z4, z2, [a % 2 for a in range(4)])
+    xi = hom(z4, z2, [a % 2 for a in range(4)])
     reduction = equivariant_map(
         F4,
         F2,

@@ -11,7 +11,6 @@ from framebundles.bundles import sn_labelling
 from framebundles.errors import NotFaithful
 from framebundles.groups import (
     from_mul_table,
-    group_hom,
     identity_hom,
     make_cyclic,
     make_direct_product,
@@ -28,6 +27,7 @@ from framebundles.gsets import (
 from table_oracles import (
     action_law_holds,
     dihedral_table,
+    hom,
     is_equivariant_everywhere,
     is_homomorphism_on_all_pairs,
     quaternion_table,
@@ -137,7 +137,7 @@ def map_fixtures():
     z2, z3, z4, z6 = (make_cyclic(n) for n in (2, 3, 4, 6))
     for G, H, image in [(z4, z2, [a % 2 for a in range(4)]), (z6, z3, [a % 3 for a in range(6)]),
                         (z6, z2, [a % 2 for a in range(6)])]:
-        xi = group_hom(G, H, image)
+        xi = hom(G, H, image)
         for act in valid_actions(H)[:4]:
             out.append((standard_semitorsor(G, 2), make_gset(H, act), xi))
     return out

@@ -1,5 +1,6 @@
 """Differential tests against ``sympy.combinatorics`` as an independent oracle."""
 
+import itertools
 import math
 import random
 
@@ -20,7 +21,6 @@ from framebundles.frames import WreathElement, _wreath_generators, wreath_elemen
 from framebundles.groups import (  # noqa: E402
     automorphism_classes,
     automorphisms,
-    conjugacy_classes,
     make_cyclic,
     make_symmetric,
     perm_orbits,
@@ -28,7 +28,13 @@ from framebundles.groups import (  # noqa: E402
 from framebundles.gset_aut import wreath_to_aut  # noqa: E402
 from framebundles.gsets import standard_semitorsor  # noqa: E402
 from framebundles.suites import fixture_groups  # noqa: E402
-from table_oracles import aut_table, gset_aut_table, is_abelian, relabelled  # noqa: E402
+from table_oracles import (  # noqa: E402
+    aut_table,
+    conjugacy_classes,
+    gset_aut_table,
+    is_abelian,
+    relabelled,
+)
 
 GROUPS = fixture_groups(6)
 # every fixture group with n <= 2, and n = 3 up to order 4
@@ -70,6 +76,13 @@ def test_perm_orbits_match_sympy(size, perms):
 CLASS_GROUPS = GROUPS + [make_symmetric(4)]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_element_orders_of_symmetric_groups_match_sympy(n):
+    # element i of make_symmetric(n) is the i-th permutation in lexicographic order
+    perms = itertools.permutations(range(n))
+    assert make_symmetric(n).element_orders == tuple(Permutation(list(p)).order() for p in perms)
+
+
 @pytest.mark.parametrize("G", CLASS_GROUPS, ids=[G.label for G in CLASS_GROUPS])
 def test_conjugacy_classes_match_sympy(G):
     # G by its left-regular permutations, Aut(G) by the automorphisms' image tables
@@ -85,8 +98,8 @@ AUT_CASES = CLASS_GROUPS + [relabelled(make_symmetric(4).mul, seed) for seed in 
 
 @pytest.mark.parametrize("G", AUT_CASES, ids=[f"{G.label}-{i}" for i, G in enumerate(AUT_CASES)])
 def test_automorphism_classes_match_table_oracle_and_sympy(G):
-    auts = automorphisms(G)
-    classes, abelian = automorphism_classes(G, auts)
+    auts, classes, abelian = automorphism_classes(G)
+    assert auts == automorphisms(G)
     table = aut_table(G)
     assert (len(auts), classes, abelian) == (table.order, conjugacy_classes(table),
                                              is_abelian(table))
@@ -124,8 +137,8 @@ def test_clutching_orbits_match_components():
     # the two-loop document of the golden corpus
     Z2 = make_cyclic(2)
     loops = [WreathElement(Z2, (1, 0), (1, 0)), WreathElement(Z2, (0, 1), (0, 1))]
-    maps = tuple(wreath_to_aut(w) for w in loops)
-    bundles.append(flat_bundle(standard_semitorsor(Z2, 2), maps, mode="gspace"))
+    F = standard_semitorsor(Z2, 2)
+    bundles.append(flat_bundle(F, tuple(wreath_to_aut(w, F) for w in loops), mode="gspace"))
     for b in bundles:
         orbits = _group([a.value for a in b.clutching], b.fiber.size).orbits()
         assert {frozenset(o) for o in orbits} == {frozenset(c) for c in components(b)}
