@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -324,7 +325,9 @@ def cmd_division_check(args) -> Report:
     # the samples are read as the check consumes them
     samples, step = specdoc.parse_path(specdoc.load_document(args.path), b.k)
     result = division_form_check(samples, step)
-    rates = [str(r) for r in result.rates]
+    # equal rates share one Fraction, which ``result`` keeps alive: format each once
+    text = {i: str(r) for i, r in dict(zip(map(id, result.rates), result.rates)).items()}
+    rates = [text[id(r)] for r in result.rates]
     report = Report("division-check")
     report.lines.append(f"sheet: {result.sheet}")
     report.lines.append(f"rates: {','.join(rates)}")
@@ -422,7 +425,12 @@ def main(argv=None) -> int:
     except (ValueError, FrameBundlesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(report.render(args.format))
+    try:
+        print(report.render(args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     return report.exit_code
 
 

@@ -13,13 +13,13 @@ table.  :func:`perm_orbits` is the one orbit algorithm of the library.
 
 A group that the library reads only through its generators gets no table:
 :func:`first_broken_edge` proves a homomorphism law on the generator edges
-of the Cayley graph, and :func:`automorphism_classes` classifies Aut(G),
-bounded by :func:`automorphisms`, from a generating set of it.  The lemma
-proves associativity (Light's test in :meth:`FiniteGroup.validate`), the
-homomorphism law of :class:`GroupHom`, of ``verify wreath-iso`` and of
-``bundles.sn_labelling``, and the action law of ``gsets.GSet``;
-``gsets.check_equivariant`` checks only generators by the same closure
-argument.
+of the Cayley graph, and one pruned search finds generators of Aut(G), from
+which :func:`automorphisms` counts and lists it and
+:func:`automorphism_classes` classifies it.  The lemma proves associativity
+(Light's test in :meth:`FiniteGroup.validate`), the homomorphism law of
+:class:`GroupHom`, of ``verify wreath-iso`` and of ``bundles.sn_labelling``,
+and the action law of ``gsets.GSet``; ``gsets.check_equivariant`` checks
+only generators by the same closure argument.
 """
 
 from __future__ import annotations
@@ -79,23 +79,6 @@ def perm_orbits(perms, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...
         orbit.sort()
         members.append(tuple(orbit))
     return tuple(orbit_of), tuple(members)
-
-
-def greedy_generators(order: int, identity: int, right_mul) -> tuple[tuple[int, ...], tuple]:
-    """An irredundant generating set and its tables ``right_mul(a)``, ``x -> x a``:
-    each generator is the smallest element outside the subgroup of those
-    before it, the orbit of the identity under their right multiplications."""
-    gens: list[int] = []
-    columns: list[Permutation] = []
-    orbit_of, _ = perm_orbits(columns, order)
-    for a in range(order):
-        if orbit_of[a] != orbit_of[identity]:
-            gens.append(a)
-            columns.append(right_mul(a))
-            orbit_of, cosets = perm_orbits(columns, order)
-            if len(cosets) == 1:
-                break
-    return tuple(gens), tuple(columns)
 
 
 def first_broken_edge(image, compose, identity: int, gens, moves) -> tuple[int, int] | None:
@@ -205,13 +188,28 @@ class FiniteGroup(Frozen):
 
     @cached_property
     def _greedy(self) -> tuple[tuple[int, ...], tuple[Permutation, ...]]:
-        mul = self.mul
-        return greedy_generators(self.order, self.identity,
-                                 lambda a: tuple([row[a] for row in mul]))
+        """An irredundant generating set and its tables ``x -> x a``: each generator is
+        the smallest element outside the orbit of e under the tables before it."""
+        gens: list[int] = []
+        moves: list[Permutation] = []
+        orbit_of, _ = perm_orbits(moves, self.order)
+        for a in range(self.order):
+            if orbit_of[a] != orbit_of[self.identity]:
+                gens.append(a)
+                moves.append(tuple([row[a] for row in self.mul]))
+                orbit_of, cosets = perm_orbits(moves, self.order)
+                if len(cosets) == 1:
+                    break
+        return tuple(gens), tuple(moves)
+
+    @cached_property
+    def _aut(self) -> tuple[tuple[Permutation, ...], int]:
+        """Generators of Aut(G) and |Aut(G)| (:func:`_aut_generators`), computed once."""
+        return _aut_generators(self)
 
     @property
     def generators(self) -> tuple[int, ...]:
-        """A small generating set (:func:`greedy_generators`), computed once."""
+        """A small generating set (``_greedy``), computed once."""
         return self._greedy[0]
 
     @property
@@ -331,20 +329,9 @@ def make_direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     order = G.order * H.order
     config.check_table_order(order)
     k = H.order
-    mul_rows = []
-    for a1 in range(G.order):
-        for b1 in range(H.order):
-            row = []
-            for a2 in range(G.order):
-                ga = G.mul[a1][a2]
-                base = ga * k
-                hrow = H.mul[b1]
-                for b2 in range(H.order):
-                    row.append(base + hrow[b2])
-            mul_rows.append(tuple(row))
-    identity = G.identity * k + H.identity
-    inv = tuple(G.inv[a] * k + H.inv[b] for a in range(G.order) for b in range(H.order))
-    return FiniteGroup(order, tuple(mul_rows), identity, inv, f"{G.label}x{H.label}")
+    mul = tuple(tuple([c * k + d for c in grow for d in hrow]) for grow in G.mul for hrow in H.mul)
+    inv = tuple([a * k + b for a in G.inv for b in H.inv])
+    return FiniteGroup(order, mul, G.identity * k + H.identity, inv, f"{G.label}x{H.label}")
 
 
 def make_symmetric(n: int) -> FiniteGroup:
@@ -357,8 +344,7 @@ def make_symmetric(n: int) -> FiniteGroup:
     if n > config.MAX_SYMMETRIC_N:
         raise BoundExceeded(f"symmetric group bound is n <= {config.MAX_SYMMETRIC_N}")
     config.check_table_order(math.factorial(n), what="symmetric group")
-    perms = list(itertools.permutations(range(n)))
-    return permutation_group(perms, range(n), f"S{n}")
+    return permutation_group(list(itertools.permutations(range(n))), range(n), f"S{n}")
 
 
 def kernel(h: GroupHom) -> tuple[int, ...]:
@@ -375,24 +361,32 @@ def compose_hom(f: GroupHom, g: GroupHom) -> GroupHom:
 
 
 def is_isomorphism(h: GroupHom) -> bool:
-    return (
-        h.source.order == h.target.order
-        and len(set(h.image)) == h.source.order
-    )
+    return h.source.order == h.target.order and len(set(h.image)) == h.source.order
 
 
-def _automorphism_search(G: FiniteGroup):
-    """The backtrack of :func:`automorphisms`: the candidate images of each
-    greedy generator, and ``leaves(prefix)``, which yields the image table
-    of every leaf whose first generators go to ``prefix``.
+def _aut_generators(G: FiniteGroup) -> tuple[tuple[Permutation, ...], int]:
+    """Generators of Aut(G) as image tables, and |Aut(G)|, from one backtrack
+    over a stabilizer chain pruned by the automorphisms found so far (Holt,
+    Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4, 8).
 
-    Level k picks the image of the k-th greedy generator among the elements
-    of its order and extends the partial map phi over the subgroup H_k of
-    the first k+1 generators along the Cayley graph, phi(as) = phi(a)phi(s).
-    Every edge ``as`` of H_k is checked, and a candidate is rejected as soon
-    as an edge disagrees or two points get the same image.  Each call of
-    ``leaves`` works on its own partial map, so a stream left unfinished
-    disturbs no other.
+    Level k sends the k-th greedy generator g_k to an element of its order and
+    extends the partial map phi over the subgroup of g_0 .. g_k along the
+    Cayley graph, phi(as) = phi(a)phi(s), cutting a branch at the first edge
+    that disagrees or the first repeated image.  A leaf has phi(e) = e and
+    has passed every edge, so it is a homomorphism by the lemma of
+    :func:`first_broken_edge`; injective, it is an automorphism.
+
+    Let S_k fix g_0 .. g_(k-1), so S_0 = Aut(G) and S_m = 1.  From k = m-1 up
+    to 0, with g_0 .. g_(k-1) fixed, an image t of g_k is searched only when t
+    is outside the orbit of g_k under the generators found so far, and its
+    first leaf becomes a generator.  Each t in the orbit O_k of g_k under S_k
+    has a leaf, so if those of levels > k generate S_(k+1), all found generate
+    a subgroup H of S_k with orbit O_k and a stabilizer of g_k containing
+    S_(k+1): |H| >= |O_k| |S_(k+1)| = |S_k| by orbit-stabilizer, H = S_k, and
+    |Aut(G)| is the product of the orbit lengths.  The searched subtrees are
+    disjoint (one of level k fixes g_j for j < k and moves g_k) and lie in the
+    tree of all same-order images that the full listing walked, so the search
+    visits no more nodes than the listing did.
     """
     config.check_table_order(G.order)
     config.check_enumeration(G.order, "automorphism search space base")
@@ -400,110 +394,108 @@ def _automorphism_search(G: FiniteGroup):
     gens = G.generators
     order_of = G.element_orders
     candidates = [[b for b in range(G.order) if order_of[b] == order_of[s]] for s in gens]
+    phi = [-1] * G.order  # the partial map, -1 outside the current subgroup
+    used = [False] * G.order
+    phi[G.identity] = G.identity
+    used[G.identity] = True
+    found: list[Permutation] = []  # the generators, deepest level first
+    lengths: list[int] = []  # the orbit length of each level
 
-    def leaves(prefix):
-        phi = [-1] * G.order  # the partial map, -1 outside the current subgroup
-        used = [False] * G.order
-        phi[G.identity] = G.identity
-        used[G.identity] = True
+    def extend(domain, pairs, new) -> bool:
+        """Extend phi from ``domain`` = H_(k-1) over H_k, given the
+        (generator, image) pairs of levels 0..k, appending the new points."""
+        # old points need only the newest edge; ``new`` grows while it is walked
+        for points, edges in ((domain, pairs[-1:]), (new, pairs)):
+            for a in points:
+                row, image_row = mul[a], mul[phi[a]]
+                for s, t in edges:
+                    b, c = row[s], image_row[t]
+                    if phi[b] < 0 and not used[c]:
+                        phi[b] = c
+                        used[c] = True
+                        new.append(b)
+                    elif phi[b] != c:
+                        return False
+        return True
 
-        def extend(domain, pairs, new) -> bool:
-            """Extend phi from ``domain`` = H_(k-1) over H_k, given the
-            (generator, image) pairs of levels 0..k, appending the new points."""
-            # old points need only the newest edge; ``new`` grows while it is walked
-            for points, edges in ((domain, pairs[-1:]), (new, pairs)):
-                for a in points:
-                    row, image_row = mul[a], mul[phi[a]]
-                    for s, t in edges:
-                        b, c = row[s], image_row[t]
-                        if phi[b] < 0 and not used[c]:
-                            phi[b] = c
-                            used[c] = True
-                            new.append(b)
-                        elif phi[b] != c:
-                            return False
-            return True
+    def branch(domain, pairs, below):
+        """Run ``below`` on phi extended by ``pairs`` (False if it cannot be), then restore phi."""
+        new: list[int] = []
+        result = extend(domain, pairs, new) and below(domain + new, pairs)
+        for b in new:
+            used[phi[b]] = False
+            phi[b] = -1
+        return result
 
-        def search(domain, pairs):
-            k = len(pairs)
-            if k == len(gens):
-                yield phi
-                return
-            for t in candidates[k] if k >= len(prefix) else (prefix[k],):
-                level = pairs + [(gens[k], t)]
-                new: list[int] = []
-                if extend(domain, level, new):
-                    yield from search(domain + new, level)
-                for b in new:
-                    used[phi[b]] = False
-                    phi[b] = -1
+    def leaf(domain, pairs):
+        """The image table of the first leaf below ``pairs``, or None."""
+        k = len(pairs)
+        if k == len(gens):
+            return tuple(phi)
+        for t in candidates[k]:
+            image = branch(domain, pairs + [(gens[k], t)], leaf)
+            if image:
+                return image
+        return None
 
-        return search([G.identity], [])
+    def level(domain, pairs) -> None:
+        """Levels m-1 .. k = len(pairs), phi the identity on ``domain`` = <g_0 .. g_(k-1)>."""
+        k = len(pairs)
+        if k == len(gens):
+            return
+        s = gens[k]
+        branch(domain, pairs + [(s, s)], level)
+        orbit = {s}
+        for t in candidates[k]:
+            image = t not in orbit and branch(domain, pairs + [(s, t)], leaf)
+            if image:
+                found.append(image)
+                orbit_of, members = perm_orbits(found, G.order)
+                orbit = set(members[orbit_of[s]])
+        lengths.append(len(orbit))
 
-    return candidates, leaves
-
-
-def _leaf_count(candidates, leaves) -> int:
-    """|Aut(G)| from the search of :func:`_automorphism_search`, without listing it.
-
-    An automorphism is fixed by its images of the greedy generators, so Aut(G)
-    acts regularly on the image tuples the search completes.  With the first
-    k images fixed at a completed tuple, the k-th generator's images over the
-    completed tuples form an orbit of the stabilizer of the first k-1
-    generators, so by orbit-stabilizer (Holt, Eick & O'Brien, 2005, ch. 4)
-    |Aut(G)| is the product over the levels of the number of candidates with
-    a leaf below them, the earlier levels fixed at the first leaf found; each
-    candidate's search stops at its first leaf.
-    """
-    count, prefix = 1, []
-    for level in candidates:
-        alive = [t for t in level if next(leaves(prefix + [t]), None) is not None]
-        count *= len(alive)
-        prefix.append(alive[0])
-    return count
+    level([G.identity], [])
+    return tuple(found), math.prod(lengths)
 
 
 def automorphisms(G: FiniteGroup) -> list[GroupHom]:
-    """All automorphisms of G, sorted by image table.
+    """All automorphisms of G, sorted by image table, or BoundExceeded when
+    |Aut(G)| (:func:`_aut_generators`) exceeds ``config.MAX_TABLE_ORDER``.
 
-    A backtracking homomorphism search (Holt, Eick & O'Brien, *Handbook of
-    Computational Group Theory*, 2005, ch. 8), set out in
-    :func:`_automorphism_search`.  A leaf has phi(e) = e and has passed
-    every edge (all a in G, all generators s), so it is a homomorphism by
-    the lemma of :func:`first_broken_edge`; injective, it is an
-    automorphism.  Every automorphism is found, as it keeps element orders
-    and agrees with every edge.
-
-    Raises BoundExceeded before listing when |Aut(G)| exceeds
-    ``config.MAX_TABLE_ORDER``, counted (:func:`_leaf_count`) only when the
-    product of the candidate counts, which bounds it, does.
+    Aut(G) is the closure of the identity under left multiplication by the
+    found generators.  Each element is keyed by its images of
+    ``G.generators`` and tabulated only for a new key; products of
+    automorphisms need no check.
     """
-    candidates, leaves = _automorphism_search(G)
-    if math.prod(map(len, candidates)) > config.MAX_TABLE_ORDER:
-        config.check_table_order(_leaf_count(candidates, leaves), what="automorphism group")
-    return sorted((GroupHom(G, G, tuple(phi)) for phi in leaves(())), key=lambda h: h.image)
+    found, order = G._aut
+    config.check_table_order(order, what="automorphism group")
+    gens = G.generators
+    tables = [tuple(range(G.order))]
+    seen = {gens}
+    for p in tables:  # ``tables`` grows while it is walked
+        for h in found:
+            key = tuple([h[p[s]] for s in gens])
+            if key not in seen:
+                seen.add(key)
+                tables.append(tuple([h[x] for x in p]))
+    return [GroupHom(G, G, p) for p in sorted(tables)]
 
 
 def automorphism_classes(G: FiniteGroup):
     """``(auts, classes, abelian)``: ``auts = automorphisms(G)``, the conjugacy
     classes of Aut(G) as sorted tuples of indices into ``auts`` in order of
-    their least member, so that ``auts[cls[0]]``, the class representative,
-    has the least image table; and whether Aut(G) is abelian.  No Cayley table
-    is built: each automorphism is keyed by its values on ``G.generators``,
-    :func:`greedy_generators` finds a generating set from the right
-    multiplications ``p -> p h``, the classes are the orbits of conjugation
-    by it, and Aut(G) is abelian iff it commutes."""
+    their least member, so that the representative ``auts[cls[0]]`` has the
+    least image table, and whether Aut(G) is abelian.  The classes are the
+    orbits of conjugation by the generators of :func:`_aut_generators`, each
+    conjugate found by its images of ``G.generators``, and Aut(G) is abelian
+    iff those commute; none of the three depends on which generators these are."""
     auts = automorphisms(G)
-    images = [h.image for h in auts]
-    index = {tuple([p[s] for s in G.generators]): i for i, p in enumerate(images)}
-    keys = list(index)
-
-    def keyed(h: int, outer) -> Permutation:  # p -> outer o p o h, on indices
-        return tuple([index[tuple([outer[p[x]] for x in keys[h]])] for p in images])
-
-    ident = tuple(range(G.order))
-    gens, _ = greedy_generators(len(auts), index[G.generators], lambda h: keyed(h, ident))
-    conjugations = [keyed(h, perm_inverse(images[h])) for h in gens]
-    commute = all([images[h][x] for x in keys[k]] == [images[k][x] for x in keys[h]]
-                  for h in gens for k in gens)
+    found, gens = G._aut[0], G.generators
+    index = {tuple([h.image[s] for s in gens]): i for i, h in enumerate(auts)}
+    conjugations = []
+    for c in found:  # c p c^-1 sends s to c(p(c^-1(s)))
+        points = [c.index(s) for s in gens]
+        conjugations.append(tuple([index[tuple([c[h.image[x]] for x in points])] for h in auts]))
+    commute = all([h[k[s]] for s in gens] == [k[h[s]] for s in gens]
+                  for h in found for k in found)
     return auts, perm_orbits(conjugations, len(auts))[1], commute

@@ -99,7 +99,7 @@ def test_classify_circle_searches_each_generating_set_once(capsys, monkeypatch):
     monkeypatch.setattr(groups, "perm_orbits", spy)
     code, out, _ = run(capsys, "classify-circle", "--group", s4_table)
     assert code == 0 and "conjugacy classes: 5" in out
-    assert searches == [24, 24]  # once for G, once for Aut(G)
+    assert searches == [24]  # once for G; Aut(G) keeps the generators its search found
 
 
 def _refuse_table(*args):
@@ -643,6 +643,18 @@ def test_golden_case_in_a_fresh_interpreter(name):
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         case["exit"], case["stdout"].encode(), case["stderr"].encode()
     )
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # Z720's report is far larger than a pipe's buffer, so the write fails
+    proc = subprocess.Popen([sys.executable, "-m", "framebundles.cli", "classify-circle",
+                             "--group", '{"kind": "cyclic", "n": 720}'],
+                            env=SRC_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 2
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def _loaded_modules(*argv):

@@ -389,8 +389,15 @@ def relabelled_tables():
 
 
 def test_automorphisms_match_product_search():
-    # oracle: every same-order image tuple of the generators, checked on all pairs
-    for G in groups_to_order_24() + relabelled_tables():
+    # the closure of the found generators, against the oracle: every
+    # same-order image tuple of the generators, checked on all pairs; the
+    # products reach order 18 outside the fixtures
+    z2, z4 = make_cyclic(2), make_cyclic(4)
+    products = [make_direct_product(z4, z4), make_direct_product(z2, make_cyclic(8)),
+                make_direct_product(make_cyclic(3), make_cyclic(6)),
+                make_direct_product(from_mul_table(quaternion_table(), "Q8"), z2),
+                make_direct_product(from_mul_table(dihedral_table(4), "D4"), z2)]
+    for G in groups_to_order_24() + relabelled_tables() + products:
         assert automorphisms(G) == product_search_automorphisms(G), G.label
 
 
@@ -400,14 +407,38 @@ def test_element_orders_match_the_walk_oracle():
         assert G.element_orders == element_orders_by_walk(G), G.label
 
 
-def _automorphism_count(G):
-    return groups._leaf_count(*groups._automorphism_search(G))
-
-
 def test_automorphism_count_matches_the_listing():
-    # orbit-stabilizer over the completed image tuples, against the full list
+    # the product of the search's orbit lengths, against the oracle's full list
     for G in groups_to_order_24() + relabelled_tables():
-        assert _automorphism_count(G) == len(automorphisms(G)), G.label
+        assert G._aut[1] == len(product_search_automorphisms(G)), G.label
+
+
+def _generated(tables, size):
+    """The image tables of the group that ``tables`` generate, by closure."""
+    out = {tuple(range(size))}
+    frontier = list(out)
+    for p in frontier:
+        for h in tables:
+            q = perm_compose(h, p)
+            if q not in out:
+                out.add(q)
+                frontier.append(q)
+    return out
+
+
+def test_each_generator_found_at_level_k_fixes_the_first_k_generators():
+    # level k of the search fixes g_0 .. g_(k-1) and moves g_k; the levels
+    # run from the deepest up, and those >= k generate the pointwise
+    # stabilizer S_k of g_0 .. g_(k-1), read off the oracle's full list
+    for G in groups_to_order_24() + relabelled_tables():
+        gens, found = G.generators, G._aut[0]
+        levels = [min(k for k, s in enumerate(gens) if h[s] != s) for h in found]
+        assert levels == sorted(levels, reverse=True), G.label
+        oracle = [h.image for h in product_search_automorphisms(G)]
+        for k in range(len(gens) + 1):
+            deeper = [h for h, level in zip(found, levels) if level >= k]
+            stabilizer = {p for p in oracle if all(p[s] == s for s in gens[:k])}
+            assert _generated(deeper, G.order) == stabilizer, (G.label, k)
 
 
 def _elementary_abelian(p, n):
@@ -421,7 +452,7 @@ def test_automorphism_count_of_elementary_abelian_groups_is_the_order_of_gl():
     # Aut(Z_p^n) = GL(n, p), of order prod (p^n - p^i) over i < n
     for p, n in [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]:
         gl = math.prod(p**n - p**i for i in range(n))
-        assert _automorphism_count(_elementary_abelian(p, n)) == gl, (p, n)
+        assert _elementary_abelian(p, n)._aut[1] == gl, (p, n)
 
 
 def test_automorphism_order_is_refused_before_any_automorphism_is_listed(monkeypatch):
@@ -430,20 +461,6 @@ def test_automorphism_order_is_refused_before_any_automorphism_is_listed(monkeyp
         with pytest.raises(BoundExceeded) as exc:
             automorphisms(_elementary_abelian(2, n))
         assert str(exc.value) == f"automorphism group of order {order} exceeds the table bound 5040"
-
-
-def test_automorphism_order_is_counted_only_past_the_search_bound(monkeypatch):
-    # the product of the candidate counts bounds |Aut(G)|: Z_n has phi(n)
-    # candidates, so no count runs; Z2^4 has 15^4 and is counted
-    counted = []
-    leaf_count = groups._leaf_count
-    monkeypatch.setattr(groups, "_leaf_count", lambda *a: counted.append(1) or leaf_count(*a))
-    for G in [make_cyclic(60), make_symmetric(4), _elementary_abelian(2, 3)]:
-        automorphisms(G)
-    assert counted == []
-    with pytest.raises(BoundExceeded):
-        automorphisms(_elementary_abelian(2, 4))
-    assert counted == [1]
 
 
 def test_aut_group_table_matches_composition_table():
@@ -547,4 +564,10 @@ def test_classify_circle_budget_s5_and_s4xz2():
                                              {"kind": "cyclic", "n": 2}]}
     data, seconds = _classify(s4xz2)
     assert data["aut_order"] == 48
+    assert seconds < 2.0
+
+
+def test_classify_circle_budget_s6():
+    data, seconds = _classify({"kind": "symmetric", "n": 6})
+    assert (data["aut_order"], len(data["classes"])) == (1440, 13)
     assert seconds < 2.0
