@@ -6,10 +6,11 @@ correspond to orbits of the group generated by the clutching maps on the
 fiber (the mapping-torus principle), which turns all component counting into
 orbit counting.
 
-Two modes are distinguished.  In ``group`` mode the fiber is a finite group
-carried as a bare set and clutching maps must be group automorphisms; in
-``gspace`` mode the fiber is a free group-set and clutching maps are
-id-equivariant bijections.  Binary operations refuse to mix modes.
+Two modes are distinguished, and a bundle reads its own off ``fiber_group``.
+In ``group`` mode ``fiber_group`` is set: the fiber is that finite group
+carried as a bare set and clutching maps must be group automorphisms.  In
+``gspace`` mode it is ``None``: the fiber is a free group-set and clutching maps
+are id-equivariant bijections.  Binary operations refuse to mix modes.
 """
 
 from __future__ import annotations
@@ -65,34 +66,24 @@ MODE_GSPACE = "gspace"
 class FlatBundle(Frozen):
     """Monodromy data of a flat bundle over a wedge of ``loops`` circles."""
 
-    __slots__ = _fields = ("fiber", "loops", "clutching", "mode", "fiber_group")
+    __slots__ = _fields = ("fiber", "loops", "clutching", "fiber_group")
 
-    def __init__(self, fiber: GSet, loops: int, clutching: tuple[EquivariantMap, ...], mode: str,
-                 fiber_group: Optional[FiniteGroup] = None):
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "clutching", clutching)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "fiber_group", fiber_group)
+    @property
+    def mode(self) -> str:
+        return MODE_GSPACE if self.fiber_group is None else MODE_GROUP
 
     def __repr__(self) -> str:
         return f"FlatBundle(mode={self.mode}, loops={self.loops}, fiber={self.fiber!r})"
 
 
-def flat_bundle(
-    fiber: GSet,
-    clutching,
-    mode: str = MODE_GSPACE,
-    fiber_group: Optional[FiniteGroup] = None,
-) -> FlatBundle:
-    """Assemble and validate a flat bundle from clutching maps."""
+def flat_bundle(fiber: GSet, clutching, fiber_group: Optional[FiniteGroup] = None) -> FlatBundle:
+    """Assemble and validate a flat bundle from clutching maps; a group-mode
+    bundle names its ``fiber_group``."""
     maps = tuple(clutching)
     if not maps:
         raise ValueError("a bundle over a wedge needs at least one loop")
     if fiber.size == 0:
         raise ValueError("the fiber has no points")
-    if mode not in (MODE_GROUP, MODE_GSPACE):
-        raise ValueError(f"unknown bundle mode {mode!r}")
     ident = tuple(range(fiber.group.order))
     for i, a in enumerate(maps):
         if a.source != fiber or a.target != fiber:
@@ -104,16 +95,12 @@ def flat_bundle(
         # vacuous in group mode, whose fiber group is trivial
         if not check_equivariant(a):
             raise ValueError(f"clutching {i} is not equivariant")
-    if mode == MODE_GROUP:
-        if fiber_group is None:
-            raise ValueError("group mode needs the underlying group")
+    if fiber_group is not None:
         if fiber.group.order != 1 or fiber.size != fiber_group.order:
             raise ValueError("group-mode fiber must be the group as a bare set")
-        for i, a in enumerate(maps):
+        for a in maps:
             GroupHom(fiber_group, fiber_group, a.value).validate()
-    elif fiber_group is not None:
-        raise ValueError("fiber_group is only meaningful in group mode")
-    return FlatBundle(fiber, len(maps), maps, mode, fiber_group)
+    return FlatBundle(fiber, len(maps), maps, fiber_group)
 
 
 def group_bundle_over_circle(G: FiniteGroup, a: GroupHom) -> FlatBundle:
@@ -125,7 +112,7 @@ def group_bundle_over_circle(G: FiniteGroup, a: GroupHom) -> FlatBundle:
         raise ValueError("group bundles are glued by automorphisms only")
     fiber = trivial_gset(G.order)
     clutch = EquivariantMap(fiber, fiber, identity_hom(fiber.group), a.image)
-    return flat_bundle(fiber, (clutch,), mode=MODE_GROUP, fiber_group=G)
+    return flat_bundle(fiber, (clutch,), G)
 
 
 def components(b: FlatBundle) -> tuple[tuple[int, ...], ...]:
@@ -202,7 +189,7 @@ def quotient_bundle(b: FlatBundle) -> FlatBundle:
     clutch = tuple(
         EquivariantMap(new_fiber, new_fiber, xi, induced_orbit_map(a)) for a in b.clutching
     )
-    return flat_bundle(new_fiber, clutch, mode=MODE_GSPACE)
+    return flat_bundle(new_fiber, clutch)
 
 
 def quotient_map(b: FlatBundle) -> EquivariantMap:
@@ -222,7 +209,7 @@ def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
     F = standard_semitorsor(G, k)
     cycle = tuple((i + 1) % k for i in range(k))
     w = WreathElement(G, (G.identity,) * k, cycle)
-    return flat_bundle(F, (wreath_to_aut(w, F),), mode=MODE_GSPACE)
+    return flat_bundle(F, (wreath_to_aut(w, F),))
 
 
 def frame_bundle(b: FlatBundle) -> FlatBundle:
@@ -240,7 +227,7 @@ def frame_bundle(b: FlatBundle) -> FlatBundle:
     fiber = trivial_gset(len(enumerate_frames(b.fiber).frames))
     xi = identity_hom(fiber.group)
     clutch = tuple(EquivariantMap(fiber, fiber, xi, tuple(lift_table(a))) for a in b.clutching)
-    return flat_bundle(fiber, clutch, mode=MODE_GSPACE)
+    return flat_bundle(fiber, clutch)
 
 
 def clutching_wreath(b: FlatBundle, reference: Frame) -> list[WreathElement]:
@@ -351,20 +338,14 @@ def sn_labelling(n: int, action: Mapping[Permutation, tuple]) -> tuple[int, ...]
     return tuple(labelling)
 
 
-class SnActionReport:
-    """Either a coherent global symmetric action or the named obstruction."""
+class SnActionReport(Frozen):
+    """Either a coherent global symmetric action or the named obstruction.
 
-    __slots__ = ("ok", "n", "action", "obstruction_generator", "obstruction_permutation")
+    On success the action is the natural one of S_n on every fiber, which
+    ``n`` fixes, and both obstruction fields are ``None``.
+    """
 
-    def __init__(self, ok: bool, n: int,
-                 action: Optional[dict[Permutation, tuple[int, ...]]] = None,
-                 obstruction_generator: Optional[int] = None,
-                 obstruction_permutation: Optional[tuple[int, ...]] = None):
-        self.ok = ok
-        self.n = n
-        self.action = action
-        self.obstruction_generator = obstruction_generator
-        self.obstruction_permutation = obstruction_permutation
+    __slots__ = _fields = ("ok", "n", "obstruction_generator", "obstruction_permutation")
 
 
 def sn_action_on_bundle(b: FlatBundle) -> SnActionReport:
@@ -372,10 +353,10 @@ def sn_action_on_bundle(b: FlatBundle) -> SnActionReport:
 
     A global action must commute with every clutching permutation; since the
     centralizer of the full symmetric group on >= 3 points is trivial, such
-    an action exists exactly when the covering is trivial.  On success the
-    natural action through the global labelling is returned (the same table
-    on every fiber); otherwise the first non-identity clutching generator is
-    named as the obstruction.
+    an action exists exactly when the covering is trivial.  On success it is
+    the natural action through the global labelling, the same on every
+    fiber; otherwise the first non-identity clutching generator is named as
+    the obstruction.
     """
     if b.mode != MODE_GSPACE or b.fiber.group.order != 1:
         raise ModeMismatch("symmetric actions are assessed on covering-mode bundles")
@@ -385,12 +366,5 @@ def sn_action_on_bundle(b: FlatBundle) -> SnActionReport:
     ident = tuple(range(n))
     for i, a in enumerate(b.clutching):
         if a.value != ident:
-            return SnActionReport(
-                ok=False,
-                n=n,
-                obstruction_generator=i + 1,
-                obstruction_permutation=a.value,
-            )
-    config.check_enumeration(math.factorial(n), "permutations")
-    action = {s: s for s in itertools.permutations(range(n))}
-    return SnActionReport(ok=True, n=n, action=action)
+            return SnActionReport(False, n, i + 1, a.value)
+    return SnActionReport(True, n, None, None)

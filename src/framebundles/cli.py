@@ -114,11 +114,12 @@ def cmd_components(args) -> Report:
 
 def cmd_frame_bundle(args) -> Report:
     from . import specdoc
-    from .bundles import canonical_frame, clutching_wreath, frame_bundle, total_components
+    from .bundles import (MODE_GSPACE, canonical_frame, clutching_wreath, frame_bundle,
+                          total_components)
     from .frames import enumerate_frames
 
     b = specdoc.parse_bundle(specdoc.load_document(args.bundle))
-    if b.mode != "gspace":
+    if b.mode != MODE_GSPACE:
         raise ModeMismatch("frame bundles are built over group-space bundles")
     fs = enumerate_frames(b.fiber)
     ref = canonical_frame(b)

@@ -87,9 +87,7 @@ class WreathElement(Frozen):
             raise ValueError(f"perm is not a permutation of 0..{len(sigma) - 1}")
         if len(g_tuple) != len(sigma):
             raise ValueError(f"{len(g_tuple)} group entries for a permutation of {len(sigma)} slots")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "g_tuple", g_tuple)
-        object.__setattr__(self, "sigma", sigma)
+        super().__init__(group, g_tuple, sigma)
 
     @property
     def n(self) -> int:
@@ -294,7 +292,7 @@ def wreath_elements(G: FiniteGroup, n: int) -> list[WreathElement]:
             for s in perms]
 
 
-class Reconstruction:
+class Reconstruction(Frozen):
     """Result of collapsing a frame space back to a group-set.
 
     ``gset`` is the quotient by the slot-stabilizer subgroup,
@@ -302,12 +300,7 @@ class Reconstruction:
     ``to_standard`` an isomorphism witness onto the standard semi-torsor.
     """
 
-    __slots__ = ("gset", "class_of_frame", "to_standard")
-
-    def __init__(self, gset: GSet, class_of_frame: tuple[int, ...], to_standard: EquivariantMap):
-        self.gset = gset
-        self.class_of_frame = class_of_frame
-        self.to_standard = to_standard
+    __slots__ = _fields = ("gset", "class_of_frame", "to_standard")
 
 
 def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
@@ -353,17 +346,11 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
     return Reconstruction(quotient, class_of, witness)
 
 
-class EquivalenceReport:
+class EquivalenceReport(Frozen):
     """Outcome of comparing group-set morphisms with frame-torsor morphisms."""
 
-    __slots__ = ("gset_hom_count", "torsor_hom_count", "functor_injective", "functor_surjective")
-
-    def __init__(self, gset_hom_count: int, torsor_hom_count: int,
-                 functor_injective: bool, functor_surjective: bool):
-        self.gset_hom_count = gset_hom_count
-        self.torsor_hom_count = torsor_hom_count
-        self.functor_injective = functor_injective
-        self.functor_surjective = functor_surjective
+    __slots__ = _fields = ("gset_hom_count", "torsor_hom_count", "functor_injective",
+                           "functor_surjective")
 
     @property
     def bijective(self) -> bool:

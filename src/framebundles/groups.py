@@ -136,14 +136,6 @@ class FiniteGroup(Frozen):
 
     _fields = ("order", "mul", "identity", "inv", "label")
 
-    def __init__(self, order: int, mul: tuple[tuple[int, ...], ...], identity: int,
-                 inv: tuple[int, ...], label: str = "G"):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "label", label)
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
         """The order of every element, computed once by one power walk per cyclic
@@ -225,11 +217,6 @@ class GroupHom(Frozen):
     """A homomorphism given by its full image table ``image[a]``."""
 
     __slots__ = _fields = ("source", "target", "image")
-
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, image: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "image", image)
 
     def __call__(self, a: int) -> int:
         return self.image[a]

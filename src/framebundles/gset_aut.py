@@ -35,6 +35,7 @@ from .gsets import (
     semitorsor_orbit_count,
     semitorsor_point,
 )
+from .records import Frozen
 
 
 def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> EquivariantMap:
@@ -110,23 +111,11 @@ def aut_to_wreath(psi: EquivariantMap) -> WreathElement:
     return WreathElement(G, tuple(g), sigma)
 
 
-class SesReport:
+class SesReport(Frozen):
     """Verified sizes and splitting data of the automorphism sequence."""
 
-    __slots__ = ("aut_order", "autq_order", "sym_order", "product_matches", "kernel_is_autq",
-                 "cq_surjective", "section_splits", "section_frame")
-
-    def __init__(self, aut_order: int, autq_order: int, sym_order: int, product_matches: bool,
-                 kernel_is_autq: bool, cq_surjective: bool, section_splits: bool,
-                 section_frame: Frame):
-        self.aut_order = aut_order
-        self.autq_order = autq_order
-        self.sym_order = sym_order
-        self.product_matches = product_matches
-        self.kernel_is_autq = kernel_is_autq
-        self.cq_surjective = cq_surjective
-        self.section_splits = section_splits
-        self.section_frame = section_frame
+    __slots__ = _fields = ("aut_order", "autq_order", "sym_order", "product_matches",
+                           "kernel_is_autq", "cq_surjective", "section_splits", "section_frame")
 
     @property
     def ok(self) -> bool:

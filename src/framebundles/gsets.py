@@ -25,11 +25,6 @@ class GSet(Frozen):
 
     _fields = ("group", "size", "act")
 
-    def __init__(self, group: FiniteGroup, size: int, act: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "act", act)
-
     def validate(self) -> None:
         """Shape, range, the identity row, then the action law on generator edges."""
         G = self.group
@@ -96,13 +91,6 @@ class OrbitPartition(Frozen):
     """
 
     __slots__ = _fields = ("orbit_of", "orbit_count", "representatives", "members")
-
-    def __init__(self, orbit_of: tuple[int, ...], orbit_count: int,
-                 representatives: tuple[int, ...], members: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "orbit_of", orbit_of)
-        object.__setattr__(self, "orbit_count", orbit_count)
-        object.__setattr__(self, "representatives", representatives)
-        object.__setattr__(self, "members", members)
 
 
 class FrameSpace:
@@ -216,12 +204,6 @@ class EquivariantMap(Frozen):
     """
 
     __slots__ = _fields = ("source", "target", "xi", "value")
-
-    def __init__(self, source: GSet, target: GSet, xi: GroupHom, value: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "value", value)
 
     def __call__(self, f: int) -> int:
         return self.value[f]

@@ -1,17 +1,35 @@
-"""The base of the library's immutable value types."""
+"""The base of the library's immutable value types, and their one constructor."""
 
 
 class Frozen:
     """A record whose fields are fixed once ``__init__`` has set them.
 
-    A subclass names its fields in ``_fields``, in the order of its
-    ``__init__`` parameters, and sets each with ``object.__setattr__``; later
-    assignment raises ``AttributeError`` and copies are rebuilt by
-    ``__init__``.  Records of one class with equal fields are equal and hash
-    alike.
+    A subclass names its fields in ``_fields``; ``__init__`` takes them in
+    that order, by position or by name, and raises ``TypeError`` when one is
+    missing, given twice or unknown.  A subclass that checks or normalizes its
+    input does so and then calls ``super().__init__``.  Later assignment raises
+    ``AttributeError`` and copies are rebuilt by ``__init__``.  Records of one
+    class with equal fields are equal and hash alike.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values in ``_fields`` order, from positional and named ones."""
+        fields = cls._fields
+        rest = fields[len(args):]
+        if len(args) > len(fields) or set(kwargs) != set(rest):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}; got "
+                            f"{len(args)} by position and {sorted(kwargs)} by name")
+        return args + tuple([kwargs[f] for f in rest])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -234,7 +234,7 @@ def parse_bundle(obj: Any, where: str = "bundle") -> FlatBundle:
             for i, entry in enumerate(clutching)
         ]
         try:
-            return flat_bundle(fiber, maps, mode="gspace")
+            return flat_bundle(fiber, maps)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}.mode: unknown mode {mode!r}")
@@ -428,5 +428,5 @@ def load_document(arg: str) -> Any:
             raise SchemaError(f"cannot read document {arg}: {exc.strerror}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError(f"invalid JSON: {exc}") from exc

@@ -47,16 +47,11 @@ from .gsets import (
     standard_semitorsor,
     trivial_gset,
 )
+from .records import Frozen
 
 
-class CheckResult:
-    __slots__ = ("fixture", "check", "ok", "detail")
-
-    def __init__(self, fixture: str, check: str, ok: bool, detail: str = ""):
-        self.fixture = fixture
-        self.check = check
-        self.ok = ok
-        self.detail = detail
+class CheckResult(Frozen):
+    __slots__ = _fields = ("fixture", "check", "ok", "detail")
 
 
 class SuiteReport:
@@ -358,7 +353,7 @@ def suite_appendix_b() -> SuiteReport:
 
         fiber = trivial_gset(n)
         ident = EquivariantMap(fiber, fiber, identity_hom(fiber.group), tuple(range(n)))
-        triv = flat_bundle(fiber, (ident,), mode="gspace")
+        triv = flat_bundle(fiber, (ident,))
         res = sn_action_on_bundle(triv)
         rep.add(f"S{n}", "global action on the trivial covering", res.ok)
 

@@ -49,8 +49,7 @@ class U1Wreath(Frozen):
     __slots__ = _fields = ("angles", "sigma")
 
     def __init__(self, angles: tuple[Fraction, ...], sigma: Permutation):
-        object.__setattr__(self, "angles", tuple(map(_mod1, angles)))
-        object.__setattr__(self, "sigma", sigma)
+        super().__init__(tuple(map(_mod1, angles)), sigma)
 
     @property
     def k(self) -> int:
@@ -88,8 +87,7 @@ class FiberPoint(Frozen):
     __slots__ = _fields = ("angle", "sheet")
 
     def __init__(self, angle: Fraction, sheet: int):
-        object.__setattr__(self, "angle", _mod1(angle))
-        object.__setattr__(self, "sheet", sheet)
+        super().__init__(_mod1(angle), sheet)
 
 
 def act_point(w: U1Wreath, p: FiberPoint) -> FiberPoint:
@@ -126,9 +124,7 @@ class U1FlatBundle(Frozen):
         for w in holonomy_gen:
             if w.k != k:
                 raise ValueError("generator arity does not match the sheet count")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "holonomy_gen", holonomy_gen)
+        super().__init__(k, loops, holonomy_gen)
 
 
 def u1_winding_bundle(k: int, angles: Optional[Sequence[Fraction]] = None) -> U1FlatBundle:
@@ -265,11 +261,6 @@ class DivisionFormReport(Frozen):
     """Forward-difference evaluation of the connection along a sampled path."""
 
     __slots__ = _fields = ("sheet", "rates", "constant_rate")
-
-    def __init__(self, sheet: int, rates: tuple[Fraction, ...], constant_rate: Optional[Fraction]):
-        object.__setattr__(self, "sheet", sheet)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "constant_rate", constant_rate)
 
 
 def division_form_check(samples: Iterable[tuple[int, int, int]], step) -> DivisionFormReport:

@@ -179,16 +179,16 @@ def _decomposition_fixtures():
     # twisted torsor bundle
     torsor = standard_semitorsor(z3, 1)
     twist = wreath_to_aut(WreathElement(z3, (1,), (0,)), torsor)
-    fixtures.append(flat_bundle(torsor, (twist,), mode="gspace"))
+    fixtures.append(flat_bundle(torsor, (twist,)))
     # trivial bundle with three orbits
     fiber = standard_semitorsor(z2, 3)
     ident = EquivariantMap(fiber, fiber, identity_hom(z2), tuple(range(fiber.size)))
-    fixtures.append(flat_bundle(fiber, (ident,), mode="gspace"))
+    fixtures.append(flat_bundle(fiber, (ident,)))
     # two loops over the wedge: a sheet swap and a pure translation
     f2 = standard_semitorsor(z2, 2)
     swap = wreath_to_aut(WreathElement(z2, (0, 0), (1, 0)), f2)
     shift = wreath_to_aut(WreathElement(z2, (1, 1), (0, 1)), f2)
-    fixtures.append(flat_bundle(f2, (swap, shift), mode="gspace"))
+    fixtures.append(flat_bundle(f2, (swap, shift)))
     return fixtures
 
 

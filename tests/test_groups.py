@@ -525,7 +525,7 @@ def test_light_associativity_test_agrees_with_cubic_loop():
         from_mul_table(G.mul)
     # LOOP_5 x Z2 is associative at every middle element (e, h), and its
     # first greedy generator is (e, 1): every generator has to be checked
-    loop = FiniteGroup(5, tuple(map(tuple, LOOP_5)), 0, tuple(range(5)))
+    loop = FiniteGroup(5, tuple(map(tuple, LOOP_5)), 0, tuple(range(5)), "G")
     tables = [make_direct_product(loop, make_cyclic(2)).mul]
     tables += [_spoiled(rng.choice(groups).mul, rng) for _ in range(60)]
     for table in tables:

@@ -127,7 +127,7 @@ def _two_loop_bundles():
         maps = [wreath_to_aut(w, F) for w in elements]
         for i in range(0, len(maps), 3):
             j = (7 * i + 1) % len(maps)
-            out.append(flat_bundle(F, (maps[i], maps[j]), mode="gspace"))
+            out.append(flat_bundle(F, (maps[i], maps[j])))
     return out
 
 
@@ -138,7 +138,7 @@ def test_clutching_orbits_match_components():
     Z2 = make_cyclic(2)
     loops = [WreathElement(Z2, (1, 0), (1, 0)), WreathElement(Z2, (0, 1), (0, 1))]
     F = standard_semitorsor(Z2, 2)
-    bundles.append(flat_bundle(F, tuple(wreath_to_aut(w, F) for w in loops), mode="gspace"))
+    bundles.append(flat_bundle(F, tuple(wreath_to_aut(w, F) for w in loops)))
     for b in bundles:
         orbits = _group([a.value for a in b.clutching], b.fiber.size).orbits()
         assert {frozenset(o) for o in orbits} == {frozenset(c) for c in components(b)}
