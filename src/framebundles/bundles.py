@@ -1,16 +1,21 @@
-"""Flat bundles over a wedge of circles, given by clutching automorphisms.
+"""Flat bundles over a wedge of circles, given by their monodromy.
 
 A flat bundle here is exactly a monodromy representation: one fiber
-automorphism per loop of the wedge.  Connected components of the total space
-correspond to orbits of the group generated by the clutching maps on the
+automorphism per loop of the wedge, stored as its permutation table of the
+fiber points.  The fundamental group of a wedge of circles is free on the
+loops, so any such tables define a bundle, and transport along a loop word is
+the composite of the tables.  Connected components of the total space
+correspond to orbits of the group generated by the clutching tables on the
 fiber (the mapping-torus principle), which turns all component counting into
 orbit counting.
 
-Two modes are distinguished, and a bundle reads its own off ``fiber_group``.
-In ``group`` mode ``fiber_group`` is set: the fiber is that finite group
-carried as a bare set and clutching maps must be group automorphisms.  In
-``gspace`` mode it is ``None``: the fiber is a free group-set and clutching maps
-are id-equivariant bijections.  Binary operations refuse to mix modes.
+:func:`flat_bundle` is the one validator, and every bundle is built through
+it.  Two modes are distinguished, and a bundle reads its own off
+``fiber_group``.  In ``group`` mode ``fiber_group`` is set: the fiber is that
+finite group carried as a bare set and each table must be a group
+automorphism.  In ``gspace`` mode it is ``None``: the fiber is a free
+group-set and each table an id-equivariant bijection.  Binary operations
+refuse to mix modes.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .groups import (
     Permutation,
     automorphisms,
     first_broken_edge,
-    is_isomorphism,
     is_permutation,
     kernel,
     perm_compose,
@@ -64,9 +68,14 @@ MODE_GSPACE = "gspace"
 
 
 class FlatBundle(Frozen):
-    """Monodromy data of a flat bundle over a wedge of ``loops`` circles."""
+    """Monodromy of a flat bundle over a wedge of circles: ``clutching[i]`` is
+    the permutation table of the fiber that loop ``i + 1`` carries."""
 
-    __slots__ = _fields = ("fiber", "loops", "clutching", "fiber_group")
+    __slots__ = _fields = ("fiber", "clutching", "fiber_group")
+
+    @property
+    def loops(self) -> int:
+        return len(self.clutching)
 
     @property
     def mode(self) -> str:
@@ -76,48 +85,43 @@ class FlatBundle(Frozen):
         return f"FlatBundle(mode={self.mode}, loops={self.loops}, fiber={self.fiber!r})"
 
 
-def flat_bundle(fiber: GSet, clutching, fiber_group: Optional[FiniteGroup] = None) -> FlatBundle:
-    """Assemble and validate a flat bundle from clutching maps; a group-mode
-    bundle names its ``fiber_group``."""
-    maps = tuple(clutching)
-    if not maps:
+def flat_bundle(fiber: GSet, tables, fiber_group: Optional[FiniteGroup] = None) -> FlatBundle:
+    """Validate clutching tables and assemble the bundle; a group-mode bundle
+    names its ``fiber_group``.
+
+    Group mode first checks each table as an automorphism of ``fiber_group``.
+    Every table must then be a permutation of the fiber that commutes with its
+    action.
+    """
+    clutching = tuple(tuple(t) for t in tables)
+    if not clutching:
         raise ValueError("a bundle over a wedge needs at least one loop")
     if fiber.size == 0:
         raise ValueError("the fiber has no points")
-    ident = tuple(range(fiber.group.order))
-    for i, a in enumerate(maps):
-        if a.source != fiber or a.target != fiber:
-            raise ValueError(f"clutching {i} is not a self-map of the fiber")
-        if a.xi.image != ident:
-            raise ValueError(f"clutching {i} is not id-equivariant")
-        if not a.is_bijective():
-            raise ValueError(f"clutching {i} is not a bijection")
-        # vacuous in group mode, whose fiber group is trivial
-        if not check_equivariant(a):
-            raise ValueError(f"clutching {i} is not equivariant")
     if fiber_group is not None:
         if fiber.group.order != 1 or fiber.size != fiber_group.order:
             raise ValueError("group-mode fiber must be the group as a bare set")
-        for a in maps:
-            GroupHom(fiber_group, fiber_group, a.value).validate()
-    return FlatBundle(fiber, len(maps), maps, fiber_group)
+        for t in clutching:
+            GroupHom(fiber_group, fiber_group, t).validate()
+            if len(set(t)) != fiber.size:
+                raise ValueError("group bundles are glued by automorphisms only")
+    for i, t in enumerate(clutching):
+        if not is_permutation(t, fiber.size):
+            raise ValueError(f"clutching {i} is not a bijection")
+        # vacuous in group mode, whose fiber group is trivial
+        if not check_equivariant(_as_map(fiber, t)):
+            raise ValueError(f"clutching {i} is not equivariant")
+    return FlatBundle(fiber, clutching, fiber_group)
 
 
-def group_bundle_over_circle(G: FiniteGroup, a: GroupHom) -> FlatBundle:
-    """Glue the trivial group bundle over an interval by an automorphism of G."""
-    if a.source != G or a.target != G:
-        raise ValueError("clutching homomorphism is not an endomorphism of G")
-    a.validate()
-    if not is_isomorphism(a):
-        raise ValueError("group bundles are glued by automorphisms only")
-    fiber = trivial_gset(G.order)
-    clutch = EquivariantMap(fiber, fiber, identity_hom(fiber.group), a.image)
-    return flat_bundle(fiber, (clutch,), G)
+def _as_map(fiber: GSet, table) -> EquivariantMap:
+    """A clutching table as the id-equivariant self-map that gsets and frames read."""
+    return EquivariantMap(fiber, fiber, identity_hom(fiber.group), table)
 
 
 def components(b: FlatBundle) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the group generated by the clutching maps on the fiber."""
-    return perm_orbits([a.value for a in b.clutching], b.fiber.size)[1]
+    """Orbits of the group generated by the clutching tables on the fiber."""
+    return perm_orbits(b.clutching, b.fiber.size)[1]
 
 
 def total_components(b: FlatBundle) -> int:
@@ -134,7 +138,7 @@ def unit_component_is_circle(b: FlatBundle) -> bool:
     if b.mode != MODE_GROUP:
         raise ModeMismatch("unit sections exist in group mode only")
     e = b.fiber_group.identity
-    return all(a.value[e] == e for a in b.clutching)
+    return all(t[e] == e for t in b.clutching)
 
 
 def is_trivializable(b: FlatBundle) -> bool:
@@ -144,7 +148,7 @@ def is_trivializable(b: FlatBundle) -> bool:
     isomorphic to the trivial one only if it already is trivial.
     """
     ident = tuple(range(b.fiber.size))
-    return all(a.value == ident for a in b.clutching)
+    return all(t == ident for t in b.clutching)
 
 
 def _conjugators(b: FlatBundle) -> list[tuple[int, ...]]:
@@ -165,8 +169,8 @@ def bundle_isomorphic(b1: FlatBundle, b2: FlatBundle) -> bool:
     for c in _conjugators(b1):
         c_inv = perm_inverse(c)
         if all(
-            perm_compose(c, perm_compose(a1.value, c_inv)) == a2.value
-            for a1, a2 in zip(b1.clutching, b2.clutching)
+            perm_compose(c, perm_compose(t1, c_inv)) == t2
+            for t1, t2 in zip(b1.clutching, b2.clutching)
         ):
             return True
     return False
@@ -183,13 +187,8 @@ def quotient_bundle(b: FlatBundle) -> FlatBundle:
         raise ModeMismatch("quotient_bundle applies to group-space bundles")
     if not is_free(b.fiber):
         raise NotFree("decomposition is defined for free fibers")
-    q = orbits(b.fiber)
-    new_fiber = trivial_gset(q.orbit_count)
-    xi = identity_hom(new_fiber.group)
-    clutch = tuple(
-        EquivariantMap(new_fiber, new_fiber, xi, induced_orbit_map(a)) for a in b.clutching
-    )
-    return flat_bundle(new_fiber, clutch)
+    sheets = trivial_gset(len(orbits(b.fiber).members))
+    return flat_bundle(sheets, [induced_orbit_map(_as_map(b.fiber, t)) for t in b.clutching])
 
 
 def quotient_map(b: FlatBundle) -> EquivariantMap:
@@ -197,7 +196,7 @@ def quotient_map(b: FlatBundle) -> EquivariantMap:
     if b.mode != MODE_GSPACE:
         raise ModeMismatch("quotient map applies to group-space bundles")
     q = orbits(b.fiber)
-    target = trivial_gset(q.orbit_count)
+    target = trivial_gset(len(q.members))
     collapse = GroupHom(b.fiber.group, target.group, (0,) * b.fiber.group.order)
     return EquivariantMap(b.fiber, target, collapse, q.orbit_of)
 
@@ -209,11 +208,11 @@ def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
     F = standard_semitorsor(G, k)
     cycle = tuple((i + 1) % k for i in range(k))
     w = WreathElement(G, (G.identity,) * k, cycle)
-    return flat_bundle(F, (wreath_to_aut(w, F),))
+    return flat_bundle(F, (wreath_to_aut(w, F).value,))
 
 
 def frame_bundle(b: FlatBundle) -> FlatBundle:
-    """The bundle of fiber frames: each clutching map lifted to frame indices.
+    """The bundle of fiber frames: each clutching table lifted to frame indices.
 
     Clutching maps lift entrywise (slot order is global bookkeeping and never
     permuted by the lift), and the fiber is the frames as a bare set.  The
@@ -225,9 +224,7 @@ def frame_bundle(b: FlatBundle) -> FlatBundle:
     if not is_free(b.fiber):
         raise NotFree("frame bundles exist over free fibers")
     fiber = trivial_gset(len(enumerate_frames(b.fiber).frames))
-    xi = identity_hom(fiber.group)
-    clutch = tuple(EquivariantMap(fiber, fiber, xi, tuple(lift_table(a))) for a in b.clutching)
-    return flat_bundle(fiber, clutch)
+    return flat_bundle(fiber, [lift_table(_as_map(b.fiber, t)) for t in b.clutching])
 
 
 def clutching_wreath(b: FlatBundle, reference: Frame) -> list[WreathElement]:
@@ -239,11 +236,7 @@ def clutching_wreath(b: FlatBundle, reference: Frame) -> list[WreathElement]:
     fs = enumerate_frames(b.fiber)
     if reference not in fs.index:
         raise ValueError("reference tuple is not a basis of the fiber")
-    out = []
-    for a in b.clutching:
-        moved = tuple(a.value[p] for p in reference)
-        out.append(frame_divide(fs, moved, reference))
-    return out
+    return [frame_divide(fs, tuple(t[p] for p in reference), reference) for t in b.clutching]
 
 
 def canonical_frame(b: FlatBundle) -> Frame:
@@ -251,22 +244,24 @@ def canonical_frame(b: FlatBundle) -> Frame:
     return enumerate_frames(b.fiber).frames[0]
 
 
-def holonomy(b: FlatBundle, word) -> EquivariantMap:
-    """Monodromy of a loop word: the first letter is applied first.
+def holonomy(b: FlatBundle, word) -> tuple[int, ...]:
+    """Monodromy of a loop word as a permutation table: the first letter is
+    applied first.
 
     In composition notation the result is psi_{e_r} . ... . psi_{e_1}, so
-    holonomy(u + v) = holonomy(v) after holonomy(u).
+    holonomy(u + v) = holonomy(v) after holonomy(u).  Each loop read
+    backwards is inverted once, however often its letter occurs.
     """
     w = validate_word(b.loops, word)
-    table = list(range(b.fiber.size))
-    for letter in w:
-        value = b.clutching[abs(letter) - 1].value
+    tables = dict(enumerate(b.clutching, 1))
+    for letter in set(w):
         if letter < 0:
-            value = perm_inverse(value)
+            tables[letter] = perm_inverse(tables[-letter])
+    table = range(b.fiber.size)
+    for letter in w:
+        value = tables[letter]
         table = [value[p] for p in table]
-    return EquivariantMap(
-        b.fiber, b.fiber, identity_hom(b.fiber.group), tuple(table)
-    )
+    return tuple(table)
 
 
 def map_fiber_count(a: EquivariantMap) -> int:
@@ -364,7 +359,7 @@ def sn_action_on_bundle(b: FlatBundle) -> SnActionReport:
     if n < 3:
         raise TooSmall("the labelling argument needs fibers of size >= 3")
     ident = tuple(range(n))
-    for i, a in enumerate(b.clutching):
-        if a.value != ident:
-            return SnActionReport(False, n, i + 1, a.value)
+    for i, t in enumerate(b.clutching):
+        if t != ident:
+            return SnActionReport(False, n, i + 1, t)
     return SnActionReport(True, n, None, None)

@@ -25,14 +25,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    FrameBundlesError,
-    ModeMismatch,
-    NoQuotient,
-    NotFaithful,
-    NotFree,
-    TooSmall,
-)
+from .errors import FrameBundlesError, ModeMismatch, Obstruction
 from .groups import automorphism_classes, perm_orbits
 
 EXIT_OK = 0
@@ -155,13 +148,13 @@ def cmd_holonomy(args) -> Report:
     h = holonomy(b, word)
     report = Report("holonomy")
     report.lines.append(f"word: {','.join(map(str, word)) if word else '(empty)'}")
-    report.lines.append(f"value: {_perm_str(h.value)}")
+    report.lines.append(f"value: {_perm_str(h)}")
     identity = tuple(range(b.fiber.size))
-    report.lines.append(f"is identity: {'yes' if h.value == identity else 'no'}")
+    report.lines.append(f"is identity: {'yes' if h == identity else 'no'}")
     report.data = {
         "word": list(word),
-        "value": list(h.value),
-        "is_identity": h.value == identity,
+        "value": list(h),
+        "is_identity": h == identity,
     }
     return report
 
@@ -205,13 +198,13 @@ def cmd_decompose(args) -> Report:
     covering = total_components(quotient)
     report = Report("decompose")
     report.lines.append(f"orbit sheets: {quotient.fiber.size}")
-    for i, a in enumerate(quotient.clutching):
-        report.lines.append(f"covering clutching {i + 1}: {_perm_str(a.value)}")
+    for i, t in enumerate(quotient.clutching):
+        report.lines.append(f"covering clutching {i + 1}: {_perm_str(t)}")
     report.lines.append(f"covering components: {covering}")
     report.lines.append(f"principal fiber size |G|: {count}")
     report.data = {
         "sheets": quotient.fiber.size,
-        "covering_clutching": [list(a.value) for a in quotient.clutching],
+        "covering_clutching": [list(t) for t in quotient.clutching],
         "covering_components": covering,
         "principal_fiber": count,
     }
@@ -420,7 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (NoQuotient, NotFree, ModeMismatch, TooSmall, NotFaithful) as exc:
+    except Obstruction as exc:
         print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION
     except (ValueError, FrameBundlesError) as exc:

@@ -195,10 +195,10 @@ def is_basis(F: GSet, t: Frame) -> bool:
     if not is_free(F):
         raise NotFree("bases are defined for free group-sets only")
     q = orbits(F)
-    if len(t) != q.orbit_count or any(not 0 <= p < F.size for p in t):
+    n = len(q.members)
+    if len(t) != n or any(not 0 <= p < F.size for p in t):
         return False
-    hit = {q.orbit_of[p] for p in t}
-    return len(hit) == q.orbit_count
+    return len({q.orbit_of[p] for p in t}) == n
 
 
 def frame_map(F: GSet, f: Frame, F2: GSet, t: Frame) -> EquivariantMap:

@@ -49,8 +49,9 @@ def perm_compose(s: Permutation, t: Permutation) -> Permutation:
 
 
 def is_permutation(p, n: int) -> bool:
-    """Whether ``p`` is the image table of a permutation of 0 .. n-1."""
-    return sorted(p) == list(range(n))
+    """Whether ``p`` is the image table of a permutation of 0 .. n-1; an entry
+    that is not an int in that range, ``None`` included, makes it false."""
+    return len(p) == n and set(map(type, p)) <= {int} and set(p) == set(range(n))
 
 
 def perm_orbits(perms, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -224,7 +225,7 @@ class GroupHom(Frozen):
     def validate(self) -> None:
         if len(self.image) != self.source.order:
             raise ValueError("image table has wrong length")
-        if any(not (0 <= b < self.target.order) for b in self.image):
+        if any(type(b) is not int or not 0 <= b < self.target.order for b in self.image):
             raise ValueError("image table entry out of range")
         if self.image[self.source.identity] != self.target.identity:
             raise ValueError("homomorphism does not preserve the identity")
@@ -345,10 +346,6 @@ def compose_hom(f: GroupHom, g: GroupHom) -> GroupHom:
     if g.target != f.source:
         raise ValueError("compose_hom: inner target does not match outer source")
     return GroupHom(g.source, f.target, tuple(f.image[x] for x in g.image))
-
-
-def is_isomorphism(h: GroupHom) -> bool:
-    return h.source.order == h.target.order and len(set(h.image)) == h.source.order
 
 
 def _aut_generators(G: FiniteGroup) -> tuple[tuple[Permutation, ...], int]:

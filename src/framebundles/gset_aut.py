@@ -141,7 +141,7 @@ def ses_report(F: GSet, auts=None) -> SesReport:
     if auts is None:
         auts = gset_homs(F, F)
     q = orbits(F)
-    n = q.orbit_count
+    n = len(q.members)
     identity_perm = tuple(range(n))
     perms = set(itertools.permutations(range(n)))
 
@@ -156,7 +156,7 @@ def ses_report(F: GSet, auts=None) -> SesReport:
     cq_surjective = set(cq_values) == perms
 
     # the smallest frame: orbit indices follow the orbits' smallest points
-    section_frame = q.representatives
+    section_frame = tuple(m[0] for m in q.members)
     section_splits = all(
         induced_orbit_map(section_from_frame(F, section_frame, sigma)) == sigma
         for sigma in itertools.permutations(range(n))

@@ -41,8 +41,17 @@ class GSet(Frozen):
     @cached_property
     def orbit_partition(self) -> OrbitPartition:
         """The canonical orbit partition, computed once; read it via :func:`orbits`."""
-        orbit_of, members = perm_orbits(self.act, self.size)
-        return OrbitPartition(orbit_of, len(members), tuple(m[0] for m in members), members)
+        return OrbitPartition(*perm_orbits(self.act, self.size))
+
+    @cached_property
+    def semitorsor_orbits(self) -> int:
+        """The n of :func:`semitorsor_orbit_count`, computed once; any other
+        group-set raises on every read, since a failed ``cached_property``
+        stores nothing."""
+        n, rest = divmod(self.size, self.group.order)
+        if rest or n < 1 or self.act != standard_semitorsor(self.group, n).act:
+            raise ValueError("carrier is not the semi-torsor G x I_n")
+        return n
 
     @cached_property
     def acts_freely(self) -> bool:
@@ -85,12 +94,13 @@ class GSet(Frozen):
 class OrbitPartition(Frozen):
     """Canonical orbit decomposition of a group-set.
 
-    ``orbit_of[f]`` is the orbit index of carrier point ``f``,
-    ``representatives[k]`` the smallest point of orbit ``k`` and
-    ``members[k]`` its points in ascending order.
+    ``orbit_of[f]`` is the orbit index of carrier point ``f`` and
+    ``members[k]`` the points of orbit ``k`` in ascending order, so
+    ``len(members)`` counts the orbits and ``members[k][0]`` is the smallest
+    point of orbit ``k``.
     """
 
-    __slots__ = _fields = ("orbit_of", "orbit_count", "representatives", "members")
+    __slots__ = _fields = ("orbit_of", "members")
 
 
 class FrameSpace:
@@ -138,7 +148,7 @@ def is_free(F: GSet) -> bool:
 
 def is_transitive(F: GSet) -> bool:
     """True when (g, f) -> (gf, f) is surjective: a single orbit."""
-    return orbits(F).orbit_count == 1 and F.size > 0
+    return len(orbits(F).members) == 1
 
 
 def standard_semitorsor(G: FiniteGroup, n: int) -> GSet:
@@ -171,10 +181,7 @@ def semitorsor_orbit_count(F: GSet) -> int:
 
     Any other group-set raises ``ValueError``, also one of the same size.
     """
-    n, rest = divmod(F.size, F.group.order)
-    if rest or n < 1 or F.act != standard_semitorsor(F.group, n).act:
-        raise ValueError("carrier is not the semi-torsor G x I_n")
-    return n
+    return F.semitorsor_orbits
 
 
 def divide(F: GSet, f_prime: int, f: int) -> int:
@@ -271,7 +278,7 @@ def induced_orbit_map(a: EquivariantMap) -> tuple[int, ...]:
     """
     q1 = orbits(a.source)
     q2 = orbits(a.target)
-    table = tuple(q2.orbit_of[a.value[rep]] for rep in q1.representatives)
+    table = tuple(q2.orbit_of[a.value[m[0]]] for m in q1.members)
     # the map is well defined by equivariance; verify the square exhaustively
     if any(q2.orbit_of[a.value[f]] != table[k] for f, k in enumerate(q1.orbit_of)):
         raise ValueError("orbit map is not constant on orbits")
@@ -280,4 +287,4 @@ def induced_orbit_map(a: EquivariantMap) -> tuple[int, ...]:
 
 def is_orbit_bijection(a: EquivariantMap) -> bool:
     table = induced_orbit_map(a)
-    return len(set(table)) == len(table) == orbits(a.target).orbit_count
+    return len(set(table)) == len(table) == len(orbits(a.target).members)

@@ -58,7 +58,6 @@ from . import config
 from .errors import SchemaError
 from .groups import (
     FiniteGroup,
-    GroupHom,
     from_mul_table,
     identity_hom,
     is_permutation,
@@ -72,7 +71,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .bundles import FlatBundle
-    from .gsets import EquivariantMap, GSet
+    from .gsets import GSet
     from .u1 import FiberPoint, U1FlatBundle
 
 
@@ -158,7 +157,8 @@ def parse_gset(obj: Any, where: str = "gset") -> GSet:
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
 
 
-def _parse_clutching_gspace(entry: Any, fiber: GSet, where: str) -> EquivariantMap:
+def _parse_clutching_gspace(entry: Any, fiber: GSet, where: str) -> tuple[int, ...]:
+    """The clutching table an entry names, checked as an equivariant map of ``fiber``."""
     from .frames import WreathElement
     from .gset_aut import wreath_to_aut
     from .gsets import equivariant_map, semitorsor_orbit_count
@@ -183,19 +183,20 @@ def _parse_clutching_gspace(entry: Any, fiber: GSet, where: str) -> EquivariantM
         if len(g) != n:
             raise SchemaError(f"{where}.wreath: wreath element does not match the target semi-torsor")
         try:
-            return wreath_to_aut(WreathElement(fiber.group, g, perm), fiber)
+            return wreath_to_aut(WreathElement(fiber.group, g, perm), fiber).value
         except ValueError as exc:
             raise SchemaError(f"{where}.wreath: {exc}") from exc
     else:
         raise SchemaError(f"{where}: unknown clutching form {key!r}")
     try:
-        return equivariant_map(fiber, fiber, identity_hom(fiber.group), table)
+        return equivariant_map(fiber, fiber, identity_hom(fiber.group), table).value
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
 def parse_bundle(obj: Any, where: str = "bundle") -> FlatBundle:
-    from .bundles import finite_winding_bundle, flat_bundle, group_bundle_over_circle
+    from .bundles import finite_winding_bundle, flat_bundle
+    from .gsets import trivial_gset
 
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"{where}: expected an object with a 'kind' field")
@@ -224,17 +225,17 @@ def parse_bundle(obj: Any, where: str = "bundle") -> FlatBundle:
             raise SchemaError(f"{where}.clutching[0]: group mode expects {{'aut': [...]}}")
         image = _int_list(entry["aut"], f"{where}.clutching[0].aut")
         try:
-            return group_bundle_over_circle(G, GroupHom(G, G, tuple(image)))
+            return flat_bundle(trivial_gset(G.order), (image,), G)
         except ValueError as exc:
             raise SchemaError(f"{where}.clutching[0].aut: {exc}") from exc
     if mode == "gspace":
         fiber = parse_gset(spec["fiber"], f"{where}.fiber")
-        maps = [
+        tables = [
             _parse_clutching_gspace(entry, fiber, f"{where}.clutching[{i}]")
             for i, entry in enumerate(clutching)
         ]
         try:
-            return flat_bundle(fiber, maps)
+            return flat_bundle(fiber, tables)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}.mode: unknown mode {mode!r}")

@@ -37,10 +37,8 @@ from .groups import (
     perm_inverse,
 )
 from .gsets import (
-    EquivariantMap,
     compose_equivariant,
     division_table,
-    identity_hom,
     identity_map,
     induced_orbit_map,
     orbits,
@@ -351,10 +349,7 @@ def suite_appendix_b() -> SuiteReport:
         rep.add(f"S{n}", f"labelling recovers all {len(perms)} conjugators", all_ok)
         rep.bump("conjugators", len(perms))
 
-        fiber = trivial_gset(n)
-        ident = EquivariantMap(fiber, fiber, identity_hom(fiber.group), tuple(range(n)))
-        triv = flat_bundle(fiber, (ident,))
-        res = sn_action_on_bundle(triv)
+        res = sn_action_on_bundle(flat_bundle(trivial_gset(n), (tuple(range(n)),)))
         rep.add(f"S{n}", "global action on the trivial covering", res.ok)
 
         nontrivial = quotient_bundle(finite_winding_bundle(make_cyclic(2), n))

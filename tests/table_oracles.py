@@ -5,7 +5,8 @@ a table, element orders one power walk per element, the raw endomorphism
 search, the product search for automorphisms, the cubic associativity check,
 the all-pairs action, equivariance and symmetric-action laws that the library
 checks on generator edges, maps on frame spaces tabulated one frame at a
-time, and a few group tables; and ``hom``, a validated homomorphism."""
+time, and a few group tables; and ``hom``, a validated homomorphism, with
+``is_isomorphism``, its bijectivity."""
 
 from __future__ import annotations
 
@@ -71,6 +72,10 @@ def hom(source: FiniteGroup, target: FiniteGroup, image) -> GroupHom:
     h = GroupHom(source, target, tuple(image))
     h.validate()
     return h
+
+
+def is_isomorphism(h: GroupHom) -> bool:
+    return h.source.order == h.target.order and len(set(h.image)) == h.source.order
 
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:

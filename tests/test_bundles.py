@@ -12,7 +12,6 @@ from framebundles.bundles import (
     finite_winding_bundle,
     flat_bundle,
     frame_bundle,
-    group_bundle_over_circle,
     holonomy,
     is_trivializable,
     map_fiber_count,
@@ -38,6 +37,7 @@ from framebundles.groups import (
     identity_hom,
     make_cyclic,
     make_direct_product,
+    perm_inverse,
 )
 from framebundles.gset_aut import wreath_to_aut
 from table_oracles import (
@@ -63,18 +63,27 @@ Z3 = make_cyclic(3)
 KLEIN = make_direct_product(Z2, Z2)
 
 
+def group_bundle(G, h):
+    """The group-mode bundle over the circle glued by the automorphism ``h``."""
+    return flat_bundle(trivial_gset(G.order), (h.image,), G)
+
+
+def as_map(fiber, table):
+    """A clutching table as the id-equivariant self-map of its fiber."""
+    return EquivariantMap(fiber, fiber, identity_hom(fiber.group), table)
+
+
 def z3_bundles():
     auts = automorphisms(Z3)
-    return [group_bundle_over_circle(Z3, h) for h in auts]
+    return [group_bundle(Z3, h) for h in auts]
 
 
 # ---------------------------------------------------------------- group bundles
 
 
 def test_group_bundle_rejects_non_automorphism():
-    const = hom(Z3, Z3, [0, 0, 0])
-    with pytest.raises(ValueError):
-        group_bundle_over_circle(Z3, const)
+    with pytest.raises(ValueError, match="group bundles are glued by automorphisms only"):
+        flat_bundle(trivial_gset(3), ((0, 0, 0),), Z3)
 
 
 def test_z3_component_counts():
@@ -85,9 +94,7 @@ def test_z3_component_counts():
 
 def test_component_members_come_in_ascending_order():
     # 0 -> 2 -> 1: the points are found in the order 0, 2, 1
-    fiber = trivial_gset(3)
-    cycle = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (2, 0, 1))
-    assert components(flat_bundle(fiber, (cycle,))) == ((0, 1, 2),)
+    assert components(flat_bundle(trivial_gset(3), ((2, 0, 1),))) == ((0, 1, 2),)
 
 
 def test_z3_twisted_orbit_partition():
@@ -108,7 +115,7 @@ def test_klein_four_classes_give_4_3_2_components():
     counts = []
     for cls in conjugacy_classes(aut_table(KLEIN)):
         rep = auts[cls[0]]
-        counts.append(total_components(group_bundle_over_circle(KLEIN, rep)))
+        counts.append(total_components(group_bundle(KLEIN, rep)))
     assert counts == [4, 3, 2]
 
 
@@ -119,7 +126,7 @@ def test_klein_transposition_pairs_two_elements():
         h for h in auts if sorted(h.image) == [0, 1, 2, 3] and
         sum(h.image[a] != a for a in range(4)) == 2
     )
-    b = group_bundle_over_circle(KLEIN, transposition)
+    b = group_bundle(KLEIN, transposition)
     sizes = sorted(len(c) for c in components(b))
     assert sizes == [1, 1, 2]
 
@@ -138,17 +145,17 @@ def test_klein_transpositions_are_isomorphic():
         h for h in auts if sum(h.image[a] != a for a in range(4)) == 2
     ]
     assert len(transpositions) == 3
-    b0 = group_bundle_over_circle(KLEIN, transpositions[0])
+    b0 = group_bundle(KLEIN, transpositions[0])
     for h in transpositions[1:]:
-        assert bundle_isomorphic(b0, group_bundle_over_circle(KLEIN, h))
+        assert bundle_isomorphic(b0, group_bundle(KLEIN, h))
 
 
 def test_klein_different_classes_not_isomorphic():
     auts = automorphisms(KLEIN)
     transposition = next(h for h in auts if sum(h.image[a] != a for a in range(4)) == 2)
     three_cycle = next(h for h in auts if sum(h.image[a] != a for a in range(4)) == 3)
-    b1 = group_bundle_over_circle(KLEIN, transposition)
-    b2 = group_bundle_over_circle(KLEIN, three_cycle)
+    b1 = group_bundle(KLEIN, transposition)
+    b2 = group_bundle(KLEIN, three_cycle)
     assert not bundle_isomorphic(b1, b2)
 
 
@@ -162,8 +169,8 @@ def test_components_invariant_under_isomorphism():
     auts = automorphisms(KLEIN)
     for h1 in auts:
         for h2 in auts:
-            b1 = group_bundle_over_circle(KLEIN, h1)
-            b2 = group_bundle_over_circle(KLEIN, h2)
+            b1 = group_bundle(KLEIN, h1)
+            b2 = group_bundle(KLEIN, h2)
             if bundle_isomorphic(b1, b2):
                 assert total_components(b1) == total_components(b2)
 
@@ -171,7 +178,7 @@ def test_components_invariant_under_isomorphism():
 def test_group_isomorphism_refuses_a_fiber_with_too_many_automorphisms():
     # |Aut(Z2^4)| = |GL(4, 2)| = 20160 is counted, not listed, and refused
     G = make_direct_product(KLEIN, KLEIN)
-    b = group_bundle_over_circle(G, identity_hom(G))
+    b = group_bundle(G, identity_hom(G))
     start = time.perf_counter()
     with pytest.raises(BoundExceeded, match="automorphism group of order 20160 exceeds"):
         bundle_isomorphic(b, b)
@@ -187,7 +194,7 @@ def test_mode_mismatch_rejected():
 
 def test_mode_is_read_off_the_fiber_group():
     fiber = trivial_gset(3)
-    inversion = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (0, 2, 1))
+    inversion = (0, 2, 1)
     assert flat_bundle(fiber, (inversion,), Z3).mode == "group"
     assert flat_bundle(fiber, (inversion,)).mode == "gspace"
     assert flat_bundle(fiber, (inversion,), Z3) != flat_bundle(fiber, (inversion,))
@@ -202,8 +209,7 @@ def test_trivializable_cases():
     assert not is_trivializable(twisted)
 
     fiber = trivial_gset(2)
-    ident = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (0, 1))
-    swap = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (1, 0))
+    ident, swap = (0, 1), (1, 0)
     two_loops = flat_bundle(fiber, (ident, swap))
     assert not is_trivializable(two_loops)
     assert is_trivializable(flat_bundle(fiber, (ident, ident)))
@@ -214,7 +220,7 @@ def test_trivializable_cases():
 
 def test_quotient_of_torsor_bundle_is_a_point():
     fiber = standard_semitorsor(Z3, 1)
-    neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)), fiber)
+    neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)), fiber).value
     b = flat_bundle(fiber, (neg,))
     q = quotient_bundle(b)
     assert q.fiber.size == 1
@@ -230,8 +236,7 @@ def test_quotient_of_winding_is_connected_cover():
 
 def test_quotient_of_trivial_semitorsor_bundle_splits():
     fiber = standard_semitorsor(Z2, 3)
-    ident = EquivariantMap(fiber, fiber, identity_hom(Z2), tuple(range(fiber.size)))
-    b = flat_bundle(fiber, (ident,))
+    b = flat_bundle(fiber, (tuple(range(fiber.size)),))
     q = quotient_bundle(b)
     assert total_components(q) == 3
 
@@ -245,29 +250,58 @@ def test_quotient_clutching_is_cq_of_clutching():
     for b in fixtures:
         q = quotient_bundle(b)
         for a, qa in zip(b.clutching, q.clutching):
-            assert qa.value == induced_orbit_map(a)
+            assert qa == induced_orbit_map(as_map(b.fiber, a))
 
 
 def _mixed_clutching():
     # a bijection of Z2 x I_2 built without the equivariance check: orbit 0 is
     # {0, 2}, and it sends 0 into orbit 0 but 2 into orbit 1
-    fiber = standard_semitorsor(Z2, 2)
-    return fiber, EquivariantMap(fiber, fiber, identity_hom(Z2), (0, 1, 3, 2))
+    return standard_semitorsor(Z2, 2), (0, 1, 3, 2)
 
 
 def test_quotient_refuses_a_clutching_map_that_mixes_orbits():
     # the record is built directly, as flat_bundle refuses the map
     fiber, mixed = _mixed_clutching()
-    b = FlatBundle(fiber, 1, (mixed,), None)
+    b = FlatBundle(fiber, (mixed,), None)
     with pytest.raises(ValueError, match="orbit map is not constant on orbits"):
         quotient_bundle(b)
 
 
 def test_flat_bundle_refuses_a_clutching_map_that_is_not_equivariant():
     fiber, mixed = _mixed_clutching()
-    ident = EquivariantMap(fiber, fiber, identity_hom(Z2), tuple(range(fiber.size)))
+    ident = tuple(range(fiber.size))
     with pytest.raises(ValueError, match="clutching 1 is not equivariant"):
         flat_bundle(fiber, (ident, mixed))
+
+
+def test_a_bundle_stores_its_clutching_as_tuples_of_ints():
+    assert FlatBundle._fields == ("fiber", "clutching", "fiber_group")
+    fiber = standard_semitorsor(Z2, 2)
+    for b in (flat_bundle(fiber, ([2, 3, 0, 1], range(4))), finite_winding_bundle(Z3, 2),
+              frame_bundle(finite_winding_bundle(Z2, 2)), z3_bundles()[1]):
+        assert b.loops == len(b.clutching)
+        assert all(type(t) is tuple and all(type(p) is int for p in t) for t in b.clutching)
+
+
+@pytest.mark.parametrize("table", [(0, 1, 2, None), (0, 1, 2, 3.0), (0, True, 2, 3),
+                                   (0, 1, 2, 4), (0, 1, 2, -1), (0, 1, 2), (0, 1, 2, 3, 0)])
+def test_flat_bundle_refuses_a_table_that_is_not_a_permutation(table):
+    with pytest.raises(ValueError, match="clutching 1 is not a bijection"):
+        flat_bundle(standard_semitorsor(Z2, 2), (range(4), table))
+
+
+@pytest.mark.parametrize("table, message", [
+    ((0, 2, 1, 3), "homomorphism law fails at \\(1,1\\)"),
+    ((0, 2, 2, 2), "homomorphism law fails"),
+    ((0, 1, 2), "image table has wrong length"),
+    ((0, 1, 2, None), "image table entry out of range"),
+    ((0, 1, 2, 4), "image table entry out of range"),
+    ((1, 0, 3, 2), "homomorphism does not preserve the identity"),
+    ((0, 2, 0, 2), "group bundles are glued by automorphisms only"),
+])
+def test_group_mode_checks_the_homomorphism_law_before_bijectivity(table, message):
+    with pytest.raises(ValueError, match=message):
+        flat_bundle(trivial_gset(4), (table,), make_cyclic(4))
 
 
 def test_quotient_map_fiber_count_is_group_order():
@@ -329,8 +363,7 @@ def test_winding_nontrivial_for_k_above_one():
 
 def test_frame_bundle_of_trivial_clutching_is_trivializable():
     fiber = standard_semitorsor(Z2, 2)
-    ident = EquivariantMap(fiber, fiber, identity_hom(Z2), tuple(range(fiber.size)))
-    b = flat_bundle(fiber, (ident,))
+    b = flat_bundle(fiber, (tuple(range(fiber.size)),))
     assert is_trivializable(frame_bundle(b))
 
 
@@ -339,7 +372,7 @@ def test_frame_bundle_winding_components_match_brute_force():
     lifted = frame_bundle(b)
     # oracle: orbit count of the lifted permutation on the raw frame tuples
     fs = enumerate_frames(b.fiber)
-    value = b.clutching[0].value
+    value = b.clutching[0]
     seen = set()
     orbit_count = 0
     for t in fs.frames:
@@ -368,9 +401,9 @@ def test_frame_bundle_clutching_is_generatorwise_lift():
     b = finite_winding_bundle(Z2, 2)
     lifted = frame_bundle(b)
     fs = enumerate_frames(b.fiber)
-    lift = frame_functor_map(b.clutching[0])
+    lift = frame_functor_map(as_map(b.fiber, b.clutching[0]))
     for i, t in enumerate(fs.frames):
-        assert lifted.clutching[0].value[i] == fs.index[lift(t)]
+        assert lifted.clutching[0][i] == fs.index[lift(t)]
 
 
 def test_frame_bundle_mod_tuple_part_recovers_covering_frames():
@@ -379,7 +412,7 @@ def test_frame_bundle_mod_tuple_part_recovers_covering_frames():
     b = finite_winding_bundle(Z2, 2)
     fs = enumerate_frames(b.fiber)
     part = orbits(b.fiber)
-    value = b.clutching[0].value
+    value = b.clutching[0]
 
     def orbit_word(t):
         return tuple(part.orbit_of[p] for p in t)
@@ -393,8 +426,9 @@ def test_frame_bundle_mod_tuple_part_recovers_covering_frames():
 
     q = quotient_bundle(b)
     qfs = enumerate_frames(q.fiber)
-    qlift = lift_table(q.clutching[0])
-    assert qlift == lift_table_per_frame(q.clutching[0])
+    covering = as_map(q.fiber, q.clutching[0])
+    qlift = lift_table(covering)
+    assert qlift == lift_table_per_frame(covering)
     for i, t in enumerate(qfs.frames):
         assert induced[t] == qfs.frames[qlift[i]]
 
@@ -404,8 +438,7 @@ def test_frame_bundle_mod_tuple_part_recovers_covering_frames():
 
 def test_clutching_wreath_of_identity_bundle():
     fiber = standard_semitorsor(Z2, 2)
-    ident = EquivariantMap(fiber, fiber, identity_hom(Z2), tuple(range(fiber.size)))
-    b = flat_bundle(fiber, (ident,))
+    b = flat_bundle(fiber, (tuple(range(fiber.size)),))
     ws = clutching_wreath(b, canonical_frame(b))
     assert ws == [wreath_identity(Z2, 2)]
 
@@ -449,7 +482,7 @@ def test_clutching_wreath_reproduces_clutching_action():
     F = b.fiber
     ref = canonical_frame(b)
     w = clutching_wreath(b, ref)[0]
-    moved = tuple(b.clutching[0].value[p] for p in ref)
+    moved = tuple(b.clutching[0][p] for p in ref)
     assert wreath_act(F, w, ref) == moved
 
 
@@ -458,48 +491,50 @@ def test_clutching_wreath_reproduces_clutching_action():
 
 def test_holonomy_empty_word_is_identity():
     b = finite_winding_bundle(Z2, 2)
-    assert holonomy(b, ()).value == tuple(range(b.fiber.size))
+    assert holonomy(b, ()) == tuple(range(b.fiber.size))
 
 
 def test_holonomy_cancellation():
-    fiber = trivial_gset(3)
-    ident = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (0, 1, 2))
-    cycle = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (1, 2, 0))
-    b = flat_bundle(fiber, (ident, cycle))
-    assert holonomy(b, (2, -2)).value == (0, 1, 2)
-    assert holonomy(b, (-2, 2)).value == (0, 1, 2)
+    b = flat_bundle(trivial_gset(3), ((0, 1, 2), (1, 2, 0)))
+    assert holonomy(b, (2, -2)) == (0, 1, 2)
+    assert holonomy(b, (-2, 2)) == (0, 1, 2)
 
 
 def test_holonomy_word_order_first_letter_first():
-    fiber = trivial_gset(3)
-    ident_h = identity_hom(fiber.group)
-    cycle = EquivariantMap(fiber, fiber, ident_h, (1, 2, 0))
-    swap = EquivariantMap(fiber, fiber, ident_h, (1, 0, 2))
-    b = flat_bundle(fiber, (cycle, swap))
+    cycle, swap = (1, 2, 0), (1, 0, 2)
+    b = flat_bundle(trivial_gset(3), (cycle, swap))
     # word (1, 2): apply cycle first, then swap
-    expected = tuple(swap.value[cycle.value[p]] for p in range(3))
-    assert holonomy(b, (1, 2)).value == expected
+    expected = tuple(swap[cycle[p]] for p in range(3))
+    assert holonomy(b, (1, 2)) == expected
 
 
 def test_holonomy_is_homomorphism_on_concatenation():
-    fiber = trivial_gset(3)
-    ident_h = identity_hom(fiber.group)
-    cycle = EquivariantMap(fiber, fiber, ident_h, (1, 2, 0))
-    swap = EquivariantMap(fiber, fiber, ident_h, (1, 0, 2))
-    b = flat_bundle(fiber, (cycle, swap))
+    b = flat_bundle(trivial_gset(3), ((1, 2, 0), (1, 0, 2)))
     words = [(), (1,), (2,), (1, 2), (-1, 2), (2, 2, -1)]
     for u in words:
         for v in words:
-            combined = holonomy(b, u + v).value
-            after = holonomy(b, v).value
-            before = holonomy(b, u).value
+            combined = holonomy(b, u + v)
+            after = holonomy(b, v)
+            before = holonomy(b, u)
             assert combined == tuple(after[p] for p in before)
 
 
 def test_winding_cube_has_identity_orbit_permutation():
     b = finite_winding_bundle(Z2, 3)
     h = holonomy(b, (1, 1, 1))
-    assert induced_orbit_map(h) == (0, 1, 2)
+    assert induced_orbit_map(as_map(b.fiber, h)) == (0, 1, 2)
+
+
+def test_holonomy_of_a_word_dense_in_inverse_letters_matches_a_per_letter_fold():
+    b = flat_bundle(trivial_gset(5), ((1, 2, 0, 3, 4), (0, 1, 3, 4, 2), (4, 0, 1, 2, 3)))
+    word = tuple(itertools.islice(itertools.cycle((-1, -2, 3, -3, -1, -2, -2, 1)), 301))
+    table = tuple(range(5))
+    for letter in word:
+        value = b.clutching[abs(letter) - 1]
+        if letter < 0:
+            value = perm_inverse(value)
+        table = tuple(value[p] for p in table)
+    assert holonomy(b, word) == table
 
 
 def test_holonomy_rejects_bad_letters():
@@ -551,9 +586,7 @@ def test_sn_labelling_rejects_unfaithful():
 
 
 def test_sn_action_on_trivial_covering():
-    fiber = trivial_gset(3)
-    ident = EquivariantMap(fiber, fiber, identity_hom(fiber.group), (0, 1, 2))
-    b = flat_bundle(fiber, (ident,))
+    b = flat_bundle(trivial_gset(3), ((0, 1, 2),))
     res = sn_action_on_bundle(b)
     assert res.ok
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import framebundles.bundles as bundles
+import framebundles.errors as errors
 import framebundles.groups as groups
 import framebundles.suites as suites
 from framebundles.cli import SUITE_NAMES, main
@@ -382,6 +383,29 @@ def test_schema_error_exit_code(capsys):
     code, _, err = run(capsys, "classify-circle", "--group", '{"kind": "cyclic"}')
     assert code == 2
     assert "error" in err
+
+
+def _error_classes(cls=errors.FrameBundlesError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+def test_the_obstruction_classes_are_the_six_named():
+    assert {c.__name__ for c in _error_classes(errors.Obstruction)} == {
+        "Obstruction", "NotFree", "NoQuotient", "OrbitObstruction", "TooSmall", "NotFaithful",
+        "ModeMismatch"}
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_exit_code_and_prefix_follow_the_error_class(cls, capsys, monkeypatch):
+    def refuse(b):
+        raise cls("refused")
+
+    monkeypatch.setattr(bundles, "components", refuse)
+    code, out, err = run(capsys, "components", WINDING_Z2_K2)
+    if issubclass(cls, errors.Obstruction):
+        assert (code, out, err) == (1, "", "obstruction: refused\n")
+    else:
+        assert (code, out, err) == (2, "", "error: refused\n")
 
 
 def test_stdin_document(capsys, monkeypatch):

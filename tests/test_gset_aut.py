@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import framebundles.gsets as gsets
 from framebundles.errors import NotFree
 from framebundles.frames import (
     WreathElement,
@@ -33,6 +34,7 @@ from framebundles.gsets import (
     standard_semitorsor,
     trivial_gset,
 )
+from framebundles.suites import run_suite
 from table_oracles import gset_aut_table, is_abelian
 
 Z2 = make_cyclic(2)
@@ -226,6 +228,38 @@ def test_wreath_to_aut_refuses_a_carrier_that_is_not_g_x_i_n():
     assert semitorsor_orbit_count(trivial_gset(3)) == 3
     with pytest.raises(ValueError):
         semitorsor_orbit_count(make_gset(Z2, [(0, 1), (0, 1)]))  # |Z2| points, Z2 acts trivially
+
+
+def _count_standard_semitorsor(monkeypatch) -> list:
+    calls = []
+    build = gsets.standard_semitorsor
+
+    def counted(G, n):
+        calls.append((G.label, n))
+        return build(G, n)
+
+    monkeypatch.setattr(gsets, "standard_semitorsor", counted)
+    return calls
+
+
+def test_the_carrier_check_runs_once_per_group_set_and_a_failure_each_time(monkeypatch):
+    calls = _count_standard_semitorsor(monkeypatch)
+    F = standard_semitorsor(Z3, 2)
+    assert [semitorsor_orbit_count(F) for _ in range(3)] == [2, 2, 2]
+    assert len(calls) == 1
+    scrambled = make_gset(Z2, [(0, 1, 2, 3), (3, 2, 1, 0)])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="carrier is not the semi-torsor G x I_n"):
+            semitorsor_orbit_count(scrambled)
+    assert len(calls) == 4
+
+
+def test_wreath_iso_builds_the_standard_semitorsor_a_bounded_number_of_times(monkeypatch):
+    # Z2xZ2 wr I_3 has 384 elements, each mapped to Aut(F) and back
+    calls = _count_standard_semitorsor(monkeypatch)
+    report = run_suite("wreath-iso", group_name="z2xz2", orbit_count=3)
+    assert report.ok
+    assert len(calls) <= 2
 
 
 def test_wreath_to_aut_pure_tuple_right_translates():

@@ -54,20 +54,20 @@ def brute_orbits(F):
 def test_orbits_trivial_group():
     F = trivial_gset(4)
     part = orbits(F)
-    assert part.orbit_count == 4
+    assert len(part.members) == 4
     assert part.orbit_of == (0, 1, 2, 3)
 
 
 def test_orbits_left_translation_single_orbit():
     F = left_translation_gset(make_cyclic(3))
-    assert orbits(F).orbit_count == 1
+    assert len(orbits(F).members) == 1
     assert is_transitive(F)
 
 
 def test_orbits_standard_semitorsor_against_oracle():
     F = standard_semitorsor(make_cyclic(2), 3)
     part = orbits(F)
-    assert part.orbit_count == 3
+    assert len(part.members) == 3
     oracle = brute_orbits(F)
     assert len(oracle) == 3
     assert all(len(c) == 2 for c in oracle)
@@ -78,7 +78,7 @@ def test_orbits_standard_semitorsor_against_oracle():
 def test_orbit_indices_follow_smallest_representative():
     F = standard_semitorsor(make_cyclic(3), 2)
     part = orbits(F)
-    assert part.representatives == (0, 1)
+    assert tuple(m[0] for m in part.members) == (0, 1)
     assert part.orbit_of[semitorsor_point(2, 1, 2)] == 1
 
 
@@ -100,7 +100,7 @@ def test_standard_semitorsor_shapes():
     assert standard_semitorsor(z2, 1).size == 2
     F = standard_semitorsor(z2, 3)
     assert F.size == 6
-    assert orbits(F).orbit_count == 3
+    assert len(orbits(F).members) == 3
     fixed = standard_semitorsor(make_cyclic(1), 4)
     assert all(fixed.act[0][p] == p for p in range(4))
 
@@ -271,7 +271,7 @@ def test_cached_orbits_and_freeness_match_fresh_computation():
         q = orbits(F)
         assert orbits(F) is q
         classes = brute_orbits(F)
-        assert q.orbit_count == len(classes)
-        assert q.representatives == tuple(min(c) for c in classes)
+        assert len(q.members) == len(classes)
+        assert tuple(m[0] for m in q.members) == tuple(min(c) for c in classes)
         for k, c in enumerate(classes):
             assert all(q.orbit_of[f] == k for f in c)

@@ -83,7 +83,7 @@ def test_parse_bundle_gspace_perm_and_wreath():
         "clutching": [{"perm": [1, 2, 0]}],
     }
     b = parse_bundle(covering)
-    assert b.clutching[0].value == (1, 2, 0)
+    assert b.clutching[0] == (1, 2, 0)
 
     wreath = {
         "kind": "flat",

@@ -124,7 +124,7 @@ def _two_loop_bundles():
     for G in GROUPS[:5]:
         F = standard_semitorsor(G, 2)
         elements = wreath_elements(G, 2)
-        maps = [wreath_to_aut(w, F) for w in elements]
+        maps = [wreath_to_aut(w, F).value for w in elements]
         for i in range(0, len(maps), 3):
             j = (7 * i + 1) % len(maps)
             out.append(flat_bundle(F, (maps[i], maps[j])))
@@ -138,9 +138,9 @@ def test_clutching_orbits_match_components():
     Z2 = make_cyclic(2)
     loops = [WreathElement(Z2, (1, 0), (1, 0)), WreathElement(Z2, (0, 1), (0, 1))]
     F = standard_semitorsor(Z2, 2)
-    bundles.append(flat_bundle(F, tuple(wreath_to_aut(w, F) for w in loops)))
+    bundles.append(flat_bundle(F, tuple(wreath_to_aut(w, F).value for w in loops)))
     for b in bundles:
-        orbits = _group([a.value for a in b.clutching], b.fiber.size).orbits()
+        orbits = _group(b.clutching, b.fiber.size).orbits()
         assert {frozenset(o) for o in orbits} == {frozenset(c) for c in components(b)}
 
 
@@ -150,5 +150,5 @@ def test_frame_bundle_components_from_lifts_alone(G, k, count):
     # 3,840 and 6,144 frames; |W| = 6,144 is past the Cayley-table bound
     lifted = frame_bundle(finite_winding_bundle(G, k))
     assert lifted.fiber.size == G.order**k * math.factorial(k)
-    orbits = _group([a.value for a in lifted.clutching], lifted.fiber.size).orbits()
+    orbits = _group(lifted.clutching, lifted.fiber.size).orbits()
     assert total_components(lifted) == count == math.factorial(k - 1) * G.order**k == len(orbits)
