@@ -45,9 +45,7 @@ class GSet(Frozen):
 
     @cached_property
     def semitorsor_orbits(self) -> int:
-        """The n of :func:`semitorsor_orbit_count`, computed once; any other
-        group-set raises on every read, since a failed ``cached_property``
-        stores nothing."""
+        """:func:`semitorsor_orbit_count`, computed once; a refusal is not stored."""
         n, rest = divmod(self.size, self.group.order)
         if rest or n < 1 or self.act != standard_semitorsor(self.group, n).act:
             raise ValueError("carrier is not the semi-torsor G x I_n")

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import framebundles.bundles as bundles
 from framebundles.bundles import (
     FlatBundle,
     bundle_isomorphic,
@@ -525,7 +526,7 @@ def test_winding_cube_has_identity_orbit_permutation():
     assert induced_orbit_map(as_map(b.fiber, h)) == (0, 1, 2)
 
 
-def test_holonomy_of_a_word_dense_in_inverse_letters_matches_a_per_letter_fold():
+def test_holonomy_of_a_word_dense_in_inverse_letters_matches_a_per_letter_fold(monkeypatch):
     b = flat_bundle(trivial_gset(5), ((1, 2, 0, 3, 4), (0, 1, 3, 4, 2), (4, 0, 1, 2, 3)))
     word = tuple(itertools.islice(itertools.cycle((-1, -2, 3, -3, -1, -2, -2, 1)), 301))
     table = tuple(range(5))
@@ -534,7 +535,10 @@ def test_holonomy_of_a_word_dense_in_inverse_letters_matches_a_per_letter_fold()
         if letter < 0:
             value = perm_inverse(value)
         table = tuple(value[p] for p in table)
+    inverted = []
+    monkeypatch.setattr(bundles, "perm_inverse", lambda t: inverted.append(t) or perm_inverse(t))
     assert holonomy(b, word) == table
+    assert sorted(inverted) == sorted(b.clutching)  # each loop read backwards, once
 
 
 def test_holonomy_rejects_bad_letters():
