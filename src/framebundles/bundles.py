@@ -37,12 +37,11 @@ from .frames import (
 )
 from .groups import (
     FiniteGroup,
-    GroupHom,
     Permutation,
     automorphisms,
+    check_hom,
     first_broken_edge,
     is_permutation,
-    kernel,
     perm_compose,
     perm_inverse,
     perm_orbits,
@@ -102,7 +101,7 @@ def flat_bundle(fiber: GSet, tables, fiber_group: Optional[FiniteGroup] = None) 
         if fiber.group.order != 1 or fiber.size != fiber_group.order:
             raise ValueError("group-mode fiber must be the group as a bare set")
         for t in clutching:
-            GroupHom(fiber_group, fiber_group, t).validate()
+            check_hom(fiber_group, fiber_group, t)
             if len(set(t)) != fiber.size:
                 raise ValueError("group bundles are glued by automorphisms only")
     for i, t in enumerate(clutching):
@@ -154,7 +153,7 @@ def is_trivializable(b: FlatBundle) -> bool:
 def _conjugators(b: FlatBundle) -> list[tuple[int, ...]]:
     """Fiber symmetries respecting the bundle mode, as value tables."""
     if b.mode == MODE_GROUP:
-        return [h.image for h in automorphisms(b.fiber_group)]
+        return automorphisms(b.fiber_group)
     return [a.value for a in gset_homs(b.fiber, b.fiber)]
 
 
@@ -197,7 +196,7 @@ def quotient_map(b: FlatBundle) -> EquivariantMap:
         raise ModeMismatch("quotient map applies to group-space bundles")
     q = orbits(b.fiber)
     target = trivial_gset(len(q.members))
-    collapse = GroupHom(b.fiber.group, target.group, (0,) * b.fiber.group.order)
+    collapse = (target.group.identity,) * b.fiber.group.order
     return EquivariantMap(b.fiber, target, collapse, q.orbit_of)
 
 
@@ -274,7 +273,7 @@ def map_fiber_count(a: EquivariantMap) -> int:
     if not is_orbit_bijection(a):
         raise ValueError("map is not a bijection on orbits")
     sizes = set(Counter(a.value).values())
-    expected = len(kernel(a.xi))
+    expected = a.xi.count(a.target.group.identity)
     if sizes != {expected}:
         raise AssertionError(
             f"preimage sizes {sizes} do not all equal |ker| = {expected}"

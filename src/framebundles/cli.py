@@ -68,7 +68,7 @@ def cmd_classify_circle(args) -> Report:
     auts, classes, abelian = automorphism_classes(G)
     rows = []
     for k, cls in enumerate(classes):
-        rep = auts[cls[0]].image
+        rep = auts[cls[0]]
         # the components of the bundle glued by rep are its orbits on G
         rows.append({"class": k, "size": len(cls), "representative": list(rep),
                      "components": len(perm_orbits([rep], G.order)[1])})

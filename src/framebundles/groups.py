@@ -11,13 +11,14 @@ points on which no two of them agree, which is how Sym(n) is built.
 :func:`table_group` reads the identity and the inverses off a finished
 table.  :func:`perm_orbits` is the one orbit algorithm of the library.
 
+A homomorphism is its image table ``image[a]``, like any other map here.
 A group that the library reads only through its generators gets no table:
 :func:`first_broken_edge` proves a homomorphism law on the generator edges
 of the Cayley graph, and one pruned search finds generators of Aut(G), from
-which :func:`automorphisms` counts and lists it and
+which :func:`automorphisms` counts it and lists its image tables and
 :func:`automorphism_classes` classifies it.  The lemma proves associativity
 (Light's test in :meth:`FiniteGroup.validate`), the homomorphism law of
-:class:`GroupHom`, of ``verify wreath-iso`` and of ``bundles.sn_labelling``,
+:func:`check_hom`, of ``verify wreath-iso`` and of ``bundles.sn_labelling``,
 and the action law of ``gsets.GSet``; ``gsets.check_equivariant`` checks
 only generators by the same closure argument.
 """
@@ -214,33 +215,25 @@ class FiniteGroup(Frozen):
         return f"FiniteGroup({self.label}, order={self.order})"
 
 
-class GroupHom(Frozen):
-    """A homomorphism given by its full image table ``image[a]``."""
-
-    __slots__ = _fields = ("source", "target", "image")
-
-    def __call__(self, a: int) -> int:
-        return self.image[a]
-
-    def validate(self) -> None:
-        if len(self.image) != self.source.order:
-            raise ValueError("image table has wrong length")
-        if any(type(b) is not int or not 0 <= b < self.target.order for b in self.image):
-            raise ValueError("image table entry out of range")
-        if self.image[self.source.identity] != self.target.identity:
-            raise ValueError("homomorphism does not preserve the identity")
-        G, tmul = self.source, self.target.mul
-        broken = first_broken_edge(self.image, lambda x, y: tmul[x][y], G.identity,
-                                   G.generators, G.moves)
-        if broken is not None:
-            raise ValueError("homomorphism law fails at ({},{})".format(*broken))
-
-    def __repr__(self) -> str:
-        return f"GroupHom({self.source.label}->{self.target.label}, {self.image})"
+def check_hom(source: FiniteGroup, target: FiniteGroup, image) -> None:
+    """Raise ValueError unless ``image`` is the image table of a homomorphism
+    ``source -> target``; the law is proved on the generator edges of
+    ``source`` (:func:`first_broken_edge`)."""
+    if len(image) != source.order:
+        raise ValueError("image table has wrong length")
+    if any(type(b) is not int or not 0 <= b < target.order for b in image):
+        raise ValueError("image table entry out of range")
+    if image[source.identity] != target.identity:
+        raise ValueError("homomorphism does not preserve the identity")
+    tmul = target.mul
+    broken = first_broken_edge(image, lambda x, y: tmul[x][y], source.identity,
+                               source.generators, source.moves)
+    if broken is not None:
+        raise ValueError("homomorphism law fails at ({},{})".format(*broken))
 
 
-def identity_hom(G: FiniteGroup) -> GroupHom:
-    return GroupHom(G, G, tuple(range(G.order)))
+def identity_hom(G: FiniteGroup) -> Permutation:
+    return tuple(range(G.order))
 
 
 def permutation_group(perms, base, label: str) -> FiniteGroup:
@@ -333,19 +326,6 @@ def make_symmetric(n: int) -> FiniteGroup:
         raise BoundExceeded(f"symmetric group bound is n <= {config.MAX_SYMMETRIC_N}")
     config.check_table_order(math.factorial(n), what="symmetric group")
     return permutation_group(list(itertools.permutations(range(n))), range(n), f"S{n}")
-
-
-def kernel(h: GroupHom) -> tuple[int, ...]:
-    """Sorted indices of source elements mapping to the target identity."""
-    e = h.target.identity
-    return tuple(a for a in range(h.source.order) if h.image[a] == e)
-
-
-def compose_hom(f: GroupHom, g: GroupHom) -> GroupHom:
-    """The composite f after g; requires g.target = f.source."""
-    if g.target != f.source:
-        raise ValueError("compose_hom: inner target does not match outer source")
-    return GroupHom(g.source, f.target, tuple(f.image[x] for x in g.image))
 
 
 def _aut_generators(G: FiniteGroup) -> tuple[tuple[Permutation, ...], int]:
@@ -442,8 +422,8 @@ def _aut_generators(G: FiniteGroup) -> tuple[tuple[Permutation, ...], int]:
     return tuple(found), math.prod(lengths)
 
 
-def automorphisms(G: FiniteGroup) -> list[GroupHom]:
-    """All automorphisms of G, sorted by image table, or BoundExceeded when
+def automorphisms(G: FiniteGroup) -> list[Permutation]:
+    """The image tables of all automorphisms of G, sorted, or BoundExceeded when
     |Aut(G)| (:func:`_aut_generators`) exceeds ``config.MAX_TABLE_ORDER``.
 
     Aut(G) is the closure of the identity under left multiplication by the
@@ -462,7 +442,7 @@ def automorphisms(G: FiniteGroup) -> list[GroupHom]:
             if key not in seen:
                 seen.add(key)
                 tables.append(tuple([h[x] for x in p]))
-    return [GroupHom(G, G, p) for p in sorted(tables)]
+    return sorted(tables)
 
 
 def automorphism_classes(G: FiniteGroup):
@@ -475,11 +455,11 @@ def automorphism_classes(G: FiniteGroup):
     iff those commute; none of the three depends on which generators these are."""
     auts = automorphisms(G)
     found, gens = G._aut[0], G.generators
-    index = {tuple([h.image[s] for s in gens]): i for i, h in enumerate(auts)}
+    index = {tuple([h[s] for s in gens]): i for i, h in enumerate(auts)}
     conjugations = []
     for c in found:  # c p c^-1 sends s to c(p(c^-1(s)))
         points = [c.index(s) for s in gens]
-        conjugations.append(tuple([index[tuple([c[h.image[x]] for x in points])] for h in auts]))
+        conjugations.append(tuple([index[tuple([c[h[x]] for x in points])] for h in auts]))
     commute = all([h[k[s]] for s in gens] == [k[h[s]] for s in gens]
                   for h in found for k in found)
     return auts, perm_orbits(conjugations, len(auts))[1], commute

@@ -13,8 +13,8 @@ from functools import cached_property
 
 from . import config
 from .errors import NoQuotient, NotFree
-from .groups import (FiniteGroup, GroupHom, compose_hom, first_broken_edge, identity_hom,
-                     make_cyclic, perm_compose, perm_orbits)
+from .groups import (FiniteGroup, check_hom, first_broken_edge, identity_hom, make_cyclic,
+                     perm_compose, perm_orbits)
 from .records import Frozen
 
 Frame = tuple[int, ...]
@@ -204,8 +204,9 @@ def division_table(F: GSet) -> dict[tuple[int, int], int]:
 class EquivariantMap(Frozen):
     """A map of group-sets, equivariant over a homomorphism of their groups.
 
-    ``value[f]`` is the image of carrier point ``f`` and the defining law is
-    ``value[g . f] = xi(g) . value[f]``.
+    ``value[f]`` is the image of carrier point ``f``, ``xi`` the image table
+    of the homomorphism (``groups.check_hom``), and the defining law is
+    ``value[g . f] = xi[g] . value[f]``.
     """
 
     __slots__ = _fields = ("source", "target", "xi", "value")
@@ -220,11 +221,10 @@ class EquivariantMap(Frozen):
         )
 
 
-def equivariant_map(source: GSet, target: GSet, xi: GroupHom, value) -> EquivariantMap:
+def equivariant_map(source: GSet, target: GSet, xi, value) -> EquivariantMap:
     """Build an equivariant map and verify the law exhaustively."""
-    a = EquivariantMap(source, target, xi, tuple(value))
-    if xi.source != source.group or xi.target != target.group:
-        raise ValueError("group homomorphism does not match the group-sets")
+    a = EquivariantMap(source, target, tuple(xi), tuple(value))
+    check_hom(source.group, target.group, a.xi)
     if len(a.value) != source.size:
         raise ValueError("value table has wrong length")
     if any(not (0 <= v < target.size) for v in a.value):
@@ -235,18 +235,18 @@ def equivariant_map(source: GSet, target: GSet, xi: GroupHom, value) -> Equivari
 
 
 def check_equivariant(a: EquivariantMap) -> bool:
-    """Whether value[g f] = xi(g) value[f] for all g and f, checked for the generators g.
+    """Whether value[g f] = xi[g] value[f] for all g and f, checked for the generators g.
 
     That suffices when both actions obey the action law and xi is a
     homomorphism, as for every validated or constructed group-set and the
     identity xi: the identity passes, and if g and h do, then value[gh f] =
-    xi(g) value[h f] = xi(g) xi(h) value[f] = xi(gh) value[f], so the g that
+    xi[g] value[h f] = xi[g] xi[h] value[f] = xi[gh] value[f], so the g that
     pass are closed under products, and with the generators they hold every
     element of the finite group.
     """
     src, tgt, xi, val = a.source, a.target, a.xi, a.value
     for g in src.group.generators:
-        img_row = tgt.act[xi.image[g]]
+        img_row = tgt.act[xi[g]]
         if any(val[p] != img_row[v] for p, v in zip(src.act[g], val)):
             return False
     return True
@@ -260,12 +260,8 @@ def compose_equivariant(a: EquivariantMap, b: EquivariantMap) -> EquivariantMap:
     """The composite a after b; sources/targets must chain."""
     if b.target != a.source:
         raise ValueError("compose_equivariant: inner target does not match outer source")
-    return EquivariantMap(
-        b.source,
-        a.target,
-        compose_hom(a.xi, b.xi),
-        tuple(a.value[x] for x in b.value),
-    )
+    return EquivariantMap(b.source, a.target, perm_compose(a.xi, b.xi),
+                          perm_compose(a.value, b.value))
 
 
 def induced_orbit_map(a: EquivariantMap) -> tuple[int, ...]:

@@ -5,8 +5,8 @@ a table, element orders one power walk per element, the raw endomorphism
 search, the product search for automorphisms, the cubic associativity check,
 the all-pairs action, equivariance and symmetric-action laws that the library
 checks on generator edges, maps on frame spaces tabulated one frame at a
-time, and a few group tables; and ``hom``, a validated homomorphism, with
-``is_isomorphism``, its bijectivity."""
+time, and a few group tables; and ``hom``, the image table of a homomorphism
+checked by ``groups.check_hom``, with ``is_isomorphism``, its bijectivity."""
 
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from framebundles.frames import (
 )
 from framebundles.groups import (
     FiniteGroup,
-    GroupHom,
     automorphisms,
+    check_hom,
     from_mul_table,
     perm_compose,
     perm_orbits,
@@ -64,18 +64,19 @@ def wreath_table(G: FiniteGroup, n: int) -> FiniteGroup:
 def aut_table(G: FiniteGroup) -> FiniteGroup:
     """Aut(G) as the Cayley table of the image tables of ``automorphisms(G)``,
     element i being the i-th automorphism, ``i j`` applying j first."""
-    return cayley_group([h.image for h in automorphisms(G)], perm_compose, f"Aut({G.label})")
+    return cayley_group(automorphisms(G), perm_compose, f"Aut({G.label})")
 
 
-def hom(source: FiniteGroup, target: FiniteGroup, image) -> GroupHom:
-    """Build and validate a homomorphism from an image table."""
-    h = GroupHom(source, target, tuple(image))
-    h.validate()
-    return h
+def hom(source: FiniteGroup, target: FiniteGroup, image) -> tuple[int, ...]:
+    """The image table of a homomorphism, checked by ``check_hom``."""
+    image = tuple(image)
+    check_hom(source, target, image)
+    return image
 
 
-def is_isomorphism(h: GroupHom) -> bool:
-    return h.source.order == h.target.order and len(set(h.image)) == h.source.order
+def is_isomorphism(image, target: FiniteGroup) -> bool:
+    """Whether the image table of a homomorphism into ``target`` is a bijection."""
+    return len(image) == target.order == len(set(image))
 
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -145,8 +146,9 @@ def is_abelian(G: FiniteGroup) -> bool:
     return all(G.mul[a][b] == G.mul[b][a] for a in range(G.order) for b in range(G.order))
 
 
-def endomorphisms_brute(G: FiniteGroup) -> list[GroupHom]:
-    """All endomorphisms by raw table search; exponential, tiny groups only.
+def endomorphisms_brute(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """The image tables of all endomorphisms by raw table search; exponential,
+    tiny groups only.
 
     Kept as an independent cross-check route for the backtracking enumerator.
     """
@@ -161,7 +163,7 @@ def endomorphisms_brute(G: FiniteGroup) -> list[GroupHom]:
             for a in range(G.order)
             for b in range(G.order)
         ):
-            out.append(GroupHom(G, G, image))
+            out.append(image)
     return out
 
 
@@ -185,8 +187,8 @@ def _discovery_order(G: FiniteGroup, gens: list[int]):
     return order, parent
 
 
-def product_search_automorphisms(G: FiniteGroup) -> list[GroupHom]:
-    """All automorphisms of G, sorted by image table, by trying every tuple
+def product_search_automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """The image tables of all automorphisms of G, sorted, by trying every tuple
     of same-order images of a greedy generating set and checking the
     homomorphism law on all pairs (the search ``automorphisms`` replaced)."""
     gens = G.generators
@@ -211,9 +213,8 @@ def product_search_automorphisms(G: FiniteGroup) -> list[GroupHom]:
             for b in range(G.order)
         )
         if ok:
-            auts.append(GroupHom(G, G, tuple(table)))
-    auts.sort(key=lambda h: h.image)
-    return auts
+            auts.append(tuple(table))
+    return sorted(auts)
 
 
 def associativity_failures(mul) -> list[tuple[int, int, int]]:
@@ -243,7 +244,7 @@ def is_equivariant_everywhere(a) -> bool:
     every point f, by the loop over all of them."""
     src, tgt, xi, val = a.source, a.target, a.xi, a.value
     return all(
-        val[src.act[g][f]] == tgt.act[xi.image[g]][val[f]]
+        val[src.act[g][f]] == tgt.act[xi[g]][val[f]]
         for g in range(src.group.order)
         for f in range(src.size)
     )

@@ -66,7 +66,7 @@ KLEIN = make_direct_product(Z2, Z2)
 
 def group_bundle(G, h):
     """The group-mode bundle over the circle glued by the automorphism ``h``."""
-    return flat_bundle(trivial_gset(G.order), (h.image,), G)
+    return flat_bundle(trivial_gset(G.order), (h,), G)
 
 
 def as_map(fiber, table):
@@ -124,8 +124,8 @@ def test_klein_transposition_pairs_two_elements():
     # the swapped pair forms a single circle, the fixed elements their own
     auts = automorphisms(KLEIN)
     transposition = next(
-        h for h in auts if sorted(h.image) == [0, 1, 2, 3] and
-        sum(h.image[a] != a for a in range(4)) == 2
+        h for h in auts if sorted(h) == [0, 1, 2, 3] and
+        sum(h[a] != a for a in range(4)) == 2
     )
     b = group_bundle(KLEIN, transposition)
     sizes = sorted(len(c) for c in components(b))
@@ -143,7 +143,7 @@ def test_bundle_isomorphic_reflexive():
 def test_klein_transpositions_are_isomorphic():
     auts = automorphisms(KLEIN)
     transpositions = [
-        h for h in auts if sum(h.image[a] != a for a in range(4)) == 2
+        h for h in auts if sum(h[a] != a for a in range(4)) == 2
     ]
     assert len(transpositions) == 3
     b0 = group_bundle(KLEIN, transpositions[0])
@@ -153,8 +153,8 @@ def test_klein_transpositions_are_isomorphic():
 
 def test_klein_different_classes_not_isomorphic():
     auts = automorphisms(KLEIN)
-    transposition = next(h for h in auts if sum(h.image[a] != a for a in range(4)) == 2)
-    three_cycle = next(h for h in auts if sum(h.image[a] != a for a in range(4)) == 3)
+    transposition = next(h for h in auts if sum(h[a] != a for a in range(4)) == 2)
+    three_cycle = next(h for h in auts if sum(h[a] != a for a in range(4)) == 3)
     b1 = group_bundle(KLEIN, transposition)
     b2 = group_bundle(KLEIN, three_cycle)
     assert not bundle_isomorphic(b1, b2)
@@ -336,6 +336,18 @@ def test_map_fiber_count_rejects_non_surjective():
     a = equivariant_map(source, target, identity_hom(G), value)
     with pytest.raises(ValueError):
         map_fiber_count(a)
+
+
+def test_map_fiber_count_is_the_kernel_size_of_identity_and_constant():
+    # |ker xi| is the number of entries of xi at the target's identity: 1 for
+    # the identity of Z4, 4 for the map of Z4 onto the trivial group
+    z4 = make_cyclic(4)
+    F = standard_semitorsor(z4, 1)
+    assert map_fiber_count(equivariant_map(F, F, identity_hom(z4), range(4))) == 1
+    point = trivial_gset(1)
+    to_one = equivariant_map(F, point, hom(z4, point.group, [0] * 4), [0] * 4)
+    assert to_one.xi == (0, 0, 0, 0)
+    assert map_fiber_count(to_one) == 4
 
 
 # ---------------------------------------------------------------- winding bundles

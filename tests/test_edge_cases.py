@@ -27,7 +27,7 @@ from framebundles.frames import (
     wreath_elements,
     wreath_identity,
 )
-from framebundles.groups import identity_hom, make_cyclic, make_symmetric
+from framebundles.groups import make_cyclic, make_symmetric
 from framebundles.gset_aut import (
     autq_component,
     autq_reconstruct,
@@ -193,7 +193,6 @@ def test_fixture_groups_bound():
 # Two builds from the same n are distinct objects with equal fields.
 RECORDS = {
     "FiniteGroup": (make_cyclic, "order"),
-    "GroupHom": (lambda n: identity_hom(make_cyclic(n)), "image"),
     "GSet": (lambda n: standard_semitorsor(make_cyclic(n), 2), "act"),
     "OrbitPartition": (lambda n: orbits(standard_semitorsor(Z2, n)), "members"),
     "EquivariantMap": (lambda n: identity_map(standard_semitorsor(make_cyclic(n), 1)), "value"),
@@ -223,7 +222,7 @@ RECORDS = {
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_value_types_compare_by_fields_and_refuse_assignment(name):
-    # specdoc, bundle_isomorphic, compose_hom, wreath_to_aut, gset_homs and
+    # specdoc, bundle_isomorphic, wreath_to_aut, gset_homs and
     # check_equivalence all compare such records field by field
     build, field = RECORDS[name]
     a, b, other = build(2), build(2), build(3)

@@ -422,7 +422,7 @@ def _checked_lift(a):
     assert None not in lift
     fs = enumerate_frames(a.source)
     fs2 = enumerate_frames(a.target)
-    xi = a.xi.image
+    xi = a.xi
     for w in wreath_elements(a.source.group, fs.n):
         pushed = WreathElement(a.target.group, tuple(xi[g] for g in w.g_tuple), w.sigma)
         p, p2 = act_table(fs, w), act_table(fs2, pushed)
@@ -464,7 +464,7 @@ def test_cross_group_lift_is_xi_equivariant():
     lift = _checked_lift(a)
     fs4, fs2 = enumerate_frames(F4), enumerate_frames(F2)
     for w in wreath_elements(z4, 2):
-        w2 = WreathElement(Z2, tuple(xi.image[g] for g in w.g_tuple), w.sigma)
+        w2 = WreathElement(Z2, tuple(xi[g] for g in w.g_tuple), w.sigma)
         for i, t in enumerate(fs4.frames):
             moved = fs4.index[wreath_act(F4, w, t)]
             assert fs2.frames[lift[moved]] == wreath_act(F2, w2, fs2.frames[lift[i]])

@@ -230,9 +230,33 @@ def test_compose_equivariant_and_xi_composition():
     )
     composed = compose_equivariant(reduction, identity_map(F4))
     assert composed.value == reduction.value
-    assert composed.xi.image == xi.image
+    assert composed.xi == xi
     with pytest.raises(ValueError):
         compose_equivariant(reduction, reduction)
+
+
+def test_equivariant_map_checks_its_homomorphism_table():
+    z4, z2 = make_cyclic(4), make_cyclic(2)
+    F4, F2 = standard_semitorsor(z4, 1), standard_semitorsor(z2, 1)
+    value = [g % 2 for g in range(4)]
+    assert equivariant_map(F4, F2, [0, 1, 0, 1], value).xi == (0, 1, 0, 1)
+    # a table of the wrong group, and one that breaks the law
+    with pytest.raises(ValueError, match="image table has wrong length"):
+        equivariant_map(F4, F2, identity_hom(z2), value)
+    with pytest.raises(ValueError, match="homomorphism law fails"):
+        equivariant_map(F4, F2, (0, 1, 1, 1), value)
+
+
+def test_compose_equivariant_composes_identity_and_negation_tables():
+    # negation of Z3 acting on itself is equivariant over the automorphism
+    # a -> -a; composed with itself it gives the identity map and table
+    G = make_cyclic(3)
+    F = standard_semitorsor(G, 1)
+    neg = equivariant_map(F, F, hom(G, G, [0, 2, 1]), [0, 2, 1])
+    ident = identity_map(F)
+    assert compose_equivariant(ident, ident) == ident
+    assert compose_equivariant(neg, neg) == ident
+    assert compose_equivariant(neg, ident).xi == (0, 2, 1)
 
 
 def test_bijectivity_of_orbit_maps_for_automorphisms():

@@ -122,7 +122,7 @@ def equivariant_values(rng, src, tgt, xi):
     value = [0] * src.size
     for g, row in enumerate(src.act):
         for x in range(k):
-            value[row[src.group.identity * k + x]] = tgt.act[xi.image[g]][images[x]]
+            value[row[src.group.identity * k + x]] = tgt.act[xi[g]][images[x]]
     return value
 
 

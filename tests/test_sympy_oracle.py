@@ -87,7 +87,7 @@ def test_element_orders_of_symmetric_groups_match_sympy(n):
 def test_conjugacy_classes_match_sympy(G):
     # G by its left-regular permutations, Aut(G) by the automorphisms' image tables
     table, auts = aut_table(G), automorphisms(G)
-    for H, perms in ((G, G.mul), (table, [h.image for h in auts])):
+    for H, perms in ((G, G.mul), (table, auts)):
         want = {frozenset(tuple(p.array_form) for p in c)
                 for c in _group(perms, G.order).conjugacy_classes()}
         assert {frozenset(perms[i] for i in c) for c in conjugacy_classes(H)} == want
@@ -103,10 +103,9 @@ def test_automorphism_classes_match_table_oracle_and_sympy(G):
     table = aut_table(G)
     assert (len(auts), classes, abelian) == (table.order, conjugacy_classes(table),
                                              is_abelian(table))
-    images = [h.image for h in auts]
-    group = _group(images, G.order)
+    group = _group(auts, G.order)
     want = {frozenset(tuple(p.array_form) for p in c) for c in group.conjugacy_classes()}
-    assert {frozenset(images[i] for i in c) for c in classes} == want
+    assert {frozenset(auts[i] for i in c) for c in classes} == want
     assert (group.order(), group.is_abelian) == (len(auts), abelian)
 
 
