@@ -223,6 +223,7 @@ def frame_bundle(b: FlatBundle) -> FlatBundle:
     if not is_free(b.fiber):
         raise NotFree("frame bundles exist over free fibers")
     fiber = trivial_gset(len(enumerate_frames(b.fiber).frames))
+    config.check_table_entries(fiber.size * b.loops, "frame lifts of the clutching maps")
     return flat_bundle(fiber, [lift_table(_as_map(b.fiber, t)) for t in b.clutching])
 
 

@@ -413,6 +413,9 @@ def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
     fs2 = enumerate_frames(F2)
     if fs1.n != fs2.n:
         return EquivalenceReport(0, 0, True, True)
+    # the lifted and the torsor tables each hold one frame index per pair
+    config.check_table_entries(len(fs1.frames) * len(fs2.frames),
+                               "frame-index tables of the equivalence check")
 
     homs = gset_homs(F, F2)
     lifted = {tuple(lift_table(a)) for a in homs}

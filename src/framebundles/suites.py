@@ -160,8 +160,10 @@ def suite_functor_laws(groups, orbit_counts) -> SuiteReport:
     for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         fs = enumerate_frames(F)
-        rep.add(name, "identity lifts to identity",
-                lift_table(identity_map(F)) == list(range(len(fs.frames))))
+        lift = lift_table(identity_map(F))
+        moved = next((f"the lift moves frame {fs.frames[i]}"
+                      for i, j in enumerate(lift) if i != j), "")
+        rep.add(name, "identity lifts to identity", lift == list(range(len(fs.frames))), moved)
         homs = gset_homs(F, F)
         if len(homs) > PAIR_BOUND:
             rep.add(name, f"composition law (skipped, {len(homs)} > {PAIR_BOUND} morphisms)", True)
@@ -221,10 +223,13 @@ def suite_wreath_iso(groups, orbit_counts) -> SuiteReport:
         elements = wreath_elements(G, n)
         images = [wreath_to_aut(w, F) for w in elements]
         tables = [a.value for a in images]
-        rep.add(name, "injective", len(set(tables)) == len(elements))
+        first = dict(zip(tables[::-1], elements[::-1]))  # the first element of each table
+        clash = next((f"{first[t]!r} and {w!r} map to one automorphism"
+                      for w, t in zip(elements, tables) if first[t] is not w), "")
+        rep.add(name, "injective", len(first) == len(elements), clash)
         auts = gset_homs(F, F)
-        rep.add(name, "surjective onto Aut(G x X)",
-                set(tables) == {a.value for a in auts})
+        missed = next((f"no element reaches {a.value}" for a in auts if a.value not in first), "")
+        rep.add(name, "surjective onto Aut(G x X)", first.keys() == {a.value for a in auts}, missed)
         broken = _broken_wreath_hom(F, elements, tables)
         rep.add(name, "homomorphism on all pairs", not broken, broken)
         trip = next((f"{w!r} comes back as {v!r}"

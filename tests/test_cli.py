@@ -503,6 +503,32 @@ def test_semitorsor_action_table_is_refused_past_the_largest_cayley_table(capsys
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def wreath_loops_document(loops):
+    """A gspace bundle with ``loops`` wreath loops on Z100 x I_2, whose fiber has
+    100^2 2! = 20,000 frames, the most that ``config.MAX_ENUMERATION`` admits."""
+    entries = [{"wreath": {"g": [i % 100, 7 * i % 100], "perm": [i % 2, 1 - i % 2]}}
+               for i in range(loops)]
+    return {"kind": "flat", "mode": "gspace", "loops": loops, "clutching": entries,
+            "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 100},
+                      "n": 2}}
+
+
+def test_frame_lifts_are_refused_past_the_largest_cayley_table(capsys):
+    # 20,000 frames x 1,271 loops is just past 5040^2 lifted frame indices
+    code, out, err = run(capsys, "frame-bundle", json.dumps(wreath_loops_document(1271)))
+    message = ("frame lifts of the clutching maps: 25420000 entries exceed "
+               "config.MAX_TABLE_ORDER ** 2 = 25401600")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_equivalence_tables_are_refused_past_the_largest_cayley_table(capsys):
+    # Z4 with 4 orbits has 6,144 frames: two sets of 6,144 tables of 6,144 entries
+    code, out, err = run(capsys, "verify", "equivalence", "--group", "z4", "--orbits", "4")
+    message = ("frame-index tables of the equivalence check: 37748736 entries exceed "
+               "config.MAX_TABLE_ORDER ** 2 = 25401600")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv, what",
     [
@@ -636,6 +662,31 @@ def test_wreath_iso_names_its_counterexamples(capsys, monkeypatch):
     ]
     assert fails[0].endswith(", s=WreathElement(g=(1, 0, 0), sigma=(0, 1, 2)))")
     assert "comes back as" in fails[1] and "permutes the orbits by" in fails[2]
+
+
+def test_wreath_iso_names_a_clash_and_an_automorphism_that_no_element_reaches(capsys,
+                                                                              monkeypatch):
+    import framebundles.gset_aut as gset_aut
+    from framebundles.frames import wreath_identity
+
+    true_map = gset_aut.wreath_to_aut
+    # every element maps as the identity does: one table for both elements of Z2
+    monkeypatch.setattr(gset_aut, "wreath_to_aut",
+                        lambda w, F: true_map(wreath_identity(w.group, w.n), F))
+    code, out, _ = run(capsys, "verify", "wreath-iso", "--group", "z2", "--orbits", "1")
+    assert code == 1
+    assert ("FAIL [Z2 n=1] injective (WreathElement(g=(0,), sigma=(0,)) and "
+            "WreathElement(g=(1,), sigma=(0,)) map to one automorphism)\n") in out
+    assert "FAIL [Z2 n=1] surjective onto Aut(G x X) (no element reaches (1, 0))\n" in out
+
+
+def test_functor_laws_names_a_frame_that_the_identity_lift_moves(capsys, monkeypatch):
+    # the swap of the two points of I_2 passed off as the identity map
+    monkeypatch.setattr(suites, "identity_map", lambda F: suites.gset_homs(F, F)[-1])
+    code, out, _ = run(capsys, "verify", "functor-laws", "--group", "z1", "--orbits", "2")
+    assert code == 1
+    assert "FAIL [Z1 n=2] identity lifts to identity (the lift moves frame (0, 1))\n" in out
+    assert "PASS [Z1 n=2] composition law on all pairs\n" in out
 
 
 # -- fresh interpreters ------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Fuzzing of bundle documents through the CLI: every input exits 0, 1 or 2.
+"""Fuzzing of every subcommand through the CLI: every input exits 0, 1 or 2.
 
-Documents are drawn from the ``specdoc`` bundle schema with small sizes, then
-mutated at random places: wrong types, booleans, negative, out-of-range and
-huge integers, and ragged lists.  Whatever the document, the command must end
-with a report or a message, never with an uncaught exception.
+Documents are drawn from the ``specdoc`` schemas (bundles, circle bundles,
+fiber points, paths and groups) with small sizes, then mutated at random
+places: wrong types, booleans, negative, out-of-range and huge integers, and
+ragged lists.  ``verify`` gets drawn and mutated arguments.  Whatever the
+input, the command must end with a report or a message, never with an
+uncaught exception: exit 1 with a message says ``obstruction: ``, exit 2
+says ``error: `` (or argparse's ``usage: ``), and a document or argument
+that was not mutated is never refused as a usage error.
 """
 
 import contextlib
@@ -12,9 +16,33 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from framebundles.cli import main
+from framebundles.cli import SUITE_NAMES, main
 
-COMMANDS = (["components"], ["decompose"], ["holonomy", "--word", "1,-1"], ["frame-bundle"])
+COMMANDS = (["components"], ["decompose"], ["holonomy", "--word", "1,-1"], ["frame-bundle"],
+            ["sn-action"])
+
+
+def check_call(argv, valid=False):
+    """Run the CLI on ``argv`` and check its exit code and messages; ``valid``
+    arguments and documents must not be refused as a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments themselves
+            assert not valid and exc.code == 2 and err.getvalue().startswith("usage: "), argv
+            return
+    message = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in message, argv
+    if code == 0:
+        assert message == "", argv
+    elif code == 2:
+        assert message.startswith("error: "), (argv, message)
+    elif message:
+        assert message.startswith("obstruction: "), (argv, message)
+    else:  # a report that names the obstruction or the failed check
+        assert out.getvalue().endswith(("status: obstruction\n", "status: fail\n")), argv
+    assert not valid or code in (0, 1), (argv, message)
 
 _C2 = {"kind": "cyclic", "n": 2}
 # (group document, order); every order is at most 6
@@ -109,10 +137,9 @@ MUTANTS = st.one_of(
 )
 
 
-@st.composite
-def mutated_docs(draw):
-    doc = draw(bundle_docs())
-    for _ in range(draw(st.integers(0, 2))):
+def mutate(draw, doc, times):
+    """``doc`` with ``times`` random parts replaced by mutants or made ragged."""
+    for _ in range(times):
         path = draw(st.sampled_from(list(_paths(doc))))
         target = _get(doc, path)
         if isinstance(target, list) and target and draw(st.booleans()):
@@ -124,11 +151,127 @@ def mutated_docs(draw):
     return doc
 
 
+@st.composite
+def mutated_docs(draw):
+    return mutate(draw, draw(bundle_docs()), draw(st.integers(0, 2)))
+
+
 @settings(deadline=None)
 @given(mutated_docs(), st.sampled_from(COMMANDS))
 def test_bundle_documents_exit_0_1_or_2(doc, command):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command[0], json.dumps(doc), *command[1:]])
-    assert code in (0, 1, 2)
-    assert (code == 0) == (err.getvalue() == "")
+    check_call([command[0], json.dumps(doc), *command[1:]])
+
+
+# -- circle bundles, fiber points, paths and groups: |G| <= 3, k <= 2, short words
+
+ANGLES = st.one_of(st.integers(-3, 3),
+                   st.sampled_from(["0", "1/3", "-2/5", "1/2", " 3/4 ", "0.25", "7/1"]))
+
+
+@st.composite
+def u1_docs(draw):
+    k, loops = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    gens = [{"angles": draw(st.lists(ANGLES, min_size=k, max_size=k)),
+             "perm": draw(st.permutations(range(k)))} for _ in range(loops)]
+    return {"k": k, "loops": loops, "generators": gens}
+
+
+def point_docs(k):
+    return st.fixed_dictionaries({"angle": ANGLES, "sheet": st.integers(0, k - 1)})
+
+
+def path_docs(k):
+    return st.fixed_dictionaries({
+        "step": st.sampled_from(["1/100", 1, "1/3", "0.5"]),
+        "points": st.lists(point_docs(k), min_size=2, max_size=4),
+    })
+
+
+def words(loops):
+    letters = st.sampled_from([x for x in range(-loops, loops + 1) if x])
+    return st.lists(letters, max_size=4).map(lambda w: ",".join(map(str, w)))
+
+
+# junk for a word or an integer option
+BAD_ARGS = st.sampled_from(["x", "0", "3", "-3", "1,,x", "1.5", str(2**63), ""])
+
+
+U1_COMMANDS = ["u1-holonomy", "u1-transport", "pushforward", "division-check"]
+
+
+def circle_request(draw, command, times, bad_arg):
+    """A circle-bundle request with ``times`` mutations in each document and,
+    if ``bad_arg``, a bad word, power, path or start point."""
+    spec = draw(u1_docs())
+    k, loops = spec["k"], spec["loops"]
+    if command == "pushforward":
+        options = {"--power": str(draw(st.integers(-3, 3)))}
+    elif command == "division-check":
+        options = {"--path": json.dumps(mutate(draw, draw(path_docs(k)), times))}
+    else:
+        options = {"--word": draw(words(loops))}
+        if command == "u1-transport":
+            options["--start"] = json.dumps(mutate(draw, draw(point_docs(k)), times))
+    if bad_arg:
+        options[draw(st.sampled_from(sorted(options)))] = draw(BAD_ARGS)
+    # "--word=-1,2": after a space, argparse reads "-1,2" as an option
+    argv = [command, json.dumps(mutate(draw, spec, times))]
+    return argv + [f"{o}={v}" for o, v in options.items()]
+
+
+@settings(deadline=None)
+@given(st.data(), st.sampled_from(U1_COMMANDS))
+def test_circle_bundle_requests_are_answered(data, command):
+    check_call(circle_request(data.draw, command, 0, False), valid=True)
+
+
+@settings(deadline=None)
+@given(st.data(), st.sampled_from(U1_COMMANDS), st.integers(1, 2), st.booleans())
+def test_mutated_circle_bundle_requests_exit_0_1_or_2(data, command, times, bad_arg):
+    check_call(circle_request(data.draw, command, times, bad_arg))
+
+
+_CYCLIC = [{"kind": "cyclic", "n": n} for n in (1, 2, 3)]
+GROUP_DOCS = _CYCLIC + [
+    {"kind": "symmetric", "n": 1},
+    {"kind": "symmetric", "n": 2},
+    {"kind": "product", "factors": [_CYCLIC[0], _CYCLIC[2]]},
+    {"kind": "table", "mul": [[0]]},
+    {"kind": "table", "mul": [[1, 2, 0], [2, 0, 1], [0, 1, 2]]},
+]
+
+
+def test_group_documents_are_answered():
+    for group in GROUP_DOCS:
+        check_call(["classify-circle", "--group", json.dumps(group)], valid=True)
+
+
+@settings(deadline=None)
+@given(st.data(), st.sampled_from(GROUP_DOCS), st.integers(1, 2))
+def test_mutated_group_documents_exit_0_1_or_2(data, group, times):
+    check_call(["classify-circle", "--group", json.dumps(mutate(data.draw, group, times))])
+
+
+VERIFY_GROUPS = st.sampled_from(["z1", "z2", "z3", "trivial", "Z2"])
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SUITE_NAMES), VERIFY_GROUPS, st.sampled_from(["1", "2"]))
+def test_verify_arguments_are_answered(suite, group, orbits):
+    check_call(["verify", suite, "--group", group, "--orbits", orbits], valid=True)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SUITE_NAMES), VERIFY_GROUPS, st.sampled_from(["1", "2"]), st.lists(
+    st.tuples(st.sampled_from(["suite", "--group", "--orbits", "--max-group", "--max-orbits",
+                               "--seed"]),
+              st.sampled_from(["x", "", "0", "-1", "9", "q8", "S3", str(2**63), "torsor"])),
+    min_size=1, max_size=2))
+def test_mutated_verify_arguments_exit_0_1_or_2(suite, group, orbits, mutations):
+    args = {"suite": suite, "--group": group, "--orbits": orbits}
+    for key, value in mutations:
+        args[key] = value
+    argv = ["verify", args.pop("suite")]
+    for option, value in args.items():
+        argv += [option, value]
+    check_call(argv)
