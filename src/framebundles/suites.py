@@ -163,7 +163,7 @@ def suite_functor_laws(groups, orbit_counts) -> SuiteReport:
         lift = lift_table(identity_map(F))
         moved = next((f"the lift moves frame {fs.frames[i]}"
                       for i, j in enumerate(lift) if i != j), "")
-        rep.add(name, "identity lifts to identity", lift == list(range(len(fs.frames))), moved)
+        rep.add(name, "identity lifts to identity", not moved, moved)
         homs = gset_homs(F, F)
         if len(homs) > PAIR_BOUND:
             rep.add(name, f"composition law (skipped, {len(homs)} > {PAIR_BOUND} morphisms)", True)
@@ -226,7 +226,7 @@ def suite_wreath_iso(groups, orbit_counts) -> SuiteReport:
         first = dict(zip(tables[::-1], elements[::-1]))  # the first element of each table
         clash = next((f"{first[t]!r} and {w!r} map to one automorphism"
                       for w, t in zip(elements, tables) if first[t] is not w), "")
-        rep.add(name, "injective", len(first) == len(elements), clash)
+        rep.add(name, "injective", not clash, clash)
         auts = gset_homs(F, F)
         missed = next((f"no element reaches {a.value}" for a in auts if a.value not in first), "")
         rep.add(name, "surjective onto Aut(G x X)", first.keys() == {a.value for a in auts}, missed)

@@ -8,7 +8,9 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import framebundles.bundles as bundles
 import framebundles.groups as groups
+import framebundles.gsets as gsets
 from framebundles.cli import cmd_classify_circle
 from framebundles.errors import BoundExceeded
 from framebundles.frames import gset_homs
@@ -516,7 +518,8 @@ def test_classify_circle_lists_aut_once_and_proves_no_representative(monkeypatch
     calls = []
     listing = groups.automorphisms
     monkeypatch.setattr(groups, "automorphisms", lambda G: calls.append(G) or listing(G))
-    monkeypatch.setattr(groups, "check_hom", None)
+    for module in (groups, bundles, gsets):  # every module that binds check_hom
+        monkeypatch.setattr(module, "check_hom", None)
     data, _ = _classify({"kind": "symmetric", "n": 4})
     assert (len(calls), data["aut_order"], len(data["classes"])) == (1, 24, 5)
 
