@@ -41,6 +41,7 @@ from .groups import (
     automorphisms,
     check_hom,
     first_broken_edge,
+    identity_hom,
     is_permutation,
     perm_compose,
     perm_inverse,
@@ -49,10 +50,8 @@ from .groups import (
 )
 from .gset_aut import wreath_to_aut
 from .gsets import (
-    EquivariantMap,
     GSet,
     check_equivariant,
-    identity_hom,
     induced_orbit_map,
     is_free,
     is_orbit_bijection,
@@ -108,14 +107,9 @@ def flat_bundle(fiber: GSet, tables, fiber_group: Optional[FiniteGroup] = None) 
         if not is_permutation(t, fiber.size):
             raise ValueError(f"clutching {i} is not a bijection")
         # vacuous in group mode, whose fiber group is trivial
-        if not check_equivariant(_as_map(fiber, t)):
+        if not check_equivariant(fiber, fiber, identity_hom(fiber.group), t):
             raise ValueError(f"clutching {i} is not equivariant")
     return FlatBundle(fiber, clutching, fiber_group)
-
-
-def _as_map(fiber: GSet, table) -> EquivariantMap:
-    """A clutching table as the id-equivariant self-map that gsets and frames read."""
-    return EquivariantMap(fiber, fiber, identity_hom(fiber.group), table)
 
 
 def components(b: FlatBundle) -> tuple[tuple[int, ...], ...]:
@@ -154,7 +148,7 @@ def _conjugators(b: FlatBundle) -> list[tuple[int, ...]]:
     """Fiber symmetries respecting the bundle mode, as value tables."""
     if b.mode == MODE_GROUP:
         return automorphisms(b.fiber_group)
-    return [a.value for a in gset_homs(b.fiber, b.fiber)]
+    return gset_homs(b.fiber, b.fiber)
 
 
 def bundle_isomorphic(b1: FlatBundle, b2: FlatBundle) -> bool:
@@ -187,17 +181,18 @@ def quotient_bundle(b: FlatBundle) -> FlatBundle:
     if not is_free(b.fiber):
         raise NotFree("decomposition is defined for free fibers")
     sheets = trivial_gset(len(orbits(b.fiber).members))
-    return flat_bundle(sheets, [induced_orbit_map(_as_map(b.fiber, t)) for t in b.clutching])
+    return flat_bundle(sheets, [induced_orbit_map(b.fiber, b.fiber, t) for t in b.clutching])
 
 
-def quotient_map(b: FlatBundle) -> EquivariantMap:
-    """The fiberwise orbit projection B -> B/G over the trivial group."""
+def principal_fiber(b: FlatBundle) -> int:
+    """|G|, counted by :func:`map_fiber_count` on the orbit projection B -> B/G,
+    which is equivariant over the homomorphism collapsing G to the trivial group."""
     if b.mode != MODE_GSPACE:
         raise ModeMismatch("quotient map applies to group-space bundles")
     q = orbits(b.fiber)
     target = trivial_gset(len(q.members))
     collapse = (target.group.identity,) * b.fiber.group.order
-    return EquivariantMap(b.fiber, target, collapse, q.orbit_of)
+    return map_fiber_count(b.fiber, target, collapse, q.orbit_of)
 
 
 def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
@@ -207,7 +202,7 @@ def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
     F = standard_semitorsor(G, k)
     cycle = tuple((i + 1) % k for i in range(k))
     w = WreathElement(G, (G.identity,) * k, cycle)
-    return flat_bundle(F, (wreath_to_aut(w, F).value,))
+    return flat_bundle(F, (wreath_to_aut(w, F),))
 
 
 def frame_bundle(b: FlatBundle) -> FlatBundle:
@@ -224,7 +219,7 @@ def frame_bundle(b: FlatBundle) -> FlatBundle:
         raise NotFree("frame bundles exist over free fibers")
     fiber = trivial_gset(len(enumerate_frames(b.fiber).frames))
     config.check_table_entries(fiber.size * b.loops, "frame lifts of the clutching maps")
-    return flat_bundle(fiber, [lift_table(_as_map(b.fiber, t)) for t in b.clutching])
+    return flat_bundle(fiber, [lift_table(b.fiber, b.fiber, t) for t in b.clutching])
 
 
 def clutching_wreath(b: FlatBundle, reference: Frame) -> list[WreathElement]:
@@ -264,17 +259,19 @@ def holonomy(b: FlatBundle, word) -> tuple[int, ...]:
     return tuple(table)
 
 
-def map_fiber_count(a: EquivariantMap) -> int:
+def map_fiber_count(source: GSet, target: GSet, xi, value) -> int:
     """Common preimage size of a surjective, orbit-bijective bundle-fiber map.
 
-    Every preimage has exactly |ker(xi)| points, which is returned.
+    ``value`` maps ``source`` to ``target`` over the homomorphism with image
+    table ``xi``; every preimage has exactly |ker(xi)| points, which is
+    returned.
     """
-    if set(a.value) != set(range(a.target.size)):
+    if set(value) != set(range(target.size)):
         raise ValueError("map is not surjective")
-    if not is_orbit_bijection(a):
+    if not is_orbit_bijection(source, target, value):
         raise ValueError("map is not a bijection on orbits")
-    sizes = set(Counter(a.value).values())
-    expected = a.xi.count(a.target.group.identity)
+    sizes = set(Counter(value).values())
+    expected = xi.count(target.group.identity)
     if sizes != {expected}:
         raise AssertionError(
             f"preimage sizes {sizes} do not all equal |ker| = {expected}"

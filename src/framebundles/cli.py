@@ -189,12 +189,11 @@ def cmd_sn_action(args) -> Report:
 
 def cmd_decompose(args) -> Report:
     from . import specdoc
-    from .bundles import map_fiber_count, quotient_bundle, quotient_map, total_components
+    from .bundles import principal_fiber, quotient_bundle, total_components
 
     b = specdoc.parse_bundle(specdoc.load_document(args.bundle))
     quotient = quotient_bundle(b)
-    proj = quotient_map(b)
-    count = map_fiber_count(proj)
+    count = principal_fiber(b)
     covering = total_components(quotient)
     report = Report("decompose")
     report.lines.append(f"orbit sheets: {quotient.fiber.size}")

@@ -25,10 +25,11 @@ at a time over the space's cached columns (one ``itemgetter`` call per slot)
 and joined with ``zip``, and each image tuple is looked up in the target's
 index (None where it is not a frame).  A wreath element is
 ``rows = [act[g] for g in g_tuple]`` with ``src = s^-1`` (:func:`act_table`);
-a frame lift is ``rows = [a.value] * n`` with ``src`` the identity
-(:func:`lift_table`).  :func:`orbit_tables` gives, for each frame ``t``, the
-images of ``t`` under a list of wreath elements, the same kernel read over
-the elements' keys.  :func:`wreath_act` moves a single frame.
+the frame lift of a map with value table ``value`` is ``rows = [value] * n``
+with ``src`` the identity (:func:`lift_table`).  :func:`orbit_tables` gives,
+for each frame ``t``, the images of ``t`` under a list of wreath elements,
+the same kernel read over the elements' keys.  :func:`wreath_act` moves a
+single frame.
 
 :func:`check_equivalence` tabulates each generator ``w`` once, as the
 permutations ``p1``, ``p2`` of frame indices with ``w . fs1[i] = fs1[p1[i]]``
@@ -49,18 +50,17 @@ from .errors import NotFree, OrbitObstruction
 from .groups import (
     FiniteGroup,
     Permutation,
+    identity_hom,
     is_permutation,
     perm_compose,
     perm_inverse,
     perm_orbits,
 )
 from .gsets import (
-    EquivariantMap,
     Frame,
     FrameSpace,
     GSet,
     check_equivariant,
-    identity_hom,
     is_free,
     is_orbit_bijection,
     orbits,
@@ -201,8 +201,8 @@ def is_basis(F: GSet, t: Frame) -> bool:
     return len({q.orbit_of[p] for p in t}) == n
 
 
-def frame_map(F: GSet, f: Frame, F2: GSet, t: Frame) -> EquivariantMap:
-    """The id-equivariant map ``F -> F2`` with ``g . f[x] -> g . t[x]``.
+def frame_map(F: GSet, f: Frame, F2: GSet, t: Frame) -> tuple[int, ...]:
+    """The value table of the id-equivariant map ``F -> F2`` with ``g . f[x] -> g . t[x]``.
 
     For a basis ``f`` of ``F``, each point is ``g . f[x]`` for one ``(g, x)``
     (well defined), ``h . (g . f[x]) = (hg) . f[x]`` goes to ``h . (g .
@@ -214,7 +214,7 @@ def frame_map(F: GSet, f: Frame, F2: GSet, t: Frame) -> EquivariantMap:
     for row, row2 in zip(F.act, F2.act):
         for p, p2 in zip(f, t):
             value[row[p]] = row2[p2]
-    return EquivariantMap(F, F2, identity_hom(F.group), tuple(value))
+    return tuple(value)
 
 
 def _model_frame(F: GSet, t: Frame) -> tuple[GSet, Frame]:
@@ -226,7 +226,7 @@ def _model_frame(F: GSet, t: Frame) -> tuple[GSet, Frame]:
     return standard_semitorsor(F.group, n), frame
 
 
-def associated_map(F: GSet, t: Frame) -> EquivariantMap:
+def associated_map(F: GSet, t: Frame) -> tuple[int, ...]:
     """The isomorphism G x I_n -> F induced by a frame: (g, x) -> g . t[x].
 
     Its inverse sends f to (f / t[x], x) where x is the slot whose orbit
@@ -236,7 +236,7 @@ def associated_map(F: GSet, t: Frame) -> EquivariantMap:
     return frame_map(model, m, F, t)
 
 
-def associated_map_inverse(F: GSet, t: Frame) -> EquivariantMap:
+def associated_map_inverse(F: GSet, t: Frame) -> tuple[int, ...]:
     """The inverse of :func:`associated_map`, as a map F -> G x I_n."""
     model, m = _model_frame(F, t)
     return frame_map(F, t, model, m)
@@ -267,21 +267,21 @@ def frame_divide(fs: FrameSpace, f2: Frame, f1: Frame) -> WreathElement:
     return WreathElement(fs.base_gset.group, g, sigma)
 
 
-def lift_table(a: EquivariantMap) -> list[int | None]:
-    """The frame lift t -> a . t of an equivariant map, on frame indices.
+def lift_table(source: GSet, target: GSet, value) -> list[int | None]:
+    """The frame lift t -> value . t of an equivariant map, on frame indices.
 
     Entry i is the index in the target's frame space of source frame i with
-    ``a`` applied slot by slot.  Only maps inducing a bijection on orbits
+    ``value`` applied slot by slot.  Only maps inducing a bijection on orbits
     lift; the lift is equivariant for (xi^n, id) between the wreath products.
     """
-    if not is_orbit_bijection(a):
+    if not is_orbit_bijection(source, target, value):
         raise OrbitObstruction(
             "map does not induce a bijection on orbits, so it has no frame lift"
         )
-    if not (is_free(a.source) and is_free(a.target)):
+    if not (is_free(source) and is_free(target)):
         raise NotFree("frame lifts are defined between free group-sets")
-    fs = a.source.frame_space  # both free, as enumerate_frames would check
-    return frame_table(fs.columns, [a.value] * fs.n, range(fs.n), a.target.frame_space.index)
+    fs = source.frame_space  # both free, as enumerate_frames would check
+    return frame_table(fs.columns, [value] * fs.n, range(fs.n), target.frame_space.index)
 
 
 def wreath_elements(G: FiniteGroup, n: int) -> list[WreathElement]:
@@ -297,7 +297,8 @@ class Reconstruction(Frozen):
 
     ``gset`` is the quotient by the slot-stabilizer subgroup,
     ``class_of_frame[i]`` the quotient class of ``fs.frames[i]``, and
-    ``to_standard`` an isomorphism witness onto the standard semi-torsor.
+    ``to_standard`` the value table of an isomorphism onto the standard
+    semi-torsor, the witness that the quotient is ``G x I_n``.
     """
 
     __slots__ = _fields = ("gset", "class_of_frame", "to_standard")
@@ -337,13 +338,12 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
     # with the inverse of the canonical frame's associated map gives G x I_n
     canonical = fs.frames[0]
     to_model = associated_map_inverse(F, canonical)
-    value = tuple(to_model.value[fs.frames[rep][x]] for rep in classes)
-    witness = EquivariantMap(
-        quotient, standard_semitorsor(G, n), identity_hom(G), value
-    )
-    if not (witness.is_bijective() and check_equivariant(witness)):
+    value = tuple(to_model[fs.frames[rep][x]] for rep in classes)
+    model = standard_semitorsor(G, n)
+    if not (is_permutation(value, model.size)
+            and check_equivariant(quotient, model, identity_hom(G), value)):
         raise AssertionError("reconstruction witness failed verification")
-    return Reconstruction(quotient, class_of, witness)
+    return Reconstruction(quotient, class_of, value)
 
 
 class EquivalenceReport(Frozen):
@@ -381,8 +381,8 @@ def _wreath_generators(G: FiniteGroup, n: int) -> list[WreathElement]:
     return out + [_swap(G, n, x, x + 1) for x in range(n - 1)]
 
 
-def gset_homs(F: GSet, F2: GSet) -> list[EquivariantMap]:
-    """All id-equivariant maps F -> F2 that are bijections on orbits.
+def gset_homs(F: GSet, F2: GSet) -> list[tuple[int, ...]]:
+    """The value tables of all id-equivariant maps F -> F2 that are bijections on orbits.
 
     A map out of a free group-set is fixed by the images of one basis, and
     the orbit condition holds exactly when those images form a basis of the
@@ -418,7 +418,7 @@ def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
                                "frame-index tables of the equivalence check")
 
     homs = gset_homs(F, F2)
-    lifted = {tuple(lift_table(a)) for a in homs}
+    lifted = {tuple(lift_table(F, F2, a)) for a in homs}
 
     # torsor morphisms: each is w . base -> w . target, one per target
     base = fs1.frames[0]

@@ -25,7 +25,6 @@ from .errors import NotFree
 from .frames import Frame, WreathElement, frame_map, gset_homs, is_basis
 from .groups import Permutation, is_permutation, perm_inverse
 from .gsets import (
-    EquivariantMap,
     GSet,
     divide,
     induced_orbit_map,
@@ -38,7 +37,7 @@ from .gsets import (
 from .records import Frozen
 
 
-def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> EquivariantMap:
+def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> tuple[int, ...]:
     """The automorphism h f[x] -> h f[sigma(x)] defined by a frame.
 
     For a fixed frame this is a homomorphism in sigma; when the frame is a
@@ -53,28 +52,27 @@ def section_from_frame(F: GSet, f: Frame, sigma: Permutation) -> EquivariantMap:
     return frame_map(F, f, F, tuple(f[s] for s in sigma))
 
 
-def autq_component(psi: EquivariantMap, f: Frame) -> tuple[int, ...]:
-    """The group tuple identifying an orbit-preserving automorphism.
+def autq_component(F: GSet, psi, f: Frame) -> tuple[int, ...]:
+    """The group tuple identifying an orbit-preserving automorphism of ``F``.
 
-    Component x is the division f[x] / psi(f[x]), i.e. the *inverse* of the
+    Component x is the division f[x] / psi[f[x]], i.e. the *inverse* of the
     element translating f[x] to its image; with this orientation the
     assignment psi -> tuple is a homomorphism onto G^n.
     """
     n = len(f)
-    if induced_orbit_map(psi) != tuple(range(n)):
+    if induced_orbit_map(F, F, psi) != tuple(range(n)):
         raise ValueError("automorphism does not preserve orbits")
-    F = psi.source
-    return tuple(divide(F, f[x], psi.value[f[x]]) for x in range(n))
+    return tuple(divide(F, f[x], psi[f[x]]) for x in range(n))
 
 
-def autq_reconstruct(F: GSet, f: Frame, component: tuple[int, ...]) -> EquivariantMap:
+def autq_reconstruct(F: GSet, f: Frame, component: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse of :func:`autq_component` for a fixed frame: f[x] -> c[x]^-1 . f[x]."""
     inv = F.group.inv
     t = tuple(F.act[inv[component[x]]][f[x]] for x in range(len(f)))
     return frame_map(F, f, F, t)
 
 
-def wreath_to_aut(w: WreathElement, F: GSet) -> EquivariantMap:
+def wreath_to_aut(w: WreathElement, F: GSet) -> tuple[int, ...]:
     """The isomorphism from the wreath product G wr I_n onto Aut(G x I_n).
 
     (h, x) maps to (h . g[s(x)]^-1, s(x)); right translation keeps the maps
@@ -90,21 +88,20 @@ def wreath_to_aut(w: WreathElement, F: GSet) -> EquivariantMap:
     return frame_map(F, tuple(semitorsor_point(G.identity, x, n) for x in range(n)), F, image)
 
 
-def aut_to_wreath(psi: EquivariantMap) -> WreathElement:
-    """Recover the wreath element of an automorphism of a standard semi-torsor.
+def aut_to_wreath(F: GSet, psi) -> WreathElement:
+    """Recover the wreath element of an automorphism of a standard semi-torsor ``F``.
 
     The permutation is the orbit permutation of psi (``induced_orbit_map``);
     the group tuple comes from evaluating at the identity section, inverting
     the right-translation convention of :func:`wreath_to_aut`.
     """
-    F = psi.source
     G = F.group
     n = semitorsor_orbit_count(F)
-    sigma = induced_orbit_map(psi)
+    sigma = induced_orbit_map(F, F, psi)
     s_inv = perm_inverse(sigma)
     g = []
     for x in range(n):
-        gc, xc = semitorsor_coords(psi.value[semitorsor_point(G.identity, s_inv[x], n)], n)
+        gc, xc = semitorsor_coords(psi[semitorsor_point(G.identity, s_inv[x], n)], n)
         if xc != x:
             raise AssertionError("orbit permutation mismatch")
         g.append(G.inv[gc])
@@ -145,12 +142,12 @@ def ses_report(F: GSet, auts=None) -> SesReport:
     identity_perm = tuple(range(n))
     perms = set(itertools.permutations(range(n)))
 
-    cq_values = [induced_orbit_map(a) for a in auts]
+    cq_values = [induced_orbit_map(F, F, a) for a in auts]
     autq_order = sum(1 for p in cq_values if p == identity_perm)
     # kernel of c_q = the maps fixing every orbit setwise, checked point by point
     kernel_is_autq = all(
         (p == identity_perm)
-        == all(q.orbit_of[a.value[f]] == q.orbit_of[f] for f in range(F.size))
+        == all(q.orbit_of[a[f]] == q.orbit_of[f] for f in range(F.size))
         for a, p in zip(auts, cq_values)
     ) and autq_order == F.group.order**n
     cq_surjective = set(cq_values) == perms
@@ -158,7 +155,7 @@ def ses_report(F: GSet, auts=None) -> SesReport:
     # the smallest frame: orbit indices follow the orbits' smallest points
     section_frame = tuple(m[0] for m in q.members)
     section_splits = all(
-        induced_orbit_map(section_from_frame(F, section_frame, sigma)) == sigma
+        induced_orbit_map(F, F, section_from_frame(F, section_frame, sigma)) == sigma
         for sigma in itertools.permutations(range(n))
     )
     return SesReport(

@@ -3,6 +3,11 @@
 A group-set is a carrier ``0 .. size-1`` with an action table ``act[g][f]``.
 The orbit partition is canonical: orbit indices are assigned in order of the
 smallest carrier representative, so quotient data is reproducible.
+
+A map of group-sets is its value table: ``value[f]`` is the image of carrier
+point ``f``.  It is equivariant over the homomorphism with image table ``xi``
+(``groups.check_hom``) when ``value[g . f] = xi[g] . value[f]``; only the
+readers that check this law or count its kernel take ``xi``.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from functools import cached_property
 
 from . import config
 from .errors import NoQuotient, NotFree
-from .groups import (FiniteGroup, check_hom, first_broken_edge, identity_hom, make_cyclic,
-                     perm_compose, perm_orbits)
+from .groups import FiniteGroup, check_hom, first_broken_edge, make_cyclic, perm_compose, perm_orbits
 from .records import Frozen
 
 Frame = tuple[int, ...]
@@ -201,40 +205,20 @@ def division_table(F: GSet) -> dict[tuple[int, int], int]:
     return F.division
 
 
-class EquivariantMap(Frozen):
-    """A map of group-sets, equivariant over a homomorphism of their groups.
-
-    ``value[f]`` is the image of carrier point ``f``, ``xi`` the image table
-    of the homomorphism (``groups.check_hom``), and the defining law is
-    ``value[g . f] = xi[g] . value[f]``.
-    """
-
-    __slots__ = _fields = ("source", "target", "xi", "value")
-
-    def __call__(self, f: int) -> int:
-        return self.value[f]
-
-    def is_bijective(self) -> bool:
-        return (
-            self.source.size == self.target.size
-            and len(set(self.value)) == self.source.size
-        )
-
-
-def equivariant_map(source: GSet, target: GSet, xi, value) -> EquivariantMap:
-    """Build an equivariant map and verify the law exhaustively."""
-    a = EquivariantMap(source, target, tuple(xi), tuple(value))
-    check_hom(source.group, target.group, a.xi)
-    if len(a.value) != source.size:
+def equivariant_map(source: GSet, target: GSet, xi, value) -> tuple[int, ...]:
+    """Verify a map of group-sets exhaustively and return its value table."""
+    xi, value = tuple(xi), tuple(value)
+    check_hom(source.group, target.group, xi)
+    if len(value) != source.size:
         raise ValueError("value table has wrong length")
-    if any(not (0 <= v < target.size) for v in a.value):
+    if any(not (0 <= v < target.size) for v in value):
         raise ValueError("value out of range")
-    if not check_equivariant(a):
+    if not check_equivariant(source, target, xi, value):
         raise ValueError("map is not equivariant")
-    return a
+    return value
 
 
-def check_equivariant(a: EquivariantMap) -> bool:
+def check_equivariant(source: GSet, target: GSet, xi, value) -> bool:
     """Whether value[g f] = xi[g] value[f] for all g and f, checked for the generators g.
 
     That suffices when both actions obey the action law and xi is a
@@ -244,41 +228,28 @@ def check_equivariant(a: EquivariantMap) -> bool:
     pass are closed under products, and with the generators they hold every
     element of the finite group.
     """
-    src, tgt, xi, val = a.source, a.target, a.xi, a.value
-    for g in src.group.generators:
-        img_row = tgt.act[xi[g]]
-        if any(val[p] != img_row[v] for p, v in zip(src.act[g], val)):
+    for g in source.group.generators:
+        img_row = target.act[xi[g]]
+        if any(value[p] != img_row[v] for p, v in zip(source.act[g], value)):
             return False
     return True
 
 
-def identity_map(F: GSet) -> EquivariantMap:
-    return EquivariantMap(F, F, identity_hom(F.group), tuple(range(F.size)))
-
-
-def compose_equivariant(a: EquivariantMap, b: EquivariantMap) -> EquivariantMap:
-    """The composite a after b; sources/targets must chain."""
-    if b.target != a.source:
-        raise ValueError("compose_equivariant: inner target does not match outer source")
-    return EquivariantMap(b.source, a.target, perm_compose(a.xi, b.xi),
-                          perm_compose(a.value, b.value))
-
-
-def induced_orbit_map(a: EquivariantMap) -> tuple[int, ...]:
-    """The unique map c on orbit indices with q2 . a = c . q1.
+def induced_orbit_map(source: GSet, target: GSet, value) -> tuple[int, ...]:
+    """The unique map c on orbit indices with q2 . value = c . q1.
 
     For an automorphism of a free group-set this is the orbit permutation
     c_q, a homomorphism onto Sym(orbits).
     """
-    q1 = orbits(a.source)
-    q2 = orbits(a.target)
-    table = tuple(q2.orbit_of[a.value[m[0]]] for m in q1.members)
+    q1 = orbits(source)
+    q2 = orbits(target)
+    table = tuple(q2.orbit_of[value[m[0]]] for m in q1.members)
     # the map is well defined by equivariance; verify the square exhaustively
-    if any(q2.orbit_of[a.value[f]] != table[k] for f, k in enumerate(q1.orbit_of)):
+    if any(q2.orbit_of[value[f]] != table[k] for f, k in enumerate(q1.orbit_of)):
         raise ValueError("orbit map is not constant on orbits")
     return table
 
 
-def is_orbit_bijection(a: EquivariantMap) -> bool:
-    table = induced_orbit_map(a)
-    return len(set(table)) == len(table) == len(orbits(a.target).members)
+def is_orbit_bijection(source: GSet, target: GSet, value) -> bool:
+    table = induced_orbit_map(source, target, value)
+    return len(set(table)) == len(table) == len(orbits(target).members)

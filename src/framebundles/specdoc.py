@@ -183,13 +183,13 @@ def _parse_clutching_gspace(entry: Any, fiber: GSet, where: str) -> tuple[int, .
         if len(g) != n:
             raise SchemaError(f"{where}.wreath: wreath element does not match the target semi-torsor")
         try:
-            return wreath_to_aut(WreathElement(fiber.group, g, perm), fiber).value
+            return wreath_to_aut(WreathElement(fiber.group, g, perm), fiber)
         except ValueError as exc:
             raise SchemaError(f"{where}.wreath: {exc}") from exc
     else:
         raise SchemaError(f"{where}: unknown clutching form {key!r}")
     try:
-        return equivariant_map(fiber, fiber, identity_hom(fiber.group), table).value
+        return equivariant_map(fiber, fiber, identity_hom(fiber.group), table)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

@@ -37,9 +37,7 @@ from .groups import (
     perm_inverse,
 )
 from .gsets import (
-    compose_equivariant,
     division_table,
-    identity_map,
     induced_orbit_map,
     orbits,
     standard_semitorsor,
@@ -160,7 +158,7 @@ def suite_functor_laws(groups, orbit_counts) -> SuiteReport:
     for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         fs = enumerate_frames(F)
-        lift = lift_table(identity_map(F))
+        lift = lift_table(F, F, range(F.size))
         moved = next((f"the lift moves frame {fs.frames[i]}"
                       for i, j in enumerate(lift) if i != j), "")
         rep.add(name, "identity lifts to identity", not moved, moved)
@@ -168,19 +166,19 @@ def suite_functor_laws(groups, orbit_counts) -> SuiteReport:
         if len(homs) > PAIR_BOUND:
             rep.add(name, f"composition law (skipped, {len(homs)} > {PAIR_BOUND} morphisms)", True)
             continue
-        broken = _first_broken_composition(homs)
-        detail = f"a={broken[0].value} b={broken[1].value}" if broken else ""
+        broken = _first_broken_composition(F, homs)
+        detail = f"a={broken[0]} b={broken[1]}" if broken else ""
         rep.add(name, "composition law on all pairs", not broken, detail)
         rep.bump("composable pairs", len(homs) ** 2)
     return rep
 
 
-def _first_broken_composition(homs):
-    """The first pair (a, b) whose lift(a b) is not la after lb, or None."""
-    lifts = [lift_table(a) for a in homs]
+def _first_broken_composition(F, homs):
+    """The first pair (a, b) of maps F -> F whose lift(a b) is not la after lb, or None."""
+    lifts = [lift_table(F, F, a) for a in homs]
     for a, la in zip(homs, lifts):
         for b, lb in zip(homs, lifts):
-            lab = lift_table(compose_equivariant(a, b))
+            lab = lift_table(F, F, perm_compose(a, b))
             # None, a frame lifted off the frame space, matches nothing
             if None in lb or None in lab or lab != list(map(la.__getitem__, lb)):
                 return a, b
@@ -221,22 +219,21 @@ def suite_wreath_iso(groups, orbit_counts) -> SuiteReport:
     for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         elements = wreath_elements(G, n)
-        images = [wreath_to_aut(w, F) for w in elements]
-        tables = [a.value for a in images]
+        tables = [wreath_to_aut(w, F) for w in elements]
         first = dict(zip(tables[::-1], elements[::-1]))  # the first element of each table
         clash = next((f"{first[t]!r} and {w!r} map to one automorphism"
                       for w, t in zip(elements, tables) if first[t] is not w), "")
         rep.add(name, "injective", not clash, clash)
         auts = gset_homs(F, F)
-        missed = next((f"no element reaches {a.value}" for a in auts if a.value not in first), "")
-        rep.add(name, "surjective onto Aut(G x X)", first.keys() == {a.value for a in auts}, missed)
+        missed = next((f"no element reaches {a}" for a in auts if a not in first), "")
+        rep.add(name, "surjective onto Aut(G x X)", first.keys() == set(auts), missed)
         broken = _broken_wreath_hom(F, elements, tables)
         rep.add(name, "homomorphism on all pairs", not broken, broken)
-        trip = next((f"{w!r} comes back as {v!r}"
-                     for w, v in zip(elements, map(aut_to_wreath, images)) if v != w), "")
+        trip = next((f"{w!r} comes back as {v!r}" for w, t in zip(elements, tables)
+                     if (v := aut_to_wreath(F, t)) != w), "")
         rep.add(name, "round trip to wreath", not trip, trip)
-        moved = next((f"{w!r} permutes the orbits by {p}"
-                      for w, p in zip(elements, map(induced_orbit_map, images)) if p != w.sigma), "")
+        moved = next((f"{w!r} permutes the orbits by {p}" for w, t in zip(elements, tables)
+                      if (p := induced_orbit_map(F, F, t)) != w.sigma), "")
         rep.add(name, "orbit permutation matches sigma", not moved, moved)
         r = ses_report(F, auts)
         rep.add(name, "SES sizes", r.ok,
@@ -256,7 +253,7 @@ def _broken_wreath_hom(F, elements, tables) -> str:
         return "W does not act freely and transitively on the frames"
     of_frame = perm_inverse(at)
     moved = [wreath_act(F, s, base) for s in _wreath_generators(F.group, fs.n)]
-    moves = [lift_table(frame_map(F, base, F, t)) for t in moved]
+    moves = [lift_table(F, F, frame_map(F, base, F, t)) for t in moved]
     try:
         broken = first_broken_edge([tables[i] for i in of_frame], perm_compose, fs.index[base],
                                    [fs.index[t] for t in moved], moves)
@@ -297,8 +294,7 @@ def suite_division_rules(groups, orbit_counts) -> SuiteReport:
                             if not scaling and lhs != rhs:
                                 scaling = (f"[{g2}.{f2}/{g1}.{f1}] = {lhs} but "
                                            f"{g2} [{f2}/{f1}] {g1}^-1 = {rhs}")
-        for psi in gset_homs(F, F):
-            value = psi.value
+        for value in gset_homs(F, F):
             for orbit in by_orbit:
                 for f1 in orbit:
                     for f2 in orbit:

@@ -107,12 +107,12 @@ def element_orders_by_walk(G: FiniteGroup) -> tuple[int, ...]:
 
 def gset_aut_table(F) -> FiniteGroup:
     """Aut(F) as the Cayley table of the value tables of ``gset_homs(F, F)``."""
-    return cayley_group([a.value for a in gset_homs(F, F)], perm_compose, "Aut(F)")
+    return cayley_group(gset_homs(F, F), perm_compose, "Aut(F)")
 
 
-def frame_functor_map(a):
-    """The frame lift ``t -> a . t`` of an equivariant map, as a map on frames."""
-    value = a.value
+def frame_functor_map(value):
+    """The frame lift ``t -> value . t`` of an equivariant map's value table,
+    as a map on frames."""
     return lambda t: tuple(value[p] for p in t)
 
 
@@ -122,11 +122,11 @@ def act_table_per_frame(fs, w) -> list:
     return [fs.index.get(wreath_act(fs.base_gset, w, t)) for t in fs.frames]
 
 
-def lift_table_per_frame(a) -> list:
+def lift_table_per_frame(source, target, value) -> list:
     """``frames.lift_table`` one lifted frame at a time."""
-    lift = frame_functor_map(a)
-    index = enumerate_frames(a.target).index
-    return [index.get(lift(t)) for t in enumerate_frames(a.source).frames]
+    lift = frame_functor_map(value)
+    index = enumerate_frames(target).index
+    return [index.get(lift(t)) for t in enumerate_frames(source).frames]
 
 
 def equivalence_per_frame(F, F2) -> EquivalenceReport:
@@ -134,7 +134,7 @@ def equivalence_per_frame(F, F2) -> EquivalenceReport:
     tables and the torsor tables ``w . base -> w . target``, one frame at a time."""
     fs1, fs2 = enumerate_frames(F), enumerate_frames(F2)
     homs = gset_homs(F, F2)
-    lifted = {tuple(lift_table_per_frame(a)) for a in homs}
+    lifted = {tuple(lift_table_per_frame(F, F2, a)) for a in homs}
     divisions = [frame_divide(fs1, t, fs1.frames[0]) for t in fs1.frames]
     torsor = {tuple(fs2.index[wreath_act(F2, w, target)] for w in divisions)
               for target in fs2.frames}
@@ -239,10 +239,9 @@ def action_law_holds(G: FiniteGroup, act) -> bool:
     )
 
 
-def is_equivariant_everywhere(a) -> bool:
-    """Whether ``value[g f] = xi(g) value[f]`` for every g in the group and
+def is_equivariant_everywhere(src, tgt, xi, val) -> bool:
+    """Whether ``val[g f] = xi(g) val[f]`` for every g in the group and
     every point f, by the loop over all of them."""
-    src, tgt, xi, val = a.source, a.target, a.xi, a.value
     return all(
         val[src.act[g][f]] == tgt.act[xi[g]][val[f]]
         for g in range(src.group.order)

@@ -23,16 +23,15 @@ from framebundles.bundles import (
     finite_winding_bundle,
     flat_bundle,
     frame_bundle,
-    map_fiber_count,
+    principal_fiber,
     quotient_bundle,
-    quotient_map,
     total_components,
 )
 from framebundles.cli import cmd_classify_circle
 from framebundles.frames import WreathElement, check_equivalence, enumerate_frames, wreath_identity
-from framebundles.groups import identity_hom, make_cyclic, make_direct_product, perm_inverse
+from framebundles.groups import make_cyclic, make_direct_product, perm_inverse
 from framebundles.gset_aut import wreath_to_aut
-from framebundles.gsets import EquivariantMap, induced_orbit_map, standard_semitorsor
+from framebundles.gsets import induced_orbit_map, standard_semitorsor
 from framebundles.suites import fixture_groups, run_suite
 from framebundles.u1 import (
     FiberPoint,
@@ -178,15 +177,15 @@ def _decomposition_fixtures():
     ]
     # twisted torsor bundle
     torsor = standard_semitorsor(z3, 1)
-    twist = wreath_to_aut(WreathElement(z3, (1,), (0,)), torsor).value
+    twist = wreath_to_aut(WreathElement(z3, (1,), (0,)), torsor)
     fixtures.append(flat_bundle(torsor, (twist,)))
     # trivial bundle with three orbits
     fiber = standard_semitorsor(z2, 3)
     fixtures.append(flat_bundle(fiber, (tuple(range(fiber.size)),)))
     # two loops over the wedge: a sheet swap and a pure translation
     f2 = standard_semitorsor(z2, 2)
-    swap = wreath_to_aut(WreathElement(z2, (0, 0), (1, 0)), f2).value
-    shift = wreath_to_aut(WreathElement(z2, (1, 1), (0, 1)), f2).value
+    swap = wreath_to_aut(WreathElement(z2, (0, 0), (1, 0)), f2)
+    shift = wreath_to_aut(WreathElement(z2, (1, 1), (0, 1)), f2)
     fixtures.append(flat_bundle(f2, (swap, shift)))
     return fixtures
 
@@ -196,10 +195,9 @@ def test_criterion_08_decomposition():
     for b in _decomposition_fixtures():
         q = quotient_bundle(b)
         for a, qa in zip(b.clutching, q.clutching):
-            own = EquivariantMap(b.fiber, b.fiber, identity_hom(b.fiber.group), a)
-            if qa != induced_orbit_map(own):
+            if qa != induced_orbit_map(b.fiber, b.fiber, a):
                 ok = False
-        if map_fiber_count(quotient_map(b)) != b.fiber.group.order:
+        if principal_fiber(b) != b.fiber.group.order:
             ok = False
     _report(8, ok, "quotient clutching = cq(clutching) and quotient map has |G|-point fibers on all fixtures")
 

@@ -16,8 +16,8 @@ from framebundles.bundles import (
     holonomy,
     is_trivializable,
     map_fiber_count,
+    principal_fiber,
     quotient_bundle,
-    quotient_map,
     sn_action_on_bundle,
     sn_labelling,
     total_components,
@@ -50,7 +50,6 @@ from table_oracles import (
 )
 
 from framebundles.gsets import (
-    EquivariantMap,
     equivariant_map,
     induced_orbit_map,
     orbits,
@@ -67,11 +66,6 @@ KLEIN = make_direct_product(Z2, Z2)
 def group_bundle(G, h):
     """The group-mode bundle over the circle glued by the automorphism ``h``."""
     return flat_bundle(trivial_gset(G.order), (h,), G)
-
-
-def as_map(fiber, table):
-    """A clutching table as the id-equivariant self-map of its fiber."""
-    return EquivariantMap(fiber, fiber, identity_hom(fiber.group), table)
 
 
 def z3_bundles():
@@ -221,7 +215,7 @@ def test_trivializable_cases():
 
 def test_quotient_of_torsor_bundle_is_a_point():
     fiber = standard_semitorsor(Z3, 1)
-    neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)), fiber).value
+    neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)), fiber)
     b = flat_bundle(fiber, (neg,))
     q = quotient_bundle(b)
     assert q.fiber.size == 1
@@ -251,7 +245,7 @@ def test_quotient_clutching_is_cq_of_clutching():
     for b in fixtures:
         q = quotient_bundle(b)
         for a, qa in zip(b.clutching, q.clutching):
-            assert qa == induced_orbit_map(as_map(b.fiber, a))
+            assert qa == induced_orbit_map(b.fiber, b.fiber, a)
 
 
 def _mixed_clutching():
@@ -306,16 +300,23 @@ def test_group_mode_checks_the_homomorphism_law_before_bijectivity(table, messag
 
 
 def test_quotient_map_fiber_count_is_group_order():
+    # the orbit projection onto the k sheets, over the collapse of G
     for G, k in [(Z2, 2), (Z3, 2), (KLEIN, 3)]:
         b = finite_winding_bundle(G, k)
-        assert map_fiber_count(quotient_map(b)) == G.order
+        sheets, collapse = trivial_gset(k), (0,) * G.order
+        projection = equivariant_map(b.fiber, sheets, collapse, orbits(b.fiber).orbit_of)
+        assert map_fiber_count(b.fiber, sheets, collapse, projection) == G.order
+        assert principal_fiber(b) == G.order
+
+
+def test_principal_fiber_refuses_a_group_mode_bundle():
+    with pytest.raises(ModeMismatch, match="quotient map applies to group-space bundles"):
+        principal_fiber(group_bundle(Z3, identity_hom(Z3)))
 
 
 def test_map_fiber_count_examples():
     F = standard_semitorsor(Z2, 2)
-    from framebundles.gsets import identity_map
-
-    assert map_fiber_count(identity_map(F)) == 1
+    assert map_fiber_count(F, F, identity_hom(Z2), tuple(range(F.size))) == 1
 
     z4 = make_cyclic(4)
     F4 = standard_semitorsor(z4, 2)
@@ -325,7 +326,7 @@ def test_map_fiber_count_examples():
         F4, F2, xi,
         [semitorsor_point(g % 2, x, 2) for g in range(4) for x in range(2)],
     )
-    assert map_fiber_count(reduction) == 2
+    assert map_fiber_count(F4, F2, xi, reduction) == 2
 
 
 def test_map_fiber_count_rejects_non_surjective():
@@ -335,7 +336,7 @@ def test_map_fiber_count_rejects_non_surjective():
     value = [semitorsor_point(g, 0, 2) for g in range(3)]
     a = equivariant_map(source, target, identity_hom(G), value)
     with pytest.raises(ValueError):
-        map_fiber_count(a)
+        map_fiber_count(source, target, identity_hom(G), a)
 
 
 def test_map_fiber_count_is_the_kernel_size_of_identity_and_constant():
@@ -343,11 +344,12 @@ def test_map_fiber_count_is_the_kernel_size_of_identity_and_constant():
     # the identity of Z4, 4 for the map of Z4 onto the trivial group
     z4 = make_cyclic(4)
     F = standard_semitorsor(z4, 1)
-    assert map_fiber_count(equivariant_map(F, F, identity_hom(z4), range(4))) == 1
+    ident = identity_hom(z4)
+    assert map_fiber_count(F, F, ident, equivariant_map(F, F, ident, range(4))) == 1
     point = trivial_gset(1)
-    to_one = equivariant_map(F, point, hom(z4, point.group, [0] * 4), [0] * 4)
-    assert to_one.xi == (0, 0, 0, 0)
-    assert map_fiber_count(to_one) == 4
+    xi = hom(z4, point.group, [0] * 4)
+    assert xi == (0, 0, 0, 0)
+    assert map_fiber_count(F, point, xi, equivariant_map(F, point, xi, [0] * 4)) == 4
 
 
 # ---------------------------------------------------------------- winding bundles
@@ -414,7 +416,7 @@ def test_frame_bundle_clutching_is_generatorwise_lift():
     b = finite_winding_bundle(Z2, 2)
     lifted = frame_bundle(b)
     fs = enumerate_frames(b.fiber)
-    lift = frame_functor_map(as_map(b.fiber, b.clutching[0]))
+    lift = frame_functor_map(b.clutching[0])
     for i, t in enumerate(fs.frames):
         assert lifted.clutching[0][i] == fs.index[lift(t)]
 
@@ -439,9 +441,9 @@ def test_frame_bundle_mod_tuple_part_recovers_covering_frames():
 
     q = quotient_bundle(b)
     qfs = enumerate_frames(q.fiber)
-    covering = as_map(q.fiber, q.clutching[0])
-    qlift = lift_table(covering)
-    assert qlift == lift_table_per_frame(covering)
+    covering = q.clutching[0]
+    qlift = lift_table(q.fiber, q.fiber, covering)
+    assert qlift == lift_table_per_frame(q.fiber, q.fiber, covering)
     for i, t in enumerate(qfs.frames):
         assert induced[t] == qfs.frames[qlift[i]]
 
@@ -535,7 +537,7 @@ def test_holonomy_is_homomorphism_on_concatenation():
 def test_winding_cube_has_identity_orbit_permutation():
     b = finite_winding_bundle(Z2, 3)
     h = holonomy(b, (1, 1, 1))
-    assert induced_orbit_map(as_map(b.fiber, h)) == (0, 1, 2)
+    assert induced_orbit_map(b.fiber, b.fiber, h) == (0, 1, 2)
 
 
 def test_holonomy_of_a_word_dense_in_inverse_letters_matches_a_per_letter_fold(monkeypatch):

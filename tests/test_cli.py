@@ -13,7 +13,6 @@ import framebundles.errors as errors
 import framebundles.groups as groups
 import framebundles.suites as suites
 from framebundles.cli import SUITE_NAMES, main
-from framebundles.gsets import EquivariantMap
 from table_oracles import LOOP_5
 
 Z3_SPEC = '{"kind": "cyclic", "n": 3}'
@@ -630,9 +629,9 @@ def test_division_rules_checks_every_automorphism(capsys, monkeypatch):
         # last, a value table that swaps two points of the orbit of point 0
         homs = true_homs(F, F2)
         a, b = sorted({F.act[g][0] for g in range(F.group.order)})[:2]
-        value = list(homs[0].value)
+        value = list(homs[0])
         value[a], value[b] = value[b], value[a]
-        return homs + [EquivariantMap(homs[0].source, homs[0].target, homs[0].xi, tuple(value))]
+        return homs + [tuple(value)]
 
     monkeypatch.setattr(suites, "gset_homs", true_homs_then_a_swap)
     code, out, _ = run(capsys, "verify", "division-rules", "--group", "z3", "--orbits", "1")
@@ -681,8 +680,18 @@ def test_wreath_iso_names_a_clash_and_an_automorphism_that_no_element_reaches(ca
 
 
 def test_functor_laws_names_a_frame_that_the_identity_lift_moves(capsys, monkeypatch):
-    # the swap of the two points of I_2 passed off as the identity map
-    monkeypatch.setattr(suites, "identity_map", lambda F: suites.gset_homs(F, F)[-1])
+    # the swap of the two points of I_2 passed off as the identity map, whose
+    # lift is the first one the suite asks for
+    true_lift = suites.lift_table
+    lifted = []
+
+    def swap_for_the_identity(source, target, value):
+        if not lifted:
+            value = suites.gset_homs(source, source)[-1]
+        lifted.append(value)
+        return true_lift(source, target, value)
+
+    monkeypatch.setattr(suites, "lift_table", swap_for_the_identity)
     code, out, _ = run(capsys, "verify", "functor-laws", "--group", "z1", "--orbits", "2")
     assert code == 1
     assert "FAIL [Z1 n=2] identity lifts to identity (the lift moves frame (0, 1))\n" in out

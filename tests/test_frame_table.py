@@ -17,14 +17,8 @@ from framebundles.frames import (
     lift_table,
     wreath_elements,
 )
-from framebundles.groups import make_cyclic, make_direct_product
-from framebundles.gsets import (
-    FrameSpace,
-    GSet,
-    compose_equivariant,
-    make_gset,
-    standard_semitorsor,
-)
+from framebundles.groups import make_cyclic, make_direct_product, perm_compose
+from framebundles.gsets import FrameSpace, GSet, make_gset, standard_semitorsor
 from framebundles.suites import fixture_groups, suite_functor_laws, suite_torsor
 from table_oracles import act_table_per_frame, equivalence_per_frame, lift_table_per_frame
 
@@ -51,7 +45,7 @@ def test_act_table_matches_the_per_frame_action(G, n):
 def test_lift_table_matches_the_per_frame_lift(G, n):
     F = standard_semitorsor(G, n)
     for a in gset_homs(F, F):
-        assert lift_table(a) == lift_table_per_frame(a)
+        assert lift_table(F, F, a) == lift_table_per_frame(F, F, a)
 
 
 def relabelled(F, seed):
@@ -73,7 +67,7 @@ def test_equivalence_onto_a_relabelled_copy_matches_the_oracle(G, n):
     fs, fs2 = enumerate_frames(F), enumerate_frames(F2)
     assert fs.index != fs2.index
     for a in gset_homs(F, F2):
-        assert lift_table(a) == lift_table_per_frame(a)
+        assert lift_table(F, F2, a) == lift_table_per_frame(F, F2, a)
     for w in wreath_elements(G, n):
         assert act_table(fs2, w) == act_table_per_frame(fs2, w)
     report, oracle = check_equivalence(F, F2), equivalence_per_frame(F, F2)
@@ -107,7 +101,7 @@ def test_a_space_with_no_slots_has_one_frame():
     assert frame_table((), [], (), {}) == [None]
     F = make_gset(Z2, [[], []])
     (a,) = gset_homs(F, F)
-    assert lift_table(a) == [0]
+    assert lift_table(F, F, a) == [0]
     report = check_equivalence(F, F)
     assert (report.gset_hom_count, report.torsor_hom_count, report.ok) == (1, 1, True)
 
@@ -198,7 +192,7 @@ def test_composition_law_fails_on_a_fixed_frame(monkeypatch):
 
 def test_composition_law_fails_on_a_composition_in_the_wrong_order(monkeypatch):
     # Aut(Z2 x I_2) = Z2 wr I_2 is not abelian, so b a differs from a b
-    monkeypatch.setattr(suites, "compose_equivariant", lambda a, b: compose_equivariant(b, a))
+    monkeypatch.setattr(suites, "perm_compose", lambda a, b: perm_compose(b, a))
     law = _checks(suite_functor_laws([Z2], [2]))["composition law on all pairs"]
     assert not law.ok and "b=" in law.detail
 
@@ -214,8 +208,8 @@ def test_equivalence_raises_on_a_corrupted_kernel(monkeypatch, corrupt):
 def test_equivalence_raises_on_a_lift_off_the_space(monkeypatch):
     lift = frames.lift_table
 
-    def patched(a):
-        table = lift(a)
+    def patched(source, target, value):
+        table = lift(source, target, value)
         table[-1] = None
         return table
 

@@ -26,18 +26,18 @@ from framebundles.frames import (
 )
 from framebundles.groups import (
     identity_hom,
+    is_permutation,
     make_cyclic,
     make_direct_product,
     make_symmetric,
+    perm_compose,
     perm_inverse,
 )
 from framebundles.gsets import (
     GSet,
     check_equivariant,
-    compose_equivariant,
     divide,
     equivariant_map,
-    identity_map,
     is_free,
     is_transitive,
     make_gset,
@@ -104,7 +104,7 @@ def test_is_basis_rejects_non_free():
 def test_associated_map_of_identity_frame_is_identity():
     F = standard_semitorsor(Z3, 2)
     phi = associated_map(F, identity_frame(Z3, 2))
-    assert phi.value == tuple(range(F.size))
+    assert phi == tuple(range(F.size))
 
 
 def test_associated_map_round_trip():
@@ -113,8 +113,8 @@ def test_associated_map_round_trip():
     for t in fs.frames:
         phi = associated_map(F, t)
         inv = associated_map_inverse(F, t)
-        assert all(inv.value[phi.value[p]] == p for p in range(F.size))
-        assert all(phi.value[inv.value[f]] == f for f in range(F.size))
+        assert all(inv[phi[p]] == p for p in range(F.size))
+        assert all(phi[inv[f]] == f for f in range(F.size))
 
 
 def test_associated_map_scrambled_frame_against_brute_force():
@@ -126,14 +126,14 @@ def test_associated_map_scrambled_frame_against_brute_force():
     for g in range(3):
         for x in range(2):
             image = F.act[g][t[x]]
-            assert phi.value[semitorsor_point(g, x, 2)] == image
+            assert phi[semitorsor_point(g, x, 2)] == image
             seen.add(image)
     assert seen == set(range(F.size))
     inv = associated_map_inverse(F, t)
     part = orbits(F)
     for f in range(F.size):
         x = next(x for x in range(2) if part.orbit_of[t[x]] == part.orbit_of[f])
-        assert inv.value[f] == semitorsor_point(divide(F, f, t[x]), x, 2)
+        assert inv[f] == semitorsor_point(divide(F, f, t[x]), x, 2)
 
 
 def test_phi_commutes_with_morphisms():
@@ -141,10 +141,10 @@ def test_phi_commutes_with_morphisms():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
     for a in gset_homs(F, F):
-        lift = lift_table(a)
+        lift = lift_table(F, F, a)
         for i, t in enumerate(fs.frames):
-            lhs = associated_map(F, fs.frames[lift[i]]).value
-            rhs = tuple(a.value[p] for p in associated_map(F, t).value)
+            lhs = associated_map(F, fs.frames[lift[i]])
+            rhs = tuple(a[p] for p in associated_map(F, t))
             assert lhs == rhs
 
 
@@ -395,7 +395,7 @@ def test_frame_divide_rejects_foreign_frames():
 def test_identity_lifts_to_identity():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
-    assert lift_table(identity_map(F)) == list(range(len(fs.frames)))
+    assert lift_table(F, F, tuple(range(F.size))) == list(range(len(fs.frames)))
 
 
 def test_fold_map_is_obstructed():
@@ -405,26 +405,25 @@ def test_fold_map_is_obstructed():
     value = [semitorsor_point(g, 0, 1) for g in range(G.order) for _ in range(2)]
     fold = equivariant_map(source, target, identity_hom(G), value)
     with pytest.raises(OrbitObstruction):
-        lift_table(fold)
+        lift_table(source, target, fold)
 
 
-def _checked_lift(a):
-    """``lift_table(a)``, checked against the per-frame oracle and checked
-    exhaustively to be (xi^n, id)-equivariant.
+def _checked_lift(source, target, xi, value):
+    """``lift_table(source, target, value)``, checked against the per-frame
+    oracle and checked exhaustively to be (xi^n, id)-equivariant.
 
     For every element ``w`` of the source wreath product, ``w`` moves source
     frame i to ``p[i]`` and its push-forward moves target frame j to
     ``p2[j]``; the lift must send ``p[i]`` to ``p2[lift[i]]``.  This catches
     any mix-up in the orientation of the inverse-permutation convention.
     """
-    lift = lift_table(a)
-    assert lift == lift_table_per_frame(a)
+    lift = lift_table(source, target, value)
+    assert lift == lift_table_per_frame(source, target, value)
     assert None not in lift
-    fs = enumerate_frames(a.source)
-    fs2 = enumerate_frames(a.target)
-    xi = a.xi
-    for w in wreath_elements(a.source.group, fs.n):
-        pushed = WreathElement(a.target.group, tuple(xi[g] for g in w.g_tuple), w.sigma)
+    fs = enumerate_frames(source)
+    fs2 = enumerate_frames(target)
+    for w in wreath_elements(source.group, fs.n):
+        pushed = WreathElement(target.group, tuple(xi[g] for g in w.g_tuple), w.sigma)
         p, p2 = act_table(fs, w), act_table(fs2, pushed)
         assert all(lift[p[i]] == p2[lift[i]] for i in range(len(fs.frames)))
     return lift
@@ -441,7 +440,7 @@ def test_orbit_swap_lift_is_wreath_equivariant():
         identity_hom(G),
         [semitorsor_point(g, 1 - x, 2) for g in range(2) for x in range(2)],
     )
-    lift = _checked_lift(swap)
+    lift = _checked_lift(F, F, identity_hom(G), swap)
     assert lift != list(range(len(fs.frames)))
     for w in wreath_elements(G, 2):
         for i, t in enumerate(fs.frames):
@@ -461,7 +460,7 @@ def test_cross_group_lift_is_xi_equivariant():
         xi,
         [semitorsor_point(g % 2, x, 2) for g in range(4) for x in range(2)],
     )
-    lift = _checked_lift(a)
+    lift = _checked_lift(F4, F2, xi, a)
     fs4, fs2 = enumerate_frames(F4), enumerate_frames(F2)
     for w in wreath_elements(z4, 2):
         w2 = WreathElement(Z2, tuple(xi[g] for g in w.g_tuple), w.sigma)
@@ -473,7 +472,7 @@ def test_cross_group_lift_is_xi_equivariant():
 def test_frame_functor_verify_mode():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
-    assert _checked_lift(identity_map(F)) == list(range(len(fs.frames)))
+    assert _checked_lift(F, F, identity_hom(Z2), tuple(range(F.size))) == list(range(len(fs.frames)))
     # the wreath action by any fixed element is a permutation of the frames
     for w in wreath_elements(Z2, 2):
         images = {wreath_act(F, w, t) for t in fs.frames}
@@ -484,11 +483,11 @@ def test_functor_composition_law():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
     homs = gset_homs(F, F)
-    lifts = [lift_table(a) for a in homs]
+    lifts = [lift_table(F, F, a) for a in homs]
     assert all(sorted(la) == list(range(len(fs.frames))) for la in lifts)
     for a, la in zip(homs, lifts):
         for b, lb in zip(homs, lifts):
-            assert lift_table(compose_equivariant(a, b)) == [la[j] for j in lb]
+            assert lift_table(F, F, perm_compose(a, b)) == [la[j] for j in lb]
 
 
 def test_functor_composition_across_groups():
@@ -508,9 +507,12 @@ def test_functor_composition_across_groups():
         F2, F1, xi21,
         [semitorsor_point(0, x, 2) for _ in range(2) for x in range(2)],
     )
-    la = _checked_lift(alpha)
-    lb = _checked_lift(beta)
-    assert _checked_lift(compose_equivariant(alpha, beta)) == [la[j] for j in lb]
+    la = _checked_lift(F2, F1, xi21, alpha)
+    lb = _checked_lift(F4, F2, xi42, beta)
+    # the composite's value and xi tables, checked again as a map F4 -> F1
+    xi41 = perm_compose(xi21, xi42)
+    composite = equivariant_map(F4, F1, xi41, perm_compose(alpha, beta))
+    assert _checked_lift(F4, F1, xi41, composite) == [la[j] for j in lb]
 
 
 def test_maps_agreeing_on_a_basis_agree_everywhere():
@@ -520,8 +522,8 @@ def test_maps_agreeing_on_a_basis_agree_everywhere():
     homs = gset_homs(F, F)
     for a in homs:
         for b in homs:
-            if all(a.value[p] == b.value[p] for p in base):
-                assert a.value == b.value
+            if all(a[p] == b[p] for p in base):
+                assert a == b
 
 
 # ---------------------------------------------------------------- reconstruction
@@ -532,7 +534,7 @@ def test_reconstruct_torsor_recovers_fiber():
     fs = enumerate_frames(F)
     rec = reconstruct_semitorsor(fs, 0)
     assert rec.gset.size == F.size
-    assert rec.to_standard.is_bijective()
+    assert is_permutation(rec.to_standard, F.size)
 
 
 def test_reconstruct_z2_two_orbits():
@@ -542,7 +544,8 @@ def test_reconstruct_z2_two_orbits():
     assert rec.gset.size == 4
     rec.gset.validate()
     # the witness is an isomorphism onto the standard semi-torsor
-    assert rec.to_standard.is_bijective()
+    assert is_permutation(rec.to_standard, F.size)
+    assert check_equivariant(rec.gset, F, identity_hom(Z2), rec.to_standard)
 
 
 def test_reconstruct_round_trip_all_fixtures():
@@ -552,7 +555,7 @@ def test_reconstruct_round_trip_all_fixtures():
         for x in range(n):
             rec = reconstruct_semitorsor(fs, x)
             assert rec.gset.size == F.size
-            assert rec.to_standard.is_bijective()
+            assert is_permutation(rec.to_standard, F.size)
             # quotient classes biject with evaluation at the slot
             eval_at = {}
             for i, t in enumerate(fs.frames):
@@ -657,9 +660,9 @@ def test_frame_map_sends_the_frame_to_its_image(F):
         for f in (fs.frames[0], fs.frames[-1]):
             for t in itertools.product(range(F2.size), repeat=fs.n):
                 a = frame_map(F, f, F2, t)
-                assert tuple(a.value[p] for p in f) == t
-                assert check_equivariant(a)
-                assert a.is_bijective() == is_basis(F2, t)
+                assert tuple(a[p] for p in f) == t
+                assert check_equivariant(F, F2, identity_hom(F.group), a)
+                assert is_permutation(a, F2.size) == is_basis(F2, t)
 
 
 @pytest.mark.parametrize("F", _kernel_fixtures(), ids=repr)

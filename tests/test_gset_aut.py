@@ -14,7 +14,7 @@ from framebundles.frames import (
     wreath_identity,
     wreath_mul,
 )
-from framebundles.groups import make_cyclic, make_direct_product, make_symmetric
+from framebundles.groups import make_cyclic, make_direct_product, make_symmetric, perm_compose
 from framebundles.gset_aut import (
     aut_to_wreath,
     autq_component,
@@ -24,9 +24,7 @@ from framebundles.gset_aut import (
     wreath_to_aut,
 )
 from framebundles.gsets import (
-    compose_equivariant,
     divide,
-    identity_map,
     induced_orbit_map,
     make_gset,
     semitorsor_orbit_count,
@@ -67,7 +65,7 @@ def test_aut_of_plain_three_point_set_is_s3():
     assert table.order == 6
     assert not is_abelian(table)
     # all bijections of three points appear
-    assert {a.value for a in auts} == set(itertools.permutations(range(3)))
+    assert {a for a in auts} == set(itertools.permutations(range(3)))
 
 
 def test_aut_group_rejects_non_free():
@@ -81,8 +79,8 @@ def test_aut_table_realizes_composition():
     table, auts = gset_aut_table(F), gset_homs(F, F)
     for i in range(table.order):
         for j in range(table.order):
-            composed = compose_equivariant(auts[i], auts[j])
-            assert auts[table.mul[i][j]].value == composed.value
+            composed = perm_compose(auts[i], auts[j])
+            assert auts[table.mul[i][j]] == composed
 
 
 # ---------------------------------------------------------------- cq
@@ -90,14 +88,14 @@ def test_aut_table_realizes_composition():
 
 def test_cq_identity():
     F = standard_semitorsor(Z2, 3)
-    assert induced_orbit_map(identity_map(F)) == (0, 1, 2)
+    assert induced_orbit_map(F, F, tuple(range(F.size))) == (0, 1, 2)
 
 
 def test_cq_orbit_swap_is_transposition():
     F = standard_semitorsor(Z2, 2)
     w = WreathElement(Z2, (0, 0), (1, 0))
     psi = wreath_to_aut(w, F)
-    assert induced_orbit_map(psi) == (1, 0)
+    assert induced_orbit_map(F, F, psi) == (1, 0)
 
 
 def test_cq_is_a_homomorphism_onto_sym():
@@ -106,10 +104,10 @@ def test_cq_is_a_homomorphism_onto_sym():
     perms = set()
     for a in auts:
         for b in auts:
-            composed = compose_equivariant(a, b)
-            c_a, c_b = induced_orbit_map(a), induced_orbit_map(b)
-            assert induced_orbit_map(composed) == tuple(c_a[x] for x in c_b)
-        perms.add(induced_orbit_map(a))
+            composed = perm_compose(a, b)
+            c_a, c_b = induced_orbit_map(F, F, a), induced_orbit_map(F, F, b)
+            assert induced_orbit_map(F, F, composed) == tuple(c_a[x] for x in c_b)
+        perms.add(induced_orbit_map(F, F, a))
     assert perms == set(itertools.permutations(range(2)))
 
 
@@ -119,7 +117,7 @@ def test_cq_is_a_homomorphism_onto_sym():
 def test_section_identity_permutation():
     F = standard_semitorsor(Z3, 2)
     s = section_from_frame(F, identity_frame(Z3, 2), (0, 1))
-    assert s.value == tuple(range(F.size))
+    assert s == tuple(range(F.size))
 
 
 def test_section_homomorphism_law_on_three_slots():
@@ -129,10 +127,10 @@ def test_section_homomorphism_law_on_three_slots():
     for s in perms:
         for t in perms:
             st = tuple(s[t[x]] for x in range(3))
-            lhs = compose_equivariant(
+            lhs = perm_compose(
                 section_from_frame(F, frame, s), section_from_frame(F, frame, t)
             )
-            assert lhs.value == section_from_frame(F, frame, st).value
+            assert lhs == section_from_frame(F, frame, st)
 
 
 def test_cq_of_section_is_identity_on_section_frames():
@@ -140,7 +138,7 @@ def test_cq_of_section_is_identity_on_section_frames():
         F = standard_semitorsor(G, n)
         frame = identity_frame(G, n)
         for sigma in itertools.permutations(range(n)):
-            assert induced_orbit_map(section_from_frame(F, frame, sigma)) == sigma
+            assert induced_orbit_map(F, F, section_from_frame(F, frame, sigma)) == sigma
 
 
 def test_section_moves_frame_points():
@@ -149,7 +147,7 @@ def test_section_moves_frame_points():
     s = section_from_frame(F, frame, (1, 0))
     for h in range(2):
         for x in range(2):
-            assert s.value[F.act[h][frame[x]]] == F.act[h][frame[1 - x]]
+            assert s[F.act[h][frame[x]]] == F.act[h][frame[1 - x]]
 
 
 # ---------------------------------------------------------------- orbit-preserving part
@@ -157,7 +155,7 @@ def test_section_moves_frame_points():
 
 def test_autq_component_of_identity():
     F = standard_semitorsor(Z2, 2)
-    assert autq_component(identity_map(F), identity_frame(Z2, 2)) == (0, 0)
+    assert autq_component(F, tuple(range(F.size)), identity_frame(Z2, 2)) == (0, 0)
 
 
 def test_autq_component_round_trip():
@@ -165,8 +163,8 @@ def test_autq_component_round_trip():
     frame = identity_frame(Z4, 2)
     for tup in itertools.product(range(4), repeat=2):
         psi = autq_reconstruct(F, frame, tup)
-        assert induced_orbit_map(psi) == (0, 1)
-        assert autq_component(psi, frame) == tup
+        assert induced_orbit_map(F, F, psi) == (0, 1)
+        assert autq_component(F, psi, frame) == tup
 
 
 def test_autq_component_is_homomorphism():
@@ -176,16 +174,16 @@ def test_autq_component_is_homomorphism():
     for t1 in tuples:
         for t2 in tuples:
             p1, p2 = autq_reconstruct(F, frame, t1), autq_reconstruct(F, frame, t2)
-            composed = compose_equivariant(p1, p2)
+            composed = perm_compose(p1, p2)
             expected = tuple(Z4.mul[a][b] for a, b in zip(t1, t2))
-            assert autq_component(composed, frame) == expected
+            assert autq_component(F, composed, frame) == expected
 
 
 def test_autq_component_rejects_orbit_movers():
     F = standard_semitorsor(Z2, 2)
     swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)), F)
     with pytest.raises(ValueError):
-        autq_component(swap, identity_frame(Z2, 2))
+        autq_component(F, swap, identity_frame(Z2, 2))
 
 
 def test_autq_basis_change_covariance():
@@ -199,7 +197,7 @@ def test_autq_basis_change_covariance():
             psi = autq_reconstruct(F, base, tup)
             for h in itertools.product(range(G.order), repeat=n):
                 other = tuple(F.act[h[x]][base[x]] for x in range(n))
-                comp = autq_component(psi, other)
+                comp = autq_component(F, psi, other)
                 expected = tuple(
                     G.mul[G.mul[h[x]][tup[x]]][G.inv[h[x]]] for x in range(n)
                 )
@@ -211,7 +209,7 @@ def test_autq_basis_change_covariance():
 
 def test_wreath_to_aut_identity():
     psi = wreath_to_aut(wreath_identity(Z2, 2), standard_semitorsor(Z2, 2))
-    assert psi.value == tuple(range(4))
+    assert psi == tuple(range(4))
 
 
 def test_wreath_to_aut_refuses_a_carrier_that_is_not_g_x_i_n():
@@ -221,7 +219,7 @@ def test_wreath_to_aut_refuses_a_carrier_that_is_not_g_x_i_n():
     with pytest.raises(ValueError, match="carrier is not the semi-torsor G x I_n"):
         wreath_to_aut(swap, F)
     with pytest.raises(ValueError, match="carrier is not the semi-torsor G x I_n"):
-        aut_to_wreath(identity_map(F))
+        aut_to_wreath(F, tuple(range(F.size)))
     with pytest.raises(ValueError, match="does not match the target semi-torsor"):
         wreath_to_aut(swap, standard_semitorsor(Z2, 3))
     assert [semitorsor_orbit_count(standard_semitorsor(Z3, n)) for n in (1, 2, 3)] == [1, 2, 3]
@@ -269,7 +267,7 @@ def test_wreath_to_aut_pure_tuple_right_translates():
     for g in range(3):
         for x in range(2):
             expected = semitorsor_point(G.mul[g][G.inv[w.g_tuple[x]]], x, 2)
-            assert psi.value[semitorsor_point(g, x, 2)] == expected
+            assert psi[semitorsor_point(g, x, 2)] == expected
 
 
 def test_wreath_to_aut_homomorphism_64_pairs():
@@ -278,8 +276,8 @@ def test_wreath_to_aut_homomorphism_64_pairs():
     count = 0
     for a in elements:
         for b in elements:
-            lhs = images[wreath_mul(a, b)].value
-            rhs = tuple(images[a].value[x] for x in images[b].value)
+            lhs = images[wreath_mul(a, b)]
+            rhs = tuple(images[a][x] for x in images[b])
             assert lhs == rhs
             count += 1
     assert count == 64
@@ -287,23 +285,23 @@ def test_wreath_to_aut_homomorphism_64_pairs():
 
 def test_wreath_to_aut_bijective():
     elements, F = wreath_elements(Z3, 2), standard_semitorsor(Z3, 2)
-    tables = {wreath_to_aut(w, F).value for w in elements}
+    tables = {wreath_to_aut(w, F) for w in elements}
     assert len(tables) == len(elements) == 18
     auts = gset_homs(F, F)
-    assert tables == {a.value for a in auts}
+    assert tables == set(auts)
 
 
 def test_aut_to_wreath_round_trips():
     F = standard_semitorsor(Z2, 2)
     for w in wreath_elements(Z2, 2):
-        assert aut_to_wreath(wreath_to_aut(w, F)) == w
+        assert aut_to_wreath(F, wreath_to_aut(w, F)) == w
     for a in gset_homs(F, F):
-        assert wreath_to_aut(aut_to_wreath(a), F).value == a.value
+        assert wreath_to_aut(aut_to_wreath(F, a), F) == a
 
 
 def test_aut_to_wreath_identity():
     F = standard_semitorsor(Z2, 2)
-    assert aut_to_wreath(identity_map(F)) == wreath_identity(Z2, 2)
+    assert aut_to_wreath(F, tuple(range(F.size))) == wreath_identity(Z2, 2)
 
 
 def test_aut_to_wreath_composition_tuple_law():
@@ -320,14 +318,14 @@ def test_aut_to_wreath_composition_tuple_law():
         for w2 in sample:
             p1 = wreath_to_aut(w1, F)
             p2 = wreath_to_aut(w2, F)
-            composed = compose_equivariant(p1, p2)
-            assert aut_to_wreath(composed) == wreath_mul(w1, w2)
+            composed = perm_compose(p1, p2)
+            assert aut_to_wreath(F, composed) == wreath_mul(w1, w2)
 
 
 def test_cq_of_wreath_to_aut_is_sigma():
     F = standard_semitorsor(Z3, 2)
     for w in wreath_elements(Z3, 2):
-        assert induced_orbit_map(wreath_to_aut(w, F)) == w.sigma
+        assert induced_orbit_map(F, F, wreath_to_aut(w, F)) == w.sigma
 
 
 def test_pairing_invariance():
@@ -343,7 +341,7 @@ def test_pairing_invariance():
             phi_t = associated_map(F, t)
             phi_moved = associated_map(F, moved)
             for p in range(F.size):
-                assert phi_moved.value[psi.value[p]] == phi_t.value[p]
+                assert phi_moved[psi[p]] == phi_t[p]
 
 
 def test_counteracting_map_is_frame_independent():
@@ -359,11 +357,11 @@ def test_counteracting_map_is_frame_independent():
             moved = wreath_act(F, w, t)
             inv_moved = associated_map_inverse(F, moved)
             phi_t = associated_map(F, t)
-            table = tuple(inv_moved.value[phi_t.value[p]] for p in range(F.size))
+            table = tuple(inv_moved[phi_t[p]] for p in range(F.size))
             if expected is None:
                 expected = table
             assert table == expected
-        assert expected == wreath_to_aut(w, F).value
+        assert expected == wreath_to_aut(w, F)
 
 
 # ---------------------------------------------------------------- SES

@@ -1,16 +1,13 @@
 import pytest
 
 from framebundles.errors import NoQuotient, NotFree
-from framebundles.groups import identity_hom, make_cyclic, make_direct_product
+from framebundles.groups import identity_hom, make_cyclic, make_direct_product, perm_compose
 from framebundles.gsets import (
-    EquivariantMap,
     GSet,
     check_equivariant,
-    compose_equivariant,
     divide,
     division_table,
     equivariant_map,
-    identity_map,
     induced_orbit_map,
     is_free,
     is_orbit_bijection,
@@ -151,7 +148,7 @@ def test_division_rules_exhaustive_small():
 
 def test_check_equivariant_identity():
     F = standard_semitorsor(make_cyclic(3), 2)
-    assert check_equivariant(identity_map(F))
+    assert check_equivariant(F, F, identity_hom(F.group), tuple(range(F.size)))
 
 
 def test_right_translation_equivariant_when_abelian():
@@ -164,38 +161,38 @@ def test_right_translation_equivariant_when_abelian():
         for x in range(2)
     ]
     a = equivariant_map(F, F, identity_hom(G), value)
-    assert check_equivariant(a)
+    assert a == tuple(value)
+    assert check_equivariant(F, F, identity_hom(G), a)
 
 
 def test_broken_map_detected():
     F = standard_semitorsor(make_cyclic(2), 2)
     value = list(range(F.size))
     value[0], value[1] = value[1], value[0]  # swaps two points in different orbits
-    a = EquivariantMap(F, F, identity_hom(F.group), tuple(value))
-    assert not check_equivariant(a)
+    assert not check_equivariant(F, F, identity_hom(F.group), tuple(value))
     with pytest.raises(ValueError):
         equivariant_map(F, F, identity_hom(F.group), value)
 
 
 def fold_map(G):
-    """G + G -> G, identity on each copy."""
+    """G + G -> G, identity on each copy, as (source, target, value table)."""
     source = standard_semitorsor(G, 2)
     target = standard_semitorsor(G, 1)
     value = [
         semitorsor_point(g, 0, 1) for g in range(G.order) for _ in range(2)
     ]
-    return equivariant_map(source, target, identity_hom(G), value)
+    return source, target, equivariant_map(source, target, identity_hom(G), value)
 
 
 def test_induced_orbit_map_identity():
     F = standard_semitorsor(make_cyclic(2), 3)
-    assert induced_orbit_map(identity_map(F)) == (0, 1, 2)
+    assert induced_orbit_map(F, F, tuple(range(F.size))) == (0, 1, 2)
 
 
 def test_induced_orbit_map_fold_is_two_to_one():
-    a = fold_map(make_cyclic(3))
-    assert induced_orbit_map(a) == (0, 0)
-    assert not is_orbit_bijection(a)
+    source, target, a = fold_map(make_cyclic(3))
+    assert induced_orbit_map(source, target, a) == (0, 0)
+    assert not is_orbit_bijection(source, target, a)
 
 
 def test_induced_orbit_map_orbit_swap():
@@ -203,18 +200,18 @@ def test_induced_orbit_map_orbit_swap():
     F = standard_semitorsor(G, 2)
     value = [semitorsor_point(g, 1 - x, 2) for g in range(G.order) for x in range(2)]
     a = equivariant_map(F, F, identity_hom(G), value)
-    assert induced_orbit_map(a) == (1, 0)
-    assert is_orbit_bijection(a)
+    assert induced_orbit_map(F, F, a) == (1, 0)
+    assert is_orbit_bijection(F, F, a)
 
 
 def test_orbit_square_commutes_for_every_map():
     # q . a = a/ . q as full tables
     G = make_cyclic(3)
-    a = fold_map(G)
-    q1, q2 = orbits(a.source), orbits(a.target)
-    table = induced_orbit_map(a)
-    for f in range(a.source.size):
-        assert q2.orbit_of[a.value[f]] == table[q1.orbit_of[f]]
+    source, target, a = fold_map(G)
+    q1, q2 = orbits(source), orbits(target)
+    table = induced_orbit_map(source, target, a)
+    for f in range(source.size):
+        assert q2.orbit_of[a[f]] == table[q1.orbit_of[f]]
 
 
 def test_compose_equivariant_and_xi_composition():
@@ -228,18 +225,19 @@ def test_compose_equivariant_and_xi_composition():
         xi,
         [semitorsor_point(g % 2, x, 2) for g in range(4) for x in range(2)],
     )
-    composed = compose_equivariant(reduction, identity_map(F4))
-    assert composed.value == reduction.value
-    assert composed.xi == xi
-    with pytest.raises(ValueError):
-        compose_equivariant(reduction, reduction)
+    ident4 = identity_hom(z4)
+    ident = equivariant_map(F4, F4, ident4, range(F4.size))
+    # maps compose as their value tables, and across groups so do their xi
+    assert perm_compose(xi, ident4) == xi
+    assert equivariant_map(F4, F2, perm_compose(xi, ident4),
+                           perm_compose(reduction, ident)) == reduction
 
 
 def test_equivariant_map_checks_its_homomorphism_table():
     z4, z2 = make_cyclic(4), make_cyclic(2)
     F4, F2 = standard_semitorsor(z4, 1), standard_semitorsor(z2, 1)
     value = [g % 2 for g in range(4)]
-    assert equivariant_map(F4, F2, [0, 1, 0, 1], value).xi == (0, 1, 0, 1)
+    assert equivariant_map(F4, F2, [0, 1, 0, 1], value) == (0, 1, 0, 1)
     # a table of the wrong group, and one that breaks the law
     with pytest.raises(ValueError, match="image table has wrong length"):
         equivariant_map(F4, F2, identity_hom(z2), value)
@@ -252,16 +250,19 @@ def test_compose_equivariant_composes_identity_and_negation_tables():
     # a -> -a; composed with itself it gives the identity map and table
     G = make_cyclic(3)
     F = standard_semitorsor(G, 1)
-    neg = equivariant_map(F, F, hom(G, G, [0, 2, 1]), [0, 2, 1])
-    ident = identity_map(F)
-    assert compose_equivariant(ident, ident) == ident
-    assert compose_equivariant(neg, neg) == ident
-    assert compose_equivariant(neg, ident).xi == (0, 2, 1)
+    neg_xi = hom(G, G, [0, 2, 1])
+    neg = equivariant_map(F, F, neg_xi, [0, 2, 1])
+    ident, ident_xi = tuple(range(F.size)), identity_hom(G)
+    assert perm_compose(ident, ident) == ident
+    assert perm_compose(neg_xi, neg_xi) == ident_xi
+    assert equivariant_map(F, F, perm_compose(neg_xi, neg_xi), perm_compose(neg, neg)) == ident
+    assert perm_compose(neg_xi, ident_xi) == (0, 2, 1)
+    assert equivariant_map(F, F, perm_compose(neg_xi, ident_xi), perm_compose(neg, ident)) == neg
 
 
 def test_bijectivity_of_orbit_maps_for_automorphisms():
     F = standard_semitorsor(make_cyclic(2), 2)
-    assert is_orbit_bijection(identity_map(F))
+    assert is_orbit_bijection(F, F, tuple(range(F.size)))
 
 
 def test_semitorsor_coords_round_trip():
