@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import FrameBundlesError, ModeMismatch, Obstruction
@@ -408,8 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a word such as -1,2 after "--word" as an option of its own
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--word" and re.match("-[0-9]", argv[i + 1]):
+            argv[i:i + 2] = [f"--word={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
     except Obstruction as exc:

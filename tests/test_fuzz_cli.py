@@ -216,9 +216,10 @@ def circle_request(draw, command, times, bad_arg):
             options["--start"] = json.dumps(mutate(draw, draw(point_docs(k)), times))
     if bad_arg:
         options[draw(st.sampled_from(sorted(options)))] = draw(BAD_ARGS)
-    # "--word=-1,2": after a space, argparse reads "-1,2" as an option
     argv = [command, json.dumps(mutate(draw, spec, times))]
-    return argv + [f"{o}={v}" for o, v in options.items()]
+    for o, v in options.items():
+        argv += [o, v] if o == "--word" and draw(st.booleans()) else [f"{o}={v}"]
+    return argv
 
 
 @settings(deadline=None)
