@@ -472,7 +472,8 @@ def test_cross_group_lift_is_xi_equivariant():
 def test_frame_functor_verify_mode():
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
-    assert _checked_lift(F, F, identity_hom(Z2), tuple(range(F.size))) == list(range(len(fs.frames)))
+    identity = tuple(range(F.size))
+    assert _checked_lift(F, F, identity_hom(Z2), identity) == list(range(len(fs.frames)))
     # the wreath action by any fixed element is a permutation of the frames
     for w in wreath_elements(Z2, 2):
         images = {wreath_act(F, w, t) for t in fs.frames}
