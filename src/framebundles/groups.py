@@ -83,6 +83,24 @@ def perm_orbits(perms, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return tuple(orbit_of), tuple(members)
 
 
+def cycle_count(p: Permutation) -> int:
+    """The number of cycles of the table ``p``, fixed points included.
+
+    These are the orbits of the group ``p`` generates, so the count equals
+    ``len(perm_orbits([p], len(p))[1])``, from one walk over ``p``.
+    """
+    seen = bytearray(len(p))
+    count = 0
+    for start in range(len(p)):
+        if not seen[start]:
+            count += 1
+            x = start
+            while not seen[x]:
+                seen[x] = 1
+                x = p[x]
+    return count
+
+
 def first_broken_edge(image, compose, identity: int, gens, moves) -> tuple[int, int] | None:
     """The first pair ``(a, s)`` with ``image[a s] != compose(image[a], image[s])``, or None.
 

@@ -1,4 +1,17 @@
-"""The base of the library's immutable value types, and their one constructor."""
+"""The base of the library's immutable value types and their one constructor, and
+the report every subcommand renders with its exit status.
+
+The report lives here, not in ``cli``, because every request loads this
+module: under ``python -m framebundles.cli`` the front end runs as
+``__main__``, so a handler module that imported ``cli`` would compile and run
+it a second time.
+"""
+
+import json
+
+EXIT_OK = 0
+EXIT_OBSTRUCTION = 1
+EXIT_USAGE = 2
 
 
 class Frozen:
@@ -54,3 +67,27 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+class Report:
+    __slots__ = ("command", "lines", "data", "status", "exit_code")
+
+    def __init__(self, command: str):
+        self.command = command
+        self.lines: list[str] = []
+        self.data: dict = {}
+        self.status = "ok"
+        self.exit_code = EXIT_OK
+
+    def render(self, fmt: str) -> str:
+        if fmt == "json":
+            payload = {"command": self.command, "data": self.data, "status": self.status}
+            return json.dumps(payload, sort_keys=True, indent=2)
+        out = [f"command: {self.command}"]
+        out.extend(self.lines)
+        out.append(f"status: {self.status}")
+        return "\n".join(out)
+
+
+def perm_str(p) -> str:
+    return "(" + ",".join(str(x) for x in p) + ")"

@@ -237,6 +237,21 @@ def test_decompose_counts_covering_components_once(capsys, monkeypatch):
     assert (code, len(calls)) == (0, 1)
 
 
+def test_a_gspace_document_checks_each_clutching_entry_once(capsys, monkeypatch):
+    checked = []
+    check = bundles.check_equivariant
+    for name, module in list(sys.modules.items()):  # every module that binds the check
+        if name.startswith("framebundles") and hasattr(module, "check_equivariant"):
+            monkeypatch.setattr(module, "check_equivariant",
+                                lambda *a: checked.append(a[3]) or check(*a))
+    bundle = {"kind": "flat", "mode": "gspace", "loops": 2,
+              "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 2}, "n": 2},
+              "clutching": [{"table": [2, 3, 0, 1]}, {"wreath": {"g": [1, 0], "perm": [0, 1]}}]}
+    code, out, _ = run(capsys, "components", json.dumps(bundle))
+    assert (code, len(checked)) == (0, 2)
+    assert checked[0] == (2, 3, 0, 1)
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2
@@ -733,6 +748,19 @@ def test_golden_case_in_a_fresh_interpreter(name):
     )
 
 
+@pytest.mark.parametrize("name", SUBPROCESS_CASES)
+def test_a_request_under_python_m_imports_the_front_end_once(name):
+    # run as __main__, cli would compile and run a second time if a module it
+    # loads imported framebundles.cli
+    case = json.loads((TESTS / "golden" / f"{name}.json").read_text(encoding="utf-8"))
+    proc = _fresh("-X", "importtime", "-m", "framebundles.cli", *case["argv"])
+    assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"].encode())
+    imported = [line.rsplit(b"|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith(b"import time:")]
+    assert b"framebundles.groups" in imported
+    assert b"framebundles.cli" not in imported
+
+
 def test_a_reader_that_closes_stdout_early_gets_no_traceback():
     # Z720's report is far larger than a pipe's buffer, so the write fails
     proc = subprocess.Popen([sys.executable, "-m", "framebundles.cli", "classify-circle",
@@ -766,6 +794,9 @@ def test_circle_bundle_request_loads_no_finite_bundle_layer():
     for layer in ("bundles", "frames", "gsets", "gset_aut", "suites"):
         assert f"framebundles.{layer}" not in loaded
     assert "dataclasses" not in loaded
+    # nor the finite-bundle front end
+    assert "framebundles.circle_commands" in loaded
+    assert "framebundles.bundle_commands" not in loaded
 
 
 def test_finite_bundle_request_loads_no_circle_layer():
@@ -773,14 +804,20 @@ def test_finite_bundle_request_loads_no_circle_layer():
     assert "framebundles.bundles" in loaded
     for name in ("framebundles.u1", "framebundles.suites", "fractions", "dataclasses"):
         assert name not in loaded
+    # nor the circle front end
+    assert "framebundles.bundle_commands" in loaded
+    assert "framebundles.circle_commands" not in loaded
 
 
 def test_classify_circle_loads_no_bundle_layer():
-    # the components of each class's bundle are the orbits of its representative
+    # the components of each class's bundle are the cycles of its representative
     loaded = _loaded_modules("classify-circle", "--group", Z3_SPEC)
     assert "framebundles.groups" in loaded
     for layer in ("bundles", "frames", "gsets", "gset_aut"):
         assert f"framebundles.{layer}" not in loaded
+    # nor a family's front end, nor the suites
+    for name in ("bundle_commands", "circle_commands", "suites"):
+        assert f"framebundles.{name}" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -791,6 +828,8 @@ def test_verify_loads_only_the_layers_its_suite_runs(suite):
     assert "framebundles.suites" in loaded
     assert "framebundles.specdoc" not in loaded
     assert "framebundles.bundles" not in loaded
+    assert "framebundles.bundle_commands" not in loaded
+    assert "framebundles.circle_commands" not in loaded
     # only the automorphism suites read Aut(F)
     assert ("framebundles.gset_aut" in loaded) == (suite in ("ses", "wreath-iso"))
 
@@ -799,6 +838,9 @@ def test_verify_appendix_b_loads_the_bundle_layer():
     loaded = _loaded_modules("verify", "appendix-b")
     assert "framebundles.bundles" in loaded
     assert "framebundles.specdoc" not in loaded
+    # the suite builds its bundles itself, so no front end of a family loads
+    assert "framebundles.bundle_commands" not in loaded
+    assert "framebundles.circle_commands" not in loaded
 
 
 def test_verify_help_lists_every_suite():

@@ -30,6 +30,7 @@ from framebundles.groups import (
     permutation_group,
 )
 from framebundles.gsets import make_gset, orbits, standard_semitorsor, trivial_gset
+from framebundles.suites import fixture_groups
 from table_oracles import (
     LOOP_5,
     alternating5_table,
@@ -522,6 +523,13 @@ def test_classify_circle_lists_aut_once_and_proves_no_representative(monkeypatch
         monkeypatch.setattr(module, "check_hom", None)
     data, _ = _classify({"kind": "symmetric", "n": 4})
     assert (len(calls), data["aut_order"], len(data["classes"])) == (1, 24, 5)
+
+
+def test_cycle_count_is_the_orbit_count_of_one_permutation():
+    # classify-circle counts each class's components with cycle_count
+    for G in [*fixture_groups(6), make_symmetric(4), make_cyclic(12)]:
+        for a in automorphisms(G):
+            assert groups.cycle_count(a) == len(perm_orbits([a], G.order)[1]), (G.label, a)
 
 
 def test_classify_circle_budget_s5_and_s4xz2():

@@ -7,16 +7,9 @@ from hypothesis import given, settings, strategies as st
 from framebundles.errors import SchemaError
 from framebundles.groups import make_cyclic
 from framebundles.gsets import standard_semitorsor
-from framebundles.specdoc import (
-    load_document,
-    parse_bundle,
-    parse_fiber_point,
-    parse_group,
-    parse_gset,
-    parse_path,
-    parse_u1_bundle,
-    parse_word,
-)
+from framebundles.bundle_commands import parse_bundle, parse_gset
+from framebundles.circle_commands import parse_fiber_point, parse_path, parse_u1_bundle
+from framebundles.specdoc import load_document, parse_group, parse_word
 
 
 def test_parse_group_kinds():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import u1_oracles as oracle
 
-from framebundles import config, specdoc, u1
+from framebundles import circle_commands, config, u1
 from framebundles.errors import BoundExceeded, NoQuotient
 from framebundles.groups import perm_inverse
 from framebundles.u1 import (
@@ -58,7 +58,7 @@ def test_angle_normalization():
 
 
 def test_angle_parse_and_str():
-    from framebundles.specdoc import parse_fiber_point
+    from framebundles.circle_commands import parse_fiber_point
 
     assert parse_fiber_point({"angle": "-2/3", "sheet": 0}, 1).angle == A(1, 3)
     assert str(FiberPoint(A(4, 3), 0).angle) == "1/3"
@@ -489,8 +489,8 @@ def test_circle_work_bound_refuses_before_the_work(monkeypatch):
         transport(b, (1,) * 13, FiberPoint(A(0), 0))
     # the angle count is checked before the generators are read
     with pytest.raises(BoundExceeded, match=rf"k x loops\): 13 {knob}"):
-        specdoc.parse_u1_bundle({"k": 13, "loops": 1, "generators": []})
+        circle_commands.parse_u1_bundle({"k": 13, "loops": 1, "generators": []})
     points = [{"angle": "1/3", "sheet": 0}] * 13
-    specdoc.parse_path({"step": "1/10", "points": points[:12]}, 1)
+    circle_commands.parse_path({"step": "1/10", "points": points[:12]}, 1)
     with pytest.raises(BoundExceeded, match=rf"samples to parse: 13 {knob}"):
-        specdoc.parse_path({"step": "1/10", "points": points}, 1)
+        circle_commands.parse_path({"step": "1/10", "points": points}, 1)
