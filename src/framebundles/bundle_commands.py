@@ -40,8 +40,7 @@ def parse_gset(obj: Any, where: str = "gset") -> gsets.GSet:
 
 
 def _parse_clutching_gspace(entry: Any, fiber: gsets.GSet, where: str) -> tuple[int, ...]:
-    """The clutching table an entry names, checked here as an equivariant map of
-    ``fiber`` so that a refusal names the entry."""
+    """The clutching table an entry names, checked as an equivariant map of ``fiber``."""
     if not isinstance(entry, dict) or len(entry) != 1:
         raise SchemaError(f"{where}: expected exactly one of perm/table/wreath")
     (key, value), = entry.items()
@@ -62,7 +61,7 @@ def _parse_clutching_gspace(entry: Any, fiber: gsets.GSet, where: str) -> tuple[
         if len(g) != n:
             raise SchemaError(f"{where}.wreath: wreath element does not match the target semi-torsor")
         try:
-            table = gset_aut.wreath_to_aut(frames.WreathElement(fiber.group, g, perm), fiber)
+            return gset_aut.wreath_to_aut(frames.WreathElement(fiber.group, g, perm), fiber)
         except ValueError as exc:
             raise SchemaError(f"{where}.wreath: {exc}") from exc
     else:
@@ -111,7 +110,7 @@ def parse_bundle(obj: Any, where: str = "bundle") -> bundles.FlatBundle:
             for i, entry in enumerate(clutching)
         ]
         try:
-            return bundles.flat_bundle(fiber, tables, equivariant=True)
+            return bundles.flat_bundle(fiber, tables)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}.mode: unknown mode {mode!r}")

@@ -83,16 +83,13 @@ class FlatBundle(Frozen):
         return f"FlatBundle(mode={self.mode}, loops={self.loops}, fiber={self.fiber!r})"
 
 
-def flat_bundle(fiber: GSet, tables, fiber_group: Optional[FiniteGroup] = None, *,
-                equivariant: bool = False) -> FlatBundle:
+def flat_bundle(fiber: GSet, tables, fiber_group: Optional[FiniteGroup] = None) -> FlatBundle:
     """Validate clutching tables and assemble the bundle; a group-mode bundle
     names its ``fiber_group``.
 
     Group mode first checks each table as an automorphism of ``fiber_group``.
     Every table must then be a permutation of the fiber that commutes with its
-    action.  ``equivariant`` says the caller has already shown that each table
-    commutes with the action: the document parser checks each clutching entry
-    itself, so that a refusal names the entry, and the check is not repeated.
+    action.
     """
     clutching = tuple(tuple(t) for t in tables)
     if not clutching:
@@ -110,7 +107,7 @@ def flat_bundle(fiber: GSet, tables, fiber_group: Optional[FiniteGroup] = None, 
         if not is_permutation(t, fiber.size):
             raise ValueError(f"clutching {i} is not a bijection")
         # vacuous in group mode, whose fiber group is trivial
-        if not (equivariant or check_equivariant(fiber, fiber, identity_hom(fiber.group), t)):
+        if not check_equivariant(fiber, fiber, identity_hom(fiber.group), t):
             raise ValueError(f"clutching {i} is not equivariant")
     return FlatBundle(fiber, clutching, fiber_group)
 

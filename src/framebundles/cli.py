@@ -17,8 +17,9 @@ package module it imports.  The front end is therefore split by request
 family: this module keeps the parser, the dispatch and the two group-mode
 subcommands, ``classify-circle`` and ``verify``, each of which imports the
 layers it runs itself (``verify`` parses no document, so it skips
-``specdoc``); :func:`main` imports ``bundle_commands`` or
-``circle_commands`` only for a request of that family.  Compiling the package
+``specdoc``); the subparser of every other subcommand names its handler in
+``bundle_commands`` or ``circle_commands``, which is imported only when a
+request of that family is answered.  Compiling the package
 modules a request loads then costs 4.7 ms for ``classify-circle``, 11.3 ms for
 a finite-bundle request, 11.7 ms for ``verify appendix-b`` and 7.5 ms for a
 circle request, against 7.2, 12.7, 12.7 and 8.7 ms with one front end
@@ -31,13 +32,12 @@ import argparse
 import os
 import re
 import sys
+from importlib import import_module
 
 from .errors import FrameBundlesError, Obstruction
 from .groups import automorphism_classes, cycle_count
 from .records import EXIT_OBSTRUCTION, EXIT_USAGE, Report, perm_str
 
-BUNDLE_COMMANDS = ("components", "frame-bundle", "holonomy", "sn-action", "decompose")
-CIRCLE_COMMANDS = ("u1-holonomy", "u1-transport", "pushforward", "division-check")
 # sorted(suites.SUITES), spelled out so that the help does not load the suites
 SUITE_NAMES = ("appendix-b", "division-rules", "equivalence", "functor-laws", "ses", "torsor",
                "wreath-iso")
@@ -110,18 +110,14 @@ def cmd_verify(args) -> Report:
     return report
 
 
-def _handler(cmd: str):
-    """The function that answers subcommand ``cmd``, from the module of its family.
+def _deferred(module: str, name: str):
+    """A handler that imports ``module`` of this package, and looks ``name`` up in
+    it, only when a request of that family is answered."""
 
-    A family's module is imported only here, for a request of that family.
-    """
-    if cmd in BUNDLE_COMMANDS:
-        from . import bundle_commands as family
-    elif cmd in CIRCLE_COMMANDS:
-        from . import circle_commands as family
-    else:
-        return cmd_verify if cmd == "verify" else cmd_classify_circle
-    return getattr(family, "cmd_" + cmd.replace("-", "_"))
+    def handler(args) -> Report:
+        return getattr(import_module(f".{module}", __package__), name)(args)
+
+    return handler
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,22 +134,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify-circle", help="group bundles over the circle up to isomorphism")
     p.add_argument("--group", required=True, help="group document")
+    p.set_defaults(func=cmd_classify_circle)
 
     p = sub.add_parser("components", help="connected components of the total space")
     p.add_argument("bundle", help="bundle document")
+    p.set_defaults(func=_deferred("bundle_commands", "cmd_components"))
 
     p = sub.add_parser("frame-bundle", help="frame-bundle clutching and components")
     p.add_argument("bundle", help="bundle document")
+    p.set_defaults(func=_deferred("bundle_commands", "cmd_frame_bundle"))
 
     p = sub.add_parser("holonomy", help="monodromy of a loop word")
     p.add_argument("bundle", help="bundle document")
     p.add_argument("--word", default="", help="loop word, e.g. '1,-2,1'")
+    p.set_defaults(func=_deferred("bundle_commands", "cmd_holonomy"))
 
     p = sub.add_parser("sn-action", help="global symmetric action or its obstruction")
     p.add_argument("bundle", help="bundle document")
+    p.set_defaults(func=_deferred("bundle_commands", "cmd_sn_action"))
 
     p = sub.add_parser("decompose", help="covering + principal decomposition")
     p.add_argument("bundle", help="bundle document")
+    p.set_defaults(func=_deferred("bundle_commands", "cmd_decompose"))
 
     p = sub.add_parser("verify", help="run a named exhaustive verification suite")
     p.add_argument("suite", help="one of: " + ", ".join(SUITE_NAMES))
@@ -162,23 +164,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default=None, help="restrict to one named group (e.g. z2)")
     p.add_argument("--orbits", type=int, default=None, help="restrict to one orbit count")
     p.add_argument("--seed", type=int, default=20210722, help="seed echoed for reproducibility")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("u1-holonomy", help="circle-wreath holonomy of a word")
     p.add_argument("spec", help="circle bundle document")
     p.add_argument("--word", default="", help="loop word")
+    p.set_defaults(func=_deferred("circle_commands", "cmd_u1_holonomy"))
 
     p = sub.add_parser("u1-transport", help="parallel transport of a fiber point")
     p.add_argument("spec", help="circle bundle document")
     p.add_argument("--word", default="", help="loop word")
     p.add_argument("--start", required=True, help="fiber point document")
+    p.set_defaults(func=_deferred("circle_commands", "cmd_u1_transport"))
 
     p = sub.add_parser("pushforward", help="push the connection along z -> z^q")
     p.add_argument("spec", help="circle bundle document")
     p.add_argument("--power", type=int, required=True, help="the exponent q")
+    p.set_defaults(func=_deferred("circle_commands", "cmd_pushforward"))
 
     p = sub.add_parser("division-check", help="discrete division-form evaluation")
     p.add_argument("spec", help="circle bundle document")
     p.add_argument("--path", required=True, help="sampled path document")
+    p.set_defaults(func=_deferred("circle_commands", "cmd_division_check"))
 
     return parser
 
@@ -191,7 +198,7 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"--word={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
-        report = _handler(args.cmd)(args)
+        report = args.func(args)
     except Obstruction as exc:
         print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION

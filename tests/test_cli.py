@@ -237,21 +237,6 @@ def test_decompose_counts_covering_components_once(capsys, monkeypatch):
     assert (code, len(calls)) == (0, 1)
 
 
-def test_a_gspace_document_checks_each_clutching_entry_once(capsys, monkeypatch):
-    checked = []
-    check = bundles.check_equivariant
-    for name, module in list(sys.modules.items()):  # every module that binds the check
-        if name.startswith("framebundles") and hasattr(module, "check_equivariant"):
-            monkeypatch.setattr(module, "check_equivariant",
-                                lambda *a: checked.append(a[3]) or check(*a))
-    bundle = {"kind": "flat", "mode": "gspace", "loops": 2,
-              "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 2}, "n": 2},
-              "clutching": [{"table": [2, 3, 0, 1]}, {"wreath": {"g": [1, 0], "perm": [0, 1]}}]}
-    code, out, _ = run(capsys, "components", json.dumps(bundle))
-    assert (code, len(checked)) == (0, 2)
-    assert checked[0] == (2, 3, 0, 1)
-
-
 def test_verify_unknown_suite_usage_error(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2
