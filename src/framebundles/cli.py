@@ -20,9 +20,9 @@ layers it runs itself (``verify`` parses no document, so it skips
 ``specdoc``); the subparser of every other subcommand names its handler in
 ``bundle_commands`` or ``circle_commands``, which is imported only when a
 request of that family is answered.  Compiling the package
-modules a request loads then costs 4.7 ms for ``classify-circle``, 11.3 ms for
-a finite-bundle request, 11.7 ms for ``verify appendix-b`` and 7.5 ms for a
-circle request, against 7.2, 12.7, 12.7 and 8.7 ms with one front end
+modules a request loads then costs 4.9 ms for ``classify-circle``, 11.7 ms for
+a finite-bundle request, 12.0 ms for ``verify appendix-b`` and 7.7 ms for a
+circle request, against 7.4, 12.9, 13.0 and 8.9 ms with one front end
 (``compile()`` of each module, 2 CPUs, Python 3.11).
 """
 
@@ -32,7 +32,6 @@ import argparse
 import os
 import re
 import sys
-from importlib import import_module
 
 from .errors import FrameBundlesError, Obstruction
 from .groups import automorphism_classes, cycle_count
@@ -115,7 +114,9 @@ def _deferred(module: str, name: str):
     it, only when a request of that family is answered."""
 
     def handler(args) -> Report:
-        return getattr(import_module(f".{module}", __package__), name)(args)
+        # the import statement's own path, unlike importlib.import_module, is
+        # the one that -X importtime reports
+        return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)(args)
 
     return handler
 
