@@ -391,6 +391,9 @@ def run_suite(
     if group_name == "":
         raise ValueError("--group must name a group")
     if name == "appendix-b":
+        for option, value in (("--group", group_name), ("--orbits", orbit_count)):
+            if value is not None:
+                raise ValueError(f"appendix-b takes no {option}: its fixtures are S3 and S4")
         return suite_appendix_b()
     groups = [named_group(group_name)] if group_name is not None else fixture_groups(max_group)
     counts = [orbit_count] if orbit_count is not None else range(1, max_orbits + 1)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import framebundles.bundles as bundles
+import framebundles.cli as cli
 import framebundles.errors as errors
 import framebundles.groups as groups
 import framebundles.suites as suites
@@ -262,6 +263,13 @@ def test_verify_beyond_fixture_bound_usage_error(capsys):
 def test_verify_refuses_an_option_that_selects_no_fixture(capsys, argv, message):
     code, out, err = run(capsys, "verify", "torsor", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("option, value", [("--group", "nonsense"), ("--orbits", "9")])
+def test_verify_appendix_b_refuses_an_option_it_would_ignore(capsys, option, value):
+    code, out, err = run(capsys, "verify", "appendix-b", option, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: appendix-b takes no {option}: its fixtures are S3 and S4\n"
 
 
 def test_verify_small_suite(capsys):
@@ -832,3 +840,60 @@ def test_verify_appendix_b_loads_the_bundle_layer():
 
 def test_verify_help_lists_every_suite():
     assert SUITE_NAMES == tuple(sorted(suites.SUITES))
+
+
+# -- argparse: help and usage errors only ---------------------------------------
+# Each usage/<case>.json pins what argparse prints at 80 columns for --help, a
+# usage error or an abbreviation: the texts a well-formed request never builds.
+
+USAGE_CASES = sorted((TESTS / "usage").glob("*.json"))
+
+
+def test_usage_pins_cover_every_help_text():
+    helps = {tuple(json.loads(p.read_text(encoding="utf-8"))["argv"]) for p in USAGE_CASES}
+    assert {("--help",)} | {(c, "--help") for c in cli.GRAMMAR} <= helps
+
+
+@pytest.mark.parametrize("path", USAGE_CASES, ids=[p.stem for p in USAGE_CASES])
+def test_argparse_texts_in_process(path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    case = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("path", USAGE_CASES, ids=[p.stem for p in USAGE_CASES])
+def test_argparse_texts_in_a_fresh_interpreter(path):
+    case = json.loads(path.read_text(encoding="utf-8"))
+    proc = subprocess.run([sys.executable, "-m", "framebundles.cli", *case["argv"]],
+                          env=dict(SRC_ENV, COLUMNS="80"), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        case["exit"], case["stdout"].encode(), case["stderr"].encode()
+    )
+
+
+@pytest.mark.parametrize("name", SUBPROCESS_CASES)
+def test_a_well_formed_request_loads_no_argparse(name):
+    case = json.loads((TESTS / "golden" / f"{name}.json").read_text(encoding="utf-8"))
+    loaded = _loaded_modules(*case["argv"])
+    assert not {"argparse", "gettext", "locale"} & loaded
+
+
+@pytest.mark.parametrize("path", sorted((TESTS / "golden").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_every_golden_argv_is_matched_as_argparse_reads_it(path):
+    # main reads a word such as -1,2 after "--word" as --word=-1,2 first
+    argv = json.loads(path.read_text(encoding="utf-8"))["argv"]
+    argv = [f"--word={argv[i + 1]}" if token == "--word" else token
+            for i, token in enumerate(argv) if i == 0 or argv[i - 1] != "--word"]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    if path.stem.startswith("pushforward_out_of_range"):  # --power -2 is argparse's to read
+        assert cli._match(argv) is None
+        return
+    matched = vars(cli._match(argv))
+    assert matched.pop("func").__name__ == parsed.pop("func").__name__
+    assert matched == parsed

@@ -8,15 +8,19 @@ input, the command must end with a report or a message, never with an
 uncaught exception: exit 1 with a message says ``obstruction: ``, exit 2
 says ``error: `` (or argparse's ``usage: ``), and a document or argument
 that was not mutated is never refused as a usage error.
+
+The strict argv matcher is checked against argparse on drawn argument
+vectors: what it accepts, argparse accepts with the same namespace, and what
+argparse refuses, it declines.
 """
 
 import contextlib
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from framebundles.cli import SUITE_NAMES, main
+from framebundles.cli import GRAMMAR, SUITE_NAMES, _match, build_parser, main
 
 COMMANDS = (["components"], ["decompose"], ["holonomy", "--word", "1,-1"], ["frame-bundle"],
             ["sn-action"])
@@ -258,8 +262,12 @@ def test_mutated_group_documents_exit_0_1_or_2(data, group, times):
 VERIFY_GROUPS = st.sampled_from(["z1", "z2", "z3", "trivial", "Z2"])
 
 
+# appendix-b runs its own fixtures and refuses --group and --orbits
+FIXTURE_SUITES = [name for name in SUITE_NAMES if name != "appendix-b"]
+
+
 @settings(deadline=None)
-@given(st.sampled_from(SUITE_NAMES), VERIFY_GROUPS, st.sampled_from(["1", "2"]))
+@given(st.sampled_from(FIXTURE_SUITES), VERIFY_GROUPS, st.sampled_from(["1", "2"]))
 def test_verify_arguments_are_answered(suite, group, orbits):
     check_call(["verify", suite, "--group", group, "--orbits", orbits], valid=True, report=True)
 
@@ -278,3 +286,81 @@ def test_mutated_verify_arguments_exit_0_1_or_2(suite, group, orbits, mutations)
     for option, value in args.items():
         argv += [option, value]
     check_call(argv, report=True)
+
+
+# -- the strict argv matcher against argparse -----------------------------------
+
+OPTIONS = sorted({spec[0] for _, _, arguments in GRAMMAR.values() for spec in arguments
+                  if len(spec) > 2})
+# abbreviations that argparse accepts or finds ambiguous, and tokens only it reads
+NEAR_OPTIONS = ["--gr", "--wo", "--max", "--max-o", "--or", "--s", "--st", "--po", "--pa",
+                "--form", "--format", "-h", "--help", "--", "-g", "--group-", "--nonsense"]
+NEAR_COMMANDS = ["classify", "classify-circles", "Verify", "u1_holonomy", "frame", "", "-"]
+VALUES = ["-", "", "-1", "-x", "--", "-h", "--word", '{"kind": "cyclic", "n": 3}', "0", "2",
+          "z2", "torsor", "json", "1,-2", "x y", "=", "7=8"]
+HEADS = [[], ["--format", "json"], ["--format=text"], ["--format", "xml"], ["--format"],
+         ["--form", "json"], ["--format", "-"], ["--format="], ["-h"], ["--", "--format", "text"]]
+
+
+@st.composite
+def option_items(draw, names):
+    name, value = draw(st.sampled_from(names)), draw(st.sampled_from(VALUES))
+    return draw(st.sampled_from([[f"{name}={value}"], [name, value], [name]]))
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed argv of a drawn subcommand, then a few of its tokens changed."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    items = []
+    for spec in GRAMMAR[command][2]:
+        if len(spec) == 2:
+            items.append([draw(st.sampled_from(VALUES))])
+        elif spec[4] or draw(st.booleans()):
+            items.append(draw(option_items([spec[0]])))
+    items = draw(st.permutations(items))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(items)))
+        move = draw(st.sampled_from(["option", "near option", "positional", "repeat", "drop"]))
+        if move == "option":
+            items.insert(i, draw(option_items(OPTIONS)))
+        elif move == "near option":
+            items.insert(i, draw(option_items(NEAR_OPTIONS)))
+        elif move == "positional":
+            items.insert(i, [draw(st.sampled_from(VALUES))])
+        elif items and move == "repeat":
+            items.insert(i, list(draw(st.sampled_from(items))))
+        elif items:
+            del items[min(i, len(items) - 1)]
+    command = draw(st.sampled_from([command] * 4 + NEAR_COMMANDS))
+    return draw(st.sampled_from(HEADS)) + [command] + [token for item in items for token in item]
+
+
+def _comparable(args):
+    out = dict(vars(args))
+    out["func"] = (args.func.__module__, args.func.__name__)
+    return out
+
+
+@settings(deadline=None, max_examples=400)
+@given(argvs())
+@example(["classify-circle"])  # a required option missing
+@example(["u1-transport", "-", "--word", "1"])
+@example(["verify", "torsor", "--max", "3"])  # an ambiguous abbreviation
+@example(["--form", "json", "classify-circle", "--gr", "-"])  # abbreviations argparse reads
+@example(["holonomy", "-", "--word=--"])  # argparse reads an empty list
+@example(["pushforward", "-", "--power", "-2"])
+@example(["verify", "torsor", "--group", "z2", "--group", "z3"])
+@example(["components", "--", "-"])
+def test_the_matcher_accepts_only_what_argparse_reads_alike(argv):
+    matched = _match(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed, code = build_parser().parse_args(argv), None
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+    if matched is not None:
+        assert code is None, argv
+        assert _comparable(matched) == _comparable(parsed), argv
+    if code == 2:
+        assert matched is None, argv
