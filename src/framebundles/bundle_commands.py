@@ -53,7 +53,7 @@ def _parse_clutching_gspace(entry: Any, fiber: gsets.GSet, where: str) -> tuple[
     elif key == "wreath":
         spec = _require_keys(value, f"{where}.wreath", {"g", "perm"})
         try:
-            n = gsets.semitorsor_orbit_count(fiber)
+            n = fiber.semitorsor_orbits
         except ValueError as exc:
             raise SchemaError(f"{where}.wreath: fiber is not a standard semi-torsor") from exc
         g = tuple(_int_list(spec["g"], f"{where}.wreath.g"))

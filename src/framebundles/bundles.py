@@ -55,7 +55,6 @@ from .gsets import (
     induced_orbit_map,
     is_free,
     is_orbit_bijection,
-    orbits,
     standard_semitorsor,
     trivial_gset,
 )
@@ -121,29 +120,6 @@ def total_components(b: FlatBundle) -> int:
     return len(components(b))
 
 
-def unit_component_is_circle(b: FlatBundle) -> bool:
-    """Whether the identity element's component is a single circle.
-
-    Group-mode only: true exactly when every clutching map fixes the unit,
-    which automorphisms always do, so the unit section traces out one copy of
-    the base circle.
-    """
-    if b.mode != MODE_GROUP:
-        raise ModeMismatch("unit sections exist in group mode only")
-    e = b.fiber_group.identity
-    return all(t[e] == e for t in b.clutching)
-
-
-def is_trivializable(b: FlatBundle) -> bool:
-    """True exactly when every clutching map is the identity.
-
-    Simultaneous conjugation fixes the identity tuple, so a bundle is
-    isomorphic to the trivial one only if it already is trivial.
-    """
-    ident = tuple(range(b.fiber.size))
-    return all(t == ident for t in b.clutching)
-
-
 def _conjugators(b: FlatBundle) -> list[tuple[int, ...]]:
     """Fiber symmetries respecting the bundle mode, as value tables."""
     if b.mode == MODE_GROUP:
@@ -180,7 +156,7 @@ def quotient_bundle(b: FlatBundle) -> FlatBundle:
         raise ModeMismatch("quotient_bundle applies to group-space bundles")
     if not is_free(b.fiber):
         raise NotFree("decomposition is defined for free fibers")
-    sheets = trivial_gset(len(orbits(b.fiber).members))
+    sheets = trivial_gset(len(b.fiber.orbit_partition.members))
     return flat_bundle(sheets, [induced_orbit_map(b.fiber, b.fiber, t) for t in b.clutching])
 
 
@@ -189,7 +165,7 @@ def principal_fiber(b: FlatBundle) -> int:
     which is equivariant over the homomorphism collapsing G to the trivial group."""
     if b.mode != MODE_GSPACE:
         raise ModeMismatch("quotient map applies to group-space bundles")
-    q = orbits(b.fiber)
+    q = b.fiber.orbit_partition
     target = trivial_gset(len(q.members))
     collapse = (target.group.identity,) * b.fiber.group.order
     return map_fiber_count(b.fiber, target, collapse, q.orbit_of)

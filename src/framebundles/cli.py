@@ -146,8 +146,8 @@ GRAMMAR = {
     "decompose": ("covering + principal decomposition", "bundle_commands.cmd_decompose", [BUNDLE]),
     "verify": ("run a named exhaustive verification suite", "cmd_verify", [
         ("suite", "one of: " + ", ".join(SUITE_NAMES)),
-        ("--max-group", "largest fixture group order", int, 4, False),
-        ("--max-orbits", "largest orbit count", int, 3, False),
+        ("--max-group", "largest fixture group order", int, None, False),
+        ("--max-orbits", "largest orbit count", int, None, False),
         ("--group", "restrict to one named group (e.g. z2)", str, None, False),
         ("--orbits", "restrict to one orbit count", int, None, False),
         ("--seed", "seed echoed for reproducibility", int, 20210722, False),

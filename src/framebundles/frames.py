@@ -63,7 +63,6 @@ from .gsets import (
     check_equivariant,
     is_free,
     is_orbit_bijection,
-    orbits,
     semitorsor_point,
     standard_semitorsor,
 )
@@ -194,7 +193,7 @@ def is_basis(F: GSet, t: Frame) -> bool:
     """Basis criterion: the orbit assignment of the tuple is a bijection."""
     if not is_free(F):
         raise NotFree("bases are defined for free group-sets only")
-    q = orbits(F)
+    q = F.orbit_partition
     n = len(q.members)
     if len(t) != n or any(not 0 <= p < F.size for p in t):
         return False
@@ -257,7 +256,7 @@ def frame_divide(fs: FrameSpace, f2: Frame, f1: Frame) -> WreathElement:
     """
     if f1 not in fs.index or f2 not in fs.index:
         raise ValueError("frames do not belong to this frame space")
-    q = orbits(fs.base_gset).orbit_of
+    q = fs.base_gset.orbit_partition.orbit_of
     q1 = tuple(q[p] for p in f1)
     q2 = tuple(q[p] for p in f2)
     sigma = perm_compose(perm_inverse(q2), q1)

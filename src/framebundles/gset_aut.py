@@ -29,9 +29,7 @@ from .gsets import (
     divide,
     induced_orbit_map,
     is_free,
-    orbits,
     semitorsor_coords,
-    semitorsor_orbit_count,
     semitorsor_point,
 )
 from .records import Frozen
@@ -82,7 +80,7 @@ def wreath_to_aut(w: WreathElement, F: GSet) -> tuple[int, ...]:
     carrier is refused.
     """
     G, n = w.group, w.n
-    if F.group != G or semitorsor_orbit_count(F) != n:
+    if F.group != G or F.semitorsor_orbits != n:
         raise ValueError("wreath element does not match the target semi-torsor")
     image = tuple(semitorsor_point(G.inv[w.g_tuple[s]], s, n) for s in w.sigma)
     return frame_map(F, tuple(semitorsor_point(G.identity, x, n) for x in range(n)), F, image)
@@ -96,7 +94,7 @@ def aut_to_wreath(F: GSet, psi) -> WreathElement:
     the right-translation convention of :func:`wreath_to_aut`.
     """
     G = F.group
-    n = semitorsor_orbit_count(F)
+    n = F.semitorsor_orbits
     sigma = induced_orbit_map(F, F, psi)
     s_inv = perm_inverse(sigma)
     g = []
@@ -137,7 +135,7 @@ def ses_report(F: GSet, auts=None) -> SesReport:
         raise NotFree("the sequence closes only for free group-sets")
     if auts is None:
         auts = gset_homs(F, F)
-    q = orbits(F)
+    q = F.orbit_partition
     n = len(q.members)
     identity_perm = tuple(range(n))
     perms = set(itertools.permutations(range(n)))

@@ -44,12 +44,16 @@ class GSet(Frozen):
 
     @cached_property
     def orbit_partition(self) -> OrbitPartition:
-        """The canonical orbit partition, computed once; read it via :func:`orbits`."""
+        """The canonical orbit partition, computed once."""
         return OrbitPartition(*perm_orbits(self.act, self.size))
 
     @cached_property
     def semitorsor_orbits(self) -> int:
-        """:func:`semitorsor_orbit_count`, computed once; a refusal is not stored."""
+        """The n for which this group-set is exactly ``standard_semitorsor(group, n)``.
+
+        Any other group-set raises ``ValueError``, also one of the same size.
+        Computed once; a refusal is not stored, so it repeats.
+        """
         n, rest = divmod(self.size, self.group.order)
         if rest or n < 1 or self.act != standard_semitorsor(self.group, n).act:
             raise ValueError("carrier is not the semi-torsor G x I_n")
@@ -139,18 +143,9 @@ def trivial_gset(n: int) -> GSet:
     return GSet(make_cyclic(1), n, (tuple(range(n)),))
 
 
-def orbits(F: GSet) -> OrbitPartition:
-    return F.orbit_partition
-
-
 def is_free(F: GSet) -> bool:
     """True when (g, f) -> (gf, f) is injective, i.e. all stabilizers are trivial."""
     return F.acts_freely
-
-
-def is_transitive(F: GSet) -> bool:
-    """True when (g, f) -> (gf, f) is surjective: a single orbit."""
-    return len(orbits(F).members) == 1
 
 
 def standard_semitorsor(G: FiniteGroup, n: int) -> GSet:
@@ -176,14 +171,6 @@ def semitorsor_point(g: int, x: int, n: int) -> int:
 
 def semitorsor_coords(p: int, n: int) -> tuple[int, int]:
     return divmod(p, n)
-
-
-def semitorsor_orbit_count(F: GSet) -> int:
-    """The n for which ``F`` is exactly ``standard_semitorsor(F.group, n)``.
-
-    Any other group-set raises ``ValueError``, also one of the same size.
-    """
-    return F.semitorsor_orbits
 
 
 def divide(F: GSet, f_prime: int, f: int) -> int:
@@ -241,8 +228,8 @@ def induced_orbit_map(source: GSet, target: GSet, value) -> tuple[int, ...]:
     For an automorphism of a free group-set this is the orbit permutation
     c_q, a homomorphism onto Sym(orbits).
     """
-    q1 = orbits(source)
-    q2 = orbits(target)
+    q1 = source.orbit_partition
+    q2 = target.orbit_partition
     table = tuple(q2.orbit_of[value[m[0]]] for m in q1.members)
     # the map is well defined by equivariance; verify the square exhaustively
     if any(q2.orbit_of[value[f]] != table[k] for f, k in enumerate(q1.orbit_of)):
@@ -252,4 +239,4 @@ def induced_orbit_map(source: GSet, target: GSet, value) -> tuple[int, ...]:
 
 def is_orbit_bijection(source: GSet, target: GSet, value) -> bool:
     table = induced_orbit_map(source, target, value)
-    return len(set(table)) == len(table) == len(orbits(target).members)
+    return len(set(table)) == len(table) == len(target.orbit_partition.members)

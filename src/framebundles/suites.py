@@ -39,7 +39,6 @@ from .groups import (
 from .gsets import (
     division_table,
     induced_orbit_map,
-    orbits,
     standard_semitorsor,
     trivial_gset,
 )
@@ -275,7 +274,7 @@ def suite_division_rules(groups, orbit_counts) -> SuiteReport:
     for G, n, name in _fixtures(groups, orbit_counts):
         F = standard_semitorsor(G, n)
         div = division_table(F)
-        by_orbit = orbits(F).members
+        by_orbit = F.orbit_partition.members
         mul, inv, act = G.mul, G.inv, F.act
         inverse = cancel = scaling = invariance = ""  # the first counterexample of each rule
         for orbit in by_orbit:
@@ -377,8 +376,8 @@ SUITES = {
 
 def run_suite(
     name: str,
-    max_group: int = 4,
-    max_orbits: int = 3,
+    max_group: int | None = None,
+    max_orbits: int | None = None,
     group_name: str | None = None,
     orbit_count: int | None = None,
 ) -> SuiteReport:
@@ -391,10 +390,11 @@ def run_suite(
     if group_name == "":
         raise ValueError("--group must name a group")
     if name == "appendix-b":
-        for option, value in (("--group", group_name), ("--orbits", orbit_count)):
+        for option, value in (("--group", group_name), ("--orbits", orbit_count),
+                              ("--max-group", max_group), ("--max-orbits", max_orbits)):
             if value is not None:
                 raise ValueError(f"appendix-b takes no {option}: its fixtures are S3 and S4")
         return suite_appendix_b()
-    groups = [named_group(group_name)] if group_name is not None else fixture_groups(max_group)
-    counts = [orbit_count] if orbit_count is not None else range(1, max_orbits + 1)
+    groups = [named_group(group_name)] if group_name is not None else fixture_groups(max_group or 4)
+    counts = [orbit_count] if orbit_count is not None else range(1, (max_orbits or 3) + 1)
     return SUITES[name](groups, counts)

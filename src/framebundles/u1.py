@@ -34,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import config
 from .errors import NoQuotient
-from .groups import Permutation, perm_compose, perm_inverse, validate_word
+from .groups import Permutation, perm_inverse, validate_word
 from .records import Frozen
 
 
@@ -59,28 +59,6 @@ class U1Wreath(Frozen):
         return f"(({', '.join(map(str, self.angles))}), {self.sigma})"
 
 
-def u1_identity(k: int) -> U1Wreath:
-    return U1Wreath((Fraction(0),) * k, tuple(range(k)))
-
-
-def _check_arity(a: U1Wreath, b: U1Wreath) -> None:
-    if a.k != b.k:
-        raise ValueError("wreath elements have different sheet counts")
-
-
-def u1wreath_mul(a: U1Wreath, b: U1Wreath) -> U1Wreath:
-    """(a, s)(a', s') = (x -> a[x] + a'[s^-1(x)], s s'), angles mod 1."""
-    _check_arity(a, b)
-    s_inv = perm_inverse(a.sigma)
-    angles = tuple(a.angles[x] + b.angles[s_inv[x]] for x in range(a.k))
-    return U1Wreath(angles, perm_compose(a.sigma, b.sigma))
-
-
-def u1wreath_inv(a: U1Wreath) -> U1Wreath:
-    angles = tuple(-a.angles[a.sigma[x]] for x in range(a.k))
-    return U1Wreath(angles, perm_inverse(a.sigma))
-
-
 class FiberPoint(Frozen):
     """A point of the fiber: an exact angle on one of the k sheets."""
 
@@ -88,14 +66,6 @@ class FiberPoint(Frozen):
 
     def __init__(self, angle: Fraction, sheet: int):
         super().__init__(_mod1(angle), sheet)
-
-
-def act_point(w: U1Wreath, p: FiberPoint) -> FiberPoint:
-    """(angles, s) . (theta, x) = (theta + angles[s(x)], s(x))."""
-    if not (0 <= p.sheet < w.k):
-        raise ValueError("point sheet out of range for this wreath element")
-    target = w.sigma[p.sheet]
-    return FiberPoint(p.angle + w.angles[target], target)
 
 
 # Lie-algebra vectors of the wreath product: one rational rate per sheet.

@@ -14,14 +14,12 @@ from framebundles.bundles import (
     flat_bundle,
     frame_bundle,
     holonomy,
-    is_trivializable,
     map_fiber_count,
     principal_fiber,
     quotient_bundle,
     sn_action_on_bundle,
     sn_labelling,
     total_components,
-    unit_component_is_circle,
 )
 from framebundles.errors import BoundExceeded, ModeMismatch, NotFaithful, TooSmall
 from framebundles.frames import (
@@ -52,7 +50,6 @@ from table_oracles import (
 from framebundles.gsets import (
     equivariant_map,
     induced_orbit_map,
-    orbits,
     semitorsor_point,
     standard_semitorsor,
     trivial_gset,
@@ -95,14 +92,6 @@ def test_component_members_come_in_ascending_order():
 def test_z3_twisted_orbit_partition():
     _, twisted = z3_bundles()
     assert components(twisted) == ((0,), (1, 2))
-
-
-def test_unit_component_is_circle():
-    for b in z3_bundles():
-        assert unit_component_is_circle(b)
-    gspace = finite_winding_bundle(Z2, 2)
-    with pytest.raises(ModeMismatch):
-        unit_component_is_circle(gspace)
 
 
 def test_klein_four_classes_give_4_3_2_components():
@@ -199,15 +188,21 @@ def test_mode_is_read_off_the_fiber_group():
 
 
 def test_trivializable_cases():
+    # isomorphic to the trivial bundle exactly when every clutching map is the
+    # identity, since simultaneous conjugation fixes the identity tuple
+    def trivializable(b):
+        ident = tuple(range(b.fiber.size))
+        return bundle_isomorphic(b, flat_bundle(b.fiber, (ident,) * b.loops, b.fiber_group))
+
     trivial, twisted = z3_bundles()
-    assert is_trivializable(trivial)
-    assert not is_trivializable(twisted)
+    assert trivializable(trivial)
+    assert not trivializable(twisted)
 
     fiber = trivial_gset(2)
     ident, swap = (0, 1), (1, 0)
     two_loops = flat_bundle(fiber, (ident, swap))
-    assert not is_trivializable(two_loops)
-    assert is_trivializable(flat_bundle(fiber, (ident, ident)))
+    assert not trivializable(two_loops)
+    assert trivializable(flat_bundle(fiber, (ident, ident)))
 
 
 # ---------------------------------------------------------------- decomposition
@@ -304,7 +299,7 @@ def test_quotient_map_fiber_count_is_group_order():
     for G, k in [(Z2, 2), (Z3, 2), (KLEIN, 3)]:
         b = finite_winding_bundle(G, k)
         sheets, collapse = trivial_gset(k), (0,) * G.order
-        projection = equivariant_map(b.fiber, sheets, collapse, orbits(b.fiber).orbit_of)
+        projection = equivariant_map(b.fiber, sheets, collapse, b.fiber.orbit_partition.orbit_of)
         assert map_fiber_count(b.fiber, sheets, collapse, projection) == G.order
         assert principal_fiber(b) == G.order
 
@@ -356,7 +351,7 @@ def test_map_fiber_count_is_the_kernel_size_of_identity_and_constant():
 
 
 def test_winding_k1_is_trivializable():
-    assert is_trivializable(finite_winding_bundle(Z2, 1))
+    assert finite_winding_bundle(Z2, 1).clutching == ((0, 1),)
 
 
 def test_winding_total_components_is_group_order():
@@ -370,7 +365,7 @@ def test_winding_total_components_is_group_order():
 
 def test_winding_nontrivial_for_k_above_one():
     for k in (2, 3):
-        assert not is_trivializable(finite_winding_bundle(Z2, k))
+        assert finite_winding_bundle(Z2, k).clutching[0] != tuple(range(2 * k))
 
 
 # ---------------------------------------------------------------- frame bundles
@@ -379,7 +374,8 @@ def test_winding_nontrivial_for_k_above_one():
 def test_frame_bundle_of_trivial_clutching_is_trivializable():
     fiber = standard_semitorsor(Z2, 2)
     b = flat_bundle(fiber, (tuple(range(fiber.size)),))
-    assert is_trivializable(frame_bundle(b))
+    lifted = frame_bundle(b)
+    assert lifted.clutching == (tuple(range(lifted.fiber.size)),)
 
 
 def test_frame_bundle_winding_components_match_brute_force():
@@ -426,7 +422,7 @@ def test_frame_bundle_mod_tuple_part_recovers_covering_frames():
     # frame bundle of the quotient covering: permutations with lifted cq
     b = finite_winding_bundle(Z2, 2)
     fs = enumerate_frames(b.fiber)
-    part = orbits(b.fiber)
+    part = b.fiber.orbit_partition
     value = b.clutching[0]
 
     def orbit_word(t):

@@ -265,7 +265,8 @@ def test_verify_refuses_an_option_that_selects_no_fixture(capsys, argv, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("option, value", [("--group", "nonsense"), ("--orbits", "9")])
+@pytest.mark.parametrize("option, value", [("--group", "nonsense"), ("--orbits", "9"),
+                                           ("--max-group", "4"), ("--max-orbits", "3")])
 def test_verify_appendix_b_refuses_an_option_it_would_ignore(capsys, option, value):
     code, out, err = run(capsys, "verify", "appendix-b", option, value)
     assert (code, out) == (2, "")

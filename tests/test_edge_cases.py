@@ -38,7 +38,6 @@ from framebundles.gsets import (
     induced_orbit_map,
     is_free,
     make_gset,
-    orbits,
     semitorsor_point,
     standard_semitorsor,
     trivial_gset,
@@ -67,7 +66,7 @@ SCRAMBLE = (3, 0, 2, 1)
 def test_scrambled_carrier_still_free_with_same_orbits():
     F = scrambled_copy(standard_semitorsor(Z2, 2), SCRAMBLE)
     assert is_free(F)
-    assert len(orbits(F).members) == 2
+    assert len(F.orbit_partition.members) == 2
 
 
 def test_aut_group_on_scrambled_carrier():
@@ -191,7 +190,7 @@ def test_fixture_groups_bound():
 RECORDS = {
     "FiniteGroup": (make_cyclic, "order"),
     "GSet": (lambda n: standard_semitorsor(make_cyclic(n), 2), "act"),
-    "OrbitPartition": (lambda n: orbits(standard_semitorsor(Z2, n)), "members"),
+    "OrbitPartition": (lambda n: standard_semitorsor(Z2, n).orbit_partition, "members"),
     "WreathElement": (lambda n: wreath_identity(make_cyclic(n), 2), "sigma"),
     "FlatBundle": (lambda n: finite_winding_bundle(make_cyclic(n), 2), "clutching"),
     "U1Wreath": (lambda n: U1Wreath((Fraction(1, n),), (0,)), "angles"),

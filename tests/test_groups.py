@@ -29,7 +29,7 @@ from framebundles.groups import (
     perm_orbits,
     permutation_group,
 )
-from framebundles.gsets import make_gset, orbits, standard_semitorsor, trivial_gset
+from framebundles.gsets import make_gset, standard_semitorsor, trivial_gset
 from framebundles.suites import fixture_groups
 from table_oracles import (
     LOOP_5,
@@ -453,7 +453,7 @@ def test_gset_aut_table_matches_composition_table():
         # the oracle has an entry for every product, so gset_homs is closed
         oracle = gset_aut_table(F)
         oracle.validate()
-        n = len(orbits(F).members)
+        n = len(F.orbit_partition.members)
         assert oracle.order == len(gset_homs(F, F)) == F.group.order**n * math.factorial(n)
 
 

@@ -27,7 +27,6 @@ from framebundles.gsets import (
     divide,
     induced_orbit_map,
     make_gset,
-    semitorsor_orbit_count,
     semitorsor_point,
     standard_semitorsor,
     trivial_gset,
@@ -222,10 +221,10 @@ def test_wreath_to_aut_refuses_a_carrier_that_is_not_g_x_i_n():
         aut_to_wreath(F, tuple(range(F.size)))
     with pytest.raises(ValueError, match="does not match the target semi-torsor"):
         wreath_to_aut(swap, standard_semitorsor(Z2, 3))
-    assert [semitorsor_orbit_count(standard_semitorsor(Z3, n)) for n in (1, 2, 3)] == [1, 2, 3]
-    assert semitorsor_orbit_count(trivial_gset(3)) == 3
+    assert [standard_semitorsor(Z3, n).semitorsor_orbits for n in (1, 2, 3)] == [1, 2, 3]
+    assert trivial_gset(3).semitorsor_orbits == 3
     with pytest.raises(ValueError):
-        semitorsor_orbit_count(make_gset(Z2, [(0, 1), (0, 1)]))  # |Z2| points, Z2 acts trivially
+        make_gset(Z2, [(0, 1), (0, 1)]).semitorsor_orbits  # |Z2| points, Z2 acts trivially
 
 
 def _count_standard_semitorsor(monkeypatch) -> list:
@@ -243,12 +242,12 @@ def _count_standard_semitorsor(monkeypatch) -> list:
 def test_the_carrier_check_runs_once_per_group_set_and_a_failure_each_time(monkeypatch):
     calls = _count_standard_semitorsor(monkeypatch)
     F = standard_semitorsor(Z3, 2)
-    assert [semitorsor_orbit_count(F) for _ in range(3)] == [2, 2, 2]
+    assert [F.semitorsor_orbits for _ in range(3)] == [2, 2, 2]
     assert len(calls) == 1
     scrambled = make_gset(Z2, [(0, 1, 2, 3), (3, 2, 1, 0)])
     for _ in range(3):
         with pytest.raises(ValueError, match="carrier is not the semi-torsor G x I_n"):
-            semitorsor_orbit_count(scrambled)
+            scrambled.semitorsor_orbits
     assert len(calls) == 4
 
 

@@ -11,9 +11,7 @@ from framebundles.gsets import (
     induced_orbit_map,
     is_free,
     is_orbit_bijection,
-    is_transitive,
     make_gset,
-    orbits,
     semitorsor_coords,
     semitorsor_point,
     standard_semitorsor,
@@ -50,20 +48,19 @@ def brute_orbits(F):
 
 def test_orbits_trivial_group():
     F = trivial_gset(4)
-    part = orbits(F)
+    part = F.orbit_partition
     assert len(part.members) == 4
     assert part.orbit_of == (0, 1, 2, 3)
 
 
 def test_orbits_left_translation_single_orbit():
     F = left_translation_gset(make_cyclic(3))
-    assert len(orbits(F).members) == 1
-    assert is_transitive(F)
+    assert len(F.orbit_partition.members) == 1
 
 
 def test_orbits_standard_semitorsor_against_oracle():
     F = standard_semitorsor(make_cyclic(2), 3)
-    part = orbits(F)
+    part = F.orbit_partition
     assert len(part.members) == 3
     oracle = brute_orbits(F)
     assert len(oracle) == 3
@@ -74,7 +71,7 @@ def test_orbits_standard_semitorsor_against_oracle():
 
 def test_orbit_indices_follow_smallest_representative():
     F = standard_semitorsor(make_cyclic(3), 2)
-    part = orbits(F)
+    part = F.orbit_partition
     assert tuple(m[0] for m in part.members) == (0, 1)
     assert part.orbit_of[semitorsor_point(2, 1, 2)] == 1
 
@@ -82,14 +79,14 @@ def test_orbit_indices_follow_smallest_representative():
 def test_free_transitive_semitorsor_flags():
     G = make_cyclic(4)
     torsor = left_translation_gset(G)
-    assert is_free(torsor) and is_transitive(torsor)
+    assert is_free(torsor) and len(torsor.orbit_partition.members) == 1
 
     one_point = make_gset(make_cyclic(2), [[0], [0]])
     assert not is_free(one_point)
-    assert is_transitive(one_point)
+    assert len(one_point.orbit_partition.members) == 1
 
     F = standard_semitorsor(make_cyclic(3), 2)
-    assert is_free(F) and not is_transitive(F)
+    assert is_free(F) and len(F.orbit_partition.members) == 2
 
 
 def test_standard_semitorsor_shapes():
@@ -97,7 +94,7 @@ def test_standard_semitorsor_shapes():
     assert standard_semitorsor(z2, 1).size == 2
     F = standard_semitorsor(z2, 3)
     assert F.size == 6
-    assert len(orbits(F).members) == 3
+    assert len(F.orbit_partition.members) == 3
     fixed = standard_semitorsor(make_cyclic(1), 4)
     assert all(fixed.act[0][p] == p for p in range(4))
 
@@ -130,7 +127,7 @@ def test_division_table_agrees_with_divide():
 def test_division_rules_exhaustive_small():
     G = make_direct_product(make_cyclic(2), make_cyclic(2))
     F = standard_semitorsor(G, 2)
-    part = orbits(F)
+    part = F.orbit_partition
     members = [[p for p in range(F.size) if part.orbit_of[p] == k] for k in range(2)]
     for orbit in members:
         for f1 in orbit:
@@ -208,7 +205,7 @@ def test_orbit_square_commutes_for_every_map():
     # q . a = a/ . q as full tables
     G = make_cyclic(3)
     source, target, a = fold_map(G)
-    q1, q2 = orbits(source), orbits(target)
+    q1, q2 = source.orbit_partition, target.orbit_partition
     table = induced_orbit_map(source, target, a)
     for f in range(source.size):
         assert q2.orbit_of[a[f]] == table[q1.orbit_of[f]]
@@ -293,8 +290,8 @@ def test_cached_orbits_and_freeness_match_fresh_computation():
         )
         assert is_free(F) == fresh_free
         assert is_free(F) == fresh_free  # second call reads the cache
-        q = orbits(F)
-        assert orbits(F) is q
+        q = F.orbit_partition
+        assert F.orbit_partition is q
         classes = brute_orbits(F)
         assert len(q.members) == len(classes)
         assert tuple(m[0] for m in q.members) == tuple(min(c) for c in classes)

@@ -13,7 +13,6 @@ from framebundles.u1 import (
     FiberPoint,
     U1FlatBundle,
     U1Wreath,
-    act_point,
     adjoint,
     all_words,
     division_form_check,
@@ -23,10 +22,7 @@ from framebundles.u1 import (
     scale_wreath,
     transport,
     u1_canonical_frame,
-    u1_identity,
     u1_winding_bundle,
-    u1wreath_inv,
-    u1wreath_mul,
 )
 
 A = Fraction  # an angle; the records reduce it into [0, 1)
@@ -65,83 +61,14 @@ def test_angle_parse_and_str():
     assert str(U1Wreath((A(2),), (0,)).angles[0]) == "0"
 
 
+def rotation(y) -> U1FlatBundle:
+    """The one-sheet, one-loop bundle whose loop turns the circle by ``y``."""
+    return U1FlatBundle(1, 1, (U1Wreath((y,), (0,)),))
+
+
 @given(rationals(), rationals())
 def test_angle_addition_matches_fractions(x, y):
-    assert act_point(U1Wreath((y,), (0,)), FiberPoint(x, 0)).angle == (x + y) % 1
-
-
-# ---------------------------------------------------------------- wreath group
-
-
-def test_u1_mul_example():
-    a = U1Wreath((A(1, 2), A(0)), (1, 0))
-    b = U1Wreath((A(1, 3), A(0)), (0, 1))
-    prod = u1wreath_mul(a, b)
-    assert prod.angles == (A(1, 2), A(1, 3))
-    assert prod.sigma == (1, 0)
-
-
-def test_u1_identity_neutral():
-    a = U1Wreath((A(1, 5), A(2, 7)), (1, 0))
-    e = u1_identity(2)
-    assert u1wreath_mul(e, a) == a
-    assert u1wreath_mul(a, e) == a
-
-
-@given(st.data())
-def test_u1_inverse_randomized(data):
-    k = data.draw(st.integers(min_value=1, max_value=3))
-    sigma = tuple(data.draw(st.permutations(list(range(k)))))
-    angles = tuple(data.draw(rationals()) for _ in range(k))
-    a = U1Wreath(angles, sigma)
-    assert u1wreath_mul(a, u1wreath_inv(a)) == u1_identity(k)
-    assert u1wreath_mul(u1wreath_inv(a), a) == u1_identity(k)
-
-
-@given(st.data())
-def test_u1_associativity_randomized(data):
-    k = data.draw(st.integers(min_value=1, max_value=3))
-
-    def draw_elem():
-        sigma = tuple(data.draw(st.permutations(list(range(k)))))
-        return U1Wreath(tuple(data.draw(rationals()) for _ in range(k)), sigma)
-
-    a, b, c = draw_elem(), draw_elem(), draw_elem()
-    assert u1wreath_mul(u1wreath_mul(a, b), c) == u1wreath_mul(a, u1wreath_mul(b, c))
-
-
-def test_u1_mul_rejects_mismatch():
-    with pytest.raises(ValueError):
-        u1wreath_mul(u1_identity(2), u1_identity(3))
-
-
-# ---------------------------------------------------------------- point action
-
-
-def test_act_point_identity():
-    p = FiberPoint(A(1, 3), 1)
-    assert act_point(u1_identity(2), p) == p
-
-
-def test_act_point_formula():
-    w = U1Wreath((A(0), A(1, 4)), (1, 0))
-    p = act_point(w, FiberPoint(A(0), 0))
-    assert p == FiberPoint(A(1, 4), 1)
-
-
-def test_act_point_axiom_on_grid():
-    # exhaustive over a deterministic fixture family and a 1/12 angle grid
-    pool = [A(0), A(1, 12), A(7, 12)]
-    for k in (2, 3):
-        elems = wreath_elements(k, pool)[:: max(1, k - 1)]
-        points = [
-            FiberPoint(A(i, 12), s) for i in (0, 1, 5) for s in range(k)
-        ]
-        for a in elems:
-            for b in elems:
-                ab = u1wreath_mul(a, b)
-                for p in points:
-                    assert act_point(a, act_point(b, p)) == act_point(ab, p)
+    assert transport(rotation(y), (1,), FiberPoint(x, 0)).angle == (x + y) % 1
 
 
 # ---------------------------------------------------------------- transport
@@ -177,7 +104,7 @@ def test_transport_equivariant_under_angle_shift():
 
 def test_holonomy_empty_word():
     b = u1_winding_bundle(2)
-    assert holonomy_u1(b, ()) == u1_identity(2)
+    assert oracle.of(holonomy_u1(b, ())) == oracle.identity(2)
 
 
 def test_holonomy_winding_full_loop_accumulates():
@@ -194,7 +121,7 @@ def test_holonomy_inverse_word():
     b = u1_winding_bundle(3, [A(1, 12), A(5, 12), A(0)])
     h = holonomy_u1(b, (1, 1))
     hinv = holonomy_u1(b, (-1, -1))
-    assert hinv == u1wreath_inv(h)
+    assert oracle.of(hinv) == oracle.inv(oracle.of(h))
 
 
 def test_holonomy_first_letter_acts_first():
@@ -203,8 +130,8 @@ def test_holonomy_first_letter_acts_first():
     b = U1FlatBundle(2, 2, (gen1, gen2))
     p = FiberPoint(A(0), 0)
     via_word = transport(b, (1, 2), p)
-    step = act_point(gen2, act_point(gen1, p))
-    assert via_word == step
+    step = oracle.act(oracle.of(gen2), *oracle.act(oracle.of(gen1), p.angle, p.sheet))
+    assert (via_word.angle, via_word.sheet) == step
 
 
 def test_holonomy_concatenation_law():
@@ -214,8 +141,8 @@ def test_holonomy_concatenation_law():
     words = [(), (1,), (2,), (1, -2), (2, 1)]
     for u in words:
         for v in words:
-            assert holonomy_u1(b, u + v) == u1wreath_mul(
-                holonomy_u1(b, v), holonomy_u1(b, u)
+            assert oracle.of(holonomy_u1(b, u + v)) == oracle.mul(
+                oracle.of(holonomy_u1(b, v)), oracle.of(holonomy_u1(b, u))
             )
 
 
@@ -232,7 +159,7 @@ def test_holonomy_rejects_bad_word():
 
 def test_frame_transport_identity_fixes_frames():
     frame = u1_canonical_frame(3)
-    assert frame_transport(u1_identity(3), frame) == frame
+    assert frame_transport(U1Wreath(*oracle.identity(3)), frame) == frame
 
 
 def test_frame_transport_decomposes_entrywise():
@@ -244,7 +171,7 @@ def test_frame_transport_decomposes_entrywise():
         moved = frame_transport(h, u1_canonical_frame(3))
         s_inv = perm_inverse(h.sigma)
         for x in range(3):
-            p = act_point(h, FiberPoint(A(0), x))
+            p = transport(b, word, FiberPoint(A(0), x))
             assert p.sheet == h.sigma[x]
             assert moved[h.sigma[x]].angle == p.angle
             assert moved[h.sigma[x]].sheet == x
@@ -287,12 +214,13 @@ def test_adjoint_homomorphism_exhaustive():
         vec = tuple(Fraction(i + 1, 3) for i in range(k))
         for a in elems:
             for b in elems:
-                assert adjoint(u1wreath_mul(a, b), vec) == adjoint(a, adjoint(b, vec))
+                ab = U1Wreath(*oracle.mul(oracle.of(a), oracle.of(b)))
+                assert adjoint(ab, vec) == adjoint(a, adjoint(b, vec))
 
 
 def test_adjoint_rejects_mismatch():
     with pytest.raises(ValueError):
-        adjoint(u1_identity(2), (Fraction(1),))
+        adjoint(U1Wreath(*oracle.identity(2)), (Fraction(1),))
 
 
 # ---------------------------------------------------------------- pushforward
@@ -452,7 +380,6 @@ def test_integer_core_matches_fraction_oracle(data):
     assert oracle.of(h) == want
 
     end = transport(b, word, start)
-    assert end == act_point(h, start)
     assert (end.angle, end.sheet) == oracle.act(want, start.angle, start.sheet)
 
     frame = tuple(FiberPoint(draw_angle(data), x) for x in perm())
@@ -466,8 +393,8 @@ def test_integer_core_matches_fraction_oracle(data):
     assert oracle.of(holonomy_u1(pushed, word)) == oracle.scale(want, q)
 
     x, y = start.angle, draw_angle(data)
-    assert act_point(U1Wreath((y,), (0,)), FiberPoint(x, 0)).angle == (x + y) % 1
-    assert u1wreath_inv(U1Wreath((y,), (0,))).angles == (-y % 1,)
+    assert transport(rotation(y), (1,), FiberPoint(x, 0)).angle == (x + y) % 1
+    assert holonomy_u1(rotation(y), (-1,)).angles == (-y % 1,)
     assert scale_wreath(U1Wreath((y,), (0,)), q).angles == (y * q % 1,)
 
     samples = [draw_angle(data) for _ in range(data.draw(st.integers(min_value=2, max_value=6)))]

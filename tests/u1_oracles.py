@@ -1,10 +1,13 @@
 """The circle wreath product in plain ``Fraction`` arithmetic, as a test oracle.
 
 An element is ``(angles, sigma)`` with ``angles`` a tuple of ``Fraction`` in
-[0, 1) and ``sigma`` an image table.  A word's holonomy is the product of its
-letters' elements right-to-left, each inverse letter inverted on its own:
-the fold the library used before it moved to integers over a common
-denominator.  Nothing here calls the library's arithmetic.
+[0, 1) and ``sigma`` an image table.  This module holds the only record-free
+``Fraction`` arithmetic of the circle wreath product: its identity, product,
+inverse and point action.  The library has no product of two elements; it
+folds a word in integers over a common denominator (``u1.holonomy_u1`` and
+``u1.transport``).  Here a word's holonomy is the product of its letters'
+elements right-to-left, each inverse letter inverted on its own.  Nothing
+here calls the library's arithmetic.
 """
 
 from __future__ import annotations
