@@ -346,14 +346,18 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
 
 
 class EquivalenceReport(Frozen):
-    """Outcome of comparing group-set morphisms with frame-torsor morphisms."""
+    """Outcome of comparing group-set morphisms with frame-torsor morphisms.
 
-    __slots__ = _fields = ("gset_hom_count", "torsor_hom_count", "functor_injective",
-                           "functor_surjective")
+    ``collision`` is the lift of the first morphism whose lift another
+    morphism shares, and ``unmatched`` the least table that only one of the
+    lifts and the torsor morphisms has; each is None when there is none.
+    """
+
+    __slots__ = _fields = ("gset_hom_count", "torsor_hom_count", "collision", "unmatched")
 
     @property
     def bijective(self) -> bool:
-        return self.functor_injective and self.functor_surjective
+        return self.collision is None and self.unmatched is None
 
     @property
     def ok(self) -> bool:
@@ -411,13 +415,14 @@ def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
     fs1 = enumerate_frames(F)
     fs2 = enumerate_frames(F2)
     if fs1.n != fs2.n:
-        return EquivalenceReport(0, 0, True, True)
+        return EquivalenceReport(0, 0, None, None)
     # the lifted and the torsor tables each hold one frame index per pair
     config.check_table_entries(len(fs1.frames) * len(fs2.frames),
                                "frame-index tables of the equivalence check")
 
     homs = gset_homs(F, F2)
-    lifted = {tuple(lift_table(F, F2, a)) for a in homs}
+    lifts = [tuple(lift_table(F, F2, a)) for a in homs]
+    lifted = set(lifts)
 
     # torsor morphisms: each is w . base -> w . target, one per target
     base = fs1.frames[0]
@@ -443,9 +448,12 @@ def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
             if after_p1(table) != through(p2):
                 raise AssertionError("torsor morphism failed equivariance")
 
+    collision = None
+    if len(lifted) < len(homs):  # the lift of the first morphism whose lift is shared
+        collision = next(t for t in lifts if lifts.count(t) > 1)
     return EquivalenceReport(
         gset_hom_count=len(homs),
         torsor_hom_count=len(torsor_tables),
-        functor_injective=len(lifted) == len(homs),
-        functor_surjective=lifted == torsor_tables,
+        collision=collision,
+        unmatched=min(lifted ^ torsor_tables, default=None),
     )

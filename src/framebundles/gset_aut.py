@@ -107,19 +107,20 @@ def aut_to_wreath(F: GSet, psi) -> WreathElement:
 
 
 class SesReport(Frozen):
-    """Verified sizes and splitting data of the automorphism sequence."""
+    """Verified sizes and splitting data of the automorphism sequence.
+
+    ``kernel_witness``, ``cq_witness`` and ``section_witness`` name the first
+    counterexample to the kernel, surjectivity and splitting checks; each is
+    empty when its check holds.
+    """
 
     __slots__ = _fields = ("aut_order", "autq_order", "sym_order", "product_matches",
-                           "kernel_is_autq", "cq_surjective", "section_splits", "section_frame")
+                           "kernel_witness", "cq_witness", "section_witness", "section_frame")
 
     @property
     def ok(self) -> bool:
-        return (
-            self.product_matches
-            and self.kernel_is_autq
-            and self.cq_surjective
-            and self.section_splits
-        )
+        return self.product_matches and not (
+            self.kernel_witness or self.cq_witness or self.section_witness)
 
 
 def ses_report(F: GSet, auts=None) -> SesReport:
@@ -143,26 +144,32 @@ def ses_report(F: GSet, auts=None) -> SesReport:
     cq_values = [induced_orbit_map(F, F, a) for a in auts]
     autq_order = sum(1 for p in cq_values if p == identity_perm)
     # kernel of c_q = the maps fixing every orbit setwise, checked point by point
-    kernel_is_autq = all(
-        (p == identity_perm)
-        == all(q.orbit_of[a[f]] == q.orbit_of[f] for f in range(F.size))
+    kernel_witness = next((
+        f"cq sends {a} to {p}, but {a} {'fixes every orbit' if kept else 'moves an orbit'}"
         for a, p in zip(auts, cq_values)
-    ) and autq_order == F.group.order**n
-    cq_surjective = set(cq_values) == perms
+        if (kept := all(q.orbit_of[a[f]] == q.orbit_of[f] for f in range(F.size)))
+        != (p == identity_perm)), "")
+    autq_expected = F.group.order**n
+    if not kernel_witness and autq_order != autq_expected:
+        kernel_witness = f"{autq_order} automorphisms fix the orbits, not |G|^n = {autq_expected}"
+    # the least tuple that only one of Sym(n) and the values of c_q holds
+    stray = min(set(cq_values) ^ perms, default=None)
+    cq_witness = "" if stray is None else (f"no automorphism maps to {stray}" if stray in perms
+                                           else f"cq reaches {stray}, no permutation")
 
     # the smallest frame: orbit indices follow the orbits' smallest points
     section_frame = tuple(m[0] for m in q.members)
-    section_splits = all(
-        induced_orbit_map(F, F, section_from_frame(F, section_frame, sigma)) == sigma
-        for sigma in itertools.permutations(range(n))
-    )
+    section_witness = next((
+        f"the section sends {sigma} to {p}" for sigma in itertools.permutations(range(n))
+        if (p := induced_orbit_map(F, F, section_from_frame(F, section_frame, sigma)))
+        != sigma), "")
     return SesReport(
         aut_order=len(auts),
         autq_order=autq_order,
         sym_order=math.factorial(n),
         product_matches=len(auts) == autq_order * math.factorial(n),
-        kernel_is_autq=kernel_is_autq,
-        cq_surjective=cq_surjective,
-        section_splits=section_splits,
+        kernel_witness=kernel_witness,
+        cq_witness=cq_witness,
+        section_witness=section_witness,
         section_frame=section_frame,
     )

@@ -134,11 +134,14 @@ def equivalence_per_frame(F, F2) -> EquivalenceReport:
     tables and the torsor tables ``w . base -> w . target``, one frame at a time."""
     fs1, fs2 = enumerate_frames(F), enumerate_frames(F2)
     homs = gset_homs(F, F2)
-    lifted = {tuple(lift_table_per_frame(F, F2, a)) for a in homs}
+    lifts = [tuple(lift_table_per_frame(F, F2, a)) for a in homs]
     divisions = [frame_divide(fs1, t, fs1.frames[0]) for t in fs1.frames]
     torsor = {tuple(fs2.index[wreath_act(F2, w, target)] for w in divisions)
               for target in fs2.frames}
-    return EquivalenceReport(len(homs), len(torsor), len(lifted) == len(homs), lifted == torsor)
+    shared = [t for t in lifts if lifts.count(t) > 1]
+    unmatched = sorted(set(lifts) ^ torsor)
+    return EquivalenceReport(len(homs), len(torsor), shared[0] if shared else None,
+                             unmatched[0] if unmatched else None)
 
 
 def is_abelian(G: FiniteGroup) -> bool:

@@ -11,6 +11,7 @@ import pytest
 import framebundles.bundles as bundles
 import framebundles.cli as cli
 import framebundles.errors as errors
+import framebundles.frames as frames
 import framebundles.groups as groups
 import framebundles.suites as suites
 from framebundles.cli import SUITE_NAMES, main
@@ -632,7 +633,7 @@ def test_exponent_rational_is_refused_before_it_is_expanded(capsys, argv, messag
 
 
 def test_division_rules_checks_every_automorphism(capsys, monkeypatch):
-    true_homs = suites.gset_homs
+    true_homs = frames.gset_homs
 
     def true_homs_then_a_swap(F, F2):
         # last, a value table that swaps two points of the orbit of point 0
@@ -642,7 +643,7 @@ def test_division_rules_checks_every_automorphism(capsys, monkeypatch):
         value[a], value[b] = value[b], value[a]
         return homs + [tuple(value)]
 
-    monkeypatch.setattr(suites, "gset_homs", true_homs_then_a_swap)
+    monkeypatch.setattr(frames, "gset_homs", true_homs_then_a_swap)
     code, out, _ = run(capsys, "verify", "division-rules", "--group", "z3", "--orbits", "1")
     assert "PASS [Z3 n=1] scaling rule\n" in out
     # the table swapping points 0 and 1 is the counterexample, first at [1/0]
@@ -691,20 +692,97 @@ def test_wreath_iso_names_a_clash_and_an_automorphism_that_no_element_reaches(ca
 def test_functor_laws_names_a_frame_that_the_identity_lift_moves(capsys, monkeypatch):
     # the swap of the two points of I_2 passed off as the identity map, whose
     # lift is the first one the suite asks for
-    true_lift = suites.lift_table
+    true_lift = frames.lift_table
     lifted = []
 
     def swap_for_the_identity(source, target, value):
         if not lifted:
-            value = suites.gset_homs(source, source)[-1]
+            value = frames.gset_homs(source, source)[-1]
         lifted.append(value)
         return true_lift(source, target, value)
 
-    monkeypatch.setattr(suites, "lift_table", swap_for_the_identity)
+    monkeypatch.setattr(frames, "lift_table", swap_for_the_identity)
     code, out, _ = run(capsys, "verify", "functor-laws", "--group", "z1", "--orbits", "2")
     assert code == 1
     assert "FAIL [Z1 n=2] identity lifts to identity (the lift moves frame (0, 1))\n" in out
     assert "PASS [Z1 n=2] composition law on all pairs\n" in out
+
+
+def test_ses_names_an_automorphism_that_the_orbit_map_puts_in_the_wrong_kernel(capsys,
+                                                                                monkeypatch):
+    import framebundles.gset_aut as gset_aut
+
+    # an orbit map that sends every automorphism to the identity permutation
+    monkeypatch.setattr(gset_aut, "induced_orbit_map",
+                        lambda source, target, value: (0, 1))
+    code, out, _ = run(capsys, "verify", "ses", "--group", "z1", "--orbits", "2")
+    assert code == 1
+    assert ("FAIL [Z1 n=2] kernel of cq is the orbit-preserving part "
+            "(cq sends (1, 0) to (0, 1), but (1, 0) moves an orbit)\n") in out
+
+
+def test_ses_counts_the_orbit_preserving_automorphisms(capsys, monkeypatch):
+    import framebundles.gset_aut as gset_aut
+
+    true_homs = gset_aut.gset_homs
+    monkeypatch.setattr(gset_aut, "gset_homs", lambda F, F2: true_homs(F, F2)[1:])
+    code, out, _ = run(capsys, "verify", "ses", "--group", "z2", "--orbits", "1")
+    assert code == 1
+    assert ("FAIL [Z2 n=1] kernel of cq is the orbit-preserving part "
+            "(1 automorphisms fix the orbits, not |G|^n = 2)\n") in out
+
+
+def test_ses_names_a_permutation_that_no_automorphism_reaches(capsys, monkeypatch):
+    import framebundles.gset_aut as gset_aut
+
+    true_homs = gset_aut.gset_homs
+    # only the orbit-preserving automorphisms, so cq reaches the identity alone
+    monkeypatch.setattr(gset_aut, "gset_homs", lambda F, F2: true_homs(F, F2)[:1])
+    code, out, _ = run(capsys, "verify", "ses", "--group", "z1", "--orbits", "2")
+    assert code == 1
+    assert "FAIL [Z1 n=2] cq surjective (no automorphism maps to (1, 0))\n" in out
+
+
+def test_ses_names_a_permutation_that_the_section_does_not_split(capsys, monkeypatch):
+    import framebundles.gset_aut as gset_aut
+
+    # a section that sends every permutation to the identity map
+    monkeypatch.setattr(gset_aut, "section_from_frame",
+                        lambda F, f, sigma: tuple(range(F.size)))
+    code, out, _ = run(capsys, "verify", "ses", "--group", "z1", "--orbits", "2")
+    assert code == 1
+    assert "PASS [Z1 n=2] cq surjective\n" in out
+    assert "FAIL [Z1 n=2] section splits cq (the section sends (1, 0) to (0, 1))\n" in out
+
+
+@pytest.mark.parametrize(("orbits", "lift", "detail"), [
+    # the fourth morphism lifts as the second: their table collides
+    ("3", lambda true_lift, s, t, value:
+        true_lift(s, t, (0, 2, 1) if value == (1, 2, 0) else value),
+     "two morphisms lift to (1, 0, 4, 5, 2, 3)"),
+    # the swap lifts to a table that is no torsor morphism, and none collides
+    ("2", lambda true_lift, s, t, value: true_lift(s, t, value) if value == (0, 1) else [0, 0],
+     "the lifts and the torsor morphisms differ at (0, 0)"),
+], ids=["collision", "unmatched"])
+def test_equivalence_names_a_table_that_breaks_the_bijection(capsys, monkeypatch, orbits, lift,
+                                                             detail):
+    true_lift = frames.lift_table
+    monkeypatch.setattr(frames, "lift_table", lambda s, t, value: lift(true_lift, s, t, value))
+    code, out, _ = run(capsys, "verify", "equivalence", "--group", "z1", "--orbits", orbits)
+    assert code == 1
+    assert f"PASS [Z1 n={orbits}] torsor morphism count" in out
+    assert f"FAIL [Z1 n={orbits}] lift is a bijection ({detail})\n" in out
+
+
+def test_appendix_b_names_the_first_conjugator_that_is_not_recovered(capsys, monkeypatch):
+    # a labelling that always answers the identity recovers only tau = e
+    monkeypatch.setattr(bundles, "sn_labelling", lambda n, action: tuple(range(n)))
+    code, out, _ = run(capsys, "verify", "appendix-b")
+    assert code == 1
+    assert ("FAIL [S3] labelling recovers all 6 conjugators "
+            "(conjugator (0, 2, 1) labelled (0, 1, 2), not (0, 2, 1))\n") in out
+    assert ("FAIL [S4] labelling recovers all 24 conjugators "
+            "(conjugator (0, 1, 3, 2) labelled (0, 1, 2, 3), not (0, 1, 3, 2))\n") in out
 
 
 # -- fresh interpreters ------------------------------------------------------
@@ -787,7 +865,7 @@ def _loaded_modules(*argv):
 def test_circle_bundle_request_loads_no_finite_bundle_layer():
     loaded = _loaded_modules("u1-holonomy", U1_WINDING_K2, "--word", "1,-1,1")
     assert "framebundles.u1" in loaded
-    for layer in ("bundles", "frames", "gsets", "gset_aut", "suites"):
+    for layer in ("bundles", "frames", "gsets", "gset_aut", "suites", "aut_search"):
         assert f"framebundles.{layer}" not in loaded
     assert "dataclasses" not in loaded
     # nor the finite-bundle front end
@@ -809,6 +887,7 @@ def test_classify_circle_loads_no_bundle_layer():
     # the components of each class's bundle are the cycles of its representative
     loaded = _loaded_modules("classify-circle", "--group", Z3_SPEC)
     assert "framebundles.groups" in loaded
+    assert "framebundles.aut_search" in loaded
     for layer in ("bundles", "frames", "gsets", "gset_aut"):
         assert f"framebundles.{layer}" not in loaded
     # nor a family's front end, nor the suites
@@ -837,6 +916,15 @@ def test_verify_appendix_b_loads_the_bundle_layer():
     # the suite builds its bundles itself, so no front end of a family loads
     assert "framebundles.bundle_commands" not in loaded
     assert "framebundles.circle_commands" not in loaded
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_loads_its_own_suite_module_and_not_the_aut_search(suite):
+    fixture = () if suite == "appendix-b" else ("--group", "z2", "--orbits", "1")
+    loaded = _loaded_modules("verify", suite, *fixture)
+    modules = {f"framebundles.{module}" for module in suites.SUITES.values()}
+    assert loaded & modules == {f"framebundles.suite_{suite.replace('-', '_')}"}
+    assert "framebundles.aut_search" not in loaded
 
 
 def test_verify_help_lists_every_suite():

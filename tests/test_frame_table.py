@@ -1,13 +1,13 @@
 """The frame-table kernel against the per-frame oracles of ``table_oracles``,
 and corruptions of the kernel or of the action that the torsor,
-functor-laws and equivalence checks must catch."""
+functor-laws, wreath-iso and equivalence checks must catch."""
 
 import random
 
 import pytest
 
 import framebundles.frames as frames
-import framebundles.suites as suites
+import framebundles.groups as groups
 from framebundles.frames import (
     act_table,
     check_equivalence,
@@ -19,7 +19,10 @@ from framebundles.frames import (
 )
 from framebundles.groups import make_cyclic, make_direct_product, perm_compose
 from framebundles.gsets import FrameSpace, GSet, make_gset, standard_semitorsor
-from framebundles.suites import fixture_groups, suite_functor_laws, suite_torsor
+from framebundles.suite_functor_laws import suite_functor_laws
+from framebundles.suite_torsor import suite_torsor
+from framebundles.suite_wreath_iso import suite_wreath_iso
+from framebundles.suites import fixture_groups
 from table_oracles import act_table_per_frame, equivalence_per_frame, lift_table_per_frame
 
 Z2 = make_cyclic(2)
@@ -72,9 +75,7 @@ def test_equivalence_onto_a_relabelled_copy_matches_the_oracle(G, n):
         assert act_table(fs2, w) == act_table_per_frame(fs2, w)
     report, oracle = check_equivalence(F, F2), equivalence_per_frame(F, F2)
     assert report.ok
-    assert (report.gset_hom_count, report.torsor_hom_count, report.functor_injective,
-            report.functor_surjective) == (oracle.gset_hom_count, oracle.torsor_hom_count,
-                                           oracle.functor_injective, oracle.functor_surjective)
+    assert report == oracle
 
 
 def test_single_frame_space():
@@ -169,7 +170,7 @@ def test_closure_failure_does_not_skip_freeness_of_the_same_element(monkeypatch)
             table[1] = 1
         return table
 
-    monkeypatch.setattr(suites, "act_table", patched)
+    monkeypatch.setattr(frames, "act_table", patched)
     checks = _checks(suite_torsor([Z2], [2]))
     assert checks["action closed on frames"].detail == (
         f"{target!r} sends frame {fs.frames[0]} off the frame space")
@@ -192,9 +193,30 @@ def test_composition_law_fails_on_a_fixed_frame(monkeypatch):
 
 def test_composition_law_fails_on_a_composition_in_the_wrong_order(monkeypatch):
     # Aut(Z2 x I_2) = Z2 wr I_2 is not abelian, so b a differs from a b
-    monkeypatch.setattr(suites, "perm_compose", lambda a, b: perm_compose(b, a))
+    monkeypatch.setattr(groups, "perm_compose", lambda a, b: perm_compose(b, a))
     law = _checks(suite_functor_laws([Z2], [2]))["composition law on all pairs"]
     assert not law.ok and "b=" in law.detail
+
+
+@pytest.mark.parametrize("corrupt", [_off_the_space, _fix_one_frame], ids=["off", "fixed"])
+def test_wreath_iso_refuses_the_edge_check_on_a_corrupted_kernel(monkeypatch, corrupt):
+    # W . base, the frame indexing of the edge check, sends an element off the
+    # frame space or two elements to one frame
+    _corrupt_kernel(monkeypatch, corrupt)
+    law = _checks(suite_wreath_iso([Z2], [2]))["homomorphism on all pairs"]
+    assert not law.ok
+    assert law.detail == "W does not act freely and transitively on the frames"
+
+
+def test_wreath_iso_refuses_the_edge_check_on_generators_of_a_subgroup(monkeypatch):
+    # without the swap of the two slots, the generators make only G^2 in W
+    generators = frames._wreath_generators
+    monkeypatch.setattr(frames, "_wreath_generators",
+                        lambda G, n: [w for w in generators(G, n) if w.sigma == (0, 1)])
+    checks = _checks(suite_wreath_iso([Z2], [2]))
+    law = checks["homomorphism on all pairs"]
+    assert not law.ok and law.detail == "the generators do not reach every element"
+    assert checks["injective"].ok and checks["round trip to wreath"].ok
 
 
 @pytest.mark.parametrize("corrupt", [_off_the_space, _fix_one_frame], ids=["off", "fixed"])
@@ -234,7 +256,7 @@ def test_torsor_closure_fails_on_a_corrupted_action(monkeypatch):
     # row 1 of Z2 x I_2 moves each point to the other orbit
     F = standard_semitorsor(Z2, 2)
     bad = _corrupted_space(F, tuple(p ^ 1 for p in F.act[1]))
-    monkeypatch.setattr(suites, "act_table", lambda fs, w: act_table(bad, w))
+    monkeypatch.setattr(frames, "act_table", lambda fs, w: act_table(bad, w))
     closed = _checks(suite_torsor([Z2], [2]))["action closed on frames"]
     assert not closed.ok and closed.detail.endswith("off the frame space")
 
@@ -242,7 +264,7 @@ def test_torsor_closure_fails_on_a_corrupted_action(monkeypatch):
 def test_torsor_freeness_fails_on_a_corrupted_action(monkeypatch):
     F = standard_semitorsor(Z3, 2)
     bad = _corrupted_space(F, F.act[Z3.identity])
-    monkeypatch.setattr(suites, "act_table", lambda fs, w: act_table(bad, w))
+    monkeypatch.setattr(frames, "act_table", lambda fs, w: act_table(bad, w))
     checks = _checks(suite_torsor([Z3], [2]))
     assert not checks["action free"].ok
     assert checks["action closed on frames"].ok

@@ -29,6 +29,7 @@ from framebundles.groups import (
     perm_orbits,
     permutation_group,
 )
+from framebundles.aut_search import element_orders
 from framebundles.gsets import make_gset, standard_semitorsor, trivial_gset
 from framebundles.suites import fixture_groups
 from table_oracles import (
@@ -213,8 +214,9 @@ def test_conjugacy_classes_s4_against_partition_oracle():
 
 def test_conjugacy_classes_equal_element_orders():
     for G in all_small_groups():
+        order_of = element_orders(G)
         for cls in conjugacy_classes(G):
-            orders = {G.element_orders[a] for a in cls}
+            orders = {order_of[a] for a in cls}
             assert len(orders) == 1
 
 
@@ -371,7 +373,7 @@ def test_automorphisms_match_product_search():
 def test_element_orders_match_the_walk_oracle():
     # one power walk per cyclic subgroup, against one walk per element
     for G in groups_to_order_24() + relabelled_tables():
-        assert G.element_orders == element_orders_by_walk(G), G.label
+        assert element_orders(G) == element_orders_by_walk(G), G.label
 
 
 def test_automorphism_count_matches_the_listing():

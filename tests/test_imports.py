@@ -8,7 +8,8 @@ annotations``, but they are parsed like any other expression).
 
 Every top-level ``def`` or ``class`` must be read in ``src/`` outside its own
 body, as a name or as an attribute, or be named as a handler by
-``cli.GRAMMAR``; the few that only tests call are listed with their reason.
+``cli.GRAMMAR`` or, as a suite, by ``suites.SUITES``; the few that only
+tests call are listed with their reason.
 """
 
 import ast
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from framebundles.cli import GRAMMAR
+from framebundles.suites import SUITES
 
 SRC = Path(__file__).parent.parent / "src" / "framebundles"
 MODULES = sorted(SRC.glob("*.py"))
@@ -112,6 +114,7 @@ def unreferenced(sources: dict, handlers=()) -> list:
 def test_every_definition_is_read_or_listed_as_test_only():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     handlers = {spec.rpartition(".")[2] for _, spec, _ in GRAMMAR.values()}
+    handlers |= set(SUITES.values())  # run_suite calls the function named like its module
     assert unreferenced(sources, handlers) == sorted(TEST_ONLY)
 
 
