@@ -26,7 +26,7 @@ from collections import Counter
 from typing import Mapping, Optional
 
 from . import config
-from .errors import ModeMismatch, NotFaithful, NotFree, TooSmall
+from .errors import ModeMismatch, NotFaithful, NotFree, Obstruction, TooSmall
 from .frames import (
     Frame,
     WreathElement,
@@ -173,8 +173,6 @@ def principal_fiber(b: FlatBundle) -> int:
 
 def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
     """The k-sheet winding bundle: one loop cycling the sheets of G x I_k."""
-    if k < 1:
-        raise ValueError("winding number must be >= 1")
     F = standard_semitorsor(G, k)
     cycle = tuple((i + 1) % k for i in range(k))
     w = WreathElement(G, (G.identity,) * k, cycle)
@@ -191,8 +189,6 @@ def frame_bundle(b: FlatBundle) -> FlatBundle:
     lift, so this is the principal bundle of frames; no caller reads the fiber
     as a set of the wreath product, so its Cayley table is never built.
     """
-    if not is_free(b.fiber):
-        raise NotFree("frame bundles exist over free fibers")
     fiber = trivial_gset(len(enumerate_frames(b.fiber).frames))
     config.check_table_entries(fiber.size * b.loops, "frame lifts of the clutching maps")
     return flat_bundle(fiber, [lift_table(b.fiber, b.fiber, t) for t in b.clutching])
@@ -259,9 +255,13 @@ def sn_labelling(n: int, action: Mapping[Permutation, tuple]) -> tuple[int, ...]
     """Recover the unique equivariant labelling A -> I_n from a faithful action.
 
     ``action`` maps each permutation of I_n to its image table on the n-set
-    A = {0..n-1}.  For n >= 3 the point fixed by the stabilizer of i is
-    unique, and i -> a_i is the only equivariant bijection; the returned
-    table is its inverse (point -> label).
+    A = {0..n-1}.  When the action is conjugate to the natural one and
+    n >= 3, the stabilizer of i fixes exactly one point a_i, and i -> a_i is
+    the only equivariant bijection; the returned table is its inverse
+    (point -> label).  A faithful action need not be conjugate to the natural
+    one: at n = 6, S_6's outer automorphism gives one in which the
+    stabilizer of i fixes no point, and that action, with no equivariant
+    labelling, is refused with :class:`Obstruction`.
 
     The homomorphism law is proved on the edges of the generators (0 1) and
     (0 1 ... n-1) of S_n, and equivariance is then checked on them alone.
@@ -293,7 +293,7 @@ def sn_labelling(n: int, action: Mapping[Permutation, tuple]) -> tuple[int, ...]
             a for a in range(n) if all(action[s][a] == a for s in stab)
         ]
         if len(fixed) != 1:
-            raise NotFaithful(f"stabilizer of {i} does not fix a unique point")
+            raise Obstruction(f"stabilizer of {i} does not fix a unique point")
         labelling[fixed[0]] = i
     if not is_permutation(labelling, n):
         raise NotFaithful("labelling is not a bijection")

@@ -277,10 +277,8 @@ def lift_table(source: GSet, target: GSet, value) -> list[int | None]:
         raise OrbitObstruction(
             "map does not induce a bijection on orbits, so it has no frame lift"
         )
-    if not (is_free(source) and is_free(target)):
-        raise NotFree("frame lifts are defined between free group-sets")
-    fs = source.frame_space  # both free, as enumerate_frames would check
-    return frame_table(fs.columns, [value] * fs.n, range(fs.n), target.frame_space.index)
+    fs = enumerate_frames(source)
+    return frame_table(fs.columns, [value] * fs.n, range(fs.n), enumerate_frames(target).index)
 
 
 def wreath_elements(G: FiniteGroup, n: int) -> list[WreathElement]:
@@ -410,8 +408,6 @@ def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
     """
     if F.group != F2.group:
         raise ValueError("equivalence check needs a common group")
-    if not (is_free(F) and is_free(F2)):
-        raise NotFree("equivalence check applies to free group-sets")
     fs1 = enumerate_frames(F)
     fs2 = enumerate_frames(F2)
     if fs1.n != fs2.n:

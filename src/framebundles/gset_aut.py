@@ -97,13 +97,11 @@ def aut_to_wreath(F: GSet, psi) -> WreathElement:
     n = F.semitorsor_orbits
     sigma = induced_orbit_map(F, F, psi)
     s_inv = perm_inverse(sigma)
-    g = []
-    for x in range(n):
-        gc, xc = semitorsor_coords(psi[semitorsor_point(G.identity, s_inv[x], n)], n)
-        if xc != x:
-            raise AssertionError("orbit permutation mismatch")
-        g.append(G.inv[gc])
-    return WreathElement(G, tuple(g), sigma)
+    # psi sends orbit s_inv[x] onto orbit x, as induced_orbit_map checked, so
+    # the image of (e, s_inv[x]) is (h, x) and only h is read
+    g = tuple(G.inv[semitorsor_coords(psi[semitorsor_point(G.identity, s_inv[x], n)], n)[0]]
+              for x in range(n))
+    return WreathElement(G, g, sigma)
 
 
 class SesReport(Frozen):

@@ -56,12 +56,12 @@ from .groups import (
 )
 
 
-def _require_keys(obj: Any, where: str, required: set[str], optional: set[str] = frozenset()) -> dict:
+def _require_keys(obj: Any, where: str, required: set[str]) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
     keys = set(obj.keys())
     missing = required - keys
-    unknown = keys - required - optional
+    unknown = keys - required
     if missing:
         raise SchemaError(f"{where}: missing fields {sorted(missing)}")
     if unknown:

@@ -6,14 +6,12 @@ from __future__ import annotations
 import itertools
 
 from . import bundles, groups, gsets
-from .suites import SuiteReport
 
 APPENDIX_B_MAX_N = 4  # appendix-b checks S3 .. S4; labelling n! actions costs (n!)^2 n^2
 
 
-def suite_appendix_b() -> SuiteReport:
+def suite_appendix_b(rep) -> None:
     """Labelling of faithful symmetric actions and the global-action obstruction."""
-    rep = SuiteReport("appendix-b")
     for n in range(3, APPENDIX_B_MAX_N + 1):
         perms = list(itertools.permutations(range(n)))
         missed = ""  # the first conjugator that the labelling does not recover
@@ -40,4 +38,3 @@ def suite_appendix_b() -> SuiteReport:
             (not res2.ok) and res2.obstruction_generator == 1,
             f"generator {res2.obstruction_generator}",
         )
-    return rep

@@ -2,31 +2,26 @@
 
 from __future__ import annotations
 
-from . import frames, groups, gsets
-from .suites import SuiteReport, _fixtures
+from . import frames, groups
 
 PAIR_BOUND = 50  # functor-laws checks all pairs only up to this many morphisms
 
 
-def suite_functor_laws(group_list, orbit_counts) -> SuiteReport:
+def suite_functor_laws(rep, G, n, F, name) -> None:
     """Identity and composition laws of the frame lift, over all morphism pairs."""
-    rep = SuiteReport("functor-laws")
-    for G, n, name in _fixtures(group_list, orbit_counts):
-        F = gsets.standard_semitorsor(G, n)
-        fs = frames.enumerate_frames(F)
-        lift = frames.lift_table(F, F, range(F.size))
-        moved = next((f"the lift moves frame {fs.frames[i]}"
-                      for i, j in enumerate(lift) if i != j), "")
-        rep.add(name, "identity lifts to identity", not moved, moved)
-        homs = frames.gset_homs(F, F)
-        if len(homs) > PAIR_BOUND:
-            rep.add(name, f"composition law (skipped, {len(homs)} > {PAIR_BOUND} morphisms)", True)
-            continue
-        broken = _first_broken_composition(F, homs)
-        detail = f"a={broken[0]} b={broken[1]}" if broken else ""
-        rep.add(name, "composition law on all pairs", not broken, detail)
-        rep.bump("composable pairs", len(homs) ** 2)
-    return rep
+    fs = frames.enumerate_frames(F)
+    lift = frames.lift_table(F, F, range(F.size))
+    moved = next((f"the lift moves frame {fs.frames[i]}"
+                  for i, j in enumerate(lift) if i != j), "")
+    rep.add(name, "identity lifts to identity", not moved, moved)
+    homs = frames.gset_homs(F, F)
+    if len(homs) > PAIR_BOUND:
+        rep.add(name, f"composition law (skipped, {len(homs)} > {PAIR_BOUND} morphisms)", True)
+        return
+    broken = _first_broken_composition(F, homs)
+    detail = f"a={broken[0]} b={broken[1]}" if broken else ""
+    rep.add(name, "composition law on all pairs", not broken, detail)
+    rep.bump("composable pairs", len(homs) ** 2)
 
 
 def _first_broken_composition(F, homs):

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from . import frames, groups, gset_aut, gsets
-from .suites import SuiteReport, _fixtures
 
 
-def suite_wreath_iso(group_list, orbit_counts) -> SuiteReport:
+def suite_wreath_iso(rep, G, n, F, name) -> None:
     """The explicit wreath-to-automorphism map is a bijective homomorphism.
 
     The homomorphism law on all |W|^2 pairs is proved on the |W| |gens|
@@ -17,31 +16,27 @@ def suite_wreath_iso(group_list, orbit_counts) -> SuiteReport:
     transitively; right multiplication by s then sends w . base to
     w . (s . base), so it is the frame lift of the map base -> s . base.
     """
-    rep = SuiteReport("wreath-iso")
-    for G, n, name in _fixtures(group_list, orbit_counts):
-        F = gsets.standard_semitorsor(G, n)
-        elements = frames.wreath_elements(G, n)
-        tables = [gset_aut.wreath_to_aut(w, F) for w in elements]
-        first = dict(zip(tables[::-1], elements[::-1]))  # the first element of each table
-        clash = next((f"{first[t]!r} and {w!r} map to one automorphism"
-                      for w, t in zip(elements, tables) if first[t] is not w), "")
-        rep.add(name, "injective", not clash, clash)
-        auts = frames.gset_homs(F, F)
-        missed = next((f"no element reaches {a}" for a in auts if a not in first), "")
-        rep.add(name, "surjective onto Aut(G x X)", first.keys() == set(auts), missed)
-        broken = _broken_wreath_hom(F, elements, tables)
-        rep.add(name, "homomorphism on all pairs", not broken, broken)
-        trip = next((f"{w!r} comes back as {v!r}" for w, t in zip(elements, tables)
-                     if (v := gset_aut.aut_to_wreath(F, t)) != w), "")
-        rep.add(name, "round trip to wreath", not trip, trip)
-        moved = next((f"{w!r} permutes the orbits by {p}" for w, t in zip(elements, tables)
-                      if (p := gsets.induced_orbit_map(F, F, t)) != w.sigma), "")
-        rep.add(name, "orbit permutation matches sigma", not moved, moved)
-        r = gset_aut.ses_report(F, auts)
-        rep.add(name, "SES sizes", r.ok,
-                f"{r.aut_order} = {r.autq_order} x {r.sym_order}")
-        rep.bump("homomorphism pairs", len(elements) ** 2)
-    return rep
+    elements = frames.wreath_elements(G, n)
+    tables = [gset_aut.wreath_to_aut(w, F) for w in elements]
+    first = dict(zip(tables[::-1], elements[::-1]))  # the first element of each table
+    clash = next((f"{first[t]!r} and {w!r} map to one automorphism"
+                  for w, t in zip(elements, tables) if first[t] is not w), "")
+    rep.add(name, "injective", not clash, clash)
+    auts = frames.gset_homs(F, F)
+    missed = next((f"no element reaches {a}" for a in auts if a not in first), "")
+    rep.add(name, "surjective onto Aut(G x X)", first.keys() == set(auts), missed)
+    broken = _broken_wreath_hom(F, elements, tables)
+    rep.add(name, "homomorphism on all pairs", not broken, broken)
+    trip = next((f"{w!r} comes back as {v!r}" for w, t in zip(elements, tables)
+                 if (v := gset_aut.aut_to_wreath(F, t)) != w), "")
+    rep.add(name, "round trip to wreath", not trip, trip)
+    moved = next((f"{w!r} permutes the orbits by {p}" for w, t in zip(elements, tables)
+                  if (p := gsets.induced_orbit_map(F, F, t)) != w.sigma), "")
+    rep.add(name, "orbit permutation matches sigma", not moved, moved)
+    r = gset_aut.ses_report(F, auts)
+    rep.add(name, "SES sizes", r.ok,
+            f"{r.aut_order} = {r.autq_order} x {r.sym_order}")
+    rep.bump("homomorphism pairs", len(elements) ** 2)
 
 
 def _broken_wreath_hom(F, elements, tables) -> str:

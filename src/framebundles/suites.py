@@ -5,9 +5,12 @@ returns a deterministic report; a single failing check makes the whole suite
 fail.  Fixture groups cover every isomorphism class up to order 6.
 
 This module keeps what the suites share: the report, the named and fixture
-groups and :func:`run_suite`.  Each suite is a module of its own,
-``suite_<name>``, holding one function of that name and the suite's private
-helpers.  ``SUITES`` maps each suite name to its module, and
+groups and :func:`run_suite`, which builds the one report, loops over the
+fixtures and builds each fixture's carrier G x I_n once.  Each suite is a
+module of its own, ``suite_<name>``, holding one function of that name, which
+adds the checks of one fixture ``(rep, G, n, F, name)`` to the report, and
+the suite's private helpers; ``appendix-b`` has fixtures of its own and takes
+only the report.  ``SUITES`` maps each suite name to its module, and
 :func:`run_suite` imports only that module, so a ``verify`` request compiles
 no other suite.  A suite module reads the layers as module attributes at
 call time, so a function patched into its layer module after the suite
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from .errors import BoundExceeded
 from .groups import FiniteGroup, make_cyclic, make_direct_product, make_symmetric
+from .gsets import standard_semitorsor
 from .records import Frozen
 
 
@@ -78,12 +82,6 @@ def fixture_groups(max_order: int) -> list[FiniteGroup]:
     return [G for G in map(named_group, _FIXTURE_NAMES) if G.order <= max_order]
 
 
-def _fixtures(groups: list[FiniteGroup], orbit_counts):
-    for G in groups:
-        for n in orbit_counts:
-            yield G, n, f"{G.label} n={n}"
-
-
 SUITES = {
     "torsor": "suite_torsor",
     "functor-laws": "suite_functor_laws",
@@ -117,9 +115,16 @@ def run_suite(
                 raise ValueError(f"appendix-b takes no {option}: its fixtures are S3 and S4")
         fixtures = ()
     else:
-        fixtures = ([named_group(group_name)] if group_name is not None
-                    else fixture_groups(max_group or 4),
-                    [orbit_count] if orbit_count is not None else range(1, (max_orbits or 3) + 1))
+        group_list = ([named_group(group_name)] if group_name is not None
+                      else fixture_groups(max_group or 4))
+        orbit_counts = [orbit_count] if orbit_count is not None else range(1, (max_orbits or 3) + 1)
+        fixtures = [(G, n) for G in group_list for n in orbit_counts]
     # the import statement's own path, as in cli._handler
     module = SUITES[name]
-    return getattr(__import__(f"{__package__}.{module}", fromlist=[module]), module)(*fixtures)
+    suite = getattr(__import__(f"{__package__}.{module}", fromlist=[module]), module)
+    rep = SuiteReport(name)
+    if name == "appendix-b":
+        suite(rep)
+    for G, n in fixtures:
+        suite(rep, G, n, standard_semitorsor(G, n), f"{G.label} n={n}")
+    return rep

@@ -55,9 +55,6 @@ class U1Wreath(Frozen):
     def k(self) -> int:
         return len(self.sigma)
 
-    def __str__(self) -> str:
-        return f"(({', '.join(map(str, self.angles))}), {self.sigma})"
-
 
 class FiberPoint(Frozen):
     """A point of the fiber: an exact angle on one of the k sheets."""

@@ -21,7 +21,7 @@ from framebundles.bundles import (
     sn_labelling,
     total_components,
 )
-from framebundles.errors import BoundExceeded, ModeMismatch, NotFaithful, TooSmall
+from framebundles.errors import BoundExceeded, ModeMismatch, NotFaithful, Obstruction, TooSmall
 from framebundles.frames import (
     WreathElement,
     enumerate_frames,
@@ -36,6 +36,7 @@ from framebundles.groups import (
     identity_hom,
     make_cyclic,
     make_direct_product,
+    perm_compose,
     perm_inverse,
 )
 from framebundles.gset_aut import wreath_to_aut
@@ -597,6 +598,43 @@ def test_sn_labelling_rejects_unfaithful():
     collapsed = {s: (0, 1, 2) for s in perms}
     with pytest.raises((NotFaithful, ValueError)):
         sn_labelling(3, collapsed)
+
+
+def _powers(s):
+    """s, s^2, ... up to the identity."""
+    out = [s]
+    while out[-1] != tuple(range(len(s))):
+        out.append(perm_compose(s, out[-1]))
+    return out
+
+
+def exotic_s6_action():
+    """S6 on the six left cosets of a transitive copy H of S5: the image of S5
+    acting by conjugation on its six Sylow 5-subgroups."""
+    s5 = list(itertools.permutations(range(5)))
+    sylows = sorted({frozenset(_powers(s)) for s in s5 if len(_powers(s)) == 5}, key=sorted)
+    index = {P: i for i, P in enumerate(sylows)}
+    H = {tuple(index[frozenset(perm_compose(perm_compose(s, c), perm_inverse(s)) for c in P)]
+               for P in sylows) for s in s5}
+    coset_of, reps = {}, []
+    for g in itertools.permutations(range(6)):
+        if g not in coset_of:
+            coset_of.update((perm_compose(g, h), len(reps)) for h in H)
+            reps.append(g)
+    assert len(H) == 120 and len(reps) == 6
+    return {s: tuple(coset_of[perm_compose(s, g)] for g in reps) for s in coset_of}
+
+
+def test_sn_labelling_refuses_the_faithful_exotic_action_of_s6():
+    # each natural point stabilizer S5 acts transitively on the cosets of H,
+    # so it fixes no point and no equivariant labelling exists
+    action = exotic_s6_action()
+    identity = tuple(range(6))
+    assert [s for s, value in action.items() if value == identity] == [identity]
+    with pytest.raises(Obstruction) as refusal:
+        sn_labelling(6, action)
+    assert not isinstance(refusal.value, NotFaithful)
+    assert str(refusal.value) == "stabilizer of 0 does not fix a unique point"
 
 
 def test_sn_action_on_trivial_covering():

@@ -1,5 +1,6 @@
 """The command-line front end, in-process and in fresh interpreters."""
 
+import io
 import json
 import os
 import subprocess
@@ -418,8 +419,6 @@ def test_exit_code_and_prefix_follow_the_error_class(cls, capsys, monkeypatch):
 
 
 def test_stdin_document(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(Z3_SPEC))
     code, out, _ = run(capsys, "classify-circle", "--group", "-")
     assert code == 0
@@ -601,6 +600,65 @@ def test_unreadable_document_path_is_usage_error(capsys, tmp_path):
          "no-inverse", "right-inverse-only"],
 )
 def test_malformed_table_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _flat(fiber, clutching, mode="gspace", loops=None):
+    return json.dumps({"kind": "flat", "mode": mode, "fiber": fiber, "clutching": clutching,
+                       "loops": len(clutching) if loops is None else loops})
+
+
+Z2_GROUP = {"kind": "cyclic", "n": 2}
+TRIVIAL_2 = {"kind": "table", "group": {"kind": "cyclic", "n": 1}, "act": [[0, 1]]}
+Z2_X_I1 = {"kind": "standard_semitorsor", "group": Z2_GROUP, "n": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["components", _flat({"kind": "table", "group": Z2_GROUP, "act": [[0]]},
+                              [{"table": [0]}])], "",
+         "bundle.fiber.act: action table has wrong shape"),
+        (["components", _flat({"kind": "table", "group": Z2_GROUP, "act": 3},
+                              [{"table": [0]}])], "",
+         "bundle.fiber.act: expected a list of integer lists"),
+        (["components", _flat({**Z2_X_I1, "n": 0}, [])], "", "need at least one orbit"),
+        (["components", _flat(Z2_X_I1, [{"table": [0]}])], "",
+         "bundle.clutching[0]: value table has wrong length"),
+        (["components", _flat(Z2_X_I1, [])], "",
+         "bundle: a bundle over a wedge needs at least one loop"),
+        (["components", _flat(TRIVIAL_2, [{"swap": [1, 0]}])], "",
+         "bundle.clutching[0]: unknown clutching form 'swap'"),
+        (["components", _flat(Z2_GROUP, [{"aut": [0, 1]}] * 2, mode="group")], "",
+         "bundle.loops: group mode supports a single circle"),
+        (["components", _flat(Z2_GROUP, [{"perm": [0, 1]}], mode="group")], "",
+         "bundle.clutching[0]: group mode expects {'aut': [...]}"),
+        (["components", _flat(TRIVIAL_2, [{"perm": [1, 0]}], mode="fiber")], "",
+         "bundle.mode: unknown mode 'fiber'"),
+        (["components", json.dumps({"kind": "winding", "group": Z2_GROUP, "k": 0})], "",
+         "bundle.k: must be >= 1"),
+        (["components", _flat({}, [{"perm": [0]}])], "",
+         "bundle.fiber: expected an object with a 'kind' field"),
+        (["components", "-"], "[1, 2]", "bundle: expected an object with a 'kind' field"),
+        (["classify-circle", "--group", '{"kind": "table", "mul": []}'], "",
+         "group.mul: a group has at least one element"),
+        (["classify-circle", "--group", '{"kind": "product", "factors": []}'], "",
+         "group.factors: expected a non-empty list"),
+        (["u1-holonomy", '{"k": 2, "loops": 1, "generators": [{"angles": ["0", "0"], '
+          '"perm": [0, 0]}]}', "--word", "1"], "",
+         "u1.generators[0].perm: not a permutation of 0..1"),
+        (["division-check", U1_WINDING_K2, "--path",
+          '{"step": "1/4", "points": [{"angle": "0", "sheet": 0}]}'], "",
+         "path.points: need at least two samples"),
+    ],
+    ids=["act-one-row", "act-not-a-list", "semitorsor-n-0", "table-too-short", "no-loops",
+         "swap-form", "group-mode-two-loops", "group-mode-perm", "unknown-mode",
+         "winding-k-0", "fiber-empty-object", "bundle-not-an-object", "mul-empty",
+         "factors-empty", "u1-perm-not-a-bijection", "path-one-sample"],
+)
+def test_document_refusal_is_a_usage_error(capsys, monkeypatch, argv, stdin, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

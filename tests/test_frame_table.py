@@ -19,10 +19,7 @@ from framebundles.frames import (
 )
 from framebundles.groups import make_cyclic, make_direct_product, perm_compose
 from framebundles.gsets import FrameSpace, GSet, make_gset, standard_semitorsor
-from framebundles.suite_functor_laws import suite_functor_laws
-from framebundles.suite_torsor import suite_torsor
-from framebundles.suite_wreath_iso import suite_wreath_iso
-from framebundles.suites import fixture_groups
+from framebundles.suites import fixture_groups, run_suite
 from table_oracles import act_table_per_frame, equivalence_per_frame, lift_table_per_frame
 
 Z2 = make_cyclic(2)
@@ -137,13 +134,14 @@ def _fix_one_frame(table):
         table[moved[0]] = moved[0]
 
 
-def _checks(rep):
-    return {c.check: c for c in rep.checks}
+def _checks(suite, group):
+    """The checks of ``verify <suite>`` on ``group`` with two orbits, by name."""
+    return {c.check: c for c in run_suite(suite, group_name=group, orbit_count=2).checks}
 
 
 def test_torsor_closure_fails_on_a_frame_off_the_space(monkeypatch):
     _corrupt_kernel(monkeypatch, _off_the_space)
-    checks = _checks(suite_torsor([Z2], [2]))
+    checks = _checks("torsor", "z2")
     closed = checks["action closed on frames"]
     assert not closed.ok
     assert closed.detail.endswith("off the frame space")
@@ -153,7 +151,7 @@ def test_torsor_closure_fails_on_a_frame_off_the_space(monkeypatch):
 
 def test_torsor_freeness_fails_on_a_fixed_frame(monkeypatch):
     _corrupt_kernel(monkeypatch, _fix_one_frame)
-    checks = _checks(suite_torsor([Z3], [2]))
+    checks = _checks("torsor", "z3")
     free = checks["action free"]
     assert not free.ok and "fixes frame" in free.detail
     assert checks["action closed on frames"].ok
@@ -171,7 +169,7 @@ def test_closure_failure_does_not_skip_freeness_of_the_same_element(monkeypatch)
         return table
 
     monkeypatch.setattr(frames, "act_table", patched)
-    checks = _checks(suite_torsor([Z2], [2]))
+    checks = _checks("torsor", "z2")
     assert checks["action closed on frames"].detail == (
         f"{target!r} sends frame {fs.frames[0]} off the frame space")
     assert checks["action free"].detail == f"{target!r} fixes frame {fs.frames[1]}"
@@ -180,7 +178,7 @@ def test_closure_failure_does_not_skip_freeness_of_the_same_element(monkeypatch)
 
 def test_composition_law_fails_on_a_lift_off_the_space(monkeypatch):
     _corrupt_kernel(monkeypatch, _off_the_space)
-    checks = _checks(suite_functor_laws([Z2], [2]))
+    checks = _checks("functor-laws", "z2")
     assert not checks["identity lifts to identity"].ok
     law = checks["composition law on all pairs"]
     assert not law.ok and law.detail.startswith("a=(")
@@ -188,14 +186,23 @@ def test_composition_law_fails_on_a_lift_off_the_space(monkeypatch):
 
 def test_composition_law_fails_on_a_fixed_frame(monkeypatch):
     _corrupt_kernel(monkeypatch, _fix_one_frame)
-    assert not _checks(suite_functor_laws([Z2], [2]))["composition law on all pairs"].ok
+    assert not _checks("functor-laws", "z2")["composition law on all pairs"].ok
 
 
 def test_composition_law_fails_on_a_composition_in_the_wrong_order(monkeypatch):
     # Aut(Z2 x I_2) = Z2 wr I_2 is not abelian, so b a differs from a b
     monkeypatch.setattr(groups, "perm_compose", lambda a, b: perm_compose(b, a))
-    law = _checks(suite_functor_laws([Z2], [2]))["composition law on all pairs"]
+    law = _checks("functor-laws", "z2")["composition law on all pairs"]
     assert not law.ok and "b=" in law.detail
+
+
+def test_composition_law_is_skipped_past_the_pair_bound():
+    # Z3 x I_3 has 3^3 3! = 162 automorphisms, more than PAIR_BOUND = 50
+    rep = run_suite("functor-laws", group_name="z3", orbit_count=3)
+    assert [(c.check, c.ok) for c in rep.checks] == [
+        ("identity lifts to identity", True),
+        ("composition law (skipped, 162 > 50 morphisms)", True)]
+    assert rep.counters == {}
 
 
 @pytest.mark.parametrize("corrupt", [_off_the_space, _fix_one_frame], ids=["off", "fixed"])
@@ -203,7 +210,7 @@ def test_wreath_iso_refuses_the_edge_check_on_a_corrupted_kernel(monkeypatch, co
     # W . base, the frame indexing of the edge check, sends an element off the
     # frame space or two elements to one frame
     _corrupt_kernel(monkeypatch, corrupt)
-    law = _checks(suite_wreath_iso([Z2], [2]))["homomorphism on all pairs"]
+    law = _checks("wreath-iso", "z2")["homomorphism on all pairs"]
     assert not law.ok
     assert law.detail == "W does not act freely and transitively on the frames"
 
@@ -213,7 +220,7 @@ def test_wreath_iso_refuses_the_edge_check_on_generators_of_a_subgroup(monkeypat
     generators = frames._wreath_generators
     monkeypatch.setattr(frames, "_wreath_generators",
                         lambda G, n: [w for w in generators(G, n) if w.sigma == (0, 1)])
-    checks = _checks(suite_wreath_iso([Z2], [2]))
+    checks = _checks("wreath-iso", "z2")
     law = checks["homomorphism on all pairs"]
     assert not law.ok and law.detail == "the generators do not reach every element"
     assert checks["injective"].ok and checks["round trip to wreath"].ok
@@ -257,7 +264,7 @@ def test_torsor_closure_fails_on_a_corrupted_action(monkeypatch):
     F = standard_semitorsor(Z2, 2)
     bad = _corrupted_space(F, tuple(p ^ 1 for p in F.act[1]))
     monkeypatch.setattr(frames, "act_table", lambda fs, w: act_table(bad, w))
-    closed = _checks(suite_torsor([Z2], [2]))["action closed on frames"]
+    closed = _checks("torsor", "z2")["action closed on frames"]
     assert not closed.ok and closed.detail.endswith("off the frame space")
 
 
@@ -265,7 +272,7 @@ def test_torsor_freeness_fails_on_a_corrupted_action(monkeypatch):
     F = standard_semitorsor(Z3, 2)
     bad = _corrupted_space(F, F.act[Z3.identity])
     monkeypatch.setattr(frames, "act_table", lambda fs, w: act_table(bad, w))
-    checks = _checks(suite_torsor([Z3], [2]))
+    checks = _checks("torsor", "z3")
     assert not checks["action free"].ok
     assert checks["action closed on frames"].ok
 
