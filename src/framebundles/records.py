@@ -1,5 +1,5 @@
 """The base of the library's immutable value types and their one constructor, and
-the report every subcommand renders with its exit status.
+the report every subcommand writes with its exit status.
 
 The report lives here, not in ``cli``, because every request loads this
 module: under ``python -m framebundles.cli`` the front end runs as
@@ -8,6 +8,7 @@ it a second time.
 """
 
 import json
+from itertools import islice
 
 EXIT_OK = 0
 EXIT_OBSTRUCTION = 1
@@ -79,14 +80,23 @@ class Report:
         self.status = "ok"
         self.exit_code = EXIT_OK
 
-    def render(self, fmt: str) -> str:
+    def write(self, stream, fmt: str) -> None:
+        """Write the report to ``stream`` as ``fmt`` text or JSON, then a newline.
+
+        JSON is encoded and written a piece at a time, so the whole text is never
+        held at once.  The final newline is a write of its own: on an unbuffered
+        stream, a reader that closes the pipe cuts a write short without an
+        error, and only the next write raises ``BrokenPipeError``.
+        """
         if fmt == "json":
             payload = {"command": self.command, "data": self.data, "status": self.status}
-            return json.dumps(payload, sort_keys=True, indent=2)
-        out = [f"command: {self.command}"]
-        out.extend(self.lines)
-        out.append(f"status: {self.status}")
-        return "\n".join(out)
+            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+            while piece := "".join(islice(chunks, 8192)):
+                stream.write(piece)
+        else:
+            stream.write("\n".join([f"command: {self.command}", *self.lines,
+                                    f"status: {self.status}"]))
+        stream.write("\n")
 
 
 def perm_str(p) -> str:

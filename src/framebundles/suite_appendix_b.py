@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 
 from . import bundles, groups, gsets
+from .records import perm_str
 
 APPENDIX_B_MAX_N = 4  # appendix-b checks S3 .. S4; labelling n! actions costs (n!)^2 n^2
 
@@ -28,7 +29,9 @@ def suite_appendix_b(rep) -> None:
 
         trivial = bundles.flat_bundle(gsets.trivial_gset(n), (tuple(range(n)),))
         res = bundles.sn_action_on_bundle(trivial)
-        rep.add(f"S{n}", "global action on the trivial covering", res.ok)
+        refused = "" if res.ok else (f"generator {res.obstruction_generator} has permutation "
+                                     f"{perm_str(res.obstruction_permutation)}")
+        rep.add(f"S{n}", "global action on the trivial covering", res.ok, refused)
 
         winding = bundles.finite_winding_bundle(groups.make_cyclic(2), n)
         res2 = bundles.sn_action_on_bundle(bundles.quotient_bundle(winding))

@@ -843,6 +843,20 @@ def test_appendix_b_names_the_first_conjugator_that_is_not_recovered(capsys, mon
             "(conjugator (0, 1, 3, 2) labelled (0, 1, 2, 3), not (0, 1, 3, 2))\n") in out
 
 
+def test_appendix_b_names_the_generator_that_refuses_the_global_action(capsys, monkeypatch):
+    def refuse(b):
+        n = b.fiber.size
+        return bundles.SnActionReport(False, n, 1, tuple(reversed(range(n))))
+
+    monkeypatch.setattr(bundles, "sn_action_on_bundle", refuse)
+    code, out, _ = run(capsys, "verify", "appendix-b")
+    assert code == 1
+    assert ("FAIL [S3] global action on the trivial covering "
+            "(generator 1 has permutation (2,1,0))\n") in out
+    assert ("FAIL [S4] global action on the trivial covering "
+            "(generator 1 has permutation (3,2,1,0))\n") in out
+
+
 # -- fresh interpreters ------------------------------------------------------
 # The in-process tests run after pytest has imported every layer, so a handler
 # that lost one of its own imports would still pass there.
@@ -893,16 +907,75 @@ def test_a_request_under_python_m_imports_the_front_end_once(name):
         assert {b"framebundles.bundle_commands", b"framebundles.circle_commands"} & set(imported)
 
 
-def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+# cli.run ends the process with os._exit once main has returned, so a request's
+# process must flush all it wrote first, whether or not PYTHONUNBUFFERED is set
+BUFFERING = ("unbuffered", "buffered")
+MOVED_COVERING = json.dumps({"kind": "flat", "mode": "gspace", "loops": 1,
+                             "fiber": {"kind": "table", "group": {"kind": "cyclic", "n": 1},
+                                       "act": [[0, 1, 2]]},
+                             "clutching": [{"perm": [1, 2, 0]}]})
+EXIT_CASES = {
+    "z720-json": (0, ["--format", "json", "classify-circle", "--group", '{"kind": "cyclic", "n": 720}']),
+    "moved-covering": (1, ["sn-action", MOVED_COVERING]),
+    "schema-error": (2, ["classify-circle", "--group", '{"kind": "cyclic"}']),
+}
+
+
+def _buffering_env(buffering):
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONUNBUFFERED="1") if buffering == "unbuffered" else env
+
+
+@pytest.mark.parametrize("buffering", BUFFERING)
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_a_request_process_keeps_all_it_wrote_to_files(case, buffering, capsys, tmp_path):
+    # a regular file is block-buffered unless PYTHONUNBUFFERED is set
+    code, argv = EXIT_CASES[case]
+    expected = run(capsys, *argv)
+    exit_code, report, error = expected
+    assert exit_code == code
+    assert error if code == 2 else report
+    if case == "z720-json":
+        assert len(report) == 2_075_972
+    out, err = tmp_path / "out", tmp_path / "err"
+    with out.open("wb") as out_fh, err.open("wb") as err_fh:
+        proc = subprocess.run([sys.executable, "-m", "framebundles.cli", *argv],
+                              env=_buffering_env(buffering), stdout=out_fh, stderr=err_fh,
+                              timeout=120)
+    got = (proc.returncode, out.read_text(encoding="utf-8"), err.read_text(encoding="utf-8"))
+    assert got == expected
+
+
+@pytest.mark.parametrize("buffering", BUFFERING)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(fmt, buffering):
     # Z720's report is far larger than a pipe's buffer, so the write fails
-    proc = subprocess.Popen([sys.executable, "-m", "framebundles.cli", "classify-circle",
-                             "--group", '{"kind": "cyclic", "n": 720}'],
-                            env=SRC_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, "-m", "framebundles.cli", "--format", fmt,
+                             "classify-circle", "--group", '{"kind": "cyclic", "n": 720}'],
+                            env=_buffering_env(buffering), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     assert proc.wait(timeout=120) == 2
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+# an atexit handler runs only when the process leaves through the interpreter
+FINALIZATION_PROBE = ("import atexit\natexit.register(print, 'finalized')\n"
+                      "from framebundles.cli import run\nrun()")
+
+
+@pytest.mark.parametrize("argv, code, finalized", [
+    (["classify-circle", "--group", Z3_SPEC], 0, False),
+    (["classify-circle", "--group", '{"kind": "cyclic"}'], 2, False),
+    (["classify-circle"], 2, True),  # argparse's usage error raises SystemExit
+    (["--help"], 0, True),
+], ids=["report", "schema-error", "usage-error", "help"])
+def test_run_skips_finalization_only_when_main_returns(argv, code, finalized):
+    proc = _fresh("-c", FINALIZATION_PROBE, *argv)
+    assert proc.returncode == code
+    assert proc.stdout.endswith(b"finalized\n") == finalized
 
 
 def test_a_deeply_nested_document_is_a_usage_error():

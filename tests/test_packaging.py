@@ -39,7 +39,7 @@ def test_wheel_holds_every_module_and_the_console_script(tmp_path):
     modules = sorted(p.name for p in (ROOT / "src" / "framebundles").glob("*.py"))
     assert sorted(n.split("/")[1] for n in files if n.startswith("framebundles/")) == modules
     assert files["framebundles/cli.py"] == (ROOT / "src" / "framebundles" / "cli.py").read_bytes()
-    assert b"framebundles = framebundles.cli:main" in files[f"{info}/entry_points.txt"]
+    assert b"framebundles = framebundles.cli:run" in files[f"{info}/entry_points.txt"]
     assert b'Requires-Dist: pytest; extra == "test"' in files[f"{info}/METADATA"]
 
 
