@@ -264,7 +264,9 @@ def sn_labelling(n: int, action: Mapping[Permutation, tuple]) -> tuple[int, ...]
     labelling, is refused with :class:`Obstruction`.
 
     The homomorphism law is proved on the edges of the generators (0 1) and
-    (0 1 ... n-1) of S_n, and equivariance is then checked on them alone.
+    (0 1 ... n-1) of S_n, and equivariance is then checked on them alone.  The
+    labelling is a bijection: were a point fixed by Stab(i) and Stab(j), i != j,
+    <Stab(i), Stab(j)> = S_n would fix it and act faithfully on n - 1 points.
     """
     if n < 3:
         raise TooSmall("labelling is canonical only for n >= 3")
@@ -295,8 +297,6 @@ def sn_labelling(n: int, action: Mapping[Permutation, tuple]) -> tuple[int, ...]
         if len(fixed) != 1:
             raise Obstruction(f"stabilizer of {i} does not fix a unique point")
         labelling[fixed[0]] = i
-    if not is_permutation(labelling, n):
-        raise NotFaithful("labelling is not a bijection")
     # equivariance: sigma . a_i = a_{sigma(i)}
     inverse = perm_inverse(labelling)
     for s in gens:

@@ -56,7 +56,7 @@ def cmd_classify_circle(args) -> Report:
     for k, cls in enumerate(classes):
         rep = auts[cls[0]]
         # the components of the bundle glued by rep are its cycles on G
-        rows.append({"class": k, "size": len(cls), "representative": list(rep),
+        rows.append({"class": k, "size": len(cls), "representative": rep,
                      "components": cycle_count(rep)})
     report = Report("classify-circle")
     report.lines.append(f"group: {G.label} order {G.order}")

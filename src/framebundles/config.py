@@ -8,10 +8,8 @@ The knobs below are module-level so a session can raise them deliberately.
 from .errors import BoundExceeded
 
 # Largest order for which a dense Cayley table may be materialized (7! = 5040).
+# The symmetric-group constructor refuses S_n past the least n with n! above it.
 MAX_TABLE_ORDER = 5040
-
-# Largest n accepted by the symmetric-group constructor.
-MAX_SYMMETRIC_N = 8
 
 # Largest number of objects an exhaustive enumeration (frames, wreath
 # elements, automorphisms of a group-set) may produce.

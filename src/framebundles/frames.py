@@ -31,11 +31,12 @@ for each frame ``t``, the images of ``t`` under a list of wreath elements,
 the same kernel read over the elements' keys.  :func:`wreath_act` moves a
 single frame.
 
-:func:`check_equivalence` tabulates each generator ``w`` once, as the
-permutations ``p1``, ``p2`` of frame indices with ``w . fs1[i] = fs1[p1[i]]``
-and likewise on ``fs2``.  Its test ``table[p1[i]] == p2[table[i]]`` is then
-the same comparison as ``table[index(w . fs1[i])] == index(w . fs2[table[i]])``,
-made for every table, generator and frame.
+:func:`check_equivalence` holds one pair of tables at a time: the lift of
+one morphism and its torsor twin.  It tabulates each generator ``w`` once, as
+the permutations ``p1``, ``p2`` of frame indices with ``w . fs1[i] =
+fs1[p1[i]]`` and likewise on ``fs2``.  Its test ``table[p1[i]] ==
+p2[table[i]]`` is then the same comparison as ``table[index(w . fs1[i])] ==
+index(w . fs2[table[i]])``, made for every torsor table, generator and frame.
 """
 
 from __future__ import annotations
@@ -346,16 +347,15 @@ def reconstruct_semitorsor(fs: FrameSpace, x: int) -> Reconstruction:
 class EquivalenceReport(Frozen):
     """Outcome of comparing group-set morphisms with frame-torsor morphisms.
 
-    ``collision`` is the lift of the first morphism whose lift another
-    morphism shares, and ``unmatched`` the least table that only one of the
-    lifts and the torsor morphisms has; each is None when there is none.
+    ``mismatch`` is ``(u, lift, torsor)`` for the first morphism, sending the
+    base frame to ``u``, whose lift differs from its torsor twin, or None.
     """
 
-    __slots__ = _fields = ("gset_hom_count", "torsor_hom_count", "collision", "unmatched")
+    __slots__ = _fields = ("gset_hom_count", "torsor_hom_count", "mismatch")
 
     @property
     def bijective(self) -> bool:
-        return self.collision is None and self.unmatched is None
+        return self.mismatch is None
 
     @property
     def ok(self) -> bool:
@@ -387,7 +387,8 @@ def gset_homs(F: GSet, F2: GSet) -> list[tuple[int, ...]]:
 
     A map out of a free group-set is fixed by the images of one basis, and
     the orbit condition holds exactly when those images form a basis of the
-    target; so the morphisms biject with the frames of F2.
+    target; so the morphisms biject with the frames of F2: morphism j sends
+    the base frame (frame 0 of F) to frame j of F2.
     """
     if F.group != F2.group:
         raise ValueError("morphism enumeration needs a common group")
@@ -402,32 +403,23 @@ def gset_homs(F: GSet, F2: GSet) -> list[tuple[int, ...]]:
 def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
     """Exhaustively verify that lifting to frames is fully faithful.
 
-    Enumerates the id-equivariant orbit-bijective morphisms F -> F2 and the
-    wreath-equivariant maps between the frame torsors, applies the frame lift
-    to each morphism, and checks the lift is a bijection between the two sets.
+    The morphism sending the base frame to ``u`` must lift to its torsor
+    twin, the wreath-equivariant map ``w . base -> w . u``; an equivariant map
+    of torsors is fixed by the image of the base, so the twins are the torsor
+    morphisms, one per distinct image.  Each lift is compared with its twin,
+    one pair of tables at a time, and the first mismatch is kept.
     """
     if F.group != F2.group:
         raise ValueError("equivalence check needs a common group")
     fs1 = enumerate_frames(F)
     fs2 = enumerate_frames(F2)
     if fs1.n != fs2.n:
-        return EquivalenceReport(0, 0, None, None)
-    # the lifted and the torsor tables each hold one frame index per pair
+        return EquivalenceReport(0, 0, None)
+    # bounds the entries computed: one lifted and one torsor frame index per pair
     config.check_table_entries(len(fs1.frames) * len(fs2.frames),
                                "frame-index tables of the equivalence check")
 
-    homs = gset_homs(F, F2)
-    lifts = [tuple(lift_table(F, F2, a)) for a in homs]
-    lifted = set(lifts)
-
-    # torsor morphisms: each is w . base -> w . target, one per target
-    base = fs1.frames[0]
-    divisions = [frame_divide(fs1, t, base) for t in fs1.frames]
-    torsor_tables = {tuple(table) for table in orbit_tables(divisions, fs2)}
-    if any(None in table for table in lifted | torsor_tables):
-        raise AssertionError("a lifted or torsor morphism leaves the frame space")
-
-    # each constructed table really is wreath-equivariant: as in
+    # each torsor table really is wreath-equivariant: as in
     # groups.first_broken_edge, the generators suffice once they generate W,
     # that is, once the p1 make one orbit, as W acts freely and transitively.
     # Generator w moves frame i of fs1 to p1[i] and frame j of fs2 to p2[j].
@@ -438,18 +430,21 @@ def check_equivalence(F: GSet, F2: GSet) -> EquivalenceReport:
         raise AssertionError("the wreath generators do not act transitively on frames")
     # _getter(p1)(table) lists table[p1[i]]
     moves = [(_getter(p1), p2) for p1, p2 in moves]
-    for table in torsor_tables:
-        through = _getter(table)
-        for after_p1, p2 in moves:
-            if after_p1(table) != through(p2):
-                raise AssertionError("torsor morphism failed equivariance")
 
-    collision = None
-    if len(lifted) < len(homs):  # the lift of the first morphism whose lift is shared
-        collision = next(t for t in lifts if lifts.count(t) > 1)
-    return EquivalenceReport(
-        gset_hom_count=len(homs),
-        torsor_hom_count=len(torsor_tables),
-        collision=collision,
-        unmatched=min(lifted ^ torsor_tables, default=None),
-    )
+    base = fs1.frames[0]
+    divisions = [frame_divide(fs1, t, base) for t in fs1.frames]
+    homs = gset_homs(F, F2)
+    images = set()  # the image of the base, frame 0, under each torsor morphism
+    mismatch = None
+    for u, a, torsor in zip(fs2.frames, homs, orbit_tables(divisions, fs2)):
+        lift = lift_table(F, F2, a)
+        if None in lift or None in torsor:
+            raise AssertionError("a lifted or torsor morphism leaves the frame space")
+        through = _getter(torsor)
+        for after_p1, p2 in moves:
+            if after_p1(torsor) != through(p2):
+                raise AssertionError("torsor morphism failed equivariance")
+        images.add(torsor[0])
+        if mismatch is None and lift != torsor:
+            mismatch = (u, tuple(lift), tuple(torsor))
+    return EquivalenceReport(len(homs), len(images), mismatch)

@@ -331,8 +331,10 @@ def make_symmetric(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise ValueError("symmetric group needs n >= 1")
-    if n > config.MAX_SYMMETRIC_N:
-        raise BoundExceeded(f"symmetric group bound is n <= {config.MAX_SYMMETRIC_N}")
+    # refused before n! is computed: S_m is the first symmetric group past the table bound
+    m = next(m for m in itertools.count(1) if math.factorial(m) > config.MAX_TABLE_ORDER)
+    if n > m:
+        raise BoundExceeded(f"symmetric group bound is n <= {m}")
     config.check_table_order(math.factorial(n), what="symmetric group")
     return permutation_group(list(itertools.permutations(range(n))), range(n), f"S{n}")
 

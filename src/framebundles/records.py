@@ -83,10 +83,10 @@ class Report:
     def write(self, stream, fmt: str) -> None:
         """Write the report to ``stream`` as ``fmt`` text or JSON, then a newline.
 
-        JSON is encoded and written a piece at a time, so the whole text is never
-        held at once.  The final newline is a write of its own: on an unbuffered
-        stream, a reader that closes the pipe cuts a write short without an
-        error, and only the next write raises ``BrokenPipeError``.
+        JSON is written a piece at a time and text a line at a time, so the whole
+        text is never held at once.  The final newline is a write of its own: on
+        an unbuffered stream, a reader that closes the pipe cuts a write short
+        without an error, and only the next write raises ``BrokenPipeError``.
         """
         if fmt == "json":
             payload = {"command": self.command, "data": self.data, "status": self.status}
@@ -94,8 +94,9 @@ class Report:
             while piece := "".join(islice(chunks, 8192)):
                 stream.write(piece)
         else:
-            stream.write("\n".join([f"command: {self.command}", *self.lines,
-                                    f"status: {self.status}"]))
+            # print writes each line and each separator with a write of its own
+            print(f"command: {self.command}", *self.lines, f"status: {self.status}", sep="\n",
+                  end="", file=stream)
         stream.write("\n")
 
 

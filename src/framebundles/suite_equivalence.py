@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 from . import frames
+from .records import perm_str
 
 
 def suite_equivalence(rep, G, n, F, name) -> None:
@@ -15,8 +16,7 @@ def suite_equivalence(rep, G, n, F, name) -> None:
             f"{r.gset_hom_count} vs {expected}")
     rep.add(name, "torsor morphism count", r.torsor_hom_count == expected,
             f"{r.torsor_hom_count} vs {expected}")
-    stray = (f"two morphisms lift to {r.collision}" if r.collision is not None
-             else f"the lifts and the torsor morphisms differ at {r.unmatched}"
-             if r.unmatched is not None else "")
-    rep.add(name, "lift is a bijection", r.bijective, stray)
+    detail = ("the morphism sending the base frame to {} lifts to {}, not to the torsor "
+              "morphism {}".format(perm_str(r.mismatch[0]), *r.mismatch[1:]) if r.mismatch else "")
+    rep.add(name, "lift is a bijection", r.bijective, detail)
     rep.bump("morphisms", r.gset_hom_count)

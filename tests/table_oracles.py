@@ -130,18 +130,20 @@ def lift_table_per_frame(source, target, value) -> list:
 
 
 def equivalence_per_frame(F, F2) -> EquivalenceReport:
-    """``frames.check_equivalence`` without the generator check: the lifted
-    tables and the torsor tables ``w . base -> w . target``, one frame at a time."""
+    """``frames.check_equivalence`` without the generator check: each lifted
+    table beside its torsor twin ``w . base -> w . u``, one frame at a time,
+    counting the distinct torsor tables."""
     fs1, fs2 = enumerate_frames(F), enumerate_frames(F2)
     homs = gset_homs(F, F2)
-    lifts = [tuple(lift_table_per_frame(F, F2, a)) for a in homs]
     divisions = [frame_divide(fs1, t, fs1.frames[0]) for t in fs1.frames]
-    torsor = {tuple(fs2.index[wreath_act(F2, w, target)] for w in divisions)
-              for target in fs2.frames}
-    shared = [t for t in lifts if lifts.count(t) > 1]
-    unmatched = sorted(set(lifts) ^ torsor)
-    return EquivalenceReport(len(homs), len(torsor), shared[0] if shared else None,
-                             unmatched[0] if unmatched else None)
+    torsors, mismatch = set(), None
+    for u, a in zip(fs2.frames, homs):
+        lift = tuple(lift_table_per_frame(F, F2, a))
+        torsor = tuple(fs2.index[wreath_act(F2, w, u)] for w in divisions)
+        torsors.add(torsor)
+        if mismatch is None and lift != torsor:
+            mismatch = (u, lift, torsor)
+    return EquivalenceReport(len(homs), len(torsors), mismatch)
 
 
 def is_abelian(G: FiniteGroup) -> bool:

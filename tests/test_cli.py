@@ -814,13 +814,16 @@ def test_ses_names_a_permutation_that_the_section_does_not_split(capsys, monkeyp
 
 
 @pytest.mark.parametrize(("orbits", "lift", "detail"), [
-    # the fourth morphism lifts as the second: their table collides
+    # the fourth morphism lifts as the second: their tables collide, and the
+    # fourth is named with its torsor twin
     ("3", lambda true_lift, s, t, value:
         true_lift(s, t, (0, 2, 1) if value == (1, 2, 0) else value),
-     "two morphisms lift to (1, 0, 4, 5, 2, 3)"),
+     "the morphism sending the base frame to (1,2,0) lifts to (1, 0, 4, 5, 2, 3), "
+     "not to the torsor morphism (3, 2, 5, 4, 0, 1)"),
     # the swap lifts to a table that is no torsor morphism, and none collides
     ("2", lambda true_lift, s, t, value: true_lift(s, t, value) if value == (0, 1) else [0, 0],
-     "the lifts and the torsor morphisms differ at (0, 0)"),
+     "the morphism sending the base frame to (1,0) lifts to (0, 0), "
+     "not to the torsor morphism (1, 0)"),
 ], ids=["collision", "unmatched"])
 def test_equivalence_names_a_table_that_breaks_the_bijection(capsys, monkeypatch, orbits, lift,
                                                              detail):

@@ -121,6 +121,14 @@ def test_make_symmetric_bound():
         make_symmetric(9)
 
 
+def test_make_symmetric_bound_follows_the_table_bound(monkeypatch):
+    # 9! = 362,880 is the least factorial past 8! = 40,320, so S10 is refused
+    # by its n, not by the order 10! of its table
+    monkeypatch.setattr(groups.config, "MAX_TABLE_ORDER", 40_320)
+    with pytest.raises(BoundExceeded, match=r"^symmetric group bound is n <= 9$"):
+        make_symmetric(10)
+
+
 def test_group_axioms_exhaustive_on_fixtures():
     for G in all_small_groups():
         G.validate()
