@@ -21,7 +21,14 @@ from framebundles.bundles import (
     sn_labelling,
     total_components,
 )
-from framebundles.errors import BoundExceeded, ModeMismatch, NotFaithful, Obstruction, TooSmall
+from framebundles.errors import (
+    BoundExceeded,
+    ModeMismatch,
+    NotFaithful,
+    NotFree,
+    Obstruction,
+    TooSmall,
+)
 from framebundles.frames import (
     WreathElement,
     enumerate_frames,
@@ -51,6 +58,7 @@ from table_oracles import (
 from framebundles.gsets import (
     equivariant_map,
     induced_orbit_map,
+    make_gset,
     semitorsor_point,
     standard_semitorsor,
     trivial_gset,
@@ -303,6 +311,15 @@ def test_quotient_map_fiber_count_is_group_order():
         projection = equivariant_map(b.fiber, sheets, collapse, b.fiber.orbit_partition.orbit_of)
         assert map_fiber_count(b.fiber, sheets, collapse, projection) == G.order
         assert principal_fiber(b) == G.order
+
+
+def test_principal_fiber_refuses_a_fiber_that_is_not_free():
+    # Z2 fixing both points: as for quotient_bundle, the refusal names the
+    # freeness the count needs, not the preimage sizes it would compare
+    b = flat_bundle(make_gset(Z2, [[0, 1], [0, 1]]), ((1, 0),))
+    for decompose in (quotient_bundle, principal_fiber):
+        with pytest.raises(NotFree, match="decomposition is defined for free fibers"):
+            decompose(b)
 
 
 def test_principal_fiber_refuses_a_group_mode_bundle():

@@ -47,6 +47,7 @@ from framebundles.gsets import (
 from framebundles.suites import fixture_groups
 import framebundles.frames as frames_module
 from table_oracles import hom, lift_table_per_frame, wreath_table
+from test_frame_table import relabelled
 
 
 Z2 = make_cyclic(2)
@@ -616,10 +617,17 @@ def test_frames_as_torsor_matches_direct_action(F):
     assert len(torsor.orbit_partition.members) == 1
 
 
-def test_equivalence_catches_a_wrong_division(monkeypatch):
+# the torsor law is checked on one torsor table, the first, and a wrong
+# division at any frame but the base must still break it, onto F itself and
+# onto a relabelled copy
+@pytest.mark.parametrize("onto", ["same", "relabelled"])
+@pytest.mark.parametrize("wrong", range(1, 8), ids=lambda i: f"frame{i}")
+def test_equivalence_catches_a_wrong_division(monkeypatch, wrong, onto):
     F = standard_semitorsor(Z2, 2)
     fs = enumerate_frames(F)
-    wrong_frame = fs.frames[1]
+    assert len(fs.frames) == 8
+    F2 = F if onto == "same" else relabelled(F, seed=3)
+    wrong_frame = fs.frames[wrong]
     divide_frames = frame_divide
 
     def wrong_divide(space, f2, f1):
@@ -630,7 +638,7 @@ def test_equivalence_catches_a_wrong_division(monkeypatch):
 
     monkeypatch.setattr(frames_module, "frame_divide", wrong_divide)
     with pytest.raises(AssertionError, match="equivariance"):
-        check_equivalence(F, F)
+        check_equivalence(F, F2)
 
 
 def test_equivalence_rejects_different_groups():

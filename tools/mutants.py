@@ -1,0 +1,117 @@
+"""A mutation table: each row breaks one check of the library on purpose and
+names the tests that must catch it.  Standard library only.
+
+Run from anywhere, with pytest installed::
+
+    python tools/mutants.py
+
+For each row, ``src/``, ``tests/`` and ``pyproject.toml`` (pytest's settings)
+are copied to a temporary directory, the row's old text, which must occur
+exactly once in its file, is replaced by its new text, and pytest runs only
+the row's tests there.  A row passes only when pytest exits 1: some named
+test failed.  A pass (exit 0), a collection error, an unknown test id or no
+test collected fails the row, and so does an old text that is not found
+exactly once (the row is stale).  Before any mutant, the named tests of
+every row must pass on an unmutated copy, or a row would prove nothing.
+The exit status is 1 when any row fails.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FRAMES = "src/framebundles/frames.py"
+BUNDLES = "src/framebundles/bundles.py"
+WRONG_DIVISION = "tests/test_frames.py::test_equivalence_catches_a_wrong_division"
+
+# (name, file, exact old text, new text, test ids that must fail)
+ROWS = [
+    ("the one torsor-law check removed", FRAMES,
+     "        if j == 0 and any(",
+     "        if False and any(",
+     [WRONG_DIVISION,
+      "tests/test_frame_table.py::test_equivalence_raises_on_a_corrupted_action"]),
+    ("the None check of each pair removed", FRAMES,
+     "        if None in lift or None in torsor:\n",
+     "        if False:\n",
+     ["tests/test_frame_table.py::test_equivalence_raises_on_a_lift_off_the_space"]),
+    ("a break at the first mismatch", FRAMES,
+     "            mismatch = (u, tuple(lift), tuple(torsor))\n",
+     "            mismatch = (u, tuple(lift), tuple(torsor))\n            break\n",
+     ["tests/test_cli.py::test_equivalence_names_a_table_that_breaks_the_bijection"]),
+    ("each lift compared with the next frame's twin", FRAMES,
+     "zip(fs2.frames, homs, orbit_tables(divisions, fs2))",
+     "zip(fs2.frames, homs[-1:] + homs[:-1], orbit_tables(divisions, fs2))",
+     ["tests/test_frames.py::test_equivalence_z2_two_orbits",
+      "tests/test_acceptance.py::test_criterion_06_category_equivalence"]),
+    ("sn_labelling's label shifted by one", BUNDLES,
+     "        labelling[fixed[0]] = i\n",
+     "        labelling[fixed[0]] = (i + 1) % n\n",
+     ["tests/test_golden.py::test_golden[verify_appendix_b_text]",
+      "tests/test_golden.py::test_golden[verify_appendix_b_json]"]),
+    ("principal_fiber without its freeness check", BUNDLES,
+     "    if not is_free(b.fiber):\n"
+     "        raise NotFree(\"decomposition is defined for free fibers\")\n"
+     "    q = b.fiber.orbit_partition\n",
+     "    q = b.fiber.orbit_partition\n",
+     ["tests/test_bundles.py::test_principal_fiber_refuses_a_fiber_that_is_not_free"]),
+]
+
+
+def _copy(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(tree: Path, tests: list[str]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode
+
+
+def _mutate(tree: Path, file: str, old: str, new: str) -> str | None:
+    """Apply one edit, or say why the row is stale."""
+    path = tree / file
+    text = path.read_text(encoding="utf-8")
+    found = text.count(old)
+    if found != 1:
+        return f"stale: old text found {found} times in {file}"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return None
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = Path(tmp, "clean")
+        _copy(clean)
+        every = sorted({t for *_, tests in ROWS for t in tests})
+        code = _pytest(clean, every)
+        print(f"unmutated: pytest exit {code} on {len(every)} test ids")
+        if code != 0:
+            return 1
+        for i, (name, file, old, new, tests) in enumerate(ROWS):
+            tree = Path(tmp, f"row{i}")
+            _copy(tree)
+            stale = _mutate(tree, file, old, new)
+            code = None if stale else _pytest(tree, tests)
+            verdict = "caught" if code == 1 else stale or f"NOT CAUGHT (pytest exit {code}, not 1)"
+            failed += code != 1
+            print(f"{name}: {verdict}")
+            shutil.rmtree(tree)
+    print(f"{len(ROWS) - failed} of {len(ROWS)} mutants caught")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
