@@ -132,9 +132,9 @@ def cmd_frame_bundle(args) -> Report:
     if b.mode != bundles.MODE_GSPACE:
         raise ModeMismatch("frame bundles are built over group-space bundles")
     fs = frames.enumerate_frames(b.fiber)
-    ref = bundles.canonical_frame(b)
+    ref = fs.frames[0]
     wreaths = bundles.clutching_wreath(b, ref)
-    count = bundles.total_components(bundles.frame_bundle(b))
+    count = bundles.frame_components(b)
     report = Report("frame-bundle")
     report.lines.append(f"fiber frames: {len(fs.frames)}")
     for t in fs.frames:

@@ -7,7 +7,8 @@ loops, so any such tables define a bundle, and transport along a loop word is
 the composite of the tables.  Connected components of the total space
 correspond to orbits of the group generated by the clutching tables on the
 fiber (the mapping-torus principle), which turns all component counting into
-orbit counting.
+orbit counting.  The frame bundle is never built: :func:`frame_components`
+counts its components from the one through the base frame.
 
 :func:`flat_bundle` is the one validator, and every bundle is built through
 it.  Two modes are distinguished, and a bundle reads its own off
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from typing import Mapping, Optional
 
 from . import config
@@ -33,7 +33,6 @@ from .frames import (
     enumerate_frames,
     frame_divide,
     gset_homs,
-    lift_table,
 )
 from .groups import (
     FiniteGroup,
@@ -52,6 +51,7 @@ from .gset_aut import wreath_to_aut
 from .gsets import (
     GSet,
     check_equivariant,
+    equivariant_map,
     induced_orbit_map,
     is_free,
     is_orbit_bijection,
@@ -120,22 +120,16 @@ def total_components(b: FlatBundle) -> int:
     return len(components(b))
 
 
-def _conjugators(b: FlatBundle) -> list[tuple[int, ...]]:
-    """Fiber symmetries respecting the bundle mode, as value tables."""
-    if b.mode == MODE_GROUP:
-        return automorphisms(b.fiber_group)
-    return gset_homs(b.fiber, b.fiber)
-
-
 def bundle_isomorphic(b1: FlatBundle, b2: FlatBundle) -> bool:
-    """Simultaneous conjugacy of the monodromies by one mode-respecting symmetry."""
+    """Simultaneous conjugacy of the monodromies by one mode-respecting symmetry
+    of the fiber: an automorphism of the group or of the group-set."""
     if b1.mode != b2.mode:
         raise ModeMismatch("cannot compare bundles of different modes")
-    if b1.fiber != b2.fiber or b1.fiber_group != b2.fiber_group:
+    if (b1.fiber, b1.fiber_group, b1.loops) != (b2.fiber, b2.fiber_group, b2.loops):
         return False
-    if b1.loops != b2.loops:
-        return False
-    for c in _conjugators(b1):
+    symmetries = (automorphisms(b1.fiber_group) if b1.mode == MODE_GROUP
+                  else gset_homs(b1.fiber, b1.fiber))
+    for c in symmetries:
         c_inv = perm_inverse(c)
         if all(
             perm_compose(c, perm_compose(t1, c_inv)) == t2
@@ -181,19 +175,30 @@ def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
     return flat_bundle(F, (wreath_to_aut(w, F),))
 
 
-def frame_bundle(b: FlatBundle) -> FlatBundle:
-    """The bundle of fiber frames: each clutching table lifted to frame indices.
+def frame_components(b: FlatBundle) -> int:
+    """Components of the frame bundle: |frames| / |C|, C the one through frame 0.
 
-    Clutching maps lift entrywise (slot order is global bookkeeping and never
-    permuted by the lift), and the fiber is the frames as a bare set.  The
-    wreath product acts freely and transitively on it (:func:`act_table`,
-    checked by the ``torsor`` suite), and that action commutes with every
-    lift, so this is the principal bundle of frames; no caller reads the fiber
-    as a set of the wreath product, so its Cayley table is never built.
+    Each clutching map ``a`` lifts to the frames slot by slot, t -> a . t, and
+    only C, the orbit of the base frame under the lifts, is walked.  As ``a``
+    is equivariant, the lifts commute with the wreath product W, and W is
+    transitive, so it maps C onto every component: all have |C| frames.  As W
+    is free, w -> w . base identifies it with the frames, on which the lift
+    of ``a`` is right multiplication by d_a = (a . base) / base, so C is
+    H . base for H the group of the kept d_a.  A loop with a . base in C has
+    d_a in H and is skipped.  A kept loop at least doubles H (Lagrange), so at
+    most log2 |frames| loops are kept, and each walks C again with every lift.
     """
-    fiber = trivial_gset(len(enumerate_frames(b.fiber).frames))
-    config.check_table_entries(fiber.size * b.loops, "frame lifts of the clutching maps")
-    return flat_bundle(fiber, [lift_table(b.fiber, b.fiber, t) for t in b.clutching])
+    frames = enumerate_frames(b.fiber).frames
+    component, seen, lifts = [frames[0]], {frames[0]}, []
+    for a in b.clutching:
+        if tuple(a[p] for p in frames[0]) not in seen:
+            lifts.append(a.__getitem__)
+            for t in component:  # also walks the frames appended meanwhile
+                for lift in lifts:
+                    if (u := tuple(map(lift, t))) not in seen:
+                        seen.add(u)
+                        component.append(u)
+    return len(frames) // len(component)
 
 
 def clutching_wreath(b: FlatBundle, reference: Frame) -> list[WreathElement]:
@@ -206,11 +211,6 @@ def clutching_wreath(b: FlatBundle, reference: Frame) -> list[WreathElement]:
     if reference not in fs.index:
         raise ValueError("reference tuple is not a basis of the fiber")
     return [frame_divide(fs, tuple(t[p] for p in reference), reference) for t in b.clutching]
-
-
-def canonical_frame(b: FlatBundle) -> Frame:
-    """The lexicographically smallest basis of the fiber."""
-    return enumerate_frames(b.fiber).frames[0]
 
 
 def holonomy(b: FlatBundle, word) -> tuple[int, ...]:
@@ -234,23 +234,22 @@ def holonomy(b: FlatBundle, word) -> tuple[int, ...]:
 
 
 def map_fiber_count(source: GSet, target: GSet, xi, value) -> int:
-    """Common preimage size of a surjective, orbit-bijective bundle-fiber map.
+    """Common preimage size of a surjective, orbit-bijective map of free group-sets.
 
     ``value`` maps ``source`` to ``target`` over the homomorphism with image
-    table ``xi``; every preimage has exactly |ker(xi)| points, which is
-    returned.
+    table ``xi``.  The preimage of y lies in one orbit, of f say, and g . f
+    goes to xi(g) . value(f), which is y for the g of one coset of ker(xi) as
+    the target is free (non-empty as the map is onto), giving distinct points
+    as the source is free; so |ker(xi)| is returned.
     """
     if set(value) != set(range(target.size)):
         raise ValueError("map is not surjective")
     if not is_orbit_bijection(source, target, value):
         raise ValueError("map is not a bijection on orbits")
-    sizes = set(Counter(value).values())
-    expected = xi.count(target.group.identity)
-    if sizes != {expected}:
-        raise AssertionError(
-            f"preimage sizes {sizes} do not all equal |ker| = {expected}"
-        )
-    return expected
+    equivariant_map(source, target, xi, value)
+    if not (is_free(source) and is_free(target)):
+        raise NotFree("preimages are counted between free group-sets only")
+    return xi.count(target.group.identity)
 
 
 def sn_labelling(n: int, action: Mapping[Permutation, tuple]) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ a table, element orders one power walk per element, the raw endomorphism
 search, the product search for automorphisms, the cubic associativity check,
 the all-pairs action, equivariance and symmetric-action laws that the library
 checks on generator edges, maps on frame spaces tabulated one frame at a
-time, and a few group tables; and ``hom``, the image table of a homomorphism
+time, the frame bundle with every clutching map lifted over all frames, and
+a few group tables; and ``hom``, the image table of a homomorphism
 checked by ``groups.check_hom``, with ``is_isomorphism``, its bijectivity."""
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from __future__ import annotations
 import itertools
 import random
 
+from framebundles.bundles import flat_bundle
 from framebundles.errors import BoundExceeded
 from framebundles.frames import (
     EquivalenceReport,
     enumerate_frames,
     frame_divide,
     gset_homs,
+    lift_table,
     wreath_act,
     wreath_elements,
     wreath_mul,
@@ -32,6 +35,7 @@ from framebundles.groups import (
     perm_orbits,
     table_group,
 )
+from framebundles.gsets import trivial_gset
 
 
 # A loop of order 5: a Latin square with identity 0, each element its own
@@ -127,6 +131,15 @@ def lift_table_per_frame(source, target, value) -> list:
     lift = frame_functor_map(value)
     index = enumerate_frames(target).index
     return [index.get(lift(t)) for t in enumerate_frames(source).frames]
+
+
+def full_lift_bundle(b):
+    """The frame bundle of ``b`` as a flat bundle: each clutching map lifted
+    over every frame by ``frames.lift_table``, on the frames as a bare set;
+    its components are the ones ``bundles.frame_components`` counts."""
+    F = b.fiber
+    return flat_bundle(trivial_gset(len(enumerate_frames(F).frames)),
+                       [lift_table(F, F, a) for a in b.clutching])
 
 
 def equivalence_per_frame(F, F2) -> EquivalenceReport:

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -20,14 +21,12 @@ from pathlib import Path
 import u1_oracles
 
 from framebundles.bundles import (
-    canonical_frame,
     clutching_wreath,
     finite_winding_bundle,
     flat_bundle,
-    frame_bundle,
+    frame_components,
     principal_fiber,
     quotient_bundle,
-    total_components,
 )
 from framebundles.cli import cmd_classify_circle
 from framebundles.frames import WreathElement, check_equivalence, enumerate_frames, wreath_identity
@@ -138,7 +137,7 @@ def test_criterion_06_category_equivalence():
 
 def test_criterion_07_frame_bundle_winding():
     b = finite_winding_bundle(make_cyclic(2), 2)
-    w = clutching_wreath(b, canonical_frame(b))[0]
+    w = clutching_wreath(b, enumerate_frames(b.fiber).frames[0])[0]
     clutch_ok = w.g_tuple == (0, 0) and w.sigma == (1, 0)
 
     # independent orbit-count oracle on the raw frame tuples
@@ -154,7 +153,7 @@ def test_criterion_07_frame_bundle_winding():
         while cur not in seen:
             seen.add(cur)
             cur = tuple(value[p] for p in cur)
-    lifted = total_components(frame_bundle(b))
+    lifted = frame_components(b)
     count_ok = oracle == 4 and lifted == 4
 
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -309,6 +308,31 @@ def test_frame_bundle_z2_k5_fits_in_100mb():
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)["data"]
     assert (data["frames"], data["components"]) == (3840, 768)
+
+
+def test_frame_bundle_of_4000_perm_loops_within_5s_and_150mb():
+    # a 132 KB document: 4,000 seeded random permutations of 7 points on a
+    # trivial-group fiber, 5,040 frames; the loops that the walked component
+    # already holds are skipped, so no lift is tabulated per loop and frame
+    rng = random.Random(4000)
+    perms = [rng.sample(range(7), 7) for _ in range(4000)]
+    doc = json.dumps({"kind": "flat", "mode": "gspace", "loops": 4000,
+                      "clutching": [{"perm": p} for p in perms],
+                      "fiber": {"kind": "standard_semitorsor", "group": {"kind": "cyclic", "n": 1},
+                                "n": 7}})
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (150 * 2**20, 150 * 2**20))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "framebundles.cli", "--format", "json", "frame-bundle", "-"],
+        input=doc, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=5, preexec_fn=limit,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)["data"]
+    assert (data["frames"], data["components"]) == (5040, 1)
 
 
 def test_trivial_action_of_z2520_on_one_point_is_answered_quickly():

@@ -1,18 +1,19 @@
 import itertools
+import math
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 import framebundles.bundles as bundles
 from framebundles.bundles import (
     FlatBundle,
     bundle_isomorphic,
-    canonical_frame,
     clutching_wreath,
     components,
     finite_winding_bundle,
     flat_bundle,
-    frame_bundle,
+    frame_components,
     holonomy,
     map_fiber_count,
     principal_fiber,
@@ -47,10 +48,12 @@ from framebundles.groups import (
     perm_inverse,
 )
 from framebundles.gset_aut import wreath_to_aut
+from framebundles.suites import fixture_groups
 from table_oracles import (
     aut_table,
     conjugacy_classes,
     frame_functor_map,
+    full_lift_bundle,
     hom,
     lift_table_per_frame,
 )
@@ -277,7 +280,7 @@ def test_a_bundle_stores_its_clutching_as_tuples_of_ints():
     assert FlatBundle._fields == ("fiber", "clutching", "fiber_group")
     fiber = standard_semitorsor(Z2, 2)
     for b in (flat_bundle(fiber, ([2, 3, 0, 1], range(4))), finite_winding_bundle(Z3, 2),
-              frame_bundle(finite_winding_bundle(Z2, 2)), z3_bundles()[1]):
+              full_lift_bundle(finite_winding_bundle(Z2, 2)), z3_bundles()[1]):
         assert b.loops == len(b.clutching)
         assert all(type(t) is tuple and all(type(p) is int for p in t) for t in b.clutching)
 
@@ -392,13 +395,14 @@ def test_winding_nontrivial_for_k_above_one():
 def test_frame_bundle_of_trivial_clutching_is_trivializable():
     fiber = standard_semitorsor(Z2, 2)
     b = flat_bundle(fiber, (tuple(range(fiber.size)),))
-    lifted = frame_bundle(b)
+    lifted = full_lift_bundle(b)
     assert lifted.clutching == (tuple(range(lifted.fiber.size)),)
+    assert frame_components(b) == lifted.fiber.size == 8
 
 
 def test_frame_bundle_winding_components_match_brute_force():
     b = finite_winding_bundle(Z2, 2)
-    lifted = frame_bundle(b)
+    lifted = full_lift_bundle(b)
     # oracle: orbit count of the lifted permutation on the raw frame tuples
     fs = enumerate_frames(b.fiber)
     value = b.clutching[0]
@@ -413,22 +417,21 @@ def test_frame_bundle_winding_components_match_brute_force():
             seen.add(cur)
             cur = tuple(value[p] for p in cur)
     assert orbit_count == 4
-    assert total_components(lifted) == 4
+    assert total_components(lifted) == frame_components(b) == 4
     assert lifted.fiber.size == 8
 
 
 def test_frame_bundle_component_formula():
-    # (k-1)! |G|^k components for the k-sheet winding bundle
-    import math
-
-    for G, k in [(Z2, 2), (Z2, 3), (Z3, 2)]:
-        lifted = frame_bundle(finite_winding_bundle(G, k))
-        assert total_components(lifted) == math.factorial(k - 1) * G.order**k
+    # (k-1)! |G|^k components for the k-sheet winding bundle, on every fixture group
+    for G, k in itertools.product(fixture_groups(6), (1, 2, 3)):
+        b = finite_winding_bundle(G, k)
+        count = math.factorial(k - 1) * G.order**k
+        assert frame_components(b) == total_components(full_lift_bundle(b)) == count
 
 
 def test_frame_bundle_clutching_is_generatorwise_lift():
     b = finite_winding_bundle(Z2, 2)
-    lifted = frame_bundle(b)
+    lifted = full_lift_bundle(b)
     fs = enumerate_frames(b.fiber)
     lift = frame_functor_map(b.clutching[0])
     for i, t in enumerate(fs.frames):
@@ -462,20 +465,71 @@ def test_frame_bundle_mod_tuple_part_recovers_covering_frames():
         assert induced[t] == qfs.frames[qlift[i]]
 
 
+# every fixture group on 1-3 orbits, at most 6^3 3! = 1,296 frames
+WREATH_FIBERS = [(G, n) for G in fixture_groups(6) for n in (1, 2, 3)]
+
+
+@given(st.data())
+def test_frame_components_count_the_components_of_the_full_lift_bundle(data):
+    G, n = data.draw(st.sampled_from(WREATH_FIBERS), label="fiber")
+    element = st.tuples(st.lists(st.integers(0, G.order - 1), min_size=n, max_size=n),
+                        st.permutations(range(n)))
+    loops = data.draw(st.lists(element, min_size=1, max_size=4), label="loops")
+    F = standard_semitorsor(G, n)
+    b = flat_bundle(F, [wreath_to_aut(WreathElement(G, tuple(g), tuple(s)), F) for g, s in loops])
+    assert frame_components(b) == total_components(full_lift_bundle(b))
+
+
+def _cycle_powers(loops):
+    """A bundle on 7 points of a trivial-group fiber whose loop i is the
+    (i + 1)-th power of the 7-cycle: every loop after the first lies in the
+    group of the first."""
+    powers, p = [], tuple(range(7))
+    for _ in range(loops):
+        p = tuple((x + 1) % 7 for x in p)
+        powers.append(p)
+    return flat_bundle(standard_semitorsor(make_cyclic(1), 7), powers)
+
+
+def test_frame_components_of_4000_powers_of_a_seven_cycle():
+    # 7! frames in components of the 7 frames that the 7-cycle's group moves
+    assert frame_components(_cycle_powers(4000)) == math.factorial(7) // 7 == 720
+
+
+class _CountedTable(tuple):
+    """A clutching table that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, p):
+        _CountedTable.reads += 1
+        return tuple.__getitem__(self, p)
+
+
+def test_frame_components_skips_a_loop_whose_base_image_it_has_walked(monkeypatch):
+    # the first loop walks the 7 frames of its component, 7 slots each; each
+    # of the other 49 loops reads only the 7 slots of its image of the base
+    b = _cycle_powers(50)
+    counted = FlatBundle(b.fiber, tuple(map(_CountedTable, b.clutching)), None)
+    monkeypatch.setattr(_CountedTable, "reads", 0)
+    assert frame_components(counted) == 720
+    assert _CountedTable.reads == 7 + 7 * 7 + 49 * 7
+
+
 # ---------------------------------------------------------------- clutching in the wreath group
 
 
 def test_clutching_wreath_of_identity_bundle():
     fiber = standard_semitorsor(Z2, 2)
     b = flat_bundle(fiber, (tuple(range(fiber.size)),))
-    ws = clutching_wreath(b, canonical_frame(b))
+    ws = clutching_wreath(b, enumerate_frames(b.fiber).frames[0])
     assert ws == [wreath_identity(Z2, 2)]
 
 
 def test_winding_clutching_wreath_is_pure_cycle():
     for G, k in [(Z2, 2), (Z3, 3)]:
         b = finite_winding_bundle(G, k)
-        w = clutching_wreath(b, canonical_frame(b))[0]
+        w = clutching_wreath(b, enumerate_frames(b.fiber).frames[0])[0]
         assert w.g_tuple == (G.identity,) * k
         # the permutation part is a single k-cycle
         seen = {0}
@@ -488,7 +542,7 @@ def test_winding_clutching_wreath_is_pure_cycle():
 
 def test_winding_k2_clutching_is_the_transposition():
     b = finite_winding_bundle(Z2, 2)
-    w = clutching_wreath(b, canonical_frame(b))[0]
+    w = clutching_wreath(b, enumerate_frames(b.fiber).frames[0])[0]
     assert w.g_tuple == (0, 0)
     assert w.sigma == (1, 0)
 
@@ -496,7 +550,7 @@ def test_winding_k2_clutching_is_the_transposition():
 def test_clutching_wreath_conjugation_covariance():
     b = finite_winding_bundle(Z2, 2)
     fs = enumerate_frames(b.fiber)
-    base = canonical_frame(b)
+    base = enumerate_frames(b.fiber).frames[0]
     w_base = clutching_wreath(b, base)[0]
     from framebundles.frames import frame_divide
 
@@ -509,7 +563,7 @@ def test_clutching_wreath_conjugation_covariance():
 def test_clutching_wreath_reproduces_clutching_action():
     b = finite_winding_bundle(Z3, 2)
     F = b.fiber
-    ref = canonical_frame(b)
+    ref = enumerate_frames(b.fiber).frames[0]
     w = clutching_wreath(b, ref)[0]
     moved = tuple(b.clutching[0][p] for p in ref)
     assert wreath_act(F, w, ref) == moved

@@ -13,7 +13,7 @@ from framebundles.bundles import (
     clutching_wreath,
     finite_winding_bundle,
     flat_bundle,
-    frame_bundle,
+    frame_components,
     sn_action_on_bundle,
     total_components,
 )
@@ -44,7 +44,7 @@ from framebundles.gsets import (
 )
 from framebundles.suites import CheckResult
 from framebundles.u1 import FiberPoint, U1Wreath, division_form_check, u1_winding_bundle
-from table_oracles import frame_functor_map, gset_aut_table, wreath_table
+from table_oracles import frame_functor_map, full_lift_bundle, gset_aut_table, wreath_table
 
 Z2 = make_cyclic(2)
 Z3 = make_cyclic(3)
@@ -141,7 +141,7 @@ def test_two_loop_frame_bundle_lifts_generatorwise():
     swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)), fiber)
     shift = wreath_to_aut(WreathElement(Z2, (1, 0), (0, 1)), fiber)
     b = flat_bundle(fiber, (swap, shift))
-    lifted = frame_bundle(b)
+    lifted = full_lift_bundle(b)
     fs = enumerate_frames(fiber)
     for i, a in enumerate((swap, shift)):
         lift = frame_functor_map(a)
@@ -149,6 +149,7 @@ def test_two_loop_frame_bundle_lifts_generatorwise():
             assert lifted.clutching[i][j] == fs.index[lift(t)]
     ws = clutching_wreath(b, fs.frames[0])
     assert len(ws) == 2
+    assert frame_components(b) == total_components(lifted)
 
 
 def test_enumeration_bound_rejected():

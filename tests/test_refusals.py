@@ -24,9 +24,10 @@ from framebundles.frames import (
     wreath_act,
     wreath_identity,
 )
+from framebundles.errors import NotFree
 from framebundles.groups import FiniteGroup, make_cyclic
-from framebundles.gset_aut import section_from_frame
-from framebundles.gsets import standard_semitorsor
+from framebundles.gset_aut import section_from_frame, ses_report
+from framebundles.gsets import make_gset, standard_semitorsor, trivial_gset
 from framebundles.suites import run_suite
 from framebundles.u1 import (
     FiberPoint,
@@ -38,7 +39,7 @@ from framebundles.u1 import (
     u1_winding_bundle,
 )
 
-Z1, Z2, Z3 = make_cyclic(1), make_cyclic(2), make_cyclic(3)
+Z1, Z2, Z3, Z4 = make_cyclic(1), make_cyclic(2), make_cyclic(3), make_cyclic(4)
 S3_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 ROTATION = U1Wreath((Fraction(0), Fraction(0)), (1, 0))
 
@@ -65,6 +66,10 @@ REFUSALS = {
         lambda: map_fiber_count(standard_semitorsor(Z1, 3), standard_semitorsor(Z1, 2), (0,),
                                 (0, 1, 1)),
         "map is not a bijection on orbits"),
+    "map_fiber_count equivariance": (
+        lambda: map_fiber_count(standard_semitorsor(Z4, 1), standard_semitorsor(Z2, 1),
+                                (0, 1, 0, 1), (0, 0, 0, 1)),
+        "map is not equivariant"),
     "sn_labelling incomplete action": (
         lambda: sn_labelling(3, _natural_action_but((0, 2, 1), None)),
         "action table must cover the whole symmetric group"),
@@ -119,6 +124,33 @@ def test_each_reachable_refusal_names_its_input(name):
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("source, target, xi, value", [
+    # Z2 fixing both points, onto two bare points
+    (make_gset(Z2, [[0, 1], [0, 1]]), trivial_gset(2), (0, 0), (0, 1)),
+    # an equivariant map onto Z2 fixing one point
+    (standard_semitorsor(Z2, 1), make_gset(Z2, [[0], [0]]), (0, 1), (0, 0)),
+], ids=["source", "target"])
+def test_map_fiber_count_refuses_a_group_set_that_is_not_free(source, target, xi, value):
+    with pytest.raises(NotFree, match="^preimages are counted between free group-sets only$"):
+        map_fiber_count(source, target, xi, value)
+
+
+def test_ses_report_names_an_orbit_map_that_is_no_permutation():
+    # the constant map of Z1 x I_2 sends both orbits to orbit 0
+    F = standard_semitorsor(Z1, 2)
+    r = ses_report(F, gset_homs(F, F) + [(0, 0)])
+    assert (r.cq_witness, r.kernel_witness) == ("cq reaches (0, 0), no permutation", "")
+    assert not r.ok
+
+
+def test_reconstruction_witness_fails_on_a_wrong_inverse(monkeypatch):
+    # the inverse associated map read as constant: the witness is no bijection
+    monkeypatch.setattr(frames, "associated_map_inverse", lambda F, t: (0,) * F.size)
+    fs = enumerate_frames(standard_semitorsor(Z2, 2))
+    with pytest.raises(AssertionError, match="^reconstruction witness failed verification$"):
+        reconstruct_semitorsor(fs, 0)
 
 
 def test_gset_homs_between_different_orbit_counts_is_empty():

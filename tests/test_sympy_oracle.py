@@ -14,7 +14,7 @@ from framebundles.bundles import (  # noqa: E402
     components,
     finite_winding_bundle,
     flat_bundle,
-    frame_bundle,
+    frame_components,
     total_components,
 )
 from framebundles.aut_search import element_orders  # noqa: E402
@@ -32,6 +32,7 @@ from framebundles.suites import fixture_groups  # noqa: E402
 from table_oracles import (  # noqa: E402
     aut_table,
     conjugacy_classes,
+    full_lift_bundle,
     gset_aut_table,
     is_abelian,
     relabelled,
@@ -148,7 +149,9 @@ def test_clutching_orbits_match_components():
                          ids=["Z2-5", "Z4-4"])
 def test_frame_bundle_components_from_lifts_alone(G, k, count):
     # 3,840 and 6,144 frames; |W| = 6,144 is past the Cayley-table bound
-    lifted = frame_bundle(finite_winding_bundle(G, k))
+    b = finite_winding_bundle(G, k)
+    lifted = full_lift_bundle(b)
     assert lifted.fiber.size == G.order**k * math.factorial(k)
     orbits = _group(lifted.clutching, lifted.fiber.size).orbits()
     assert total_components(lifted) == count == math.factorial(k - 1) * G.order**k == len(orbits)
+    assert frame_components(b) == count

@@ -29,7 +29,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 FRAMES = "src/framebundles/frames.py"
 BUNDLES = "src/framebundles/bundles.py"
+SUITE = "src/framebundles/suite_{}.py"
 WRONG_DIVISION = "tests/test_frames.py::test_equivalence_catches_a_wrong_division"
+FULL_LIFT = ("tests/test_bundles.py::"
+             "test_frame_components_count_the_components_of_the_full_lift_bundle")
+WREATH_LOOPS_1271 = "tests/test_cli.py::test_frame_bundle_of_1271_wreath_loops_has_8_components"
+FAULTS = "tests/test_suite_faults.py::"
 
 # (name, file, exact old text, new text, test ids that must fail)
 ROWS = [
@@ -62,6 +67,49 @@ ROWS = [
      "    q = b.fiber.orbit_partition\n",
      "    q = b.fiber.orbit_partition\n",
      ["tests/test_bundles.py::test_principal_fiber_refuses_a_fiber_that_is_not_free"]),
+    ("frame_components walks only the first loop", BUNDLES,
+     "    for a in b.clutching:\n",
+     "    for a in b.clutching[:1]:\n",
+     [FULL_LIFT, WREATH_LOOPS_1271,
+      "tests/test_acceptance.py::test_frame_bundle_of_4000_perm_loops_within_5s_and_150mb"]),
+    ("frame_components returns the component's size", BUNDLES,
+     "    return len(frames) // len(component)\n",
+     "    return len(component)\n",
+     [FULL_LIFT, "tests/test_bundles.py::test_frame_bundle_component_formula"]),
+    ("each kept loop walks only the frames added after it", BUNDLES,
+     "for t in component:  # also walks the frames appended meanwhile\n",
+     "for t in itertools.islice(component, len(component), None):\n",
+     [FULL_LIFT, "tests/test_bundles.py::test_frame_bundle_component_formula",
+      "tests/test_bundles.py::test_frame_bundle_winding_components_match_brute_force"]),
+    ("frame_components without the skip", BUNDLES,
+     "if tuple(a[p] for p in frames[0]) not in seen:",
+     "if True:",
+     ["tests/test_bundles.py::test_frame_components_skips_a_loop_whose_base_image_it_has_walked",
+      "tests/test_acceptance.py::test_frame_bundle_of_4000_perm_loops_within_5s_and_150mb"]),
+    ("torsor: the frame count check always passes", SUITE.format("torsor"),
+     "len(fs.frames) == expected,",
+     "True,",
+     [FAULTS + "test_torsor_frame_count_fails_on_a_space_missing_a_frame"]),
+    ("equivalence: the morphism count check always passes", SUITE.format("equivalence"),
+     "r.gset_hom_count == expected,",
+     "True,",
+     [FAULTS + "test_equivalence_counts_fail_on_a_report_one_short[gset]"]),
+    ("equivalence: the torsor morphism count check always passes", SUITE.format("equivalence"),
+     "r.torsor_hom_count == expected,",
+     "True,",
+     [FAULTS + "test_equivalence_counts_fail_on_a_report_one_short[torsor]"]),
+    ("ses: the product check always passes", SUITE.format("ses"),
+     "r.product_matches,",
+     "True,",
+     [FAULTS + "test_ses_product_fails_on_a_report_one_automorphism_short"]),
+    ("wreath-iso: the SES sizes check always passes", SUITE.format("wreath_iso"),
+     '"SES sizes", r.ok,',
+     '"SES sizes", True,',
+     [FAULTS + "test_wreath_iso_ses_sizes_fail_on_a_report_one_automorphism_short"]),
+    ("appendix-b: the covering's obstruction check always passes", SUITE.format("appendix_b"),
+     "(not res2.ok) and res2.obstruction_generator == 1,",
+     "True,",
+     [FAULTS + "test_appendix_b_obstruction_fails_on_an_action_granted_on_the_covering"]),
 ]
 
 
