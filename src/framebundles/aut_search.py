@@ -1,15 +1,18 @@
-"""The search for generators of Aut(G).
+"""The search for generators of Aut(G), and the classes of Aut(G).
 
 ``groups.FiniteGroup._aut`` imports this module on first use, so only a
-request that needs Aut(G) compiles it.  ``groups`` is read as a module
-attribute at call time, so a function patched into it is the one called.
+request that needs Aut(G) compiles it; ``groups.automorphisms`` lists Aut(G)
+from the generators found here, and :func:`automorphism_classes`, which only
+``classify-circle`` reads, classifies it.  ``groups`` and ``perms`` are read
+as module attributes at call time, so a function patched into them is the
+one called.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import config, groups
+from . import config, groups, perms
 
 
 def element_orders(G: groups.FiniteGroup) -> tuple[int, ...]:
@@ -27,7 +30,7 @@ def element_orders(G: groups.FiniteGroup) -> tuple[int, ...]:
     return tuple(orders)
 
 
-def aut_generators(G: groups.FiniteGroup) -> tuple[tuple[groups.Permutation, ...], int]:
+def aut_generators(G: groups.FiniteGroup) -> tuple[tuple[perms.Permutation, ...], int]:
     """Generators of Aut(G) as image tables, and |Aut(G)|, from one backtrack
     over a stabilizer chain pruned by the automorphisms found so far (Holt,
     Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4, 8).
@@ -37,7 +40,7 @@ def aut_generators(G: groups.FiniteGroup) -> tuple[tuple[groups.Permutation, ...
     Cayley graph, phi(as) = phi(a)phi(s), cutting a branch at the first edge
     that disagrees or the first repeated image.  A leaf has phi(e) = e and
     has passed every edge, so it is a homomorphism by the lemma of
-    :func:`~framebundles.groups.first_broken_edge`; injective, it is an
+    :func:`~framebundles.perms.first_broken_edge`; injective, it is an
     automorphism.
 
     Let S_k fix g_0 .. g_(k-1), so S_0 = Aut(G) and S_m = 1.  From k = m-1 up
@@ -62,7 +65,7 @@ def aut_generators(G: groups.FiniteGroup) -> tuple[tuple[groups.Permutation, ...
     used = [False] * G.order
     phi[G.identity] = G.identity
     used[G.identity] = True
-    found: list[groups.Permutation] = []  # the generators, deepest level first
+    found: list[perms.Permutation] = []  # the generators, deepest level first
     lengths: list[int] = []  # the orbit length of each level
 
     def extend(domain, pairs, new) -> bool:
@@ -114,9 +117,29 @@ def aut_generators(G: groups.FiniteGroup) -> tuple[tuple[groups.Permutation, ...
             image = t not in orbit and branch(domain, pairs + [(s, t)], leaf)
             if image:
                 found.append(image)
-                orbit_of, members = groups.perm_orbits(found, G.order)
+                orbit_of, members = perms.perm_orbits(found, G.order)
                 orbit = set(members[orbit_of[s]])
         lengths.append(len(orbit))
 
     level([G.identity], [])
     return tuple(found), math.prod(lengths)
+
+
+def automorphism_classes(G: groups.FiniteGroup):
+    """``(auts, classes, abelian)``: ``auts = groups.automorphisms(G)``, the
+    conjugacy classes of Aut(G) as sorted tuples of indices into ``auts`` in
+    order of their least member, so that the representative ``auts[cls[0]]``
+    has the least image table, and whether Aut(G) is abelian.  The classes are
+    the orbits of conjugation by the generators of :func:`aut_generators`, each
+    conjugate found by its images of ``G.generators``, and Aut(G) is abelian
+    iff those commute; none of the three depends on which generators these are."""
+    auts = groups.automorphisms(G)
+    found, gens = G._aut[0], G.generators
+    index = {tuple([h[s] for s in gens]): i for i, h in enumerate(auts)}
+    conjugations = []
+    for c in found:  # c p c^-1 sends s to c(p(c^-1(s)))
+        points = [c.index(s) for s in gens]
+        conjugations.append(tuple([index[tuple([c[h[x]] for x in points])] for h in auts]))
+    commute = all([h[k[s]] for s in gens] == [k[h[s]] for s in gens]
+                  for h in found for k in found)
+    return auts, perms.perm_orbits(conjugations, len(auts))[1], commute

@@ -4,7 +4,9 @@
 ``frame-bundle`` answer a flat bundle over a wedge of circles with a finite
 group-set as fiber; the group-set, clutching and bundle schemas are in
 ``specdoc``'s docstring.  ``cli.main`` imports this module only for these
-five subcommands, so no other request compiles it.
+five subcommands, so no other request compiles it.  It reads the frames
+through ``frames`` alone, so a finite-bundle request compiles none of
+``frame_tables``, ``gset_aut`` and ``aut_search``.
 
 The layers are read as module attributes at call time, so a function patched
 into its layer module after this module is imported is the one called.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from . import bundles, frames, groups, gset_aut, gsets, specdoc
+from . import bundles, frames, groups, gsets, specdoc
 from .errors import ModeMismatch, SchemaError
 from .records import EXIT_OBSTRUCTION, Report, perm_str
 from .specdoc import _int, _int_list, _int_rows, _require_keys
@@ -61,7 +63,7 @@ def _parse_clutching_gspace(entry: Any, fiber: gsets.GSet, where: str) -> tuple[
         if len(g) != n:
             raise SchemaError(f"{where}.wreath: wreath element does not match the target semi-torsor")
         try:
-            return gset_aut.wreath_to_aut(frames.WreathElement(fiber.group, g, perm), fiber)
+            return frames.wreath_to_aut(frames.WreathElement(fiber.group, g, perm), fiber)
         except ValueError as exc:
             raise SchemaError(f"{where}.wreath: {exc}") from exc
     else:

@@ -27,28 +27,10 @@ from typing import Mapping, Optional
 
 from . import config
 from .errors import ModeMismatch, NotFaithful, NotFree, Obstruction, TooSmall
-from .frames import (
-    Frame,
-    WreathElement,
-    enumerate_frames,
-    frame_divide,
-    gset_homs,
-)
-from .groups import (
-    FiniteGroup,
-    Permutation,
-    automorphisms,
-    check_hom,
-    first_broken_edge,
-    identity_hom,
-    is_permutation,
-    perm_compose,
-    perm_inverse,
-    perm_orbits,
-    validate_word,
-)
-from .gset_aut import wreath_to_aut
+from .frames import WreathElement, enumerate_frames, frame_divide, wreath_to_aut
+from .groups import FiniteGroup, check_hom, identity_hom
 from .gsets import (
+    Frame,
     GSet,
     check_equivariant,
     equivariant_map,
@@ -57,6 +39,15 @@ from .gsets import (
     is_orbit_bijection,
     standard_semitorsor,
     trivial_gset,
+)
+from .perms import (
+    Permutation,
+    first_broken_edge,
+    is_permutation,
+    perm_compose,
+    perm_inverse,
+    perm_orbits,
+    validate_word,
 )
 from .records import Frozen
 
@@ -122,7 +113,12 @@ def total_components(b: FlatBundle) -> int:
 
 def bundle_isomorphic(b1: FlatBundle, b2: FlatBundle) -> bool:
     """Simultaneous conjugacy of the monodromies by one mode-respecting symmetry
-    of the fiber: an automorphism of the group or of the group-set."""
+    of the fiber: an automorphism of the group or of the group-set.
+
+    Only the tests call it, so its listings load here, not with the module."""
+    from .frame_tables import gset_homs
+    from .groups import automorphisms
+
     if b1.mode != b2.mode:
         raise ModeMismatch("cannot compare bundles of different modes")
     if (b1.fiber, b1.fiber_group, b1.loops) != (b2.fiber, b2.fiber_group, b2.loops):

@@ -4,7 +4,9 @@
 answer a flat U(1) wr I_k bundle over a wedge of circles; the circle-bundle,
 fiber-point and path schemas are in ``specdoc``'s docstring.  ``cli.main``
 imports this module only for these four subcommands, so no other request
-compiles it.
+compiles it.  A circle bundle's permutations are checked by ``perms``, so a
+circle request loads no finite-group layer: none of ``groups``, ``gsets`` and
+``frames``.
 
 A rational (an angle or a path step) is an integer or a string that
 ``Fraction`` reads, with exponent forms refused.  One reader turns it into a
@@ -27,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Any, Iterator
 
-from . import config, groups, specdoc, u1
+from . import config, perms, specdoc, u1
 from .errors import SchemaError
 from .records import Report, perm_str
 from .specdoc import _int, _int_list, _require_keys
@@ -111,7 +113,7 @@ def parse_u1_bundle(obj: Any, where: str = "u1") -> u1.U1FlatBundle:
         if not isinstance(angles, list) or len(angles) != k:
             raise SchemaError(f"{where}.generators[{i}].angles: expected {k} entries")
         perm = tuple(_int_list(entry["perm"], f"{where}.generators[{i}].perm"))
-        if not groups.is_permutation(perm, k):
+        if not perms.is_permutation(perm, k):
             raise SchemaError(f"{where}.generators[{i}].perm: not a permutation of 0..{k-1}")
         out.append(
             u1.U1Wreath(

@@ -11,24 +11,24 @@ Convention notes, fixed once for the whole tool:
   * holonomy applies the first traversed letter of a word first;
   * frame listings and report rows are emitted in canonical sorted order.
 
-Each request is a fresh process.  A small one spends its time on the
-interpreter and ``site`` (54-58 ms here, where a ``.pth`` file imports
-``certifi``), on compiling the package modules it loads (15-35 ms with no
-bytecode cache), on its work (7-12 ms), and on finalization, which clears every
-loaded module (8-13 ms) and which ``run`` skips (medians of 21 runs, 2 CPUs,
-Python 3.11).  This module keeps the grammar, the dispatch and the group-mode
-subcommands ``classify-circle`` and ``verify``; every other handler is in
-``bundle_commands`` or ``circle_commands``, imported only for a request of that
-family.  ``GRAMMAR`` declares the grammar once.  ``_match`` reads an argv of
-strict forms only: ``--format text|json`` if anything comes first, an exact
-subcommand, each of its exact long options at most once as ``--opt value`` or
-``--opt=value``, every required one, and exactly its positionals; a spaced
-value or a positional starts with ``-`` only if it is ``-``, and an ``int``
-value is one ``int()`` accepts.  Anything else (help, abbreviations, ``--``,
-repeats, negative numbers, unknown tokens, errors) goes to ``build_parser``,
-which imports argparse and builds its parser from the same table.  A
-``classify-circle`` request on Z3 then takes 33.9 ms instead of 36.9 ms
-(medians of 41 subprocess runs, no bytecode cache, 2 CPUs, Python 3.11).
+Each request is a fresh process.  A small one spends its time on the interpreter
+and ``site`` (57-80 ms for ``python -c pass`` here, 15-18 ms with ``-S``, as a
+``.pth`` file imports ``certifi``; medians of 21 runs on one CPU), on compiling
+the package modules it loads (10-17 ms for ``compile()`` of their sources, the
+least of 30 runs, with no bytecode cache), on its work, and on finalization,
+which clears every loaded module and which ``run`` skips (2 CPUs, Python
+3.11).  This module keeps the grammar, the dispatch and the group-mode
+subcommands ``classify-circle`` and ``verify``, and imports no layer at module
+level; every other handler is in ``bundle_commands`` or ``circle_commands``,
+imported only for a request of that family.  ``GRAMMAR`` declares the grammar
+once.  ``_match`` reads an argv of strict forms only: ``--format text|json`` if
+anything comes first, an exact subcommand, each of its exact long options at
+most once as ``--opt value`` or ``--opt=value``, every required one, and
+exactly its positionals; a spaced value or a positional starts with ``-`` only
+if it is ``-``, and an ``int`` value is one ``int()`` accepts.  Anything else
+(help, abbreviations, ``--``, repeats, negative numbers, unknown tokens,
+errors) goes to ``build_parser``, which imports argparse and builds its parser
+from the same table, so a well-formed request does not compile argparse.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import sys
 from types import SimpleNamespace
 
 from .errors import FrameBundlesError, Obstruction
-from .groups import automorphism_classes, cycle_count
 from .records import EXIT_OBSTRUCTION, EXIT_USAGE, Report, perm_str
 
 # sorted(suites.SUITES), spelled out so that the help does not load the suites
@@ -49,6 +48,8 @@ SUITE_NAMES = ("appendix-b", "division-rules", "equivalence", "functor-laws", "s
 
 def cmd_classify_circle(args) -> Report:
     from . import specdoc
+    from .aut_search import automorphism_classes
+    from .perms import cycle_count
 
     G = specdoc.parse_group(specdoc.load_document(args.group))
     auts, classes, abelian = automorphism_classes(G)

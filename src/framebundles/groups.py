@@ -4,26 +4,25 @@ Elements are dense integer indices ``0 .. order-1``.  Element 0 is *not*
 required to be the identity; the identity index is stored explicitly so that
 product and subgroup constructions can keep their natural labelling.
 
-The module is also the permutation and Cayley-table kernel of the library:
-permutations are forward image tables, and :func:`permutation_group`
-tabulates a group of permutations from their values on a *base*, a list of
-points on which no two of them agree, which is how Sym(n) is built.
-:func:`table_group` reads the identity and the inverses off a finished
-table.  :func:`perm_orbits` is the one orbit algorithm of the library.
+The module is the Cayley-table kernel of the library, built on the
+permutation kernel of ``perms``: :func:`permutation_group` tabulates a group
+of permutations from their values on a *base*, a list of points on which no
+two of them agree, which is how Sym(n) is built, and :func:`table_group`
+reads the identity and the inverses off a finished table.
 
 A homomorphism is its image table ``image[a]``, like any other map here.
 A group that the library reads only through its generators gets no table:
-:func:`first_broken_edge` proves a homomorphism law on the generator edges
+``perms.first_broken_edge`` proves a homomorphism law on the generator edges
 of the Cayley graph, and one pruned search finds generators of Aut(G), from
-which :func:`automorphisms` counts it and lists its image tables and
-:func:`automorphism_classes` classifies it.  The search and the element
-orders that only it reads are in ``aut_search``, which ``FiniteGroup._aut``
-imports on first use, so a request that never asks for Aut(G) does not
-compile them.  The lemma proves associativity
-(Light's test in :meth:`FiniteGroup.validate`), the homomorphism law of
-:func:`check_hom`, of ``verify wreath-iso`` and of ``bundles.sn_labelling``,
-and the action law of ``gsets.GSet``; ``gsets.check_equivariant`` checks
-only generators by the same closure argument.
+which :func:`automorphisms` counts it and lists its image tables.  The
+search, the element orders that only it reads and the classes of Aut(G) are
+in ``aut_search``, which ``FiniteGroup._aut`` imports on first use, so a
+request that never asks for Aut(G) does not compile them.  The lemma proves
+associativity (Light's test in :meth:`FiniteGroup.validate`), the
+homomorphism law of :func:`check_hom`, of ``verify wreath-iso`` and of
+``bundles.sn_labelling``, and the action law of ``gsets.GSet``;
+``gsets.check_equivariant`` checks only generators by the same closure
+argument.
 """
 
 from __future__ import annotations
@@ -34,119 +33,8 @@ from functools import cached_property
 
 from . import config
 from .errors import BoundExceeded
+from .perms import Permutation, first_broken_edge, perm_compose, perm_orbits
 from .records import Frozen
-
-# A permutation of 0 .. n-1 as its forward image table.
-Permutation = tuple[int, ...]
-
-
-def perm_inverse(sigma: Permutation) -> Permutation:
-    out = [0] * len(sigma)
-    for x, y in enumerate(sigma):
-        out[y] = x
-    return tuple(out)
-
-
-def perm_compose(s: Permutation, t: Permutation) -> Permutation:
-    """s after t, as image tables: (s t)(x) = s(t(x))."""
-    return tuple([s[y] for y in t])
-
-
-def is_permutation(p, n: int) -> bool:
-    """Whether ``p`` is the image table of a permutation of 0 .. n-1; an entry
-    that is not an int in that range, ``None`` included, makes it false."""
-    return len(p) == n and set(map(type, p)) <= {int} and set(p) == set(range(n))
-
-
-def perm_orbits(perms, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The orbits on 0 .. size-1 of the group the tables ``perms`` generate.
-
-    Returns ``(orbit_of, members)``: orbits are numbered by their smallest
-    point and ``members[k]`` lists the points of orbit k in ascending order.
-    Forward images suffice, since a permutation of a finite set has its
-    inverse among its powers (Holt, Eick & O'Brien, *Handbook of
-    Computational Group Theory*, 2005, section 4.1).
-    """
-    orbit_of = [-1] * size
-    members = []
-    for start in range(size):
-        if orbit_of[start] >= 0:
-            continue
-        k = len(members)
-        orbit_of[start] = k
-        orbit = [start]
-        for p in orbit:  # ``orbit`` grows while it is walked
-            for perm in perms:
-                q = perm[p]
-                if orbit_of[q] < 0:
-                    orbit_of[q] = k
-                    orbit.append(q)
-        orbit.sort()
-        members.append(tuple(orbit))
-    return tuple(orbit_of), tuple(members)
-
-
-def cycle_count(p: Permutation) -> int:
-    """The number of cycles of the table ``p``, fixed points included.
-
-    These are the orbits of the group ``p`` generates, so the count equals
-    ``len(perm_orbits([p], len(p))[1])``, from one walk over ``p``.
-    """
-    seen = bytearray(len(p))
-    count = 0
-    for start in range(len(p)):
-        if not seen[start]:
-            count += 1
-            x = start
-            while not seen[x]:
-                seen[x] = 1
-                x = p[x]
-    return count
-
-
-def first_broken_edge(image, compose, identity: int, gens, moves) -> tuple[int, int] | None:
-    """The first pair ``(a, s)`` with ``image[a s] != compose(image[a], image[s])``, or None.
-
-    ``compose`` multiplies images, and ``moves[k]`` is the table ``a -> a s``
-    of right multiplication by ``s = gens[k]``.  Only ``(e, e)`` and the
-    Cayley-graph edges ``(a, s)`` are checked, |G| |gens| + 1 pairs for |G|^2.
-    When no edge is broken, raises ValueError unless the moves make one orbit.
-
-    Lemma: a map phi into a group with phi(e) phi(e) = phi(e), that is
-    phi(e) = e, and phi(as) = phi(a) phi(s) for every a and every s in a set
-    S whose right multiplications make one orbit, is a homomorphism.  The
-    orbit of e is the set of products s_1 ... s_k over S, so the whole group.
-    Induct on k for b = s_1 ... s_k: phi(ae) = phi(a) phi(e), and for b = cs
-    with c shorter, phi(acs) = phi(ac) phi(s) = phi(a) phi(c) phi(s) =
-    phi(a) phi(cs), by the edge at ac, the induction and the edge at c.
-
-    The proof needs only associativity and phi(e) = e, so it holds in a
-    monoid of maps too, as for an action table, where the ``(e, e)`` check
-    shows only that phi(e) is idempotent: ``GSet.validate`` checks the
-    identity row itself.  The laws proved here are listed in the module
-    docstring.
-    """
-    if compose(image[identity], image[identity]) != image[identity]:
-        return identity, identity
-    for s, move in zip(gens, moves):
-        for a, a_s in enumerate(move):
-            if image[a_s] != compose(image[a], image[s]):
-                return a, s
-    size = len(image)
-    orbit_of, members = perm_orbits(moves, size)
-    reached = len(members[orbit_of[identity]])
-    if reached != size:
-        raise ValueError(f"the generators reach {reached} of {size} elements")
-    return None
-
-
-def validate_word(loops: int, word) -> tuple[int, ...]:
-    """A loop word over a wedge of ``loops`` circles: letters +-1 .. +-loops."""
-    w = tuple(int(x) for x in word)
-    for letter in w:
-        if letter == 0 or abs(letter) > loops:
-            raise ValueError(f"letter {letter} outside +-1..+-{loops}")
-    return w
 
 
 class FiniteGroup(Frozen):
@@ -163,8 +51,8 @@ class FiniteGroup(Frozen):
         """Exhaustively check the group axioms; raises ValueError on failure.
 
         Associativity, (xy)z = x(yz), is the homomorphism law of x -> the
-        row of x, into the maps of the set under :func:`perm_compose`, so
-        :func:`first_broken_edge` proves it on the generator edges after the
+        row of x, into the maps of the set under ``perms.perm_compose``, so
+        ``perms.first_broken_edge`` proves it on the generator edges after the
         identity row is checked: Light's test, (xa)y = x(ay) for all x, y and
         every ``a`` of a generating set, O(n^2 |gens|) where all triples cost n^3.
         """
@@ -227,7 +115,7 @@ class FiniteGroup(Frozen):
 def check_hom(source: FiniteGroup, target: FiniteGroup, image) -> None:
     """Raise ValueError unless ``image`` is the image table of a homomorphism
     ``source -> target``; the law is proved on the generator edges of
-    ``source`` (:func:`first_broken_edge`)."""
+    ``source`` (``perms.first_broken_edge``)."""
     if len(image) != source.order:
         raise ValueError("image table has wrong length")
     if any(type(b) is not int or not 0 <= b < target.order for b in image):
@@ -360,23 +248,3 @@ def automorphisms(G: FiniteGroup) -> list[Permutation]:
                 seen.add(key)
                 tables.append(tuple([h[x] for x in p]))
     return sorted(tables)
-
-
-def automorphism_classes(G: FiniteGroup):
-    """``(auts, classes, abelian)``: ``auts = automorphisms(G)``, the conjugacy
-    classes of Aut(G) as sorted tuples of indices into ``auts`` in order of
-    their least member, so that the representative ``auts[cls[0]]`` has the
-    least image table, and whether Aut(G) is abelian.  The classes are the
-    orbits of conjugation by the generators of ``aut_search.aut_generators``, each
-    conjugate found by its images of ``G.generators``, and Aut(G) is abelian
-    iff those commute; none of the three depends on which generators these are."""
-    auts = automorphisms(G)
-    found, gens = G._aut[0], G.generators
-    index = {tuple([h[s] for s in gens]): i for i, h in enumerate(auts)}
-    conjugations = []
-    for c in found:  # c p c^-1 sends s to c(p(c^-1(s)))
-        points = [c.index(s) for s in gens]
-        conjugations.append(tuple([index[tuple([c[h[x]] for x in points])] for h in auts]))
-    commute = all([h[k[s]] for s in gens] == [k[h[s]] for s in gens]
-                  for h in found for k in found)
-    return auts, perm_orbits(conjugations, len(auts))[1], commute

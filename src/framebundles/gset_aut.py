@@ -11,9 +11,12 @@ isomorphic to the wreath product via the explicit map
 
     I(g, s): (h, x) -> (h . g[s(x)]^-1, s(x))
 
-on the standard semi-torsor.  The inverse appears because the map describes
-how *coordinates* change under a change of frame; the pairing tests pin this
-orientation down.
+on the standard semi-torsor, which ``frames.wreath_to_aut`` builds and
+:func:`aut_to_wreath` inverts.  The inverse appears because the map
+describes how *coordinates* change under a change of frame; the pairing
+tests pin this orientation down.  Aut(F) is the list of morphisms that
+``frame_tables.gset_homs`` gives.  Only the ``ses`` and ``wreath-iso``
+suites and the tests import this module, so no bundle request compiles it.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ import itertools
 import math
 
 from .errors import NotFree
-from .frames import Frame, WreathElement, frame_map, gset_homs, is_basis
-from .groups import Permutation, is_permutation, perm_inverse
+from .frame_tables import gset_homs
+from .frames import WreathElement, frame_map, is_basis
 from .gsets import (
+    Frame,
     GSet,
     divide,
     induced_orbit_map,
@@ -32,6 +36,7 @@ from .gsets import (
     semitorsor_coords,
     semitorsor_point,
 )
+from .perms import Permutation, is_permutation, perm_inverse
 from .records import Frozen
 
 
@@ -70,28 +75,12 @@ def autq_reconstruct(F: GSet, f: Frame, component: tuple[int, ...]) -> tuple[int
     return frame_map(F, f, F, t)
 
 
-def wreath_to_aut(w: WreathElement, F: GSet) -> tuple[int, ...]:
-    """The isomorphism from the wreath product G wr I_n onto Aut(G x I_n).
-
-    (h, x) maps to (h . g[s(x)]^-1, s(x)); right translation keeps the maps
-    left-equivariant, and the whole assignment is a group homomorphism.
-    ``F`` is the carrier ``standard_semitorsor(G, n)``, which a caller that
-    maps many elements builds once so that the maps share it; any other
-    carrier is refused.
-    """
-    G, n = w.group, w.n
-    if F.group != G or F.semitorsor_orbits != n:
-        raise ValueError("wreath element does not match the target semi-torsor")
-    image = tuple(semitorsor_point(G.inv[w.g_tuple[s]], s, n) for s in w.sigma)
-    return frame_map(F, tuple(semitorsor_point(G.identity, x, n) for x in range(n)), F, image)
-
-
 def aut_to_wreath(F: GSet, psi) -> WreathElement:
     """Recover the wreath element of an automorphism of a standard semi-torsor ``F``.
 
     The permutation is the orbit permutation of psi (``induced_orbit_map``);
     the group tuple comes from evaluating at the identity section, inverting
-    the right-translation convention of :func:`wreath_to_aut`.
+    the right-translation convention of ``frames.wreath_to_aut``.
     """
     G = F.group
     n = F.semitorsor_orbits

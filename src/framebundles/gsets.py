@@ -18,7 +18,8 @@ from functools import cached_property
 
 from . import config
 from .errors import NoQuotient, NotFree
-from .groups import FiniteGroup, check_hom, first_broken_edge, make_cyclic, perm_compose, perm_orbits
+from .groups import FiniteGroup, check_hom, make_cyclic
+from .perms import first_broken_edge, perm_compose, perm_orbits
 from .records import Frozen
 
 Frame = tuple[int, ...]
@@ -115,7 +116,7 @@ class FrameSpace:
     The list is closed under the wreath action, which is free and transitive
     on it, so the space is a ``G wr I_n`` torsor of size ``|G|^n n!``.
     ``columns[x]`` holds slot ``x`` of every frame, in the same order, for
-    :func:`framebundles.frames.frame_table`.
+    :func:`framebundles.frame_tables.frame_table`.
     """
 
     __slots__ = ("base_gset", "n", "frames", "index", "columns")
@@ -196,13 +197,19 @@ def equivariant_map(source: GSet, target: GSet, xi, value) -> tuple[int, ...]:
     """Verify a map of group-sets exhaustively and return its value table."""
     xi, value = tuple(xi), tuple(value)
     check_hom(source.group, target.group, xi)
-    if len(value) != source.size:
-        raise ValueError("value table has wrong length")
-    if any(not (0 <= v < target.size) for v in value):
-        raise ValueError("value out of range")
+    _check_values(source, target, value)
     if not check_equivariant(source, target, xi, value):
         raise ValueError("map is not equivariant")
     return value
+
+
+def _check_values(source: GSet, target: GSet, value) -> None:
+    """Raise ValueError unless ``value`` holds one int point of ``target`` per
+    point of ``source``."""
+    if len(value) != source.size:
+        raise ValueError("value table has wrong length")
+    if any(type(v) is not int or not 0 <= v < target.size for v in value):
+        raise ValueError("value out of range")
 
 
 def check_equivariant(source: GSet, target: GSet, xi, value) -> bool:
@@ -226,8 +233,10 @@ def induced_orbit_map(source: GSet, target: GSet, value) -> tuple[int, ...]:
     """The unique map c on orbit indices with q2 . value = c . q1.
 
     For an automorphism of a free group-set this is the orbit permutation
-    c_q, a homomorphism onto Sym(orbits).
+    c_q, a homomorphism onto Sym(orbits).  Like :func:`equivariant_map`, it
+    refuses a ``value`` that does not map the source's points into the target.
     """
+    _check_values(source, target, value)
     q1 = source.orbit_partition
     q2 = target.orbit_partition
     table = tuple(q2.orbit_of[value[m[0]]] for m in q1.members)

@@ -36,7 +36,9 @@ family parses the rest of its documents in its own module,
 ``bundle_commands`` (group-sets and bundles) or ``circle_commands`` (circle
 bundles, fiber points and paths), since a request compiles every package
 module it imports (see ``cli``): this module compiles in 0.65 ms, against
-2.2 ms when it held every parser (``compile()``, 2 CPUs, Python 3.11).
+2.2 ms when it held every parser (``compile()``, 2 CPUs, Python 3.11).  For
+the same reason :func:`parse_group` imports ``groups`` when it runs: a
+circle request parses a word but no group, and loads no ``groups``.
 """
 
 from __future__ import annotations
@@ -46,14 +48,7 @@ import sys
 from typing import Any
 
 from .errors import SchemaError
-from .groups import (
-    FiniteGroup,
-    from_mul_table,
-    make_cyclic,
-    make_direct_product,
-    make_symmetric,
-    validate_word,
-)
+from .perms import validate_word
 
 
 def _require_keys(obj: Any, where: str, required: set[str]) -> dict:
@@ -87,31 +82,34 @@ def _int_rows(obj: Any, where: str) -> list[list[int]]:
     return [_int_list(row, f"{where}[{i}]") for i, row in enumerate(obj)]
 
 
-def parse_group(obj: Any, where: str = "group") -> FiniteGroup:
+def parse_group(obj: Any, where: str = "group"):
+    """The ``groups.FiniteGroup`` that a group document names."""
+    from . import groups
+
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"{where}: expected an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "cyclic":
         _require_keys(obj, where, {"kind", "n"})
-        return make_cyclic(_int(obj["n"], f"{where}.n"))
+        return groups.make_cyclic(_int(obj["n"], f"{where}.n"))
     if kind == "product":
         _require_keys(obj, where, {"kind", "factors"})
         factors = obj["factors"]
         if not isinstance(factors, list) or not factors:
             raise SchemaError(f"{where}.factors: expected a non-empty list")
-        groups = [parse_group(f, f"{where}.factors[{i}]") for i, f in enumerate(factors)]
-        out = groups[0]
-        for other in groups[1:]:
-            out = make_direct_product(out, other)
+        parsed = [parse_group(f, f"{where}.factors[{i}]") for i, f in enumerate(factors)]
+        out = parsed[0]
+        for other in parsed[1:]:
+            out = groups.make_direct_product(out, other)
         return out
     if kind == "symmetric":
         _require_keys(obj, where, {"kind", "n"})
-        return make_symmetric(_int(obj["n"], f"{where}.n"))
+        return groups.make_symmetric(_int(obj["n"], f"{where}.n"))
     if kind == "table":
         _require_keys(obj, where, {"kind", "mul"})
         mul = _int_rows(obj["mul"], f"{where}.mul")
         try:
-            return from_mul_table(mul, label="G")
+            return groups.from_mul_table(mul, label="G")
         except ValueError as exc:
             raise SchemaError(f"{where}.mul: {exc}") from exc
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import bundles, groups, gsets
+from . import bundles, groups, gsets, perms
 from .records import perm_str
 
 APPENDIX_B_MAX_N = 4  # appendix-b checks S3 .. S4; labelling n! actions costs (n!)^2 n^2
@@ -14,18 +14,18 @@ APPENDIX_B_MAX_N = 4  # appendix-b checks S3 .. S4; labelling n! actions costs (
 def suite_appendix_b(rep) -> None:
     """Labelling of faithful symmetric actions and the global-action obstruction."""
     for n in range(3, APPENDIX_B_MAX_N + 1):
-        perms = list(itertools.permutations(range(n)))
+        sym = list(itertools.permutations(range(n)))
         missed = ""  # the first conjugator that the labelling does not recover
-        for tau in perms:
-            tau_inv = groups.perm_inverse(tau)
+        for tau in sym:
+            tau_inv = perms.perm_inverse(tau)
             action = {
-                s: tuple(tau[s[tau_inv[a]]] for a in range(n)) for s in perms
+                s: tuple(tau[s[tau_inv[a]]] for a in range(n)) for s in sym
             }
             beta = bundles.sn_labelling(n, action)
             if not missed and tuple(beta[tau[i]] for i in range(n)) != tuple(range(n)):
                 missed = f"conjugator {tau} labelled {beta}, not {tau_inv}"
-        rep.add(f"S{n}", f"labelling recovers all {len(perms)} conjugators", not missed, missed)
-        rep.bump("conjugators", len(perms))
+        rep.add(f"S{n}", f"labelling recovers all {len(sym)} conjugators", not missed, missed)
+        rep.bump("conjugators", len(sym))
 
         trivial = bundles.flat_bundle(gsets.trivial_gset(n), (tuple(range(n)),))
         res = bundles.sn_action_on_bundle(trivial)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import frames, gsets
+from . import frame_tables, gsets
 
 
 def suite_division_rules(rep, G, n, F, name) -> None:
@@ -31,7 +31,7 @@ def suite_division_rules(rep, G, n, F, name) -> None:
                         if not scaling and lhs != rhs:
                             scaling = (f"[{g2}.{f2}/{g1}.{f1}] = {lhs} but "
                                        f"{g2} [{f2}/{f1}] {g1}^-1 = {rhs}")
-    for value in frames.gset_homs(F, F):
+    for value in frame_tables.gset_homs(F, F):
         for orbit in by_orbit:
             for f1 in orbit:
                 for f2 in orbit:

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 
-from . import frames
+from . import frame_tables
 from .records import perm_str
 
 
 def suite_equivalence(rep, G, n, F, name) -> None:
     """Full faithfulness of the frame lift between morphism sets."""
-    r = frames.check_equivalence(F, F)
+    r = frame_tables.check_equivalence(F, F)
     expected = G.order**n * math.factorial(n)
     rep.add(name, "group-set morphism count", r.gset_hom_count == expected,
             f"{r.gset_hom_count} vs {expected}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from operator import eq
 
-from . import config, frames
+from . import config, frame_tables, frames
 
 
 def suite_torsor(rep, G, n, F, name) -> None:
@@ -14,7 +14,7 @@ def suite_torsor(rep, G, n, F, name) -> None:
     expected = G.order**n * math.factorial(n)
     rep.add(name, "frame count |G|^n n!", len(fs.frames) == expected,
             f"{len(fs.frames)} vs {expected}")
-    elements = frames.wreath_elements(G, n)
+    elements = frame_tables.wreath_elements(G, n)
     # closure and freeness read all |W| x |frames| = |W|^2 action values,
     # as many as the entries of a Cayley table of W
     config.check_table_order(len(elements), what="wreath product")
@@ -22,7 +22,7 @@ def suite_torsor(rep, G, n, F, name) -> None:
     indices = range(len(fs.frames))
     off = fixed = ""  # the first counterexample of each check
     for w in elements:
-        table = frames.act_table(fs, w)
+        table = frame_tables.act_table(fs, w)
         if not off and None in table:
             off = f"{w!r} sends frame {fs.frames[table.index(None)]} off the frame space"
         # operator.eq, as int.__eq__(i, None) is NotImplemented, which is true

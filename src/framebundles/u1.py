@@ -34,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import config
 from .errors import NoQuotient
-from .groups import Permutation, perm_inverse, validate_word
+from .perms import Permutation, perm_inverse, validate_word
 from .records import Frozen
 
 

@@ -16,26 +16,11 @@ import random
 
 from framebundles.bundles import flat_bundle
 from framebundles.errors import BoundExceeded
-from framebundles.frames import (
-    EquivalenceReport,
-    enumerate_frames,
-    frame_divide,
-    gset_homs,
-    lift_table,
-    wreath_act,
-    wreath_elements,
-    wreath_mul,
-)
-from framebundles.groups import (
-    FiniteGroup,
-    automorphisms,
-    check_hom,
-    from_mul_table,
-    perm_compose,
-    perm_orbits,
-    table_group,
-)
+from framebundles.frame_tables import EquivalenceReport, gset_homs, lift_table, wreath_elements
+from framebundles.frames import enumerate_frames, frame_divide, wreath_act, wreath_mul
+from framebundles.groups import FiniteGroup, automorphisms, check_hom, from_mul_table, table_group
 from framebundles.gsets import trivial_gset
+from framebundles.perms import perm_compose, perm_orbits
 
 
 # A loop of order 5: a Latin square with identity 0, each element its own
@@ -121,13 +106,13 @@ def frame_functor_map(value):
 
 
 def act_table_per_frame(fs, w) -> list:
-    """``frames.act_table`` one ``wreath_act`` call per frame: the index of
+    """``frame_tables.act_table`` one ``wreath_act`` call per frame: the index of
     each image, None where it is not a frame."""
     return [fs.index.get(wreath_act(fs.base_gset, w, t)) for t in fs.frames]
 
 
 def lift_table_per_frame(source, target, value) -> list:
-    """``frames.lift_table`` one lifted frame at a time."""
+    """``frame_tables.lift_table`` one lifted frame at a time."""
     lift = frame_functor_map(value)
     index = enumerate_frames(target).index
     return [index.get(lift(t)) for t in enumerate_frames(source).frames]
@@ -135,7 +120,7 @@ def lift_table_per_frame(source, target, value) -> list:
 
 def full_lift_bundle(b):
     """The frame bundle of ``b`` as a flat bundle: each clutching map lifted
-    over every frame by ``frames.lift_table``, on the frames as a bare set;
+    over every frame by ``frame_tables.lift_table``, on the frames as a bare set;
     its components are the ones ``bundles.frame_components`` counts."""
     F = b.fiber
     return flat_bundle(trivial_gset(len(enumerate_frames(F).frames)),
@@ -143,7 +128,7 @@ def full_lift_bundle(b):
 
 
 def equivalence_per_frame(F, F2) -> EquivalenceReport:
-    """``frames.check_equivalence`` without the generator check: each lifted
+    """``frame_tables.check_equivalence`` without the generator check: each lifted
     table beside its torsor twin ``w . base -> w . u``, one frame at a time,
     counting the distinct torsor tables."""
     fs1, fs2 = enumerate_frames(F), enumerate_frames(F2)

@@ -29,10 +29,11 @@ from framebundles.bundles import (
     quotient_bundle,
 )
 from framebundles.cli import cmd_classify_circle
-from framebundles.frames import WreathElement, check_equivalence, enumerate_frames, wreath_identity
-from framebundles.groups import make_cyclic, make_direct_product, perm_inverse
-from framebundles.gset_aut import wreath_to_aut
+from framebundles.frame_tables import check_equivalence
+from framebundles.frames import WreathElement, enumerate_frames, wreath_identity, wreath_to_aut
+from framebundles.groups import make_cyclic, make_direct_product
 from framebundles.gsets import induced_orbit_map, standard_semitorsor
+from framebundles.perms import perm_inverse
 from framebundles.suites import fixture_groups, run_suite
 from framebundles.u1 import (
     FiberPoint,

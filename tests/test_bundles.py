@@ -30,24 +30,18 @@ from framebundles.errors import (
     Obstruction,
     TooSmall,
 )
+from framebundles.frame_tables import lift_table
 from framebundles.frames import (
     WreathElement,
     enumerate_frames,
-    lift_table,
     wreath_act,
     wreath_identity,
     wreath_inv,
     wreath_mul,
+    wreath_to_aut,
 )
-from framebundles.groups import (
-    automorphisms,
-    identity_hom,
-    make_cyclic,
-    make_direct_product,
-    perm_compose,
-    perm_inverse,
-)
-from framebundles.gset_aut import wreath_to_aut
+from framebundles.groups import automorphisms, identity_hom, make_cyclic, make_direct_product
+from framebundles.perms import perm_compose, perm_inverse
 from framebundles.suites import fixture_groups
 from table_oracles import (
     aut_table,

@@ -12,8 +12,10 @@ import pytest
 import framebundles.bundles as bundles
 import framebundles.cli as cli
 import framebundles.errors as errors
+import framebundles.frame_tables as frame_tables
 import framebundles.frames as frames
 import framebundles.groups as groups
+import framebundles.perms as perms
 import framebundles.suites as suites
 from framebundles.cli import SUITE_NAMES, main
 from table_oracles import LOOP_5
@@ -89,7 +91,7 @@ def test_classify_circle_json(capsys):
 
 def test_classify_circle_searches_each_generating_set_once(capsys, monkeypatch):
     s4_table = json.dumps({"kind": "table", "mul": groups.make_symmetric(4).mul})
-    orbit_kernel = groups.perm_orbits
+    orbit_kernel = perms.perm_orbits
     searches = []
 
     def spy(perms, size):
@@ -694,7 +696,7 @@ def test_exponent_rational_is_refused_before_it_is_expanded(capsys, argv, messag
 
 
 def test_division_rules_checks_every_automorphism(capsys, monkeypatch):
-    true_homs = frames.gset_homs
+    true_homs = frame_tables.gset_homs
 
     def true_homs_then_a_swap(F, F2):
         # last, a value table that swaps two points of the orbit of point 0
@@ -704,7 +706,7 @@ def test_division_rules_checks_every_automorphism(capsys, monkeypatch):
         value[a], value[b] = value[b], value[a]
         return homs + [tuple(value)]
 
-    monkeypatch.setattr(frames, "gset_homs", true_homs_then_a_swap)
+    monkeypatch.setattr(frame_tables, "gset_homs", true_homs_then_a_swap)
     code, out, _ = run(capsys, "verify", "division-rules", "--group", "z3", "--orbits", "1")
     assert "PASS [Z3 n=1] scaling rule\n" in out
     # the table swapping points 0 and 1 is the counterexample, first at [1/0]
@@ -713,15 +715,14 @@ def test_division_rules_checks_every_automorphism(capsys, monkeypatch):
 
 
 def test_wreath_iso_names_its_counterexamples(capsys, monkeypatch):
-    import framebundles.gset_aut as gset_aut
     from framebundles.frames import WreathElement
 
-    true_map = gset_aut.wreath_to_aut
+    true_map = frames.wreath_to_aut
 
     def sigma_inverted(w, F):  # an anti-homomorphism on the permutation part
-        return true_map(WreathElement(w.group, w.g_tuple, groups.perm_inverse(w.sigma)), F)
+        return true_map(WreathElement(w.group, w.g_tuple, perms.perm_inverse(w.sigma)), F)
 
-    monkeypatch.setattr(gset_aut, "wreath_to_aut", sigma_inverted)
+    monkeypatch.setattr(frames, "wreath_to_aut", sigma_inverted)
     code, out, _ = run(capsys, "verify", "wreath-iso", "--group", "z2", "--orbits", "3")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -736,12 +737,11 @@ def test_wreath_iso_names_its_counterexamples(capsys, monkeypatch):
 
 def test_wreath_iso_names_a_clash_and_an_automorphism_that_no_element_reaches(capsys,
                                                                               monkeypatch):
-    import framebundles.gset_aut as gset_aut
     from framebundles.frames import wreath_identity
 
-    true_map = gset_aut.wreath_to_aut
+    true_map = frames.wreath_to_aut
     # every element maps as the identity does: one table for both elements of Z2
-    monkeypatch.setattr(gset_aut, "wreath_to_aut",
+    monkeypatch.setattr(frames, "wreath_to_aut",
                         lambda w, F: true_map(wreath_identity(w.group, w.n), F))
     code, out, _ = run(capsys, "verify", "wreath-iso", "--group", "z2", "--orbits", "1")
     assert code == 1
@@ -753,16 +753,16 @@ def test_wreath_iso_names_a_clash_and_an_automorphism_that_no_element_reaches(ca
 def test_functor_laws_names_a_frame_that_the_identity_lift_moves(capsys, monkeypatch):
     # the swap of the two points of I_2 passed off as the identity map, whose
     # lift is the first one the suite asks for
-    true_lift = frames.lift_table
+    true_lift = frame_tables.lift_table
     lifted = []
 
     def swap_for_the_identity(source, target, value):
         if not lifted:
-            value = frames.gset_homs(source, source)[-1]
+            value = frame_tables.gset_homs(source, source)[-1]
         lifted.append(value)
         return true_lift(source, target, value)
 
-    monkeypatch.setattr(frames, "lift_table", swap_for_the_identity)
+    monkeypatch.setattr(frame_tables, "lift_table", swap_for_the_identity)
     code, out, _ = run(capsys, "verify", "functor-laws", "--group", "z1", "--orbits", "2")
     assert code == 1
     assert "FAIL [Z1 n=2] identity lifts to identity (the lift moves frame (0, 1))\n" in out
@@ -830,8 +830,9 @@ def test_ses_names_a_permutation_that_the_section_does_not_split(capsys, monkeyp
 ], ids=["collision", "unmatched"])
 def test_equivalence_names_a_table_that_breaks_the_bijection(capsys, monkeypatch, orbits, lift,
                                                              detail):
-    true_lift = frames.lift_table
-    monkeypatch.setattr(frames, "lift_table", lambda s, t, value: lift(true_lift, s, t, value))
+    true_lift = frame_tables.lift_table
+    monkeypatch.setattr(frame_tables, "lift_table",
+                        lambda s, t, value: lift(true_lift, s, t, value))
     code, out, _ = run(capsys, "verify", "equivalence", "--group", "z1", "--orbits", orbits)
     assert code == 1
     assert f"PASS [Z1 n={orbits}] torsor morphism count" in out
@@ -898,6 +899,16 @@ def test_golden_case_in_a_fresh_interpreter(name):
     )
 
 
+# The package modules (cli included, the package's __init__ not) and their
+# lines that a group-mode request loaded before the permutation kernel and the
+# frame tables had modules of their own; each such request may load those two
+# modules more, and their headers, up to 60 lines.
+GROUP_MODE_LOADS = {"classify-circle": (7, 1142), "verify": (11, 2240)}
+# what a request of each family must not load
+FAMILY_EXCLUDES = {"circle_commands": {"groups", "gsets", "frames", "frame_tables"},
+                   "bundle_commands": {"gset_aut", "frame_tables", "suites", "u1"}}
+
+
 @pytest.mark.parametrize("name", SUBPROCESS_CASES)
 def test_a_request_under_python_m_imports_the_front_end_once(name):
     # run as __main__, cli would compile and run a second time if a module it
@@ -907,10 +918,19 @@ def test_a_request_under_python_m_imports_the_front_end_once(name):
     assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"].encode())
     imported = [line.rsplit(b"|", 1)[1].strip() for line in proc.stderr.splitlines()
                 if line.startswith(b"import time:")]
-    assert b"framebundles.groups" in imported
     assert b"framebundles.cli" not in imported
-    if case["argv"][2] not in ("classify-circle", "verify"):  # the family module is listed too
-        assert {b"framebundles.bundle_commands", b"framebundles.circle_commands"} & set(imported)
+    loaded = {n.decode().partition(".")[2] for n in imported if n.startswith(b"framebundles.")}
+    loaded.add("cli")
+    command = case["argv"][2]
+    family = cli.GRAMMAR[command][1].rpartition(".")[0]
+    if family:  # the family module is listed too
+        assert family in loaded
+        assert not loaded & FAMILY_EXCLUDES[family]
+    else:
+        modules, lines = GROUP_MODE_LOADS[command]
+        src = TESTS.parent / "src" / "framebundles"
+        assert len(loaded) <= modules + 2
+        assert sum(len((src / f"{m}.py").read_text().splitlines()) for m in loaded) <= lines + 60
 
 
 # cli.run ends the process with os._exit once main has returned, so a request's

@@ -18,22 +18,15 @@ from framebundles.bundles import (
     total_components,
 )
 from framebundles.errors import BoundExceeded
-from framebundles.frames import (
-    WreathElement,
-    enumerate_frames,
+from framebundles.frame_tables import (
     check_equivalence,
     gset_homs,
     reconstruct_semitorsor,
     wreath_elements,
-    wreath_identity,
 )
-from framebundles.groups import is_permutation, make_cyclic, make_symmetric, perm_compose
-from framebundles.gset_aut import (
-    autq_component,
-    autq_reconstruct,
-    ses_report,
-    wreath_to_aut,
-)
+from framebundles.frames import WreathElement, enumerate_frames, wreath_identity, wreath_to_aut
+from framebundles.groups import make_cyclic, make_symmetric
+from framebundles.gset_aut import autq_component, autq_reconstruct, ses_report
 from framebundles.gsets import (
     induced_orbit_map,
     is_free,
@@ -42,6 +35,7 @@ from framebundles.gsets import (
     standard_semitorsor,
     trivial_gset,
 )
+from framebundles.perms import is_permutation, perm_compose
 from framebundles.suites import CheckResult
 from framebundles.u1 import FiberPoint, U1Wreath, division_form_check, u1_winding_bundle
 from table_oracles import frame_functor_map, full_lift_bundle, gset_aut_table, wreath_table

@@ -6,19 +6,20 @@ import random
 
 import pytest
 
-import framebundles.frames as frames
-import framebundles.groups as groups
-from framebundles.frames import (
+import framebundles.frame_tables as frame_tables
+import framebundles.perms as perms
+from framebundles.frame_tables import (
     act_table,
     check_equivalence,
-    enumerate_frames,
     frame_table,
     gset_homs,
     lift_table,
     wreath_elements,
 )
-from framebundles.groups import make_cyclic, make_direct_product, perm_compose
+from framebundles.frames import enumerate_frames
+from framebundles.groups import make_cyclic, make_direct_product
 from framebundles.gsets import FrameSpace, GSet, make_gset, standard_semitorsor
+from framebundles.perms import perm_compose
 from framebundles.suites import fixture_groups, run_suite
 from table_oracles import act_table_per_frame, equivalence_per_frame, lift_table_per_frame
 
@@ -114,14 +115,14 @@ def test_act_table_refuses_a_foreign_slot_count():
 
 
 def _corrupt_kernel(monkeypatch, corrupt):
-    kernel = frames.frame_table
+    kernel = frame_tables.frame_table
 
     def patched(columns, rows, src, index):
         table = kernel(columns, rows, src, index)
         corrupt(table)
         return table
 
-    monkeypatch.setattr(frames, "frame_table", patched)
+    monkeypatch.setattr(frame_tables, "frame_table", patched)
 
 
 def _off_the_space(table):
@@ -168,7 +169,7 @@ def test_closure_failure_does_not_skip_freeness_of_the_same_element(monkeypatch)
             table[1] = 1
         return table
 
-    monkeypatch.setattr(frames, "act_table", patched)
+    monkeypatch.setattr(frame_tables, "act_table", patched)
     checks = _checks("torsor", "z2")
     assert checks["action closed on frames"].detail == (
         f"{target!r} sends frame {fs.frames[0]} off the frame space")
@@ -191,7 +192,7 @@ def test_composition_law_fails_on_a_fixed_frame(monkeypatch):
 
 def test_composition_law_fails_on_a_composition_in_the_wrong_order(monkeypatch):
     # Aut(Z2 x I_2) = Z2 wr I_2 is not abelian, so b a differs from a b
-    monkeypatch.setattr(groups, "perm_compose", lambda a, b: perm_compose(b, a))
+    monkeypatch.setattr(perms, "perm_compose", lambda a, b: perm_compose(b, a))
     law = _checks("functor-laws", "z2")["composition law on all pairs"]
     assert not law.ok and "b=" in law.detail
 
@@ -217,8 +218,8 @@ def test_wreath_iso_refuses_the_edge_check_on_a_corrupted_kernel(monkeypatch, co
 
 def test_wreath_iso_refuses_the_edge_check_on_generators_of_a_subgroup(monkeypatch):
     # without the swap of the two slots, the generators make only G^2 in W
-    generators = frames._wreath_generators
-    monkeypatch.setattr(frames, "_wreath_generators",
+    generators = frame_tables._wreath_generators
+    monkeypatch.setattr(frame_tables, "_wreath_generators",
                         lambda G, n: [w for w in generators(G, n) if w.sigma == (0, 1)])
     checks = _checks("wreath-iso", "z2")
     law = checks["homomorphism on all pairs"]
@@ -235,14 +236,14 @@ def test_equivalence_raises_on_a_corrupted_kernel(monkeypatch, corrupt):
 
 
 def test_equivalence_raises_on_a_lift_off_the_space(monkeypatch):
-    lift = frames.lift_table
+    lift = frame_tables.lift_table
 
     def patched(source, target, value):
         table = lift(source, target, value)
         table[-1] = None
         return table
 
-    monkeypatch.setattr(frames, "lift_table", patched)
+    monkeypatch.setattr(frame_tables, "lift_table", patched)
     F = standard_semitorsor(Z2, 2)
     with pytest.raises(AssertionError, match="leaves the frame space"):
         check_equivalence(F, F)
@@ -263,7 +264,7 @@ def test_torsor_closure_fails_on_a_corrupted_action(monkeypatch):
     # row 1 of Z2 x I_2 moves each point to the other orbit
     F = standard_semitorsor(Z2, 2)
     bad = _corrupted_space(F, tuple(p ^ 1 for p in F.act[1]))
-    monkeypatch.setattr(frames, "act_table", lambda fs, w: act_table(bad, w))
+    monkeypatch.setattr(frame_tables, "act_table", lambda fs, w: act_table(bad, w))
     closed = _checks("torsor", "z2")["action closed on frames"]
     assert not closed.ok and closed.detail.endswith("off the frame space")
 
@@ -271,7 +272,7 @@ def test_torsor_closure_fails_on_a_corrupted_action(monkeypatch):
 def test_torsor_freeness_fails_on_a_corrupted_action(monkeypatch):
     F = standard_semitorsor(Z3, 2)
     bad = _corrupted_space(F, F.act[Z3.identity])
-    monkeypatch.setattr(frames, "act_table", lambda fs, w: act_table(bad, w))
+    monkeypatch.setattr(frame_tables, "act_table", lambda fs, w: act_table(bad, w))
     checks = _checks("torsor", "z3")
     assert not checks["action free"].ok
     assert checks["action closed on frames"].ok
@@ -281,7 +282,7 @@ def test_equivalence_raises_on_a_corrupted_action(monkeypatch):
     F = standard_semitorsor(Z2, 2)
     F2 = relabelled(F, seed=3)
     bad = _corrupted_space(F2, F2.act[Z2.identity])
-    monkeypatch.setattr(frames, "act_table",
+    monkeypatch.setattr(frame_tables, "act_table",
                         lambda fs, w: act_table(bad if fs.base_gset is F2 else fs, w))
     with pytest.raises(AssertionError):
         check_equivalence(F, F2)

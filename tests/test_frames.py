@@ -5,34 +5,28 @@ import pytest
 
 from framebundles import config
 from framebundles.errors import BoundExceeded, NotFree, OrbitObstruction
-from framebundles.frames import (
-    WreathElement,
+from framebundles.frame_tables import (
     act_table,
     associated_map,
     associated_map_inverse,
     check_equivalence,
+    gset_homs,
+    lift_table,
+    reconstruct_semitorsor,
+    wreath_elements,
+)
+from framebundles.frames import (
+    WreathElement,
     enumerate_frames,
     frame_divide,
     frame_map,
-    gset_homs,
     is_basis,
-    lift_table,
-    reconstruct_semitorsor,
     wreath_act,
-    wreath_elements,
     wreath_identity,
     wreath_inv,
     wreath_mul,
 )
-from framebundles.groups import (
-    identity_hom,
-    is_permutation,
-    make_cyclic,
-    make_direct_product,
-    make_symmetric,
-    perm_compose,
-    perm_inverse,
-)
+from framebundles.groups import identity_hom, make_cyclic, make_direct_product, make_symmetric
 from framebundles.gsets import (
     GSet,
     check_equivariant,
@@ -44,8 +38,9 @@ from framebundles.gsets import (
     standard_semitorsor,
     trivial_gset,
 )
+from framebundles.perms import is_permutation, perm_compose, perm_inverse
 from framebundles.suites import fixture_groups
-import framebundles.frames as frames_module
+import framebundles.frame_tables as frame_tables
 from table_oracles import hom, lift_table_per_frame, wreath_table
 from test_frame_table import relabelled
 
@@ -636,7 +631,7 @@ def test_equivalence_catches_a_wrong_division(monkeypatch, wrong, onto):
             return wreath_identity(Z2, 2)
         return divide_frames(space, f2, f1)
 
-    monkeypatch.setattr(frames_module, "frame_divide", wrong_divide)
+    monkeypatch.setattr(frame_tables, "frame_divide", wrong_divide)
     with pytest.raises(AssertionError, match="equivariance"):
         check_equivalence(F, F2)
 

@@ -13,23 +13,20 @@ import framebundles.groups as groups
 import framebundles.gsets as gsets
 from framebundles.cli import cmd_classify_circle
 from framebundles.errors import BoundExceeded
-from framebundles.frames import gset_homs
+from framebundles.frame_tables import gset_homs
 from framebundles.groups import (
     FiniteGroup,
-    automorphism_classes,
     automorphisms,
     check_hom,
-    first_broken_edge,
     from_mul_table,
     identity_hom,
     make_cyclic,
     make_direct_product,
     make_symmetric,
-    perm_compose,
-    perm_orbits,
     permutation_group,
 )
-from framebundles.aut_search import element_orders
+from framebundles.perms import cycle_count, first_broken_edge, perm_compose, perm_orbits
+from framebundles.aut_search import automorphism_classes, element_orders
 from framebundles.gsets import make_gset, standard_semitorsor, trivial_gset
 from framebundles.suites import fixture_groups
 from table_oracles import (
@@ -539,7 +536,7 @@ def test_cycle_count_is_the_orbit_count_of_one_permutation():
     # classify-circle counts each class's components with cycle_count
     for G in [*fixture_groups(6), make_symmetric(4), make_cyclic(12)]:
         for a in automorphisms(G):
-            assert groups.cycle_count(a) == len(perm_orbits([a], G.order)[1]), (G.label, a)
+            assert cycle_count(a) == len(perm_orbits([a], G.order)[1]), (G.label, a)
 
 
 def test_classify_circle_budget_s5_and_s4xz2():

@@ -4,24 +4,22 @@ import pytest
 
 import framebundles.gsets as gsets
 from framebundles.errors import NotFree
+from framebundles.frame_tables import associated_map, gset_homs, wreath_elements
 from framebundles.frames import (
     WreathElement,
-    associated_map,
     enumerate_frames,
-    gset_homs,
     wreath_act,
-    wreath_elements,
     wreath_identity,
     wreath_mul,
+    wreath_to_aut,
 )
-from framebundles.groups import make_cyclic, make_direct_product, make_symmetric, perm_compose
+from framebundles.groups import make_cyclic, make_direct_product, make_symmetric
 from framebundles.gset_aut import (
     aut_to_wreath,
     autq_component,
     autq_reconstruct,
     section_from_frame,
     ses_report,
-    wreath_to_aut,
 )
 from framebundles.gsets import (
     divide,
@@ -31,6 +29,7 @@ from framebundles.gsets import (
     standard_semitorsor,
     trivial_gset,
 )
+from framebundles.perms import perm_compose
 from framebundles.suites import run_suite
 from table_oracles import gset_aut_table, is_abelian
 
@@ -345,7 +344,7 @@ def test_pairing_invariance():
 
 def test_counteracting_map_is_frame_independent():
     # psi_w computed as phi_{w.t}^-1 . phi_t does not depend on t
-    from framebundles.frames import associated_map_inverse
+    from framebundles.frame_tables import associated_map_inverse
 
     G = Z3
     F = standard_semitorsor(G, 2)

@@ -1,7 +1,7 @@
 import pytest
 
 from framebundles.errors import NoQuotient, NotFree
-from framebundles.groups import identity_hom, make_cyclic, make_direct_product, perm_compose
+from framebundles.groups import identity_hom, make_cyclic, make_direct_product
 from framebundles.gsets import (
     GSet,
     check_equivariant,
@@ -17,6 +17,7 @@ from framebundles.gsets import (
     standard_semitorsor,
     trivial_gset,
 )
+from framebundles.perms import perm_compose
 from framebundles.suites import fixture_groups
 from table_oracles import hom
 

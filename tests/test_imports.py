@@ -66,8 +66,8 @@ def test_an_unread_import_is_reported():
 # in src/ leaves this table, and one that loses its last caller fails the test.
 TEST_ONLY = {
     "bundles.bundle_isomorphic": "retraction law of the planned bundle-law suite",
-    "frames.associated_map": "retraction law of the planned bundle-law suite",
-    "frames.reconstruct_semitorsor": "retraction law of the planned bundle-law suite",
+    "frame_tables.associated_map": "retraction law of the planned bundle-law suite",
+    "frame_tables.reconstruct_semitorsor": "retraction law of the planned bundle-law suite",
     "frames.wreath_inv": "reference law of the wreath product for every frame-table kernel",
     "frames.wreath_mul": "reference law of the wreath product for every frame-table kernel",
     "gset_aut.autq_component": "Aut(q) is G^n for any frame",

@@ -15,14 +15,13 @@ from framebundles.groups import (
     make_cyclic,
     make_direct_product,
     make_symmetric,
-    perm_inverse,
-    perm_orbits,
 )
 from framebundles.gsets import (
     check_equivariant,
     make_gset,
     standard_semitorsor,
 )
+from framebundles.perms import perm_inverse, perm_orbits
 from table_oracles import (
     action_law_holds,
     dihedral_table,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import framebundles.frame_tables as frame_tables
 import framebundles.frames as frames
 import framebundles.gsets as gsets
 from framebundles.bundles import (
@@ -17,17 +18,12 @@ from framebundles.bundles import (
     map_fiber_count,
     sn_labelling,
 )
-from framebundles.frames import (
-    enumerate_frames,
-    gset_homs,
-    reconstruct_semitorsor,
-    wreath_act,
-    wreath_identity,
-)
+from framebundles.frame_tables import gset_homs, reconstruct_semitorsor
+from framebundles.frames import enumerate_frames, wreath_act, wreath_identity
 from framebundles.errors import NotFree
 from framebundles.groups import FiniteGroup, make_cyclic
 from framebundles.gset_aut import section_from_frame, ses_report
-from framebundles.gsets import make_gset, standard_semitorsor, trivial_gset
+from framebundles.gsets import equivariant_map, make_gset, standard_semitorsor, trivial_gset
 from framebundles.suites import run_suite
 from framebundles.u1 import (
     FiberPoint,
@@ -66,6 +62,10 @@ REFUSALS = {
         lambda: map_fiber_count(standard_semitorsor(Z1, 3), standard_semitorsor(Z1, 2), (0,),
                                 (0, 1, 1)),
         "map is not a bijection on orbits"),
+    "equivariant_map entry": (
+        lambda: equivariant_map(standard_semitorsor(Z1, 2), standard_semitorsor(Z1, 2), (0,),
+                                (None, 1)),
+        "value out of range"),
     "map_fiber_count equivariance": (
         lambda: map_fiber_count(standard_semitorsor(Z4, 1), standard_semitorsor(Z2, 1),
                                 (0, 1, 0, 1), (0, 0, 0, 1)),
@@ -137,6 +137,36 @@ def test_map_fiber_count_refuses_a_group_set_that_is_not_free(source, target, xi
         map_fiber_count(source, target, xi, value)
 
 
+# Value tables that do not map the source's points into the target: one entry
+# short, an entry -1, which Python would read as the last point, an entry that
+# is no int, and one entry too many.  Each is refused with the text of
+# equivariant_map, where before the short one and None raised IndexError and
+# TypeError and lift_table answered the others (True as the point 1).
+@pytest.mark.parametrize("value, message", [
+    ((0,), "value table has wrong length"),
+    ((-1, 0), "value out of range"),
+    ((None, 1), "value out of range"),
+    ((True, 0), "value out of range"),
+    ((0, 1, 1), "value table has wrong length"),
+], ids=["short", "minus-one", "none", "bool", "long"])
+def test_lift_table_refuses_a_value_table_that_misses_the_target(value, message):
+    F = standard_semitorsor(Z1, 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        frame_tables.lift_table(F, F, value)
+
+
+@pytest.mark.parametrize("n, value, message", [
+    # from Z1 x I_3, so that the short table is onto the target
+    (3, (0, 1), "value table has wrong length"),
+    # a table holding -1 is not onto, which map_fiber_count checks first
+    (2, (-1, 0), "map is not surjective"),
+    (2, (0, 1, 1), "value table has wrong length"),
+], ids=["short", "minus-one", "long"])
+def test_map_fiber_count_refuses_a_value_table_that_misses_the_target(n, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        map_fiber_count(standard_semitorsor(Z1, n), standard_semitorsor(Z1, 2), (0,), value)
+
+
 def test_ses_report_names_an_orbit_map_that_is_no_permutation():
     # the constant map of Z1 x I_2 sends both orbits to orbit 0
     F = standard_semitorsor(Z1, 2)
@@ -147,7 +177,7 @@ def test_ses_report_names_an_orbit_map_that_is_no_permutation():
 
 def test_reconstruction_witness_fails_on_a_wrong_inverse(monkeypatch):
     # the inverse associated map read as constant: the witness is no bijection
-    monkeypatch.setattr(frames, "associated_map_inverse", lambda F, t: (0,) * F.size)
+    monkeypatch.setattr(frame_tables, "associated_map_inverse", lambda F, t: (0,) * F.size)
     fs = enumerate_frames(standard_semitorsor(Z2, 2))
     with pytest.raises(AssertionError, match="^reconstruction witness failed verification$"):
         reconstruct_semitorsor(fs, 0)

@@ -6,9 +6,10 @@ must fail with its counterexample while the report keeps its other checks."""
 import pytest
 
 import framebundles.bundles as bundles
+import framebundles.frame_tables as frame_tables
 import framebundles.frames as frames
 import framebundles.gset_aut as gset_aut
-from framebundles.frames import EquivalenceReport
+from framebundles.frame_tables import EquivalenceReport
 from framebundles.gsets import FrameSpace
 from framebundles.suites import run_suite
 
@@ -35,7 +36,7 @@ def test_torsor_frame_count_fails_on_a_space_missing_a_frame(monkeypatch):
                                          ("torsor_hom_count", "torsor morphism count")],
                          ids=["gset", "torsor"])
 def test_equivalence_counts_fail_on_a_report_one_short(monkeypatch, field, name):
-    check_equivalence = frames.check_equivalence
+    check_equivalence = frame_tables.check_equivalence
 
     def one_short(F, F2):
         r = check_equivalence(F, F2)
@@ -43,7 +44,7 @@ def test_equivalence_counts_fail_on_a_report_one_short(monkeypatch, field, name)
         counts[field] -= 1
         return EquivalenceReport(mismatch=r.mismatch, **counts)
 
-    monkeypatch.setattr(frames, "check_equivalence", one_short)
+    monkeypatch.setattr(frame_tables, "check_equivalence", one_short)
     checks = _checks("equivalence")
     assert (checks[name].ok, checks[name].detail) == (False, "7 vs 8")
     assert checks["lift is a bijection"].ok
@@ -53,7 +54,7 @@ def _ses_report_missing_an_automorphism(monkeypatch):
     """``ses_report`` on Aut(F) less its last automorphism, whatever list it is passed."""
     ses_report = gset_aut.ses_report
     monkeypatch.setattr(gset_aut, "ses_report",
-                        lambda F, auts=None: ses_report(F, frames.gset_homs(F, F)[:-1]))
+                        lambda F, auts=None: ses_report(F, frame_tables.gset_homs(F, F)[:-1]))
 
 
 def test_ses_product_fails_on_a_report_one_automorphism_short(monkeypatch):

@@ -17,17 +17,12 @@ from framebundles.bundles import (  # noqa: E402
     frame_components,
     total_components,
 )
-from framebundles.aut_search import element_orders  # noqa: E402
-from framebundles.frames import WreathElement, _wreath_generators, wreath_elements  # noqa: E402
-from framebundles.groups import (  # noqa: E402
-    automorphism_classes,
-    automorphisms,
-    make_cyclic,
-    make_symmetric,
-    perm_orbits,
-)
-from framebundles.gset_aut import wreath_to_aut  # noqa: E402
+from framebundles.aut_search import automorphism_classes, element_orders  # noqa: E402
+from framebundles.frame_tables import _wreath_generators, wreath_elements  # noqa: E402
+from framebundles.frames import WreathElement, wreath_to_aut  # noqa: E402
+from framebundles.groups import automorphisms, make_cyclic, make_symmetric  # noqa: E402
 from framebundles.gsets import standard_semitorsor  # noqa: E402
+from framebundles.perms import perm_orbits  # noqa: E402
 from framebundles.suites import fixture_groups  # noqa: E402
 from table_oracles import (  # noqa: E402
     aut_table,

@@ -8,7 +8,7 @@ import u1_oracles as oracle
 
 from framebundles import circle_commands, config, u1
 from framebundles.errors import BoundExceeded, NoQuotient
-from framebundles.groups import perm_inverse
+from framebundles.perms import perm_inverse
 from framebundles.u1 import (
     FiberPoint,
     U1FlatBundle,

@@ -27,31 +27,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-FRAMES = "src/framebundles/frames.py"
+FRAME_TABLES = "src/framebundles/frame_tables.py"
 BUNDLES = "src/framebundles/bundles.py"
 SUITE = "src/framebundles/suite_{}.py"
+U1 = "src/framebundles/u1.py"
 WRONG_DIVISION = "tests/test_frames.py::test_equivalence_catches_a_wrong_division"
 FULL_LIFT = ("tests/test_bundles.py::"
              "test_frame_components_count_the_components_of_the_full_lift_bundle")
 WREATH_LOOPS_1271 = "tests/test_cli.py::test_frame_bundle_of_1271_wreath_loops_has_8_components"
 FAULTS = "tests/test_suite_faults.py::"
+LOADS = "tests/test_cli.py::test_a_request_under_python_m_imports_the_front_end_once[{}]"
 
 # (name, file, exact old text, new text, test ids that must fail)
 ROWS = [
-    ("the one torsor-law check removed", FRAMES,
+    ("the one torsor-law check removed", FRAME_TABLES,
      "        if j == 0 and any(",
      "        if False and any(",
      [WRONG_DIVISION,
       "tests/test_frame_table.py::test_equivalence_raises_on_a_corrupted_action"]),
-    ("the None check of each pair removed", FRAMES,
+    ("the None check of each pair removed", FRAME_TABLES,
      "        if None in lift or None in torsor:\n",
      "        if False:\n",
      ["tests/test_frame_table.py::test_equivalence_raises_on_a_lift_off_the_space"]),
-    ("a break at the first mismatch", FRAMES,
+    ("a break at the first mismatch", FRAME_TABLES,
      "            mismatch = (u, tuple(lift), tuple(torsor))\n",
      "            mismatch = (u, tuple(lift), tuple(torsor))\n            break\n",
      ["tests/test_cli.py::test_equivalence_names_a_table_that_breaks_the_bijection"]),
-    ("each lift compared with the next frame's twin", FRAMES,
+    ("each lift compared with the next frame's twin", FRAME_TABLES,
      "zip(fs2.frames, homs, orbit_tables(divisions, fs2))",
      "zip(fs2.frames, homs[-1:] + homs[:-1], orbit_tables(divisions, fs2))",
      ["tests/test_frames.py::test_equivalence_z2_two_orbits",
@@ -110,6 +112,15 @@ ROWS = [
      "(not res2.ok) and res2.obstruction_generator == 1,",
      "True,",
      [FAULTS + "test_appendix_b_obstruction_fails_on_an_action_granted_on_the_covering"]),
+    ("u1 reads the permutation type from groups again", U1,
+     "from .perms import Permutation, perm_inverse, validate_word\n",
+     "from .groups import Permutation\nfrom .perms import perm_inverse, validate_word\n",
+     [LOADS.format("u1_holonomy_text"), LOADS.format("division_check_json")]),
+    ("bundles imports the frame tables at module level", BUNDLES,
+     "from .frames import WreathElement, enumerate_frames, frame_divide, wreath_to_aut\n",
+     "from .frame_tables import gset_homs\n"
+     "from .frames import WreathElement, enumerate_frames, frame_divide, wreath_to_aut\n",
+     [LOADS.format("components_wreath_two_loops_text"), LOADS.format("frame_bundle_wreath_text")]),
 ]
 
 
