@@ -15,9 +15,10 @@ form ``-?[0-9]+(/[0-9]+)?`` needs only ``int`` and one ``gcd``, and any other
 string goes through ``Fraction``, so accepted forms and refusals stay those
 of ``Fraction``.  An angle is then taken mod 1.  Generator angles and a
 transport's start point become ``Fraction``s for the ``u1`` records; path
-samples do not: :func:`parse_path` checks the step and the sample count and
-returns the samples as a stream of ``(numerator, denominator, sheet)``
-triples, each read, or refused, when ``u1.division_form_check`` reaches it.
+samples do not: :func:`sample_hook` turns each strict sample into a
+``(numerator, denominator, sheet)`` triple as the path document is decoded,
+and :func:`parse_path` streams the samples to ``u1.division_form_check``,
+reading, or refusing, any other sample when the check reaches it.
 
 The layers are read as module attributes at call time, so a function patched
 into its layer module after this module is imported is the one called.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from . import config, perms, specdoc, u1
 from .errors import SchemaError
@@ -142,22 +143,42 @@ def parse_fiber_point(obj: Any, k: int, where: str = "point") -> u1.FiberPoint:
     return u1.FiberPoint(Fraction(n, d), sheet)
 
 
+def sample_hook(k: int) -> Callable[[dict], Any]:
+    """A ``json.loads`` object hook that reads each strict sample of a path
+    document on ``k`` sheets into its ``(numerator, denominator, sheet)`` triple.
+
+    An object with exactly the keys ``angle`` and ``sheet``, a sheet in range
+    and a strict angle string (see :func:`_strict`) becomes the triple that
+    :func:`_sample` gives it, with the angle in [0, 1); any other object is
+    returned as it is, to be read or refused by :func:`parse_path`.  At most
+    ``config.MAX_CIRCLE_WORK`` objects are read: a document with more
+    samples is refused by its sample count, so the rest stay dicts.
+    """
+    left = config.MAX_CIRCLE_WORK
+
+    def hook(obj: dict) -> Any:
+        nonlocal left
+        if left and len(obj) == 2:
+            sheet, text = obj.get("sheet"), obj.get("angle")
+            if (type(sheet) is int and 0 <= sheet < k and type(text) is str
+                    and (pair := _strict(text)) is not None):
+                left -= 1
+                n, d = pair
+                return n % d, d, sheet
+        return obj
+
+    return hook
+
+
 def _samples(pts: list, k: int, where: str) -> Iterator[tuple[int, int, int]]:
     """Each sample of ``pts`` as ``(numerator, denominator, sheet)``, read when asked for.
 
-    A sample with exactly the keys ``angle`` and ``sheet``, a sheet in range
-    and a strict angle string is read here; any other goes through
-    :func:`_sample`, which gives the same triple or the same refusal.
+    A triple, which only :func:`sample_hook` makes (JSON gives none), is
+    passed on; any other sample goes through :func:`_sample`, which gives the
+    triple or the refusal.
     """
     for i, p in enumerate(pts):
-        if type(p) is dict and len(p) == 2:
-            sheet, text = p.get("sheet"), p.get("angle")
-            if (type(sheet) is int and 0 <= sheet < k and type(text) is str
-                    and (pair := _strict(text)) is not None):
-                n, d = pair
-                yield n % d, d, sheet
-                continue
-        yield _sample(p, k, f"{where}.points[{i}]")
+        yield p if type(p) is tuple else _sample(p, k, f"{where}.points[{i}]")
 
 
 def parse_path(obj: Any, k: int,
@@ -166,8 +187,13 @@ def parse_path(obj: Any, k: int,
     sheet)`` triples with the angle in [0, 1), and its step.
 
     The step, the sample count and ``config.check_circle_work`` are checked
-    here; each sample is read, and refused, only when the stream reaches it.
+    here; each sample that :func:`sample_hook` did not read is read, and
+    refused, only when the stream reaches it.
     """
+    if type(obj) is tuple:
+        # a document that is one sample, read into a triple by the hook: it
+        # is refused as the object it was
+        obj = dict.fromkeys(("angle", "sheet"))
     spec = _require_keys(obj, where, {"step", "points"})
     num, den = _rational(spec["step"], f"{where}.step", quote=False)
     if num <= 0:
@@ -235,8 +261,8 @@ def cmd_pushforward(args) -> Report:
 
 def cmd_division_check(args) -> Report:
     b = parse_u1_bundle(specdoc.load_document(args.spec))
-    # the samples are read as the check consumes them
-    samples, step = parse_path(specdoc.load_document(args.path), b.k)
+    # strict samples are read as they are decoded, the rest as the check consumes them
+    samples, step = parse_path(specdoc.load_document(args.path, object_hook=sample_hook(b.k)), b.k)
     result = u1.division_form_check(samples, step)
     # equal rates share one Fraction, which ``result`` keeps alive: format each once
     text = {i: str(r) for i, r in dict(zip(map(id, result.rates), result.rates)).items()}

@@ -20,8 +20,10 @@ MAX_ENUMERATION = 20_000
 # path samples parsed.  A path sample costs about 3 us of a whole
 # division-check request when its rates repeat, and about 7 us when every
 # rate is new (six-digit denominators), so the bound is 1 to 2 s of that
-# work, at about 100 MB of JSON document (2 CPUs, Python 3.11); a letter
-# move costs far less.
+# work; a letter move costs far less.  A path of that many samples is a
+# 10.5 to 12 MB JSON document, and its request peaks at 54 to 65 MB of
+# resident memory, as each sample becomes an integer triple while it is
+# decoded (2 CPUs, Python 3.11).
 MAX_CIRCLE_WORK = 300_000
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .errors import SchemaError
 from .perms import validate_word
@@ -131,8 +131,9 @@ def parse_word(text: str, loops: int) -> tuple[int, ...]:
         raise SchemaError(f"word: {exc}") from exc
 
 
-def load_document(arg: str) -> Any:
-    """Load a JSON document from inline text, a file path, or '-' for stdin."""
+def load_document(arg: str, object_hook: Callable[[dict], Any] | None = None) -> Any:
+    """Load a JSON document from inline text, a file path, or '-' for stdin;
+    ``object_hook`` is passed to ``json.loads``."""
     if arg.strip().startswith("{"):
         text = arg
     elif arg == "-":
@@ -146,6 +147,6 @@ def load_document(arg: str) -> Any:
         except OSError as exc:
             raise SchemaError(f"cannot read document {arg}: {exc.strerror}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError(f"invalid JSON: {exc}") from exc

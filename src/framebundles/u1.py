@@ -20,9 +20,10 @@ of the denominators the point met, once at the end.  A ``Fraction`` is built
 only for the result.
 
 A sampled path reaches :func:`division_form_check` as a stream of
-``(numerator, denominator, sheet)`` triples of ints, as ``specdoc.parse_path``
-reads them: no ``Fraction`` or ``FiberPoint`` is built per sample, and each
-distinct rate becomes one ``Fraction`` (up to ``_SHARED_RATES`` of them).
+``(numerator, denominator, sheet)`` triples of ints, as
+``circle_commands.parse_path`` streams them: no ``Fraction`` or
+``FiberPoint`` is built per sample, and each distinct rate becomes one
+``Fraction`` (up to ``_SHARED_RATES`` of them).
 """
 
 from __future__ import annotations
@@ -241,8 +242,8 @@ def division_form_check(samples: Iterable[tuple[int, int, int]], step) -> Divisi
 
     Each sample is a ``(numerator, denominator, sheet)`` triple of ints, the
     angle numerator/denominator with a positive denominator, as
-    ``specdoc.parse_path`` streams them.  The samples are read once, in
-    order, and all of them before a sheet crossing is reported, so a bad
+    ``circle_commands.parse_path`` streams them.  The samples are read once,
+    in order, and all of them before a sheet crossing is reported, so a bad
     sample later in a stream still raises its own error.  Each pair is put
     over the lcm L of its two denominators, so the rate is
     ((n1 - n0) mod L) / (L step) with n0, n1 the numerators over L.  Each of

@@ -391,6 +391,39 @@ def test_bad_sample_outranks_an_earlier_sheet_crossing(capsys, bad):
     assert (code, err) == (2, "error: path.points[3].sheet: out of range for 2 sheets\n")
 
 
+def test_a_path_with_two_points_keys_is_answered_from_the_last(capsys):
+    # json.loads keeps the last of two equal keys; the first list, which
+    # would be refused, is never read
+    first = '[{"angle": "0", "sheet": 0}, {"angle": "1/2", "sheet": 7}, {"angle": "1e-2", "sheet": 0}]'
+    last = '[{"angle": "0", "sheet": 1}, {"angle": "1/4", "sheet": 1}, {"angle": "3/4", "sheet": 1}]'
+    path_doc = f'{{"step": "1/4", "points": {first}, "points": {last}}}'
+    code, out, err = run(capsys, "division-check", U1_WINDING_K2, "--path", path_doc)
+    assert (code, err) == (0, "")
+    assert out == ("command: division-check\nsheet: 1\nrates: 1,2\n"
+                   "constant rate: no\nstatus: ok\n")
+
+
+MIXED_ANGLES = ["0", "+1/4", "3/4", "0.25", " 1/4 ", "1/2"]
+
+
+@pytest.mark.parametrize("bad", [None, 0, 1, 2, 3, 4, 5])
+def test_strict_and_loose_samples_mixed_keep_their_rates_and_refusals(capsys, bad):
+    # strict strings and the loose forms that only Fraction reads give the
+    # same rates side by side; an out-of-range sheet is refused at its index
+    points = [{"angle": a, "sheet": 1} for a in MIXED_ANGLES]
+    if bad is not None:
+        points[bad]["sheet"] = 2
+    path_doc = json.dumps({"step": "1/4", "points": points})
+    code, out, err = run(capsys, "division-check", U1_WINDING_K2, "--path", path_doc)
+    if bad is None:
+        assert (code, err) == (0, "")
+        assert out == ("command: division-check\nsheet: 1\nrates: 1,2,2,0,1\n"
+                       "constant rate: no\nstatus: ok\n")
+    else:
+        assert (code, out, err) == (
+            2, "", f"error: path.points[{bad}].sheet: out of range for 2 sheets\n")
+
+
 def test_schema_error_exit_code(capsys):
     code, _, err = run(capsys, "classify-circle", "--group", '{"kind": "cyclic"}')
     assert code == 2

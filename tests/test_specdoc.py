@@ -1,14 +1,17 @@
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framebundles.errors import SchemaError
+from framebundles import config
+from framebundles.errors import BoundExceeded, SchemaError
 from framebundles.groups import make_cyclic
 from framebundles.gsets import standard_semitorsor
 from framebundles.bundle_commands import parse_bundle, parse_gset
-from framebundles.circle_commands import parse_fiber_point, parse_path, parse_u1_bundle
+from framebundles.circle_commands import parse_fiber_point, parse_path, parse_u1_bundle, sample_hook
 from framebundles.specdoc import load_document, parse_group, parse_word
 
 
@@ -207,8 +210,10 @@ def _read_point(text: str):
 
 
 def _read_sample(point, k: int = 1):
-    """The first sample of a two-sample path, as the stream yields it."""
-    samples, _ = parse_path({"step": "1", "points": [point, {"angle": "0", "sheet": 0}]}, k)
+    """The first sample of a two-sample path document, as ``division-check``
+    reads it: decoded through :func:`sample_hook`, then streamed."""
+    text = json.dumps({"step": "1", "points": [point, {"angle": "0", "sheet": 0}]})
+    samples, _ = parse_path(load_document(text, object_hook=sample_hook(k)), k)
     try:
         return next(samples)
     except SchemaError as exc:
@@ -281,7 +286,7 @@ def test_non_string_angles_keep_their_messages():
     ],
 )
 def test_path_stream_reads_a_sample_as_a_fiber_point(point):
-    # the stream's own fast path gives the checked read's triple or refusal
+    # the hook and the stream give the checked read's triple or refusal
     try:
         p = parse_fiber_point(point, 2)
         want = (p.angle.numerator, p.angle.denominator, p.sheet)
@@ -297,3 +302,38 @@ def test_path_stream_refuses_a_sample_only_when_it_is_read():
     assert next(samples) == (1, 4, 0) and next(samples) == (1, 3, 0)
     with pytest.raises(SchemaError, match=r"^path.points\[2\].angle: bad rational '1/'$"):
         next(samples)
+
+
+@pytest.mark.parametrize("den", [1000, 999983])
+def test_a_path_document_is_read_in_under_160_bytes_a_sample(den):
+    # each strict sample becomes its triple as it is decoded, so the
+    # samples' dicts and angle strings (about 250 bytes a sample) are never
+    # held together; a triple with new ints for its numerator and
+    # denominator takes about 130
+    n = 20_000
+    points = [{"angle": f"{(7 + 919 * i) % den}/{den}", "sheet": 2} for i in range(n)]
+    text = json.dumps({"step": "1/1000", "points": points})
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        samples, _ = parse_path(load_document(text, object_hook=sample_hook(3)), 3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    angles = (Fraction(p["angle"]) for p in points)
+    assert list(samples) == [(a.numerator, a.denominator, 2) for a in angles]
+    assert peak < 160 * n, f"{peak / n:.0f} bytes a sample"
+
+
+def test_sample_hook_reads_at_most_max_circle_work_samples(monkeypatch):
+    # past the bound the samples stay dicts: the document is refused by its
+    # sample count before any of them is read
+    monkeypatch.setattr(config, "MAX_CIRCLE_WORK", 2)
+    text = json.dumps({"step": "1", "points": [{"angle": "-1/2", "sheet": 0}] * 3})
+    doc = load_document(text, object_hook=sample_hook(1))
+    assert doc["points"] == [(1, 2, 0), (1, 2, 0), {"angle": "-1/2", "sheet": 0}]
+    with pytest.raises(BoundExceeded, match="samples to parse: 3 exceeds config.MAX_CIRCLE_WORK = 2"):
+        parse_path(doc, 1)

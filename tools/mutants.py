@@ -31,12 +31,14 @@ FRAME_TABLES = "src/framebundles/frame_tables.py"
 BUNDLES = "src/framebundles/bundles.py"
 SUITE = "src/framebundles/suite_{}.py"
 U1 = "src/framebundles/u1.py"
+CIRCLE = "src/framebundles/circle_commands.py"
 WRONG_DIVISION = "tests/test_frames.py::test_equivalence_catches_a_wrong_division"
 FULL_LIFT = ("tests/test_bundles.py::"
              "test_frame_components_count_the_components_of_the_full_lift_bundle")
 WREATH_LOOPS_1271 = "tests/test_cli.py::test_frame_bundle_of_1271_wreath_loops_has_8_components"
 FAULTS = "tests/test_suite_faults.py::"
 LOADS = "tests/test_cli.py::test_a_request_under_python_m_imports_the_front_end_once[{}]"
+MIXED = "tests/test_cli.py::test_strict_and_loose_samples_mixed_keep_their_rates_and_refusals[{}]"
 
 # (name, file, exact old text, new text, test ids that must fail)
 ROWS = [
@@ -121,6 +123,15 @@ ROWS = [
      "from .frame_tables import gset_homs\n"
      "from .frames import WreathElement, enumerate_frames, frame_divide, wreath_to_aut\n",
      [LOADS.format("components_wreath_two_loops_text"), LOADS.format("frame_bundle_wreath_text")]),
+    ("the sample hook without its sheet-range test", CIRCLE,
+     "            if (type(sheet) is int and 0 <= sheet < k and type(text) is str\n",
+     "            if (type(sheet) is int and type(text) is str\n",
+     [MIXED.format(0), MIXED.format(5)]),
+    ("a path document of one sample refused as a tuple", CIRCLE,
+     "    if type(obj) is tuple:\n",
+     "    if False:\n",
+     ["tests/test_golden.py::test_golden[division_check_single_sample_path_text]",
+      "tests/test_golden.py::test_golden[division_check_single_sample_path_json]"]),
 ]
 
 
