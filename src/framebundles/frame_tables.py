@@ -41,7 +41,7 @@ from .gsets import (
     semitorsor_point,
     standard_semitorsor,
 )
-from .perms import is_permutation, perm_orbits
+from .perms import is_permutation, perm_inverse, perm_orbits
 from .records import Frozen
 
 
@@ -73,7 +73,7 @@ def act_table(fs: FrameSpace, w: WreathElement) -> list[int | None]:
     if w.n != fs.n:
         raise ValueError("tuple length does not match the wreath element")
     act = fs.base_gset.act
-    return frame_table(fs.columns, [act[g] for g in w.g_tuple], w.sigma_inv, fs.index)
+    return frame_table(fs.columns, [act[g] for g in w.g_tuple], perm_inverse(w.sigma), fs.index)
 
 
 def orbit_tables(ws: list[WreathElement], fs: FrameSpace):
@@ -88,7 +88,7 @@ def orbit_tables(ws: list[WreathElement], fs: FrameSpace):
     held.
     """
     n = fs.n
-    keys = tuple(zip(*[[g * n + y for g, y in zip(w.g_tuple, w.sigma_inv)] for w in ws]))
+    keys = tuple(zip(*[[g * n + y for g, y in zip(w.g_tuple, perm_inverse(w.sigma))] for w in ws]))
     for t in fs.frames:
         flat = [row[p] for row in fs.base_gset.act for p in t]
         yield frame_table(keys, [flat] * n, range(n), fs.index)

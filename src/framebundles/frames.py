@@ -9,7 +9,7 @@ torsor under the wreath product ``G wr I_n = G^n x| Sym(n)``, acting by
 
 with multiplication ``(g, s)(g', s') = (x -> g[x] g'[s^-1(x)], s s')``.  The
 ``s^-1`` in the action formula is the convention everything else here hinges
-on; it is computed once per element from the stored forward image table.
+on; each reader inverts the stored forward image table where it needs it.
 
 Like a linear map by a basis, an equivariant map out of a free group-set is
 fixed by the image ``t`` of a frame ``f``: each point is ``g . f[x]`` for one
@@ -32,11 +32,9 @@ not compile them.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import NotFree
 from .groups import FiniteGroup
-from .gsets import Frame, FrameSpace, GSet, is_free, semitorsor_point
+from .gsets import Frame, FrameSpace, GSet, divide, is_free, semitorsor_point
 from .perms import Permutation, is_permutation, perm_compose, perm_inverse
 from .records import Frozen
 
@@ -49,7 +47,7 @@ class WreathElement(Frozen):
     the constructor checks both.
     """
 
-    _fields = ("group", "g_tuple", "sigma")
+    __slots__ = _fields = ("group", "g_tuple", "sigma")
 
     def __init__(self, group: FiniteGroup, g_tuple: tuple[int, ...], sigma: Permutation):
         if any(not (0 <= g < group.order) for g in g_tuple):
@@ -63,10 +61,6 @@ class WreathElement(Frozen):
     @property
     def n(self) -> int:
         return len(self.sigma)
-
-    @cached_property
-    def sigma_inv(self) -> Permutation:
-        return perm_inverse(self.sigma)
 
     def __hash__(self) -> int:
         # equal elements have equal tuples; hashing the base group's table
@@ -89,7 +83,7 @@ def _check_same_wreath(a: WreathElement, b: WreathElement) -> None:
 def wreath_mul(a: WreathElement, b: WreathElement) -> WreathElement:
     """(g, s)(g', s') = (x -> g[x] g'[s^-1(x)], s s')."""
     _check_same_wreath(a, b)
-    s_inv = a.sigma_inv
+    s_inv = perm_inverse(a.sigma)
     mul = a.group.mul
     g = tuple(mul[a.g_tuple[x]][b.g_tuple[s_inv[x]]] for x in range(a.n))
     return WreathElement(a.group, g, perm_compose(a.sigma, b.sigma))
@@ -99,12 +93,12 @@ def wreath_inv(a: WreathElement) -> WreathElement:
     inv = a.group.inv
     # (g, s)^-1 = (x -> g[s(x)]^-1, s^-1)
     g = tuple(inv[a.g_tuple[a.sigma[x]]] for x in range(a.n))
-    return WreathElement(a.group, g, a.sigma_inv)
+    return WreathElement(a.group, g, perm_inverse(a.sigma))
 
 
 def wreath_act(F: GSet, w: WreathElement, t: Frame) -> Frame:
     """Apply (g, s) to a tuple of carrier points: slot x gets g[x] . t[s^-1(x)]."""
-    s_inv = w.sigma_inv
+    s_inv = perm_inverse(w.sigma)
     if len(t) != len(s_inv):
         raise ValueError("tuple length does not match the wreath element")
     act = F.act
@@ -150,18 +144,18 @@ def frame_divide(fs: FrameSpace, f2: Frame, f1: Frame) -> WreathElement:
     """The unique wreath element w with w . f1 = f2.
 
     The permutation part is s = (q f2)^-1 (q f1); the group part divides
-    slot-wise: g[x] = f2[x] / f1[s^-1(x)].
+    slot by slot through ``gsets.divide``: g[x] = f2[x] / f1[s^-1(x)].
     """
     if f1 not in fs.index or f2 not in fs.index:
         raise ValueError("frames do not belong to this frame space")
-    q = fs.base_gset.orbit_partition.orbit_of
+    F = fs.base_gset
+    q = F.orbit_partition.orbit_of
     q1 = tuple(q[p] for p in f1)
     q2 = tuple(q[p] for p in f2)
     sigma = perm_compose(perm_inverse(q2), q1)
     s_inv = perm_inverse(sigma)
-    div = fs.base_gset.division
-    g = tuple(div[(f2[x], f1[s_inv[x]])] for x in range(fs.n))
-    return WreathElement(fs.base_gset.group, g, sigma)
+    g = tuple(divide(F, f2[x], f1[s_inv[x]]) for x in range(fs.n))
+    return WreathElement(F.group, g, sigma)
 
 
 def wreath_to_aut(w: WreathElement, F: GSet) -> tuple[int, ...]:

@@ -61,18 +61,6 @@ class GSet(Frozen):
         return n
 
     @cached_property
-    def acts_freely(self) -> bool:
-        """Whether all stabilizers are trivial, computed once; read it via :func:`is_free`."""
-        return all(
-            len({row[f] for row in self.act}) == len(self.act) for f in range(self.size)
-        )
-
-    @cached_property
-    def division(self) -> dict[tuple[int, int], int]:
-        """The table ``(g . f, f) -> g``, computed once; valid when :func:`is_free`."""
-        return {(p, f): g for g, row in enumerate(self.act) for f, p in enumerate(row)}
-
-    @cached_property
     def frame_space(self) -> FrameSpace:
         """Every frame, enumerated once; valid when :func:`is_free`.
 
@@ -145,8 +133,9 @@ def trivial_gset(n: int) -> GSet:
 
 
 def is_free(F: GSet) -> bool:
-    """True when (g, f) -> (gf, f) is injective, i.e. all stabilizers are trivial."""
-    return F.acts_freely
+    """True when all stabilizers are trivial: by orbit-stabilizer, when every orbit
+    has |G| points (every validated or constructed group-set obeys the action law)."""
+    return all(len(m) == F.group.order for m in F.orbit_partition.members)
 
 
 def standard_semitorsor(G: FiniteGroup, n: int) -> GSet:
@@ -175,22 +164,25 @@ def semitorsor_coords(p: int, n: int) -> tuple[int, int]:
 
 
 def divide(F: GSet, f_prime: int, f: int) -> int:
-    """The unique group element carrying f to f_prime within one orbit.
+    """The unique g with ``F.act[g][f] == f_prime``, read off the column of f.
 
-    Defined only for free actions; points in different orbits raise
-    :class:`NoQuotient`.
+    Defined only for free actions; points in different orbits, or off the
+    carrier, raise :class:`NoQuotient`.
     """
-    try:
-        return division_table(F)[(f_prime, f)]
-    except KeyError:
-        raise NoQuotient(f"points {f_prime} and {f} lie in different orbits") from None
+    if not is_free(F):
+        raise NotFree("division requires a free action")
+    q = F.orbit_partition.orbit_of
+    if not (0 <= f < F.size and 0 <= f_prime < F.size) or q[f] != q[f_prime]:
+        raise NoQuotient(f"points {f_prime} and {f} lie in different orbits")
+    return [row[f] for row in F.act].index(f_prime)
 
 
 def division_table(F: GSet) -> dict[tuple[int, int], int]:
-    """Lookup (f_prime, f) -> g for all same-orbit pairs of a free group-set."""
+    """Lookup (f_prime, f) -> g for all same-orbit pairs of a free group-set,
+    built on each call; :func:`divide` reads one division without it."""
     if not is_free(F):
         raise NotFree("division requires a free action")
-    return F.division
+    return {(p, f): g for g, row in enumerate(F.act) for f, p in enumerate(row)}
 
 
 def equivariant_map(source: GSet, target: GSet, xi, value) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -726,3 +727,23 @@ def test_sn_action_rejects_non_covering():
     b = finite_winding_bundle(Z2, 3)
     with pytest.raises(ModeMismatch):
         sn_action_on_bundle(b)
+
+
+def test_frame_side_of_winding_z600_peaks_under_1_mib():
+    # a division reads one column of the action, so the frames, the clutching
+    # element and the component count of G x I_1 hold no |G| x |G| table
+    b = finite_winding_bundle(make_cyclic(600), 1)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fs = enumerate_frames(b.fiber)
+        (w,) = clutching_wreath(b, fs.frames[0])
+        count = frame_components(b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert (w.g_tuple, w.sigma, count) == ((0,), (0,), 600)
+    assert peak < 2**20, f"{peak / 2**20:.1f} MiB"

@@ -4,6 +4,7 @@ import copy
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -28,6 +29,9 @@ from framebundles.frames import WreathElement, enumerate_frames, wreath_identity
 from framebundles.groups import make_cyclic, make_symmetric
 from framebundles.gset_aut import autq_component, autq_reconstruct, ses_report
 from framebundles.gsets import (
+    GSet,
+    divide,
+    division_table,
     induced_orbit_map,
     is_free,
     make_gset,
@@ -239,6 +243,13 @@ def test_value_types_are_built_from_their_fields_by_position_or_name(name):
 
 
 def test_gset_derived_structure_is_computed_once():
+    # three cached properties; freeness and division read the orbit
+    # partition and the action table and store nothing of their own
+    cached = [name for name, attr in vars(GSet).items() if isinstance(attr, cached_property)]
+    assert sorted(cached) == ["frame_space", "orbit_partition", "semitorsor_orbits"]
     F = standard_semitorsor(Z3, 2)
     assert F.orbit_partition is F.orbit_partition
-    assert F.division is F.division
+    assert F.frame_space is F.frame_space
+    assert F.semitorsor_orbits == 2 and vars(F)["semitorsor_orbits"] == 2
+    assert is_free(F) and divide(F, 3, 1) == 1 and len(division_table(F)) == 18
+    assert sorted(vars(F)) == sorted(["group", "size", "act", *cached])

@@ -1,7 +1,7 @@
 import pytest
 
 from framebundles.errors import NoQuotient, NotFree
-from framebundles.groups import identity_hom, make_cyclic, make_direct_product
+from framebundles.groups import identity_hom, make_cyclic, make_direct_product, make_symmetric
 from framebundles.gsets import (
     GSet,
     check_equivariant,
@@ -113,8 +113,25 @@ def test_divide_examples():
 
 def test_divide_rejects_non_free():
     F = make_gset(make_cyclic(2), [[0, 1], [0, 1]])
-    with pytest.raises(NotFree):
+    with pytest.raises(NotFree, match=r"^division requires a free action$"):
         divide(F, 0, 0)
+
+
+@pytest.mark.parametrize("f_prime, f", [(0, -1), (-1, 0), (-3, -3), (0, 3), (3, 0), (7, 7)])
+def test_divide_refuses_a_point_off_the_carrier(f_prime, f):
+    # Z3 acting on itself: one orbit, so a negative point read from the end
+    # of a column would land in the orbit of the other point
+    F = left_translation_gset(make_cyclic(3))
+    with pytest.raises(NoQuotient, match=rf"^points {f_prime} and {f} lie in different orbits$"):
+        divide(F, f_prime, f)
+
+
+def test_divide_refuses_points_of_two_orbits():
+    F = standard_semitorsor(make_cyclic(3), 2)
+    for f_prime, f in [(semitorsor_point(1, 0, 2), semitorsor_point(0, 1, 2)), (1, 0), (0, 5)]:
+        with pytest.raises(NoQuotient,
+                           match=rf"^points {f_prime} and {f} lie in different orbits$"):
+            divide(F, f_prime, f)
 
 
 def test_division_table_agrees_with_divide():
@@ -279,7 +296,30 @@ def _cache_fixtures():
             out.append(standard_semitorsor(G, n))
     # Z4 acting on two points through its quotient Z2: not free
     out.append(make_gset(make_cyclic(4), [[0, 1], [1, 0], [0, 1], [1, 0]]))
+    # Z2 on three points: one free orbit and one fixed point, so not free
+    out.append(make_gset(make_cyclic(2), [[0, 1, 2], [1, 0, 2]]))
+    out.append(coset_gset(make_symmetric(3), 2))
     return out
+
+
+def coset_gset(G, order):
+    """G acting on the left cosets of its first subgroup {e, h} of the given
+    order 2, found by brute force (transitive; stabilizers have order 2)."""
+    assert order == 2
+    h = next(h for h in range(G.order) if h != G.identity and G.mul[h][h] == G.identity)
+    H = (G.identity, h)
+    cosets = []
+    for g in range(G.order):
+        c = frozenset(G.mul[g][x] for x in H)
+        if c not in cosets:
+            cosets.append(c)
+    index = {g: i for i, c in enumerate(cosets) for g in c}
+    return make_gset(G, [[index[G.mul[g][min(c)]] for c in cosets] for g in range(G.order)])
+
+
+def test_coset_gset_is_s3_on_three_cosets():
+    F = coset_gset(make_symmetric(3), 2)
+    assert F.size == 3 and len(brute_orbits(F)) == 1 and not is_free(F)
 
 
 def test_cached_orbits_and_freeness_match_fresh_computation():
@@ -290,7 +330,6 @@ def test_cached_orbits_and_freeness_match_fresh_computation():
             for f in range(F.size)
         )
         assert is_free(F) == fresh_free
-        assert is_free(F) == fresh_free  # second call reads the cache
         q = F.orbit_partition
         assert F.orbit_partition is q
         classes = brute_orbits(F)

@@ -32,6 +32,8 @@ BUNDLES = "src/framebundles/bundles.py"
 SUITE = "src/framebundles/suite_{}.py"
 U1 = "src/framebundles/u1.py"
 CIRCLE = "src/framebundles/circle_commands.py"
+GSETS = "src/framebundles/gsets.py"
+OFF_CARRIER = "tests/test_gsets.py::test_divide_refuses_a_point_off_the_carrier[{}]"
 WRONG_DIVISION = "tests/test_frames.py::test_equivalence_catches_a_wrong_division"
 FULL_LIFT = ("tests/test_bundles.py::"
              "test_frame_components_count_the_components_of_the_full_lift_bundle")
@@ -71,6 +73,14 @@ ROWS = [
      "    q = b.fiber.orbit_partition\n",
      "    q = b.fiber.orbit_partition\n",
      ["tests/test_bundles.py::test_principal_fiber_refuses_a_fiber_that_is_not_free"]),
+    ("freeness read off some orbit instead of every orbit", GSETS,
+     "    return all(len(m) == F.group.order for m in F.orbit_partition.members)\n",
+     "    return any(len(m) == F.group.order for m in F.orbit_partition.members)\n",
+     ["tests/test_gsets.py::test_cached_orbits_and_freeness_match_fresh_computation"]),
+    ("divide without its range guard", GSETS,
+     "    if not (0 <= f < F.size and 0 <= f_prime < F.size) or q[f] != q[f_prime]:\n",
+     "    if q[f] != q[f_prime]:\n",
+     [OFF_CARRIER.format("0--1"), OFF_CARRIER.format("-3--3")]),
     ("frame_components walks only the first loop", BUNDLES,
      "    for a in b.clutching:\n",
      "    for a in b.clutching[:1]:\n",
