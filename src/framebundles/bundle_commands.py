@@ -63,7 +63,7 @@ def _parse_clutching_gspace(entry: Any, fiber: gsets.GSet, where: str) -> tuple[
         if len(g) != n:
             raise SchemaError(f"{where}.wreath: wreath element does not match the target semi-torsor")
         try:
-            return frames.wreath_to_aut(frames.WreathElement(fiber.group, g, perm), fiber)
+            return frames.wreath_to_aut(frames.WreathElement(fiber.group, g, perm))
         except ValueError as exc:
             raise SchemaError(f"{where}.wreath: {exc}") from exc
     else:

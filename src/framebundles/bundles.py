@@ -168,7 +168,7 @@ def finite_winding_bundle(G: FiniteGroup, k: int) -> FlatBundle:
     F = standard_semitorsor(G, k)
     cycle = tuple((i + 1) % k for i in range(k))
     w = WreathElement(G, (G.identity,) * k, cycle)
-    return flat_bundle(F, (wreath_to_aut(w, F),))
+    return flat_bundle(F, (wreath_to_aut(w),))
 
 
 def frame_components(b: FlatBundle) -> int:

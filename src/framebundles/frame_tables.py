@@ -17,6 +17,8 @@ generator ``w`` once, as the permutations ``p1``, ``p2`` of frame indices
 with ``w . fs1[i] = fs1[p1[i]]`` and likewise on ``fs2``, and tests
 ``table[p1[i]] == p2[table[i]]`` on the first twin only: all twins share the
 divisions ``d_i = t_i / base``, so on a free action one proves them all.
+:func:`associated_map` reads ``g . t[x]`` off the action, and only the
+witness of :func:`reconstruct_semitorsor` builds ``G x I_n``.
 
 Only the ``verify`` suites, ``gset_aut`` and the tests import this module;
 the bundles read the frames through ``frames``.
@@ -38,7 +40,6 @@ from .gsets import (
     GSet,
     check_equivariant,
     is_orbit_bijection,
-    semitorsor_point,
     standard_semitorsor,
 )
 from .perms import is_permutation, perm_inverse, perm_orbits
@@ -94,29 +95,20 @@ def orbit_tables(ws: list[WreathElement], fs: FrameSpace):
         yield frame_table(keys, [flat] * n, range(n), fs.index)
 
 
-def _model_frame(F: GSet, t: Frame) -> tuple[GSet, Frame]:
-    """``G x I_n`` and its frame ``(e, x)``, after checking that ``t`` is a basis."""
-    if not is_basis(F, t):
-        raise ValueError("tuple is not a basis")
-    n = len(t)
-    frame = tuple(semitorsor_point(F.group.identity, x, n) for x in range(n))
-    return standard_semitorsor(F.group, n), frame
-
-
 def associated_map(F: GSet, t: Frame) -> tuple[int, ...]:
     """The isomorphism G x I_n -> F induced by a frame: (g, x) -> g . t[x].
 
     Its inverse sends f to (f / t[x], x) where x is the slot whose orbit
     contains f.
     """
-    model, m = _model_frame(F, t)
-    return frame_map(model, m, F, t)
+    if not is_basis(F, t):
+        raise ValueError("tuple is not a basis")
+    return tuple(row[p] for row in F.act for p in t)
 
 
 def associated_map_inverse(F: GSet, t: Frame) -> tuple[int, ...]:
     """The inverse of :func:`associated_map`, as a map F -> G x I_n."""
-    model, m = _model_frame(F, t)
-    return frame_map(F, t, model, m)
+    return perm_inverse(associated_map(F, t))
 
 
 def lift_table(source: GSet, target: GSet, value) -> list[int | None]:

@@ -14,8 +14,8 @@ on; each reader inverts the stored forward image table where it needs it.
 Like a linear map by a basis, an equivariant map out of a free group-set is
 fixed by the image ``t`` of a frame ``f``: each point is ``g . f[x]`` for one
 ``(g, x)``, so equivariance forces :func:`frame_map`, ``g . f[x] -> g . t[x]``.
-:func:`wreath_to_aut` builds the automorphism of ``G x I_n`` that a wreath
-element names this way, from its image of the standard frame.
+:func:`wreath_to_aut` gives the automorphism of ``G x I_n`` that a wreath
+element names this way, read off its formula without building ``G x I_n``.
 
 The frame space of a group-set is computed once, by
 :attr:`~framebundles.gsets.GSet.frame_space`, and read here through
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from .errors import NotFree
 from .groups import FiniteGroup
-from .gsets import Frame, FrameSpace, GSet, divide, is_free, semitorsor_point
+from .gsets import Frame, FrameSpace, GSet, divide, is_free
 from .perms import Permutation, is_permutation, perm_compose, perm_inverse
 from .records import Frozen
 
@@ -158,17 +158,13 @@ def frame_divide(fs: FrameSpace, f2: Frame, f1: Frame) -> WreathElement:
     return WreathElement(F.group, g, sigma)
 
 
-def wreath_to_aut(w: WreathElement, F: GSet) -> tuple[int, ...]:
+def wreath_to_aut(w: WreathElement) -> tuple[int, ...]:
     """The isomorphism from the wreath product G wr I_n onto Aut(G x I_n).
 
     (h, x) maps to (h . g[s(x)]^-1, s(x)); right translation keeps the maps
-    left-equivariant, and the whole assignment is a group homomorphism.
-    ``F`` is the carrier ``standard_semitorsor(G, n)``, which a caller that
-    maps many elements builds once so that the maps share it; any other
-    carrier is refused.
+    left-equivariant, and the whole assignment is a group homomorphism.  It is
+    read off this formula in the packing ``h * n + x``, without a carrier.
     """
     G, n = w.group, w.n
-    if F.group != G or F.semitorsor_orbits != n:
-        raise ValueError("wreath element does not match the target semi-torsor")
-    image = tuple(semitorsor_point(G.inv[w.g_tuple[s]], s, n) for s in w.sigma)
-    return frame_map(F, tuple(semitorsor_point(G.identity, x, n) for x in range(n)), F, image)
+    right = [(G.inv[w.g_tuple[s]], s) for s in w.sigma]
+    return tuple(row[k] * n + s for row in G.mul for k, s in right)

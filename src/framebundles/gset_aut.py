@@ -11,8 +11,8 @@ isomorphic to the wreath product via the explicit map
 
     I(g, s): (h, x) -> (h . g[s(x)]^-1, s(x))
 
-on the standard semi-torsor, which ``frames.wreath_to_aut`` builds and
-:func:`aut_to_wreath` inverts.  The inverse appears because the map
+on the standard semi-torsor, which ``frames.wreath_to_aut`` reads off its
+formula and :func:`aut_to_wreath` inverts.  The inverse appears because the map
 describes how *coordinates* change under a change of frame; the pairing
 tests pin this orientation down.  Aut(F) is the list of morphisms that
 ``frame_tables.gset_homs`` gives.  Only the ``ses`` and ``wreath-iso``

@@ -53,10 +53,12 @@ class GSet(Frozen):
         """The n for which this group-set is exactly ``standard_semitorsor(group, n)``.
 
         Any other group-set raises ``ValueError``, also one of the same size.
+        The rows are compared one at a time, with no second table held.
         Computed once; a refusal is not stored, so it repeats.
         """
         n, rest = divmod(self.size, self.group.order)
-        if rest or n < 1 or self.act != standard_semitorsor(self.group, n).act:
+        rows = zip(self.act, _semitorsor_rows(self.group, n))
+        if rest or n < 1 or any(row != model for row, model in rows):
             raise ValueError("carrier is not the semi-torsor G x I_n")
         return n
 
@@ -146,13 +148,15 @@ def standard_semitorsor(G: FiniteGroup, n: int) -> GSet:
     """
     if n < 1:
         raise ValueError("need at least one orbit")
+    return GSet(G, G.order * n, tuple(_semitorsor_rows(G, n)))
+
+
+def _semitorsor_rows(G: FiniteGroup, n: int):
+    """Row g of G x I_n, (gh, x) at ``h * n + x``, one at a time once the table's bounds pass."""
     config.check_enumeration(G.order * n, "group-set points")
     config.check_table_entries(G.order * G.order * n, "action table of G x I_n")
-    act = tuple(
-        tuple(G.mul[g][h] * n + x for h in range(G.order) for x in range(n))
-        for g in range(G.order)
-    )
-    return GSet(G, G.order * n, act)
+    for row in G.mul:
+        yield tuple(m * n + x for m in row for x in range(n))
 
 
 def semitorsor_point(g: int, x: int, n: int) -> int:

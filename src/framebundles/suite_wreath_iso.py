@@ -17,7 +17,7 @@ def suite_wreath_iso(rep, G, n, F, name) -> None:
     w . (s . base), so it is the frame lift of the map base -> s . base.
     """
     elements = frame_tables.wreath_elements(G, n)
-    tables = [frames.wreath_to_aut(w, F) for w in elements]
+    tables = [frames.wreath_to_aut(w) for w in elements]
     first = dict(zip(tables[::-1], elements[::-1]))  # the first element of each table
     clash = next((f"{first[t]!r} and {w!r} map to one automorphism"
                   for w, t in zip(elements, tables) if first[t] is not w), "")

@@ -5,7 +5,8 @@ a table, element orders one power walk per element, the raw endomorphism
 search, the product search for automorphisms, the cubic associativity check,
 the all-pairs action, equivariance and symmetric-action laws that the library
 checks on generator edges, maps on frame spaces tabulated one frame at a
-time, the frame bundle with every clutching map lifted over all frames, and
+time, the frame bundle with every clutching map lifted over all frames, the
+wreath isomorphism and the associated maps through a built ``G x I_n``, and
 a few group tables; and ``hom``, the image table of a homomorphism
 checked by ``groups.check_hom``, with ``is_isomorphism``, its bijectivity."""
 
@@ -17,9 +18,9 @@ import random
 from framebundles.bundles import flat_bundle
 from framebundles.errors import BoundExceeded
 from framebundles.frame_tables import EquivalenceReport, gset_homs, lift_table, wreath_elements
-from framebundles.frames import enumerate_frames, frame_divide, wreath_act, wreath_mul
+from framebundles.frames import enumerate_frames, frame_divide, frame_map, wreath_act, wreath_mul
 from framebundles.groups import FiniteGroup, automorphisms, check_hom, from_mul_table, table_group
-from framebundles.gsets import trivial_gset
+from framebundles.gsets import semitorsor_point, standard_semitorsor, trivial_gset
 from framebundles.perms import perm_compose, perm_orbits
 
 
@@ -125,6 +126,27 @@ def full_lift_bundle(b):
     F = b.fiber
     return flat_bundle(trivial_gset(len(enumerate_frames(F).frames)),
                        [lift_table(F, F, a) for a in b.clutching])
+
+
+def _standard_frame(G: FiniteGroup, n: int) -> tuple[int, ...]:
+    """The frame ``(e, x)`` of ``G x I_n``."""
+    return tuple(semitorsor_point(G.identity, x, n) for x in range(n))
+
+
+def carrier_wreath_to_aut(w, F) -> tuple[int, ...]:
+    """``frames.wreath_to_aut`` on the built carrier ``F = G x I_n``: the map
+    sending its standard frame to the image frame ``(g[s(x)]^-1, s(x))``."""
+    G, n = w.group, w.n
+    image = tuple(semitorsor_point(G.inv[w.g_tuple[s]], s, n) for s in w.sigma)
+    return frame_map(F, _standard_frame(G, n), F, image)
+
+
+def carrier_associated_maps(F, t) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``frame_tables.associated_map`` and its inverse through a built
+    ``G x I_n``: the maps between its standard frame and the frame ``t``."""
+    model = standard_semitorsor(F.group, len(t))
+    m = _standard_frame(F.group, len(t))
+    return frame_map(model, m, F, t), frame_map(F, t, model, m)
 
 
 def equivalence_per_frame(F, F2) -> EquivalenceReport:

@@ -178,15 +178,15 @@ def _decomposition_fixtures():
     ]
     # twisted torsor bundle
     torsor = standard_semitorsor(z3, 1)
-    twist = wreath_to_aut(WreathElement(z3, (1,), (0,)), torsor)
+    twist = wreath_to_aut(WreathElement(z3, (1,), (0,)))
     fixtures.append(flat_bundle(torsor, (twist,)))
     # trivial bundle with three orbits
     fiber = standard_semitorsor(z2, 3)
     fixtures.append(flat_bundle(fiber, (tuple(range(fiber.size)),)))
     # two loops over the wedge: a sheet swap and a pure translation
     f2 = standard_semitorsor(z2, 2)
-    swap = wreath_to_aut(WreathElement(z2, (0, 0), (1, 0)), f2)
-    shift = wreath_to_aut(WreathElement(z2, (1, 1), (0, 1)), f2)
+    swap = wreath_to_aut(WreathElement(z2, (0, 0), (1, 0)))
+    shift = wreath_to_aut(WreathElement(z2, (1, 1), (0, 1)))
     fixtures.append(flat_bundle(f2, (swap, shift)))
     return fixtures
 
@@ -334,6 +334,26 @@ def test_frame_bundle_of_4000_perm_loops_within_5s_and_150mb():
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)["data"]
     assert (data["frames"], data["components"]) == (5040, 1)
+
+
+def test_winding_z1260_is_answered_within_150_mb():
+    # G x I_1 is built once: the clutching map is read off its formula and no
+    # second table is built to recognize the fiber, so each request holds one
+    # 1260 x 1260 action table and its group's Cayley table
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (150_000 * 1024, 150_000 * 1024))
+
+    doc = '{"kind": "winding", "group": {"kind": "cyclic", "n": 1260}, "k": 1}'
+    src = Path(__file__).resolve().parent.parent / "src"
+    for command, line in [("components", "components: 1260"),
+                          ("frame-bundle", "frame bundle components: 1260")]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "framebundles.cli", command, doc],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=20, preexec_fn=limit,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        assert line in proc.stdout.splitlines()
 
 
 def test_trivial_action_of_z2520_on_one_point_is_answered_quickly():

@@ -217,7 +217,7 @@ def test_trivializable_cases():
 
 def test_quotient_of_torsor_bundle_is_a_point():
     fiber = standard_semitorsor(Z3, 1)
-    neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)), fiber)
+    neg = wreath_to_aut(WreathElement(Z3, (1,), (0,)))
     b = flat_bundle(fiber, (neg,))
     q = quotient_bundle(b)
     assert q.fiber.size == 1
@@ -471,7 +471,7 @@ def test_frame_components_count_the_components_of_the_full_lift_bundle(data):
                         st.permutations(range(n)))
     loops = data.draw(st.lists(element, min_size=1, max_size=4), label="loops")
     F = standard_semitorsor(G, n)
-    b = flat_bundle(F, [wreath_to_aut(WreathElement(G, tuple(g), tuple(s)), F) for g, s in loops])
+    b = flat_bundle(F, [wreath_to_aut(WreathElement(G, tuple(g), tuple(s))) for g, s in loops])
     assert frame_components(b) == total_components(full_lift_bundle(b))
 
 

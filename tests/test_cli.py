@@ -752,8 +752,8 @@ def test_wreath_iso_names_its_counterexamples(capsys, monkeypatch):
 
     true_map = frames.wreath_to_aut
 
-    def sigma_inverted(w, F):  # an anti-homomorphism on the permutation part
-        return true_map(WreathElement(w.group, w.g_tuple, perms.perm_inverse(w.sigma)), F)
+    def sigma_inverted(w):  # an anti-homomorphism on the permutation part
+        return true_map(WreathElement(w.group, w.g_tuple, perms.perm_inverse(w.sigma)))
 
     monkeypatch.setattr(frames, "wreath_to_aut", sigma_inverted)
     code, out, _ = run(capsys, "verify", "wreath-iso", "--group", "z2", "--orbits", "3")
@@ -775,7 +775,7 @@ def test_wreath_iso_names_a_clash_and_an_automorphism_that_no_element_reaches(ca
     true_map = frames.wreath_to_aut
     # every element maps as the identity does: one table for both elements of Z2
     monkeypatch.setattr(frames, "wreath_to_aut",
-                        lambda w, F: true_map(wreath_identity(w.group, w.n), F))
+                        lambda w: true_map(wreath_identity(w.group, w.n)))
     code, out, _ = run(capsys, "verify", "wreath-iso", "--group", "z2", "--orbits", "1")
     assert code == 1
     assert ("FAIL [Z2 n=1] injective (WreathElement(g=(0,), sigma=(0,)) and "

@@ -108,7 +108,7 @@ def test_wreath_machinery_on_nonabelian_group():
     sample = wreath_elements(S3, 2)[::7]
     F = standard_semitorsor(S3, 2)
     for w in sample:
-        psi = wreath_to_aut(w, F)
+        psi = wreath_to_aut(w)
         assert induced_orbit_map(F, F, psi) == w.sigma
         from framebundles.gset_aut import aut_to_wreath
 
@@ -136,8 +136,8 @@ def test_gspace_winding_not_isomorphic_to_trivial():
 
 def test_two_loop_frame_bundle_lifts_generatorwise():
     fiber = standard_semitorsor(Z2, 2)
-    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)), fiber)
-    shift = wreath_to_aut(WreathElement(Z2, (1, 0), (0, 1)), fiber)
+    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)))
+    shift = wreath_to_aut(WreathElement(Z2, (1, 0), (0, 1)))
     b = flat_bundle(fiber, (swap, shift))
     lifted = full_lift_bundle(b)
     fs = enumerate_frames(fiber)

@@ -1,10 +1,19 @@
 import itertools
+import math
 
 import pytest
 
+import framebundles.bundles as bundles
+import framebundles.frame_tables as frame_tables
 import framebundles.gsets as gsets
+import framebundles.suites as suites
 from framebundles.errors import NotFree
-from framebundles.frame_tables import associated_map, gset_homs, wreath_elements
+from framebundles.frame_tables import (
+    associated_map,
+    associated_map_inverse,
+    gset_homs,
+    wreath_elements,
+)
 from framebundles.frames import (
     WreathElement,
     enumerate_frames,
@@ -30,12 +39,19 @@ from framebundles.gsets import (
     trivial_gset,
 )
 from framebundles.perms import perm_compose
-from framebundles.suites import run_suite
-from table_oracles import gset_aut_table, is_abelian
+from framebundles.suites import fixture_groups, run_suite
+from table_oracles import (
+    carrier_associated_maps,
+    carrier_wreath_to_aut,
+    gset_aut_table,
+    is_abelian,
+)
+from test_frame_table import relabelled
 
 Z2 = make_cyclic(2)
 Z3 = make_cyclic(3)
 Z4 = make_cyclic(4)
+S3 = make_symmetric(3)
 
 
 def identity_frame(G, n):
@@ -92,7 +108,7 @@ def test_cq_identity():
 def test_cq_orbit_swap_is_transposition():
     F = standard_semitorsor(Z2, 2)
     w = WreathElement(Z2, (0, 0), (1, 0))
-    psi = wreath_to_aut(w, F)
+    psi = wreath_to_aut(w)
     assert induced_orbit_map(F, F, psi) == (1, 0)
 
 
@@ -179,7 +195,7 @@ def test_autq_component_is_homomorphism():
 
 def test_autq_component_rejects_orbit_movers():
     F = standard_semitorsor(Z2, 2)
-    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)), F)
+    swap = wreath_to_aut(WreathElement(Z2, (0, 0), (1, 0)))
     with pytest.raises(ValueError):
         autq_component(F, swap, identity_frame(Z2, 2))
 
@@ -206,20 +222,17 @@ def test_autq_basis_change_covariance():
 
 
 def test_wreath_to_aut_identity():
-    psi = wreath_to_aut(wreath_identity(Z2, 2), standard_semitorsor(Z2, 2))
+    psi = wreath_to_aut(wreath_identity(Z2, 2))
     assert psi == tuple(range(4))
 
 
 def test_wreath_to_aut_refuses_a_carrier_that_is_not_g_x_i_n():
+    # wreath_to_aut reads its formula and takes no carrier, so the carrier is
+    # refused where one is read: aut_to_wreath and semitorsor_orbits
     # free with two Z2 orbits, {0, 1} and {2, 3}: the size of Z2 x I_2, not its packing
     F = make_gset(Z2, [(0, 1, 2, 3), (1, 0, 3, 2)])
-    swap = WreathElement(Z2, (0, 0), (1, 0))
-    with pytest.raises(ValueError, match="carrier is not the semi-torsor G x I_n"):
-        wreath_to_aut(swap, F)
     with pytest.raises(ValueError, match="carrier is not the semi-torsor G x I_n"):
         aut_to_wreath(F, tuple(range(F.size)))
-    with pytest.raises(ValueError, match="does not match the target semi-torsor"):
-        wreath_to_aut(swap, standard_semitorsor(Z2, 3))
     assert [standard_semitorsor(Z3, n).semitorsor_orbits for n in (1, 2, 3)] == [1, 2, 3]
     assert trivial_gset(3).semitorsor_orbits == 3
     with pytest.raises(ValueError):
@@ -227,6 +240,7 @@ def test_wreath_to_aut_refuses_a_carrier_that_is_not_g_x_i_n():
 
 
 def _count_standard_semitorsor(monkeypatch) -> list:
+    """Each build of G x I_n, in every module that binds the builder."""
     calls = []
     build = gsets.standard_semitorsor
 
@@ -234,20 +248,37 @@ def _count_standard_semitorsor(monkeypatch) -> list:
         calls.append((G.label, n))
         return build(G, n)
 
-    monkeypatch.setattr(gsets, "standard_semitorsor", counted)
+    for module in (gsets, bundles, frame_tables, suites):
+        monkeypatch.setattr(module, "standard_semitorsor", counted)
     return calls
 
 
+def _count_semitorsor_rows(monkeypatch) -> list:
+    """Each row of G x I_n read, as (group label, n, row)."""
+    reads = []
+    rows = gsets._semitorsor_rows
+
+    def counted(G, n):
+        for g, row in enumerate(rows(G, n)):
+            reads.append((G.label, n, g))
+            yield row
+
+    monkeypatch.setattr(gsets, "_semitorsor_rows", counted)
+    return reads
+
+
 def test_the_carrier_check_runs_once_per_group_set_and_a_failure_each_time(monkeypatch):
-    calls = _count_standard_semitorsor(monkeypatch)
+    reads = _count_semitorsor_rows(monkeypatch)
     F = standard_semitorsor(Z3, 2)
+    assert len(reads) == 3
     assert [F.semitorsor_orbits for _ in range(3)] == [2, 2, 2]
-    assert len(calls) == 1
+    assert reads[3:] == [("Z3", 2, g) for g in range(3)]  # compared once, row by row
     scrambled = make_gset(Z2, [(0, 1, 2, 3), (3, 2, 1, 0)])
     for _ in range(3):
         with pytest.raises(ValueError, match="carrier is not the semi-torsor G x I_n"):
             scrambled.semitorsor_orbits
-    assert len(calls) == 4
+    # the identity rows agree and the second row differs, on every read
+    assert reads[6:] == [("Z2", 2, 0), ("Z2", 2, 1)] * 3
 
 
 def test_wreath_iso_builds_the_standard_semitorsor_a_bounded_number_of_times(monkeypatch):
@@ -255,13 +286,43 @@ def test_wreath_iso_builds_the_standard_semitorsor_a_bounded_number_of_times(mon
     calls = _count_standard_semitorsor(monkeypatch)
     report = run_suite("wreath-iso", group_name="z2xz2", orbit_count=3)
     assert report.ok
-    assert len(calls) <= 2
+    assert calls == [("Z2xZ2", 3)]
+
+
+def test_reconstruction_builds_g_x_i_n_once_as_its_witness_target(monkeypatch):
+    fs = enumerate_frames(standard_semitorsor(S3, 2))
+    calls = _count_standard_semitorsor(monkeypatch)
+    frame_tables.reconstruct_semitorsor(fs, 0)
+    assert calls == [("S3", 2)]
+
+
+# every fixture group with n <= 3 orbits whose wreath product has at most 2,000 elements
+REFERENCE_CARRIERS = [(G, n) for G in fixture_groups(6) for n in (1, 2, 3)
+                      if G.order**n * math.factorial(n) <= 2000]
+
+
+@pytest.mark.parametrize(("G", "n"), REFERENCE_CARRIERS,
+                         ids=[f"{G.label}-{n}" for G, n in REFERENCE_CARRIERS])
+def test_the_formulas_match_the_carrier_construction(G, n):
+    # the value tables read off their formulas equal frame_map on a built G x I_n
+    F = standard_semitorsor(G, n)
+    for w in wreath_elements(G, n):
+        assert wreath_to_aut(w) == carrier_wreath_to_aut(w, F)
+    for t in enumerate_frames(F).frames:
+        assert (associated_map(F, t), associated_map_inverse(F, t)) == carrier_associated_maps(F, t)
+
+
+def test_the_associated_maps_match_the_carrier_construction_on_a_relabelled_carrier():
+    F = relabelled(standard_semitorsor(S3, 2), seed=35)
+    assert F.act != standard_semitorsor(S3, 2).act
+    for t in enumerate_frames(F).frames:
+        assert (associated_map(F, t), associated_map_inverse(F, t)) == carrier_associated_maps(F, t)
 
 
 def test_wreath_to_aut_pure_tuple_right_translates():
     G = Z3
     w = WreathElement(G, (1, 2), (0, 1))
-    psi = wreath_to_aut(w, standard_semitorsor(G, 2))
+    psi = wreath_to_aut(w)
     for g in range(3):
         for x in range(2):
             expected = semitorsor_point(G.mul[g][G.inv[w.g_tuple[x]]], x, 2)
@@ -270,7 +331,7 @@ def test_wreath_to_aut_pure_tuple_right_translates():
 
 def test_wreath_to_aut_homomorphism_64_pairs():
     elements, F = wreath_elements(Z2, 2), standard_semitorsor(Z2, 2)
-    images = {w: wreath_to_aut(w, F) for w in elements}
+    images = {w: wreath_to_aut(w) for w in elements}
     count = 0
     for a in elements:
         for b in elements:
@@ -283,7 +344,7 @@ def test_wreath_to_aut_homomorphism_64_pairs():
 
 def test_wreath_to_aut_bijective():
     elements, F = wreath_elements(Z3, 2), standard_semitorsor(Z3, 2)
-    tables = {wreath_to_aut(w, F) for w in elements}
+    tables = {wreath_to_aut(w) for w in elements}
     assert len(tables) == len(elements) == 18
     auts = gset_homs(F, F)
     assert tables == set(auts)
@@ -292,9 +353,9 @@ def test_wreath_to_aut_bijective():
 def test_aut_to_wreath_round_trips():
     F = standard_semitorsor(Z2, 2)
     for w in wreath_elements(Z2, 2):
-        assert aut_to_wreath(F, wreath_to_aut(w, F)) == w
+        assert aut_to_wreath(F, wreath_to_aut(w)) == w
     for a in gset_homs(F, F):
-        assert wreath_to_aut(aut_to_wreath(F, a), F) == a
+        assert wreath_to_aut(aut_to_wreath(F, a)) == a
 
 
 def test_aut_to_wreath_identity():
@@ -314,8 +375,8 @@ def test_aut_to_wreath_composition_tuple_law():
     F = standard_semitorsor(G, 2)
     for w1 in sample:
         for w2 in sample:
-            p1 = wreath_to_aut(w1, F)
-            p2 = wreath_to_aut(w2, F)
+            p1 = wreath_to_aut(w1)
+            p2 = wreath_to_aut(w2)
             composed = perm_compose(p1, p2)
             assert aut_to_wreath(F, composed) == wreath_mul(w1, w2)
 
@@ -323,7 +384,7 @@ def test_aut_to_wreath_composition_tuple_law():
 def test_cq_of_wreath_to_aut_is_sigma():
     F = standard_semitorsor(Z3, 2)
     for w in wreath_elements(Z3, 2):
-        assert induced_orbit_map(F, F, wreath_to_aut(w, F)) == w.sigma
+        assert induced_orbit_map(F, F, wreath_to_aut(w)) == w.sigma
 
 
 def test_pairing_invariance():
@@ -333,7 +394,7 @@ def test_pairing_invariance():
     F = standard_semitorsor(G, n)
     fs = enumerate_frames(F)
     for w in wreath_elements(G, n):
-        psi = wreath_to_aut(w, F)
+        psi = wreath_to_aut(w)
         for t in fs.frames:
             moved = wreath_act(F, w, t)
             phi_t = associated_map(F, t)
@@ -359,7 +420,7 @@ def test_counteracting_map_is_frame_independent():
             if expected is None:
                 expected = table
             assert table == expected
-        assert expected == wreath_to_aut(w, F)
+        assert expected == wreath_to_aut(w)
 
 
 # ---------------------------------------------------------------- SES

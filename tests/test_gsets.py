@@ -1,6 +1,10 @@
+import tracemalloc
+
 import pytest
 
-from framebundles.errors import NoQuotient, NotFree
+from framebundles import config
+from framebundles.bundle_commands import parse_gset
+from framebundles.errors import BoundExceeded, NoQuotient, NotFree
 from framebundles.groups import identity_hom, make_cyclic, make_direct_product, make_symmetric
 from framebundles.gsets import (
     GSet,
@@ -337,3 +341,33 @@ def test_cached_orbits_and_freeness_match_fresh_computation():
         assert tuple(m[0] for m in q.members) == tuple(min(c) for c in classes)
         for k, c in enumerate(classes):
             assert all(q.orbit_of[f] == k for f in c)
+
+
+def test_recognizing_g_x_i_n_holds_no_second_table():
+    # Z600 x I_1 is compared with its model one row of 600 points at a time,
+    # never with a second table of 360,000 entries
+    F = standard_semitorsor(make_cyclic(600), 1)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        n = F.semitorsor_orbits
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert n == 1
+    assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_a_table_carrier_past_the_enumeration_bound_is_refused_as_g_x_i_n():
+    # the trivial group on one point more than config.MAX_ENUMERATION: its rows
+    # could be compared one at a time, but G x I_n of that size is refused
+    points = config.MAX_ENUMERATION + 1
+    F = parse_gset({"kind": "table", "group": {"kind": "cyclic", "n": 1},
+                    "act": [list(range(points))]})
+    message = f"enumerating {points} group-set points exceeds the bound {config.MAX_ENUMERATION}"
+    for _ in range(2):
+        with pytest.raises(BoundExceeded, match=f"^{message}$"):
+            F.semitorsor_orbits

@@ -66,7 +66,6 @@ def test_an_unread_import_is_reported():
 # in src/ leaves this table, and one that loses its last caller fails the test.
 TEST_ONLY = {
     "bundles.bundle_isomorphic": "retraction law of the planned bundle-law suite",
-    "frame_tables.associated_map": "retraction law of the planned bundle-law suite",
     "frame_tables.reconstruct_semitorsor": "retraction law of the planned bundle-law suite",
     "frames.wreath_inv": "reference law of the wreath product for every frame-table kernel",
     "frames.wreath_mul": "reference law of the wreath product for every frame-table kernel",

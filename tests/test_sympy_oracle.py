@@ -109,7 +109,7 @@ def test_automorphism_classes_match_table_oracle_and_sympy(G):
 @pytest.mark.parametrize("G, n", WREATH_CASES, ids=[f"{G.label}-{n}" for G, n in WREATH_CASES])
 def test_wreath_generator_images_generate_aut(G, n):
     F = standard_semitorsor(G, n)
-    images = [wreath_to_aut(w, F) for w in _wreath_generators(G, n)]
+    images = [wreath_to_aut(w) for w in _wreath_generators(G, n)]
     order = _group(images, F.size).order()
     assert order == G.order**n * math.factorial(n) == gset_aut_table(F).order
 
@@ -120,7 +120,7 @@ def _two_loop_bundles():
     for G in GROUPS[:5]:
         F = standard_semitorsor(G, 2)
         elements = wreath_elements(G, 2)
-        maps = [wreath_to_aut(w, F) for w in elements]
+        maps = [wreath_to_aut(w) for w in elements]
         for i in range(0, len(maps), 3):
             j = (7 * i + 1) % len(maps)
             out.append(flat_bundle(F, (maps[i], maps[j])))
@@ -134,7 +134,7 @@ def test_clutching_orbits_match_components():
     Z2 = make_cyclic(2)
     loops = [WreathElement(Z2, (1, 0), (1, 0)), WreathElement(Z2, (0, 1), (0, 1))]
     F = standard_semitorsor(Z2, 2)
-    bundles.append(flat_bundle(F, tuple(wreath_to_aut(w, F) for w in loops)))
+    bundles.append(flat_bundle(F, tuple(wreath_to_aut(w) for w in loops)))
     for b in bundles:
         orbits = _group(b.clutching, b.fiber.size).orbits()
         assert {frozenset(o) for o in orbits} == {frozenset(c) for c in components(b)}

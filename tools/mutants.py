@@ -33,6 +33,7 @@ SUITE = "src/framebundles/suite_{}.py"
 U1 = "src/framebundles/u1.py"
 CIRCLE = "src/framebundles/circle_commands.py"
 GSETS = "src/framebundles/gsets.py"
+FRAMES = "src/framebundles/frames.py"
 OFF_CARRIER = "tests/test_gsets.py::test_divide_refuses_a_point_off_the_carrier[{}]"
 WRONG_DIVISION = "tests/test_frames.py::test_equivalence_catches_a_wrong_division"
 FULL_LIFT = ("tests/test_bundles.py::"
@@ -41,6 +42,7 @@ WREATH_LOOPS_1271 = "tests/test_cli.py::test_frame_bundle_of_1271_wreath_loops_h
 FAULTS = "tests/test_suite_faults.py::"
 LOADS = "tests/test_cli.py::test_a_request_under_python_m_imports_the_front_end_once[{}]"
 MIXED = "tests/test_cli.py::test_strict_and_loose_samples_mixed_keep_their_rates_and_refusals[{}]"
+REFERENCE = "tests/test_gset_aut.py::test_the_formulas_match_the_carrier_construction[{}]"
 
 # (name, file, exact old text, new text, test ids that must fail)
 ROWS = [
@@ -142,6 +144,22 @@ ROWS = [
      "    if False:\n",
      ["tests/test_golden.py::test_golden[division_check_single_sample_path_text]",
       "tests/test_golden.py::test_golden[division_check_single_sample_path_json]"]),
+    ("semitorsor_orbits compares only the identity row", GSETS,
+     "        rows = zip(self.act, _semitorsor_rows(self.group, n))\n",
+     "        rows = zip(self.act[:1], _semitorsor_rows(self.group, n))\n",
+     ["tests/test_gset_aut.py::"
+      "test_the_carrier_check_runs_once_per_group_set_and_a_failure_each_time",
+      "tests/test_gset_aut.py::test_wreath_to_aut_refuses_a_carrier_that_is_not_g_x_i_n"]),
+    ("wreath_to_aut uses g[s(x)] without its inverse", FRAMES,
+     "    right = [(G.inv[w.g_tuple[s]], s) for s in w.sigma]\n",
+     "    right = [(w.g_tuple[s], s) for s in w.sigma]\n",
+     [REFERENCE.format("Z3-1"), REFERENCE.format("S3-1")]),
+    ("associated_map_inverse returns the map itself", FRAME_TABLES,
+     "    return perm_inverse(associated_map(F, t))\n",
+     "    return associated_map(F, t)\n",
+     [REFERENCE.format("Z3-2"), "tests/test_frames.py::test_associated_map_round_trip",
+      "tests/test_gset_aut.py::"
+      "test_the_associated_maps_match_the_carrier_construction_on_a_relabelled_carrier"]),
 ]
 
 
